@@ -16,7 +16,8 @@ associated Lyapunov equation and give the decay constants v1, v2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,21 +142,16 @@ def check_dc1(cfg: ChainControllerConfig, alpha: GainFunction,
     return check_growth_criterion(cfg.alpha_x, crit, grid, alpha_main=alpha)
 
 
-def _phi_weights(cfg: ChainControllerConfig, mu: float) -> np.ndarray:
-    """Diagonal of Phi(mu): alpha_x(mu)^{-L_j} for stages j = 1..m."""
-    ax = cfg.alpha_x.eval(mu)
-    return ax ** (-cfg.L)
-
-
 def chain_error_view(x: np.ndarray, varpi_i: np.ndarray, mu: float,
                      cfg: ChainControllerConfig) -> dict:
     """Error coordinates e_s, s_tilde, e_tilde_s at one state.
 
-    x is (m, n); varpi_i is the n-vector reference for the first stage.
+    x is (..., m, n); varpi_i is the (..., n) reference for the first stage.
+    Leading axes stack agents.
     """
     e_s = x.copy()
-    e_s[0] = x[0] - varpi_i
-    w = _phi_weights(cfg, mu)
+    e_s[..., 0, :] -= varpi_i
+    w = cfg.alpha_x.eval(mu) ** (-cfg.L)  # diagonal of Phi(mu)
     k_tilde = np.concatenate([cfg.K, [1.0]])
     s_tilde = (k_tilde * w) @ e_s / cfg.k1
     e_tilde_s = cfg.alpha_s.eval(mu) * s_tilde
@@ -164,7 +160,11 @@ def chain_error_view(x: np.ndarray, varpi_i: np.ndarray, mu: float,
 
 def chain_control(x: np.ndarray, varpi_i: np.ndarray, mu: float,
                   cfg: ChainControllerConfig) -> np.ndarray:
-    """Robust tracking control for one chain-integrator agent."""
+    """Robust tracking control for chain-integrator agents.
+
+    x is (..., m, n) and varpi_i (..., n); returns u with shape (..., n).
+    cfg.psi maps the (..., m, n) stack to a scalar or to (...) values.
+    """
     if mu > cfg.mu_guard * (1.0 + 1e-12):
         raise GuardExceeded(f"mu={mu} beyond guard {cfg.mu_guard}")
     m, K = cfg.m, cfg.K
@@ -182,26 +182,64 @@ def chain_control(x: np.ndarray, varpi_i: np.ndarray, mu: float,
 
     # r1 stacks stages 1..m-1 weighted by alpha_x^{-L_j}; its derivative uses
     # the next stage minus the scale-rate correction
-    dr1 = np.empty((m - 1, cfg.n))
-    dr1[0] = x[1]
+    dr1 = np.empty(x.shape[:-2] + (m - 1, cfg.n))
+    dr1[..., 0, :] = x[..., 1, :]
     for j in range(1, m - 1):
         Lj = float(j)  # L_{j+1} = j for the (j+1)-th stage (0-based row j)
-        dr1[j] = ax ** (-Lj) * (x[j + 1] - Lj * delta_x * x[j])
-    pi = ax ** L_m * (K @ dr1) - L_m * delta_x * x[m - 1]
+        dr1[..., j, :] = ax ** (-Lj) * (x[..., j + 1, :]
+                                        - Lj * delta_x * x[..., j, :])
+    pi = ax ** L_m * (K @ dr1) - L_m * delta_x * x[..., m - 1, :]
 
     B = ax ** (-L_m) / cfg.k1
-    psi_val = cfg.psi(x)
-    u = (-(cfg.v + psi_val ** 2 + 1.0) * math.copysign(1.0, cfg.k1) * e_tilde_s
+    gain = cfg.v + np.asarray(cfg.psi(x))[..., None] ** 2 + 1.0
+    u = (-gain * math.copysign(1.0, cfg.k1) * e_tilde_s
          - pi - (delta_s / B) * s_tilde)
     return u
 
 
 def chain_plant_rhs(x: np.ndarray, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Chain dynamics: x_q' = x_{q+1}, x_m' = u + phi."""
+    """Chain dynamics: x_q' = x_{q+1}, x_m' = u + phi, on (..., m, n)."""
     dx = np.empty_like(x)
-    dx[:-1] = x[1:]
-    dx[-1] = u + phi
+    dx[..., :-1, :] = x[..., 1:, :]
+    dx[..., -1, :] = u + phi
     return dx
+
+
+class ChainAgents:
+    """N chain-integrator agents under chain_control, stacked as (N, m, n).
+
+    With el = (true, nominal) Euler-Lagrange parameters the plant is the
+    two-link manipulator driven through inverse dynamics; disturbance(t),
+    when given, returns the (N, n) matched signal added at the last stage.
+    Chain agents carry no controller state.
+    """
+
+    ctrl_size = 0
+
+    def __init__(self, cfg: ChainControllerConfig, el=None,
+                 disturbance=None):
+        if el is not None and cfg.m != 2:
+            raise ValueError("the Euler-Lagrange plant needs order 2")
+        self.cfg = cfg
+        self.el = el
+        self.disturbance = disturbance
+
+    def control(self, mu, x, c, ref):
+        return chain_control(x, ref, mu, self.cfg)
+
+    def derivatives(self, t, mu, x, c, ref):
+        """(dx, None): plant derivatives of every agent at (t, x)."""
+        u = chain_control(x, ref, mu, self.cfg)
+        if self.el is not None:
+            u = el_acceleration(*self.el, x[..., 0, :], x[..., 1, :], u)
+        d = 0.0 if self.disturbance is None else self.disturbance(t)
+        return chain_plant_rhs(x, u, d), None
+
+    def diagnostics(self, mu, x, c, ref) -> dict:
+        """Per-agent norms of e_s and e_tilde_s."""
+        view = chain_error_view(x, ref, mu, self.cfg)
+        return {"e_s_norm": np.linalg.norm(view["e_s"], axis=(-2, -1)),
+                "e_tilde_norm": np.linalg.norm(view["e_tilde_s"], axis=-1)}
 
 
 def chain_decay_monitor(times, e_s_norms, e_tilde_norms,
@@ -242,20 +280,46 @@ class EulerLagrangeParams:
     theta: tuple
     gravity: float = 9.8
 
+    @cached_property
+    def coefficients(self) -> tuple:
+        """(A, B, W) with M(x1) = A + cos(q2) B and
+        G(x1) = W^T [cos q1, cos(q1 + q2)]."""
+        t1, t2, t3, t4, t5, t6 = self.theta
+        g = self.gravity
+        return (np.array([[t1 + t2, t2], [t2, t4]]),
+                np.array([[2.0 * t3, t3], [t3, 0.0]]),
+                np.array([[t5 * g, 0.0], [t6 * g, t6 * g]]))
+
+
+# x1 @ _ANGLES = [q1, q1 + q2]; C picks x2 entries _C_PICK with signs
+# _C_SIGN; adj(M) = M[_ADJ_ROWS, _ADJ_COLS] * _ADJ_SIGN
+_ANGLES = np.array([[1.0, 1.0], [0.0, 1.0]])
+_C_PICK = np.array([[0, 0], [0, 1]])
+_C_SIGN = np.array([[-1.0, -2.0], [0.0, 1.0]])
+_ADJ_ROWS = np.array([[1, 0], [1, 0]])
+_ADJ_COLS = np.array([[1, 1], [0, 0]])
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
 
 def el_matrices(par: EulerLagrangeParams, x1: np.ndarray, x2: np.ndarray):
-    """Inertia M(x1), Coriolis C(x1, x2) and gravity G(x1) matrices."""
-    t1, t2, t3, t4, t5, t6 = par.theta
-    g = par.gravity
-    c12 = math.cos(x1[1])
-    s12 = math.sin(x1[1])
-    M = np.array([[t1 + t2 + 2.0 * t3 * c12, t2 + t3 * c12],
-                  [t2 + t3 * c12, t4]])
-    C = np.array([[-t3 * s12 * x2[0], -2.0 * t3 * s12 * x2[0]],
-                  [0.0, t3 * s12 * x2[1]]])
-    G = np.array([t5 * g * math.cos(x1[0]) + t6 * g * math.cos(x1[0] + x1[1]),
-                  t6 * g * math.cos(x1[0] + x1[1])])
+    """Inertia M(x1), Coriolis C(x1, x2) and gravity G(x1) matrices.
+
+    With q = x1:  M = [[t1 + t2 + 2 t3 cos q2, t2 + t3 cos q2],
+    [t2 + t3 cos q2, t4]],  C = t3 sin q2 [[-x2_1, -2 x2_1], [0, x2_2]],
+    G = g [t5 cos q1 + t6 cos(q1 + q2), t6 cos(q1 + q2)].  x1 and x2 are
+    (..., 2); returns M and C as (..., 2, 2), G as (..., 2).
+    """
+    A, B, W = par.coefficients
+    c2 = np.cos(x1[..., 1, None, None])
+    s2 = np.sin(x1[..., 1, None, None])
+    M = A + c2 * B
+    C = (par.theta[2] * s2) * (x2[..., _C_PICK] * _C_SIGN)
+    G = np.cos(x1 @ _ANGLES) @ W
     return M, C, G
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (A @ v[..., None])[..., 0]
 
 
 def el_acceleration(true_par: EulerLagrangeParams,
@@ -268,9 +332,13 @@ def el_acceleration(true_par: EulerLagrangeParams,
     computed with nominal parameters, u_applied = M_hat u + C_hat x2 + G_hat;
     the true plant responds with x2' = M^{-1}(u_applied - C x2 - G).  The
     parameter mismatch is the bounded matched disturbance the robust term
-    absorbs.
+    absorbs.  All arguments are (..., 2); M^{-1} = adj(M) / det(M) is
+    closed form.
     """
     M_hat, C_hat, G_hat = el_matrices(nominal_par, x1, x2)
     M, C, G = el_matrices(true_par, x1, x2)
-    u_applied = M_hat @ u + C_hat @ x2 + G_hat
-    return np.linalg.solve(M, u_applied - C @ x2 - G)
+    u_applied = _matvec(M_hat, u) + _matvec(C_hat, x2) + G_hat
+    b = u_applied - _matvec(C, x2) - G
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    adj = M[..., _ADJ_ROWS, _ADJ_COLS] * _ADJ_SIGN
+    return _matvec(adj, b) / det[..., None]

@@ -205,6 +205,12 @@ def cmd_sweep(args) -> int:
                 print(f"{p.name}: config error: {exc}", file=sys.stderr)
                 worst = EXIT_CONFIG
                 continue
+            except Exception as exc:
+                # one malformed file must not end the sweep
+                print(f"{p.name}: error: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+                worst = EXIT_CONFIG
+                continue
             status = "ok" if code == EXIT_OK else "monitor failure"
             print(f"{p.name}: {status} ({manifest['wall_seconds']:.1f}s)")
             if code != EXIT_OK and worst != EXIT_CONFIG:

@@ -11,12 +11,11 @@ cost with a finite-difference Hessian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NonPositiveInput
-from .graph import jacobi_eigenvalues
 
 _NEWTON_MAX_ITER = 10_000
 
@@ -52,7 +51,7 @@ class QuadraticCost(CostFunction):
         self.dim = self.center.shape[0]
         if self.Q.shape != (self.dim, self.dim):
             raise DimensionMismatch("Q shape does not match center")
-        eigs = jacobi_eigenvalues(self.Q)
+        eigs = np.linalg.eigvalsh(self.Q)
         if eigs[0] <= 0:
             raise NonPositiveInput("Q must be positive definite")
         self.rho_c = 2.0 * float(eigs[0])
@@ -84,7 +83,7 @@ class ExpQuadraticCost(CostFunction):
         self.dim = self.center.shape[0]
         if self.P.shape != (self.dim, self.dim):
             raise DimensionMismatch("P shape does not match center")
-        eigs = jacobi_eigenvalues(self.P)
+        eigs = np.linalg.eigvalsh(self.P)
         if eigs[0] < 0:
             raise NonPositiveInput("P must be positive semidefinite")
         self.rho_c = None

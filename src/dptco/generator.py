@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (Disconnected, EmptyTrajectory, NonPositiveInput,
                      TimeOutOfWindow)
-from .graph import Network, jacobi_eigenvalues, reduced_basis
+from .graph import Network, reduced_basis
 from .timegain import GainFunction, PrescribedClock, kappa
 
 
@@ -128,10 +128,22 @@ class ErrorState:
         return float(np.linalg.norm(self.e_r))
 
 
-def error_state(state: GeneratorState, costs, z_star: np.ndarray) -> ErrorState:
-    """e_varpi = varpi - 1 (x) z*; e_p = p + grad F(1 (x) z*)."""
+def gradients_at(costs, z_star: np.ndarray) -> np.ndarray:
+    """grad F(1 (x) z*): every agent's gradient at z*, as (N, dim)."""
     z_star = np.asarray(z_star, dtype=float)
-    grads_at_star = np.array([c.gradient(z_star) for c in costs.costs])
+    return np.array([c.gradient(z_star) for c in costs.costs])
+
+
+def error_state(state: GeneratorState, costs, z_star: np.ndarray,
+                grads_at_star: np.ndarray | None = None) -> ErrorState:
+    """e_varpi = varpi - 1 (x) z*; e_p = p + grad F(1 (x) z*).
+
+    Callers that evaluate many states pass grads_at_star =
+    gradients_at(costs, z_star) once instead of recomputing it per state.
+    """
+    z_star = np.asarray(z_star, dtype=float)
+    if grads_at_star is None:
+        grads_at_star = gradients_at(costs, z_star)
     return ErrorState(state.varpi - z_star[None, :], state.p + grads_at_star)
 
 
@@ -147,7 +159,7 @@ def lyapunov_vr(err: ErrorState, net: Network, consts: GeneratorConstants) -> fl
     n, dim = err.e_varpi.shape
     basis = reduced_basis(net)
     L_R = basis.R.T @ net.laplacian @ basis.R
-    eigs = jacobi_eigenvalues(L_R)
+    eigs = np.linalg.eigvalsh(L_R)
     if eigs[0] <= 1e-10:
         raise Disconnected(set())
     # phi-block coordinates of e_p: bar over r, tilde over R columns

@@ -16,60 +16,7 @@ import numpy as np
 
 from .errors import DegenerateSize, Disconnected, NegativeWeight, SelfLoop
 
-_JACOBI_OFF_TOL = 1e-12
 _CONNECTIVITY_TOL = 1e-10
-
-
-def jacobi_eigenvalues(a: np.ndarray, off_tol: float = _JACOBI_OFF_TOL,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate away every off-diagonal element in a fixed (i, j) order
-    until the off-diagonal Frobenius norm falls below off_tol, which makes
-    the result deterministic.  Returns eigenvalues sorted ascending.
-    """
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(((a - np.diag(a.diagonal())) ** 2).sum()))
-        if off < off_tol:
-            break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                if a[i, j] == 0.0:
-                    continue
-                diff = a[j, j] - a[i, i]
-                if abs(a[i, j]) < 1e-300:
-                    continue
-                if abs(diff) < 1e-36 * abs(a[i, j]):
-                    t = 1.0
-                else:
-                    phi = diff / (2.0 * a[i, j])
-                    if abs(phi) > 1e150:  # phi*phi would overflow
-                        t = 0.5 / phi
-                    else:
-                        t = 1.0 / (abs(phi) + math.sqrt(phi * phi + 1.0))
-                        if phi < 0.0:
-                            t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # apply the rotation to rows/columns i and j in place
-                aii, ajj, aij = a[i, i], a[j, j], a[i, j]
-                a[i, i] = c * c * aii - 2.0 * s * c * aij + s * s * ajj
-                a[j, j] = s * s * aii + 2.0 * s * c * aij + c * c * ajj
-                a[i, j] = a[j, i] = 0.0
-                for k in range(n):
-                    if k != i and k != j:
-                        aki, akj = a[k, i], a[k, j]
-                        a[k, i] = a[i, k] = c * aki - s * akj
-                        a[k, j] = a[j, k] = s * aki + c * akj
-    else:
-        off = math.sqrt(float(((a - np.diag(a.diagonal())) ** 2).sum()))
-        if off >= off_tol:
-            raise RuntimeError("Jacobi sweeps did not converge")
-    return np.sort(a.diagonal())
 
 
 @dataclass(frozen=True)
@@ -92,7 +39,7 @@ def build_network(n_agents: int, edges: list) -> Network:
     """Build a Network from (i, j, weight) edge triples.
 
     The Laplacian is l_ii = sum_j a_ij, l_ij = -a_ij; its spectrum comes
-    from the cyclic Jacobi eigensolver.
+    from numpy's symmetric eigensolver.
     """
     n = int(n_agents)
     adj = np.zeros((n, n))
@@ -108,7 +55,7 @@ def build_network(n_agents: int, edges: list) -> Network:
         adj[j, i] = w
     lap = np.diag(adj.sum(axis=1)) - adj
     if n >= 2:
-        eigs = jacobi_eigenvalues(lap)
+        eigs = np.linalg.eigvalsh(lap)
         lambda2 = float(eigs[1])
         lambdaN = float(eigs[-1])
     else:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .costs import CostSet, cost_from_dict, default_box
 from .errors import ScenarioError
 from .generator import (GeneratorConstants, GeneratorState, MonitorReport,
                         conservation_monitor, envelope_monitor, error_state,
-                        generator_constants)
+                        generator_constants, gradients_at)
 from .graph import Network, build_network, require_connected
 from .sim_engine import (CoupledSystem, SolverSettings, Trajectory,
                          make_disturbance)
@@ -159,12 +158,7 @@ def _build(sc: Scenario, seed: int | None = None,
 
     ag = raw["agents"]
     controller = ag.get("controller", "none")
-    chain_cfg = None
-    sf_cfg = None
-    plant = "none"
-    el_true = el_nominal = None
-    thetas = None
-    disturbance = None
+    agents = None
     dist_seed = 0
     if controller == "chain":
         m = int(_require(ag, "order", path, "agents"))
@@ -184,20 +178,25 @@ def _build(sc: Scenario, seed: int | None = None,
         reports.append(chain_ctrl.check_dc1(chain_cfg, alpha, consts.c_star,
                                             clock.mu0))
         plant = ag.get("plant", "chain")
+        el = None
         if plant == "euler_lagrange":
             if m != 2:
                 raise _fail(path, "agents", "euler_lagrange needs order 2")
             theta_true = tuple(_require(ag, "el_true_theta", path, "agents"))
             scale = float(ag.get("el_nominal_scale", 0.9))
             gravity = float(ag.get("gravity", 9.8))
-            el_true = chain_ctrl.EulerLagrangeParams(theta_true, gravity)
-            el_nominal = chain_ctrl.EulerLagrangeParams(
-                tuple(scale * t for t in theta_true), gravity)
+            el = (chain_ctrl.EulerLagrangeParams(theta_true, gravity),
+                  chain_ctrl.EulerLagrangeParams(
+                      tuple(scale * t for t in theta_true), gravity))
+        elif plant != "chain":
+            raise _fail(path, "agents", f"unknown plant kind {plant!r}")
+        disturbance = None
         if "disturbance" in ag:
             dd = ag["disturbance"]
             dist_seed = int(seed if seed is not None else dd.get("seed", 0))
             disturbance = make_disturbance(dist_seed, net.n_agents, dim,
                                            float(dd.get("amplitude", 0.1)))
+        agents = chain_ctrl.ChainAgents(chain_cfg, el, disturbance)
     elif controller == "strict_feedback":
         m = int(_require(ag, "order", path, "agents"))
         l = float(ag.get("l", 1.0))
@@ -225,9 +224,11 @@ def _build(sc: Scenario, seed: int | None = None,
         reports.append(strictfb_ctrl.check_dcxi(
             alpha_xi, alpha, consts.c_star, float(L[1]), clock.mu0,
             clock.mu_guard))
-        plant = "strict_feedback"
         thetas = np.asarray(_require(ag, "thetas", path, "agents"),
                             dtype=float)
+        if thetas.shape != (net.n_agents,):
+            raise _fail(path, "agents", "one theta per agent required")
+        agents = strictfb_ctrl.StrictFeedbackAgents(sf_cfg, thetas)
     elif controller != "none":
         raise _fail(path, "agents", f"unknown controller {controller!r}")
 
@@ -243,10 +244,8 @@ def _build(sc: Scenario, seed: int | None = None,
     if "offsets" in ag:
         offsets = np.asarray(ag["offsets"], dtype=float)
 
-    sys = CoupledSystem(clock, net, costs, alpha, plant=plant,
-                        chain_cfg=chain_cfg, sf_cfg=sf_cfg, el_true=el_true,
-                        el_nominal=el_nominal, offsets=offsets,
-                        thetas=thetas, disturbance=disturbance)
+    sys = CoupledSystem(clock, net, costs, alpha, agents=agents,
+                        offsets=offsets)
 
     # initial state
     varpi0 = np.asarray(_require(ag, "varpi_init", path, "agents"),
@@ -260,15 +259,12 @@ def _build(sc: Scenario, seed: int | None = None,
             raise _fail(path, "agents", "p_init must sum to zero")
     gen0 = GeneratorState(varpi0, p0)
     plants = ctrls = None
-    if plant != "none":
-        plants = [np.asarray(x, dtype=float)
-                  for x in _require(ag, "x_init", path, "agents")]
-    if plant == "strict_feedback":
-        th0 = ag.get("theta_hat_init", [0.0] * net.n_agents)
-        ctrls = []
-        for i in range(net.n_agents):
-            xi_f0 = np.zeros((sf_cfg.m - 1) * dim)
-            ctrls.append(np.concatenate([[float(th0[i])], xi_f0]))
+    if agents is not None:
+        plants = _require(ag, "x_init", path, "agents")
+    if controller == "strict_feedback":
+        # theta_hat from the scenario, filter states start at zero
+        ctrls = np.zeros((net.n_agents, sf_cfg.n_ctrl))
+        ctrls[:, 0] = ag.get("theta_hat_init", 0.0)
     y0 = sys.pack(gen0, plants, ctrls)
 
     sv = raw["solver"]
@@ -292,73 +288,46 @@ def derived_series(build: ScenarioBuild, traj: Trajectory,
                    z_star: np.ndarray) -> dict:
     """Per-logged-point verification channels.
 
-    Always: mu, e_r_norm, p_sum (K, dim), track_err (K, N).  Chain plants
-    add e_s_norm / e_tilde_norm (max over agents); strict-feedback adds
-    theta_hat, tau, stage norms and the scaled error norm.
+    Always: mu, e_r_norm, p_sum (K, dim), track_err (K, N).  Agent models
+    add their diagnostic channels as (K, N) arrays: e_s_norm / e_tilde_norm
+    for chain plants; strict-feedback adds theta_hat, tau, stage norms and
+    the scaled error norm.
     """
     sys = build.sys
     n = build.net.n_agents
     K = traj.times.shape[0]
     z_star = np.asarray(z_star, dtype=float)
+    grads_at_star = gradients_at(build.costs, z_star)
+    targets = sys.references(np.tile(z_star, (n, 1)))
     out = {
         "mu": np.empty(K),
         "e_r_norm": np.empty(K),
         "p_sum": np.empty((K, build.costs.dim)),
         "track_err": np.empty((K, n)),
     }
-    chainlike = sys.plant in ("chain", "euler_lagrange")
-    sf = sys.plant == "strict_feedback"
-    if chainlike or sf:
-        out["e_s_norm"] = np.empty((K, n))
-        out["e_tilde_norm"] = np.empty((K, n))
-    if sf:
-        out["theta_hat"] = np.empty((K, n))
-        out["tau"] = np.empty((K, n))
-        out["x2_norm"] = np.empty((K, n))
-        out["x3_norm"] = np.empty((K, n)) if sys.sf_cfg.m >= 3 else None
-        if out["x3_norm"] is None:
-            del out["x3_norm"]
     for k in range(K):
-        t = traj.times[k]
         y = traj.states[k]
-        mu = build.clock.mu(t)
+        mu = build.clock.mu(traj.times[k])
         out["mu"][k] = mu
         gen = sys.gen_state(y)
-        err = error_state(gen, build.costs, z_star)
+        err = error_state(gen, build.costs, z_star, grads_at_star)
         out["e_r_norm"][k] = err.norm
         out["p_sum"][k] = gen.p.sum(axis=0)
-        for i in range(n):
-            target = z_star if sys.offsets is None else z_star + sys.offsets[i]
-            if sys.plant == "none":
-                out["track_err"][k, i] = float(
-                    np.linalg.norm(gen.varpi[i] - z_star))
-                continue
-            x = sys.plant_state(y, i)
-            out["track_err"][k, i] = float(np.linalg.norm(x[0] - target))
-            ref = sys.reference(gen.varpi, i)
-            if chainlike:
-                view = chain_ctrl.chain_error_view(x, ref, mu, sys.chain_cfg)
-                out["e_s_norm"][k, i] = float(np.linalg.norm(view["e_s"]))
-                out["e_tilde_norm"][k, i] = float(
-                    np.linalg.norm(view["e_tilde_s"]))
-            else:
-                theta_hat, xi_f = sys.ctrl_state(y, i)
-                cfg = sys.sf_cfg
-                out["e_s_norm"][k, i] = float(np.linalg.norm(
-                    strictfb_ctrl.error_vector(x, ref, xi_f, theta_hat)))
-                out["e_tilde_norm"][k, i] = float(np.linalg.norm(
-                    strictfb_ctrl.scaled_error_vector(
-                        x, ref, xi_f, theta_hat, float(sys.thetas[i]), mu,
-                        cfg)))
-                view = strictfb_ctrl.virtual_controls(x, ref, xi_f,
-                                                      theta_hat, mu, cfg)
-                out["theta_hat"][k, i] = theta_hat
-                out["tau"][k, i] = strictfb_ctrl.tau_value(
-                    x, view["x_tilde"], mu, cfg)
-                out["x2_norm"][k, i] = float(np.linalg.norm(x[1]))
-                if "x3_norm" in out:
-                    out["x3_norm"][k, i] = float(np.linalg.norm(x[2]))
+        if sys.agents is None:
+            out["track_err"][k] = np.linalg.norm(gen.varpi - z_star, axis=1)
+            continue
+        x, c = sys.agent_states(y)
+        out["track_err"][k] = np.linalg.norm(x[:, 0] - targets, axis=1)
+        diag = sys.agents.diagnostics(mu, x, c, sys.references(gen.varpi))
+        for key, val in diag.items():
+            out.setdefault(key, np.empty((K, n)))[k] = val
     return out
+
+
+def _worst(reports: list) -> MonitorReport:
+    """The per-agent report to show: a failing one if any, and among those
+    the largest ratio."""
+    return max(reports, key=lambda r: (not r.passed, r.max_ratio))
 
 
 def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,
@@ -370,6 +339,8 @@ def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,
     consts = GeneratorConstants(build.constants["c1"], build.constants["c2"],
                                 build.constants["c3"],
                                 build.constants["c_star"])
+    n = build.net.n_agents
+    cfg = None if build.sys.agents is None else build.sys.agents.cfg
     reports = []
     for name, params in build.monitors.items():
         params = params or {}
@@ -388,48 +359,26 @@ def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,
                                          None if final <= tol
                                          else float(times[-1])))
         elif name == "chain_decay":
-            worst = None
-            for i in range(build.net.n_agents):
-                rep = chain_ctrl.chain_decay_monitor(
-                    times, derived["e_s_norm"][:, i],
-                    derived["e_tilde_norm"][:, i], build.sys.chain_cfg,
-                    build.clock)
-                if worst is None or (not rep.passed and worst.passed) or (
-                        rep.max_ratio > worst.max_ratio):
-                    worst = rep
-            reports.append(worst)
+            reports.append(_worst([chain_ctrl.chain_decay_monitor(
+                times, derived["e_s_norm"][:, i],
+                derived["e_tilde_norm"][:, i], cfg, build.clock)
+                for i in range(n)]))
         elif name == "invariant_set":
             h = params.get("h")
-            worst = None
-            for i in range(build.net.n_agents):
-                norms = derived["e_tilde_norm"][:, i]
-                hi = float(h) if h is not None else (
-                    strictfb_ctrl.default_invariant_radius(float(norms[0])))
-                rep = strictfb_ctrl.invariant_set_monitor(
-                    times, norms, hi, slack=float(params.get("slack", 0.02)))
-                if worst is None or (not rep.passed and worst.passed) or (
-                        rep.max_ratio > worst.max_ratio):
-                    worst = rep
-            reports.append(worst)
+            slack = float(params.get("slack", 0.02))
+            norms = derived["e_tilde_norm"].T
+            reports.append(_worst([strictfb_ctrl.invariant_set_monitor(
+                times, nrm, float(h) if h is not None else
+                strictfb_ctrl.default_invariant_radius(float(nrm[0])),
+                slack=slack) for nrm in norms]))
         elif name == "sf_decay":
-            worst = None
-            for i in range(build.net.n_agents):
-                rep = strictfb_ctrl.sf_decay_monitor(
-                    times, derived["mu"], derived["e_s_norm"][:, i],
-                    build.sys.sf_cfg)
-                if worst is None or rep.max_ratio > worst.max_ratio:
-                    worst = rep
-            reports.append(worst)
+            reports.append(_worst([strictfb_ctrl.sf_decay_monitor(
+                times, derived["mu"], derived["e_s_norm"][:, i], cfg)
+                for i in range(n)]))
         elif name == "theta_hat_envelope":
-            worst = None
-            for i in range(build.net.n_agents):
-                rep = strictfb_ctrl.theta_hat_monitor(
-                    times, derived["mu"], derived["theta_hat"][:, i],
-                    derived["tau"][:, i], build.sys.sf_cfg)
-                if worst is None or (not rep.passed and worst.passed) or (
-                        rep.max_ratio > worst.max_ratio):
-                    worst = rep
-            reports.append(worst)
+            reports.append(_worst([strictfb_ctrl.theta_hat_monitor(
+                times, derived["mu"], derived["theta_hat"][:, i],
+                derived["tau"][:, i], cfg) for i in range(n)]))
         else:
             raise ScenarioError(f"{build.path}: monitors: unknown monitor "
                                 f"{name!r}")

@@ -15,18 +15,14 @@ ever evaluated at or beyond the deadline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_ctrl import (ChainControllerConfig, chain_control,
-                         chain_plant_rhs, el_acceleration)
 from .errors import (DimensionMismatch, IoFailure, NonFiniteState,
                      StepUnderflow)
 from .generator import GeneratorState
 from .graph import Network
-from .strictfb_ctrl import (SfControllerConfig, adaptation_rhs, filter_rhs,
-                            sf_plant_rhs, tau_value, virtual_controls)
 from .timegain import GainFunction, PrescribedClock
 
 _STEP_CEILING_COEF = 0.05
@@ -176,115 +172,75 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
 
 @dataclass
 class CoupledSystem:
-    """Generator plus homogeneous per-agent plants and controllers.
+    """Generator plus N homogeneous agents, each a plant and its controller.
 
-    plant is one of "none", "chain", "euler_lagrange", "strict_feedback".
-    offsets, when given, shift each agent's reference to varpi_i + offset_i
-    (formation tracking).  disturbance(t, i) adds a bounded signal at the
-    last plant stage of chain-type agents.
+    agents is None (generator only) or a stacked agent model
+    (chain_ctrl.ChainAgents, strictfb_ctrl.StrictFeedbackAgents) that maps
+    the stacked plant states x (N, m, dim) and controller states
+    c (N, ctrl_size) to their derivatives for all agents at once.  offsets,
+    when given, shift each agent's reference to varpi_i + offset_i
+    (formation tracking).
     """
 
     clock: PrescribedClock
     net: Network
     costs: object
     alpha: GainFunction
-    plant: str = "none"
-    chain_cfg: ChainControllerConfig | None = None
-    sf_cfg: SfControllerConfig | None = None
-    el_true: object = None
-    el_nominal: object = None
+    agents: object = None
     offsets: np.ndarray | None = None
-    thetas: np.ndarray | None = None
-    disturbance: object = None
 
     def __post_init__(self):
         self.dim = self.costs.dim
         n = self.net.n_agents
-        if self.plant == "none":
+        if self.agents is None:
             self.plant_size = 0
             self.ctrl_size = 0
-        elif self.plant in ("chain", "euler_lagrange"):
-            cfg = self.chain_cfg
-            if cfg is None:
-                raise ValueError("chain-type plant needs chain_cfg")
-            if cfg.n != self.dim:
-                raise DimensionMismatch("chain stage dim != cost dim")
-            self.plant_size = cfg.m * cfg.n
-            self.ctrl_size = 0
-            if self.plant == "euler_lagrange" and (
-                    self.el_true is None or self.el_nominal is None):
-                raise ValueError("euler_lagrange plant needs el parameters")
-        elif self.plant == "strict_feedback":
-            cfg = self.sf_cfg
-            if cfg is None:
-                raise ValueError("strict_feedback plant needs sf_cfg")
-            if cfg.n != self.dim:
-                raise DimensionMismatch("plant stage dim != cost dim")
-            self.plant_size = cfg.m * cfg.n
-            self.ctrl_size = cfg.n_ctrl
-            if self.thetas is None or len(self.thetas) != n:
-                raise ValueError("strict_feedback plant needs one theta per agent")
         else:
-            raise ValueError(f"unknown plant kind {self.plant!r}")
+            if self.agents.cfg.n != self.dim:
+                raise DimensionMismatch("plant stage dim != cost dim")
+            self.plant_size = self.agents.cfg.m * self.dim
+            self.ctrl_size = self.agents.ctrl_size
         if self.offsets is not None:
             self.offsets = np.asarray(self.offsets, dtype=float)
             if self.offsets.shape != (n, self.dim):
                 raise DimensionMismatch("offsets must be (N, dim)")
         self.gen_size = 2 * n * self.dim
-        self.total_dim = self.gen_size + n * (self.plant_size + self.ctrl_size)
+        self.ctrl_start = self.gen_size + n * self.plant_size
+        self.total_dim = self.ctrl_start + n * self.ctrl_size
 
     # -- state layout helpers --
-
-    def plant_slice(self, i: int) -> slice:
-        base = self.gen_size + i * self.plant_size
-        return slice(base, base + self.plant_size)
-
-    def ctrl_slice(self, i: int) -> slice:
-        base = (self.gen_size + self.net.n_agents * self.plant_size
-                + i * self.ctrl_size)
-        return slice(base, base + self.ctrl_size)
 
     def gen_state(self, y: np.ndarray) -> GeneratorState:
         return GeneratorState.unflatten(y, self.net.n_agents, self.dim)
 
-    def plant_state(self, y: np.ndarray, i: int) -> np.ndarray:
-        m = self.plant_size // self.dim
-        return y[self.plant_slice(i)].reshape(m, self.dim)
+    def agent_states(self, y: np.ndarray) -> tuple:
+        """Views of the plant states (N, m, dim) and controller states
+        (N, ctrl_size) inside y."""
+        n = self.net.n_agents
+        x = y[self.gen_size:self.ctrl_start].reshape(n, -1, self.dim)
+        return x, y[self.ctrl_start:].reshape(n, self.ctrl_size)
 
-    def ctrl_state(self, y: np.ndarray, i: int):
-        """(theta_hat, xi_f) for strict-feedback agents."""
-        c = y[self.ctrl_slice(i)]
-        return float(c[0]), c[1:].reshape(self.sf_cfg.m - 1, self.dim)
-
-    def reference(self, varpi: np.ndarray, i: int) -> np.ndarray:
-        if self.offsets is None:
-            return varpi[i]
-        return varpi[i] + self.offsets[i]
+    def references(self, varpi: np.ndarray) -> np.ndarray:
+        """Reference of every agent's first stage, (N, dim)."""
+        return varpi if self.offsets is None else varpi + self.offsets
 
     def pack(self, gen: GeneratorState, plants=None, ctrls=None) -> np.ndarray:
         y = np.zeros(self.total_dim)
         y[:self.gen_size] = gen.flatten()
-        for i in range(self.net.n_agents):
-            if plants is not None:
-                y[self.plant_slice(i)] = np.asarray(plants[i]).ravel()
-            if ctrls is not None:
-                y[self.ctrl_slice(i)] = np.asarray(ctrls[i]).ravel()
+        x, c = self.agent_states(y)
+        if plants is not None:
+            x[...] = np.asarray(plants, dtype=float).reshape(x.shape)
+        if ctrls is not None:
+            c[...] = np.asarray(ctrls, dtype=float).reshape(c.shape)
         return y
 
     def control(self, t: float, y: np.ndarray, i: int) -> np.ndarray:
         """Control applied by agent i at (t, y)."""
-        mu = self.clock.mu(t)
-        varpi = self.gen_state(y).varpi
-        ref = self.reference(varpi, i)
-        if self.plant in ("chain", "euler_lagrange"):
-            return chain_control(self.plant_state(y, i), ref, mu,
-                                 self.chain_cfg)
-        if self.plant == "strict_feedback":
-            theta_hat, xi_f = self.ctrl_state(y, i)
-            view = virtual_controls(self.plant_state(y, i), ref, xi_f,
-                                    theta_hat, mu, self.sf_cfg)
-            return view["xi"][-1]
-        raise ValueError("plant 'none' has no control")
+        if self.agents is None:
+            raise ValueError("plant 'none' has no control")
+        x, c = self.agent_states(y)
+        ref = self.references(self.gen_state(y).varpi)[i]
+        return self.agents.control(self.clock.mu(t), x[i], c[i], ref)
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         mu = self.clock.mu(t)
@@ -295,38 +251,16 @@ class CoupledSystem:
         p = y[half:2 * half].reshape(n, d)
         cons = self.net.laplacian @ varpi
         grads = self.costs.grad_stack(varpi)
-        dy = np.zeros_like(y)
+        dy = np.empty_like(y)
         dy[:half] = (-a * (cons + grads + p)).ravel()
         dy[half:2 * half] = (a * cons).ravel()
-        if self.plant == "none":
+        if self.agents is None:
             return dy
-        for i in range(self.net.n_agents):
-            ref = self.reference(varpi, i)
-            x = self.plant_state(y, i)
-            if self.plant in ("chain", "euler_lagrange"):
-                u = chain_control(x, ref, mu, self.chain_cfg)
-                d = (np.zeros(self.dim) if self.disturbance is None
-                     else self.disturbance(t, i))
-                if self.plant == "chain":
-                    dx = chain_plant_rhs(x, u, d)
-                else:
-                    dx = np.empty_like(x)
-                    dx[0] = x[1]
-                    dx[1] = el_acceleration(self.el_true, self.el_nominal,
-                                            x[0], x[1], u) + d
-                dy[self.plant_slice(i)] = dx.ravel()
-            else:
-                theta_hat, xi_f = self.ctrl_state(y, i)
-                view = virtual_controls(x, ref, xi_f, theta_hat, mu,
-                                        self.sf_cfg)
-                u = view["xi"][-1]
-                dx = sf_plant_rhs(x, u, float(self.thetas[i]), self.sf_cfg)
-                dxi_f = filter_rhs(xi_f, view["xi"], mu, self.sf_cfg)
-                tau = tau_value(x, view["x_tilde"], mu, self.sf_cfg)
-                dth = adaptation_rhs(theta_hat, tau, mu, self.sf_cfg)
-                dy[self.plant_slice(i)] = dx.ravel()
-                dy[self.ctrl_slice(i)] = np.concatenate([[dth],
-                                                         dxi_f.ravel()])
+        x, c = self.agent_states(y)
+        dx, dc = self.agents.derivatives(t, mu, x, c, self.references(varpi))
+        dy[self.gen_size:self.ctrl_start] = dx.ravel()
+        if dc is not None:
+            dy[self.ctrl_start:] = dc.ravel()
         return dy
 
     def column_names(self) -> list:
@@ -334,12 +268,12 @@ class CoupledSystem:
         n, d = self.net.n_agents, self.dim
         names = [f"agent{i}.varpi{k}" for i in range(n) for k in range(d)]
         names += [f"agent{i}.p{k}" for i in range(n) for k in range(d)]
-        if self.plant != "none":
+        if self.agents is not None:
             m = self.plant_size // d
             names += [f"agent{i}.x{q + 1}_{k}" for i in range(n)
                       for q in range(m) for k in range(d)]
         if self.ctrl_size:
-            mf = self.sf_cfg.m - 1
+            mf = self.agents.cfg.m - 1
             for i in range(n):
                 names.append(f"agent{i}.theta_hat")
                 names += [f"agent{i}.xif{q + 2}_{k}" for q in range(mf)
@@ -349,7 +283,8 @@ class CoupledSystem:
 
 def make_disturbance(seed: int, n_agents: int, dim: int,
                      amplitude: float = 0.1, n_modes: int = 3):
-    """Smooth bounded per-agent disturbance: a short random Fourier sum.
+    """Smooth bounded disturbance: a short random Fourier sum per agent and
+    channel.  Returns d(t) -> (n_agents, dim).
 
     Deterministic in the seed; the sup norm is at most `amplitude`.
     """
@@ -359,8 +294,8 @@ def make_disturbance(seed: int, n_agents: int, dim: int,
     coef = rng.uniform(0.2, 1.0, size=(n_agents, dim, n_modes))
     coef *= amplitude / coef.sum(axis=2, keepdims=True)
 
-    def d(t, i):
-        return np.sum(coef[i] * np.sin(freq[i] * t + phase[i]), axis=1)
+    def d(t):
+        return (coef * np.sin(freq * t + phase)).sum(axis=2)
 
     return d
 

@@ -13,7 +13,7 @@ errors into the bounded coordinates omega_q = alpha_xi^{L_q} x_tilde_q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,30 +110,30 @@ def check_dcxi(alpha_xi: GainFunction, alpha: GainFunction, c_star: float,
 
 
 def virtual_controls(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
-                     theta_hat: float, mu: float,
-                     cfg: SfControllerConfig) -> dict:
-    """Backstepping cascade at one state.
+                     theta_hat, mu: float, cfg: SfControllerConfig) -> dict:
+    """Backstepping cascade.
 
-    x is (m, n) stage states, xi_f is (m-1, n) filter states.  Returns the
-    virtual controls xi (m, n) plus the error coordinates x_tilde (m, n)
-    and xi_tilde (m-1, n) they are built from.
+    x is (..., m, n) stage states, varpi_i (..., n), xi_f is (..., m-1, n)
+    filter states and theta_hat a scalar or (...); leading axes stack
+    agents.  Returns the virtual controls xi (..., m, n) plus the error
+    coordinates x_tilde (..., m, n) and xi_tilde (..., m-1, n) they are
+    built from.
     """
     if mu > cfg.mu_guard * (1.0 + 1e-12):
         raise GuardExceeded(f"mu={mu} beyond guard {cfg.mu_guard}")
     a = cfg.alpha_xi.eval(mu)
-    m = cfg.m
-    xi = np.empty((m, cfg.n))
-    x_tilde = np.empty((m, cfg.n))
-    xi_tilde = np.empty((m - 1, cfg.n))
-    x_tilde[0] = x[0] - varpi_i
-    xi[0] = -cfg.c[0] * a * x_tilde[0]
-    for q in range(2, m + 1):
-        k = q - 1  # 0-based stage index
-        x_tilde[k] = x[k] - xi_f[k - 1]
-        xi_tilde[k - 1] = xi_f[k - 1] - xi[k - 1]
-        xi[k] = (-cfg.c[k] * a * x_tilde[k]
-                 - theta_hat * cfg.phis[k - 1](x[k])
-                 - cfg.upsilon[k - 1] * a * xi_tilde[k - 1])
+    th = np.asarray(theta_hat)[..., None]
+    xi = np.empty_like(x)
+    x_tilde = np.empty_like(x)
+    xi_tilde = np.empty_like(xi_f)
+    x_tilde[..., 0, :] = x[..., 0, :] - varpi_i
+    x_tilde[..., 1:, :] = x[..., 1:, :] - xi_f
+    xi[..., 0, :] = -cfg.c[0] * a * x_tilde[..., 0, :]
+    for k in range(1, cfg.m):  # 0-based stage index of q = k + 1
+        xi_tilde[..., k - 1, :] = xi_f[..., k - 1, :] - xi[..., k - 1, :]
+        xi[..., k, :] = (-cfg.c[k] * a * x_tilde[..., k, :]
+                         - th * cfg.phis[k - 1](x[..., k, :])
+                         - cfg.upsilon[k - 1] * a * xi_tilde[..., k - 1, :])
     return {"xi": xi, "x_tilde": x_tilde, "xi_tilde": xi_tilde}
 
 
@@ -142,65 +142,74 @@ def filter_rhs(xi_f: np.ndarray, xi: np.ndarray, mu: float,
     """Dynamic filter: xi_qf' = upsilon_q alpha_xi (-xi_qf + xi_{q-1})."""
     a = cfg.alpha_xi.eval(mu)
     ups = np.asarray(cfg.upsilon)[:, None]
-    return ups * a * (-xi_f + xi[:-1])
+    return ups * a * (-xi_f + xi[..., :-1, :])
 
 
 def tau_value(x: np.ndarray, x_tilde: np.ndarray, mu: float,
-              cfg: SfControllerConfig) -> float:
-    """Adaptation drive tau = sum_q alpha_xi^{2 L_q} x_tilde_q . phi_q(x_q)."""
+              cfg: SfControllerConfig):
+    """Adaptation drive tau = sum_q alpha_xi^{2 L_q} x_tilde_q . phi_q(x_q),
+    one value per leading index of the (..., m, n) stacks."""
     a = cfg.alpha_xi.eval(mu)
     L = cfg.L
     tau = 0.0
-    for q in range(2, cfg.m + 1):
-        k = q - 1
-        tau += a ** (2.0 * L[k]) * float(x_tilde[k] @ cfg.phis[k - 1](x[k]))
+    for k in range(1, cfg.m):
+        tau = tau + a ** (2.0 * L[k]) * (
+            x_tilde[..., k, :] * cfg.phis[k - 1](x[..., k, :])).sum(axis=-1)
     return tau
 
 
-def adaptation_rhs(theta_hat: float, tau: float, mu: float,
-                   cfg: SfControllerConfig) -> float:
+def adaptation_rhs(theta_hat, tau, mu: float, cfg: SfControllerConfig):
     """Estimator with leak: theta_hat' = tau - sigma alpha_xi theta_hat."""
     return tau - cfg.sigma * cfg.alpha_xi.eval(mu) * theta_hat
 
 
 def sf_control(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
-               theta_hat: float, mu: float,
-               cfg: SfControllerConfig) -> np.ndarray:
+               theta_hat, mu: float, cfg: SfControllerConfig) -> np.ndarray:
     """Applied control u = xi_m."""
-    return virtual_controls(x, varpi_i, xi_f, theta_hat, mu, cfg)["xi"][-1]
+    view = virtual_controls(x, varpi_i, xi_f, theta_hat, mu, cfg)
+    return view["xi"][..., -1, :]
 
 
-def sf_plant_rhs(x: np.ndarray, u: np.ndarray, theta: float,
+def sf_plant_rhs(x: np.ndarray, u: np.ndarray, theta,
                  cfg: SfControllerConfig) -> np.ndarray:
-    """Strict-feedback dynamics with the true parameter theta."""
+    """Strict-feedback dynamics with the true parameter theta (scalar or
+    one per leading index of the (..., m, n) stack)."""
+    th = np.asarray(theta)[..., None]
     dx = np.empty_like(x)
-    dx[:-1] = x[1:]
-    for q in range(2, cfg.m):
-        dx[q - 1] += theta * cfg.phis[q - 2](x[q - 1])
-    dx[-1] = u + theta * cfg.phis[cfg.m - 2](x[-1])
+    dx[..., :-1, :] = x[..., 1:, :]
+    for k in range(1, cfg.m - 1):
+        dx[..., k, :] += th * cfg.phis[k - 1](x[..., k, :])
+    dx[..., -1, :] = u + th * cfg.phis[cfg.m - 2](x[..., -1, :])
     return dx
 
 
 def error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
-                 theta_hat: float) -> np.ndarray:
-    """Raw error stack e_s = [x_1 - varpi_i; x_2..x_m; theta_hat; xi_f]."""
+                 theta_hat) -> np.ndarray:
+    """Raw error stack e_s = [x_1 - varpi_i; x_2..x_m; theta_hat; xi_f],
+    one row per leading index."""
     head = x.copy()
-    head[0] = x[0] - varpi_i
-    return np.concatenate([head.ravel(), [theta_hat], xi_f.ravel()])
+    head[..., 0, :] -= varpi_i
+    lead = x.shape[:-2]
+    return np.concatenate([head.reshape(lead + (-1,)),
+                           np.asarray(theta_hat, dtype=float)[..., None],
+                           xi_f.reshape(lead + (-1,))], axis=-1)
 
 
 def scaled_error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
-                        theta_hat: float, theta: float, mu: float,
+                        theta_hat, theta, mu: float,
                         cfg: SfControllerConfig) -> np.ndarray:
     """Transformed stack e_tilde_s = [omega; eta; theta_tilde] with
-    omega_q = alpha_xi^{L_q} x_tilde_q, eta_q = alpha_xi^{L_q} xi_tilde_q."""
+    omega_q = alpha_xi^{L_q} x_tilde_q, eta_q = alpha_xi^{L_q} xi_tilde_q,
+    one row per leading index."""
     view = virtual_controls(x, varpi_i, xi_f, theta_hat, mu, cfg)
     a = cfg.alpha_xi.eval(mu)
     L = cfg.L
     omega = (a ** L)[:, None] * view["x_tilde"]
     eta = (a ** L[1:])[:, None] * view["xi_tilde"]
-    return np.concatenate([omega.ravel(), eta.ravel(),
-                           [theta - theta_hat]])
+    lead = x.shape[:-2]
+    return np.concatenate([omega.reshape(lead + (-1,)),
+                           eta.reshape(lead + (-1,)),
+                           np.asarray(theta - theta_hat)[..., None]], axis=-1)
 
 
 def transformation_matrices(m: int, n: int) -> dict:
@@ -230,6 +239,59 @@ def phi_weights(m: int, l: float, n: int, alpha_val: float) -> tuple:
     w1 = np.repeat(alpha_val ** L, n)
     w2 = np.repeat(alpha_val ** L[1:], n)
     return w1, w2
+
+
+class StrictFeedbackAgents:
+    """N strict-feedback agents under the adaptive backstepping law.
+
+    Plants are stacked as (N, m, n); each agent's controller state is
+    [theta_hat, xi_f (m-1, n) flattened], stacked as (N, 1 + (m-1) n).
+    thetas holds each agent's true parameter.
+    """
+
+    def __init__(self, cfg: SfControllerConfig, thetas):
+        self.cfg = cfg
+        self.thetas = np.asarray(thetas, dtype=float)
+        self.ctrl_size = cfg.n_ctrl
+
+    def _split(self, c: np.ndarray) -> tuple:
+        """(theta_hat, xi_f) views of controller states c (..., n_ctrl)."""
+        cfg = self.cfg
+        return c[..., 0], c[..., 1:].reshape(c.shape[:-1] + (cfg.m - 1, cfg.n))
+
+    def control(self, mu, x, c, ref):
+        theta_hat, xi_f = self._split(c)
+        return sf_control(x, ref, xi_f, theta_hat, mu, self.cfg)
+
+    def derivatives(self, t, mu, x, c, ref):
+        """(dx, dc): plant and controller derivatives of every agent."""
+        cfg = self.cfg
+        theta_hat, xi_f = self._split(c)
+        view = virtual_controls(x, ref, xi_f, theta_hat, mu, cfg)
+        dx = sf_plant_rhs(x, view["xi"][..., -1, :], self.thetas, cfg)
+        dth = adaptation_rhs(
+            theta_hat, tau_value(x, view["x_tilde"], mu, cfg), mu, cfg)
+        dxi_f = filter_rhs(xi_f, view["xi"], mu, cfg)
+        return dx, np.concatenate(
+            [dth[..., None], dxi_f.reshape(c.shape[:-1] + (-1,))], axis=-1)
+
+    def diagnostics(self, mu, x, c, ref) -> dict:
+        """Per-agent error norms, estimate, adaptation drive and the
+        x2 (and x3) stage norms."""
+        cfg = self.cfg
+        theta_hat, xi_f = self._split(c)
+        view = virtual_controls(x, ref, xi_f, theta_hat, mu, cfg)
+        out = {
+            "e_s_norm": np.linalg.norm(
+                error_vector(x, ref, xi_f, theta_hat), axis=-1),
+            "e_tilde_norm": np.linalg.norm(scaled_error_vector(
+                x, ref, xi_f, theta_hat, self.thetas, mu, cfg), axis=-1),
+            "theta_hat": theta_hat,
+            "tau": tau_value(x, view["x_tilde"], mu, cfg),
+        }
+        for q in range(2, min(cfg.m, 3) + 1):
+            out[f"x{q}_norm"] = np.linalg.norm(x[..., q - 1, :], axis=-1)
+        return out
 
 
 def default_invariant_radius(e_tilde0_norm: float) -> float:

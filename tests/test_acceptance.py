@@ -82,7 +82,8 @@ def test_criterion_03_conservation(all_runs):
     worst = max(monitor(r, "conservation")["max_ratio"] for r in all_runs)
     ok = all(monitor(r, "conservation")["pass"] for r in all_runs)
     report(3, "sum-p conservation in all bundled scenarios", ok,
-           f"worst drift {worst:.3g} of 1e-8 over {len(all_runs)} runs")
+           f"worst drift/tol ratio {worst:.3g} (tol 1e-8) over "
+           f"{len(all_runs)} runs")
 
 
 # --- 4: generator error envelope ----------------------------------------------

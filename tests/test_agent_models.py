@@ -1,0 +1,198 @@
+"""Stacked agent models: the batched closed loop over all N agents must
+equal a per-agent loop over the single-agent controller functions."""
+
+import numpy as np
+import pytest
+
+from dptco.chain_ctrl import (ChainAgents, EulerLagrangeParams, chain_control,
+                              chain_error_view, chain_plant_rhs,
+                              el_acceleration, el_matrices, make_chain_config)
+from dptco.costs import CostSet, QuadraticCost, default_box
+from dptco.errors import GuardExceeded
+from dptco.graph import build_network
+from dptco.sim_engine import CoupledSystem, make_disturbance
+from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
+                                 adaptation_rhs, error_vector, filter_rhs,
+                                 scaled_error_vector, sf_control, sf_plant_rhs,
+                                 tau_value, virtual_controls)
+from dptco.timegain import PrescribedClock, exp_gain, linear_gain, power_gain
+
+N, DIM = 5, 2
+CLOCK = PrescribedClock(0.0, 1.0)
+EL_TRUE = EulerLagrangeParams((7.0, 0.96, 1.2, 5.96, 2.0, 1.2))
+EL_NOMINAL = EulerLagrangeParams(tuple(0.9 * t for t in EL_TRUE.theta))
+REL = 1e-12
+
+
+def coupled(agents, offsets=None) -> CoupledSystem:
+    net = build_network(N, [[i, (i + 1) % N, 1.0] for i in range(N)])
+    costs = CostSet([QuadraticCost(np.eye(DIM) * (0.5 + 0.25 * i), [i, -i])
+                     for i in range(N)], DIM, default_box(DIM, 10.0))
+    return CoupledSystem(CLOCK, net, costs, linear_gain(10.0), agents=agents,
+                         offsets=offsets)
+
+
+def random_state(sys, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(sys.total_dim), float(rng.uniform(0.0, 0.8))
+
+
+def assert_close(got, want):
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(np.asarray(got) - want).max() <= REL * scale
+
+
+def chain_agents(m, el=None, disturbance=None, mu_guard=1e3):
+    cfg = make_chain_config(m, DIM, 6.0, linear_gain(1.0), mu_guard,
+                            alpha_s=exp_gain(1.0, 1.0),
+                            psi=lambda x: 0.5)
+    return ChainAgents(cfg, el, disturbance)
+
+
+def sf_agents(mu_guard=1e3):
+    cfg = SfControllerConfig(3, DIM, 1.0, (10.0, 9.0, 8.0), (15.0, 20.0),
+                             10.0, power_gain(1.0, 1.5), mu_guard,
+                             (np.sin, np.tanh))
+    return StrictFeedbackAgents(cfg, np.linspace(-2.0, 2.0, N))
+
+
+def per_agent_chain(sys, t, y):
+    """Agent part of dy and every control, one agent at a time."""
+    agents = sys.agents
+    mu = CLOCK.mu(t)
+    varpi = sys.gen_state(y).varpi
+    x, _ = sys.agent_states(y)
+    dx = np.empty_like(x)
+    us = []
+    for i in range(N):
+        ref = varpi[i] + (0.0 if sys.offsets is None else sys.offsets[i])
+        u = chain_control(x[i], ref, mu, agents.cfg)
+        us.append(u)
+        acc = u
+        if agents.el is not None:
+            acc = el_acceleration(*agents.el, x[i, 0], x[i, 1], u)
+        d = (np.zeros(DIM) if agents.disturbance is None
+             else agents.disturbance(t)[i])
+        dx[i] = chain_plant_rhs(x[i], acc, d)
+    return dx.ravel(), np.array(us)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_chain_model_matches_per_agent_loop(seed):
+    sys = coupled(chain_agents(3))
+    y, t = random_state(sys, seed)
+    dx, us = per_agent_chain(sys, t, y)
+    assert_close(sys.rhs(t, y)[sys.gen_size:], dx)
+    for i in range(N):
+        assert_close(sys.control(t, y, i), us[i])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_euler_lagrange_model_matches_per_agent_loop(seed):
+    rng = np.random.default_rng(100 + seed)
+    agents = chain_agents(2, el=(EL_TRUE, EL_NOMINAL),
+                          disturbance=make_disturbance(seed, N, DIM, 0.1))
+    sys = coupled(agents, offsets=rng.standard_normal((N, DIM)))
+    y, t = random_state(sys, seed)
+    dx, us = per_agent_chain(sys, t, y)
+    assert_close(sys.rhs(t, y)[sys.gen_size:], dx)
+    for i in range(N):
+        assert_close(sys.control(t, y, i), us[i])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_el_acceleration_matches_linear_solve(seed):
+    rng = np.random.default_rng(seed)
+    x1, x2, u = rng.uniform(-3.0, 3.0, (3, 7, 2))
+    acc = el_acceleration(EL_TRUE, EL_NOMINAL, x1, x2, u)
+    for i in range(7):
+        M_hat, C_hat, G_hat = el_matrices(EL_NOMINAL, x1[i], x2[i])
+        M, C, G = el_matrices(EL_TRUE, x1[i], x2[i])
+        want = np.linalg.solve(
+            M, M_hat @ u[i] + C_hat @ x2[i] + G_hat - C @ x2[i] - G)
+        assert_close(acc[i], want)
+
+
+def test_el_matrices_hand_case():
+    # q = (0, 0), x2 = (1, 2): cos q2 = 1, sin q2 = 0
+    M, C, G = el_matrices(EL_TRUE, np.zeros(2), np.array([1.0, 2.0]))
+    t1, t2, t3, t4, t5, t6 = EL_TRUE.theta
+    g = EL_TRUE.gravity
+    assert np.allclose(M, [[t1 + t2 + 2 * t3, t2 + t3], [t2 + t3, t4]])
+    assert np.allclose(C, 0.0)
+    assert np.allclose(G, [(t5 + t6) * g, t6 * g])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_strict_feedback_model_matches_per_agent_loop(seed):
+    sys = coupled(sf_agents())
+    y, t = random_state(sys, seed)
+    agents, cfg = sys.agents, sys.agents.cfg
+    mu = CLOCK.mu(t)
+    varpi = sys.gen_state(y).varpi
+    x, c = sys.agent_states(y)
+    dx = np.empty_like(x)
+    dc = np.empty_like(c)
+    for i in range(N):
+        theta_hat = float(c[i, 0])
+        xi_f = c[i, 1:].reshape(cfg.m - 1, DIM)
+        view = virtual_controls(x[i], varpi[i], xi_f, theta_hat, mu, cfg)
+        u = view["xi"][-1]
+        assert_close(sys.control(t, y, i),
+                     sf_control(x[i], varpi[i], xi_f, theta_hat, mu, cfg))
+        dx[i] = sf_plant_rhs(x[i], u, float(agents.thetas[i]), cfg)
+        tau = tau_value(x[i], view["x_tilde"], mu, cfg)
+        dc[i, 0] = adaptation_rhs(theta_hat, tau, mu, cfg)
+        dc[i, 1:] = filter_rhs(xi_f, view["xi"], mu, cfg).ravel()
+    dy = sys.rhs(t, y)
+    assert_close(dy[sys.gen_size:sys.ctrl_start], dx.ravel())
+    assert_close(dy[sys.ctrl_start:], dc.ravel())
+
+
+def test_diagnostics_match_per_agent_views():
+    sys = coupled(chain_agents(3))
+    y, t = random_state(sys, 7)
+    mu = CLOCK.mu(t)
+    varpi = sys.gen_state(y).varpi
+    x, c = sys.agent_states(y)
+    diag = sys.agents.diagnostics(mu, x, c, varpi)
+    for i in range(N):
+        view = chain_error_view(x[i], varpi[i], mu, sys.agents.cfg)
+        assert diag["e_s_norm"][i] == pytest.approx(
+            np.linalg.norm(view["e_s"]), rel=REL)
+        assert diag["e_tilde_norm"][i] == pytest.approx(
+            np.linalg.norm(view["e_tilde_s"]), rel=REL)
+
+    sys = coupled(sf_agents())
+    y, t = random_state(sys, 8)
+    mu = CLOCK.mu(t)
+    varpi = sys.gen_state(y).varpi
+    x, c = sys.agent_states(y)
+    diag = sys.agents.diagnostics(mu, x, c, varpi)
+    cfg = sys.agents.cfg
+    for i in range(N):
+        xi_f = c[i, 1:].reshape(cfg.m - 1, DIM)
+        es = error_vector(x[i], varpi[i], xi_f, c[i, 0])
+        et = scaled_error_vector(x[i], varpi[i], xi_f, c[i, 0],
+                                 sys.agents.thetas[i], mu, cfg)
+        assert diag["e_s_norm"][i] == pytest.approx(np.linalg.norm(es),
+                                                    rel=REL)
+        assert diag["e_tilde_norm"][i] == pytest.approx(np.linalg.norm(et),
+                                                        rel=REL)
+        assert diag["x3_norm"][i] == pytest.approx(np.linalg.norm(x[i, 2]),
+                                                   rel=REL)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: chain_agents(3, mu_guard=5.0),
+    lambda: chain_agents(2, el=(EL_TRUE, EL_NOMINAL), mu_guard=5.0),
+    lambda: sf_agents(mu_guard=5.0),
+])
+def test_stacked_rhs_enforces_mu_guard(make):
+    sys = coupled(make())
+    y, _ = random_state(sys, 3)
+    sys.rhs(0.7, y)  # mu = 3.3, inside the guard
+    with pytest.raises(GuardExceeded):
+        sys.rhs(0.9, y)  # mu = 10 > 5
+    with pytest.raises(GuardExceeded):
+        sys.control(0.9, y, 0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptco.errors import (Disconnected, NegativeWeight, SelfLoop)
-from dptco.graph import (build_network, jacobi_eigenvalues, reduced_basis,
+from dptco.graph import (build_network, reduced_basis,
                          reduced_laplacian, require_connected)
 
 RING6 = [[i, (i + 1) % 6, 1.0] for i in range(6)]
@@ -16,29 +16,6 @@ RING6 = [[i, (i + 1) % 6, 1.0] for i in range(6)]
 
 def ring6():
     return build_network(6, RING6)
-
-
-# --- eigensolver -------------------------------------------------------------
-
-def test_jacobi_diagonal_matrix():
-    eigs = jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(eigs, [1.0, 2.0, 3.0])
-
-
-def test_jacobi_matches_hand_2x2():
-    # [[2,1],[1,2]] has eigenvalues 1 and 3
-    eigs = jacobi_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(eigs, [1.0, 3.0], atol=1e-12)
-
-
-@given(st.integers(min_value=2, max_value=8), st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_jacobi_matches_numpy(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    sym = a + a.T
-    assert np.allclose(jacobi_eigenvalues(sym),
-                       np.sort(np.linalg.eigvalsh(sym)), atol=1e-9)
 
 
 # --- Laplacian ---------------------------------------------------------------
@@ -72,7 +49,7 @@ def test_laplacian_rows_sum_to_zero():
 def test_laplacian_positive_semidefinite():
     net = build_network(5, [[0, 1, 0.5], [1, 2, 2.0], [2, 3, 1.0],
                             [3, 4, 1.0], [4, 0, 3.0], [1, 3, 0.25]])
-    eigs = jacobi_eigenvalues(net.laplacian)
+    eigs = np.linalg.eigvalsh(net.laplacian)
     assert eigs.min() >= -1e-12
 
 
@@ -141,6 +118,6 @@ def test_reduced_laplacian_spectral_sandwich():
     # lambda2 I <= L_R <= lambdaN I
     net = ring6()
     L_R = reduced_laplacian(net)
-    eigs = jacobi_eigenvalues(L_R)
+    eigs = np.linalg.eigvalsh(L_R)
     assert eigs.min() >= net.lambda2 - 1e-10
     assert eigs.max() <= net.lambdaN + 1e-10

@@ -9,7 +9,8 @@ import pytest
 from dptco.cli import (EXIT_CONFIG, EXIT_MONITOR, EXIT_OK, main,
                        read_trajectory_csv, run_scenario)
 from dptco.errors import ScenarioError
-from dptco.scenario import load_scenario, scenario_hash
+from dptco.generator import MonitorReport
+from dptco.scenario import _worst, load_scenario, scenario_hash
 from dptco.sim_engine import export_csv
 
 from conftest import modified_scenario, scenario_path
@@ -123,10 +124,20 @@ def test_seed_changes_disturbance_only():
     b1 = sc.build(seed=1)
     b2 = sc.build(seed=2)
     assert b1.seed == 1 and b2.seed == 2
-    d1 = b1.sys.disturbance(0.3, 0)
-    d2 = b2.sys.disturbance(0.3, 0)
+    d1 = b1.sys.agents.disturbance(0.3)[0]
+    d2 = b2.sys.agents.disturbance(0.3)[0]
     assert not np.allclose(d1, d2)
     assert np.array_equal(b1.y0, b2.y0)
+
+
+def test_worst_agent_report_prefers_failures():
+    # an agent that fails with a small ratio outranks one that passes with
+    # a larger ratio; among passing agents the largest ratio is shown
+    failing = MonitorReport("invariant_set", False, 1.01, 0.0)
+    passing = MonitorReport("invariant_set", True, 1.015, None)
+    assert _worst([passing, failing, passing]) is failing
+    larger = MonitorReport("invariant_set", True, 1.5, None)
+    assert _worst([passing, larger]) is larger
 
 
 # --- run pipeline ------------------------------------------------------------
@@ -263,6 +274,24 @@ def test_cli_sweep(tmp_path, capsys):
     assert "a.json: ok" in out
     assert "b.json: monitor failure" in out
     assert (tmp_path / "sw" / "a" / "manifest.json").is_file()
+
+
+def test_cli_sweep_survives_malformed_file(tmp_path, capsys):
+    # a gain without "family" raises a plain KeyError while building; the
+    # sweep reports it, still runs the valid file, and exits 1
+    d = tmp_path / "scens"
+    d.mkdir()
+    raw = json.loads(json.dumps(TINY))
+    del raw["gains"]["alpha"]["family"]
+    (d / "a_bad.json").write_text(json.dumps(raw))
+    (d / "b_good.json").write_text(json.dumps(TINY))
+    code = main(["sweep", str(d), "--out", str(tmp_path / "sw")])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "a_bad.json: error: KeyError" in captured.err
+    assert "Traceback" not in captured.err
+    assert "b_good.json: ok" in captured.out
+    assert (tmp_path / "sw" / "b_good" / "manifest.json").is_file()
 
 
 def test_cli_sweep_empty_dir(tmp_path, capsys):

@@ -203,12 +203,12 @@ def test_trajectory_columns_layout():
 def test_disturbance_bounded_and_seeded():
     d = make_disturbance(3, 2, 2, amplitude=0.1)
     ts = np.linspace(0.0, 10.0, 500)
-    sup = max(np.abs(d(t, i)).max() for t in ts for i in range(2))
+    sup = max(np.abs(d(t)[i]).max() for t in ts for i in range(2))
     assert sup <= 0.1 + 1e-12
     d2 = make_disturbance(3, 2, 2, amplitude=0.1)
-    assert np.array_equal(d(1.234, 0), d2(1.234, 0))
+    assert np.array_equal(d(1.234)[0], d2(1.234)[0])
     d3 = make_disturbance(4, 2, 2, amplitude=0.1)
-    assert not np.array_equal(d(1.234, 0), d3(1.234, 0))
+    assert not np.array_equal(d(1.234)[0], d3(1.234)[0])
 
 
 # --- CSV export ----------------------------------------------------------
