@@ -112,6 +112,7 @@ def run_scenario(scenario_path: str, out_dir: str, seed: int | None = None,
         "monitors": [m.to_dict() for m in monitors],
         "n_steps": traj.n_steps,
         "n_rejected": traj.n_rejected,
+        "n_rhs": traj.n_rhs,
         "outputs": files,
         "wall_seconds": time.monotonic() - t_start,
     }

@@ -181,7 +181,8 @@ class CostSet:
         return sum(c.value(z) for c in self.costs)
 
     def _term_batches(self):
-        """Group all agents' terms by family for batched gradients.
+        """Group all agents' terms by family for batched gradients, each
+        family's terms ordered by agent.
 
         Returns None when some term family has no batched form.
         """
@@ -202,10 +203,14 @@ class CostSet:
         def pack(items):
             if not items:
                 return None
+            # stable, so one agent's terms keep their summation order
+            items.sort(key=lambda item: item[0])
             idx = np.array([i for i, _, _ in items])
             mats = np.array([m for _, m, _ in items])
             cents = np.array([c for _, _, c in items])
-            unique = len(set(idx.tolist())) == len(idx)
+            if np.array_equal(idx, np.arange(self.n_agents)):
+                idx = None  # one term per agent, already in agent order
+            unique = idx is None or len(set(idx.tolist())) == len(idx)
             return idx, mats, cents, unique
 
         return pack(quad), pack(expq)
@@ -223,26 +228,29 @@ class CostSet:
             return np.array([c.gradient(Z[i])
                              for i, c in enumerate(self.costs)])
         out = np.zeros_like(Z, dtype=float)
-        quad, expq = batches
-        if quad is not None:
-            idx, Qs, Cs, unique = quad
-            D = Z[idx] - Cs
-            G = 2.0 * (Qs @ D[:, :, None])[:, :, 0]
-            if unique:
-                out[idx] += G
+        for batch, grad in zip(batches, (_quad_grads, _expq_grads)):
+            if batch is None:
+                continue
+            idx, mats, cents, unique = batch
+            if idx is None:
+                out += grad(mats, Z - cents)
+            elif unique:
+                out[idx] += grad(mats, Z[idx] - cents)
             else:
-                np.add.at(out, idx, G)
-        if expq is not None:
-            idx, Ps, Cs, unique = expq
-            D = Z[idx] - Cs
-            Pd = (Ps @ D[:, :, None])[:, :, 0]
-            e = np.exp((D * Pd).sum(axis=1))
-            G = (2.0 * e)[:, None] * Pd
-            if unique:
-                out[idx] += G
-            else:
-                np.add.at(out, idx, G)
+                np.add.at(out, idx, grad(mats, Z[idx] - cents))
         return out
+
+
+def _quad_grads(Qs: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Rows 2 Q_k d_k of quadratic terms at offsets D = z - center."""
+    return 2.0 * (Qs @ D[:, :, None])[:, :, 0]
+
+
+def _expq_grads(Ps: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Rows 2 exp(d'P d) P d of exp-quadratic terms at offsets D."""
+    Pd = (Ps @ D[:, :, None])[:, :, 0]
+    e = np.exp((D * Pd).sum(axis=1))
+    return (2.0 * e)[:, None] * Pd
 
 
 def grad_sum(costs: CostSet, z) -> np.ndarray:

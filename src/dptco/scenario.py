@@ -31,6 +31,10 @@ from .timegain import (GainFunction, GrowthCriterion, PrescribedClock,
 _SECTIONS = ("clock", "network", "costs", "gains", "agents", "solver",
              "monitors")
 
+# solver keys and their JSON-to-SolverSettings conversions
+_SOLVER_KEYS = {"method": str, "dt": float, "dt_max": float,
+                "rel_tol": float, "abs_tol": float, "log_every": int}
+
 _PHI_REGISTRY = {
     "identity": lambda x: x,
     "sin": np.sin,
@@ -110,6 +114,21 @@ def _require(raw: dict, key: str, path: str, where: str = "top level"):
     if key not in raw:
         raise _fail(path, where, f"missing required key {key!r}")
     return raw[key]
+
+
+def _solver_settings(sv, path: str) -> SolverSettings:
+    """SolverSettings from the solver section; omitted keys keep their
+    defaults, and an unknown key or a bad value is a located error."""
+    if not isinstance(sv, dict):
+        raise _fail(path, "solver", "must be a JSON object")
+    unknown = sorted(set(sv) - set(_SOLVER_KEYS))
+    if unknown:
+        raise _fail(path, "solver", f"unknown key(s) {', '.join(unknown)}; "
+                    f"allowed: {', '.join(_SOLVER_KEYS)}")
+    try:
+        return SolverSettings(**{k: _SOLVER_KEYS[k](v) for k, v in sv.items()})
+    except (TypeError, ValueError) as exc:
+        raise _fail(path, "solver", str(exc)) from exc
 
 
 def _build(sc: Scenario, seed: int | None = None,
@@ -267,14 +286,7 @@ def _build(sc: Scenario, seed: int | None = None,
         ctrls[:, 0] = ag.get("theta_hat_init", 0.0)
     y0 = sys.pack(gen0, plants, ctrls)
 
-    sv = raw["solver"]
-    settings = SolverSettings(
-        method=sv.get("method", "rk45"), dt=float(sv.get("dt", 1e-3)),
-        dt_max=float(sv.get("dt_max", 1e-2)),
-        rel_tol=float(sv.get("rel_tol", 1e-8)),
-        abs_tol=float(sv.get("abs_tol", 1e-10)),
-        log_every=int(sv.get("log_every", 1)),
-        mu_dt_coef=float(sv.get("mu_dt_coef", 0.05)))
+    settings = _solver_settings(raw["solver"], path)
 
     monitors = dict(raw["monitors"])
     return ScenarioBuild(sc.name, path, scenario_hash(raw), clock, net,

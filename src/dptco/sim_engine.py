@@ -5,11 +5,12 @@ and controller states:
 
     y = [varpi (N*dim); p (N*dim); x^1 .. x^N; ctrl^1 .. ctrl^N]
 
-Both integrators cap the step at min(dt_max, mu_dt_coef / mu^2), default
-coefficient 0.05, so resolution
-follows the blow-up of the time-varying gain, and integration stops at the
-guard time strictly before the prescribed deadline; no right-hand side is
-ever evaluated at or beyond the deadline.
+The adaptive Dormand-Prince integrator (rk45) runs on the log clock
+s = -ln(1 - (t - t0)/T), where dt = ds / mu, so its error control alone
+follows the blow-up of the time-varying gain; the fixed-step RK4 integrator
+stays on the t clock under the step ceiling min(dt_max, 0.05 / mu^2).
+Integration stops at the guard time strictly before the prescribed deadline;
+no right-hand side is ever evaluated at or beyond the deadline.
 """
 
 from __future__ import annotations
@@ -25,16 +26,18 @@ from .generator import GeneratorState
 from .graph import Network
 from .timegain import GainFunction, PrescribedClock
 
-_STEP_CEILING_COEF = 0.05
+# RK4 has no error estimate; its fixed step stays below this coefficient / mu^2
+_RK4_CEILING_COEF = 0.05
 
 
 @dataclass
 class SolverSettings:
     """Integrator configuration.
 
-    method "rk4" uses the fixed step dt (still capped by the mu ceiling);
+    method "rk4" uses the fixed step dt, capped by the mu^2 ceiling;
     "rk45" is an embedded Dormand-Prince pair with absolute/relative error
-    control.  log_every decimates the stored trajectory.
+    control on the log clock, its step in t never above dt_max.  log_every
+    decimates the stored trajectory.
     """
 
     method: str = "rk45"
@@ -44,15 +47,12 @@ class SolverSettings:
     abs_tol: float = 1e-10
     log_every: int = 1
     t_end: float | None = None
-    mu_dt_coef: float = _STEP_CEILING_COEF
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.dt <= 0 or self.dt_max <= 0 or self.log_every < 1:
             raise ValueError("dt, dt_max and log_every must be positive")
-        if self.mu_dt_coef <= 0:
-            raise ValueError("mu_dt_coef must be positive")
 
 
 @dataclass
@@ -63,17 +63,17 @@ class Trajectory:
     states: np.ndarray
     n_steps: int
     n_rejected: int = 0
+    n_rhs: int = 0
 
     def __post_init__(self):
         if self.times.shape[0] != self.states.shape[0]:
             raise DimensionMismatch("times and states disagree in length")
 
 
-def step_ceiling(clock: PrescribedClock, t: float, dt_max: float,
-                 coef: float = _STEP_CEILING_COEF) -> float:
-    """Largest allowed step at time t: min(dt_max, coef / mu(t)^2)."""
+def step_ceiling(clock: PrescribedClock, t: float, dt_max: float) -> float:
+    """Largest RK4 step at time t: min(dt_max, 0.05 / mu(t)^2)."""
     mu = clock.mu(t)
-    return min(dt_max, coef / (mu * mu))
+    return min(dt_max, _RK4_CEILING_COEF / (mu * mu))
 
 
 def _check_finite(y: np.ndarray, t: float) -> None:
@@ -120,33 +120,57 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
               settings: SolverSettings) -> Trajectory:
     """Integrate y' = rhs(t, y) from the window start to the guard time.
 
-    Deterministic: no hidden randomness, and identical inputs give
-    bit-identical trajectories.
+    RK45 steps in s = -ln(1 - (t - t0)/T), i.e. t(s) = t0 - T expm1(-s),
+    on dy/ds = rhs / mu, its step in s capped by dt_max * mu (dt_max in t);
+    no stage time passes t_end.  Deterministic: no hidden randomness, and
+    identical inputs give bit-identical trajectories.
     """
     t_end = clock.t_guard if settings.t_end is None else float(settings.t_end)
     t_end = min(t_end, clock.t_guard)
-    t = clock.t0
+    t0, T = clock.t0, clock.T
+    n_rhs = 0
+
+    def counted(t, y):
+        nonlocal n_rhs
+        n_rhs += 1
+        return rhs(t, y)
+
+    def t_at(s):
+        return min(t0 - T * math.expm1(-s), t_end)
+
+    def f(s, y):
+        t = t_at(s)
+        return counted(t, y) * (T + t0 - t)  # 1/mu = T + t0 - t
+
+    t, s = t0, 0.0
+    s_end = -math.log1p(-(t_end - t0) / T)
     y = np.asarray(y0, dtype=float).copy()
     _check_finite(y, t)
     times = [t]
     states = [y.copy()]
     n_steps = 0
     n_rejected = 0
-    h = min(settings.dt, step_ceiling(clock, t, settings.dt_max,
-                                      settings.mu_dt_coef))
-    while t < t_end - 1e-15 * max(1.0, abs(t_end)):
-        cap = min(step_ceiling(clock, t, settings.dt_max,
-                               settings.mu_dt_coef), t_end - t)
+    h = settings.dt * clock.mu0
+    last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
+    while not last:
         if settings.method == "rk4":
-            h_used = min(settings.dt, cap)
-            y = _rk4_step(rhs, t, y, h_used)
-            t += h_used
+            h = min(settings.dt, step_ceiling(clock, t, settings.dt_max),
+                    t_end - t)
+            y = _rk4_step(counted, t, y, h)
+            t += h
+            last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
         else:
-            h = min(h, cap)
+            mu = clock.mu(t)
+            h = min(h, settings.dt_max * mu)
             while True:
-                if h < 1e-14 * max(1.0, abs(t)):
-                    raise StepUnderflow(f"step size {h} underflowed at t={t}")
-                y_new, err = _rk45_step(rhs, t, y, h)
+                # a step that would leave a sliver of the window takes it all
+                last = h >= s_end - s - 1e-12 * s_end
+                if last:
+                    h = s_end - s
+                if h < 1e-14 * mu * max(1.0, abs(t)):
+                    raise StepUnderflow(
+                        f"step size {h / mu} underflowed at t={t}")
+                y_new, err = _rk45_step(f, s, y, h)
                 scale = settings.abs_tol + settings.rel_tol * np.maximum(
                     np.abs(y), np.abs(y_new))
                 err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
@@ -154,18 +178,20 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
                     break
                 n_rejected += 1
                 h *= max(0.2, 0.9 * err_norm ** -0.2)
-            t += h
+            s = s_end if last else s + h
+            t = t_end if last else t_at(s)
             y = y_new
-            # grow the step for the next attempt, within the ceiling
+            # grow the step for the next attempt
             factor = 5.0 if err_norm == 0.0 else min(
                 5.0, 0.9 * err_norm ** -0.2)
             h = max(h * factor, 1e-14)
         _check_finite(y, t)
         n_steps += 1
-        if n_steps % settings.log_every == 0 or t >= t_end - 1e-15:
+        if n_steps % settings.log_every == 0 or last:
             times.append(t)
             states.append(y.copy())
-    return Trajectory(np.array(times), np.array(states), n_steps, n_rejected)
+    return Trajectory(np.array(times), np.array(states), n_steps, n_rejected,
+                      n_rhs)
 
 
 # --- coupled closed-loop system -------------------------------------------

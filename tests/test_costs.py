@@ -101,6 +101,12 @@ def test_grad_stack_matches_per_agent():
     Z = rng.uniform(-1.0, 2.0, size=(cs.n_agents, 2))
     direct = np.array([c.gradient(Z[i]) for i, c in enumerate(cs.costs)])
     assert np.allclose(cs.grad_stack(Z), direct, atol=1e-14)
+    # one quadratic per agent takes the path without gather and scatter
+    quad = CostSet([QuadraticCost(np.diag([1.0 + i, 0.5]), [i, -i])
+                    for i in range(5)], 2, default_box(2, 10.0))
+    Z = rng.uniform(-1.0, 2.0, size=(5, 2))
+    direct = np.array([c.gradient(Z[i]) for i, c in enumerate(quad.costs)])
+    assert np.allclose(quad.grad_stack(Z), direct, atol=1e-14)
 
 
 # --- optimum oracle ----------------------------------------------------------

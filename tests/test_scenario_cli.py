@@ -61,6 +61,28 @@ def test_missing_section_named(tmp_path):
     assert "solver" in str(exc.value)
 
 
+def test_unknown_solver_key_rejected(tmp_path, capsys):
+    p = write_tiny(tmp_path,
+                   lambda raw: raw["solver"].update({"mu_dt_coef": 5.0}))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(p).build()
+    assert str(exc.value).startswith(f"{p}: solver: ")
+    assert "mu_dt_coef" in str(exc.value)
+    assert main(["run", p, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "mu_dt_coef" in capsys.readouterr().err
+
+
+def test_unknown_solver_method_rejected(tmp_path, capsys):
+    p = write_tiny(tmp_path,
+                   lambda raw: raw["solver"].update({"method": "euler"}))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(p).build()
+    assert str(exc.value).startswith(f"{p}: solver: ")
+    assert "euler" in str(exc.value)
+    assert main(["run", p, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_unknown_monitor_rejected(tmp_path):
     p = write_tiny(tmp_path,
                    lambda raw: raw["monitors"].update({"bogus": {}}))
@@ -148,6 +170,8 @@ def test_tiny_run_green(tmp_path):
     assert all(m["pass"] for m in manifest["monitors"])
     assert manifest["scenario"] == "tiny"
     assert len(manifest["scenario_sha256"]) == 64
+    written = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert isinstance(written["n_rhs"], int) and written["n_rhs"] > 0
 
 
 def test_run_emits_artifacts(example2_run):

@@ -53,23 +53,6 @@ def test_step_ceiling_tracks_mu():
     assert step_ceiling(CLOCK, 0.0, 1e-3) == 1e-3
 
 
-def test_step_ceiling_coefficient_configurable():
-    assert step_ceiling(CLOCK, 0.9, 1.0, coef=5.0) == pytest.approx(0.05)
-    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                              rel_tol=1e-10, abs_tol=1e-12, t_end=0.9,
-                              mu_dt_coef=5.0)
-    loose = integrate(mu_decay_rhs, np.array([1.0]), CLOCK, settings)
-    tight = integrate(mu_decay_rhs, np.array([1.0]), CLOCK,
-                      SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                                     rel_tol=1e-10, abs_tol=1e-12, t_end=0.9))
-    # a higher ceiling hands step control to the error estimator: fewer
-    # steps, same answer within tolerance
-    assert loose.n_steps < tight.n_steps
-    assert loose.states[-1, 0] == pytest.approx(0.1, abs=1e-8)
-    with pytest.raises(ValueError):
-        SolverSettings(mu_dt_coef=0.0)
-
-
 def test_rk4_respects_ceiling():
     # with dt much larger than the ceiling the engine still resolves the
     # fast late-time dynamics
@@ -81,16 +64,20 @@ def test_rk4_respects_ceiling():
 # --- guard discipline ------------------------------------------------------
 
 def test_no_rhs_evaluation_at_deadline():
-    seen = []
+    # on the second clock the last log-clock stage rounds past the guard
+    # unless the integrator clamps it
+    for clock in (CLOCK, PrescribedClock(-0.06, 1.2, 0.673)):
+        seen = []
 
-    def rhs(t, y):
-        seen.append(t)
-        return -CLOCK.mu(t) * y
+        def rhs(t, y):
+            seen.append(t)
+            return -clock.mu(t) * y
 
-    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2)
-    traj = integrate(rhs, np.array([1.0]), CLOCK, settings)
-    assert max(seen) < CLOCK.t0 + CLOCK.T
-    assert traj.times[-1] <= CLOCK.t_guard + 1e-12
+        settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2)
+        traj = integrate(rhs, np.array([1.0]), clock, settings)
+        assert max(seen) <= clock.t_guard
+        assert traj.times[-1] == clock.t_guard
+        assert traj.n_rhs == len(seen)
 
 
 def test_t_end_cannot_pass_guard():
@@ -177,6 +164,24 @@ def test_deadline_rescaling_of_generator():
                                   t_end=frac_end)
         out.append(integrate(sys.rhs, y0, sys.clock, settings))
     assert np.allclose(out[0].states[-1], out[1].states[-1], atol=1e-7)
+
+
+def test_deadline_invariant_step_count():
+    # on the log clock a linear gain makes the generator autonomous, so the
+    # step count does not grow as the deadline shrinks
+    steps = []
+    for T in (0.5, 1.0, 2.0):
+        sys, _ = ring_system(T=T)
+        y0 = sys.pack(GeneratorState(np.arange(8.0).reshape(4, 2) / 4.0,
+                                     np.zeros((4, 2))))
+        settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
+                                  rel_tol=1e-9, abs_tol=1e-11,
+                                  t_end=0.999 * T)
+        traj = integrate(sys.rhs, y0, sys.clock, settings)
+        assert traj.times[-1] == 0.999 * T
+        steps.append(traj.n_steps)
+    assert max(steps) <= 1000
+    assert max(steps) <= 1.25 * min(steps)
 
 
 def test_column_names_cover_state():
