@@ -106,10 +106,15 @@ class ChainControllerConfig:
     def k1(self) -> float:
         return float(self.K[0])
 
-    @property
+    @cached_property
     def L(self) -> np.ndarray:
         """Scale exponents L_j = j - 1 for stages j = 1..m."""
         return np.arange(self.m, dtype=float)
+
+    @cached_property
+    def s_weights(self) -> np.ndarray:
+        """k_tilde / k1 = [K, 1] / k1, the weight of each stage in s_tilde."""
+        return np.append(self.K, 1.0) / self.k1
 
 
 def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
@@ -142,6 +147,13 @@ def check_dc1(cfg: ChainControllerConfig, alpha: GainFunction,
     return check_growth_criterion(cfg.alpha_x, crit, grid, alpha_main=alpha)
 
 
+def _s_tilde(x: np.ndarray, varpi_i: np.ndarray, ax: float,
+             cfg: ChainControllerConfig) -> np.ndarray:
+    """s_tilde = k1^-1 (K_tilde o alpha_x^-L) . e_s in one pass over x: e_s is
+    x less the reference in stage 1, whose weight k1/k1 alpha_x^0 is 1."""
+    return np.dot(cfg.s_weights * ax ** -cfg.L, x) - varpi_i
+
+
 def chain_error_view(x: np.ndarray, varpi_i: np.ndarray, mu: float,
                      cfg: ChainControllerConfig) -> dict:
     """Error coordinates e_s, s_tilde, e_tilde_s at one state.
@@ -151,9 +163,7 @@ def chain_error_view(x: np.ndarray, varpi_i: np.ndarray, mu: float,
     """
     e_s = x.copy()
     e_s[..., 0, :] -= varpi_i
-    w = cfg.alpha_x.eval(mu) ** (-cfg.L)  # diagonal of Phi(mu)
-    k_tilde = np.concatenate([cfg.K, [1.0]])
-    s_tilde = (k_tilde * w) @ e_s / cfg.k1
+    s_tilde = _s_tilde(x, varpi_i, cfg.alpha_x.eval(mu), cfg)
     e_tilde_s = cfg.alpha_s.eval(mu) * s_tilde
     return {"e_s": e_s, "s_tilde": s_tilde, "e_tilde_s": e_tilde_s}
 
@@ -167,42 +177,27 @@ def chain_control(x: np.ndarray, varpi_i: np.ndarray, mu: float,
     """
     if mu > cfg.mu_guard * (1.0 + 1e-12):
         raise GuardExceeded(f"mu={mu} beyond guard {cfg.mu_guard}")
-    m, K = cfg.m, cfg.K
+    L_m = float(cfg.m - 1)
     ax = cfg.alpha_x.eval(mu)
-    dax = cfg.alpha_x.deriv(mu)
     als = cfg.alpha_s.eval(mu)
-    dals = cfg.alpha_s.deriv(mu)
-    delta_x = dax * mu * mu / ax
-    delta_s = dals * mu * mu / als
-    L_m = float(m - 1)
+    delta_x = cfg.alpha_x.deriv(mu) * mu * mu / ax
+    delta_s = cfg.alpha_s.deriv(mu) * mu * mu / als
 
-    view = chain_error_view(x, varpi_i, mu, cfg)
-    s_tilde = view["s_tilde"]
-    e_tilde_s = view["e_tilde_s"]
+    # pi = alpha_x^{L_m} K . r1' - L_m delta_x x_m, where row j of r1 is
+    # alpha_x^{-L_j} x_j (stages 1..m-1), so r1'_j = alpha_x^{-L_j}
+    # (x_{j+1} - L_j delta_x x_j): one weight per stage of x
+    Kw = cfg.K * ax ** (L_m - cfg.L[:-1])
+    w_pi = np.zeros(cfg.m)
+    w_pi[1:] = Kw
+    w_pi[:-1] -= delta_x * cfg.L[:-1] * Kw
+    w_pi[-1] -= L_m * delta_x
 
-    # r1 stacks stages 1..m-1 weighted by alpha_x^{-L_j}; its derivative uses
-    # the next stage minus the scale-rate correction
-    dr1 = np.empty(x.shape[:-2] + (m - 1, cfg.n))
-    dr1[..., 0, :] = x[..., 1, :]
-    for j in range(1, m - 1):
-        Lj = float(j)  # L_{j+1} = j for the (j+1)-th stage (0-based row j)
-        dr1[..., j, :] = ax ** (-Lj) * (x[..., j + 1, :]
-                                        - Lj * delta_x * x[..., j, :])
-    pi = ax ** L_m * (K @ dr1) - L_m * delta_x * x[..., m - 1, :]
-
-    B = ax ** (-L_m) / cfg.k1
+    # u = -gain sign(k1) alpha_s s_tilde - pi - B^-1 delta_s s_tilde with
+    # B = alpha_x^{-L_m} / k1
     gain = cfg.v + np.asarray(cfg.psi(x))[..., None] ** 2 + 1.0
-    u = (-gain * math.copysign(1.0, cfg.k1) * e_tilde_s
-         - pi - (delta_s / B) * s_tilde)
-    return u
-
-
-def chain_plant_rhs(x: np.ndarray, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Chain dynamics: x_q' = x_{q+1}, x_m' = u + phi, on (..., m, n)."""
-    dx = np.empty_like(x)
-    dx[..., :-1, :] = x[..., 1:, :]
-    dx[..., -1, :] = u + phi
-    return dx
+    coef = (gain * (math.copysign(1.0, cfg.k1) * als)
+            + delta_s * cfg.k1 * ax ** L_m)
+    return -coef * _s_tilde(x, varpi_i, ax, cfg) - np.dot(w_pi, x)
 
 
 class ChainAgents:
@@ -228,12 +223,16 @@ class ChainAgents:
         return chain_control(x, ref, mu, self.cfg)
 
     def derivatives(self, t, mu, x, c, ref):
-        """(dx, None): plant derivatives of every agent at (t, x)."""
+        """(dx, None): every agent's x_q' = x_{q+1}, x_m' = u + d(t)."""
         u = chain_control(x, ref, mu, self.cfg)
         if self.el is not None:
             u = el_acceleration(*self.el, x[..., 0, :], x[..., 1, :], u)
-        d = 0.0 if self.disturbance is None else self.disturbance(t)
-        return chain_plant_rhs(x, u, d), None
+        if self.disturbance is not None:
+            u += self.disturbance(t)
+        dx = np.empty_like(x)
+        dx[..., :-1, :] = x[..., 1:, :]
+        dx[..., -1, :] = u
+        return dx, None
 
     def diagnostics(self, mu, x, c, ref) -> dict:
         """Per-agent norms of e_s and e_tilde_s."""
@@ -291,35 +290,9 @@ class EulerLagrangeParams:
                 np.array([[t5 * g, 0.0], [t6 * g, t6 * g]]))
 
 
-# x1 @ _ANGLES = [q1, q1 + q2]; C picks x2 entries _C_PICK with signs
-# _C_SIGN; adj(M) = M[_ADJ_ROWS, _ADJ_COLS] * _ADJ_SIGN
+# x1 @ _ANGLES = [q1, q1 + q2]; x2 * (x2 @ _CORIOLIS) = C x2 / (t3 sin q2)
 _ANGLES = np.array([[1.0, 1.0], [0.0, 1.0]])
-_C_PICK = np.array([[0, 0], [0, 1]])
-_C_SIGN = np.array([[-1.0, -2.0], [0.0, 1.0]])
-_ADJ_ROWS = np.array([[1, 0], [1, 0]])
-_ADJ_COLS = np.array([[1, 1], [0, 0]])
-_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-def el_matrices(par: EulerLagrangeParams, x1: np.ndarray, x2: np.ndarray):
-    """Inertia M(x1), Coriolis C(x1, x2) and gravity G(x1) matrices.
-
-    With q = x1:  M = [[t1 + t2 + 2 t3 cos q2, t2 + t3 cos q2],
-    [t2 + t3 cos q2, t4]],  C = t3 sin q2 [[-x2_1, -2 x2_1], [0, x2_2]],
-    G = g [t5 cos q1 + t6 cos(q1 + q2), t6 cos(q1 + q2)].  x1 and x2 are
-    (..., 2); returns M and C as (..., 2, 2), G as (..., 2).
-    """
-    A, B, W = par.coefficients
-    c2 = np.cos(x1[..., 1, None, None])
-    s2 = np.sin(x1[..., 1, None, None])
-    M = A + c2 * B
-    C = (par.theta[2] * s2) * (x2[..., _C_PICK] * _C_SIGN)
-    G = np.cos(x1 @ _ANGLES) @ W
-    return M, C, G
-
-
-def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (A @ v[..., None])[..., 0]
+_CORIOLIS = np.array([[-1.0, 0.0], [-2.0, 1.0]])
 
 
 def el_acceleration(true_par: EulerLagrangeParams,
@@ -330,15 +303,22 @@ def el_acceleration(true_par: EulerLagrangeParams,
 
     The chain controller's output u is applied through inverse dynamics
     computed with nominal parameters, u_applied = M_hat u + C_hat x2 + G_hat;
-    the true plant responds with x2' = M^{-1}(u_applied - C x2 - G).  The
-    parameter mismatch is the bounded matched disturbance the robust term
-    absorbs.  All arguments are (..., 2); M^{-1} = adj(M) / det(M) is
-    closed form.
+    the true plant responds with x2' = M^{-1}(u_applied - C x2 - G), where
+    M = A + cos q2 B, C x2 = t3 sin q2 [-x2_1 (x2_1 + 2 x2_2), x2_2^2] and
+    G = W^T [cos q1, cos(q1 + q2)] with q = x1.  The parameter mismatch is
+    the bounded matched disturbance the robust term absorbs.  All arguments
+    are (..., 2); the mismatch terms are folded into one right-hand side and
+    M^{-1} = adj(M) / det(M) is applied component-wise.
     """
-    M_hat, C_hat, G_hat = el_matrices(nominal_par, x1, x2)
-    M, C, G = el_matrices(true_par, x1, x2)
-    u_applied = _matvec(M_hat, u) + _matvec(C_hat, x2) + G_hat
-    b = u_applied - _matvec(C, x2) - G
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    adj = M[..., _ADJ_ROWS, _ADJ_COLS] * _ADJ_SIGN
-    return _matvec(adj, b) / det[..., None]
+    A_hat, B_hat, W_hat = nominal_par.coefficients
+    A, B, W = true_par.coefficients
+    c2 = np.cos(x1[..., 1:])
+    # np.dot, not @: the same contraction, and cheaper on small stacks
+    b = (np.dot(u, A_hat) + c2 * np.dot(u, B_hat)
+         + np.dot(np.cos(np.dot(x1, _ANGLES)), W_hat - W))
+    b += (((nominal_par.theta[2] - true_par.theta[2]) * np.sin(x1[..., 1:]))
+          * (x2 * np.dot(x2, _CORIOLIS)))
+    diag = A.diagonal()[::-1] + c2 * B.diagonal()[::-1]  # [M_22, M_11]
+    m12 = A[0, 1] + c2 * B[0, 1]
+    det = diag[..., :1] * diag[..., 1:] - m12 * m12
+    return (diag * b - m12 * b[..., ::-1]) / det

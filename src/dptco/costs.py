@@ -184,9 +184,11 @@ class CostSet:
         """Group all agents' terms by family for batched gradients, each
         family's terms ordered by agent.
 
-        Returns None when some term family has no batched form.
+        An agent's quadratic terms merge into one, (z - c)^T Q (z - c) with
+        Q = sum_k Q_k and Q c = sum_k Q_k c_k (the same gradient).  Returns
+        None when some term family has no batched form.
         """
-        quad = []
+        quads = {}
         expq = []
         stack = [(i, c) for i, c in enumerate(self.costs)]
         while stack:
@@ -194,11 +196,18 @@ class CostSet:
             if isinstance(c, SumCost):
                 stack.extend((i, t) for t in c.terms)
             elif isinstance(c, QuadraticCost):
-                quad.append((i, c.Q, c.center))
+                quads.setdefault(i, []).append((c.Q, c.center))
             elif isinstance(c, ExpQuadraticCost):
                 expq.append((i, c.P, c.center))
             else:
                 return None
+        quad = []
+        for i, terms in quads.items():
+            Q, c = terms[0]
+            if len(terms) > 1:
+                Q = sum(Qk for Qk, _ in terms)
+                c = np.linalg.solve(Q, sum(Qk @ ck for Qk, ck in terms))
+            quad.append((i, Q, c))
 
         def pack(items):
             if not items:

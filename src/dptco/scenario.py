@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import chain_ctrl, strictfb_ctrl
 from .costs import CostSet, cost_from_dict, default_box
-from .errors import ScenarioError
+from .errors import DptcoError, ScenarioError
 from .generator import (GeneratorConstants, GeneratorState, MonitorReport,
                         conservation_monitor, envelope_monitor, error_state,
                         generator_constants, gradients_at)
@@ -110,53 +111,61 @@ def scenario_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _require(raw: dict, key: str, path: str, where: str = "top level"):
-    if key not in raw:
-        raise _fail(path, where, f"missing required key {key!r}")
-    return raw[key]
-
-
 def _solver_settings(sv, path: str) -> SolverSettings:
     """SolverSettings from the solver section; omitted keys keep their
     defaults, and an unknown key or a bad value is a located error."""
-    if not isinstance(sv, dict):
-        raise _fail(path, "solver", "must be a JSON object")
     unknown = sorted(set(sv) - set(_SOLVER_KEYS))
     if unknown:
         raise _fail(path, "solver", f"unknown key(s) {', '.join(unknown)}; "
                     f"allowed: {', '.join(_SOLVER_KEYS)}")
-    try:
+    with _section(path, "solver"):
         return SolverSettings(**{k: _SOLVER_KEYS[k](v) for k, v in sv.items()})
-    except (TypeError, ValueError) as exc:
-        raise _fail(path, "solver", str(exc)) from exc
+
+
+@contextmanager
+def _section(path: str, where: str):
+    """Report a missing key or a malformed value met while reading one
+    section as a ScenarioError that names the file and the section."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except KeyError as exc:
+        raise _fail(path, where,
+                    f"missing required key {exc.args[0]!r}") from exc
+    except (AttributeError, DptcoError, IndexError, TypeError,
+            ValueError) as exc:
+        raise _fail(path, where, str(exc)) from exc
 
 
 def _build(sc: Scenario, seed: int | None = None,
            guard_frac: float | None = None) -> ScenarioBuild:
     raw, path = sc.raw, sc.path
     for section in _SECTIONS:
-        _require(raw, section, path)
+        if section not in raw:
+            raise _fail(path, "top level", f"missing required key {section!r}")
+        if not isinstance(raw[section], dict):
+            raise _fail(path, section, "must be a JSON object")
 
-    ck = raw["clock"]
-    clock = PrescribedClock(
-        t0=float(ck.get("t0", 0.0)),
-        T=float(_require(ck, "T", path, "clock")),
-        guard_frac=float(guard_frac if guard_frac is not None
-                         else ck.get("guard_frac", 0.999)))
+    with _section(path, "clock"):
+        ck = raw["clock"]
+        clock = PrescribedClock(
+            t0=float(ck.get("t0", 0.0)), T=float(ck["T"]),
+            guard_frac=float(guard_frac if guard_frac is not None
+                             else ck.get("guard_frac", 0.999)))
 
-    nw = raw["network"]
-    net = build_network(int(_require(nw, "n_agents", path, "network")),
-                        _require(nw, "edges", path, "network"))
-    require_connected(net)
+    with _section(path, "network"):
+        nw = raw["network"]
+        net = build_network(int(nw["n_agents"]), nw["edges"])
+        require_connected(net)
 
-    cs = raw["costs"]
-    dim = int(_require(cs, "dim", path, "costs"))
-    agent_costs = [cost_from_dict(d)
-                   for d in _require(cs, "agents", path, "costs")]
-    if len(agent_costs) != net.n_agents:
-        raise _fail(path, "costs", "one cost per agent required")
-    box = np.asarray(cs["box"], dtype=float) if "box" in cs else default_box(dim)
-    costs = CostSet(agent_costs, dim, box)
+    with _section(path, "costs"):
+        cs = raw["costs"]
+        dim = int(cs["dim"])
+        agent_costs = [cost_from_dict(d) for d in cs["agents"]]
+        if len(agent_costs) != net.n_agents:
+            raise _fail(path, "costs", "one cost per agent required")
+        costs = CostSet(agent_costs, dim, cs.get("box", default_box(dim)))
 
     consts = generator_constants(costs.rho_c, costs.varrho_c,
                                  net.lambda2, net.lambdaN)
@@ -167,89 +176,92 @@ def _build(sc: Scenario, seed: int | None = None,
         "c_star": consts.c_star,
     }
 
-    gains = raw["gains"]
-    alpha = GainFunction.from_dict(_require(gains, "alpha", path, "gains"))
-    alpha.validate()
-    override = bool(gains.get("acknowledge_criteria_override", False))
-    grid = log_grid(clock.mu0, clock.mu_guard, 1000)
-    reports = [check_growth_criterion(
-        alpha, GrowthCriterion("generator", c_star=consts.c_star), grid)]
+    controller = raw["agents"].get("controller", "none")
+    with _section(path, "gains"):
+        gains = raw["gains"]
+        alpha = GainFunction.from_dict(gains["alpha"])
+        alpha.validate()
+        override = bool(gains.get("acknowledge_criteria_override", False))
+        grid = log_grid(clock.mu0, clock.mu_guard, 1000)
+        reports = [check_growth_criterion(
+            alpha, GrowthCriterion("generator", c_star=consts.c_star), grid)]
+        if controller == "chain":
+            alpha_x = GainFunction.from_dict(gains["alpha_x"])
+            alpha_x.validate()
+            a_s = gains.get("alpha_s", "auto_dc2")
+            alpha_s = (None if a_s == "auto_dc2"
+                       else GainFunction.from_dict(a_s))
+        elif controller == "strict_feedback":
+            alpha_xi = GainFunction.from_dict(gains["alpha_xi"])
+            alpha_xi.validate()
 
-    ag = raw["agents"]
-    controller = ag.get("controller", "none")
-    agents = None
-    dist_seed = 0
-    if controller == "chain":
-        m = int(_require(ag, "order", path, "agents"))
-        K = ag.get("K", "auto")
-        alpha_x = GainFunction.from_dict(
-            _require(gains, "alpha_x", path, "gains"))
-        alpha_x.validate()
-        a_s = gains.get("alpha_s", "auto_dc2")
-        alpha_s = None if a_s == "auto_dc2" else GainFunction.from_dict(a_s)
-        psi_val = float(ag.get("psi", 1.0))
-        chain_cfg = chain_ctrl.make_chain_config(
-            m, dim, float(ag.get("v", 1.0)), alpha_x, clock.mu_guard,
-            alpha_s=alpha_s, K=None if K == "auto" else K,
-            psi=lambda x, _p=psi_val: _p, mu0=clock.mu0)
-        constants["v1"] = chain_cfg.v1
-        constants["v2"] = chain_cfg.v2
-        reports.append(chain_ctrl.check_dc1(chain_cfg, alpha, consts.c_star,
-                                            clock.mu0))
-        plant = ag.get("plant", "chain")
-        el = None
-        if plant == "euler_lagrange":
-            if m != 2:
-                raise _fail(path, "agents", "euler_lagrange needs order 2")
-            theta_true = tuple(_require(ag, "el_true_theta", path, "agents"))
-            scale = float(ag.get("el_nominal_scale", 0.9))
-            gravity = float(ag.get("gravity", 9.8))
-            el = (chain_ctrl.EulerLagrangeParams(theta_true, gravity),
-                  chain_ctrl.EulerLagrangeParams(
-                      tuple(scale * t for t in theta_true), gravity))
-        elif plant != "chain":
-            raise _fail(path, "agents", f"unknown plant kind {plant!r}")
-        disturbance = None
-        if "disturbance" in ag:
-            dd = ag["disturbance"]
-            dist_seed = int(seed if seed is not None else dd.get("seed", 0))
-            disturbance = make_disturbance(dist_seed, net.n_agents, dim,
-                                           float(dd.get("amplitude", 0.1)))
-        agents = chain_ctrl.ChainAgents(chain_cfg, el, disturbance)
-    elif controller == "strict_feedback":
-        m = int(_require(ag, "order", path, "agents"))
-        l = float(ag.get("l", 1.0))
-        if "c" in ag:
-            c = tuple(float(v) for v in ag["c"])
-            upsilon = tuple(float(v)
-                            for v in _require(ag, "upsilon", path, "agents"))
-            sigma = float(_require(ag, "sigma", path, "agents"))
-        else:
-            par = strictfb_ctrl.select_parameters(
-                m, l, float(ag.get("sigma_prime", 1.0)),
-                float(ag.get("rho", 10.0)), float(ag.get("margin", 1.0)))
-            c, upsilon, sigma = par.c, par.upsilon, par.sigma
-        alpha_xi = GainFunction.from_dict(
-            _require(gains, "alpha_xi", path, "gains"))
-        alpha_xi.validate()
-        phi_ids = ag.get("phi", ["identity"] * (m - 1))
-        try:
-            phis = tuple(_PHI_REGISTRY[p] for p in phi_ids)
-        except KeyError as exc:
-            raise _fail(path, "agents", f"unknown phi id {exc}") from exc
-        sf_cfg = strictfb_ctrl.SfControllerConfig(
-            m, dim, l, c, upsilon, sigma, alpha_xi, clock.mu_guard, phis)
-        L = sf_cfg.L
-        reports.append(strictfb_ctrl.check_dcxi(
-            alpha_xi, alpha, consts.c_star, float(L[1]), clock.mu0,
-            clock.mu_guard))
-        thetas = np.asarray(_require(ag, "thetas", path, "agents"),
-                            dtype=float)
-        if thetas.shape != (net.n_agents,):
-            raise _fail(path, "agents", "one theta per agent required")
-        agents = strictfb_ctrl.StrictFeedbackAgents(sf_cfg, thetas)
-    elif controller != "none":
-        raise _fail(path, "agents", f"unknown controller {controller!r}")
+    with _section(path, "agents"):
+        ag = raw["agents"]
+        agents = None
+        dist_seed = 0
+        if controller == "chain":
+            m = int(ag["order"])
+            K = ag.get("K", "auto")
+            psi_val = float(ag.get("psi", 1.0))
+            chain_cfg = chain_ctrl.make_chain_config(
+                m, dim, float(ag.get("v", 1.0)), alpha_x, clock.mu_guard,
+                alpha_s=alpha_s, K=None if K == "auto" else K,
+                psi=lambda x, _p=psi_val: _p, mu0=clock.mu0)
+            constants["v1"] = chain_cfg.v1
+            constants["v2"] = chain_cfg.v2
+            reports.append(chain_ctrl.check_dc1(chain_cfg, alpha,
+                                                consts.c_star, clock.mu0))
+            plant = ag.get("plant", "chain")
+            el = None
+            if plant == "euler_lagrange":
+                if m != 2:
+                    raise _fail(path, "agents",
+                                "euler_lagrange needs order 2")
+                theta_true = tuple(ag["el_true_theta"])
+                scale = float(ag.get("el_nominal_scale", 0.9))
+                gravity = float(ag.get("gravity", 9.8))
+                el = (chain_ctrl.EulerLagrangeParams(theta_true, gravity),
+                      chain_ctrl.EulerLagrangeParams(
+                          tuple(scale * t for t in theta_true), gravity))
+            elif plant != "chain":
+                raise _fail(path, "agents", f"unknown plant kind {plant!r}")
+            disturbance = None
+            if "disturbance" in ag:
+                dd = ag["disturbance"]
+                dist_seed = int(seed if seed is not None
+                                else dd.get("seed", 0))
+                disturbance = make_disturbance(
+                    dist_seed, net.n_agents, dim,
+                    float(dd.get("amplitude", 0.1)))
+            agents = chain_ctrl.ChainAgents(chain_cfg, el, disturbance)
+        elif controller == "strict_feedback":
+            m = int(ag["order"])
+            l = float(ag.get("l", 1.0))
+            if "c" in ag:
+                c = tuple(float(v) for v in ag["c"])
+                upsilon = tuple(float(v) for v in ag["upsilon"])
+                sigma = float(ag["sigma"])
+            else:
+                par = strictfb_ctrl.select_parameters(
+                    m, l, float(ag.get("sigma_prime", 1.0)),
+                    float(ag.get("rho", 10.0)), float(ag.get("margin", 1.0)))
+                c, upsilon, sigma = par.c, par.upsilon, par.sigma
+            phi_ids = ag.get("phi", ["identity"] * (m - 1))
+            try:
+                phis = tuple(_PHI_REGISTRY[p] for p in phi_ids)
+            except KeyError as exc:
+                raise _fail(path, "agents", f"unknown phi id {exc}") from exc
+            sf_cfg = strictfb_ctrl.SfControllerConfig(
+                m, dim, l, c, upsilon, sigma, alpha_xi, clock.mu_guard, phis)
+            reports.append(strictfb_ctrl.check_dcxi(
+                alpha_xi, alpha, consts.c_star, float(sf_cfg.L[1]),
+                clock.mu0, clock.mu_guard))
+            thetas = np.asarray(ag["thetas"], dtype=float)
+            if thetas.shape != (net.n_agents,):
+                raise _fail(path, "agents", "one theta per agent required")
+            agents = strictfb_ctrl.StrictFeedbackAgents(sf_cfg, thetas)
+        elif controller != "none":
+            raise _fail(path, "agents", f"unknown controller {controller!r}")
 
     failed = [r for r in reports if not (r.passed and r.coupling_passed)]
     if failed and not override:
@@ -259,32 +271,28 @@ def _build(sc: Scenario, seed: int | None = None,
                     f"{failed[0].worst_margin:.3g} at s={failed[0].worst_s:.4g}."
                     " Set \"acknowledge_criteria_override\": true to run anyway")
 
-    offsets = None
-    if "offsets" in ag:
-        offsets = np.asarray(ag["offsets"], dtype=float)
-
-    sys = CoupledSystem(clock, net, costs, alpha, agents=agents,
-                        offsets=offsets)
-
-    # initial state
-    varpi0 = np.asarray(_require(ag, "varpi_init", path, "agents"),
-                        dtype=float)
-    p_init = ag.get("p_init", "zeros")
-    if p_init == "zeros":
-        p0 = np.zeros((net.n_agents, dim))
-    else:
-        p0 = np.asarray(p_init, dtype=float)
-        if float(np.abs(p0.sum(axis=0)).max()) > 1e-12:
-            raise _fail(path, "agents", "p_init must sum to zero")
-    gen0 = GeneratorState(varpi0, p0)
-    plants = ctrls = None
-    if agents is not None:
-        plants = _require(ag, "x_init", path, "agents")
-    if controller == "strict_feedback":
-        # theta_hat from the scenario, filter states start at zero
-        ctrls = np.zeros((net.n_agents, sf_cfg.n_ctrl))
-        ctrls[:, 0] = ag.get("theta_hat_init", 0.0)
-    y0 = sys.pack(gen0, plants, ctrls)
+    with _section(path, "agents"):
+        sys = CoupledSystem(clock, net, costs, alpha, agents=agents,
+                            offsets=ag.get("offsets"))
+        varpi0 = np.asarray(ag["varpi_init"], dtype=float)
+        if varpi0.shape != (net.n_agents, dim):
+            raise _fail(path, "agents", f"varpi_init must be "
+                        f"{net.n_agents} x {dim}, got {varpi0.shape}")
+        p_init = ag.get("p_init", "zeros")
+        if p_init == "zeros":
+            p0 = np.zeros((net.n_agents, dim))
+        else:
+            p0 = np.asarray(p_init, dtype=float)
+            if float(np.abs(p0.sum(axis=0)).max()) > 1e-12:
+                raise _fail(path, "agents", "p_init must sum to zero")
+        plants = ctrls = None
+        if agents is not None:
+            plants = ag["x_init"]
+        if controller == "strict_feedback":
+            # theta_hat from the scenario, filter states start at zero
+            ctrls = np.zeros((net.n_agents, sf_cfg.n_ctrl))
+            ctrls[:, 0] = ag.get("theta_hat_init", 0.0)
+        y0 = sys.pack(GeneratorState(varpi0, p0), plants, ctrls)
 
     settings = _solver_settings(raw["solver"], path)
 

@@ -7,8 +7,11 @@ and controller states:
 
 The adaptive Dormand-Prince integrator (rk45) runs on the log clock
 s = -ln(1 - (t - t0)/T), where dt = ds / mu, so its error control alone
-follows the blow-up of the time-varying gain; the fixed-step RK4 integrator
-stays on the t clock under the step ceiling min(dt_max, 0.05 / mu^2).
+follows the blow-up of the time-varying gain.  Its last stage is the first
+stage of the next step (first same as last, FSAL), so every attempted step
+costs six right-hand-side evaluations, plus one at the start.  The
+fixed-step RK4 integrator stays on the t clock under the step ceiling
+min(dt_max, 0.05 / mu^2).
 Integration stops at the guard time strictly before the prescribed deadline;
 no right-hand side is ever evaluated at or beyond the deadline.
 """
@@ -90,8 +93,9 @@ def _rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau and error weights (5th minus 4th order); row 6
+# of _DP_A is also the 5th-order solution, so the last stage is at y5 (FSAL)
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = np.zeros((7, 7))
 _DP_A[1, :1] = [1 / 5]
 _DP_A[2, :2] = [3 / 40, 9 / 40]
@@ -100,20 +104,22 @@ _DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
 _DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
                 -5103 / 18656]
 _DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192,
-                   -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
 
 
-def _rk45_step(rhs, t, y, h):
-    """One Dormand-Prince trial step: (y5, error estimate)."""
-    K = np.empty((7, y.shape[0]))
-    K[0] = rhs(t, y)
-    for s in range(1, 7):
-        K[s] = rhs(t + _DP_C[s] * h, y + h * (_DP_A[s, :s] @ K[:s]))
-    return y + h * (_DP_B5 @ K), h * (_DP_E @ K)
+def _rk45_step(f, s, y, h, K):
+    """One Dormand-Prince trial step of size h from (s, y): (y5, error).
+
+    K is the (7, D) stage array with K[0] = f(s, y) already in place; the
+    step fills K[1:] through f(s, y, out), its last stage at exactly
+    (s + h, y5), which an accepted step hands on as the next K[0].
+    """
+    hA = h * _DP_A
+    for i in range(1, 7):
+        y_i = y + hA[i, :i] @ K[:i]
+        f(s + _DP_C[i] * h, y_i, K[i])
+    return y_i, h * (_DP_E @ K)
 
 
 def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
@@ -128,19 +134,13 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
     t_end = clock.t_guard if settings.t_end is None else float(settings.t_end)
     t_end = min(t_end, clock.t_guard)
     t0, T = clock.t0, clock.T
-    n_rhs = 0
-
-    def counted(t, y):
-        nonlocal n_rhs
-        n_rhs += 1
-        return rhs(t, y)
 
     def t_at(s):
         return min(t0 - T * math.expm1(-s), t_end)
 
-    def f(s, y):
+    def f(s, y, out):
         t = t_at(s)
-        return counted(t, y) * (T + t0 - t)  # 1/mu = T + t0 - t
+        np.multiply(rhs(t, y), T + t0 - t, out=out)  # 1/mu = T + t0 - t
 
     t, s = t0, 0.0
     s_end = -math.log1p(-(t_end - t0) / T)
@@ -150,13 +150,19 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
     states = [y.copy()]
     n_steps = 0
     n_rejected = 0
+    n_rhs = 0
     h = settings.dt * clock.mu0
     last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
+    if settings.method == "rk45" and not last:
+        K = np.empty((7, y.shape[0]))
+        f(s, y, K[0])
+        n_rhs = 1
     while not last:
         if settings.method == "rk4":
             h = min(settings.dt, step_ceiling(clock, t, settings.dt_max),
                     t_end - t)
-            y = _rk4_step(counted, t, y, h)
+            y = _rk4_step(rhs, t, y, h)
+            n_rhs += 4
             t += h
             last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
         else:
@@ -170,10 +176,11 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
                 if h < 1e-14 * mu * max(1.0, abs(t)):
                     raise StepUnderflow(
                         f"step size {h / mu} underflowed at t={t}")
-                y_new, err = _rk45_step(f, s, y, h)
-                scale = settings.abs_tol + settings.rel_tol * np.maximum(
+                y_new, err = _rk45_step(f, s, y, h, K)
+                n_rhs += 6
+                err /= settings.abs_tol + settings.rel_tol * np.maximum(
                     np.abs(y), np.abs(y_new))
-                err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
+                err_norm = math.sqrt((err @ err) / err.shape[0])
                 if err_norm <= 1.0:
                     break
                 n_rejected += 1
@@ -181,6 +188,7 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
             s = s_end if last else s + h
             t = t_end if last else t_at(s)
             y = y_new
+            K[0] = K[6]
             # grow the step for the next attempt
             factor = 5.0 if err_norm == 0.0 else min(
                 5.0, 0.9 * err_norm ** -0.2)
@@ -335,12 +343,12 @@ def export_csv(path: str, columns: dict) -> None:
     for k, arr in zip(names, arrays):
         if arr.shape != (length,):
             raise DimensionMismatch(f"column {k!r} has shape {arr.shape}")
+    row_fmt = ",".join(["%.17g"] * len(arrays)) + "\n"
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(names) + "\n")
-            for row in range(length):
-                fh.write(",".join(f"{arr[row]:.17g}" for arr in arrays))
-                fh.write("\n")
+            for row in zip(*arrays):
+                fh.write(row_fmt % row)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

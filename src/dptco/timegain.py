@@ -59,11 +59,6 @@ class PrescribedClock:
         return self.t0 <= t < self.t0 + self.T
 
 
-def mu_at(clock: PrescribedClock, t: float) -> float:
-    """Evaluate mu(t) = 1/(T + t0 - t) on the prescribed window."""
-    return clock.mu(t)
-
-
 def _adaptive_simpson(f, a, b, rel_tol=_SIMPSON_REL_TOL, max_depth=_SIMPSON_MAX_DEPTH):
     """Adaptive Simpson quadrature with relative tolerance control."""
     if a == b:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dptco.chain_ctrl import (ChainAgents, EulerLagrangeParams, chain_control,
-                              chain_error_view, chain_plant_rhs,
-                              el_acceleration, el_matrices, make_chain_config)
+                              chain_error_view, el_acceleration,
+                              make_chain_config)
 from dptco.costs import CostSet, QuadraticCost, default_box
 from dptco.errors import GuardExceeded
 from dptco.graph import build_network
@@ -16,6 +16,8 @@ from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
                                  scaled_error_vector, sf_control, sf_plant_rhs,
                                  tau_value, virtual_controls)
 from dptco.timegain import PrescribedClock, exp_gain, linear_gain, power_gain
+
+from oracles import chain_plant_rhs, el_acceleration_solve, el_matrices
 
 N, DIM = 5, 2
 CLOCK = PrescribedClock(0.0, 1.0)
@@ -102,15 +104,16 @@ def test_euler_lagrange_model_matches_per_agent_loop(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_batched_el_acceleration_matches_linear_solve(seed):
+    # the one-pass form against el_matrices + np.linalg.solve, also with
+    # nominal == true, where every mismatch term vanishes and x2' = u
     rng = np.random.default_rng(seed)
     x1, x2, u = rng.uniform(-3.0, 3.0, (3, 7, 2))
-    acc = el_acceleration(EL_TRUE, EL_NOMINAL, x1, x2, u)
-    for i in range(7):
-        M_hat, C_hat, G_hat = el_matrices(EL_NOMINAL, x1[i], x2[i])
-        M, C, G = el_matrices(EL_TRUE, x1[i], x2[i])
-        want = np.linalg.solve(
-            M, M_hat @ u[i] + C_hat @ x2[i] + G_hat - C @ x2[i] - G)
-        assert_close(acc[i], want)
+    for nominal in (EL_NOMINAL, EL_TRUE):
+        acc = el_acceleration(EL_TRUE, nominal, x1, x2, u)
+        for i in range(7):
+            assert_close(acc[i], el_acceleration_solve(
+                EL_TRUE, nominal, x1[i], x2[i], u[i]))
+    assert_close(el_acceleration(EL_TRUE, EL_TRUE, x1, x2, u), u)
 
 
 def test_el_matrices_hand_case():

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from dptco.chain_ctrl import (ChainControllerConfig, EulerLagrangeParams,
                               chain_control, chain_decay_monitor,
-                              chain_error_view, chain_plant_rhs, check_dc1,
-                              companion, el_acceleration, el_matrices,
-                              hurwitz_gain, make_chain_config, solve_lyapunov,
-                              v_constants)
+                              chain_error_view, check_dc1, companion,
+                              el_acceleration, hurwitz_gain, make_chain_config,
+                              solve_lyapunov, v_constants)
 from dptco.errors import GuardExceeded, NotHurwitz
 from dptco.timegain import PrescribedClock, kappa, linear_gain, power_gain
+
+from oracles import chain_plant_rhs, el_matrices
 
 P_HAND = np.array([[1.5, 0.5], [0.5, 0.5]])
 

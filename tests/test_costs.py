@@ -107,6 +107,17 @@ def test_grad_stack_matches_per_agent():
     Z = rng.uniform(-1.0, 2.0, size=(5, 2))
     direct = np.array([c.gradient(Z[i]) for i, c in enumerate(quad.costs)])
     assert np.allclose(quad.grad_stack(Z), direct, atol=1e-14)
+    # several quadratics of one agent are merged into one term
+    terms = [[QuadraticCost(np.diag([1.0 + i, 0.5]), [i, -i]),
+              QuadraticCost([[0.3, 0.1], [0.1, 0.2]], [-i, 2.0])]
+             for i in range(4)]
+    merged = CostSet([SumCost(terms[0]), terms[1][0], SumCost(terms[2]),
+                      SumCost(terms[3] + [terms[0][1]])], 2,
+                     default_box(2, 10.0))
+    Z = rng.uniform(-1.0, 2.0, size=(4, 2))
+    direct = np.array([c.gradient(Z[i])
+                       for i, c in enumerate(merged.costs)])
+    assert np.allclose(merged.grad_stack(Z), direct, atol=1e-14)
 
 
 # --- optimum oracle ----------------------------------------------------------

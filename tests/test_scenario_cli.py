@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dptco import cli
 from dptco.cli import (EXIT_CONFIG, EXIT_MONITOR, EXIT_OK, main,
                        read_trajectory_csv, run_scenario)
 from dptco.errors import ScenarioError
@@ -81,6 +82,37 @@ def test_unknown_solver_method_rejected(tmp_path, capsys):
     assert "euler" in str(exc.value)
     assert main(["run", p, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _set(section, key, value):
+    return lambda raw: raw[section].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("where, edit, message", [
+    ("gains", lambda raw: raw["gains"]["alpha"].pop("family"),
+     "missing required key 'family'"),
+    ("costs", lambda raw: raw["costs"]["agents"][0].pop("Q"),
+     "missing required key 'Q'"),
+    ("costs", lambda raw: raw["costs"]["agents"][0].update({"Q": [[1.0]]}),
+     "Q shape does not match center"),
+    ("agents", _set("agents", "varpi_init", [[1.0, 1.0]] * 5),
+     "varpi_init must be 6 x 2"),
+    ("clock", _set("clock", "T", "abc"), "'abc'"),
+    ("network", lambda raw: raw["network"]["edges"].append([0, 99, 1.0]),
+     "edge (0,99) outside 0..5"),
+    ("network", _set("network", "n_agents", "six"), "'six'"),
+])
+def test_malformed_ring_gives_located_error(tmp_path, capsys, where, edit,
+                                            message):
+    raw = json.loads(Path(scenario_path("ring")).read_text())
+    edit(raw)
+    p = tmp_path / "ring.json"
+    p.write_text(json.dumps(raw))
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: {where}: ")
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_unknown_monitor_rejected(tmp_path):
@@ -300,19 +332,31 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "sw" / "a" / "manifest.json").is_file()
 
 
-def test_cli_sweep_survives_malformed_file(tmp_path, capsys):
-    # a gain without "family" raises a plain KeyError while building; the
-    # sweep reports it, still runs the valid file, and exits 1
+def test_cli_sweep_survives_malformed_file(tmp_path, capsys, monkeypatch):
+    # a gain without "family" is a located config error, and any other
+    # exception of one file is reported too; the sweep still runs the valid
+    # file and exits 1
     d = tmp_path / "scens"
     d.mkdir()
     raw = json.loads(json.dumps(TINY))
     del raw["gains"]["alpha"]["family"]
     (d / "a_bad.json").write_text(json.dumps(raw))
     (d / "b_good.json").write_text(json.dumps(TINY))
+    (d / "c_crash.json").write_text(json.dumps(TINY))
+    real_run = cli.run_scenario
+
+    def run(path, out, **kwargs):
+        if path.endswith("c_crash.json"):
+            raise RuntimeError("boom")
+        return real_run(path, out, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", run)
     code = main(["sweep", str(d), "--out", str(tmp_path / "sw")])
     assert code == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert "a_bad.json: error: KeyError" in captured.err
+    assert (f"a_bad.json: config error: {d / 'a_bad.json'}: gains: "
+            "missing required key 'family'") in captured.err
+    assert "c_crash.json: error: RuntimeError: boom" in captured.err
     assert "Traceback" not in captured.err
     assert "b_good.json: ok" in captured.out
     assert (tmp_path / "sw" / "b_good" / "manifest.json").is_file()

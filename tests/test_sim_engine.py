@@ -80,6 +80,29 @@ def test_no_rhs_evaluation_at_deadline():
         assert traj.n_rhs == len(seen)
 
 
+def test_rk45_reuses_last_stage():
+    # FSAL: an accepted step starts from its predecessor's last stage and a
+    # rejected one keeps its first stage, so no (t, y) is evaluated twice
+    # and each attempt costs six evaluations plus one at the start
+    seen = []
+
+    def rhs(t, y):
+        seen.append((t, y.tobytes()))
+        return -CLOCK.mu(t) * y
+
+    settings = SolverSettings(method="rk45", dt=0.5, dt_max=1.0,
+                              rel_tol=1e-10, abs_tol=1e-12, t_end=0.9)
+    traj = integrate(rhs, np.array([1.0, -2.0]), CLOCK, settings)
+    assert traj.n_rejected > 0
+    assert traj.n_rhs == 6 * (traj.n_steps + traj.n_rejected) + 1
+    assert traj.n_rhs == len(seen) == len(set(seen))
+    assert seen[0] == (0.0, np.array([1.0, -2.0]).tobytes())
+
+    settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2, t_end=0.5)
+    traj = integrate(mu_decay_rhs, np.array([1.0]), CLOCK, settings)
+    assert traj.n_rhs == 4 * traj.n_steps
+
+
 def test_t_end_cannot_pass_guard():
     settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2, t_end=5.0)
     traj = integrate(mu_decay_rhs, np.array([1.0]), CLOCK, settings)
@@ -235,6 +258,23 @@ def test_export_csv_roundtrip_exact(tmp_path):
     export_csv(str(path), {"v": vals})
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back, vals)
+
+
+def test_export_csv_matches_per_cell_format(tmp_path):
+    # the row template writes the same bytes as formatting every cell
+    rng = np.random.default_rng(12)
+    data = rng.standard_normal((40, 30)) * 10.0 ** rng.integers(
+        -300, 300, (40, 30))
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+               -2.2250738585072014e-309, 1e308]
+    data.flat[rng.choice(data.size, 200, replace=False)] = rng.choice(
+        special, 200)
+    cols = {f"c{j}": data[:, j] for j in range(data.shape[1])}
+    path = tmp_path / "cells.csv"
+    export_csv(str(path), cols)
+    want = ",".join(cols) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in data)
+    assert path.read_bytes() == want.encode()
 
 
 def test_export_csv_rejects_ragged(tmp_path):
