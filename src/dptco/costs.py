@@ -353,31 +353,34 @@ def estimate_constants(costs, box, samples: int = 400,
     dim = agent_costs[0].dim
     rng = np.random.default_rng(seed)
     lo, hi = box[:, 0], box[:, 1]
-
-    pairs = []
-    for _ in range(samples):
-        x = lo + rng.random(dim) * (hi - lo)
-        y = lo + rng.random(dim) * (hi - lo)
-        if np.linalg.norm(x - y) > 1e-9:
-            pairs.append((x, y))
+    # one block is the same stream as one x draw, then one y draw, per pair
+    X, Y = (lo + rng.random((samples, 2, dim)) * (hi - lo)).transpose(1, 0, 2)
+    keep = np.linalg.norm(X - Y, axis=1) > 1e-9
     # axis-aligned pairs at several anchors
-    anchors = [lo, hi, 0.5 * (lo + hi)]
-    for anchor in anchors:
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = 1e-4 * max(1.0, hi[j] - lo[j])
-            pairs.append((anchor.copy(), anchor + e))
-
-    rho = math.inf
-    varrho = 0.0
+    anchors = np.repeat([lo, hi, 0.5 * (lo + hi)], dim, axis=0)
+    steps = np.tile(np.diag(1e-4 * np.maximum(1.0, hi - lo)), (3, 1))
+    X = np.concatenate([X[keep], anchors])
+    Y = np.concatenate([Y[keep], anchors + steps])
+    dZ = X - Y
+    nz2 = (dZ * dZ).sum(axis=1)
+    rho, varrho = math.inf, 0.0
     for c in agent_costs:
-        for x, y in pairs:
-            dg = c.gradient(x) - c.gradient(y)
-            dz = x - y
-            nz2 = float(dz @ dz)
-            rho = min(rho, float(dg @ dz) / nz2)
-            varrho = max(varrho, float(np.linalg.norm(dg)) / math.sqrt(nz2))
+        dG = _gradients(c, X) - _gradients(c, Y)
+        rho = min(rho, float(((dG * dZ).sum(axis=1) / nz2).min()))
+        varrho = max(varrho, float(
+            (np.linalg.norm(dG, axis=1) / np.sqrt(nz2)).max()))
     return rho, varrho
+
+
+def _gradients(c: CostFunction, Z: np.ndarray) -> np.ndarray:
+    """Rows grad c(z) at the rows z of Z."""
+    if isinstance(c, SumCost):
+        return sum(_gradients(t, Z) for t in c.terms)
+    if isinstance(c, QuadraticCost):
+        return _quad_grads(c.Q[None], Z - c.center)
+    if isinstance(c, ExpQuadraticCost):
+        return _expq_grads(c.P[None], Z - c.center)
+    return np.array([c.gradient(z) for z in Z])
 
 
 def default_box(dim: int, half_width: float = 5.0) -> np.ndarray:

@@ -28,6 +28,9 @@ class Disconnected(DptcoError):
         self.unreached = set(unreached)
         super().__init__(f"graph is disconnected, unreached nodes: {sorted(self.unreached)}")
 
+    def __reduce__(self):
+        return type(self), (self.unreached,)
+
 
 class DegenerateSize(DptcoError):
     """Operation needs at least two agents."""
@@ -72,6 +75,9 @@ class NonFiniteState(DptcoError):
         self.t = t
         self.component = component
         super().__init__(f"non-finite state at t={t}: {component}")
+
+    def __reduce__(self):
+        return type(self), (self.t, self.component)
 
 
 class StepUnderflow(DptcoError):

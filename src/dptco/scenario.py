@@ -36,6 +36,12 @@ _SECTIONS = ("clock", "network", "costs", "gains", "agents", "solver",
 _SOLVER_KEYS = {"method": str, "dt": float, "dt_max": float,
                 "rel_tol": float, "abs_tol": float, "log_every": int}
 
+# monitor names and the numeric parameters each one reads
+_MONITOR_PARAMS = {"conservation": ("tol",), "envelope": ("slack",),
+                   "tracking": ("tol",), "chain_decay": (),
+                   "invariant_set": ("h", "slack"), "sf_decay": (),
+                   "theta_hat_envelope": ()}
+
 _PHI_REGISTRY = {
     "identity": lambda x: x,
     "sin": np.sin,
@@ -146,6 +152,18 @@ def _build(sc: Scenario, seed: int | None = None,
             raise _fail(path, "top level", f"missing required key {section!r}")
         if not isinstance(raw[section], dict):
             raise _fail(path, section, "must be a JSON object")
+
+    monitors = {}
+    for name, params in raw["monitors"].items():
+        with _section(path, f"monitors: {name}"):
+            if name not in _MONITOR_PARAMS:
+                raise ValueError("unknown monitor")
+            monitors[name] = {k: float(v) for k, v in (params or {}).items()}
+            for k, v in monitors[name].items():
+                if k not in _MONITOR_PARAMS[name]:
+                    raise ValueError(f"unknown parameter {k!r}")
+                if not np.isfinite(v) or v < 0 or (v == 0 and k != "slack"):
+                    raise ValueError(f"{k} out of range: {v}")
 
     with _section(path, "clock"):
         ck = raw["clock"]
@@ -296,7 +314,6 @@ def _build(sc: Scenario, seed: int | None = None,
 
     settings = _solver_settings(raw["solver"], path)
 
-    monitors = dict(raw["monitors"])
     return ScenarioBuild(sc.name, path, scenario_hash(raw), clock, net,
                          costs, alpha, sys, y0, settings, monitors, reports,
                          constants, override, seed=dist_seed)
@@ -363,16 +380,15 @@ def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,
     cfg = None if build.sys.agents is None else build.sys.agents.cfg
     reports = []
     for name, params in build.monitors.items():
-        params = params or {}
         if name == "conservation":
-            reports.append(conservation_monitor(
-                times, derived["p_sum"], tol=float(params.get("tol", 1e-8))))
+            reports.append(conservation_monitor(times, derived["p_sum"],
+                                                **params))
         elif name == "envelope":
             reports.append(envelope_monitor(
                 times, derived["e_r_norm"], build.clock, build.alpha, consts,
-                slack=float(params.get("slack", 0.05))))
+                **params))
         elif name == "tracking":
-            tol = float(params.get("tol", 1e-2))
+            tol = params.get("tol", 1e-2)
             final = float(derived["track_err"][-1].max())
             reports.append(MonitorReport("tracking", final <= tol,
                                          final / tol,
@@ -384,13 +400,10 @@ def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,
                 derived["e_tilde_norm"][:, i], cfg, build.clock)
                 for i in range(n)]))
         elif name == "invariant_set":
-            h = params.get("h")
-            slack = float(params.get("slack", 0.02))
-            norms = derived["e_tilde_norm"].T
             reports.append(_worst([strictfb_ctrl.invariant_set_monitor(
-                times, nrm, float(h) if h is not None else
-                strictfb_ctrl.default_invariant_radius(float(nrm[0])),
-                slack=slack) for nrm in norms]))
+                times, nrm, **{"h": strictfb_ctrl.default_invariant_radius(
+                    float(nrm[0])), **params})
+                for nrm in derived["e_tilde_norm"].T]))
         elif name == "sf_decay":
             reports.append(_worst([strictfb_ctrl.sf_decay_monitor(
                 times, derived["mu"], derived["e_s_norm"][:, i], cfg)
@@ -399,7 +412,4 @@ def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,
             reports.append(_worst([strictfb_ctrl.theta_hat_monitor(
                 times, derived["mu"], derived["theta_hat"][:, i],
                 derived["tau"][:, i], cfg) for i in range(n)]))
-        else:
-            raise ScenarioError(f"{build.path}: monitors: unknown monitor "
-                                f"{name!r}")
     return reports

@@ -1,9 +1,12 @@
 """Reference forms of library math that the library itself computes in a
 fused, one-pass way; tests compare the library against these."""
 
+import math
+
 import numpy as np
 
 from dptco.chain_ctrl import EulerLagrangeParams
+from dptco.costs import CostSet
 
 # C picks x2 entries _C_PICK with signs _C_SIGN
 _C_PICK = np.array([[0, 0], [0, 1]])
@@ -42,3 +45,36 @@ def chain_plant_rhs(x: np.ndarray, u: np.ndarray, phi) -> np.ndarray:
     dx[..., :-1, :] = x[..., 1:, :]
     dx[..., -1, :] = u + phi
     return dx
+
+
+def estimate_constants(costs, box, samples: int = 400, seed: int = 0):
+    """(rho_hat, varrho_hat) over the same point pairs as
+    costs.estimate_constants, one gradient call per point and pair."""
+    box = np.asarray(box, dtype=float)
+    agent_costs = costs.costs if isinstance(costs, CostSet) else [costs]
+    dim = agent_costs[0].dim
+    rng = np.random.default_rng(seed)
+    lo, hi = box[:, 0], box[:, 1]
+
+    pairs = []
+    for _ in range(samples):
+        x = lo + rng.random(dim) * (hi - lo)
+        y = lo + rng.random(dim) * (hi - lo)
+        if np.linalg.norm(x - y) > 1e-9:
+            pairs.append((x, y))
+    for anchor in (lo, hi, 0.5 * (lo + hi)):
+        for j in range(dim):
+            e = np.zeros(dim)
+            e[j] = 1e-4 * max(1.0, hi[j] - lo[j])
+            pairs.append((anchor.copy(), anchor + e))
+
+    rho = math.inf
+    varrho = 0.0
+    for c in agent_costs:
+        for x, y in pairs:
+            dg = c.gradient(x) - c.gradient(y)
+            dz = x - y
+            nz2 = float(dz @ dz)
+            rho = min(rho, float(dg @ dz) / nz2)
+            varrho = max(varrho, float(np.linalg.norm(dg)) / math.sqrt(nz2))
+    return rho, varrho

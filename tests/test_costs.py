@@ -12,6 +12,7 @@ from dptco.costs import (CostSet, ExpQuadraticCost, QuadraticCost, SumCost,
                          grad_sum, optimum_oracle)
 from dptco.errors import DimensionMismatch
 
+import oracles
 from conftest import scenario_path
 
 Z_STAR_REFERENCE = np.array([0.7263, 0.7183])
@@ -174,6 +175,21 @@ def test_estimate_constants_example2_agent1():
     rho, varrho = estimate_constants(cs.costs[0], np.array(cs.box))
     assert rho > 0.0
     assert np.isfinite(varrho)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (ExpQuadraticCost([[0.1, 0.0], [0.0, 0.1]], [0.5, 0.5]),
+             np.array([[-1.0, 2.0], [-1.0, 2.0]])),
+    lambda: (SumCost([QuadraticCost([[0.5, -0.2], [-0.2, 0.3]], [1.0, 1.0]),
+                      ExpQuadraticCost([[0.2, 0.05], [0.05, 0.1]],
+                                       [0.3, -0.2])]), default_box(2)),
+    lambda: ((cs := example2_costs()), cs.box),
+], ids=["single", "sum", "costset"])
+def test_estimate_constants_matches_loop(make):
+    costs, box = make()
+    got = estimate_constants(costs, box)
+    want = oracles.estimate_constants(costs, box)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_costset_analytic_constants():

@@ -1,6 +1,8 @@
 """Scenario loading, monitor evaluation, and the command-line interface."""
 
 import json
+import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from dptco import cli
 from dptco.cli import (EXIT_CONFIG, EXIT_MONITOR, EXIT_OK, main,
                        read_trajectory_csv, run_scenario)
-from dptco.errors import ScenarioError
+from dptco.errors import NonFiniteState, ScenarioError
 from dptco.generator import MonitorReport
 from dptco.scenario import _worst, load_scenario, scenario_hash
 from dptco.sim_engine import export_csv
@@ -118,13 +120,32 @@ def test_malformed_ring_gives_located_error(tmp_path, capsys, where, edit,
 def test_unknown_monitor_rejected(tmp_path):
     p = write_tiny(tmp_path,
                    lambda raw: raw["monitors"].update({"bogus": {}}))
-    build = load_scenario(p).build()
-    from dptco.scenario import evaluate_monitors
-    from dptco.sim_engine import Trajectory
-    traj = Trajectory(np.array([0.0, 0.1]),
-                      np.tile(build.y0, (2, 1)), 1)
-    with pytest.raises(ScenarioError):
-        evaluate_monitors(build, traj, np.array([0.5]))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(p).build()
+    assert "monitors: bogus: unknown monitor" in str(exc.value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda mons: mons.update({"tracking": {"tol": "abc"}}),
+     "tracking: could not convert string to float: 'abc'"),
+    (lambda mons: mons.update({"trackng": {"tol": 0.01}}),
+     "trackng: unknown monitor"),
+    (lambda mons: mons.update({"tracking": {"tol": 0.0}}),
+     "tracking: tol out of range: 0.0"),
+    (lambda mons: mons.update({"envelope": {"slak": 0.05}}),
+     "envelope: unknown parameter 'slak'"),
+], ids=["tol_not_a_number", "unknown_monitor", "tol_zero", "unknown_param"])
+def test_bad_monitor_refused_before_integration(tmp_path, capsys,
+                                                monkeypatch, edit, message):
+    def no_integrate(*args, **kwargs):
+        raise AssertionError("integrated a scenario with a bad monitor")
+
+    monkeypatch.setattr(cli, "integrate", no_integrate)
+    p = modified_scenario("ring", tmp_path, lambda raw: edit(raw["monitors"]))
+    assert main(["run", p, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: monitors: {message}")
+    assert "Traceback" not in err
 
 
 def test_nonconserving_p_init_rejected(tmp_path):
@@ -360,6 +381,96 @@ def test_cli_sweep_survives_malformed_file(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in captured.err
     assert "b_good.json: ok" in captured.out
     assert (tmp_path / "sw" / "b_good" / "manifest.json").is_file()
+
+
+def _ring_deadlines(d: Path) -> None:
+    """The bundled ring at T = 0.5, 1 and 2 in d, stopped at guard 0.9."""
+    raw = json.loads(Path(scenario_path("ring")).read_text())
+    d.mkdir()
+    for T in (0.5, 1.0, 2.0):
+        raw["clock"].update({"T": T, "guard_frac": 0.9})
+        (d / f"ring_T{T}.json").write_text(json.dumps(raw))
+
+
+def test_cli_sweep_output_independent_of_workers(tmp_path, capsys,
+                                                 monkeypatch):
+    _ring_deadlines(tmp_path / "scens")
+    csvs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("DPTCO_THREADS", workers)
+        out = tmp_path / f"sw{workers}"
+        assert main(["sweep", str(tmp_path / "scens"),
+                     "--out", str(out)]) == EXIT_OK
+        csvs[workers] = [(out / f"ring_T{T}" / "trajectory.csv").read_bytes()
+                         for T in (0.5, 1.0, 2.0)]
+    assert csvs["1"] == csvs["2"]
+    assert capsys.readouterr().out.count(": ok (") == 6
+
+
+def test_cli_sweep_prints_in_file_order(tmp_path, capsys, monkeypatch):
+    # the first file finishes last; its line still comes first
+    d = tmp_path / "scens"
+    d.mkdir()
+    for name in ("a", "b", "c"):
+        (d / f"{name}.json").write_text(json.dumps(TINY))
+    real_run = cli.run_scenario
+
+    def run(path, out, **kwargs):
+        if path.endswith("a.json"):
+            time.sleep(1.0)
+        return real_run(path, out, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    monkeypatch.setenv("DPTCO_THREADS", "3")
+    assert main(["sweep", str(d), "--out", str(tmp_path / "sw")]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "a.json", "b.json", "c.json"]
+
+
+def test_cli_sweep_reports_worker_exception(tmp_path, capfd, monkeypatch):
+    # NonFiniteState raised in a worker comes back as a config error of its
+    # file, and the other files still finish
+    d = tmp_path / "scens"
+    d.mkdir()
+    for name in ("a_blowup", "b_good", "c_good"):
+        (d / f"{name}.json").write_text(json.dumps(TINY))
+    real_run = cli.run_scenario
+
+    def run(path, out, **kwargs):
+        if path.endswith("a_blowup.json"):
+            raise NonFiniteState(0.25, 3)
+        return real_run(path, out, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    monkeypatch.setenv("DPTCO_THREADS", "2")
+    assert main(["sweep", str(d), "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
+    captured = capfd.readouterr()
+    assert ("a_blowup.json: config error: non-finite state at t=0.25: 3"
+            in captured.err)
+    assert "b_good.json: ok" in captured.out
+    assert "c_good.json: ok" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_cli_sweep_survives_dead_worker(tmp_path, capfd, monkeypatch):
+    d = tmp_path / "scens"
+    d.mkdir()
+    for name in ("a_dies", "b_good"):
+        (d / f"{name}.json").write_text(json.dumps(TINY))
+    real_run = cli.run_scenario
+
+    def run(path, out, **kwargs):
+        if path.endswith("a_dies.json"):
+            os._exit(3)
+        return real_run(path, out, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    monkeypatch.setenv("DPTCO_THREADS", "2")
+    assert main(["sweep", str(d), "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert "a_dies.json: error: BrokenProcessPool: " in err
+    assert "Traceback" not in err
 
 
 def test_cli_sweep_empty_dir(tmp_path, capsys):
