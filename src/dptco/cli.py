@@ -198,12 +198,19 @@ def cmd_sweep(args) -> int:
     import concurrent.futures
     import multiprocessing
 
+    # unset or empty: one worker per CPU; anything else a positive integer
+    threads = os.environ.get("DPTCO_THREADS", "")
+    if threads and not (threads.isascii() and threads.isdigit()
+                        and int(threads) > 0):
+        print("error: DPTCO_THREADS must be a positive integer, "
+              f"got '{threads}'", file=sys.stderr)
+        return EXIT_CONFIG
     paths = sorted(Path(args.dir).glob("*.json"))
     if not paths:
         print(f"no scenario files in {args.dir}", file=sys.stderr)
         return EXIT_CONFIG
-    workers = min(int(os.environ.get("DPTCO_THREADS", "0"))
-                  or os.cpu_count() or 1, len(paths))
+    workers = min(int(threads) if threads else os.cpu_count() or 1,
+                  len(paths))
     out_root = Path(args.out)
     worst = EXIT_OK
     # fork: the workers inherit the imported modules and start in

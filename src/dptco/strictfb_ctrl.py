@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +90,7 @@ class SfControllerConfig:
         if len(self.phis) != self.m - 1:
             raise ValueError("need one phi per stage q = 2..m")
 
-    @property
+    @cached_property
     def L(self) -> np.ndarray:
         return scale_powers(self.m, self.l)
 
@@ -109,58 +110,66 @@ def check_dcxi(alpha_xi: GainFunction, alpha: GainFunction, c_star: float,
     return check_growth_criterion(alpha_xi, crit, grid, alpha_main=alpha)
 
 
+def _gain(mu: float, cfg: SfControllerConfig) -> float:
+    """alpha_xi(mu), refused past the guard."""
+    if mu > cfg.mu_guard * (1.0 + 1e-12):
+        raise GuardExceeded(f"mu={mu} beyond guard {cfg.mu_guard}")
+    return cfg.alpha_xi.eval(mu)
+
+
+def _cascade(xs, varpi_i, xi_fs, theta_hat, a, cfg: SfControllerConfig,
+             drive=None):
+    """Walk the backstepping cascade once, stage by stage.
+
+    xs[k] is the state of stage q = k + 1 (..., n), xi_fs[k - 1] its filter
+    state and drive[k - 1], when given, receives its filter derivative
+    xi_qf' = upsilon_q alpha_xi (xi_{q-1} - xi_qf).  Yields
+    (k, x_tilde_q, xi_tilde_q, phi_q(x_q), xi_q, tau) for q = 1..m, with
+    xi_tilde_q = xi_qf - xi_{q-1} and tau the adaptation drive summed over
+    stages 2..q; stage 1 has no xi_tilde or phi (None).
+    """
+    th = np.asarray(theta_hat)[..., None]
+    x_tilde = xs[0] - varpi_i
+    xi = -cfg.c[0] * a * x_tilde
+    tau = 0.0
+    yield 0, x_tilde, None, None, xi, tau
+    for k in range(1, cfg.m):
+        x_q, xi_qf = xs[k], xi_fs[k - 1]
+        x_tilde = x_q - xi_qf
+        xi_tilde = xi_qf - xi
+        phi = cfg.phis[k - 1](x_q)
+        # (-upsilon_q a) xi_tilde_q is the filter derivative, and the
+        # cascade's -upsilon_q a xi_tilde_q term, bit for bit
+        d = np.multiply(-cfg.upsilon[k - 1] * a, xi_tilde,
+                        out=None if drive is None else drive[k - 1])
+        xi = -cfg.c[k] * a * x_tilde - th * phi + d
+        tau = tau + a ** (2.0 * cfg.L[k]) * (x_tilde * phi).sum(axis=-1)
+        yield k, x_tilde, xi_tilde, phi, xi, tau
+
+
 def virtual_controls(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
                      theta_hat, mu: float, cfg: SfControllerConfig) -> dict:
     """Backstepping cascade.
 
     x is (..., m, n) stage states, varpi_i (..., n), xi_f is (..., m-1, n)
     filter states and theta_hat a scalar or (...); leading axes stack
-    agents.  Returns the virtual controls xi (..., m, n) plus the error
+    agents.  Returns the virtual controls xi (..., m, n), the error
     coordinates x_tilde (..., m, n) and xi_tilde (..., m-1, n) they are
-    built from.
+    built from, and the adaptation drive
+    tau = sum_q alpha_xi^{2 L_q} x_tilde_q . phi_q(x_q) (...).
     """
-    if mu > cfg.mu_guard * (1.0 + 1e-12):
-        raise GuardExceeded(f"mu={mu} beyond guard {cfg.mu_guard}")
-    a = cfg.alpha_xi.eval(mu)
-    th = np.asarray(theta_hat)[..., None]
+    a = _gain(mu, cfg)
     xi = np.empty_like(x)
     x_tilde = np.empty_like(x)
     xi_tilde = np.empty_like(xi_f)
-    x_tilde[..., 0, :] = x[..., 0, :] - varpi_i
-    x_tilde[..., 1:, :] = x[..., 1:, :] - xi_f
-    xi[..., 0, :] = -cfg.c[0] * a * x_tilde[..., 0, :]
-    for k in range(1, cfg.m):  # 0-based stage index of q = k + 1
-        xi_tilde[..., k - 1, :] = xi_f[..., k - 1, :] - xi[..., k - 1, :]
-        xi[..., k, :] = (-cfg.c[k] * a * x_tilde[..., k, :]
-                         - th * cfg.phis[k - 1](x[..., k, :])
-                         - cfg.upsilon[k - 1] * a * xi_tilde[..., k - 1, :])
-    return {"xi": xi, "x_tilde": x_tilde, "xi_tilde": xi_tilde}
-
-
-def filter_rhs(xi_f: np.ndarray, xi: np.ndarray, mu: float,
-               cfg: SfControllerConfig) -> np.ndarray:
-    """Dynamic filter: xi_qf' = upsilon_q alpha_xi (-xi_qf + xi_{q-1})."""
-    a = cfg.alpha_xi.eval(mu)
-    ups = np.asarray(cfg.upsilon)[:, None]
-    return ups * a * (-xi_f + xi[..., :-1, :])
-
-
-def tau_value(x: np.ndarray, x_tilde: np.ndarray, mu: float,
-              cfg: SfControllerConfig):
-    """Adaptation drive tau = sum_q alpha_xi^{2 L_q} x_tilde_q . phi_q(x_q),
-    one value per leading index of the (..., m, n) stacks."""
-    a = cfg.alpha_xi.eval(mu)
-    L = cfg.L
-    tau = 0.0
-    for k in range(1, cfg.m):
-        tau = tau + a ** (2.0 * L[k]) * (
-            x_tilde[..., k, :] * cfg.phis[k - 1](x[..., k, :])).sum(axis=-1)
-    return tau
-
-
-def adaptation_rhs(theta_hat, tau, mu: float, cfg: SfControllerConfig):
-    """Estimator with leak: theta_hat' = tau - sigma alpha_xi theta_hat."""
-    return tau - cfg.sigma * cfg.alpha_xi.eval(mu) * theta_hat
+    for k, xt, xit, _, xk, tau in _cascade(
+            np.moveaxis(x, -2, 0), varpi_i, np.moveaxis(xi_f, -2, 0),
+            theta_hat, a, cfg):
+        x_tilde[..., k, :] = xt
+        xi[..., k, :] = xk
+        if k:
+            xi_tilde[..., k - 1, :] = xit
+    return {"xi": xi, "x_tilde": x_tilde, "xi_tilde": xi_tilde, "tau": tau}
 
 
 def sf_control(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
@@ -168,19 +177,6 @@ def sf_control(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
     """Applied control u = xi_m."""
     view = virtual_controls(x, varpi_i, xi_f, theta_hat, mu, cfg)
     return view["xi"][..., -1, :]
-
-
-def sf_plant_rhs(x: np.ndarray, u: np.ndarray, theta,
-                 cfg: SfControllerConfig) -> np.ndarray:
-    """Strict-feedback dynamics with the true parameter theta (scalar or
-    one per leading index of the (..., m, n) stack)."""
-    th = np.asarray(theta)[..., None]
-    dx = np.empty_like(x)
-    dx[..., :-1, :] = x[..., 1:, :]
-    for k in range(1, cfg.m - 1):
-        dx[..., k, :] += th * cfg.phis[k - 1](x[..., k, :])
-    dx[..., -1, :] = u + th * cfg.phis[cfg.m - 2](x[..., -1, :])
-    return dx
 
 
 def error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
@@ -196,12 +192,14 @@ def error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
 
 
 def scaled_error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
-                        theta_hat, theta, mu: float,
-                        cfg: SfControllerConfig) -> np.ndarray:
+                        theta_hat, theta, mu: float, cfg: SfControllerConfig,
+                        view: dict | None = None) -> np.ndarray:
     """Transformed stack e_tilde_s = [omega; eta; theta_tilde] with
     omega_q = alpha_xi^{L_q} x_tilde_q, eta_q = alpha_xi^{L_q} xi_tilde_q,
-    one row per leading index."""
-    view = virtual_controls(x, varpi_i, xi_f, theta_hat, mu, cfg)
+    one row per leading index.  view, when given, is the virtual_controls
+    result at the same arguments."""
+    if view is None:
+        view = virtual_controls(x, varpi_i, xi_f, theta_hat, mu, cfg)
     a = cfg.alpha_xi.eval(mu)
     L = cfg.L
     omega = (a ** L)[:, None] * view["x_tilde"]
@@ -210,35 +208,6 @@ def scaled_error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
     return np.concatenate([omega.reshape(lead + (-1,)),
                            eta.reshape(lead + (-1,)),
                            np.asarray(theta - theta_hat)[..., None]], axis=-1)
-
-
-def transformation_matrices(m: int, n: int) -> dict:
-    """Selector matrices mapping the raw stack e_s (length mn + 1 + (m-1)n)
-    to the pieces the scaled coordinates are built from.
-
-    Lambda1 e_s = [x_tilde_1; x_2..x_m] - [0; xi_f] stage errors,
-    Lambda2 e_s = xi_f, Lambda3 selects the first m-1 virtual controls, and
-    Lambda4 e_s = theta_hat.
-    """
-    d = m * n + 1 + (m - 1) * n
-    lam1 = np.zeros((m * n, d))
-    lam1[:, :m * n] = np.eye(m * n)
-    lam1[n:, m * n + 1:] = -np.eye((m - 1) * n)
-    lam2 = np.zeros(((m - 1) * n, d))
-    lam2[:, m * n + 1:] = np.eye((m - 1) * n)
-    lam3 = np.hstack([np.eye((m - 1) * n), np.zeros(((m - 1) * n, n))])
-    lam4 = np.zeros(d)
-    lam4[m * n] = 1.0
-    return {"Lambda1": lam1, "Lambda2": lam2, "Lambda3": lam3,
-            "Lambda4": lam4}
-
-
-def phi_weights(m: int, l: float, n: int, alpha_val: float) -> tuple:
-    """Diagonals of Phi_1 (x) I_n and Phi_2 (x) I_n at one gain value."""
-    L = scale_powers(m, l)
-    w1 = np.repeat(alpha_val ** L, n)
-    w2 = np.repeat(alpha_val ** L[1:], n)
-    return w1, w2
 
 
 class StrictFeedbackAgents:
@@ -252,6 +221,8 @@ class StrictFeedbackAgents:
     def __init__(self, cfg: SfControllerConfig, thetas):
         self.cfg = cfg
         self.thetas = np.asarray(thetas, dtype=float)
+        # theta_i repeated over the n channels of a stage
+        self._theta_n = np.repeat(self.thetas[:, None], cfg.n, axis=1)
         self.ctrl_size = cfg.n_ctrl
 
     def _split(self, c: np.ndarray) -> tuple:
@@ -264,16 +235,28 @@ class StrictFeedbackAgents:
         return sf_control(x, ref, xi_f, theta_hat, mu, self.cfg)
 
     def derivatives(self, t, mu, x, c, ref):
-        """(dx, dc): plant and controller derivatives of every agent."""
+        """(dx, dc): plant and controller derivatives of every agent, from
+        one walk of the cascade; dx is an (N, m, n) view of stage-major
+        storage."""
         cfg = self.cfg
+        a = _gain(mu, cfg)
         theta_hat, xi_f = self._split(c)
-        view = virtual_controls(x, ref, xi_f, theta_hat, mu, cfg)
-        dx = sf_plant_rhs(x, view["xi"][..., -1, :], self.thetas, cfg)
-        dth = adaptation_rhs(
-            theta_hat, tau_value(x, view["x_tilde"], mu, cfg), mu, cfg)
-        dxi_f = filter_rhs(xi_f, view["xi"], mu, cfg)
-        return dx, np.concatenate(
-            [dth[..., None], dxi_f.reshape(c.shape[:-1] + (-1,))], axis=-1)
+        # stage-major copies: an operation on a contiguous (N, n) stage
+        # block costs numpy about half as much as on a strided one
+        xs = x.transpose(1, 0, 2).copy()
+        dxs = np.empty_like(xs)
+        dc = np.empty_like(c)
+        dxs[0] = xs[1]
+        for k, _, _, phi, xi, tau in _cascade(
+                xs, ref, xi_f.transpose(1, 0, 2).copy(), theta_hat, a, cfg,
+                self._split(dc)[1].transpose(1, 0, 2)):
+            if k:
+                # x_q' = x_{q+1} + theta phi_q(x_q); x_m' = u + theta phi_m
+                # with u = xi_m
+                np.add(xs[k + 1] if k + 1 < cfg.m else xi,
+                       self._theta_n * phi, out=dxs[k])
+        np.subtract(tau, cfg.sigma * a * theta_hat, out=dc[..., 0])
+        return dxs.transpose(1, 0, 2), dc
 
     def diagnostics(self, mu, x, c, ref) -> dict:
         """Per-agent error norms, estimate, adaptation drive and the
@@ -285,9 +268,9 @@ class StrictFeedbackAgents:
             "e_s_norm": np.linalg.norm(
                 error_vector(x, ref, xi_f, theta_hat), axis=-1),
             "e_tilde_norm": np.linalg.norm(scaled_error_vector(
-                x, ref, xi_f, theta_hat, self.thetas, mu, cfg), axis=-1),
+                x, ref, xi_f, theta_hat, self.thetas, mu, cfg, view), axis=-1),
             "theta_hat": theta_hat,
-            "tau": tau_value(x, view["x_tilde"], mu, cfg),
+            "tau": view["tau"],
         }
         for q in range(2, min(cfg.m, 3) + 1):
             out[f"x{q}_norm"] = np.linalg.norm(x[..., q - 1, :], axis=-1)

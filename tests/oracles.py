@@ -1,5 +1,6 @@
 """Reference forms of library math that the library itself computes in a
-fused, one-pass way; tests compare the library against these."""
+fused, one-pass way or does not need; tests compare the library against
+these."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 
 from dptco.chain_ctrl import EulerLagrangeParams
 from dptco.costs import CostSet
+from dptco.strictfb_ctrl import SfControllerConfig, scale_powers
 
 # C picks x2 entries _C_PICK with signs _C_SIGN
 _C_PICK = np.array([[0, 0], [0, 1]])
@@ -45,6 +47,108 @@ def chain_plant_rhs(x: np.ndarray, u: np.ndarray, phi) -> np.ndarray:
     dx[..., :-1, :] = x[..., 1:, :]
     dx[..., -1, :] = u + phi
     return dx
+
+
+def cascade(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
+            theta_hat, mu: float, cfg: SfControllerConfig) -> dict:
+    """Backstepping cascade on whole (..., m, n) stacks: virtual controls xi
+    and the error coordinates x_tilde, xi_tilde (no guard check)."""
+    a = cfg.alpha_xi.eval(mu)
+    th = np.asarray(theta_hat)[..., None]
+    xi = np.empty_like(x)
+    x_tilde = np.empty_like(x)
+    xi_tilde = np.empty_like(xi_f)
+    x_tilde[..., 0, :] = x[..., 0, :] - varpi_i
+    x_tilde[..., 1:, :] = x[..., 1:, :] - xi_f
+    xi[..., 0, :] = -cfg.c[0] * a * x_tilde[..., 0, :]
+    for k in range(1, cfg.m):  # 0-based stage index of q = k + 1
+        xi_tilde[..., k - 1, :] = xi_f[..., k - 1, :] - xi[..., k - 1, :]
+        xi[..., k, :] = (-cfg.c[k] * a * x_tilde[..., k, :]
+                         - th * cfg.phis[k - 1](x[..., k, :])
+                         - cfg.upsilon[k - 1] * a * xi_tilde[..., k - 1, :])
+    return {"xi": xi, "x_tilde": x_tilde, "xi_tilde": xi_tilde}
+
+
+def filter_rhs(xi_f: np.ndarray, xi: np.ndarray, mu: float,
+               cfg: SfControllerConfig) -> np.ndarray:
+    """Dynamic filter: xi_qf' = upsilon_q alpha_xi (-xi_qf + xi_{q-1})."""
+    a = cfg.alpha_xi.eval(mu)
+    ups = np.asarray(cfg.upsilon)[:, None]
+    return ups * a * (-xi_f + xi[..., :-1, :])
+
+
+def tau_value(x: np.ndarray, x_tilde: np.ndarray, mu: float,
+              cfg: SfControllerConfig):
+    """Adaptation drive tau = sum_q alpha_xi^{2 L_q} x_tilde_q . phi_q(x_q),
+    one value per leading index of the (..., m, n) stacks."""
+    a = cfg.alpha_xi.eval(mu)
+    L = cfg.L
+    tau = 0.0
+    for k in range(1, cfg.m):
+        tau = tau + a ** (2.0 * L[k]) * (
+            x_tilde[..., k, :] * cfg.phis[k - 1](x[..., k, :])).sum(axis=-1)
+    return tau
+
+
+def adaptation_rhs(theta_hat, tau, mu: float, cfg: SfControllerConfig):
+    """Estimator with leak: theta_hat' = tau - sigma alpha_xi theta_hat."""
+    return tau - cfg.sigma * cfg.alpha_xi.eval(mu) * theta_hat
+
+
+def sf_plant_rhs(x: np.ndarray, u: np.ndarray, theta,
+                 cfg: SfControllerConfig) -> np.ndarray:
+    """Strict-feedback dynamics with the true parameter theta (scalar or
+    one per leading index of the (..., m, n) stack)."""
+    th = np.asarray(theta)[..., None]
+    dx = np.empty_like(x)
+    dx[..., :-1, :] = x[..., 1:, :]
+    for k in range(1, cfg.m - 1):
+        dx[..., k, :] += th * cfg.phis[k - 1](x[..., k, :])
+    dx[..., -1, :] = u + th * cfg.phis[cfg.m - 2](x[..., -1, :])
+    return dx
+
+
+def sf_derivatives(x, c, ref, thetas, mu, cfg: SfControllerConfig):
+    """(dx, dc) of stacked strict-feedback agents, one piece at a time:
+    cascade, plant, adaptation drive, estimator and filter."""
+    theta_hat = c[..., 0]
+    xi_f = c[..., 1:].reshape(c.shape[:-1] + (cfg.m - 1, cfg.n))
+    view = cascade(x, ref, xi_f, theta_hat, mu, cfg)
+    dx = sf_plant_rhs(x, view["xi"][..., -1, :], thetas, cfg)
+    dth = adaptation_rhs(
+        theta_hat, tau_value(x, view["x_tilde"], mu, cfg), mu, cfg)
+    dxi_f = filter_rhs(xi_f, view["xi"], mu, cfg)
+    return dx, np.concatenate(
+        [dth[..., None], dxi_f.reshape(c.shape[:-1] + (-1,))], axis=-1)
+
+
+def transformation_matrices(m: int, n: int) -> dict:
+    """Selector matrices mapping the raw stack e_s (length mn + 1 + (m-1)n)
+    to the pieces the scaled coordinates are built from.
+
+    Lambda1 e_s = [x_tilde_1; x_2..x_m] - [0; xi_f] stage errors,
+    Lambda2 e_s = xi_f, Lambda3 selects the first m-1 virtual controls, and
+    Lambda4 e_s = theta_hat.
+    """
+    d = m * n + 1 + (m - 1) * n
+    lam1 = np.zeros((m * n, d))
+    lam1[:, :m * n] = np.eye(m * n)
+    lam1[n:, m * n + 1:] = -np.eye((m - 1) * n)
+    lam2 = np.zeros(((m - 1) * n, d))
+    lam2[:, m * n + 1:] = np.eye((m - 1) * n)
+    lam3 = np.hstack([np.eye((m - 1) * n), np.zeros(((m - 1) * n, n))])
+    lam4 = np.zeros(d)
+    lam4[m * n] = 1.0
+    return {"Lambda1": lam1, "Lambda2": lam2, "Lambda3": lam3,
+            "Lambda4": lam4}
+
+
+def phi_weights(m: int, l: float, n: int, alpha_val: float) -> tuple:
+    """Diagonals of Phi_1 (x) I_n and Phi_2 (x) I_n at one gain value."""
+    L = scale_powers(m, l)
+    w1 = np.repeat(alpha_val ** L, n)
+    w2 = np.repeat(alpha_val ** L[1:], n)
+    return w1, w2
 
 
 def estimate_constants(costs, box, samples: int = 400, seed: int = 0):

@@ -12,12 +12,13 @@ from dptco.errors import GuardExceeded
 from dptco.graph import build_network
 from dptco.sim_engine import CoupledSystem, make_disturbance
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
-                                 adaptation_rhs, error_vector, filter_rhs,
-                                 scaled_error_vector, sf_control, sf_plant_rhs,
-                                 tau_value, virtual_controls)
+                                 error_vector, scaled_error_vector, sf_control,
+                                 virtual_controls)
 from dptco.timegain import PrescribedClock, exp_gain, linear_gain, power_gain
 
-from oracles import chain_plant_rhs, el_acceleration_solve, el_matrices
+from oracles import (adaptation_rhs, cascade, chain_plant_rhs,
+                     el_acceleration_solve, el_matrices, filter_rhs,
+                     sf_derivatives, sf_plant_rhs, tau_value)
 
 N, DIM = 5, 2
 CLOCK = PrescribedClock(0.0, 1.0)
@@ -150,6 +151,96 @@ def test_strict_feedback_model_matches_per_agent_loop(seed):
     dy = sys.rhs(t, y)
     assert_close(dy[sys.gen_size:sys.ctrl_start], dx.ravel())
     assert_close(dy[sys.ctrl_start:], dc.ravel())
+
+
+def identity(x):
+    return x
+
+
+def random_sf(m, phis, seed, n_agents=N):
+    """Stacked strict-feedback agents of order m and a random (mu, x, c,
+    ref) inside the guard."""
+    rng = np.random.default_rng(seed)
+    cfg = SfControllerConfig(m, DIM, 1.0, tuple(rng.uniform(5.0, 12.0, m)),
+                             tuple(rng.uniform(10.0, 20.0, m - 1)), 10.0,
+                             power_gain(1.0, 1.5), 1e3, phis)
+    agents = StrictFeedbackAgents(cfg, rng.uniform(-3.0, 3.0, n_agents))
+    x = rng.standard_normal((n_agents, m, DIM))
+    c = rng.standard_normal((n_agents, cfg.n_ctrl))
+    ref = rng.standard_normal((n_agents, DIM))
+    return agents, float(rng.uniform(1.0, 50.0)), x, c, ref
+
+
+SF_PHIS = {"identity": identity, "sin": np.sin, "tanh": np.tanh}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("phi", ["identity", "sin", "tanh", "mixed"])
+@pytest.mark.parametrize("seed", range(3))
+def test_sf_derivatives_bit_identical_to_oracle(m, phi, seed):
+    # the one-pass right-hand side against cascade, sf_plant_rhs, tau_value,
+    # adaptation_rhs and filter_rhs composed one piece at a time
+    if phi == "mixed":
+        phis = (np.sin, np.tanh, identity)[:m - 1]
+    else:
+        phis = (SF_PHIS[phi],) * (m - 1)
+    agents, mu, x, c, ref = random_sf(m, phis, 10 * m + seed)
+    dx, dc = agents.derivatives(0.0, mu, x, c, ref)
+    want_dx, want_dc = sf_derivatives(x, c, ref, agents.thetas, mu,
+                                      agents.cfg)
+    assert (dx.shape, dc.shape) == (want_dx.shape, want_dc.shape)
+    assert dx.tobytes() == want_dx.tobytes()
+    assert dc.tobytes() == want_dc.tobytes()
+    theta_hat, xi_f = c[:, 0], c[:, 1:].reshape(N, m - 1, DIM)
+    view = virtual_controls(x, ref, xi_f, theta_hat, mu, agents.cfg)
+    want = cascade(x, ref, xi_f, theta_hat, mu, agents.cfg)
+    for key in ("xi", "x_tilde", "xi_tilde"):
+        assert view[key].tobytes() == want[key].tobytes()
+    assert view["tau"].tobytes() == tau_value(
+        x, want["x_tilde"], mu, agents.cfg).tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_sf_derivatives_evaluates_each_phi_once(m):
+    calls = [0] * (m - 1)
+
+    def counted(k):
+        def phi(x):
+            calls[k] += 1
+            return np.sin(x)
+        return phi
+
+    agents, mu, x, c, ref = random_sf(
+        m, tuple(counted(k) for k in range(m - 1)), 7)
+    agents.derivatives(0.0, mu, x, c, ref)
+    assert calls == [1] * (m - 1)
+    calls[:] = [0] * (m - 1)
+    agents.diagnostics(mu, x, c, ref)
+    assert calls == [1] * (m - 1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_sf_diagnostics_bit_identical_to_separate_views(m):
+    # one cascade serves every channel; each must equal the channel built
+    # from its own, separate evaluation
+    agents, mu, x, c, ref = random_sf(m, (np.tanh,) * (m - 1), 40 + m)
+    cfg = agents.cfg
+    theta_hat, xi_f = c[:, 0], c[:, 1:].reshape(N, m - 1, DIM)
+    diag = agents.diagnostics(mu, x, c, ref)
+    want = {
+        "e_s_norm": np.linalg.norm(
+            error_vector(x, ref, xi_f, theta_hat), axis=-1),
+        "e_tilde_norm": np.linalg.norm(scaled_error_vector(
+            x, ref, xi_f, theta_hat, agents.thetas, mu, cfg), axis=-1),
+        "theta_hat": theta_hat,
+        "tau": tau_value(x, cascade(x, ref, xi_f, theta_hat, mu,
+                                    cfg)["x_tilde"], mu, cfg),
+    }
+    for q in range(2, min(m, 3) + 1):
+        want[f"x{q}_norm"] = np.linalg.norm(x[:, q - 1], axis=-1)
+    assert sorted(diag) == sorted(want)
+    for key, val in want.items():
+        assert diag[key].tobytes() == val.tobytes(), key
 
 
 def test_diagnostics_match_per_agent_views():

@@ -473,6 +473,36 @@ def test_cli_sweep_survives_dead_worker(tmp_path, capfd, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "2.5"])
+def test_cli_sweep_refuses_bad_thread_count(value, tmp_path, capfd,
+                                            monkeypatch):
+    d = tmp_path / "scens"
+    d.mkdir()
+    (d / "a.json").write_text(json.dumps(TINY))
+
+    def run(*args, **kwargs):
+        pytest.fail("a worker ran with a malformed DPTCO_THREADS")
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    monkeypatch.setenv("DPTCO_THREADS", value)
+    assert main(["sweep", str(d), "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
+    captured = capfd.readouterr()
+    assert captured.err == ("error: DPTCO_THREADS must be a positive "
+                            f"integer, got '{value}'\n")
+    assert captured.out == ""
+    assert not (tmp_path / "sw").exists()
+
+
+def test_cli_sweep_empty_thread_count_is_default(tmp_path, capsys,
+                                                 monkeypatch):
+    d = tmp_path / "scens"
+    d.mkdir()
+    (d / "a.json").write_text(json.dumps(TINY))
+    monkeypatch.setenv("DPTCO_THREADS", "")
+    assert main(["sweep", str(d), "--out", str(tmp_path / "sw")]) == EXIT_OK
+    assert "a.json: ok" in capsys.readouterr().out
+
+
 def test_cli_sweep_empty_dir(tmp_path, capsys):
     d = tmp_path / "empty"
     d.mkdir()

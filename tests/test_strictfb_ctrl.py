@@ -9,15 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptco.errors import GuardExceeded, MarginTooSmall
-from dptco.strictfb_ctrl import (SfControllerConfig, adaptation_rhs,
+from dptco.strictfb_ctrl import (SfControllerConfig,
                                  default_invariant_radius, error_vector,
-                                 filter_rhs, invariant_set_monitor,
-                                 phi_weights, scale_powers,
+                                 invariant_set_monitor, scale_powers,
                                  scaled_error_vector, select_parameters,
-                                 sf_control, sf_decay_monitor, sf_plant_rhs,
-                                 tau_value, theta_hat_monitor,
-                                 transformation_matrices, virtual_controls)
+                                 sf_control, sf_decay_monitor,
+                                 theta_hat_monitor, virtual_controls)
 from dptco.timegain import linear_gain, power_gain
+
+from oracles import (adaptation_rhs, filter_rhs, phi_weights, sf_plant_rhs,
+                     tau_value, transformation_matrices)
 
 
 def cfg_m2(c=(2.0, 2.0), upsilon=(3.0,), sigma=2.0) -> SfControllerConfig:
@@ -152,6 +153,10 @@ def test_tau_hand_case():
     tau = tau_value(np.array([[0.0], [1.0]]), np.array([[0.0], [2.0]]),
                     1.0, cfg)
     assert tau == pytest.approx(6.0)
+    # the cascade's own drive: x_2 = 1 against xi_2f = -1
+    view = virtual_controls(np.array([[0.0], [1.0]]), np.zeros(1),
+                            np.array([[-1.0]]), 0.0, 1.0, cfg)
+    assert view["tau"] == pytest.approx(6.0)
 
 
 def test_adaptation_pure_leak():
