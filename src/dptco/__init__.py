@@ -11,10 +11,9 @@ convergence envelopes, and a CLI (`dptco run/optimum/verify/sweep`).
 from .costs import (CostSet, ExpQuadraticCost, QuadraticCost, SumCost,
                     cost_from_dict, estimate_constants, optimum_oracle)
 from .errors import DptcoError
-from .generator import (GeneratorConstants, GeneratorState,
-                        conservation_monitor, envelope_monitor, error_state,
-                        generator_constants, generator_rhs)
-from .graph import Network, build_network, reduced_basis, require_connected
+from .generator import (GeneratorConstants, conservation_monitor,
+                        envelope_monitor, error_state, generator_constants)
+from .graph import Network, build_network, require_connected
 from .scenario import Scenario, load_scenario
 from .sim_engine import (CoupledSystem, SolverSettings, Trajectory,
                          export_csv, integrate)

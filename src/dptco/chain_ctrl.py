@@ -139,11 +139,11 @@ def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
 
 
 def check_dc1(cfg: ChainControllerConfig, alpha: GainFunction,
-              c_star: float, mu0: float, grid_points: int = 1000):
+              c_star: float, mu0: float):
     """DC1 report for alpha_x against the generator gain alpha."""
     crit = GrowthCriterion("chain_dc1", c_star=c_star, v1=cfg.v1, v2=cfg.v2,
                            coupling_coef=c_star / cfg.v1)
-    grid = log_grid(mu0, cfg.mu_guard, grid_points)
+    grid = log_grid(mu0, cfg.mu_guard)
     return check_growth_criterion(cfg.alpha_x, crit, grid, alpha_main=alpha)
 
 
@@ -242,8 +242,7 @@ class ChainAgents:
 
 
 def chain_decay_monitor(times, e_s_norms, e_tilde_norms,
-                        cfg: ChainControllerConfig, clock: PrescribedClock,
-                        name: str = "chain_decay"):
+                        cfg: ChainControllerConfig, clock: PrescribedClock):
     """Fit the smallest C with ||e_s(t)|| <= C kappa(-(v1/4m) alpha_x(mu(t))).
 
     Passes iff the fit is finite and sup ||e_tilde_s|| is finite (the
@@ -267,7 +266,8 @@ def chain_decay_monitor(times, e_s_norms, e_tilde_norms,
         c_fit = max(c_fit, nrm / k)
     sup_tilde = float(e_tilde_norms.max())
     passed = math.isfinite(c_fit) and math.isfinite(sup_tilde)
-    return MonitorReport(name, passed, c_fit, None if passed else float(times[0]))
+    return MonitorReport("chain_decay", passed, c_fit,
+                         None if passed else float(times[0]))
 
 
 # --- Euler-Lagrange embedding (two-link manipulator family) ----------------

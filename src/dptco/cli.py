@@ -11,12 +11,14 @@ import json
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .costs import optimum_oracle
-from .errors import DptcoError
+from .errors import DptcoError, IoFailure, ScenarioError
+from .generator import envelope_bound
 from .scenario import (ScenarioBuild, derived_series, evaluate_monitors,
                        load_scenario)
 from .sim_engine import Trajectory, export_csv, integrate, trajectory_columns
@@ -27,32 +29,26 @@ EXIT_CONFIG = 1
 EXIT_MONITOR = 2
 
 
-def _derived_columns(build: ScenarioBuild, derived: dict) -> dict:
-    """Flatten derived channels into named CSV columns."""
-    cols = {"derived.e_r_norm": derived["e_r_norm"]}
-    for i in range(build.net.n_agents):
-        cols[f"derived.track_err{i}"] = derived["track_err"][:, i]
-    for key in ("e_s_norm", "e_tilde_norm", "theta_hat", "tau",
-                "x2_norm", "x3_norm"):
-        if key in derived:
-            for i in range(build.net.n_agents):
-                cols[f"derived.{key}{i}"] = derived[key][:, i]
+def _derived_columns(derived: dict) -> dict:
+    """Flatten derived channels into named CSV columns, in the dict's order:
+    a (K,) channel is one column, a (K, N) channel one column per agent."""
+    cols = {}
+    for key, val in derived.items():
+        if key in ("mu", "p_sum"):
+            continue
+        if val.ndim == 1:
+            cols[f"derived.{key}"] = val
+        else:
+            for i in range(val.shape[1]):
+                cols[f"derived.{key}{i}"] = val[:, i]
     return cols
-
-
-def _envelope_bound(build: ScenarioBuild, times, e_r0: float) -> np.ndarray:
-    from .timegain import kappa
-
-    c = build.constants
-    gamma = (c["c3"] / c["c2"]) ** 0.5 * e_r0
-    return np.array([gamma * kappa(build.clock, build.alpha, -c["c_star"], t)
-                     for t in times])
 
 
 def _write_plots(out: Path, build: ScenarioBuild, traj: Trajectory,
                  derived: dict) -> list:
     files = []
-    bound = _envelope_bound(build, traj.times, float(derived["e_r_norm"][0]))
+    bound = envelope_bound(traj.times, float(derived["e_r_norm"][0]),
+                           build.clock, build.alpha, build.gen_constants)
     env_path = out / "envelope.svg"
     write_svg(str(env_path),
               [("||e_r||", traj.times, derived["e_r_norm"]),
@@ -84,7 +80,10 @@ def run_scenario(scenario_path: str, out_dir: str, seed: int | None = None,
     """
     t_start = time.monotonic()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {out}: {exc}") from exc
     sc = load_scenario(scenario_path)
     build = sc.build(seed=seed, guard_frac=guard_frac)
     cert = optimum_oracle(build.costs)
@@ -94,7 +93,7 @@ def run_scenario(scenario_path: str, out_dir: str, seed: int | None = None,
 
     csv_path = out / "trajectory.csv"
     cols = trajectory_columns(build.sys, traj)
-    cols.update(_derived_columns(build, derived))
+    cols.update(_derived_columns(derived))
     export_csv(str(csv_path), cols)
     files = [str(csv_path)]
     files += _write_plots(out, build, traj, derived)
@@ -116,8 +115,11 @@ def run_scenario(scenario_path: str, out_dir: str, seed: int | None = None,
         "wall_seconds": time.monotonic() - t_start,
     }
     man_path = out / "manifest.json"
-    with open(man_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    try:
+        with open(man_path, "w") as fh:
+            json.dump(manifest, fh, indent=2)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {man_path}: {exc}") from exc
     manifest["manifest_path"] = str(man_path)
     return (EXIT_OK if all_pass else EXIT_MONITOR), manifest
 
@@ -141,24 +143,26 @@ def cmd_optimum(args) -> int:
 
 
 def read_trajectory_csv(csv_path: str, build: ScenarioBuild) -> Trajectory:
-    """Re-import a run CSV; raises ScenarioError on schema mismatch."""
-    from .errors import ScenarioError
-
-    with open(csv_path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    expected = ["t", "mu"] + build.sys.column_names()
-    if header[:len(expected)] != expected:
-        raise ScenarioError(f"{csv_path}: column schema does not match the "
-                            f"scenario's state layout")
-    if not rows:
-        raise ScenarioError(f"{csv_path}: no data rows")
+    """Re-import a run CSV; raises ScenarioError on an unreadable file, a
+    malformed body or a schema mismatch."""
     try:
-        data = np.array([[float(v) for v in r] for r in rows])
-    except ValueError as exc:
-        raise ScenarioError(f"{csv_path}: non-numeric cell: {exc}") from exc
+        with open(csv_path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            expected = ["t", "mu"] + build.sys.column_names()
+            if header[:len(expected)] != expected:
+                raise ScenarioError(f"{csv_path}: column schema does not "
+                                    f"match the scenario's state layout")
+            with warnings.catch_warnings():
+                # an empty body is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, UnicodeDecodeError, ValueError) as exc:
+        raise ScenarioError(f"{csv_path}: {exc}") from exc
+    if data.shape[0] == 0:
+        raise ScenarioError(f"{csv_path}: no data rows")
     if data.shape[1] != len(header):
-        raise ScenarioError(f"{csv_path}: ragged rows")
+        raise ScenarioError(f"{csv_path}: {data.shape[1]} columns in the "
+                            f"body, {len(header)} in the header")
     times = data[:, 0]
     if np.any(np.diff(times) <= 0):
         raise ScenarioError(f"{csv_path}: times not strictly increasing")

@@ -11,7 +11,7 @@ cost with a finite-difference Hessian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,8 +153,8 @@ class CostSet:
     costs: list
     dim: int
     box: np.ndarray  # (dim, 2) axis-aligned working region
-    rho_c: float | None = None
-    varrho_c: float | None = None
+    rho_c: float = field(init=False)
+    varrho_c: float = field(init=False)
 
     def __post_init__(self):
         for c in self.costs:
@@ -163,15 +163,13 @@ class CostSet:
         self.box = np.asarray(self.box, dtype=float)
         if self.box.shape != (self.dim, 2):
             raise DimensionMismatch("box must be (dim, 2)")
-        if self.rho_c is None or self.varrho_c is None:
-            analytic = [(c.rho_c, c.varrho_c) for c in self.costs]
-            if all(r is not None and v is not None for r, v in analytic):
-                self.rho_c = min(r for r, _ in analytic)
-                self.varrho_c = max(v for _, v in analytic)
-            else:
-                rho, varrho = estimate_constants(self, self.box, 400)
-                self.rho_c = rho
-                self.varrho_c = varrho
+        analytic = [(c.rho_c, c.varrho_c) for c in self.costs]
+        if all(r is not None and v is not None for r, v in analytic):
+            self.rho_c = min(r for r, _ in analytic)
+            self.varrho_c = max(v for _, v in analytic)
+        else:
+            self.rho_c, self.varrho_c = estimate_constants(self, self.box,
+                                                           400)
 
     @property
     def n_agents(self) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 from . import chain_ctrl, strictfb_ctrl
 from .costs import CostSet, cost_from_dict, default_box
 from .errors import DptcoError, ScenarioError
-from .generator import (GeneratorConstants, GeneratorState, MonitorReport,
+from .generator import (GeneratorConstants, MonitorReport,
                         conservation_monitor, envelope_monitor, error_state,
                         generator_constants, gradients_at)
 from .graph import Network, build_network, require_connected
@@ -72,6 +72,12 @@ class ScenarioBuild:
     constants: dict
     override_acknowledged: bool
     seed: int = 0
+
+    @property
+    def gen_constants(self) -> GeneratorConstants:
+        """The envelope constants c1..c_star of the generator."""
+        c = self.constants
+        return GeneratorConstants(c["c1"], c["c2"], c["c3"], c["c_star"])
 
     @property
     def criteria_ok(self) -> bool:
@@ -200,7 +206,7 @@ def _build(sc: Scenario, seed: int | None = None,
         alpha = GainFunction.from_dict(gains["alpha"])
         alpha.validate()
         override = bool(gains.get("acknowledge_criteria_override", False))
-        grid = log_grid(clock.mu0, clock.mu_guard, 1000)
+        grid = log_grid(clock.mu0, clock.mu_guard)
         reports = [check_growth_criterion(
             alpha, GrowthCriterion("generator", c_star=consts.c_star), grid)]
         if controller == "chain":
@@ -310,7 +316,7 @@ def _build(sc: Scenario, seed: int | None = None,
             # theta_hat from the scenario, filter states start at zero
             ctrls = np.zeros((net.n_agents, sf_cfg.n_ctrl))
             ctrls[:, 0] = ag.get("theta_hat_init", 0.0)
-        y0 = sys.pack(GeneratorState(varpi0, p0), plants, ctrls)
+        y0 = sys.pack(varpi0, p0, plants, ctrls)
 
     settings = _solver_settings(raw["solver"], path)
 
@@ -328,7 +334,7 @@ def derived_series(build: ScenarioBuild, traj: Trajectory,
     Always: mu, e_r_norm, p_sum (K, dim), track_err (K, N).  Agent models
     add their diagnostic channels as (K, N) arrays: e_s_norm / e_tilde_norm
     for chain plants; strict-feedback adds theta_hat, tau, stage norms and
-    the scaled error norm.
+    the scaled error norm.  The run CSV lists the channels in this order.
     """
     sys = build.sys
     n = build.net.n_agents
@@ -343,19 +349,16 @@ def derived_series(build: ScenarioBuild, traj: Trajectory,
         "track_err": np.empty((K, n)),
     }
     for k in range(K):
-        y = traj.states[k]
+        varpi, p, x, c = sys.views(traj.states[k])
         mu = build.clock.mu(traj.times[k])
         out["mu"][k] = mu
-        gen = sys.gen_state(y)
-        err = error_state(gen, build.costs, z_star, grads_at_star)
-        out["e_r_norm"][k] = err.norm
-        out["p_sum"][k] = gen.p.sum(axis=0)
+        out["e_r_norm"][k] = error_state(varpi, p, z_star, grads_at_star).norm
+        out["p_sum"][k] = p.sum(axis=0)
         if sys.agents is None:
-            out["track_err"][k] = np.linalg.norm(gen.varpi - z_star, axis=1)
+            out["track_err"][k] = np.linalg.norm(varpi - z_star, axis=1)
             continue
-        x, c = sys.agent_states(y)
         out["track_err"][k] = np.linalg.norm(x[:, 0] - targets, axis=1)
-        diag = sys.agents.diagnostics(mu, x, c, sys.references(gen.varpi))
+        diag = sys.agents.diagnostics(mu, x, c, sys.references(varpi))
         for key, val in diag.items():
             out.setdefault(key, np.empty((K, n)))[k] = val
     return out
@@ -373,9 +376,6 @@ def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,
     if derived is None:
         derived = derived_series(build, traj, z_star)
     times = traj.times
-    consts = GeneratorConstants(build.constants["c1"], build.constants["c2"],
-                                build.constants["c3"],
-                                build.constants["c_star"])
     n = build.net.n_agents
     cfg = None if build.sys.agents is None else build.sys.agents.cfg
     reports = []
@@ -385,8 +385,8 @@ def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,
                                                 **params))
         elif name == "envelope":
             reports.append(envelope_monitor(
-                times, derived["e_r_norm"], build.clock, build.alpha, consts,
-                **params))
+                times, derived["e_r_norm"], build.clock, build.alpha,
+                build.gen_constants, **params))
         elif name == "tracking":
             tol = params.get("tol", 1e-2)
             final = float(derived["track_err"][-1].max())

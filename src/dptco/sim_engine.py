@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IoFailure, NonFiniteState,
                      StepUnderflow)
-from .generator import GeneratorState
 from .graph import Network
 from .timegain import GainFunction, PrescribedClock
 
@@ -242,60 +241,51 @@ class CoupledSystem:
         self.ctrl_start = self.gen_size + n * self.plant_size
         self.total_dim = self.ctrl_start + n * self.ctrl_size
 
-    # -- state layout helpers --
+    # -- state layout --
 
-    def gen_state(self, y: np.ndarray) -> GeneratorState:
-        return GeneratorState.unflatten(y, self.net.n_agents, self.dim)
-
-    def agent_states(self, y: np.ndarray) -> tuple:
-        """Views of the plant states (N, m, dim) and controller states
-        (N, ctrl_size) inside y."""
-        n = self.net.n_agents
-        x = y[self.gen_size:self.ctrl_start].reshape(n, -1, self.dim)
-        return x, y[self.ctrl_start:].reshape(n, self.ctrl_size)
+    def views(self, y: np.ndarray) -> tuple:
+        """Views of varpi (N, dim), p (N, dim), the plant states
+        (N, m, dim) and the controller states (N, ctrl_size) inside y."""
+        n, d = self.net.n_agents, self.dim
+        half = n * d
+        return (y[:half].reshape(n, d), y[half:self.gen_size].reshape(n, d),
+                y[self.gen_size:self.ctrl_start].reshape(
+                    n, self.plant_size // d, d),
+                y[self.ctrl_start:].reshape(n, self.ctrl_size))
 
     def references(self, varpi: np.ndarray) -> np.ndarray:
         """Reference of every agent's first stage, (N, dim)."""
         return varpi if self.offsets is None else varpi + self.offsets
 
-    def pack(self, gen: GeneratorState, plants=None, ctrls=None) -> np.ndarray:
+    def pack(self, varpi, p, plants=None, ctrls=None) -> np.ndarray:
+        """The state vector y holding the given parts; omitted parts are 0."""
         y = np.zeros(self.total_dim)
-        y[:self.gen_size] = gen.flatten()
-        x, c = self.agent_states(y)
-        if plants is not None:
-            x[...] = np.asarray(plants, dtype=float).reshape(x.shape)
-        if ctrls is not None:
-            c[...] = np.asarray(ctrls, dtype=float).reshape(c.shape)
+        for view, part in zip(self.views(y), (varpi, p, plants, ctrls)):
+            if part is not None:
+                view[...] = np.asarray(part, dtype=float).reshape(view.shape)
         return y
 
     def control(self, t: float, y: np.ndarray, i: int) -> np.ndarray:
         """Control applied by agent i at (t, y)."""
         if self.agents is None:
             raise ValueError("plant 'none' has no control")
-        x, c = self.agent_states(y)
-        ref = self.references(self.gen_state(y).varpi)[i]
-        return self.agents.control(self.clock.mu(t), x[i], c[i], ref)
+        varpi, _, x, c = self.views(y)
+        return self.agents.control(self.clock.mu(t), x[i], c[i],
+                                   self.references(varpi)[i])
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         mu = self.clock.mu(t)
         a = self.alpha.eval(mu)
-        n, d = self.net.n_agents, self.dim
-        half = n * d
-        varpi = y[:half].reshape(n, d)
-        p = y[half:2 * half].reshape(n, d)
+        varpi, p, x, c = self.views(y)
+        # row i of cons: sum_j a_ij (varpi_i - varpi_j)
         cons = self.net.laplacian @ varpi
-        grads = self.costs.grad_stack(varpi)
-        dy = np.empty_like(y)
-        dy[:half] = (-a * (cons + grads + p)).ravel()
-        dy[half:2 * half] = (a * cons).ravel()
-        if self.agents is None:
-            return dy
-        x, c = self.agent_states(y)
-        dx, dc = self.agents.derivatives(t, mu, x, c, self.references(varpi))
-        dy[self.gen_size:self.ctrl_start] = dx.ravel()
-        if dc is not None:
-            dy[self.ctrl_start:] = dc.ravel()
-        return dy
+        parts = [-a * (cons + self.costs.grad_stack(varpi) + p), a * cons]
+        if self.agents is not None:
+            # dx, then dc (None when the model has no controller states)
+            parts += self.agents.derivatives(t, mu, x, c,
+                                             self.references(varpi))
+        # the parts are in the layout order of views
+        return np.concatenate([q.ravel() for q in parts if q is not None])
 
     def column_names(self) -> list:
         """State channel names in layout order: agent{i}.{channel}{k}."""
@@ -315,14 +305,19 @@ class CoupledSystem:
         return names
 
 
+# Fourier modes per agent and channel of make_disturbance
+_DISTURBANCE_MODES = 3
+
+
 def make_disturbance(seed: int, n_agents: int, dim: int,
-                     amplitude: float = 0.1, n_modes: int = 3):
+                     amplitude: float = 0.1):
     """Smooth bounded disturbance: a short random Fourier sum per agent and
     channel.  Returns d(t) -> (n_agents, dim).
 
     Deterministic in the seed; the sup norm is at most `amplitude`.
     """
     rng = np.random.default_rng(seed)
+    n_modes = _DISTURBANCE_MODES
     freq = rng.uniform(0.5, 5.0, size=(n_agents, dim, n_modes))
     phase = rng.uniform(0.0, 2.0 * math.pi, size=(n_agents, dim, n_modes))
     coef = rng.uniform(0.2, 1.0, size=(n_agents, dim, n_modes))

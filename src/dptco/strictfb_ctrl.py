@@ -101,12 +101,11 @@ class SfControllerConfig:
 
 
 def check_dcxi(alpha_xi: GainFunction, alpha: GainFunction, c_star: float,
-               L2: float, mu0: float, mu_guard: float,
-               grid_points: int = 1000):
+               L2: float, mu0: float, mu_guard: float):
     """Growth-criterion report for alpha_xi against the generator gain."""
     crit = GrowthCriterion("strict_dcxi", c_star=c_star,
                            coupling_coef=c_star / (2.0 * L2))
-    grid = log_grid(mu0, mu_guard, grid_points)
+    grid = log_grid(mu0, mu_guard)
     return check_growth_criterion(alpha_xi, crit, grid, alpha_main=alpha)
 
 
@@ -339,8 +338,7 @@ def theta_hat_monitor(times, mus, theta_hats, taus,
                          max_ratio, first_violation)
 
 
-def sf_decay_monitor(times, mus, e_s_norms, cfg: SfControllerConfig,
-                     name: str = "sf_decay"):
+def sf_decay_monitor(times, mus, e_s_norms, cfg: SfControllerConfig):
     """Fit the smallest C with ||e_s(t)|| <= C / alpha_xi(mu(t)).
 
     A finite fit certifies the prescribed-time decay of the raw errors,
@@ -356,5 +354,5 @@ def sf_decay_monitor(times, mus, e_s_norms, cfg: SfControllerConfig,
     for mu, nrm in zip(mus, norms):
         c_fit = max(c_fit, nrm * cfg.alpha_xi.eval(float(mu)))
     passed = math.isfinite(c_fit)
-    return MonitorReport(name, passed, c_fit,
+    return MonitorReport("sf_decay", passed, c_fit,
                          None if passed else float(times[0]))

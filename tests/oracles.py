@@ -3,11 +3,15 @@ fused, one-pass way or does not need; tests compare the library against
 these."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from dptco.chain_ctrl import EulerLagrangeParams
 from dptco.costs import CostSet
+from dptco.errors import DegenerateSize, Disconnected
+from dptco.generator import ErrorState, GeneratorConstants
+from dptco.graph import Network
 from dptco.strictfb_ctrl import SfControllerConfig, scale_powers
 
 # C picks x2 entries _C_PICK with signs _C_SIGN
@@ -182,3 +186,83 @@ def estimate_constants(costs, box, samples: int = 400, seed: int = 0):
             rho = min(rho, float(dg @ dz) / nz2)
             varrho = max(varrho, float(np.linalg.norm(dg)) / math.sqrt(nz2))
     return rho, varrho
+
+
+# --- generator: one agent's dynamics and the Lyapunov diagnostic ----------
+
+def agent_rhs(varpi_i: np.ndarray, p_i: np.ndarray, grad_i: np.ndarray,
+              neighbor_varpi: list, alpha_mu: float) -> tuple:
+    """Per-agent generator right-hand side; reads only neighbor values and
+    the local gradient.  neighbor_varpi is a list of (weight, varpi_j)."""
+    cons = np.zeros_like(varpi_i)
+    for w, varpi_j in neighbor_varpi:
+        cons += w * (varpi_i - varpi_j)
+    dvarpi = -alpha_mu * (cons + grad_i + p_i)
+    dp = alpha_mu * cons
+    return dvarpi, dp
+
+
+@dataclass(frozen=True)
+class ReducedBasis:
+    """Consensus direction r = 1_N/sqrt(N) and its orthonormal complement R."""
+
+    r: np.ndarray
+    R: np.ndarray
+
+
+def reduced_basis(net_or_n) -> ReducedBasis:
+    """Orthonormal complement of the consensus direction.
+
+    Columns of R come from Gram-Schmidt on e_1..e_{N-1} against r, with
+    each column's first nonzero entry made positive, so the basis is
+    deterministic for fixed N.
+    """
+    n = net_or_n.n_agents if isinstance(net_or_n, Network) else int(net_or_n)
+    if n < 2:
+        raise DegenerateSize(f"reduced basis needs N >= 2, got {n}")
+    r = np.full(n, 1.0 / math.sqrt(n))
+    cols = []
+    for k in range(n - 1):
+        v = np.zeros(n)
+        v[k] = 1.0
+        v -= (r @ v) * r
+        for c in cols:
+            v -= (c @ v) * c
+        v /= np.linalg.norm(v)
+        nz = np.flatnonzero(np.abs(v) > 1e-14)[0]
+        if v[nz] < 0:
+            v = -v
+        cols.append(v)
+    return ReducedBasis(r, np.column_stack(cols))
+
+
+def reduced_laplacian(net: Network,
+                      basis: ReducedBasis | None = None) -> np.ndarray:
+    """L_R = R^T L R, the Laplacian restricted to the disagreement subspace."""
+    if basis is None:
+        basis = reduced_basis(net)
+    return basis.R.T @ net.laplacian @ basis.R
+
+
+def lyapunov_vr(err: ErrorState, net: Network,
+                consts: GeneratorConstants) -> float:
+    """Lyapunov diagnostic for the generator's error dynamics.
+
+    V = c1/2 (||e_varpi||^2 + e_p^T [r,R] Ltilde_R^{-1} [r,R]^T e_p)
+        + 1/2 ||e_varpi + e_p||^2
+
+    with Ltilde_R = diag(I, L_R), everything Kronecker-extended by the cost
+    dimension.  Satisfies c2 ||e_r||^2 <= V <= c3 ||e_r||^2.
+    """
+    basis = reduced_basis(net)
+    L_R = reduced_laplacian(net, basis)
+    if np.linalg.eigvalsh(L_R)[0] <= 1e-10:
+        raise Disconnected(set())
+    # phi-block coordinates of e_p: bar over r, tilde over R columns
+    bar_phi = basis.r @ err.e_p            # (dim,)
+    tilde_phi = basis.R.T @ err.e_p        # (N-1, dim)
+    quad = float(bar_phi @ bar_phi)
+    quad += float(np.sum(np.linalg.solve(L_R, tilde_phi) * tilde_phi))
+    v = 0.5 * consts.c1 * (float(np.sum(err.e_varpi ** 2)) + quad)
+    v += 0.5 * float(np.sum((err.e_varpi + err.e_p) ** 2))
+    return v

@@ -63,8 +63,7 @@ def per_agent_chain(sys, t, y):
     """Agent part of dy and every control, one agent at a time."""
     agents = sys.agents
     mu = CLOCK.mu(t)
-    varpi = sys.gen_state(y).varpi
-    x, _ = sys.agent_states(y)
+    varpi, _, x, _ = sys.views(y)
     dx = np.empty_like(x)
     us = []
     for i in range(N):
@@ -133,8 +132,7 @@ def test_strict_feedback_model_matches_per_agent_loop(seed):
     y, t = random_state(sys, seed)
     agents, cfg = sys.agents, sys.agents.cfg
     mu = CLOCK.mu(t)
-    varpi = sys.gen_state(y).varpi
-    x, c = sys.agent_states(y)
+    varpi, _, x, c = sys.views(y)
     dx = np.empty_like(x)
     dc = np.empty_like(c)
     for i in range(N):
@@ -247,8 +245,7 @@ def test_diagnostics_match_per_agent_views():
     sys = coupled(chain_agents(3))
     y, t = random_state(sys, 7)
     mu = CLOCK.mu(t)
-    varpi = sys.gen_state(y).varpi
-    x, c = sys.agent_states(y)
+    varpi, _, x, c = sys.views(y)
     diag = sys.agents.diagnostics(mu, x, c, varpi)
     for i in range(N):
         view = chain_error_view(x[i], varpi[i], mu, sys.agents.cfg)
@@ -260,8 +257,7 @@ def test_diagnostics_match_per_agent_views():
     sys = coupled(sf_agents())
     y, t = random_state(sys, 8)
     mu = CLOCK.mu(t)
-    varpi = sys.gen_state(y).varpi
-    x, c = sys.agent_states(y)
+    varpi, _, x, c = sys.views(y)
     diag = sys.agents.diagnostics(mu, x, c, varpi)
     cfg = sys.agents.cfg
     for i in range(N):

@@ -7,14 +7,24 @@ from hypothesis import strategies as st
 
 from dptco.costs import CostSet, QuadraticCost, default_box, optimum_oracle
 from dptco.errors import EmptyTrajectory, NonPositiveInput
-from dptco.generator import (GeneratorState, agent_rhs, conservation_monitor,
+from dptco.generator import (ErrorState, conservation_monitor,
                              envelope_monitor, error_state,
-                             generator_constants, generator_rhs_at_gain,
-                             init_p, lyapunov_vr)
+                             generator_constants, gradients_at)
 from dptco.graph import build_network
+from dptco.sim_engine import CoupledSystem
 from dptco.timegain import PrescribedClock, kappa, linear_gain
+from oracles import agent_rhs, lyapunov_vr
 
 RING6 = [[i, (i + 1) % 6, 1.0] for i in range(6)]
+
+
+def generator_derivative(net, costs, varpi, p, gain):
+    """(dvarpi, dp) from the generator-only CoupledSystem.rhs at t = t0,
+    where mu = 1/T = 1, so linear_gain(gain) gives alpha(mu) = gain."""
+    sys = CoupledSystem(PrescribedClock(0.0, 1.0), net, costs,
+                        linear_gain(gain))
+    dvarpi, dp, _, _ = sys.views(sys.rhs(0.0, sys.pack(varpi, p)))
+    return dvarpi, dp
 
 
 # --- constants ---------------------------------------------------------------
@@ -71,15 +81,16 @@ def test_stacked_rhs_matches_agent_rhs():
     cs = CostSet([QuadraticCost(np.eye(2), [float(i), 0.0])
                   for i in range(6)], 2, default_box(2))
     rng = np.random.default_rng(2)
-    state = GeneratorState(rng.standard_normal((6, 2)),
-                           rng.standard_normal((6, 2)))
-    d = generator_rhs_at_gain(state, 1.7, net, cs)
+    varpi = rng.standard_normal((6, 2))
+    p = rng.standard_normal((6, 2))
+    d_varpi, d_p = generator_derivative(net, cs, varpi, p, 1.7)
     for i in range(6):
-        neigh = [(w, state.varpi[j]) for j, w in net.neighbor_list(i)]
-        dv, dp = agent_rhs(state.varpi[i], state.p[i],
-                           cs.costs[i].gradient(state.varpi[i]), neigh, 1.7)
-        assert np.allclose(d.varpi[i], dv, atol=1e-12)
-        assert np.allclose(d.p[i], dp, atol=1e-12)
+        neigh = [(net.adjacency[i, j], varpi[j])
+                 for j in np.flatnonzero(net.adjacency[i])]
+        dv, dp = agent_rhs(varpi[i], p[i], cs.costs[i].gradient(varpi[i]),
+                           neigh, 1.7)
+        assert np.allclose(d_varpi[i], dv, atol=1e-12)
+        assert np.allclose(d_p[i], dp, atol=1e-12)
 
 
 def test_equilibrium_is_stationary():
@@ -89,9 +100,9 @@ def test_equilibrium_is_stationary():
     cert = optimum_oracle(cs)
     varpi = np.tile(cert.z_star, (6, 1))
     p = -np.array([c.gradient(cert.z_star) for c in cs.costs])
-    d = generator_rhs_at_gain(GeneratorState(varpi, p), 3.0, net, cs)
-    assert np.abs(d.varpi).max() <= 3.0 * cert.grad_norm + 1e-10
-    assert np.abs(d.p).max() <= 1e-10
+    d_varpi, d_p = generator_derivative(net, cs, varpi, p, 3.0)
+    assert np.abs(d_varpi).max() <= 3.0 * cert.grad_norm + 1e-10
+    assert np.abs(d_p).max() <= 1e-10
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -101,26 +112,11 @@ def test_p_sum_derivative_vanishes(seed):
     cs = CostSet([QuadraticCost(np.eye(2), [0.0, 0.0])] * 6, 2,
                  default_box(2))
     rng = np.random.default_rng(seed)
-    state = GeneratorState(rng.standard_normal((6, 2)),
-                           rng.standard_normal((6, 2)))
-    d = generator_rhs_at_gain(state, float(rng.uniform(0.1, 20.0)), net, cs)
-    assert np.allclose(d.p.sum(axis=0), 0.0, atol=1e-12)
-
-
-# --- initial tracking states -------------------------------------------------
-
-def test_init_p_zeros():
-    assert np.count_nonzero(init_p(6, 2)) == 0
-
-
-def test_init_p_random_zero_sum():
-    p = init_p(6, 2, mode="random_zero_sum", seed=7)
-    assert np.abs(p.sum(axis=0)).max() <= 1e-15
-    assert np.count_nonzero(p) > 0
-
-
-def test_init_p_single_agent_forced_zero():
-    assert np.count_nonzero(init_p(1, 3, mode="random_zero_sum")) == 0
+    varpi = rng.standard_normal((6, 2))
+    p = rng.standard_normal((6, 2))
+    _, d_p = generator_derivative(net, cs, varpi, p,
+                                  float(rng.uniform(0.1, 20.0)))
+    assert np.allclose(d_p.sum(axis=0), 0.0, atol=1e-12)
 
 
 # --- error coordinates and Lyapunov diagnostic --------------------------------
@@ -135,7 +131,7 @@ def test_error_state_zero_at_equilibrium():
     cert = optimum_oracle(cs)
     varpi = np.tile(cert.z_star, (2, 1))
     p = -np.array([c.gradient(cert.z_star) for c in cs.costs])
-    err = error_state(GeneratorState(varpi, p), cs, cert.z_star)
+    err = error_state(varpi, p, cert.z_star, gradients_at(cs, cert.z_star))
     assert err.norm <= 1e-10
 
 
@@ -143,14 +139,12 @@ def test_lyapunov_hand_case():
     # N=2, scalar: e_varpi=(1,1), e_p=0 gives V = c1 + 1
     net = build_network(2, [[0, 1, 1.0]])
     consts = example2_like_constants()
-    from dptco.generator import ErrorState
     err = ErrorState(np.array([[1.0], [1.0]]), np.zeros((2, 1)))
     assert lyapunov_vr(err, net, consts) == pytest.approx(consts.c1 + 1.0)
 
 
 def test_lyapunov_zero_error():
     net = build_network(2, [[0, 1, 1.0]])
-    from dptco.generator import ErrorState
     err = ErrorState(np.zeros((2, 1)), np.zeros((2, 1)))
     assert lyapunov_vr(err, net, example2_like_constants()) == 0.0
 
@@ -161,7 +155,6 @@ def test_lyapunov_sandwich(seed):
     # c2 ||e_r||^2 <= V <= c3 ||e_r||^2
     net = build_network(6, RING6)
     consts = generator_constants(0.2, 2.0, net.lambda2, net.lambdaN)
-    from dptco.generator import ErrorState
     rng = np.random.default_rng(seed)
     err = ErrorState(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)))
     v = lyapunov_vr(err, net, consts)

@@ -336,6 +336,72 @@ def test_read_trajectory_rejects_nonmonotone(tmp_path):
     assert "increasing" in str(exc.value)
 
 
+
+def _csv_text(build, times) -> str:
+    """A well-formed run CSV body for the tiny scenario at the given times."""
+    header = ",".join(["t", "mu"] + build.sys.column_names())
+    rows = [",".join(repr(float(v)) for v in [t, 1.0, *build.y0])
+            for t in times]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _drop_last_cell(text: str) -> str:
+    head, *rows = text.splitlines()
+    rows[-1] = rows[-1].rsplit(",", 1)[0]
+    return "\n".join([head, *rows]) + "\n"
+
+
+# case: (make the bad file from a good CSV text, words the error must hold)
+BAD_CSVS = {
+    "missing": (lambda path, text: None, "No such file"),
+    "directory": (lambda path, text: path.mkdir(), "Is a directory"),
+    "non_utf8": (lambda path, text: path.write_bytes(
+        text.encode() + b"0.3,\xff\xfe\n"), "can't decode byte 0xff"),
+    "header_only": (lambda path, text: path.write_text(
+        text.splitlines()[0] + "\n"), "no data rows"),
+    "short_row": (lambda path, text: path.write_text(_drop_last_cell(text)),
+                  "number of columns changed from 6 to 5 at row 3"),
+    "long_row": (lambda path, text: path.write_text(
+        text + "0.3,1.0" + ",0.0" * 5 + "\n"),
+                 "number of columns changed from 6 to 7 at row 4"),
+    "every_row_short": (lambda path, text: path.write_text("\n".join(
+        [text.splitlines()[0]]
+        + [r.rsplit(",", 1)[0] for r in text.splitlines()[1:]]) + "\n"),
+                        "5 columns in the body, 6 in the header"),
+    "non_numeric": (lambda path, text: path.write_text(
+        text.replace("1.0", "one", 1)), "'one' to float64 at row 0, column 2"),
+    "non_increasing": (lambda path, text: path.write_text(
+        text + text.splitlines()[1] + "\n"), "times not strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CSVS)
+def test_verify_rejects_bad_csv_with_located_error(tmp_path, capsys, case):
+    make, words = BAD_CSVS[case]
+    p = write_tiny(tmp_path)
+    build = load_scenario(p).build()
+    csv = tmp_path / "bad.csv"
+    make(csv, _csv_text(build, [0.0, 0.1, 0.2]))
+    assert main(["verify", str(csv), p]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv}: ")
+    assert words in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["out_is_file", "manifest_is_dir"])
+def test_run_reports_unwritable_out(tmp_path, capsys, target):
+    out = tmp_path / "out"
+    if target == "out_is_file":
+        out.write_text("not a directory\n")
+    else:
+        (out / "manifest.json").mkdir(parents=True)
+    code = main(["run", write_tiny(tmp_path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ")
+    assert str(out) in err and "Traceback" not in err
+
 # --- sweep command ----------------------------------------------------------
 
 def test_cli_sweep(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from dptco.costs import CostSet, QuadraticCost, default_box, optimum_oracle
 from dptco.errors import (DimensionMismatch, NonFiniteState, StepUnderflow)
-from dptco.generator import GeneratorState
 from dptco.graph import build_network
 from dptco.sim_engine import (CoupledSystem, SolverSettings, export_csv,
                               integrate, make_disturbance, step_ceiling,
@@ -151,8 +150,7 @@ def ring_system(T=1.0, k=21.0):
 
 def test_determinism_bit_identical():
     sys, _ = ring_system()
-    y0 = sys.pack(GeneratorState(np.arange(8.0).reshape(4, 2),
-                                 np.zeros((4, 2))))
+    y0 = sys.pack(np.arange(8.0).reshape(4, 2), np.zeros((4, 2)))
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-8, abs_tol=1e-10, t_end=0.9)
     a = integrate(sys.rhs, y0, sys.clock, settings)
@@ -166,7 +164,7 @@ def test_optimum_is_equilibrium():
     cert = optimum_oracle(costs)
     varpi = np.tile(cert.z_star, (4, 1))
     p = -np.array([c.gradient(cert.z_star) for c in costs.costs])
-    y0 = sys.pack(GeneratorState(varpi, p))
+    y0 = sys.pack(varpi, p)
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-9, abs_tol=1e-11, t_end=0.5)
     traj = integrate(sys.rhs, y0, sys.clock, settings)
@@ -178,8 +176,7 @@ def test_deadline_rescaling_of_generator():
     # window fraction, so runs with T = 1 and T = 2 agree at matched times
     sys1, _ = ring_system(T=1.0)
     sys2, _ = ring_system(T=2.0)
-    y0 = sys1.pack(GeneratorState(np.arange(8.0).reshape(4, 2) / 4.0,
-                                  np.zeros((4, 2))))
+    y0 = sys1.pack(np.arange(8.0).reshape(4, 2) / 4.0, np.zeros((4, 2)))
     out = []
     for sys, frac_end in ((sys1, 0.9), (sys2, 1.8)):
         settings = SolverSettings(method="rk45", dt=1e-4, dt_max=1e-2,
@@ -195,8 +192,7 @@ def test_deadline_invariant_step_count():
     steps = []
     for T in (0.5, 1.0, 2.0):
         sys, _ = ring_system(T=T)
-        y0 = sys.pack(GeneratorState(np.arange(8.0).reshape(4, 2) / 4.0,
-                                     np.zeros((4, 2))))
+        y0 = sys.pack(np.arange(8.0).reshape(4, 2) / 4.0, np.zeros((4, 2)))
         settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                                   rel_tol=1e-9, abs_tol=1e-11,
                                   t_end=0.999 * T)
@@ -217,7 +213,7 @@ def test_column_names_cover_state():
 
 def test_trajectory_columns_layout():
     sys, _ = ring_system()
-    y0 = sys.pack(GeneratorState(np.zeros((4, 2)), np.zeros((4, 2))))
+    y0 = sys.pack(np.zeros((4, 2)), np.zeros((4, 2)))
     settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2, t_end=0.1)
     traj = integrate(sys.rhs, y0, sys.clock, settings)
     cols = trajectory_columns(sys, traj)
