@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,7 +103,7 @@ class ChainControllerConfig:
     mu_guard: float
     alpha_s_override: bool = False
 
-    @property
+    @cached_property
     def k1(self) -> float:
         return float(self.K[0])
 
@@ -115,6 +116,15 @@ class ChainControllerConfig:
     def s_weights(self) -> np.ndarray:
         """k_tilde / k1 = [K, 1] / k1, the weight of each stage in s_tilde."""
         return np.append(self.K, 1.0) / self.k1
+
+    @cached_property
+    def _law_constants(self) -> tuple:
+        """Per-stage constants of the chain law: the exponents
+        [-L_1..-L_m, L_m - L_1..L_m - L_{m-1}] of its one power of
+        alpha_x, then K and L_1..L_{m-1} as lists of floats."""
+        L_m = float(self.m - 1)
+        return (np.concatenate([-self.L, L_m - self.L[:-1]]), self.K.tolist(),
+                self.L[:-1].tolist())
 
 
 def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
@@ -147,11 +157,12 @@ def check_dc1(cfg: ChainControllerConfig, alpha: GainFunction,
     return check_growth_criterion(cfg.alpha_x, crit, grid, alpha_main=alpha)
 
 
-def _s_tilde(x: np.ndarray, varpi_i: np.ndarray, ax: float,
+def _s_tilde(x: np.ndarray, varpi_i: np.ndarray, pw: np.ndarray,
              cfg: ChainControllerConfig) -> np.ndarray:
     """s_tilde = k1^-1 (K_tilde o alpha_x^-L) . e_s in one pass over x: e_s is
-    x less the reference in stage 1, whose weight k1/k1 alpha_x^0 is 1."""
-    return np.dot(cfg.s_weights * ax ** -cfg.L, x) - varpi_i
+    x less the reference in stage 1, whose weight k1/k1 alpha_x^0 is 1.
+    pw is alpha_x to the exponents of cfg._law_constants, -L first."""
+    return np.dot(cfg.s_weights * pw[:cfg.m], x) - varpi_i
 
 
 def chain_error_view(x: np.ndarray, varpi_i: np.ndarray, mu: float,
@@ -163,17 +174,20 @@ def chain_error_view(x: np.ndarray, varpi_i: np.ndarray, mu: float,
     """
     e_s = x.copy()
     e_s[..., 0, :] -= varpi_i
-    s_tilde = _s_tilde(x, varpi_i, cfg.alpha_x.eval(mu), cfg)
+    s_tilde = _s_tilde(x, varpi_i,
+                       cfg.alpha_x.eval(mu) ** cfg._law_constants[0], cfg)
     e_tilde_s = cfg.alpha_s.eval(mu) * s_tilde
     return {"e_s": e_s, "s_tilde": s_tilde, "e_tilde_s": e_tilde_s}
 
 
 def chain_control(x: np.ndarray, varpi_i: np.ndarray, mu: float,
-                  cfg: ChainControllerConfig) -> np.ndarray:
+                  cfg: ChainControllerConfig,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Robust tracking control for chain-integrator agents.
 
-    x is (..., m, n) and varpi_i (..., n); returns u with shape (..., n).
-    cfg.psi maps the (..., m, n) stack to a scalar or to (...) values.
+    x is (..., m, n) and varpi_i (..., n); returns u with shape (..., n),
+    written into out when given.  cfg.psi maps the (..., m, n) stack to a
+    scalar or to (...) values.
     """
     if mu > cfg.mu_guard * (1.0 + 1e-12):
         raise GuardExceeded(f"mu={mu} beyond guard {cfg.mu_guard}")
@@ -183,30 +197,40 @@ def chain_control(x: np.ndarray, varpi_i: np.ndarray, mu: float,
     delta_x = cfg.alpha_x.deriv(mu) * mu * mu / ax
     delta_s = cfg.alpha_s.deriv(mu) * mu * mu / als
 
+    exps, K, L = cfg._law_constants
+    # one numpy power for every stage weight: a Python ** can round
+    # differently from numpy's array power
+    pw = ax ** exps
+
     # pi = alpha_x^{L_m} K . r1' - L_m delta_x x_m, where row j of r1 is
     # alpha_x^{-L_j} x_j (stages 1..m-1), so r1'_j = alpha_x^{-L_j}
-    # (x_{j+1} - L_j delta_x x_j): one weight per stage of x
-    Kw = cfg.K * ax ** (L_m - cfg.L[:-1])
-    w_pi = np.zeros(cfg.m)
-    w_pi[1:] = Kw
-    w_pi[:-1] -= delta_x * cfg.L[:-1] * Kw
+    # (x_{j+1} - L_j delta_x x_j): one weight per stage of x, in floats
+    Kw = [k * q for k, q in zip(K, pw[cfg.m:].tolist())]
+    w_pi = [0.0] + Kw
+    for j, L_j in enumerate(L):
+        w_pi[j] -= delta_x * L_j * Kw[j]
     w_pi[-1] -= L_m * delta_x
 
     # u = -gain sign(k1) alpha_s s_tilde - pi - B^-1 delta_s s_tilde with
     # B = alpha_x^{-L_m} / k1
-    gain = cfg.v + np.asarray(cfg.psi(x))[..., None] ** 2 + 1.0
+    psi = cfg.psi(x)
+    if not isinstance(psi, float):
+        psi = np.asarray(psi)[..., None]  # one value per agent
+    gain = cfg.v + psi * psi + 1.0
     coef = (gain * (math.copysign(1.0, cfg.k1) * als)
             + delta_s * cfg.k1 * ax ** L_m)
-    return -coef * _s_tilde(x, varpi_i, ax, cfg) - np.dot(w_pi, x)
+    return np.subtract(-coef * _s_tilde(x, varpi_i, pw, cfg),
+                       np.dot(np.array(w_pi), x), out=out)
 
 
 class ChainAgents:
     """N chain-integrator agents under chain_control, stacked as (N, m, n).
 
     With el = (true, nominal) Euler-Lagrange parameters the plant is the
-    two-link manipulator driven through inverse dynamics; disturbance(t),
-    when given, returns the (N, n) matched signal added at the last stage.
-    Chain agents carry no controller state.
+    two-link manipulator driven through inverse dynamics, kept as its
+    folded ElMismatch table; disturbance(t), when given, returns the (N, n)
+    matched signal added at the last stage.  Chain agents carry no
+    controller state.
     """
 
     ctrl_size = 0
@@ -216,23 +240,24 @@ class ChainAgents:
         if el is not None and cfg.m != 2:
             raise ValueError("the Euler-Lagrange plant needs order 2")
         self.cfg = cfg
-        self.el = el
+        self.el = None if el is None else ElMismatch.of(*el)
         self.disturbance = disturbance
 
     def control(self, mu, x, c, ref):
         return chain_control(x, ref, mu, self.cfg)
 
-    def derivatives(self, t, mu, x, c, ref):
-        """(dx, None): every agent's x_q' = x_{q+1}, x_m' = u + d(t)."""
-        u = chain_control(x, ref, mu, self.cfg)
-        if self.el is not None:
-            u = el_acceleration(*self.el, x[..., 0, :], x[..., 1, :], u)
-        if self.disturbance is not None:
-            u += self.disturbance(t)
-        dx = np.empty_like(x)
+    def derivatives(self, t, mu, x, c, ref, dx, dc):
+        """Write every agent's x_q' = x_{q+1}, x_m' = u + d(t) into dx;
+        dc, the empty controller block, is left as it is."""
         dx[..., :-1, :] = x[..., 1:, :]
-        dx[..., -1, :] = u
-        return dx, None
+        acc = dx[..., -1, :]
+        if self.el is None:
+            chain_control(x, ref, mu, self.cfg, out=acc)
+        else:
+            el_acceleration(self.el, x[..., 0, :], x[..., 1, :],
+                            chain_control(x, ref, mu, self.cfg), out=acc)
+        if self.disturbance is not None:
+            acc += self.disturbance(t)
 
     def diagnostics(self, mu, x, c, ref) -> dict:
         """Per-agent norms of e_s and e_tilde_s."""
@@ -295,10 +320,35 @@ _ANGLES = np.array([[1.0, 1.0], [0.0, 1.0]])
 _CORIOLIS = np.array([[-1.0, 0.0], [-2.0, 1.0]])
 
 
-def el_acceleration(true_par: EulerLagrangeParams,
-                    nominal_par: EulerLagrangeParams,
-                    x1: np.ndarray, x2: np.ndarray,
-                    u: np.ndarray) -> np.ndarray:
+class ElMismatch(NamedTuple):
+    """The constants of el_acceleration for one (true, nominal) pair of
+    Euler-Lagrange parameters, folded once: the nominal A_hat and B_hat,
+    W_hat - W, theta3_hat - theta3, the reversed true diagonals
+    [A_22, A_11] and [B_22, B_11], and the true off-diagonals A_12, B_12."""
+
+    A_hat: np.ndarray
+    B_hat: np.ndarray
+    dW: np.ndarray
+    dtheta3: float
+    diag_A: np.ndarray
+    diag_B: np.ndarray
+    a12: float
+    b12: float
+
+    @classmethod
+    def of(cls, true_par: EulerLagrangeParams,
+           nominal_par: EulerLagrangeParams) -> "ElMismatch":
+        A_hat, B_hat, W_hat = nominal_par.coefficients
+        A, B, W = true_par.coefficients
+        return cls(A_hat, B_hat, W_hat - W,
+                   nominal_par.theta[2] - true_par.theta[2],
+                   A.diagonal()[::-1].copy(), B.diagonal()[::-1].copy(),
+                   float(A[0, 1]), float(B[0, 1]))
+
+
+def el_acceleration(el: ElMismatch, x1: np.ndarray, x2: np.ndarray,
+                    u: np.ndarray, out: np.ndarray | None = None
+                    ) -> np.ndarray:
     """Closed-loop acceleration of the Euler-Lagrange plant.
 
     The chain controller's output u is applied through inverse dynamics
@@ -308,17 +358,15 @@ def el_acceleration(true_par: EulerLagrangeParams,
     G = W^T [cos q1, cos(q1 + q2)] with q = x1.  The parameter mismatch is
     the bounded matched disturbance the robust term absorbs.  All arguments
     are (..., 2); the mismatch terms are folded into one right-hand side and
-    M^{-1} = adj(M) / det(M) is applied component-wise.
+    M^{-1} = adj(M) / det(M) is applied component-wise, into out when given.
     """
-    A_hat, B_hat, W_hat = nominal_par.coefficients
-    A, B, W = true_par.coefficients
+    A_hat, B_hat, dW, dtheta3, diag_A, diag_B, a12, b12 = el
     c2 = np.cos(x1[..., 1:])
     # np.dot, not @: the same contraction, and cheaper on small stacks
     b = (np.dot(u, A_hat) + c2 * np.dot(u, B_hat)
-         + np.dot(np.cos(np.dot(x1, _ANGLES)), W_hat - W))
-    b += (((nominal_par.theta[2] - true_par.theta[2]) * np.sin(x1[..., 1:]))
-          * (x2 * np.dot(x2, _CORIOLIS)))
-    diag = A.diagonal()[::-1] + c2 * B.diagonal()[::-1]  # [M_22, M_11]
-    m12 = A[0, 1] + c2 * B[0, 1]
+         + np.dot(np.cos(np.dot(x1, _ANGLES)), dW))
+    b += ((dtheta3 * np.sin(x1[..., 1:])) * (x2 * np.dot(x2, _CORIOLIS)))
+    diag = diag_A + c2 * diag_B  # [M_22, M_11]
+    m12 = a12 + c2 * b12
     det = diag[..., :1] * diag[..., 1:] - m12 * m12
-    return (diag * b - m12 * b[..., ::-1]) / det
+    return np.divide(diag * b - m12 * b[..., ::-1], det, out=out)

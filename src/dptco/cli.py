@@ -142,9 +142,30 @@ def cmd_optimum(args) -> int:
     return EXIT_OK
 
 
+def _bad_body_line(fh, header: list, exc: ValueError) -> str:
+    """Where the CSV body on fh first fails to parse: its 1-based file line
+    and, for a cell that is not a number, its column's header name; exc is
+    numpy's error, the answer when no line is found."""
+    for lineno, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue  # numpy skips blank lines
+        cells = line.rstrip("\r\n").split(",")
+        if len(cells) != len(header):
+            return (f"line {lineno}: {len(cells)} cells, the header has "
+                    f"{len(header)}")
+        for name, cell in zip(header, cells):
+            try:
+                float(cell)
+            except ValueError:
+                return (f"line {lineno}, column {name}: not a number: "
+                        f"{cell!r}")
+    return f"malformed body: {exc}"
+
+
 def read_trajectory_csv(csv_path: str, build: ScenarioBuild) -> Trajectory:
     """Re-import a run CSV; raises ScenarioError on an unreadable file, a
-    malformed body or a schema mismatch."""
+    malformed body (named by its file line and column) or a schema
+    mismatch."""
     try:
         with open(csv_path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -152,11 +173,21 @@ def read_trajectory_csv(csv_path: str, build: ScenarioBuild) -> Trajectory:
             if header[:len(expected)] != expected:
                 raise ScenarioError(f"{csv_path}: column schema does not "
                                     f"match the scenario's state layout")
-            with warnings.catch_warnings():
-                # an empty body is reported below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except (OSError, UnicodeDecodeError, ValueError) as exc:
+            body = fh.tell()
+            try:
+                with warnings.catch_warnings():
+                    # an empty body is reported below
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                # numpy's message counts rows from the body; find the line
+                fh.seek(body)
+                raise ScenarioError(
+                    f"{csv_path}: {_bad_body_line(fh, header, exc)}"
+                ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{csv_path}: {exc}") from exc
     if data.shape[0] == 0:
         raise ScenarioError(f"{csv_path}: no data rows")

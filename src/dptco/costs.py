@@ -183,8 +183,12 @@ class CostSet:
         family's terms ordered by agent.
 
         An agent's quadratic terms merge into one, (z - c)^T Q (z - c) with
-        Q = sum_k Q_k and Q c = sum_k Q_k c_k (the same gradient).  Returns
-        None when some term family has no batched form.
+        Q = sum_k Q_k and Q c = sum_k Q_k c_k (the same gradient), and the
+        quadratic batch holds 2Q, which its gradient multiplies by
+        (doubling is exact).  Returns None when some term family has no
+        batched form, else a list of (idx, mats, centers, unique, grad),
+        one per family present, where idx is None for one term per agent in
+        agent order.
         """
         quads = {}
         expq = []
@@ -207,20 +211,20 @@ class CostSet:
                 c = np.linalg.solve(Q, sum(Qk @ ck for Qk, ck in terms))
             quad.append((i, Q, c))
 
-        def pack(items):
-            if not items:
-                return None
+        def pack(items, grad, scale):
             # stable, so one agent's terms keep their summation order
             items.sort(key=lambda item: item[0])
             idx = np.array([i for i, _, _ in items])
-            mats = np.array([m for _, m, _ in items])
+            mats = scale * np.array([m for _, m, _ in items])
             cents = np.array([c for _, _, c in items])
             if np.array_equal(idx, np.arange(self.n_agents)):
                 idx = None  # one term per agent, already in agent order
             unique = idx is None or len(set(idx.tolist())) == len(idx)
-            return idx, mats, cents, unique
+            return idx, mats, cents, unique, grad
 
-        return pack(quad), pack(expq)
+        return [pack(items, grad, scale) for items, grad, scale in
+                ((quad, _quad_grads, 2.0), (expq, _expq_grads, 1.0))
+                if items]
 
     def grad_stack(self, Z: np.ndarray) -> np.ndarray:
         """Per-agent gradients at per-agent points: row i is grad f_i(Z[i]).
@@ -234,11 +238,14 @@ class CostSet:
         if batches is None:
             return np.array([c.gradient(Z[i])
                              for i, c in enumerate(self.costs)])
-        out = np.zeros_like(Z, dtype=float)
-        for batch, grad in zip(batches, (_quad_grads, _expq_grads)):
-            if batch is None:
+        out = None
+        for idx, mats, cents, unique, grad in batches:
+            if idx is None and out is None:
+                # one term per agent in agent order starts the sum
+                out = grad(mats, Z - cents)
                 continue
-            idx, mats, cents, unique = batch
+            if out is None:
+                out = np.zeros_like(Z, dtype=float)
             if idx is None:
                 out += grad(mats, Z - cents)
             elif unique:
@@ -248,9 +255,10 @@ class CostSet:
         return out
 
 
-def _quad_grads(Qs: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Rows 2 Q_k d_k of quadratic terms at offsets D = z - center."""
-    return 2.0 * (Qs @ D[:, :, None])[:, :, 0]
+def _quad_grads(Q2s: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Rows 2 Q_k d_k of quadratic terms at offsets D = z - center, from
+    the doubled matrices Q2s = 2 Q_k."""
+    return (Q2s @ D[:, :, None])[:, :, 0]
 
 
 def _expq_grads(Ps: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -375,7 +383,7 @@ def _gradients(c: CostFunction, Z: np.ndarray) -> np.ndarray:
     if isinstance(c, SumCost):
         return sum(_gradients(t, Z) for t in c.terms)
     if isinstance(c, QuadraticCost):
-        return _quad_grads(c.Q[None], Z - c.center)
+        return _quad_grads(2.0 * c.Q[None], Z - c.center)
     if isinstance(c, ExpQuadraticCost):
         return _expq_grads(c.P[None], Z - c.center)
     return np.array([c.gradient(z) for z in Z])

@@ -32,10 +32,6 @@ class Disconnected(DptcoError):
         return type(self), (self.unreached,)
 
 
-class DegenerateSize(DptcoError):
-    """Operation needs at least two agents."""
-
-
 class DimensionMismatch(DptcoError):
     """Vector or matrix dimensions do not agree."""
 

@@ -5,6 +5,15 @@ and controller states:
 
     y = [varpi (N*dim); p (N*dim); x^1 .. x^N; ctrl^1 .. ctrl^N]
 
+The right-hand side works in place: `CoupledSystem.rhs(t, y, out)` writes
+dy/dt into every entry of `out` through `views(out)`, never reads `out`,
+and returns it (it allocates only when `out` is None); the agent models'
+`derivatives(t, mu, x, c, ref, dx, dc)` fill the plant and controller
+views `dx` and `dc`.  `integrate` takes any right-hand side with that
+contract and hands it its own stage rows, and forms every stage input in
+a preallocated row, so no stage allocates its input or its result; the
+accepted state never shares memory with a stage buffer.
+
 The adaptive Dormand-Prince integrator (rk45) runs on the log clock
 s = -ln(1 - (t - t0)/T), where dt = ds / mu, so its error control alone
 follows the blow-up of the time-varying gain.  Its last stage is the first
@@ -53,8 +62,15 @@ class SolverSettings:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.dt <= 0 or self.dt_max <= 0 or self.log_every < 1:
-            raise ValueError("dt, dt_max and log_every must be positive")
+        for name in ("dt", "dt_max", "abs_tol"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise ValueError("rel_tol must be finite and >= 0, "
+                             f"got {self.rel_tol!r}")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
 
 
 @dataclass
@@ -79,16 +95,24 @@ def step_ceiling(clock: PrescribedClock, t: float, dt_max: float) -> float:
 
 
 def _check_finite(y: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         bad = int(np.flatnonzero(~np.isfinite(y))[0])
         raise NonFiniteState(t, bad)
 
 
-def _rk4_step(rhs, t, y, h):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
+def _rk4_step(rhs, t, y, h, K, y_s):
+    """One classical RK4 step of size h from (t, y), as a new array.
+
+    K is a (4, D) stage array and y_s a (D,) stage input, both scratch that
+    rhs(t, y, out) fills; the returned state shares memory with neither.
+    """
+    k1, k2, k3, k4 = K
+    rhs(t, y, k1)
+    rhs(t + 0.5 * h, np.add(y, np.multiply(0.5 * h, k1, out=y_s), out=y_s),
+        k2)
+    rhs(t + 0.5 * h, np.add(y, np.multiply(0.5 * h, k2, out=y_s), out=y_s),
+        k3)
+    rhs(t + h, np.add(y, np.multiply(h, k3, out=y_s), out=y_s), k4)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -107,26 +131,33 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                   22 / 525, -1 / 40])
 
 
-def _rk45_step(f, s, y, h, K):
-    """One Dormand-Prince trial step of size h from (s, y): (y5, error).
+def _rk45_step(f, s, y, h, K, y_s, y_new):
+    """One Dormand-Prince trial step of size h from (s, y); returns the
+    error estimate.
 
     K is the (7, D) stage array with K[0] = f(s, y) already in place; the
-    step fills K[1:] through f(s, y, out), its last stage at exactly
-    (s + h, y5), which an accepted step hands on as the next K[0].
+    step fills K[1:] through f(s, y, out), forming each stage input in the
+    scratch row y_s, its last stage at exactly (s + h, y5).  y5 goes into
+    y_new, which must not share memory with y; an accepted step hands K[6]
+    on as the next K[0].
     """
     hA = h * _DP_A
     for i in range(1, 7):
-        y_i = y + hA[i, :i] @ K[:i]
+        y_i = y_s if i < 6 else y_new
+        # np.dot: the same sums as hA[i, :i] @ K[:i], with less overhead
+        np.add(y, np.dot(hA[i, :i], K[:i], out=y_i), out=y_i)
         f(s + _DP_C[i] * h, y_i, K[i])
-    return y_i, h * (_DP_E @ K)
+    return h * np.dot(_DP_E, K)
 
 
 def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
               settings: SolverSettings) -> Trajectory:
     """Integrate y' = rhs(t, y) from the window start to the guard time.
 
-    RK45 steps in s = -ln(1 - (t - t0)/T), i.e. t(s) = t0 - T expm1(-s),
-    on dy/ds = rhs / mu, its step in s capped by dt_max * mu (dt_max in t);
+    rhs(t, y, out) must write dy/dt into every entry of out (a stage row
+    of the integrator) without reading it.  RK45 steps in
+    s = -ln(1 - (t - t0)/T), i.e. t(s) = t0 - T expm1(-s), on
+    dy/ds = rhs / mu, its step in s capped by dt_max * mu (dt_max in t);
     no stage time passes t_end.  Deterministic: no hidden randomness, and
     identical inputs give bit-identical trajectories.
     """
@@ -139,7 +170,8 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
 
     def f(s, y, out):
         t = t_at(s)
-        np.multiply(rhs(t, y), T + t0 - t, out=out)  # 1/mu = T + t0 - t
+        rhs(t, y, out)
+        out *= T + t0 - t  # 1/mu = T + t0 - t
 
     t, s = t0, 0.0
     s_end = -math.log1p(-(t_end - t0) / T)
@@ -152,15 +184,18 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
     n_rhs = 0
     h = settings.dt * clock.mu0
     last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
+    # stage rows and stage input: scratch that never holds the accepted y
+    K = np.empty((7 if settings.method == "rk45" else 4, y.shape[0]))
+    y_s = np.empty_like(y)
     if settings.method == "rk45" and not last:
-        K = np.empty((7, y.shape[0]))
+        y_new = np.empty_like(y)
         f(s, y, K[0])
         n_rhs = 1
     while not last:
         if settings.method == "rk4":
             h = min(settings.dt, step_ceiling(clock, t, settings.dt_max),
                     t_end - t)
-            y = _rk4_step(rhs, t, y, h)
+            y = _rk4_step(rhs, t, y, h, K, y_s)
             n_rhs += 4
             t += h
             last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
@@ -175,7 +210,7 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
                 if h < 1e-14 * mu * max(1.0, abs(t)):
                     raise StepUnderflow(
                         f"step size {h / mu} underflowed at t={t}")
-                y_new, err = _rk45_step(f, s, y, h, K)
+                err = _rk45_step(f, s, y, h, K, y_s, y_new)
                 n_rhs += 6
                 err /= settings.abs_tol + settings.rel_tol * np.maximum(
                     np.abs(y), np.abs(y_new))
@@ -186,7 +221,8 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
                 h *= max(0.2, 0.9 * err_norm ** -0.2)
             s = s_end if last else s + h
             t = t_end if last else t_at(s)
-            y = y_new
+            # swap, so the next trial step writes into the old state
+            y, y_new = y_new, y
             K[0] = K[6]
             # grow the step for the next attempt
             factor = 5.0 if err_norm == 0.0 else min(
@@ -273,19 +309,30 @@ class CoupledSystem:
         return self.agents.control(self.clock.mu(t), x[i], c[i],
                                    self.references(varpi)[i])
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(self, t: float, y: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+        """dy/dt at (t, y), written into every entry of out and returned.
+
+        out, a contiguous float array of length total_dim, is never read,
+        so it may hold anything; when it is None a new array is allocated.
+        """
+        if out is None:
+            out = np.empty(self.total_dim)
         mu = self.clock.mu(t)
         a = self.alpha.eval(mu)
         varpi, p, x, c = self.views(y)
-        # row i of cons: sum_j a_ij (varpi_i - varpi_j)
-        cons = self.net.laplacian @ varpi
-        parts = [-a * (cons + self.costs.grad_stack(varpi) + p), a * cons]
+        dvarpi, dp, dx, dc = self.views(out)
+        # row i of cons: sum_j a_ij (varpi_i - varpi_j), first into dp;
+        # then dvarpi = -a (cons + grad + p) and dp = a cons
+        cons = np.dot(self.net.laplacian, varpi, out=dp)
+        np.add(cons, self.costs.grad_stack(varpi), out=dvarpi)
+        dvarpi += p
+        dvarpi *= -a
+        cons *= a
         if self.agents is not None:
-            # dx, then dc (None when the model has no controller states)
-            parts += self.agents.derivatives(t, mu, x, c,
-                                             self.references(varpi))
-        # the parts are in the layout order of views
-        return np.concatenate([q.ravel() for q in parts if q is not None])
+            self.agents.derivatives(t, mu, x, c, self.references(varpi),
+                                    dx, dc)
+        return out
 
     def column_names(self) -> list:
         """State channel names in layout order: agent{i}.{channel}{k}."""

@@ -233,18 +233,16 @@ class StrictFeedbackAgents:
         theta_hat, xi_f = self._split(c)
         return sf_control(x, ref, xi_f, theta_hat, mu, self.cfg)
 
-    def derivatives(self, t, mu, x, c, ref):
-        """(dx, dc): plant and controller derivatives of every agent, from
-        one walk of the cascade; dx is an (N, m, n) view of stage-major
-        storage."""
+    def derivatives(self, t, mu, x, c, ref, dx, dc):
+        """Write the plant and controller derivatives of every agent into
+        dx and dc, from one walk of the cascade."""
         cfg = self.cfg
         a = _gain(mu, cfg)
         theta_hat, xi_f = self._split(c)
         # stage-major copies: an operation on a contiguous (N, n) stage
         # block costs numpy about half as much as on a strided one
         xs = x.transpose(1, 0, 2).copy()
-        dxs = np.empty_like(xs)
-        dc = np.empty_like(c)
+        dxs = dx.transpose(1, 0, 2)
         dxs[0] = xs[1]
         for k, _, _, phi, xi, tau in _cascade(
                 xs, ref, xi_f.transpose(1, 0, 2).copy(), theta_hat, a, cfg,
@@ -255,7 +253,6 @@ class StrictFeedbackAgents:
                 np.add(xs[k + 1] if k + 1 < cfg.m else xi,
                        self._theta_n * phi, out=dxs[k])
         np.subtract(tau, cfg.sigma * a * theta_hat, out=dc[..., 0])
-        return dxs.transpose(1, 0, 2), dc
 
     def diagnostics(self, mu, x, c, ref) -> dict:
         """Per-agent error norms, estimate, adaptation drive and the

@@ -9,10 +9,17 @@ import numpy as np
 
 from dptco.chain_ctrl import EulerLagrangeParams
 from dptco.costs import CostSet
-from dptco.errors import DegenerateSize, Disconnected
+from dptco.errors import Disconnected, NonFiniteState, StepUnderflow
 from dptco.generator import ErrorState, GeneratorConstants
 from dptco.graph import Network
+from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, SolverSettings,
+                              Trajectory, step_ceiling)
 from dptco.strictfb_ctrl import SfControllerConfig, scale_powers
+from dptco.timegain import PrescribedClock
+
+
+class DegenerateSize(ValueError):
+    """Operation needs at least two agents."""
 
 # C picks x2 entries _C_PICK with signs _C_SIGN
 _C_PICK = np.array([[0, 0], [0, 1]])
@@ -266,3 +273,105 @@ def lyapunov_vr(err: ErrorState, net: Network,
     v = 0.5 * consts.c1 * (float(np.sum(err.e_varpi ** 2)) + quad)
     v += 0.5 * float(np.sum((err.e_varpi + err.e_p) ** 2))
     return v
+
+
+# --- closed loop: allocating right-hand side and integrator ----------------
+
+def concatenated_rhs(sys, t: float, y: np.ndarray) -> np.ndarray:
+    """dy/dt of a CoupledSystem assembled from freshly allocated parts,
+    glued together in the layout order of sys.views."""
+    mu = sys.clock.mu(t)
+    a = sys.alpha.eval(mu)
+    varpi, p, x, c = sys.views(y)
+    cons = sys.net.laplacian @ varpi
+    parts = [-a * (cons + sys.costs.grad_stack(varpi) + p), a * cons]
+    if sys.agents is not None:
+        dx, dc = np.empty_like(x), np.empty_like(c)
+        sys.agents.derivatives(t, mu, x, c, sys.references(varpi), dx, dc)
+        parts += [dx, dc]
+    return np.concatenate([q.ravel() for q in parts])
+
+
+def _rk4_step(rhs, t, y, h):
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk45_step(f, s, y, h, K):
+    hA = h * _DP_A
+    for i in range(1, 7):
+        y_i = y + hA[i, :i] @ K[:i]
+        f(s + _DP_C[i] * h, y_i, K[i])
+    return y_i, h * (_DP_E @ K)
+
+
+def integrate_allocating(rhs, y0: np.ndarray, clock: PrescribedClock,
+                         settings: SolverSettings) -> Trajectory:
+    """sim_engine.integrate with a right-hand side rhs(t, y) that returns a
+    new array, every stage input and result a new array too."""
+    t_end = clock.t_guard if settings.t_end is None else float(settings.t_end)
+    t_end = min(t_end, clock.t_guard)
+    t0, T = clock.t0, clock.T
+
+    def t_at(s):
+        return min(t0 - T * math.expm1(-s), t_end)
+
+    def f(s, y, out):
+        t = t_at(s)
+        np.multiply(rhs(t, y), T + t0 - t, out=out)
+
+    t, s = t0, 0.0
+    s_end = -math.log1p(-(t_end - t0) / T)
+    y = np.asarray(y0, dtype=float).copy()
+    times, states = [t], [y.copy()]
+    n_steps = n_rejected = n_rhs = 0
+    h = settings.dt * clock.mu0
+    last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
+    if settings.method == "rk45" and not last:
+        K = np.empty((7, y.shape[0]))
+        f(s, y, K[0])
+        n_rhs = 1
+    while not last:
+        if settings.method == "rk4":
+            h = min(settings.dt, step_ceiling(clock, t, settings.dt_max),
+                    t_end - t)
+            y = _rk4_step(rhs, t, y, h)
+            n_rhs += 4
+            t += h
+            last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
+        else:
+            mu = clock.mu(t)
+            h = min(h, settings.dt_max * mu)
+            while True:
+                last = h >= s_end - s - 1e-12 * s_end
+                if last:
+                    h = s_end - s
+                if h < 1e-14 * mu * max(1.0, abs(t)):
+                    raise StepUnderflow(f"step underflow at t={t}")
+                y_new, err = _rk45_step(f, s, y, h, K)
+                n_rhs += 6
+                err /= settings.abs_tol + settings.rel_tol * np.maximum(
+                    np.abs(y), np.abs(y_new))
+                err_norm = math.sqrt((err @ err) / err.shape[0])
+                if err_norm <= 1.0:
+                    break
+                n_rejected += 1
+                h *= max(0.2, 0.9 * err_norm ** -0.2)
+            s = s_end if last else s + h
+            t = t_end if last else t_at(s)
+            y = y_new
+            K[0] = K[6]
+            factor = 5.0 if err_norm == 0.0 else min(
+                5.0, 0.9 * err_norm ** -0.2)
+            h = max(h * factor, 1e-14)
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteState(t, int(np.flatnonzero(~np.isfinite(y))[0]))
+        n_steps += 1
+        if n_steps % settings.log_every == 0 or last:
+            times.append(t)
+            states.append(y.copy())
+    return Trajectory(np.array(times), np.array(states), n_steps, n_rejected,
+                      n_rhs)

@@ -260,8 +260,8 @@ def test_criterion_09_criterion_checker():
 def test_criterion_10_integrator():
     clock = PrescribedClock(0.0, 1.0)
 
-    def rhs(t, y):
-        return -clock.mu(t) * y
+    def rhs(t, y, out):
+        np.multiply(-clock.mu(t), y, out=out)
 
     traj = integrate(rhs, np.array([1.0]), clock,
                      SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
@@ -271,9 +271,10 @@ def test_criterion_10_integrator():
     errs = []
     exact = math.exp(1.0 - 2.0)
     for dt in (4e-3, 2e-3, 1e-3):
-        tr = integrate(lambda t, y: -clock.mu(t) ** 2 * y, np.array([1.0]),
-                       clock, SolverSettings(method="rk4", dt=dt, dt_max=1.0,
-                                             t_end=0.5))
+        tr = integrate(
+            lambda t, y, out: np.multiply(-clock.mu(t) ** 2, y, out=out),
+            np.array([1.0]), clock,
+            SolverSettings(method="rk4", dt=dt, dt_max=1.0, t_end=0.5))
         errs.append(abs(tr.states[-1, 0] - exact))
     order = min(math.log2(a / b) for a, b in zip(errs, errs[1:]))
     ok = rk45_err <= 1e-8 and order >= 3.7

@@ -4,21 +4,23 @@ equal a per-agent loop over the single-agent controller functions."""
 import numpy as np
 import pytest
 
-from dptco.chain_ctrl import (ChainAgents, EulerLagrangeParams, chain_control,
-                              chain_error_view, el_acceleration,
-                              make_chain_config)
+from dptco.chain_ctrl import (ChainAgents, ElMismatch, EulerLagrangeParams,
+                              chain_control, chain_error_view,
+                              el_acceleration, make_chain_config)
 from dptco.costs import CostSet, QuadraticCost, default_box
 from dptco.errors import GuardExceeded
 from dptco.graph import build_network
-from dptco.sim_engine import CoupledSystem, make_disturbance
+from dptco.sim_engine import (CoupledSystem, SolverSettings, integrate,
+                              make_disturbance)
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
                                  error_vector, scaled_error_vector, sf_control,
                                  virtual_controls)
 from dptco.timegain import PrescribedClock, exp_gain, linear_gain, power_gain
 
 from oracles import (adaptation_rhs, cascade, chain_plant_rhs,
-                     el_acceleration_solve, el_matrices, filter_rhs,
-                     sf_derivatives, sf_plant_rhs, tau_value)
+                     concatenated_rhs, el_acceleration_solve, el_matrices,
+                     filter_rhs, integrate_allocating, sf_derivatives,
+                     sf_plant_rhs, tau_value)
 
 N, DIM = 5, 2
 CLOCK = PrescribedClock(0.0, 1.0)
@@ -72,7 +74,7 @@ def per_agent_chain(sys, t, y):
         us.append(u)
         acc = u
         if agents.el is not None:
-            acc = el_acceleration(*agents.el, x[i, 0], x[i, 1], u)
+            acc = el_acceleration(agents.el, x[i, 0], x[i, 1], u)
         d = (np.zeros(DIM) if agents.disturbance is None
              else agents.disturbance(t)[i])
         dx[i] = chain_plant_rhs(x[i], acc, d)
@@ -109,11 +111,12 @@ def test_batched_el_acceleration_matches_linear_solve(seed):
     rng = np.random.default_rng(seed)
     x1, x2, u = rng.uniform(-3.0, 3.0, (3, 7, 2))
     for nominal in (EL_NOMINAL, EL_TRUE):
-        acc = el_acceleration(EL_TRUE, nominal, x1, x2, u)
+        acc = el_acceleration(ElMismatch.of(EL_TRUE, nominal), x1, x2, u)
         for i in range(7):
             assert_close(acc[i], el_acceleration_solve(
                 EL_TRUE, nominal, x1[i], x2[i], u[i]))
-    assert_close(el_acceleration(EL_TRUE, EL_TRUE, x1, x2, u), u)
+    assert_close(el_acceleration(ElMismatch.of(EL_TRUE, EL_TRUE), x1, x2,
+                                 u), u)
 
 
 def test_el_matrices_hand_case():
@@ -183,7 +186,8 @@ def test_sf_derivatives_bit_identical_to_oracle(m, phi, seed):
     else:
         phis = (SF_PHIS[phi],) * (m - 1)
     agents, mu, x, c, ref = random_sf(m, phis, 10 * m + seed)
-    dx, dc = agents.derivatives(0.0, mu, x, c, ref)
+    dx, dc = np.empty_like(x), np.empty_like(c)
+    agents.derivatives(0.0, mu, x, c, ref, dx, dc)
     want_dx, want_dc = sf_derivatives(x, c, ref, agents.thetas, mu,
                                       agents.cfg)
     assert (dx.shape, dc.shape) == (want_dx.shape, want_dc.shape)
@@ -210,7 +214,8 @@ def test_sf_derivatives_evaluates_each_phi_once(m):
 
     agents, mu, x, c, ref = random_sf(
         m, tuple(counted(k) for k in range(m - 1)), 7)
-    agents.derivatives(0.0, mu, x, c, ref)
+    agents.derivatives(0.0, mu, x, c, ref, np.empty_like(x),
+                       np.empty_like(c))
     assert calls == [1] * (m - 1)
     calls[:] = [0] * (m - 1)
     agents.diagnostics(mu, x, c, ref)
@@ -286,3 +291,51 @@ def test_stacked_rhs_enforces_mu_guard(make):
         sys.rhs(0.9, y)  # mu = 10 > 5
     with pytest.raises(GuardExceeded):
         sys.control(0.9, y, 0)
+
+
+# --- in-place right-hand side ------------------------------------------------
+
+# one closed loop per plant kind; the Euler-Lagrange one with formation
+# offsets and a disturbance
+SYSTEMS = {
+    "generator": lambda: coupled(None),
+    "chain": lambda: coupled(chain_agents(3)),
+    "euler_lagrange": lambda: coupled(
+        chain_agents(2, el=(EL_TRUE, EL_NOMINAL),
+                     disturbance=make_disturbance(4, N, DIM, 0.1)),
+        offsets=np.random.default_rng(9).standard_normal((N, DIM))),
+    "strict_feedback": lambda: coupled(sf_agents()),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_rhs_fills_all_of_out_without_reading_it(kind, seed):
+    sys = SYSTEMS[kind]()
+    y, t = random_state(sys, seed)
+    y_before = y.copy()
+    want = sys.rhs(t, y)
+    out = np.full(sys.total_dim, np.nan)
+    assert sys.rhs(t, y, out) is out
+    assert out.tobytes() == want.tobytes()
+    assert y.tobytes() == y_before.tobytes()
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_integrate_bit_identical_to_allocating_oracle(kind, method):
+    # stage rows and stage inputs reused in place against fresh arrays for
+    # every stage; the large first step makes rk45 reject steps too
+    sys = SYSTEMS[kind]()
+    y0, _ = random_state(sys, 11)
+    settings = SolverSettings(method=method, dt=0.05 if method == "rk45"
+                              else 2e-3, dt_max=1e-2, rel_tol=1e-7,
+                              abs_tol=1e-9, t_end=0.3, log_every=3)
+    got = integrate(sys.rhs, y0, sys.clock, settings)
+    want = integrate_allocating(lambda t, y: concatenated_rhs(sys, t, y),
+                                y0, sys.clock, settings)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()
+    assert (got.n_steps, got.n_rejected, got.n_rhs) == (
+        want.n_steps, want.n_rejected, want.n_rhs)
+    assert method == "rk4" or want.n_rejected > 0

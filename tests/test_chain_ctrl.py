@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dptco.chain_ctrl import (ChainControllerConfig, EulerLagrangeParams,
-                              chain_control, chain_decay_monitor,
-                              chain_error_view, check_dc1, companion,
-                              el_acceleration, hurwitz_gain, make_chain_config,
-                              solve_lyapunov, v_constants)
+from dptco.chain_ctrl import (ChainControllerConfig, ElMismatch,
+                              EulerLagrangeParams, chain_control,
+                              chain_decay_monitor, chain_error_view, check_dc1,
+                              companion, el_acceleration, hurwitz_gain,
+                              make_chain_config, solve_lyapunov, v_constants)
 from dptco.errors import GuardExceeded, NotHurwitz
 from dptco.timegain import PrescribedClock, kappa, linear_gain, power_gain
 
@@ -244,7 +244,7 @@ def test_el_exact_parameters_recover_u():
     x1 = rng.uniform(-1.0, 1.0, 2)
     x2 = rng.uniform(-1.0, 1.0, 2)
     u = rng.uniform(-1.0, 1.0, 2)
-    acc = el_acceleration(EL_TRUE, EL_TRUE, x1, x2, u)
+    acc = el_acceleration(ElMismatch.of(EL_TRUE, EL_TRUE), x1, x2, u)
     assert np.allclose(acc, u, atol=1e-12)
 
 
@@ -255,7 +255,7 @@ def test_el_mismatch_is_bounded_disturbance():
         x1 = rng.uniform(-math.pi, math.pi, 2)
         x2 = rng.uniform(-2.0, 2.0, 2)
         u = rng.uniform(-5.0, 5.0, 2)
-        acc = el_acceleration(EL_TRUE, nominal, x1, x2, u)
+        acc = el_acceleration(ElMismatch.of(EL_TRUE, nominal), x1, x2, u)
         resid = acc - u
         assert np.isfinite(resid).all()
         # mismatch scales with the 10 percent parameter error

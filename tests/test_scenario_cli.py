@@ -1,6 +1,7 @@
 """Scenario loading, monitor evaluation, and the command-line interface."""
 
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -84,6 +85,37 @@ def test_unknown_solver_method_rejected(tmp_path, capsys):
     assert "euler" in str(exc.value)
     assert main(["run", p, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"rel_tol": 0, "abs_tol": 0}, "abs_tol must be finite and > 0, got 0.0"),
+    ({"rel_tol": math.nan}, "rel_tol must be finite and >= 0, got nan"),
+    ({"rel_tol": -1e-8}, "rel_tol must be finite and >= 0, got -1e-08"),
+    ({"abs_tol": math.inf}, "abs_tol must be finite and > 0, got inf"),
+    ({"dt": math.nan}, "dt must be finite and > 0, got nan"),
+    ({"dt_max": 0}, "dt_max must be finite and > 0, got 0.0"),
+    ({"log_every": 0}, "log_every must be >= 1, got 0"),
+], ids=["both_tols_zero", "rel_tol_nan", "rel_tol_negative", "abs_tol_inf",
+        "dt_nan", "dt_max_zero", "log_every_zero"])
+def test_bad_solver_value_refused_at_load(tmp_path, capsys, monkeypatch,
+                                          values, message):
+    def no_integrate(*args, **kwargs):
+        raise AssertionError("integrated a scenario with a bad solver")
+
+    monkeypatch.setattr(cli, "integrate", no_integrate)
+    p = write_tiny(tmp_path, lambda raw: raw["solver"].update(values))
+    assert main(["run", p, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: solver: {message}")
+    assert "Traceback" not in err
+
+
+def test_zero_rel_tol_is_pure_absolute_control(tmp_path):
+    p = write_tiny(tmp_path, lambda raw: raw["solver"].update(
+        {"rel_tol": 0, "abs_tol": 1e-9}))
+    code, manifest = run_scenario(p, str(tmp_path / "o"))
+    assert code == EXIT_OK
+    assert manifest["n_steps"] > 0
 
 
 def _set(section, key, value):
@@ -351,6 +383,16 @@ def _drop_last_cell(text: str) -> str:
     return "\n".join([head, *rows]) + "\n"
 
 
+def _set_cell(text: str, line: int, column: int, cell: str) -> str:
+    """text with the cell in the given 1-based file line and 0-based column
+    replaced."""
+    lines = text.splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = cell
+    lines[line - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
 # case: (make the bad file from a good CSV text, words the error must hold)
 BAD_CSVS = {
     "missing": (lambda path, text: None, "No such file"),
@@ -359,17 +401,23 @@ BAD_CSVS = {
         text.encode() + b"0.3,\xff\xfe\n"), "can't decode byte 0xff"),
     "header_only": (lambda path, text: path.write_text(
         text.splitlines()[0] + "\n"), "no data rows"),
+    # the header is file line 1, so data row k is file line k + 1
     "short_row": (lambda path, text: path.write_text(_drop_last_cell(text)),
-                  "number of columns changed from 6 to 5 at row 3"),
+                  ": line 4: 5 cells, the header has 6"),
     "long_row": (lambda path, text: path.write_text(
         text + "0.3,1.0" + ",0.0" * 5 + "\n"),
-                 "number of columns changed from 6 to 7 at row 4"),
+                 ": line 5: 7 cells, the header has 6"),
     "every_row_short": (lambda path, text: path.write_text("\n".join(
         [text.splitlines()[0]]
         + [r.rsplit(",", 1)[0] for r in text.splitlines()[1:]]) + "\n"),
                         "5 columns in the body, 6 in the header"),
     "non_numeric": (lambda path, text: path.write_text(
-        text.replace("1.0", "one", 1)), "'one' to float64 at row 0, column 2"),
+        text.replace("1.0", "one", 1)),
+                    ": line 2, column mu: not a number: 'one'"),
+    "non_numeric_state": (lambda path, text: path.write_text(
+        _set_cell(text, 3, 3, "1.0.0")),
+                          ": line 3, column agent1.varpi0: not a number: "
+                          "'1.0.0'"),
     "non_increasing": (lambda path, text: path.write_text(
         text + text.splitlines()[1] + "\n"), "times not strictly increasing"),
 }
@@ -386,7 +434,7 @@ def test_verify_rejects_bad_csv_with_located_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {csv}: ")
     assert words in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "usecols" not in err
 
 
 @pytest.mark.parametrize("target", ["out_is_file", "manifest_is_dir"])

@@ -16,9 +16,9 @@ from dptco.timegain import PrescribedClock, linear_gain
 CLOCK = PrescribedClock(0.0, 1.0)
 
 
-def mu_decay_rhs(t, y):
+def mu_decay_rhs(t, y, out):
     # y' = -mu y has the exact solution y0 (1 - t) on [0, 1)
-    return -CLOCK.mu(t) * y
+    np.multiply(-CLOCK.mu(t), y, out=out)
 
 
 # --- accuracy ------------------------------------------------------------
@@ -39,8 +39,9 @@ def test_rk4_fourth_order_convergence():
     exact = math.exp(1.0 - 2.0)
     for dt in (4e-3, 2e-3, 1e-3):
         settings = SolverSettings(method="rk4", dt=dt, dt_max=1.0, t_end=0.5)
-        traj = integrate(lambda t, y: -CLOCK.mu(t) ** 2 * y,
-                         np.array([1.0]), CLOCK, settings)
+        traj = integrate(
+            lambda t, y, out: np.multiply(-CLOCK.mu(t) ** 2, y, out=out),
+            np.array([1.0]), CLOCK, settings)
         errs.append(abs(traj.states[-1, 0] - exact))
     for coarse, fine in zip(errs, errs[1:]):
         assert math.log2(coarse / fine) > 3.7
@@ -68,9 +69,9 @@ def test_no_rhs_evaluation_at_deadline():
     for clock in (CLOCK, PrescribedClock(-0.06, 1.2, 0.673)):
         seen = []
 
-        def rhs(t, y):
+        def rhs(t, y, out):
             seen.append(t)
-            return -clock.mu(t) * y
+            np.multiply(-clock.mu(t), y, out=out)
 
         settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2)
         traj = integrate(rhs, np.array([1.0]), clock, settings)
@@ -85,9 +86,9 @@ def test_rk45_reuses_last_stage():
     # and each attempt costs six evaluations plus one at the start
     seen = []
 
-    def rhs(t, y):
+    def rhs(t, y, out):
         seen.append((t, y.tobytes()))
-        return -CLOCK.mu(t) * y
+        np.multiply(-CLOCK.mu(t), y, out=out)
 
     settings = SolverSettings(method="rk45", dt=0.5, dt_max=1.0,
                               rel_tol=1e-10, abs_tol=1e-12, t_end=0.9)
@@ -111,9 +112,9 @@ def test_t_end_cannot_pass_guard():
 # --- failure modes ----------------------------------------------------------
 
 def test_nonfinite_state_detected():
-    def blowup(t, y):
+    def blowup(t, y, out):
         with np.errstate(over="ignore"):
-            return y ** 3
+            np.power(y, 3, out=out)
 
     settings = SolverSettings(method="rk4", dt=0.05, dt_max=0.05, t_end=0.9)
     with pytest.raises(NonFiniteState):
@@ -122,8 +123,8 @@ def test_nonfinite_state_detected():
 
 
 def test_step_underflow_on_nan_rhs():
-    def bad(t, y):
-        return np.array([math.nan])
+    def bad(t, y, out):
+        out[:] = math.nan
 
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2)
     with pytest.raises(StepUnderflow):
