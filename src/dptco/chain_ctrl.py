@@ -5,12 +5,13 @@ bounded matched disturbance at the last stage.  The controller builds a
 sliding-like variable s_tilde from descending powers of a gain alpha_x(mu),
 scales it into e_tilde_s = alpha_s(mu) * s_tilde, and applies
 
-    u = -(v + psi(x)^2 + 1) sign(k1) e_tilde_s - pi(x)
+    u = -(v + psi^2 + 1) sign(k1) e_tilde_s - pi(x)
         - B(mu)^{-1} delta_s(mu) s_tilde
 
-where pi(x) collects the known part of the s_tilde dynamics.  K places all
-eigenvalues of the companion matrix Lambda at -1; (P, Q) solve the
-associated Lyapunov equation and give the decay constants v1, v2.
+where psi is the scenario's constant bound on the disturbance factor
+psi(x) and pi(x) collects the known part of the s_tilde dynamics.  K
+places all eigenvalues of the companion matrix Lambda at -1; (P, Q = I)
+solve the associated Lyapunov equation and give the decay constants v1, v2.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import (EmptyTrajectory, GuardExceeded, NotHurwitz,
                      SingularSystem)
+from .generator import MonitorReport
 from .timegain import (GainFunction, GrowthCriterion, PrescribedClock,
                        alpha_s_from_dc2, check_growth_criterion, kappa,
                        log_grid)
@@ -99,9 +101,8 @@ class ChainControllerConfig:
     v: float
     alpha_x: GainFunction
     alpha_s: GainFunction
-    psi: object  # callable x -> bounded positive scalar
+    psi: float
     mu_guard: float
-    alpha_s_override: bool = False
 
     @cached_property
     def k1(self) -> float:
@@ -128,24 +129,22 @@ class ChainControllerConfig:
 
 
 def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
-                      mu_guard: float, alpha_s: GainFunction | None = None,
-                      K=None, Q=None, psi=None,
-                      mu0: float = 1.0) -> ChainControllerConfig:
-    """Assemble a chain controller: pole placement, Lyapunov solve, and the
-    DC2-derived alpha_s unless an override gain is supplied."""
+                      mu_guard: float, psi: float, mu0: float,
+                      alpha_s: GainFunction | None = None,
+                      K=None) -> ChainControllerConfig:
+    """Assemble a chain controller: pole placement, Lyapunov solve with
+    Q = I, and the DC2-derived alpha_s unless an override gain is
+    supplied."""
     K = hurwitz_gain(m) if K is None else np.asarray(K, dtype=float)
     Lambda = companion(K)
-    Q = np.eye(m - 1) if Q is None else np.asarray(Q, dtype=float)
+    Q = np.eye(m - 1)
     P = solve_lyapunov(Lambda, Q)
     v1, v2 = v_constants(P, Q, m)
-    override = alpha_s is not None
     if alpha_s is None:
         alpha_s = alpha_s_from_dc2(alpha_x, v1, m, mu0)
-    if psi is None:
-        psi = lambda x: 1.0
     return ChainControllerConfig(m, n, K, Lambda, P, Q, v1, v2, float(v),
-                                 alpha_x, alpha_s, psi, float(mu_guard),
-                                 alpha_s_override=override)
+                                 alpha_x, alpha_s, float(psi),
+                                 float(mu_guard))
 
 
 def check_dc1(cfg: ChainControllerConfig, alpha: GainFunction,
@@ -186,8 +185,7 @@ def chain_control(x: np.ndarray, varpi_i: np.ndarray, mu: float,
     """Robust tracking control for chain-integrator agents.
 
     x is (..., m, n) and varpi_i (..., n); returns u with shape (..., n),
-    written into out when given.  cfg.psi maps the (..., m, n) stack to a
-    scalar or to (...) values.
+    written into out when given.
     """
     if mu > cfg.mu_guard * (1.0 + 1e-12):
         raise GuardExceeded(f"mu={mu} beyond guard {cfg.mu_guard}")
@@ -213,10 +211,7 @@ def chain_control(x: np.ndarray, varpi_i: np.ndarray, mu: float,
 
     # u = -gain sign(k1) alpha_s s_tilde - pi - B^-1 delta_s s_tilde with
     # B = alpha_x^{-L_m} / k1
-    psi = cfg.psi(x)
-    if not isinstance(psi, float):
-        psi = np.asarray(psi)[..., None]  # one value per agent
-    gain = cfg.v + psi * psi + 1.0
+    gain = cfg.v + cfg.psi * cfg.psi + 1.0
     coef = (gain * (math.copysign(1.0, cfg.k1) * als)
             + delta_s * cfg.k1 * ax ** L_m)
     return np.subtract(-coef * _s_tilde(x, varpi_i, pw, cfg),
@@ -273,8 +268,6 @@ def chain_decay_monitor(times, e_s_norms, e_tilde_norms,
     Passes iff the fit is finite and sup ||e_tilde_s|| is finite (the
     boundedness of e_tilde_s is the closed-loop guarantee).
     """
-    from .generator import MonitorReport
-
     times = np.asarray(times, dtype=float)
     e_s_norms = np.asarray(e_s_norms, dtype=float)
     e_tilde_norms = np.asarray(e_tilde_norms, dtype=float)

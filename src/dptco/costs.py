@@ -18,21 +18,15 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, NonPositiveInput
 
 _NEWTON_MAX_ITER = 10_000
+_NEWTON_TOL = 1e-8  # gradient norm at which the oracle stops
+_CURVATURE_SAMPLES = 400  # random point pairs of estimate_constants
 
 
 class CostFunction:
-    """Convex cost with value and gradient; subclasses define the family."""
+    """Convex cost with value(z), gradient(z) and to_dict(); the families
+    are QuadraticCost, ExpQuadraticCost and SumCost."""
 
     dim: int
-
-    def value(self, z: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
 
     def _check(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -168,8 +162,7 @@ class CostSet:
             self.rho_c = min(r for r, _ in analytic)
             self.varrho_c = max(v for _, v in analytic)
         else:
-            self.rho_c, self.varrho_c = estimate_constants(self, self.box,
-                                                           400)
+            self.rho_c, self.varrho_c = estimate_constants(self, self.box)
 
     @property
     def n_agents(self) -> int:
@@ -185,10 +178,9 @@ class CostSet:
         An agent's quadratic terms merge into one, (z - c)^T Q (z - c) with
         Q = sum_k Q_k and Q c = sum_k Q_k c_k (the same gradient), and the
         quadratic batch holds 2Q, which its gradient multiplies by
-        (doubling is exact).  Returns None when some term family has no
-        batched form, else a list of (idx, mats, centers, unique, grad),
-        one per family present, where idx is None for one term per agent in
-        agent order.
+        (doubling is exact).  Returns a list of (idx, mats, centers, unique,
+        grad), one per family present, where idx is None for one term per
+        agent in agent order; a term of any other class is a TypeError.
         """
         quads = {}
         expq = []
@@ -202,7 +194,8 @@ class CostSet:
             elif isinstance(c, ExpQuadraticCost):
                 expq.append((i, c.P, c.center))
             else:
-                return None
+                raise TypeError(
+                    f"agent {i}: no batched gradient for {type(c).__name__}")
         quad = []
         for i, terms in quads.items():
             Q, c = terms[0]
@@ -231,13 +224,10 @@ class CostSet:
 
         Batched over all agents' terms; used in the simulation hot path.
         """
-        batches = getattr(self, "_batches", "unset")
-        if batches == "unset":
+        batches = getattr(self, "_batches", None)
+        if batches is None:
             batches = self._term_batches()
             self._batches = batches
-        if batches is None:
-            return np.array([c.gradient(Z[i])
-                             for i, c in enumerate(self.costs)])
         out = None
         for idx, mats, cents, unique, grad in batches:
             if idx is None and out is None:
@@ -301,9 +291,9 @@ def _fd_hessian(costs: CostSet, z: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def optimum_oracle(costs: CostSet, tol: float = 1e-8,
-                   z_init=None) -> OptimumCertificate:
-    """Centralized optimum by damped Newton with backtracking.
+def optimum_oracle(costs: CostSet) -> OptimumCertificate:
+    """Centralized optimum by damped Newton with backtracking from z = 0,
+    run until the team gradient norm is at most 1e-8.
 
     Strong convexity (rho_c > 0) guarantees a unique optimum; the
     certificate records the final gradient norm so downstream error
@@ -311,11 +301,10 @@ def optimum_oracle(costs: CostSet, tol: float = 1e-8,
     """
     if costs.rho_c is None or costs.rho_c <= 0:
         raise NonPositiveInput("optimum oracle needs rho_c > 0")
-    z = (np.zeros(costs.dim) if z_init is None
-         else np.asarray(z_init, dtype=float).copy())
+    z = np.zeros(costs.dim)
     g = grad_sum(costs, z)
     it = 0
-    while float(np.linalg.norm(g)) > tol:
+    while float(np.linalg.norm(g)) > _NEWTON_TOL:
         if it >= _NEWTON_MAX_ITER:
             raise NoConvergence(f"Newton exceeded {_NEWTON_MAX_ITER} iterations")
         H = _fd_hessian(costs, z)
@@ -339,28 +328,26 @@ def optimum_oracle(costs: CostSet, tol: float = 1e-8,
     return OptimumCertificate(z, float(np.linalg.norm(g)), it)
 
 
-def estimate_constants(costs, box, samples: int = 400,
-                       seed: int = 0) -> tuple[float, float]:
+def estimate_constants(costs, box) -> tuple[float, float]:
     """Empirical strong-convexity and gradient-Lipschitz constants.
 
-    Samples point pairs in the box (random pairs plus deterministic
-    axis-aligned pairs, which hit the extremal curvature directions of
-    diagonal quadratics exactly) and returns
+    Samples point pairs in the box (400 random pairs from seed 0, plus
+    deterministic axis-aligned pairs, which hit the extremal curvature
+    directions of diagonal quadratics exactly) and returns
 
       rho_hat    = min (grad f(x) - grad f(y))^T (x - y) / ||x - y||^2
       varrho_hat = max ||grad f(x) - grad f(y)|| / ||x - y||
 
     aggregated as min/max over agents when given a CostSet.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
     box = np.asarray(box, dtype=float)
     agent_costs = costs.costs if isinstance(costs, CostSet) else [costs]
     dim = agent_costs[0].dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     lo, hi = box[:, 0], box[:, 1]
     # one block is the same stream as one x draw, then one y draw, per pair
-    X, Y = (lo + rng.random((samples, 2, dim)) * (hi - lo)).transpose(1, 0, 2)
+    X, Y = (lo + rng.random((_CURVATURE_SAMPLES, 2, dim))
+            * (hi - lo)).transpose(1, 0, 2)
     keep = np.linalg.norm(X - Y, axis=1) > 1e-9
     # axis-aligned pairs at several anchors
     anchors = np.repeat([lo, hi, 0.5 * (lo + hi)], dim, axis=0)
@@ -386,7 +373,7 @@ def _gradients(c: CostFunction, Z: np.ndarray) -> np.ndarray:
         return _quad_grads(2.0 * c.Q[None], Z - c.center)
     if isinstance(c, ExpQuadraticCost):
         return _expq_grads(c.P[None], Z - c.center)
-    return np.array([c.gradient(z) for z in Z])
+    raise TypeError(f"no batched gradient for {type(c).__name__}")
 
 
 def default_box(dim: int, half_width: float = 5.0) -> np.ndarray:

@@ -226,11 +226,10 @@ def _build(sc: Scenario, seed: int | None = None,
         if controller == "chain":
             m = int(ag["order"])
             K = ag.get("K", "auto")
-            psi_val = float(ag.get("psi", 1.0))
             chain_cfg = chain_ctrl.make_chain_config(
                 m, dim, float(ag.get("v", 1.0)), alpha_x, clock.mu_guard,
-                alpha_s=alpha_s, K=None if K == "auto" else K,
-                psi=lambda x, _p=psi_val: _p, mu0=clock.mu0)
+                float(ag.get("psi", 1.0)), clock.mu0, alpha_s=alpha_s,
+                K=None if K == "auto" else K)
             constants["v1"] = chain_cfg.v1
             constants["v2"] = chain_cfg.v2
             reports.append(chain_ctrl.check_dc1(chain_cfg, alpha,

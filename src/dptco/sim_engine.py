@@ -43,12 +43,13 @@ _RK4_CEILING_COEF = 0.05
 
 @dataclass
 class SolverSettings:
-    """Integrator configuration.
+    """Integrator configuration; every field is a scenario solver key.
 
     method "rk4" uses the fixed step dt, capped by the mu^2 ceiling;
     "rk45" is an embedded Dormand-Prince pair with absolute/relative error
-    control on the log clock, its step in t never above dt_max.  log_every
-    decimates the stored trajectory.
+    control on the log clock, starting from the step dt, its step in t never
+    above dt_max.  log_every decimates the stored trajectory.  Every run
+    ends at the clock's guard time.
     """
 
     method: str = "rk45"
@@ -57,7 +58,6 @@ class SolverSettings:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     log_every: int = 1
-    t_end: float | None = None
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
@@ -158,11 +158,11 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
     of the integrator) without reading it.  RK45 steps in
     s = -ln(1 - (t - t0)/T), i.e. t(s) = t0 - T expm1(-s), on
     dy/ds = rhs / mu, its step in s capped by dt_max * mu (dt_max in t);
-    no stage time passes t_end.  Deterministic: no hidden randomness, and
-    identical inputs give bit-identical trajectories.
+    no stage time passes the guard time clock.t_guard, where the run ends.
+    Deterministic: no hidden randomness, and identical inputs give
+    bit-identical trajectories.
     """
-    t_end = clock.t_guard if settings.t_end is None else float(settings.t_end)
-    t_end = min(t_end, clock.t_guard)
+    t_end = clock.t_guard
     t0, T = clock.t0, clock.T
 
     def t_at(s):
@@ -356,8 +356,7 @@ class CoupledSystem:
 _DISTURBANCE_MODES = 3
 
 
-def make_disturbance(seed: int, n_agents: int, dim: int,
-                     amplitude: float = 0.1):
+def make_disturbance(seed: int, n_agents: int, dim: int, amplitude: float):
     """Smooth bounded disturbance: a short random Fourier sum per agent and
     channel.  Returns d(t) -> (n_agents, dim).
 

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (EmptyTrajectory, GuardExceeded, MarginTooSmall)
+from .generator import MonitorReport
 from .timegain import (GainFunction, GrowthCriterion, check_growth_criterion,
                        log_grid)
 
@@ -38,8 +39,8 @@ class SfParameters:
     upsilon: tuple
 
 
-def select_parameters(m: int, l: float, sigma_prime: float = 1.0,
-                      rho: float = 10.0, margin: float = 1.0) -> SfParameters:
+def select_parameters(m: int, l: float, sigma_prime: float, rho: float,
+                      margin: float) -> SfParameters:
     """Pick sigma, c_q and upsilon_q with uniform stability margins.
 
     sigma = (3 + sigma_prime)/2, c_1 = L_1 + 3/2 + margin,
@@ -69,7 +70,9 @@ class SfControllerConfig:
     """Resolved strict-feedback controller for one agent family.
 
     phis[q-2] is the known nonlinearity of stage q (q = 2..m), each mapping
-    an n-vector to an n-vector with phi_q(0) = 0.
+    an n-vector to an n-vector with phi_q(0) = 0.  The estimator leak sigma
+    must exceed 3/2: sigma = (3 + sigma')/2 with sigma' > 0, which the
+    estimator envelope divides by.
     """
 
     m: int
@@ -80,11 +83,11 @@ class SfControllerConfig:
     sigma: float
     alpha_xi: GainFunction
     mu_guard: float
-    phis: tuple = ()
+    phis: tuple
 
     def __post_init__(self):
-        if not self.phis:
-            self.phis = tuple(lambda x: x for _ in range(self.m - 1))
+        if not self.sigma > 1.5:
+            raise MarginTooSmall(f"sigma must be > 1.5, got {self.sigma}")
         if len(self.c) != self.m or len(self.upsilon) != self.m - 1:
             raise ValueError("gain tuple lengths must be m and m-1")
         if len(self.phis) != self.m - 1:
@@ -285,8 +288,6 @@ def invariant_set_monitor(times, e_tilde_norms, h: float,
     Passes iff the initial scaled error is inside the ball and the
     trajectory never exceeds (1+slack) h afterwards.
     """
-    from .generator import MonitorReport
-
     times = np.asarray(times, dtype=float)
     norms = np.asarray(e_tilde_norms, dtype=float)
     if times.size < 2:
@@ -303,22 +304,18 @@ def invariant_set_monitor(times, e_tilde_norms, h: float,
                          max_ratio, first_violation)
 
 
-def theta_hat_monitor(times, mus, theta_hats, taus,
-                      cfg: SfControllerConfig, sigma_prime: float | None = None):
+def theta_hat_monitor(times, mus, theta_hats, taus, cfg: SfControllerConfig):
     """Post-hoc estimator envelope:
 
     |theta_hat(t)| <= (alpha_xi(mu0) |theta_hat(t0)| + tau_max / sqrt(2 sigma'))
                       / alpha_xi(mu(t))
 
-    with tau_max the logged sup of |tau|.
+    with tau_max the logged sup of |tau| and sigma' = 2 sigma - 3.
     """
-    from .generator import MonitorReport
-
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise EmptyTrajectory("estimator monitor needs a trajectory")
-    if sigma_prime is None:
-        sigma_prime = 2.0 * cfg.sigma - 3.0
+    sigma_prime = 2.0 * cfg.sigma - 3.0
     tau_max = float(np.max(np.abs(np.asarray(taus, dtype=float))))
     a0 = cfg.alpha_xi.eval(float(mus[0]))
     gamma = a0 * abs(float(theta_hats[0])) + tau_max / math.sqrt(
@@ -341,8 +338,6 @@ def sf_decay_monitor(times, mus, e_s_norms, cfg: SfControllerConfig):
     A finite fit certifies the prescribed-time decay of the raw errors,
     since alpha_xi(mu) grows without bound toward the deadline.
     """
-    from .generator import MonitorReport
-
     times = np.asarray(times, dtype=float)
     norms = np.asarray(e_s_norms, dtype=float)
     if times.size < 2:

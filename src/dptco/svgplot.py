@@ -18,10 +18,11 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 _LOG_FLOOR = 1e-16
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list:
+def _ticks(lo: float, hi: float) -> list:
+    """About five round-valued ticks covering [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -36,16 +37,17 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list:
     return out
 
 
-def write_svg(path: str, series: list, title: str = "", xlabel: str = "t",
-              ylabel: str = "", logy: bool = False, width: int = 720,
-              height: int = 460) -> None:
-    """Write labelled (label, x, y) series as one SVG figure.
+def write_svg(path: str, series: list, title: str = "", ylabel: str = "",
+              logy: bool = False) -> None:
+    """Write labelled (label, x, y) series as one 720 x 460 SVG figure
+    against time t.
 
     With logy, y values are clipped below at 1e-16 before taking log10 so
     exactly-zero samples stay plottable.
     """
     if not series:
         raise EmptyTrajectory("no series to plot")
+    width, height = 720, 460
     ml, mr, mt, mb = 70, 20, 40, 50  # margins
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -105,7 +107,7 @@ def write_svg(path: str, series: list, title: str = "", xlabel: str = "t",
                      f'font-size="11" font-family="sans-serif">{label}</text>')
     parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" '
                  f'text-anchor="middle" font-size="13" '
-                 f'font-family="sans-serif">{xlabel}</text>')
+                 f'font-family="sans-serif">t</text>')
     ytext = f"log10 {ylabel}" if logy else ylabel
     parts.append(f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
                  f'font-size="13" font-family="sans-serif" '

@@ -59,8 +59,9 @@ class PrescribedClock:
         return self.t0 <= t < self.t0 + self.T
 
 
-def _adaptive_simpson(f, a, b, rel_tol=_SIMPSON_REL_TOL, max_depth=_SIMPSON_MAX_DEPTH):
-    """Adaptive Simpson quadrature with relative tolerance control."""
+def _adaptive_simpson(f, a, b):
+    """Adaptive Simpson quadrature to relative tolerance 1e-9, refusing
+    more than 20 levels of subdivision."""
     if a == b:
         return 0.0
 
@@ -76,9 +77,9 @@ def _adaptive_simpson(f, a, b, rel_tol=_SIMPSON_REL_TOL, max_depth=_SIMPSON_MAX_
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
         err = left + right - whole
-        if abs(err) <= 15.0 * rel_tol * max(scale, abs(left + right)):
+        if abs(err) <= 15.0 * _SIMPSON_REL_TOL * max(scale, abs(left + right)):
             return left + right + err / 15.0
-        if depth >= max_depth:
+        if depth >= _SIMPSON_MAX_DEPTH:
             raise QuadratureFailure(
                 f"adaptive Simpson hit subdivision cap on [{x0}, {x2}]")
         return (recurse(x0, xm, f0, fl, f1, left, depth + 1, scale)
@@ -100,8 +101,11 @@ class GainFunction:
       power    alpha(s) = k*s**a            params (k, a)
       log      alpha(s) = k*s*ln(s+2)       params (k,)
       exp      alpha(s) = k1*s*exp(k2*s)    params (k1, k2)
-      table    piecewise-linear over (s_i, alpha_i) nodes
       dc2      derived chain gain alpha_x(s)**m * exp((v1/2) I(mu0, s))
+               params (v1, m, mu0), built by alpha_s_from_dc2 from base
+
+    Scenarios give a gain as {"family": ..., "params": [...]} (from_dict);
+    any other family is refused at construction.
     """
 
     family: str
@@ -110,7 +114,7 @@ class GainFunction:
     base: "GainFunction | None" = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.family not in ("linear", "power", "log", "exp", "table", "dc2"):
+        if self.family not in ("linear", "power", "log", "exp", "dc2"):
             raise ValueError(f"unknown gain family {self.family!r}")
 
     def eval(self, s: float) -> float:
@@ -128,8 +132,6 @@ class GainFunction:
             if x > 709.0:  # exp overflows; the gain is effectively infinite
                 return math.inf
             return p[0] * s * math.exp(x)
-        if fam == "table":
-            return self._table_eval(s)
         # dc2
         v1, m, mu0 = p
         if s == 0.0:
@@ -152,10 +154,6 @@ class GainFunction:
             if x > 709.0:
                 return math.inf
             return p[0] * math.exp(x) * (1.0 + x)
-        if fam == "table":
-            h = max(1e-6 * s, 1e-12)
-            lo = max(s - h, 0.0)
-            return (self._table_eval(s + h) - self._table_eval(lo)) / (s + h - lo)
         # dc2: d/ds = alpha_s(s) * (m ax'(s)/ax(s) + (v1/2) s^-2 ax(s))
         v1, m, _ = p
         val = self.eval(s)
@@ -164,22 +162,7 @@ class GainFunction:
         ax = self.base.eval(s)
         return val * (m * self.base.deriv(s) / ax + 0.5 * v1 * ax / s ** 2)
 
-    def _table_eval(self, s: float) -> float:
-        xs, ys = self.params
-        if s <= xs[0]:
-            return ys[0] * (s / xs[0]) if xs[0] > 0 else ys[0]
-        if s >= xs[-1]:
-            # extrapolate with the final slope to stay strictly increasing
-            slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-            return ys[-1] + slope * (s - xs[-1])
-        import bisect
-        j = bisect.bisect_right(xs, s) - 1
-        w = (s - xs[j]) / (xs[j + 1] - xs[j])
-        return ys[j] * (1.0 - w) + ys[j + 1] * w
-
     def to_dict(self) -> dict:
-        if self.family == "table":
-            return {"family": "table", "params": [list(self.params[0]), list(self.params[1])]}
         if self.family == "dc2":
             return {"family": "dc2", "params": list(self.params),
                     "base": self.base.to_dict()}
@@ -188,25 +171,21 @@ class GainFunction:
     @staticmethod
     def from_dict(d: dict) -> "GainFunction":
         fam = d["family"]
-        if fam == "table":
-            xs, ys = d["params"]
-            return GainFunction("table", (tuple(xs), tuple(ys)))
         if fam == "dc2":
             return GainFunction("dc2", tuple(d["params"]),
                                 base=GainFunction.from_dict(d["base"]))
         return GainFunction(fam, tuple(d["params"]))
 
-    def validate(self, s_lo: float = 1e-2, s_hi: float = 1e3, n: int = 50,
-                 rel_tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         """Check alpha(0)=0, strict increase, and eval/deriv consistency.
 
-        deriv is compared against a central finite difference on a log grid.
+        deriv is compared against a central finite difference, to 1e-5
+        relative, on 50 log-spaced points of [1e-2, 1e3].
         """
-        if self.family != "table" and self.eval(0.0) != 0.0:
+        if self.eval(0.0) != 0.0:
             raise ValueError("class K-infinity gain must satisfy alpha(0) = 0")
         prev = None
-        for i in range(n):
-            s = s_lo * (s_hi / s_lo) ** (i / (n - 1))
+        for s in log_grid(1e-2, 1e3, 50):
             v = self.eval(s)
             if not math.isfinite(v):
                 break  # overflowed upward; increase already established
@@ -216,25 +195,9 @@ class GainFunction:
             h = 1e-6 * s
             fd = (self.eval(s + h) - self.eval(s - h)) / (2.0 * h)
             d = self.deriv(s)
-            if abs(d - fd) > rel_tol * max(1.0, abs(fd)) * 10.0:
+            if abs(d - fd) > 1e-6 * max(1.0, abs(fd)) * 10.0:
                 raise ValueError(
                     f"deriv inconsistent with eval at s={s}: {d} vs FD {fd}")
-
-
-def linear_gain(k: float) -> GainFunction:
-    return GainFunction("linear", (float(k),))
-
-
-def power_gain(k: float, a: float) -> GainFunction:
-    return GainFunction("power", (float(k), float(a)))
-
-
-def log_gain(k: float) -> GainFunction:
-    return GainFunction("log", (float(k),))
-
-
-def exp_gain(k1: float, k2: float) -> GainFunction:
-    return GainFunction("exp", (float(k1), float(k2)))
 
 
 def gain_integral(alpha: GainFunction, s0: float, s1: float) -> float:

@@ -1,6 +1,7 @@
 """Reference forms of library math that the library itself computes in a
 fused, one-pass way or does not need; tests compare the library against
-these."""
+these.  Also the gain constructors the tests use; scenarios build their
+gains with GainFunction.from_dict."""
 
 import math
 from dataclasses import dataclass
@@ -15,11 +16,28 @@ from dptco.graph import Network
 from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, SolverSettings,
                               Trajectory, step_ceiling)
 from dptco.strictfb_ctrl import SfControllerConfig, scale_powers
-from dptco.timegain import PrescribedClock
+from dptco.timegain import GainFunction, PrescribedClock
 
 
 class DegenerateSize(ValueError):
     """Operation needs at least two agents."""
+
+
+def linear_gain(k: float) -> GainFunction:
+    return GainFunction("linear", (float(k),))
+
+
+def power_gain(k: float, a: float) -> GainFunction:
+    return GainFunction("power", (float(k), float(a)))
+
+
+def log_gain(k: float) -> GainFunction:
+    return GainFunction("log", (float(k),))
+
+
+def exp_gain(k1: float, k2: float) -> GainFunction:
+    return GainFunction("exp", (float(k1), float(k2)))
+
 
 # C picks x2 entries _C_PICK with signs _C_SIGN
 _C_PICK = np.array([[0, 0], [0, 1]])
@@ -312,8 +330,7 @@ def integrate_allocating(rhs, y0: np.ndarray, clock: PrescribedClock,
                          settings: SolverSettings) -> Trajectory:
     """sim_engine.integrate with a right-hand side rhs(t, y) that returns a
     new array, every stage input and result a new array too."""
-    t_end = clock.t_guard if settings.t_end is None else float(settings.t_end)
-    t_end = min(t_end, clock.t_guard)
+    t_end = clock.t_guard
     t0, T = clock.t0, clock.T
 
     def t_at(s):

@@ -19,12 +19,12 @@ from dptco.costs import optimum_oracle
 from dptco.scenario import load_scenario
 from dptco.sim_engine import SolverSettings, integrate
 from dptco.timegain import (GrowthCriterion, PrescribedClock,
-                            check_growth_criterion, exp_gain, linear_gain,
-                            log_gain, log_grid)
+                            check_growth_criterion, log_grid)
 from dptco.chain_ctrl import companion, hurwitz_gain, solve_lyapunov
 
 import conftest
 from conftest import modified_scenario, scenario_path
+from oracles import exp_gain, linear_gain, log_gain
 
 Z_STAR_E2 = np.array([0.7263, 0.7183])
 Y_BAR_E1 = np.array([-1.0 / 36.0, -2.0 / 36.0])
@@ -263,9 +263,10 @@ def test_criterion_10_integrator():
     def rhs(t, y, out):
         np.multiply(-clock.mu(t), y, out=out)
 
-    traj = integrate(rhs, np.array([1.0]), clock,
+    traj = integrate(rhs, np.array([1.0]),
+                     PrescribedClock(0.0, 1.0, guard_frac=0.9),
                      SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                                    rel_tol=1e-10, abs_tol=1e-12, t_end=0.9))
+                                    rel_tol=1e-10, abs_tol=1e-12))
     rk45_err = abs(traj.states[-1, 0] - 0.1)
 
     errs = []
@@ -273,8 +274,8 @@ def test_criterion_10_integrator():
     for dt in (4e-3, 2e-3, 1e-3):
         tr = integrate(
             lambda t, y, out: np.multiply(-clock.mu(t) ** 2, y, out=out),
-            np.array([1.0]), clock,
-            SolverSettings(method="rk4", dt=dt, dt_max=1.0, t_end=0.5))
+            np.array([1.0]), PrescribedClock(0.0, 1.0, guard_frac=0.5),
+            SolverSettings(method="rk4", dt=dt, dt_max=1.0))
         errs.append(abs(tr.states[-1, 0] - exact))
     order = min(math.log2(a / b) for a, b in zip(errs, errs[1:]))
     ok = rk45_err <= 1e-8 and order >= 3.7

@@ -15,12 +15,12 @@ from dptco.sim_engine import (CoupledSystem, SolverSettings, integrate,
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
                                  error_vector, scaled_error_vector, sf_control,
                                  virtual_controls)
-from dptco.timegain import PrescribedClock, exp_gain, linear_gain, power_gain
+from dptco.timegain import PrescribedClock
 
 from oracles import (adaptation_rhs, cascade, chain_plant_rhs,
                      concatenated_rhs, el_acceleration_solve, el_matrices,
-                     filter_rhs, integrate_allocating, sf_derivatives,
-                     sf_plant_rhs, tau_value)
+                     exp_gain, filter_rhs, integrate_allocating, linear_gain,
+                     power_gain, sf_derivatives, sf_plant_rhs, tau_value)
 
 N, DIM = 5, 2
 CLOCK = PrescribedClock(0.0, 1.0)
@@ -48,9 +48,8 @@ def assert_close(got, want):
 
 
 def chain_agents(m, el=None, disturbance=None, mu_guard=1e3):
-    cfg = make_chain_config(m, DIM, 6.0, linear_gain(1.0), mu_guard,
-                            alpha_s=exp_gain(1.0, 1.0),
-                            psi=lambda x: 0.5)
+    cfg = make_chain_config(m, DIM, 6.0, linear_gain(1.0), mu_guard, 0.5,
+                            1.0, alpha_s=exp_gain(1.0, 1.0))
     return ChainAgents(cfg, el, disturbance)
 
 
@@ -330,10 +329,12 @@ def test_integrate_bit_identical_to_allocating_oracle(kind, method):
     y0, _ = random_state(sys, 11)
     settings = SolverSettings(method=method, dt=0.05 if method == "rk45"
                               else 2e-3, dt_max=1e-2, rel_tol=1e-7,
-                              abs_tol=1e-9, t_end=0.3, log_every=3)
-    got = integrate(sys.rhs, y0, sys.clock, settings)
+                              abs_tol=1e-9, log_every=3)
+    # the systems' window, the run ending at t = 0.3
+    clock = PrescribedClock(0.0, 1.0, guard_frac=0.3)
+    got = integrate(sys.rhs, y0, clock, settings)
     want = integrate_allocating(lambda t, y: concatenated_rhs(sys, t, y),
-                                y0, sys.clock, settings)
+                                y0, clock, settings)
     assert got.times.tobytes() == want.times.tobytes()
     assert got.states.tobytes() == want.states.tobytes()
     assert (got.n_steps, got.n_rejected, got.n_rhs) == (

@@ -14,16 +14,16 @@ from dptco.chain_ctrl import (ChainControllerConfig, ElMismatch,
                               companion, el_acceleration, hurwitz_gain,
                               make_chain_config, solve_lyapunov, v_constants)
 from dptco.errors import GuardExceeded, NotHurwitz
-from dptco.timegain import PrescribedClock, kappa, linear_gain, power_gain
+from dptco.timegain import PrescribedClock, kappa
 
-from oracles import chain_plant_rhs, el_matrices
+from oracles import chain_plant_rhs, el_matrices, linear_gain, power_gain
 
 P_HAND = np.array([[1.5, 0.5], [0.5, 0.5]])
 
 
-def cfg_m2(v: float = 1.0, psi=None) -> ChainControllerConfig:
+def cfg_m2(v: float = 1.0, psi: float = 1.0) -> ChainControllerConfig:
     return make_chain_config(2, 1, v, linear_gain(1.0), mu_guard=1000.0,
-                             psi=psi)
+                             psi=psi, mu0=1.0)
 
 
 # --- pole placement ----------------------------------------------------------
@@ -91,18 +91,19 @@ def test_v_constants_hand_case():
 # --- configuration -----------------------------------------------------------
 
 def test_make_chain_config_defaults():
-    cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=100.0)
+    cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=100.0,
+                            psi=1.0, mu0=1.0)
     assert np.allclose(cfg.K, [1.0, 2.0])
     assert cfg.k1 == 1.0
     assert np.allclose(cfg.L, [0.0, 1.0, 2.0])
     assert cfg.alpha_s.family == "dc2"
-    assert not cfg.alpha_s_override
 
 
 def test_make_chain_config_override_flagged():
+    override = power_gain(1.0, 2.0)
     cfg = make_chain_config(2, 1, 6.0, linear_gain(1.0), mu_guard=100.0,
-                            alpha_s=power_gain(1.0, 2.0))
-    assert cfg.alpha_s_override
+                            psi=1.0, mu0=1.0, alpha_s=override)
+    assert cfg.alpha_s is override
 
 
 def test_check_dc1_compliant_pair():
@@ -134,7 +135,8 @@ def test_error_view_matches_kron_form(seed):
     # e_tilde_s = k1^-1 alpha_s (K_tilde^T Phi kron I_n) e_s, stacked form
     rng = np.random.default_rng(seed)
     m, n = 3, 2
-    cfg = make_chain_config(m, n, 6.0, linear_gain(1.0), mu_guard=1000.0)
+    cfg = make_chain_config(m, n, 6.0, linear_gain(1.0), mu_guard=1000.0,
+                            psi=1.0, mu0=1.0)
     x = rng.standard_normal((m, n))
     varpi = rng.standard_normal(n)
     mu = float(rng.uniform(1.0, 50.0))
@@ -151,20 +153,21 @@ def test_error_view_matches_kron_form(seed):
 # --- control law -------------------------------------------------------------
 
 def test_control_zero_at_origin():
-    cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=1000.0)
+    cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=1000.0,
+                            psi=1.0, mu0=1.0)
     u = chain_control(np.zeros((3, 2)), np.zeros(2), 2.0, cfg)
     assert np.allclose(u, 0.0)
 
 
 def test_control_hand_case():
     # m=2, k1=1, v=1, psi=0, alpha_x=mu, x=(1,0), reference 0, mu=1
-    cfg = cfg_m2(v=1.0, psi=lambda x: 0.0)
+    cfg = cfg_m2(v=1.0, psi=0.0)
     u = chain_control(np.array([[1.0], [0.0]]), np.zeros(1), 1.0, cfg)
     assert u[0] == pytest.approx(-2.0 - (2.0 + cfg.v1 / 2.0))
 
 
 def test_control_sign_flip():
-    cfg = cfg_m2(v=1.0, psi=lambda x: 0.0)
+    cfg = cfg_m2(v=1.0, psi=0.0)
     flipped = ChainControllerConfig(
         cfg.m, cfg.n, np.array([-1.0]), cfg.Lambda, cfg.P, cfg.Q, cfg.v1,
         cfg.v2, cfg.v, cfg.alpha_x, cfg.alpha_s, cfg.psi, cfg.mu_guard)
@@ -178,13 +181,15 @@ def test_control_sign_flip():
 
 
 def test_control_guard_enforced():
-    cfg = make_chain_config(2, 1, 6.0, linear_gain(1.0), mu_guard=10.0)
+    cfg = make_chain_config(2, 1, 6.0, linear_gain(1.0), mu_guard=10.0,
+                            psi=1.0, mu0=1.0)
     with pytest.raises(GuardExceeded):
         chain_control(np.ones((2, 1)), np.zeros(1), 11.0, cfg)
 
 
 def test_control_continuity():
-    cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=1000.0)
+    cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=1000.0,
+                            psi=1.0, mu0=1.0)
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = rng.standard_normal((3, 2))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dptco.costs import (CostSet, ExpQuadraticCost, QuadraticCost, SumCost,
-                         cost_from_dict, default_box, estimate_constants,
-                         grad_sum, optimum_oracle)
+from dptco.costs import (CostFunction, CostSet, ExpQuadraticCost,
+                         QuadraticCost, SumCost, cost_from_dict, default_box,
+                         estimate_constants, grad_sum, optimum_oracle)
 from dptco.errors import DimensionMismatch
 
 import oracles
@@ -121,6 +121,20 @@ def test_grad_stack_matches_per_agent():
     assert np.allclose(merged.grad_stack(Z), direct, atol=1e-14)
 
 
+def test_grad_stack_refuses_foreign_term():
+    class Linear(CostFunction):
+        dim = 2
+        rho_c = varrho_c = 2.0
+
+        def gradient(self, z):
+            return np.ones(2)
+
+    cs = CostSet([QuadraticCost(np.eye(2), [0.0, 0.0]), Linear()], 2,
+                 default_box(2))
+    with pytest.raises(TypeError, match="agent 1: .* Linear"):
+        cs.grad_stack(np.zeros((2, 2)))
+
+
 # --- optimum oracle ----------------------------------------------------------
 
 def test_oracle_single_quadratic():
@@ -144,14 +158,6 @@ def test_oracle_reference_value():
     cert = optimum_oracle(example2_costs())
     assert np.linalg.norm(cert.z_star - Z_STAR_REFERENCE) < 1e-3
     assert cert.grad_norm <= 1e-8
-
-
-def test_oracle_idempotent():
-    cs = example2_costs()
-    cert = optimum_oracle(cs)
-    again = optimum_oracle(cs, z_init=cert.z_star)
-    assert again.iterations == 0
-    assert np.allclose(again.z_star, cert.z_star)
 
 
 # --- curvature constants -----------------------------------------------------

@@ -12,8 +12,8 @@ from dptco.generator import (ErrorState, conservation_monitor,
                              generator_constants, gradients_at)
 from dptco.graph import build_network
 from dptco.sim_engine import CoupledSystem
-from dptco.timegain import PrescribedClock, kappa, linear_gain
-from oracles import agent_rhs, lyapunov_vr
+from dptco.timegain import PrescribedClock, kappa
+from oracles import agent_rhs, linear_gain, lyapunov_vr
 
 RING6 = [[i, (i + 1) % 6, 1.0] for i in range(6)]
 

@@ -135,6 +135,9 @@ def _set(section, key, value):
     ("network", lambda raw: raw["network"]["edges"].append([0, 99, 1.0]),
      "edge (0,99) outside 0..5"),
     ("network", _set("network", "n_agents", "six"), "'six'"),
+    ("gains", lambda raw: raw["gains"].update({"alpha": {
+        "family": "table", "params": [[1.0, 2.0], [3.0, 6.0]]}}),
+     "unknown gain family 'table'"),
 ])
 def test_malformed_ring_gives_located_error(tmp_path, capsys, where, edit,
                                             message):
@@ -177,6 +180,23 @@ def test_bad_monitor_refused_before_integration(tmp_path, capsys,
     assert main(["run", p, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: monitors: {message}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.5])
+def test_small_sigma_refused_before_integration(tmp_path, capsys,
+                                                monkeypatch, sigma):
+    # the estimator envelope divides by sqrt(2 sigma'), sigma' = 2 sigma - 3
+    def no_integrate(*args, **kwargs):
+        raise AssertionError("integrated a scenario with sigma <= 3/2")
+
+    monkeypatch.setattr(cli, "integrate", no_integrate)
+    p = modified_scenario("example2", tmp_path,
+                          _set("agents", "sigma", sigma))
+    assert main(["run", p, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {p}: agents: sigma must be > 1.5, got {sigma}")
     assert "Traceback" not in err
 
 

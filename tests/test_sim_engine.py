@@ -11,9 +11,14 @@ from dptco.graph import build_network
 from dptco.sim_engine import (CoupledSystem, SolverSettings, export_csv,
                               integrate, make_disturbance, step_ceiling,
                               trajectory_columns)
-from dptco.timegain import PrescribedClock, linear_gain
+from dptco.timegain import PrescribedClock
+
+from oracles import linear_gain
 
 CLOCK = PrescribedClock(0.0, 1.0)
+# the same window, the run ending at t = 0.5 or t = 0.9
+CLOCK_05 = PrescribedClock(0.0, 1.0, guard_frac=0.5)
+CLOCK_09 = PrescribedClock(0.0, 1.0, guard_frac=0.9)
 
 
 def mu_decay_rhs(t, y, out):
@@ -25,8 +30,8 @@ def mu_decay_rhs(t, y, out):
 
 def test_rk45_matches_exact_solution():
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                              rel_tol=1e-10, abs_tol=1e-12, t_end=0.9)
-    traj = integrate(mu_decay_rhs, np.array([1.0]), CLOCK, settings)
+                              rel_tol=1e-10, abs_tol=1e-12)
+    traj = integrate(mu_decay_rhs, np.array([1.0]), CLOCK_09, settings)
     assert traj.times[-1] == pytest.approx(0.9, abs=1e-12)
     assert traj.states[-1, 0] == pytest.approx(0.1, abs=1e-8)
 
@@ -38,10 +43,10 @@ def test_rk4_fourth_order_convergence():
     errs = []
     exact = math.exp(1.0 - 2.0)
     for dt in (4e-3, 2e-3, 1e-3):
-        settings = SolverSettings(method="rk4", dt=dt, dt_max=1.0, t_end=0.5)
+        settings = SolverSettings(method="rk4", dt=dt, dt_max=1.0)
         traj = integrate(
             lambda t, y, out: np.multiply(-CLOCK.mu(t) ** 2, y, out=out),
-            np.array([1.0]), CLOCK, settings)
+            np.array([1.0]), CLOCK_05, settings)
         errs.append(abs(traj.states[-1, 0] - exact))
     for coarse, fine in zip(errs, errs[1:]):
         assert math.log2(coarse / fine) > 3.7
@@ -56,8 +61,8 @@ def test_step_ceiling_tracks_mu():
 def test_rk4_respects_ceiling():
     # with dt much larger than the ceiling the engine still resolves the
     # fast late-time dynamics
-    settings = SolverSettings(method="rk4", dt=0.5, dt_max=1.0, t_end=0.9)
-    traj = integrate(mu_decay_rhs, np.array([1.0]), CLOCK, settings)
+    settings = SolverSettings(method="rk4", dt=0.5, dt_max=1.0)
+    traj = integrate(mu_decay_rhs, np.array([1.0]), CLOCK_09, settings)
     assert traj.states[-1, 0] == pytest.approx(0.1, abs=1e-4)
 
 
@@ -91,22 +96,16 @@ def test_rk45_reuses_last_stage():
         np.multiply(-CLOCK.mu(t), y, out=out)
 
     settings = SolverSettings(method="rk45", dt=0.5, dt_max=1.0,
-                              rel_tol=1e-10, abs_tol=1e-12, t_end=0.9)
-    traj = integrate(rhs, np.array([1.0, -2.0]), CLOCK, settings)
+                              rel_tol=1e-10, abs_tol=1e-12)
+    traj = integrate(rhs, np.array([1.0, -2.0]), CLOCK_09, settings)
     assert traj.n_rejected > 0
     assert traj.n_rhs == 6 * (traj.n_steps + traj.n_rejected) + 1
     assert traj.n_rhs == len(seen) == len(set(seen))
     assert seen[0] == (0.0, np.array([1.0, -2.0]).tobytes())
 
-    settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2, t_end=0.5)
-    traj = integrate(mu_decay_rhs, np.array([1.0]), CLOCK, settings)
+    settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2)
+    traj = integrate(mu_decay_rhs, np.array([1.0]), CLOCK_05, settings)
     assert traj.n_rhs == 4 * traj.n_steps
-
-
-def test_t_end_cannot_pass_guard():
-    settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2, t_end=5.0)
-    traj = integrate(mu_decay_rhs, np.array([1.0]), CLOCK, settings)
-    assert traj.times[-1] <= CLOCK.t_guard + 1e-12
 
 
 # --- failure modes ----------------------------------------------------------
@@ -116,10 +115,10 @@ def test_nonfinite_state_detected():
         with np.errstate(over="ignore"):
             np.power(y, 3, out=out)
 
-    settings = SolverSettings(method="rk4", dt=0.05, dt_max=0.05, t_end=0.9)
+    settings = SolverSettings(method="rk4", dt=0.05, dt_max=0.05)
     with pytest.raises(NonFiniteState):
         with np.errstate(over="ignore", invalid="ignore"):
-            integrate(blowup, np.array([10.0]), CLOCK, settings)
+            integrate(blowup, np.array([10.0]), CLOCK_09, settings)
 
 
 def test_step_underflow_on_nan_rhs():
@@ -140,11 +139,11 @@ def test_solver_settings_validation():
 
 # --- coupled generator system ------------------------------------------------
 
-def ring_system(T=1.0, k=21.0):
+def ring_system(T=1.0, k=21.0, guard_frac=0.9):
     net = build_network(4, [[i, (i + 1) % 4, 1.0] for i in range(4)])
     costs = CostSet([QuadraticCost(np.eye(2) * (0.5 + 0.25 * i), [i, -i])
                      for i in range(4)], 2, default_box(2, 10.0))
-    clock = PrescribedClock(0.0, T)
+    clock = PrescribedClock(0.0, T, guard_frac)
     sys = CoupledSystem(clock, net, costs, linear_gain(k))
     return sys, costs
 
@@ -153,7 +152,7 @@ def test_determinism_bit_identical():
     sys, _ = ring_system()
     y0 = sys.pack(np.arange(8.0).reshape(4, 2), np.zeros((4, 2)))
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                              rel_tol=1e-8, abs_tol=1e-10, t_end=0.9)
+                              rel_tol=1e-8, abs_tol=1e-10)
     a = integrate(sys.rhs, y0, sys.clock, settings)
     b = integrate(sys.rhs, y0, sys.clock, settings)
     assert np.array_equal(a.states, b.states)
@@ -161,13 +160,13 @@ def test_determinism_bit_identical():
 
 
 def test_optimum_is_equilibrium():
-    sys, costs = ring_system()
+    sys, costs = ring_system(guard_frac=0.5)
     cert = optimum_oracle(costs)
     varpi = np.tile(cert.z_star, (4, 1))
     p = -np.array([c.gradient(cert.z_star) for c in costs.costs])
     y0 = sys.pack(varpi, p)
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                              rel_tol=1e-9, abs_tol=1e-11, t_end=0.5)
+                              rel_tol=1e-9, abs_tol=1e-11)
     traj = integrate(sys.rhs, y0, sys.clock, settings)
     assert np.abs(traj.states - y0).max() < 1e-6
 
@@ -179,10 +178,9 @@ def test_deadline_rescaling_of_generator():
     sys2, _ = ring_system(T=2.0)
     y0 = sys1.pack(np.arange(8.0).reshape(4, 2) / 4.0, np.zeros((4, 2)))
     out = []
-    for sys, frac_end in ((sys1, 0.9), (sys2, 1.8)):
+    for sys in (sys1, sys2):
         settings = SolverSettings(method="rk45", dt=1e-4, dt_max=1e-2,
-                                  rel_tol=1e-11, abs_tol=1e-13,
-                                  t_end=frac_end)
+                                  rel_tol=1e-11, abs_tol=1e-13)
         out.append(integrate(sys.rhs, y0, sys.clock, settings))
     assert np.allclose(out[0].states[-1], out[1].states[-1], atol=1e-7)
 
@@ -192,11 +190,10 @@ def test_deadline_invariant_step_count():
     # step count does not grow as the deadline shrinks
     steps = []
     for T in (0.5, 1.0, 2.0):
-        sys, _ = ring_system(T=T)
+        sys, _ = ring_system(T=T, guard_frac=0.999)
         y0 = sys.pack(np.arange(8.0).reshape(4, 2) / 4.0, np.zeros((4, 2)))
         settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                                  rel_tol=1e-9, abs_tol=1e-11,
-                                  t_end=0.999 * T)
+                                  rel_tol=1e-9, abs_tol=1e-11)
         traj = integrate(sys.rhs, y0, sys.clock, settings)
         assert traj.times[-1] == 0.999 * T
         steps.append(traj.n_steps)
@@ -213,9 +210,9 @@ def test_column_names_cover_state():
 
 
 def test_trajectory_columns_layout():
-    sys, _ = ring_system()
+    sys, _ = ring_system(guard_frac=0.1)
     y0 = sys.pack(np.zeros((4, 2)), np.zeros((4, 2)))
-    settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2, t_end=0.1)
+    settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2)
     traj = integrate(sys.rhs, y0, sys.clock, settings)
     cols = trajectory_columns(sys, traj)
     assert list(cols)[:2] == ["t", "mu"]

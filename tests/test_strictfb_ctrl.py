@@ -15,15 +15,20 @@ from dptco.strictfb_ctrl import (SfControllerConfig,
                                  scaled_error_vector, select_parameters,
                                  sf_control, sf_decay_monitor,
                                  theta_hat_monitor, virtual_controls)
-from dptco.timegain import linear_gain, power_gain
 
-from oracles import (adaptation_rhs, filter_rhs, phi_weights, sf_plant_rhs,
-                     tau_value, transformation_matrices)
+from oracles import (adaptation_rhs, filter_rhs, linear_gain, phi_weights,
+                     power_gain, sf_plant_rhs, tau_value,
+                     transformation_matrices)
+
+
+def identity(x):
+    return x
 
 
 def cfg_m2(c=(2.0, 2.0), upsilon=(3.0,), sigma=2.0) -> SfControllerConfig:
     return SfControllerConfig(2, 1, 1.0, c, upsilon, sigma,
-                              linear_gain(1.0), mu_guard=1000.0)
+                              linear_gain(1.0), mu_guard=1000.0,
+                              phis=(identity,))
 
 
 # --- gain recipe -------------------------------------------------------------
@@ -50,7 +55,7 @@ def test_select_parameters_sigma_backsolve():
 
 def test_select_parameters_rejects_zero_rho():
     with pytest.raises(MarginTooSmall):
-        select_parameters(3, 1.0, rho=0.0)
+        select_parameters(3, 1.0, sigma_prime=1.0, rho=0.0, margin=1.0)
 
 
 def test_select_parameters_rejects_small_margin():
@@ -68,7 +73,8 @@ def test_select_parameters_deterministic():
 
 def test_cascade_zero_at_origin():
     cfg = SfControllerConfig(3, 2, 1.0, (2.0, 2.0, 2.0), (3.0, 3.0), 2.0,
-                             linear_gain(1.0), mu_guard=1000.0)
+                             linear_gain(1.0), mu_guard=1000.0,
+                             phis=(identity,) * 2)
     view = virtual_controls(np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2)),
                             0.0, 1.0, cfg)
     assert np.allclose(view["xi"], 0.0)
@@ -98,7 +104,8 @@ def test_cascade_linear_in_theta_hat():
     # xi_2 is affine in theta_hat with slope -phi_2(x_2); xi_3 picks up the
     # extra upsilon_2 a phi_2(x_2) term through xi_tilde_2
     cfg = SfControllerConfig(3, 2, 1.0, (2.0, 2.0, 2.0), (3.0, 3.0), 2.0,
-                             power_gain(1.0, 1.5), mu_guard=1000.0)
+                             power_gain(1.0, 1.5), mu_guard=1000.0,
+                             phis=(identity,) * 2)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 2))
     xi_f = rng.standard_normal((2, 2))
@@ -115,7 +122,8 @@ def test_cascade_linear_in_theta_hat():
 
 def test_cascade_guard_enforced():
     cfg = SfControllerConfig(2, 1, 1.0, (2.0, 2.0), (3.0,), 2.0,
-                             linear_gain(1.0), mu_guard=10.0)
+                             linear_gain(1.0), mu_guard=10.0,
+                             phis=(identity,))
     with pytest.raises(GuardExceeded):
         virtual_controls(np.ones((2, 1)), np.zeros(1), np.zeros((1, 1)),
                          0.0, 20.0, cfg)
@@ -132,7 +140,8 @@ def test_filter_at_rest():
 def test_filter_hand_case():
     # upsilon_2 = 15, alpha_xi(1) = 1, xi_2f = 0, xi_1 = 1
     cfg = SfControllerConfig(2, 1, 1.0, (2.0, 2.0), (15.0,), 2.0,
-                             power_gain(1.0, 1.5), mu_guard=1000.0)
+                             power_gain(1.0, 1.5), mu_guard=1000.0,
+                             phis=(identity,))
     d = filter_rhs(np.array([[0.0]]), np.array([[1.0], [0.0]]), 1.0, cfg)
     assert d[0, 0] == pytest.approx(15.0)
 
@@ -173,7 +182,8 @@ def test_adaptation_zero_at_rest():
 
 def test_plant_rhs_m3():
     cfg = SfControllerConfig(3, 1, 1.0, (2.0,) * 3, (3.0,) * 2, 2.0,
-                             linear_gain(1.0), mu_guard=1000.0)
+                             linear_gain(1.0), mu_guard=1000.0,
+                             phis=(identity,) * 2)
     x = np.array([[1.0], [2.0], [3.0]])
     dx = sf_plant_rhs(x, np.array([4.0]), 0.5, cfg)
     # x1' = x2; x2' = x3 + theta x2; x3' = u + theta x3
@@ -191,7 +201,8 @@ def test_error_vector_layout():
 def test_scaled_error_norm_identity():
     # ||e_tilde_s||^2 = sum||omega||^2 + sum||eta||^2 + theta_tilde^2
     cfg = SfControllerConfig(3, 2, 1.0, (2.0,) * 3, (3.0,) * 2, 2.0,
-                             power_gain(1.0, 1.5), mu_guard=1000.0)
+                             power_gain(1.0, 1.5), mu_guard=1000.0,
+                             phis=(identity,) * 2)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 2))
     xi_f = rng.standard_normal((2, 2))
@@ -211,7 +222,8 @@ def test_scaled_error_norm_identity():
 def test_scaled_error_matches_stacked_form(seed):
     # rebuild omega/eta through the selector matrices and Phi weights
     cfg = SfControllerConfig(3, 2, 1.0, (2.0,) * 3, (3.0,) * 2, 2.0,
-                             power_gain(1.0, 1.5), mu_guard=1000.0)
+                             power_gain(1.0, 1.5), mu_guard=1000.0,
+                             phis=(identity,) * 2)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((3, 2))
     xi_f = rng.standard_normal((2, 2))

@@ -27,7 +27,7 @@ def test_output_is_well_formed_xml(tmp_path):
 def test_points_stay_inside_canvas(tmp_path):
     p = tmp_path / "b.svg"
     x = np.linspace(0.0, 5.0, 50)
-    write_svg(str(p), [("s", x, np.sin(x) * 1e6)], width=720, height=460)
+    write_svg(str(p), [("s", x, np.sin(x) * 1e6)])
     root = ET.parse(p).getroot()
     for poly in root.findall(f"{NS}polyline"):
         coords = [float(v) for pair in poly.get("points").split()
