@@ -122,10 +122,10 @@ class ChainControllerConfig:
     def _law_constants(self) -> tuple:
         """Per-stage constants of the chain law: the exponents
         [-L_1..-L_m, L_m - L_1..L_m - L_{m-1}] of its one power of
-        alpha_x, then K and L_1..L_{m-1} as lists of floats."""
+        alpha_x, then K, L_1..L_{m-1} and s_weights as lists of floats."""
         L_m = float(self.m - 1)
         return (np.concatenate([-self.L, L_m - self.L[:-1]]), self.K.tolist(),
-                self.L[:-1].tolist())
+                self.L[:-1].tolist(), self.s_weights.tolist())
 
 
 def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
@@ -156,25 +156,33 @@ def check_dc1(cfg: ChainControllerConfig, alpha: GainFunction,
     return check_growth_criterion(cfg.alpha_x, crit, grid, alpha_main=alpha)
 
 
-def _s_tilde(x: np.ndarray, varpi_i: np.ndarray, pw: np.ndarray,
-             cfg: ChainControllerConfig) -> np.ndarray:
-    """s_tilde = k1^-1 (K_tilde o alpha_x^-L) . e_s in one pass over x: e_s is
-    x less the reference in stage 1, whose weight k1/k1 alpha_x^0 is 1.
-    pw is alpha_x to the exponents of cfg._law_constants, -L first."""
-    return np.dot(cfg.s_weights * pw[:cfg.m], x) - varpi_i
+def _agent_major(x: np.ndarray) -> np.ndarray:
+    """The (..., m, n) view of a stage-first stack x (m, ..., n)."""
+    return x.transpose((*range(1, x.ndim - 1), 0, x.ndim - 1))
+
+
+def _stage_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w (..., m) contracted with the stage axis of x (m, ..., n).
+
+    On a stacked x, np.dot over its agent-major view takes one BLAS dot of
+    length m per entry, the same sum as on an agent-major stack; a gemm on
+    the contiguous (m, N n) block would round it differently.
+    """
+    return np.dot(w, _agent_major(x))
 
 
 def chain_error_view(x: np.ndarray, varpi_i: np.ndarray, mu: float,
                      cfg: ChainControllerConfig) -> dict:
     """Error coordinates e_s, s_tilde, e_tilde_s at one state.
 
-    x is (..., m, n); varpi_i is the (..., n) reference for the first stage.
-    Leading axes stack agents.
+    x is (m, ..., n), stage axis first; varpi_i is the (..., n) reference
+    for the first stage.  The axes between stack agents.  s_tilde =
+    k1^-1 (K_tilde o alpha_x^-L) . e_s, whose stage-1 weight is 1.
     """
     e_s = x.copy()
-    e_s[..., 0, :] -= varpi_i
-    s_tilde = _s_tilde(x, varpi_i,
-                       cfg.alpha_x.eval(mu) ** cfg._law_constants[0], cfg)
+    e_s[0] -= varpi_i
+    pw = cfg.alpha_x.eval(mu) ** cfg._law_constants[0]
+    s_tilde = _stage_dot(cfg.s_weights * pw[:cfg.m], x) - varpi_i
     e_tilde_s = cfg.alpha_s.eval(mu) * s_tilde
     return {"e_s": e_s, "s_tilde": s_tilde, "e_tilde_s": e_tilde_s}
 
@@ -184,8 +192,8 @@ def chain_control(x: np.ndarray, varpi_i: np.ndarray, mu: float,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Robust tracking control for chain-integrator agents.
 
-    x is (..., m, n) and varpi_i (..., n); returns u with shape (..., n),
-    written into out when given.
+    x is (m, ..., n), stage axis first, and varpi_i (..., n); returns u
+    with shape (..., n), written into out when given.
     """
     if mu > cfg.mu_guard * (1.0 + 1e-12):
         raise GuardExceeded(f"mu={mu} beyond guard {cfg.mu_guard}")
@@ -195,37 +203,42 @@ def chain_control(x: np.ndarray, varpi_i: np.ndarray, mu: float,
     delta_x = cfg.alpha_x.deriv(mu) * mu * mu / ax
     delta_s = cfg.alpha_s.deriv(mu) * mu * mu / als
 
-    exps, K, L = cfg._law_constants
+    exps, K, L, s_weights = cfg._law_constants
     # one numpy power for every stage weight: a Python ** can round
     # differently from numpy's array power
-    pw = ax ** exps
+    pw = (ax ** exps).tolist()
 
     # pi = alpha_x^{L_m} K . r1' - L_m delta_x x_m, where row j of r1 is
     # alpha_x^{-L_j} x_j (stages 1..m-1), so r1'_j = alpha_x^{-L_j}
     # (x_{j+1} - L_j delta_x x_j): one weight per stage of x, in floats
-    Kw = [k * q for k, q in zip(K, pw[cfg.m:].tolist())]
+    Kw = [k * q for k, q in zip(K, pw[cfg.m:])]
     w_pi = [0.0] + Kw
     for j, L_j in enumerate(L):
         w_pi[j] -= delta_x * L_j * Kw[j]
     w_pi[-1] -= L_m * delta_x
 
+    # s_tilde (stage weights k_tilde/k1 alpha_x^-L) and pi in one
+    # contraction; stage 1 weighs 1, so the reference comes off once
+    s_tilde, pi = _stage_dot(
+        np.array([[w * q for w, q in zip(s_weights, pw)], w_pi]), x)
+    s_tilde -= varpi_i
     # u = -gain sign(k1) alpha_s s_tilde - pi - B^-1 delta_s s_tilde with
     # B = alpha_x^{-L_m} / k1
     gain = cfg.v + cfg.psi * cfg.psi + 1.0
-    coef = (gain * (math.copysign(1.0, cfg.k1) * als)
-            + delta_s * cfg.k1 * ax ** L_m)
-    return np.subtract(-coef * _s_tilde(x, varpi_i, pw, cfg),
-                       np.dot(np.array(w_pi), x), out=out)
+    s_tilde *= -(gain * (math.copysign(1.0, cfg.k1) * als)
+                 + delta_s * cfg.k1 * ax ** L_m)
+    return np.subtract(s_tilde, pi, out=out)
 
 
 class ChainAgents:
-    """N chain-integrator agents under chain_control, stacked as (N, m, n).
+    """N chain-integrator agents under chain_control, stacked stage-major
+    as (m, N, n).
 
     With el = (true, nominal) Euler-Lagrange parameters the plant is the
     two-link manipulator driven through inverse dynamics, kept as its
     folded ElMismatch table; disturbance(t), when given, returns the (N, n)
     matched signal added at the last stage.  Chain agents carry no
-    controller state.
+    controller state (c is None).
     """
 
     ctrl_size = 0
@@ -242,14 +255,13 @@ class ChainAgents:
         return chain_control(x, ref, mu, self.cfg)
 
     def derivatives(self, t, mu, x, c, ref, dx, dc):
-        """Write every agent's x_q' = x_{q+1}, x_m' = u + d(t) into dx;
-        dc, the empty controller block, is left as it is."""
-        dx[..., :-1, :] = x[..., 1:, :]
-        acc = dx[..., -1, :]
+        """Write every agent's x_q' = x_{q+1}, x_m' = u + d(t) into dx."""
+        dx[:-1] = x[1:]
+        acc = dx[-1]
         if self.el is None:
             chain_control(x, ref, mu, self.cfg, out=acc)
         else:
-            el_acceleration(self.el, x[..., 0, :], x[..., 1, :],
+            el_acceleration(self.el, x[0], x[1],
                             chain_control(x, ref, mu, self.cfg), out=acc)
         if self.disturbance is not None:
             acc += self.disturbance(t)
@@ -257,7 +269,10 @@ class ChainAgents:
     def diagnostics(self, mu, x, c, ref) -> dict:
         """Per-agent norms of e_s and e_tilde_s."""
         view = chain_error_view(x, ref, mu, self.cfg)
-        return {"e_s_norm": np.linalg.norm(view["e_s"], axis=(-2, -1)),
+        e_s = view["e_s"]
+        # one contiguous row per agent, stages in order
+        rows = _agent_major(e_s).reshape(e_s.shape[1:-1] + (-1,))
+        return {"e_s_norm": np.linalg.norm(rows, axis=-1),
                 "e_tilde_norm": np.linalg.norm(view["e_tilde_s"], axis=-1)}
 
 

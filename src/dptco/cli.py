@@ -87,7 +87,8 @@ def run_scenario(scenario_path: str, out_dir: str, seed: int | None = None,
     sc = load_scenario(scenario_path)
     build = sc.build(seed=seed, guard_frac=guard_frac)
     cert = optimum_oracle(build.costs)
-    traj = integrate(build.sys.rhs, build.y0, build.clock, build.settings)
+    traj = integrate(build.sys.rhs, build.y0, build.clock, build.settings,
+                     build.sys.agent_major)
     derived = derived_series(build, traj, cert.z_star)
     monitors = evaluate_monitors(build, traj, cert.z_star, derived)
 

@@ -356,7 +356,7 @@ def derived_series(build: ScenarioBuild, traj: Trajectory,
         if sys.agents is None:
             out["track_err"][k] = np.linalg.norm(varpi - z_star, axis=1)
             continue
-        out["track_err"][k] = np.linalg.norm(x[:, 0] - targets, axis=1)
+        out["track_err"][k] = np.linalg.norm(x[0] - targets, axis=1)
         diag = sys.agents.diagnostics(mu, x, c, sys.references(varpi))
         for key, val in diag.items():
             out.setdefault(key, np.empty((K, n)))[k] = val

@@ -1,18 +1,20 @@
 """Fixed and adaptive ODE integration for the coupled closed loop.
 
-The state vector stacks the trajectory generator with every agent's plant
-and controller states:
+The state vector stacks the trajectory generator with the agents' plant
+and controller states, each part stage-major:
 
-    y = [varpi (N*dim); p (N*dim); x^1 .. x^N; ctrl^1 .. ctrl^N]
+    y = [varpi (N, dim); p (N, dim); x_1 .. x_m (each N, dim);
+         theta_hat (N); xi_2f .. xi_mf (each N, dim)]
 
-The right-hand side works in place: `CoupledSystem.rhs(t, y, out)` writes
-dy/dt into every entry of `out` through `views(out)`, never reads `out`,
-and returns it (it allocates only when `out` is None); the agent models'
-`derivatives(t, mu, x, c, ref, dx, dc)` fill the plant and controller
-views `dx` and `dc`.  `integrate` takes any right-hand side with that
-contract and hands it its own stage rows, and forms every stage input in
-a preallocated row, so no stage allocates its input or its result; the
-accepted state never shares memory with a stage buffer.
+so every plant stage and every filter stage is a contiguous (N, dim)
+block (`CoupledSystem.views`).  The right-hand side works in place:
+`CoupledSystem.rhs(t, y, out)` writes dy/dt into every entry of `out`
+through `views(out)`, never reads `out`, and returns it (it allocates only
+when `out` is None); the agent models' `derivatives(t, mu, x, c, ref, dx,
+dc)` fill the plant and controller views `dx` and `dc`.  `integrate`
+takes any right-hand side with that contract, hands it its own stage
+rows and forms every stage input and every new state in a preallocated
+row; the accepted state never shares memory with a stage buffer.
 
 The adaptive Dormand-Prince integrator (rk45) runs on the log clock
 s = -ln(1 - (t - t0)/T), where dt = ds / mu, so its error control alone
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,11 +103,12 @@ def _check_finite(y: np.ndarray, t: float) -> None:
         raise NonFiniteState(t, bad)
 
 
-def _rk4_step(rhs, t, y, h, K, y_s):
-    """One classical RK4 step of size h from (t, y), as a new array.
+def _rk4_step(rhs, t, y, h, K, y_s, y_new):
+    """One classical RK4 step of size h from (t, y) into y_new.
 
     K is a (4, D) stage array and y_s a (D,) stage input, both scratch that
-    rhs(t, y, out) fills; the returned state shares memory with neither.
+    rhs(t, y, out) fills; y_new must share memory with none of them or y.
+    y_new = y + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order.
     """
     k1, k2, k3, k4 = K
     rhs(t, y, k1)
@@ -113,7 +117,11 @@ def _rk4_step(rhs, t, y, h, K, y_s):
     rhs(t + 0.5 * h, np.add(y, np.multiply(0.5 * h, k2, out=y_s), out=y_s),
         k3)
     rhs(t + h, np.add(y, np.multiply(h, k3, out=y_s), out=y_s), k4)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = np.add(k1, np.multiply(2.0, k2, out=y_s), out=y_s)
+    acc += np.multiply(2.0, k3, out=k3)
+    acc += k4
+    acc *= h / 6.0
+    np.add(y, acc, out=y_new)
 
 
 # Dormand-Prince 5(4) tableau and error weights (5th minus 4th order); row 6
@@ -151,7 +159,8 @@ def _rk45_step(f, s, y, h, K, y_s, y_new):
 
 
 def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
-              settings: SolverSettings) -> Trajectory:
+              settings: SolverSettings,
+              norm_order: np.ndarray | None = None) -> Trajectory:
     """Integrate y' = rhs(t, y) from the window start to the guard time.
 
     rhs(t, y, out) must write dy/dt into every entry of out (a stage row
@@ -159,6 +168,9 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
     s = -ln(1 - (t - t0)/T), i.e. t(s) = t0 - T expm1(-s), on
     dy/ds = rhs / mu, its step in s capped by dt_max * mu (dt_max in t);
     no stage time passes the guard time clock.t_guard, where the run ends.
+    norm_order, when given, is the order in which the RK45 error norm sums
+    the entries of y (an index array; `CoupledSystem.agent_major`), so the
+    steps it accepts do not depend on how y is stored.
     Deterministic: no hidden randomness, and identical inputs give
     bit-identical trajectories.
     """
@@ -187,15 +199,16 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
     # stage rows and stage input: scratch that never holds the accepted y
     K = np.empty((7 if settings.method == "rk45" else 4, y.shape[0]))
     y_s = np.empty_like(y)
+    y_new = np.empty_like(y)
     if settings.method == "rk45" and not last:
-        y_new = np.empty_like(y)
         f(s, y, K[0])
         n_rhs = 1
     while not last:
         if settings.method == "rk4":
             h = min(settings.dt, step_ceiling(clock, t, settings.dt_max),
                     t_end - t)
-            y = _rk4_step(rhs, t, y, h, K, y_s)
+            _rk4_step(rhs, t, y, h, K, y_s, y_new)
+            y, y_new = y_new, y
             n_rhs += 4
             t += h
             last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
@@ -214,6 +227,8 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
                 n_rhs += 6
                 err /= settings.abs_tol + settings.rel_tol * np.maximum(
                     np.abs(y), np.abs(y_new))
+                if norm_order is not None:
+                    err = err[norm_order]
                 err_norm = math.sqrt((err @ err) / err.shape[0])
                 if err_norm <= 1.0:
                     break
@@ -245,10 +260,11 @@ class CoupledSystem:
 
     agents is None (generator only) or a stacked agent model
     (chain_ctrl.ChainAgents, strictfb_ctrl.StrictFeedbackAgents) that maps
-    the stacked plant states x (N, m, dim) and controller states
-    c (N, ctrl_size) to their derivatives for all agents at once.  offsets,
-    when given, shift each agent's reference to varpi_i + offset_i
-    (formation tracking).
+    the plant stages x (m, N, dim) and the controller states c to their
+    derivatives for all agents at once.  The state is stored stage-major
+    (see `views`), so each plant and filter stage is one contiguous
+    (N, dim) block.  offsets, when given, shift each agent's reference to
+    varpi_i + offset_i (formation tracking).
     """
 
     clock: PrescribedClock
@@ -280,25 +296,61 @@ class CoupledSystem:
     # -- state layout --
 
     def views(self, y: np.ndarray) -> tuple:
-        """Views of varpi (N, dim), p (N, dim), the plant states
-        (N, m, dim) and the controller states (N, ctrl_size) inside y."""
+        """Views (varpi, p, x, c) inside y: varpi and p (N, dim), the plant
+        stages x (m, N, dim), and the controller states c, None when the
+        agents carry none, else (theta_hat (N,), xi_f (m-1, N, dim)) with
+        xi_f[q - 2] the filter stage of q = 2..m."""
         n, d = self.net.n_agents, self.dim
         half = n * d
+        x = y[self.gen_size:self.ctrl_start].reshape(
+            self.plant_size // d, n, d)
+        c = None
+        if self.ctrl_size:
+            c = (y[self.ctrl_start:self.ctrl_start + n],
+                 y[self.ctrl_start + n:].reshape(-1, n, d))
         return (y[:half].reshape(n, d), y[half:self.gen_size].reshape(n, d),
-                y[self.gen_size:self.ctrl_start].reshape(
-                    n, self.plant_size // d, d),
-                y[self.ctrl_start:].reshape(n, self.ctrl_size))
+                x, c)
+
+    @cached_property
+    def agent_major(self) -> np.ndarray | None:
+        """Index array: y[agent_major] lists y agent by agent, as `pack`
+        takes its parts (varpi, p, each agent's plant stages, each agent's
+        controller row); None for the generator alone, which y stores in
+        that order."""
+        if self.agents is None:
+            return None
+        rank = np.arange(self.total_dim)
+        g, c0 = self.gen_size, self.ctrl_start
+        y = self.pack(rank[:g // 2], rank[g // 2:g], rank[g:c0],
+                      rank[c0:] if self.ctrl_size else None)
+        # the inverse permutation of y's ranks, by a scatter: np.argsort
+        # adds about 0.1 MiB to a run's peak memory
+        order = np.empty_like(rank)
+        order[y.astype(rank.dtype)] = rank
+        return order
 
     def references(self, varpi: np.ndarray) -> np.ndarray:
         """Reference of every agent's first stage, (N, dim)."""
         return varpi if self.offsets is None else varpi + self.offsets
 
     def pack(self, varpi, p, plants=None, ctrls=None) -> np.ndarray:
-        """The state vector y holding the given parts; omitted parts are 0."""
+        """The state vector y holding the given parts; omitted parts are 0.
+
+        plants and ctrls are agent-major, as a scenario gives them: plants
+        (N, m, dim), and ctrls (N, ctrl_size) rows [theta_hat, xi_2f, ..,
+        xi_mf]."""
+        n, d = self.net.n_agents, self.dim
         y = np.zeros(self.total_dim)
-        for view, part in zip(self.views(y), (varpi, p, plants, ctrls)):
-            if part is not None:
-                view[...] = np.asarray(part, dtype=float).reshape(view.shape)
+        varpi_v, p_v, x, c = self.views(y)
+        varpi_v[...] = np.asarray(varpi, dtype=float).reshape(n, d)
+        p_v[...] = np.asarray(p, dtype=float).reshape(n, d)
+        if plants is not None:
+            x[...] = np.asarray(plants, dtype=float).reshape(
+                n, x.shape[0], d).transpose(1, 0, 2)
+        if ctrls is not None:
+            rows = np.asarray(ctrls, dtype=float).reshape(n, self.ctrl_size)
+            c[0][...] = rows[:, 0]
+            c[1][...] = rows[:, 1:].reshape(n, -1, d).transpose(1, 0, 2)
         return y
 
     def control(self, t: float, y: np.ndarray, i: int) -> np.ndarray:
@@ -306,8 +358,9 @@ class CoupledSystem:
         if self.agents is None:
             raise ValueError("plant 'none' has no control")
         varpi, _, x, c = self.views(y)
-        return self.agents.control(self.clock.mu(t), x[i], c[i],
-                                   self.references(varpi)[i])
+        return self.agents.control(
+            self.clock.mu(t), x[:, i], None if c is None else
+            (c[0][i], c[1][:, i]), self.references(varpi)[i])
 
     def rhs(self, t: float, y: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
@@ -339,38 +392,37 @@ class CoupledSystem:
         n, d = self.net.n_agents, self.dim
         names = [f"agent{i}.varpi{k}" for i in range(n) for k in range(d)]
         names += [f"agent{i}.p{k}" for i in range(n) for k in range(d)]
-        if self.agents is not None:
-            m = self.plant_size // d
-            names += [f"agent{i}.x{q + 1}_{k}" for i in range(n)
-                      for q in range(m) for k in range(d)]
+        names += [f"agent{i}.x{q + 1}_{k}"
+                  for q in range(self.plant_size // d)
+                  for i in range(n) for k in range(d)]
         if self.ctrl_size:
-            mf = self.agents.cfg.m - 1
-            for i in range(n):
-                names.append(f"agent{i}.theta_hat")
-                names += [f"agent{i}.xif{q + 2}_{k}" for q in range(mf)
-                          for k in range(d)]
+            names += [f"agent{i}.theta_hat" for i in range(n)]
+            names += [f"agent{i}.xif{q + 2}_{k}"
+                      for q in range(self.agents.cfg.m - 1)
+                      for i in range(n) for k in range(d)]
         return names
 
 
-# Fourier modes per agent and channel of make_disturbance
-_DISTURBANCE_MODES = 3
-
-
 def make_disturbance(seed: int, n_agents: int, dim: int, amplitude: float):
-    """Smooth bounded disturbance: a short random Fourier sum per agent and
-    channel.  Returns d(t) -> (n_agents, dim).
+    """Smooth bounded disturbance: a random Fourier sum of three modes per
+    agent and channel.  Returns d(t) -> (n_agents, dim).
 
     Deterministic in the seed; the sup norm is at most `amplitude`.
     """
     rng = np.random.default_rng(seed)
-    n_modes = _DISTURBANCE_MODES
-    freq = rng.uniform(0.5, 5.0, size=(n_agents, dim, n_modes))
-    phase = rng.uniform(0.0, 2.0 * math.pi, size=(n_agents, dim, n_modes))
-    coef = rng.uniform(0.2, 1.0, size=(n_agents, dim, n_modes))
+    shape = (n_agents, dim, 3)
+    freq = rng.uniform(0.5, 5.0, size=shape)
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=shape)
+    coef = rng.uniform(0.2, 1.0, size=shape)
     coef *= amplitude / coef.sum(axis=2, keepdims=True)
+    # modes first, each an (n_agents, dim) block: the sum over the modes is
+    # then two whole-block additions, in the order of .sum(axis=2)
+    freq, phase, coef = (np.ascontiguousarray(np.moveaxis(a, 2, 0))
+                         for a in (freq, phase, coef))
 
     def d(t):
-        return (coef * np.sin(freq * t + phase)).sum(axis=2)
+        s = coef * np.sin(freq * t + phase)
+        return (s[0] + s[1]) + s[2]
 
     return d
 

@@ -119,11 +119,11 @@ def _gain(mu: float, cfg: SfControllerConfig) -> float:
     return cfg.alpha_xi.eval(mu)
 
 
-def _cascade(xs, varpi_i, xi_fs, theta_hat, a, cfg: SfControllerConfig,
+def _cascade(x, varpi_i, xi_f, theta_hat, a, cfg: SfControllerConfig,
              drive=None):
     """Walk the backstepping cascade once, stage by stage.
 
-    xs[k] is the state of stage q = k + 1 (..., n), xi_fs[k - 1] its filter
+    x[k] is the state of stage q = k + 1 (..., n), xi_f[k - 1] its filter
     state and drive[k - 1], when given, receives its filter derivative
     xi_qf' = upsilon_q alpha_xi (xi_{q-1} - xi_qf).  Yields
     (k, x_tilde_q, xi_tilde_q, phi_q(x_q), xi_q, tau) for q = 1..m, with
@@ -131,12 +131,12 @@ def _cascade(xs, varpi_i, xi_fs, theta_hat, a, cfg: SfControllerConfig,
     stages 2..q; stage 1 has no xi_tilde or phi (None).
     """
     th = np.asarray(theta_hat)[..., None]
-    x_tilde = xs[0] - varpi_i
+    x_tilde = x[0] - varpi_i
     xi = -cfg.c[0] * a * x_tilde
     tau = 0.0
     yield 0, x_tilde, None, None, xi, tau
     for k in range(1, cfg.m):
-        x_q, xi_qf = xs[k], xi_fs[k - 1]
+        x_q, xi_qf = x[k], xi_f[k - 1]
         x_tilde = x_q - xi_qf
         xi_tilde = xi_qf - xi
         phi = cfg.phis[k - 1](x_q)
@@ -153,32 +153,38 @@ def virtual_controls(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
                      theta_hat, mu: float, cfg: SfControllerConfig) -> dict:
     """Backstepping cascade.
 
-    x is (..., m, n) stage states, varpi_i (..., n), xi_f is (..., m-1, n)
-    filter states and theta_hat a scalar or (...); leading axes stack
-    agents.  Returns the virtual controls xi (..., m, n), the error
-    coordinates x_tilde (..., m, n) and xi_tilde (..., m-1, n) they are
-    built from, and the adaptation drive
+    x is (m, ..., n) stage states, stage axis first, varpi_i (..., n),
+    xi_f is (m-1, ..., n) filter states and theta_hat a scalar or (...);
+    the axes between stack agents.  Returns the virtual controls
+    xi (m, ..., n), the error coordinates x_tilde (m, ..., n) and
+    xi_tilde (m-1, ..., n) they are built from, and the adaptation drive
     tau = sum_q alpha_xi^{2 L_q} x_tilde_q . phi_q(x_q) (...).
     """
     a = _gain(mu, cfg)
     xi = np.empty_like(x)
     x_tilde = np.empty_like(x)
     xi_tilde = np.empty_like(xi_f)
-    for k, xt, xit, _, xk, tau in _cascade(
-            np.moveaxis(x, -2, 0), varpi_i, np.moveaxis(xi_f, -2, 0),
-            theta_hat, a, cfg):
-        x_tilde[..., k, :] = xt
-        xi[..., k, :] = xk
+    for k, xt, xit, _, xk, tau in _cascade(x, varpi_i, xi_f, theta_hat, a,
+                                           cfg):
+        x_tilde[k] = xt
+        xi[k] = xk
         if k:
-            xi_tilde[..., k - 1, :] = xit
+            xi_tilde[k - 1] = xit
     return {"xi": xi, "x_tilde": x_tilde, "xi_tilde": xi_tilde, "tau": tau}
 
 
 def sf_control(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
                theta_hat, mu: float, cfg: SfControllerConfig) -> np.ndarray:
     """Applied control u = xi_m."""
-    view = virtual_controls(x, varpi_i, xi_f, theta_hat, mu, cfg)
-    return view["xi"][..., -1, :]
+    return virtual_controls(x, varpi_i, xi_f, theta_hat, mu, cfg)["xi"][-1]
+
+
+def _rows(stages: np.ndarray) -> np.ndarray:
+    """A (k, ..., n) stage stack as one row (..., k n) per leading index,
+    stages in order."""
+    last = stages.ndim - 1
+    return stages.transpose((*range(1, last), 0, last)).reshape(
+        stages.shape[1:-1] + (-1,))
 
 
 def error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
@@ -186,11 +192,10 @@ def error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
     """Raw error stack e_s = [x_1 - varpi_i; x_2..x_m; theta_hat; xi_f],
     one row per leading index."""
     head = x.copy()
-    head[..., 0, :] -= varpi_i
-    lead = x.shape[:-2]
-    return np.concatenate([head.reshape(lead + (-1,)),
+    head[0] -= varpi_i
+    return np.concatenate([_rows(head),
                            np.asarray(theta_hat, dtype=float)[..., None],
-                           xi_f.reshape(lead + (-1,))], axis=-1)
+                           _rows(xi_f)], axis=-1)
 
 
 def scaled_error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
@@ -204,20 +209,19 @@ def scaled_error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
         view = virtual_controls(x, varpi_i, xi_f, theta_hat, mu, cfg)
     a = cfg.alpha_xi.eval(mu)
     L = cfg.L
-    omega = (a ** L)[:, None] * view["x_tilde"]
-    eta = (a ** L[1:])[:, None] * view["xi_tilde"]
-    lead = x.shape[:-2]
-    return np.concatenate([omega.reshape(lead + (-1,)),
-                           eta.reshape(lead + (-1,)),
+    axes = (1,) * (x.ndim - 1)  # broadcast one weight over each stage
+    omega = (a ** L).reshape((-1,) + axes) * view["x_tilde"]
+    eta = (a ** L[1:]).reshape((-1,) + axes) * view["xi_tilde"]
+    return np.concatenate([_rows(omega), _rows(eta),
                            np.asarray(theta - theta_hat)[..., None]], axis=-1)
 
 
 class StrictFeedbackAgents:
     """N strict-feedback agents under the adaptive backstepping law.
 
-    Plants are stacked as (N, m, n); each agent's controller state is
-    [theta_hat, xi_f (m-1, n) flattened], stacked as (N, 1 + (m-1) n).
-    thetas holds each agent's true parameter.
+    Plants are stacked stage-major as (m, N, n); the controller state is
+    c = (theta_hat (N,), xi_f (m-1, N, n)).  thetas holds each agent's true
+    parameter.
     """
 
     def __init__(self, cfg: SfControllerConfig, thetas):
@@ -227,13 +231,8 @@ class StrictFeedbackAgents:
         self._theta_n = np.repeat(self.thetas[:, None], cfg.n, axis=1)
         self.ctrl_size = cfg.n_ctrl
 
-    def _split(self, c: np.ndarray) -> tuple:
-        """(theta_hat, xi_f) views of controller states c (..., n_ctrl)."""
-        cfg = self.cfg
-        return c[..., 0], c[..., 1:].reshape(c.shape[:-1] + (cfg.m - 1, cfg.n))
-
     def control(self, mu, x, c, ref):
-        theta_hat, xi_f = self._split(c)
+        theta_hat, xi_f = c
         return sf_control(x, ref, xi_f, theta_hat, mu, self.cfg)
 
     def derivatives(self, t, mu, x, c, ref, dx, dc):
@@ -241,27 +240,22 @@ class StrictFeedbackAgents:
         dx and dc, from one walk of the cascade."""
         cfg = self.cfg
         a = _gain(mu, cfg)
-        theta_hat, xi_f = self._split(c)
-        # stage-major copies: an operation on a contiguous (N, n) stage
-        # block costs numpy about half as much as on a strided one
-        xs = x.transpose(1, 0, 2).copy()
-        dxs = dx.transpose(1, 0, 2)
-        dxs[0] = xs[1]
-        for k, _, _, phi, xi, tau in _cascade(
-                xs, ref, xi_f.transpose(1, 0, 2).copy(), theta_hat, a, cfg,
-                self._split(dc)[1].transpose(1, 0, 2)):
+        theta_hat, xi_f = c
+        dx[0] = x[1]
+        for k, _, _, phi, xi, tau in _cascade(x, ref, xi_f, theta_hat, a,
+                                              cfg, dc[1]):
             if k:
                 # x_q' = x_{q+1} + theta phi_q(x_q); x_m' = u + theta phi_m
                 # with u = xi_m
-                np.add(xs[k + 1] if k + 1 < cfg.m else xi,
-                       self._theta_n * phi, out=dxs[k])
-        np.subtract(tau, cfg.sigma * a * theta_hat, out=dc[..., 0])
+                np.add(x[k + 1] if k + 1 < cfg.m else xi,
+                       self._theta_n * phi, out=dx[k])
+        np.subtract(tau, cfg.sigma * a * theta_hat, out=dc[0])
 
     def diagnostics(self, mu, x, c, ref) -> dict:
         """Per-agent error norms, estimate, adaptation drive and the
         x2 (and x3) stage norms."""
         cfg = self.cfg
-        theta_hat, xi_f = self._split(c)
+        theta_hat, xi_f = c
         view = virtual_controls(x, ref, xi_f, theta_hat, mu, cfg)
         out = {
             "e_s_norm": np.linalg.norm(
@@ -272,7 +266,7 @@ class StrictFeedbackAgents:
             "tau": view["tau"],
         }
         for q in range(2, min(cfg.m, 3) + 1):
-            out[f"x{q}_norm"] = np.linalg.norm(x[..., q - 1, :], axis=-1)
+            out[f"x{q}_norm"] = np.linalg.norm(x[q - 1], axis=-1)
         return out
 
 

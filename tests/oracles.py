@@ -71,30 +71,30 @@ def el_acceleration_solve(true_par, nominal_par, x1, x2, u):
 
 
 def chain_plant_rhs(x: np.ndarray, u: np.ndarray, phi) -> np.ndarray:
-    """Chain dynamics: x_q' = x_{q+1}, x_m' = u + phi, on (..., m, n)."""
+    """Chain dynamics: x_q' = x_{q+1}, x_m' = u + phi, on (m, ..., n)."""
     dx = np.empty_like(x)
-    dx[..., :-1, :] = x[..., 1:, :]
-    dx[..., -1, :] = u + phi
+    dx[:-1] = x[1:]
+    dx[-1] = u + phi
     return dx
 
 
 def cascade(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
             theta_hat, mu: float, cfg: SfControllerConfig) -> dict:
-    """Backstepping cascade on whole (..., m, n) stacks: virtual controls xi
-    and the error coordinates x_tilde, xi_tilde (no guard check)."""
+    """Backstepping cascade on whole (m, ..., n) stage stacks: virtual
+    controls xi and the error coordinates x_tilde, xi_tilde (no guard
+    check)."""
     a = cfg.alpha_xi.eval(mu)
     th = np.asarray(theta_hat)[..., None]
     xi = np.empty_like(x)
     x_tilde = np.empty_like(x)
     xi_tilde = np.empty_like(xi_f)
-    x_tilde[..., 0, :] = x[..., 0, :] - varpi_i
-    x_tilde[..., 1:, :] = x[..., 1:, :] - xi_f
-    xi[..., 0, :] = -cfg.c[0] * a * x_tilde[..., 0, :]
+    x_tilde[0] = x[0] - varpi_i
+    x_tilde[1:] = x[1:] - xi_f
+    xi[0] = -cfg.c[0] * a * x_tilde[0]
     for k in range(1, cfg.m):  # 0-based stage index of q = k + 1
-        xi_tilde[..., k - 1, :] = xi_f[..., k - 1, :] - xi[..., k - 1, :]
-        xi[..., k, :] = (-cfg.c[k] * a * x_tilde[..., k, :]
-                         - th * cfg.phis[k - 1](x[..., k, :])
-                         - cfg.upsilon[k - 1] * a * xi_tilde[..., k - 1, :])
+        xi_tilde[k - 1] = xi_f[k - 1] - xi[k - 1]
+        xi[k] = (-cfg.c[k] * a * x_tilde[k] - th * cfg.phis[k - 1](x[k])
+                 - cfg.upsilon[k - 1] * a * xi_tilde[k - 1])
     return {"xi": xi, "x_tilde": x_tilde, "xi_tilde": xi_tilde}
 
 
@@ -102,20 +102,20 @@ def filter_rhs(xi_f: np.ndarray, xi: np.ndarray, mu: float,
                cfg: SfControllerConfig) -> np.ndarray:
     """Dynamic filter: xi_qf' = upsilon_q alpha_xi (-xi_qf + xi_{q-1})."""
     a = cfg.alpha_xi.eval(mu)
-    ups = np.asarray(cfg.upsilon)[:, None]
-    return ups * a * (-xi_f + xi[..., :-1, :])
+    ups = np.asarray(cfg.upsilon).reshape((-1,) + (1,) * (xi_f.ndim - 1))
+    return ups * a * (-xi_f + xi[:-1])
 
 
 def tau_value(x: np.ndarray, x_tilde: np.ndarray, mu: float,
               cfg: SfControllerConfig):
     """Adaptation drive tau = sum_q alpha_xi^{2 L_q} x_tilde_q . phi_q(x_q),
-    one value per leading index of the (..., m, n) stacks."""
+    one value per agent of the (m, ..., n) stacks."""
     a = cfg.alpha_xi.eval(mu)
     L = cfg.L
     tau = 0.0
     for k in range(1, cfg.m):
         tau = tau + a ** (2.0 * L[k]) * (
-            x_tilde[..., k, :] * cfg.phis[k - 1](x[..., k, :])).sum(axis=-1)
+            x_tilde[k] * cfg.phis[k - 1](x[k])).sum(axis=-1)
     return tau
 
 
@@ -127,28 +127,26 @@ def adaptation_rhs(theta_hat, tau, mu: float, cfg: SfControllerConfig):
 def sf_plant_rhs(x: np.ndarray, u: np.ndarray, theta,
                  cfg: SfControllerConfig) -> np.ndarray:
     """Strict-feedback dynamics with the true parameter theta (scalar or
-    one per leading index of the (..., m, n) stack)."""
+    one per agent of the (m, ..., n) stack)."""
     th = np.asarray(theta)[..., None]
     dx = np.empty_like(x)
-    dx[..., :-1, :] = x[..., 1:, :]
+    dx[:-1] = x[1:]
     for k in range(1, cfg.m - 1):
-        dx[..., k, :] += th * cfg.phis[k - 1](x[..., k, :])
-    dx[..., -1, :] = u + th * cfg.phis[cfg.m - 2](x[..., -1, :])
+        dx[k] += th * cfg.phis[k - 1](x[k])
+    dx[-1] = u + th * cfg.phis[cfg.m - 2](x[-1])
     return dx
 
 
 def sf_derivatives(x, c, ref, thetas, mu, cfg: SfControllerConfig):
-    """(dx, dc) of stacked strict-feedback agents, one piece at a time:
-    cascade, plant, adaptation drive, estimator and filter."""
-    theta_hat = c[..., 0]
-    xi_f = c[..., 1:].reshape(c.shape[:-1] + (cfg.m - 1, cfg.n))
+    """(dx, (dtheta_hat, dxi_f)) of stacked strict-feedback agents with
+    c = (theta_hat, xi_f), one piece at a time: cascade, plant, adaptation
+    drive, estimator and filter."""
+    theta_hat, xi_f = c
     view = cascade(x, ref, xi_f, theta_hat, mu, cfg)
-    dx = sf_plant_rhs(x, view["xi"][..., -1, :], thetas, cfg)
+    dx = sf_plant_rhs(x, view["xi"][-1], thetas, cfg)
     dth = adaptation_rhs(
         theta_hat, tau_value(x, view["x_tilde"], mu, cfg), mu, cfg)
-    dxi_f = filter_rhs(xi_f, view["xi"], mu, cfg)
-    return dx, np.concatenate(
-        [dth[..., None], dxi_f.reshape(c.shape[:-1] + (-1,))], axis=-1)
+    return dx, (dth, filter_rhs(xi_f, view["xi"], mu, cfg))
 
 
 def transformation_matrices(m: int, n: int) -> dict:
@@ -304,9 +302,10 @@ def concatenated_rhs(sys, t: float, y: np.ndarray) -> np.ndarray:
     cons = sys.net.laplacian @ varpi
     parts = [-a * (cons + sys.costs.grad_stack(varpi) + p), a * cons]
     if sys.agents is not None:
-        dx, dc = np.empty_like(x), np.empty_like(c)
+        dx = np.empty_like(x)
+        dc = None if c is None else tuple(np.empty_like(v) for v in c)
         sys.agents.derivatives(t, mu, x, c, sys.references(varpi), dx, dc)
-        parts += [dx, dc]
+        parts += [dx, *(dc or ())]
     return np.concatenate([q.ravel() for q in parts])
 
 

@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from dptco.cli import EXIT_OK, read_trajectory_csv, run_scenario
 from dptco.costs import optimum_oracle

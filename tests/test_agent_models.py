@@ -69,14 +69,14 @@ def per_agent_chain(sys, t, y):
     us = []
     for i in range(N):
         ref = varpi[i] + (0.0 if sys.offsets is None else sys.offsets[i])
-        u = chain_control(x[i], ref, mu, agents.cfg)
+        u = chain_control(x[:, i], ref, mu, agents.cfg)
         us.append(u)
         acc = u
         if agents.el is not None:
-            acc = el_acceleration(agents.el, x[i, 0], x[i, 1], u)
+            acc = el_acceleration(agents.el, x[0, i], x[1, i], u)
         d = (np.zeros(DIM) if agents.disturbance is None
              else agents.disturbance(t)[i])
-        dx[i] = chain_plant_rhs(x[i], acc, d)
+        dx[:, i] = chain_plant_rhs(x[:, i], acc, d)
     return dx.ravel(), np.array(us)
 
 
@@ -134,23 +134,23 @@ def test_strict_feedback_model_matches_per_agent_loop(seed):
     y, t = random_state(sys, seed)
     agents, cfg = sys.agents, sys.agents.cfg
     mu = CLOCK.mu(t)
-    varpi, _, x, c = sys.views(y)
+    varpi, _, x, (theta_hats, xi_fs) = sys.views(y)
     dx = np.empty_like(x)
-    dc = np.empty_like(c)
+    dth, dxi_f = np.empty_like(theta_hats), np.empty_like(xi_fs)
     for i in range(N):
-        theta_hat = float(c[i, 0])
-        xi_f = c[i, 1:].reshape(cfg.m - 1, DIM)
-        view = virtual_controls(x[i], varpi[i], xi_f, theta_hat, mu, cfg)
+        theta_hat = float(theta_hats[i])
+        xi_f = xi_fs[:, i]
+        view = virtual_controls(x[:, i], varpi[i], xi_f, theta_hat, mu, cfg)
         u = view["xi"][-1]
         assert_close(sys.control(t, y, i),
-                     sf_control(x[i], varpi[i], xi_f, theta_hat, mu, cfg))
-        dx[i] = sf_plant_rhs(x[i], u, float(agents.thetas[i]), cfg)
-        tau = tau_value(x[i], view["x_tilde"], mu, cfg)
-        dc[i, 0] = adaptation_rhs(theta_hat, tau, mu, cfg)
-        dc[i, 1:] = filter_rhs(xi_f, view["xi"], mu, cfg).ravel()
+                     sf_control(x[:, i], varpi[i], xi_f, theta_hat, mu, cfg))
+        dx[:, i] = sf_plant_rhs(x[:, i], u, float(agents.thetas[i]), cfg)
+        tau = tau_value(x[:, i], view["x_tilde"], mu, cfg)
+        dth[i] = adaptation_rhs(theta_hat, tau, mu, cfg)
+        dxi_f[:, i] = filter_rhs(xi_f, view["xi"], mu, cfg)
     dy = sys.rhs(t, y)
     assert_close(dy[sys.gen_size:sys.ctrl_start], dx.ravel())
-    assert_close(dy[sys.ctrl_start:], dc.ravel())
+    assert_close(dy[sys.ctrl_start:], np.concatenate([dth, dxi_f.ravel()]))
 
 
 def identity(x):
@@ -159,16 +159,23 @@ def identity(x):
 
 def random_sf(m, phis, seed, n_agents=N):
     """Stacked strict-feedback agents of order m and a random (mu, x, c,
-    ref) inside the guard."""
+    ref) inside the guard: x (m, N, DIM) and c = (theta_hat (N,),
+    xi_f (m-1, N, DIM)), drawn agent by agent."""
     rng = np.random.default_rng(seed)
     cfg = SfControllerConfig(m, DIM, 1.0, tuple(rng.uniform(5.0, 12.0, m)),
                              tuple(rng.uniform(10.0, 20.0, m - 1)), 10.0,
                              power_gain(1.0, 1.5), 1e3, phis)
     agents = StrictFeedbackAgents(cfg, rng.uniform(-3.0, 3.0, n_agents))
-    x = rng.standard_normal((n_agents, m, DIM))
-    c = rng.standard_normal((n_agents, cfg.n_ctrl))
+    x = rng.standard_normal((n_agents, m, DIM)).transpose(1, 0, 2).copy()
+    rows = rng.standard_normal((n_agents, cfg.n_ctrl))
+    c = (rows[:, 0].copy(),
+         rows[:, 1:].reshape(n_agents, m - 1, DIM).transpose(1, 0, 2).copy())
     ref = rng.standard_normal((n_agents, DIM))
     return agents, float(rng.uniform(1.0, 50.0)), x, c, ref
+
+
+def empty_like_ctrl(c):
+    return tuple(np.empty_like(v) for v in c)
 
 
 SF_PHIS = {"identity": identity, "sin": np.sin, "tanh": np.tanh}
@@ -185,14 +192,16 @@ def test_sf_derivatives_bit_identical_to_oracle(m, phi, seed):
     else:
         phis = (SF_PHIS[phi],) * (m - 1)
     agents, mu, x, c, ref = random_sf(m, phis, 10 * m + seed)
-    dx, dc = np.empty_like(x), np.empty_like(c)
+    dx, dc = np.empty_like(x), empty_like_ctrl(c)
     agents.derivatives(0.0, mu, x, c, ref, dx, dc)
     want_dx, want_dc = sf_derivatives(x, c, ref, agents.thetas, mu,
                                       agents.cfg)
-    assert (dx.shape, dc.shape) == (want_dx.shape, want_dc.shape)
+    assert dx.shape == want_dx.shape
+    assert [v.shape for v in dc] == [v.shape for v in want_dc]
     assert dx.tobytes() == want_dx.tobytes()
-    assert dc.tobytes() == want_dc.tobytes()
-    theta_hat, xi_f = c[:, 0], c[:, 1:].reshape(N, m - 1, DIM)
+    for got, want in zip(dc, want_dc):
+        assert got.tobytes() == want.tobytes()
+    theta_hat, xi_f = c
     view = virtual_controls(x, ref, xi_f, theta_hat, mu, agents.cfg)
     want = cascade(x, ref, xi_f, theta_hat, mu, agents.cfg)
     for key in ("xi", "x_tilde", "xi_tilde"):
@@ -214,7 +223,7 @@ def test_sf_derivatives_evaluates_each_phi_once(m):
     agents, mu, x, c, ref = random_sf(
         m, tuple(counted(k) for k in range(m - 1)), 7)
     agents.derivatives(0.0, mu, x, c, ref, np.empty_like(x),
-                       np.empty_like(c))
+                       empty_like_ctrl(c))
     assert calls == [1] * (m - 1)
     calls[:] = [0] * (m - 1)
     agents.diagnostics(mu, x, c, ref)
@@ -227,7 +236,7 @@ def test_sf_diagnostics_bit_identical_to_separate_views(m):
     # from its own, separate evaluation
     agents, mu, x, c, ref = random_sf(m, (np.tanh,) * (m - 1), 40 + m)
     cfg = agents.cfg
-    theta_hat, xi_f = c[:, 0], c[:, 1:].reshape(N, m - 1, DIM)
+    theta_hat, xi_f = c
     diag = agents.diagnostics(mu, x, c, ref)
     want = {
         "e_s_norm": np.linalg.norm(
@@ -239,7 +248,7 @@ def test_sf_diagnostics_bit_identical_to_separate_views(m):
                                     cfg)["x_tilde"], mu, cfg),
     }
     for q in range(2, min(m, 3) + 1):
-        want[f"x{q}_norm"] = np.linalg.norm(x[:, q - 1], axis=-1)
+        want[f"x{q}_norm"] = np.linalg.norm(x[q - 1], axis=-1)
     assert sorted(diag) == sorted(want)
     for key, val in want.items():
         assert diag[key].tobytes() == val.tobytes(), key
@@ -252,7 +261,7 @@ def test_diagnostics_match_per_agent_views():
     varpi, _, x, c = sys.views(y)
     diag = sys.agents.diagnostics(mu, x, c, varpi)
     for i in range(N):
-        view = chain_error_view(x[i], varpi[i], mu, sys.agents.cfg)
+        view = chain_error_view(x[:, i], varpi[i], mu, sys.agents.cfg)
         assert diag["e_s_norm"][i] == pytest.approx(
             np.linalg.norm(view["e_s"]), rel=REL)
         assert diag["e_tilde_norm"][i] == pytest.approx(
@@ -264,16 +273,17 @@ def test_diagnostics_match_per_agent_views():
     varpi, _, x, c = sys.views(y)
     diag = sys.agents.diagnostics(mu, x, c, varpi)
     cfg = sys.agents.cfg
+    theta_hat, xi_fs = c
     for i in range(N):
-        xi_f = c[i, 1:].reshape(cfg.m - 1, DIM)
-        es = error_vector(x[i], varpi[i], xi_f, c[i, 0])
-        et = scaled_error_vector(x[i], varpi[i], xi_f, c[i, 0],
+        xi_f = xi_fs[:, i]
+        es = error_vector(x[:, i], varpi[i], xi_f, theta_hat[i])
+        et = scaled_error_vector(x[:, i], varpi[i], xi_f, theta_hat[i],
                                  sys.agents.thetas[i], mu, cfg)
         assert diag["e_s_norm"][i] == pytest.approx(np.linalg.norm(es),
                                                     rel=REL)
         assert diag["e_tilde_norm"][i] == pytest.approx(np.linalg.norm(et),
                                                         rel=REL)
-        assert diag["x3_norm"][i] == pytest.approx(np.linalg.norm(x[i, 2]),
+        assert diag["x3_norm"][i] == pytest.approx(np.linalg.norm(x[2, i]),
                                                    rel=REL)
 
 

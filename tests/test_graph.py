@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dptco.errors import (Disconnected, NegativeWeight, SelfLoop)
 from dptco.graph import build_network, require_connected

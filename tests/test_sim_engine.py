@@ -108,6 +108,31 @@ def test_rk45_reuses_last_stage():
     assert traj.n_rhs == 4 * traj.n_steps
 
 
+def test_norm_order_makes_steps_independent_of_storage():
+    # the same system stored in a shuffled order yp = y[perm]: with the
+    # error norm summed in y's order, every step and every state is the
+    # same, bit for bit
+    sys, _ = ring_system(guard_frac=0.5)
+    y0 = sys.pack(np.arange(8.0).reshape(4, 2) / 4.0, np.zeros((4, 2)))
+    perm = np.random.default_rng(3).permutation(sys.total_dim)
+
+    def shuffled_rhs(t, yp, out):
+        y = np.empty_like(yp)
+        y[perm] = yp
+        out[...] = sys.rhs(t, y)[perm]
+
+    settings = SolverSettings(method="rk45", dt=0.05, dt_max=1e-2,
+                              rel_tol=1e-7, abs_tol=1e-9)
+    want = integrate(sys.rhs, y0, sys.clock, settings)
+    got = integrate(shuffled_rhs, y0[perm], sys.clock, settings,
+                    norm_order=np.argsort(perm))
+    assert want.n_rejected > 0
+    assert (got.n_steps, got.n_rejected, got.n_rhs) == (
+        want.n_steps, want.n_rejected, want.n_rhs)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states[:, perm].tobytes()
+
+
 # --- failure modes ----------------------------------------------------------
 
 def test_nonfinite_state_detected():
@@ -231,6 +256,20 @@ def test_disturbance_bounded_and_seeded():
     assert np.array_equal(d(1.234)[0], d2(1.234)[0])
     d3 = make_disturbance(4, 2, 2, amplitude=0.1)
     assert not np.array_equal(d(1.234)[0], d3(1.234)[0])
+
+
+def test_disturbance_bit_identical_to_mode_axis_sum():
+    # the same draws as make_disturbance, summed over a trailing mode axis
+    d = make_disturbance(7, 5, 3, amplitude=0.3)
+    rng = np.random.default_rng(7)
+    shape = (5, 3, 3)
+    freq = rng.uniform(0.5, 5.0, size=shape)
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=shape)
+    coef = rng.uniform(0.2, 1.0, size=shape)
+    coef *= 0.3 / coef.sum(axis=2, keepdims=True)
+    for t in np.linspace(0.0, 10.0, 41):
+        want = (coef * np.sin(freq * t + phase)).sum(axis=2)
+        assert d(t).tobytes() == want.tobytes()
 
 
 # --- CSV export ----------------------------------------------------------

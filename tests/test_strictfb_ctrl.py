@@ -1,8 +1,6 @@
 """Adaptive strict-feedback backstepping: gain recipe, cascade, adaptation,
 scaled coordinates, and the runtime monitors."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
