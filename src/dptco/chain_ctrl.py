@@ -23,11 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (EmptyTrajectory, GuardExceeded, NotHurwitz,
-                     SingularSystem)
-from .generator import MonitorReport
+from .errors import GuardExceeded, NotHurwitz, SingularSystem
+from .generator import bound_ratio, ratio_report
 from .timegain import (GainFunction, GrowthCriterion, PrescribedClock,
-                       alpha_s_from_dc2, check_growth_criterion, kappa,
+                       alpha_s_from_dc2, check_growth_criterion, kappa_series,
                        log_grid)
 
 
@@ -251,9 +250,6 @@ class ChainAgents:
         self.el = None if el is None else ElMismatch.of(*el)
         self.disturbance = disturbance
 
-    def control(self, mu, x, c, ref):
-        return chain_control(x, ref, mu, self.cfg)
-
     def derivatives(self, t, mu, x, c, ref, dx, dc):
         """Write every agent's x_q' = x_{q+1}, x_m' = u + d(t) into dx."""
         dx[:-1] = x[1:]
@@ -280,27 +276,14 @@ def chain_decay_monitor(times, e_s_norms, e_tilde_norms,
                         cfg: ChainControllerConfig, clock: PrescribedClock):
     """Fit the smallest C with ||e_s(t)|| <= C kappa(-(v1/4m) alpha_x(mu(t))).
 
-    Passes iff the fit is finite and sup ||e_tilde_s|| is finite (the
-    boundedness of e_tilde_s is the closed-loop guarantee).
+    e_s_norms and e_tilde_norms are (K, N).  Passes iff the fit is finite
+    and every ||e_tilde_s|| is finite (the boundedness of e_tilde_s is the
+    closed-loop guarantee).
     """
-    times = np.asarray(times, dtype=float)
-    e_s_norms = np.asarray(e_s_norms, dtype=float)
-    e_tilde_norms = np.asarray(e_tilde_norms, dtype=float)
-    if times.size < 2:
-        raise EmptyTrajectory("chain decay monitor needs a logged trajectory")
-    rate = cfg.v1 / (4.0 * cfg.m)
-    c_fit = 0.0
-    for t, nrm in zip(times, e_s_norms):
-        k = kappa(clock, cfg.alpha_x, -rate, t)
-        if k <= 0.0:
-            if nrm > 1e-12:
-                c_fit = math.inf
-            continue
-        c_fit = max(c_fit, nrm / k)
-    sup_tilde = float(e_tilde_norms.max())
-    passed = math.isfinite(c_fit) and math.isfinite(sup_tilde)
-    return MonitorReport("chain_decay", passed, c_fit,
-                         None if passed else float(times[0]))
+    k = kappa_series(times, clock, cfg.alpha_x, -cfg.v1 / (4.0 * cfg.m))
+    ratio = bound_ratio(e_s_norms, k[:, None])
+    ratio[~np.isfinite(e_tilde_norms)] = np.nan
+    return ratio_report("chain_decay", times, ratio, math.inf)
 
 
 # --- Euler-Lagrange embedding (two-link manipulator family) ----------------

@@ -54,7 +54,7 @@ def _write_plots(out: Path, build: ScenarioBuild, traj: Trajectory,
               [("||e_r||", traj.times, derived["e_r_norm"]),
                ("envelope", traj.times, bound)],
               title=f"{build.name}: generator error and envelope",
-              ylabel="||e_r||", logy=True)
+              ylabel="||e_r||")
     files.append(str(env_path))
     series = [(f"agent {i}", traj.times, derived["track_err"][:, i])
               for i in range(build.net.n_agents)]
@@ -67,7 +67,7 @@ def _write_plots(out: Path, build: ScenarioBuild, traj: Trajectory,
     trk_path = out / "tracking.svg"
     write_svg(str(trk_path), series,
               title=f"{build.name}: output tracking",
-              ylabel="||y_i - z*||", logy=True)
+              ylabel="||y_i - z*||")
     files.append(str(trk_path))
     return files
 

@@ -23,8 +23,8 @@ _CURVATURE_SAMPLES = 400  # random point pairs of estimate_constants
 
 
 class CostFunction:
-    """Convex cost with value(z), gradient(z) and to_dict(); the families
-    are QuadraticCost, ExpQuadraticCost and SumCost."""
+    """Convex cost with value(z) and gradient(z); the families are
+    QuadraticCost, ExpQuadraticCost and SumCost."""
 
     dim: int
 
@@ -59,10 +59,6 @@ class QuadraticCost(CostFunction):
         d = self._check(z) - self.center
         return 2.0 * (self.Q @ d)
 
-    def to_dict(self):
-        return {"family": "quadratic", "Q": self.Q.tolist(),
-                "center": self.center.tolist(), "offset": self.offset}
-
 
 class ExpQuadraticCost(CostFunction):
     """f(z) = exp((z - center)^T P (z - center)) with P symmetric PSD.
@@ -90,10 +86,6 @@ class ExpQuadraticCost(CostFunction):
     def gradient(self, z):
         d = self._check(z) - self.center
         return self.value(z) * 2.0 * (self.P @ d)
-
-    def to_dict(self):
-        return {"family": "exp_quadratic", "P": self.P.tolist(),
-                "center": self.center.tolist()}
 
 
 class SumCost(CostFunction):
@@ -123,9 +115,6 @@ class SumCost(CostFunction):
         for t in self.terms:
             g += t.gradient(z)
         return g
-
-    def to_dict(self):
-        return [t.to_dict() for t in self.terms]
 
 
 def cost_from_dict(d) -> CostFunction:
@@ -376,6 +365,6 @@ def _gradients(c: CostFunction, Z: np.ndarray) -> np.ndarray:
     raise TypeError(f"no batched gradient for {type(c).__name__}")
 
 
-def default_box(dim: int, half_width: float = 5.0) -> np.ndarray:
-    """Default working box [-half_width, half_width]^dim."""
-    return np.tile(np.array([-half_width, half_width]), (dim, 1))
+def default_box(dim: int) -> np.ndarray:
+    """Default working box [-5, 5]^dim."""
+    return np.tile([-5.0, 5.0], (dim, 1))

@@ -12,7 +12,8 @@ distributed.  When sum_i p_i(t0) = 0 the sum is conserved and the unique
 equilibrium is varpi = 1 (x) z*, p = -grad F(1 (x) z*).  The right-hand
 side itself is sim_engine.CoupledSystem.rhs; this module carries the
 convergence constants c1..c_star, the error coordinates, the prescribed-time
-envelope and its monitor.
+envelope and its monitor, and the one pass rule every monitor reports
+through (ratio_report).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrajectory, NonPositiveInput
-from .timegain import GainFunction, PrescribedClock, kappa
+from .timegain import GainFunction, PrescribedClock, kappa_series
 
 
 @dataclass(frozen=True)
@@ -96,50 +97,59 @@ class MonitorReport:
                 "first_violation_t": self.first_violation_t}
 
 
+def ratio_report(name: str, times, ratio, limit) -> MonitorReport:
+    """The one pass rule of every monitor.
+
+    ratio is a logged signal over its bound at each of the K logged times,
+    (K,) or (K, N) for N agents, and limit the largest ratio allowed: a
+    scalar, or one per logged time (K,).  The monitor passes iff every
+    ratio is finite and at most its limit.  max_ratio is the largest ratio
+    (NaN ignored), floored at 0; first_violation_t is the earliest logged
+    time at which any agent fails.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.size < 2:
+        raise EmptyTrajectory(f"{name} monitor needs a logged trajectory")
+    rows = np.asarray(ratio, dtype=float).reshape(times.size, -1)
+    limits = np.asarray(limit, dtype=float).reshape(-1, 1)
+    bad = np.flatnonzero(~(np.isfinite(rows) & (rows <= limits)).all(axis=1))
+    return MonitorReport(name, bad.size == 0,
+                         float(np.fmax.reduce(rows, axis=None, initial=0.0)),
+                         float(times[bad[0]]) if bad.size else None)
+
+
+def bound_ratio(values, bounds) -> np.ndarray:
+    """values / bounds, where a bound that has underflowed to 0 gives 0
+    for a value at most 1e-12 and inf for any larger one."""
+    values = np.asarray(values, dtype=float)
+    return np.divide(values, bounds, where=bounds > 0.0,
+                     out=np.where(values <= 1e-12, 0.0, np.inf))
+
+
 def envelope_bound(times, e_r0: float, clock: PrescribedClock,
                    alpha: GainFunction,
                    consts: GeneratorConstants) -> np.ndarray:
     """sqrt(c3/c2) ||e_r(t0)|| kappa(-c_star alpha(mu(t))) at every time."""
     gamma = math.sqrt(consts.c3 / consts.c2) * e_r0
-    return np.array([gamma * kappa(clock, alpha, -consts.c_star, t)
-                     for t in times])
+    return gamma * kappa_series(times, clock, alpha, -consts.c_star)
 
 
 def envelope_monitor(times, e_r_norms, clock: PrescribedClock,
                      alpha: GainFunction, consts: GeneratorConstants,
                      slack: float = 0.05) -> MonitorReport:
-    """Check ||e_r(t)|| <= (1+slack) envelope_bound(t).
+    """Check ||e_r(t)|| <= (1+slack) envelope_bound(t), e_r_norms (K,).
 
     The slack absorbs discretization of the logged trajectory.
     """
-    times = np.asarray(times, dtype=float)
     norms = np.asarray(e_r_norms, dtype=float)
-    if times.size < 2:
-        raise EmptyTrajectory("envelope monitor needs a logged trajectory")
     bounds = envelope_bound(times, norms[0], clock, alpha, consts)
-    max_ratio = 0.0
-    first_violation = None
-    for t, nrm, bound in zip(times, norms, bounds):
-        if bound <= 0.0:
-            ratio = 0.0 if nrm <= 1e-12 else math.inf
-        else:
-            ratio = nrm / bound
-        if ratio > max_ratio:
-            max_ratio = ratio
-        if ratio > 1.0 + slack and first_violation is None:
-            first_violation = float(t)
-    return MonitorReport("generator_envelope", first_violation is None,
-                         max_ratio, first_violation)
+    return ratio_report("generator_envelope", times,
+                        bound_ratio(norms, bounds), 1.0 + slack)
 
 
 def conservation_monitor(times, p_sums, tol: float = 1e-8) -> MonitorReport:
-    """Check the gradient-tracking conservation law sum_i p_i(t) = sum_i p_i(t0)."""
+    """Check the gradient-tracking conservation law
+    sum_i p_i(t) = sum_i p_i(t0) to within tol, p_sums (K, dim)."""
     p_sums = np.asarray(p_sums, dtype=float)
-    if p_sums.ndim != 2 or p_sums.shape[0] < 1:
-        raise EmptyTrajectory("conservation monitor needs logged p sums")
     drift = np.linalg.norm(p_sums - p_sums[0], axis=1)
-    worst = float(drift.max())
-    idx = int(drift.argmax())
-    passed = worst <= tol
-    return MonitorReport("conservation", passed, worst / tol,
-                         None if passed else float(np.asarray(times)[idx]))
+    return ratio_report("conservation", times, drift / tol, 1.0)

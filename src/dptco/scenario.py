@@ -22,7 +22,7 @@ from .costs import CostSet, cost_from_dict, default_box
 from .errors import DptcoError, ScenarioError
 from .generator import (GeneratorConstants, MonitorReport,
                         conservation_monitor, envelope_monitor, error_state,
-                        generator_constants, gradients_at)
+                        generator_constants, gradients_at, ratio_report)
 from .graph import Network, build_network, require_connected
 from .sim_engine import (CoupledSystem, SolverSettings, Trajectory,
                          make_disturbance)
@@ -35,12 +35,6 @@ _SECTIONS = ("clock", "network", "costs", "gains", "agents", "solver",
 # solver keys and their JSON-to-SolverSettings conversions
 _SOLVER_KEYS = {"method": str, "dt": float, "dt_max": float,
                 "rel_tol": float, "abs_tol": float, "log_every": int}
-
-# monitor names and the numeric parameters each one reads
-_MONITOR_PARAMS = {"conservation": ("tol",), "envelope": ("slack",),
-                   "tracking": ("tol",), "chain_decay": (),
-                   "invariant_set": ("h", "slack"), "sf_decay": (),
-                   "theta_hat_envelope": ()}
 
 _PHI_REGISTRY = {
     "identity": lambda x: x,
@@ -162,11 +156,11 @@ def _build(sc: Scenario, seed: int | None = None,
     monitors = {}
     for name, params in raw["monitors"].items():
         with _section(path, f"monitors: {name}"):
-            if name not in _MONITOR_PARAMS:
+            if name not in _MONITORS:
                 raise ValueError("unknown monitor")
             monitors[name] = {k: float(v) for k, v in (params or {}).items()}
             for k, v in monitors[name].items():
-                if k not in _MONITOR_PARAMS[name]:
+                if k not in _MONITORS[name][0]:
                     raise ValueError(f"unknown parameter {k!r}")
                 if not np.isfinite(v) or v < 0 or (v == 0 and k != "slack"):
                     raise ValueError(f"{k} out of range: {v}")
@@ -363,10 +357,35 @@ def derived_series(build: ScenarioBuild, traj: Trajectory,
     return out
 
 
-def _worst(reports: list) -> MonitorReport:
-    """The per-agent report to show: a failing one if any, and among those
-    the largest ratio."""
-    return max(reports, key=lambda r: (not r.passed, r.max_ratio))
+def _tracking(build, times, d, params) -> MonitorReport:
+    """Endpoint distance to the optimum over tol; every earlier row reads 0."""
+    ratio = np.zeros_like(d["track_err"])
+    ratio[-1] = d["track_err"][-1] / params.get("tol", 1e-2)
+    return ratio_report("tracking", times, ratio, 1.0)
+
+
+# monitor name -> (the numeric parameters it reads, its report from the
+# build, the logged times, the derived channels and those parameters)
+_MONITORS = {
+    "conservation": (("tol",), lambda b, t, d, p: conservation_monitor(
+        t, d["p_sum"], **p)),
+    "envelope": (("slack",), lambda b, t, d, p: envelope_monitor(
+        t, d["e_r_norm"], b.clock, b.alpha, b.gen_constants, **p)),
+    "tracking": (("tol",), _tracking),
+    "chain_decay": ((), lambda b, t, d, p: chain_ctrl.chain_decay_monitor(
+        t, d["e_s_norm"], d["e_tilde_norm"], b.sys.agents.cfg, b.clock)),
+    # default radius: twice each agent's initial scaled error, plus 1
+    "invariant_set": (("h", "slack"),
+                      lambda b, t, d, p: strictfb_ctrl.invariant_set_monitor(
+                          t, d["e_tilde_norm"],
+                          **{"h": 2.0 * d["e_tilde_norm"][0] + 1.0, **p})),
+    "sf_decay": ((), lambda b, t, d, p: strictfb_ctrl.sf_decay_monitor(
+        t, d["mu"], d["e_s_norm"], b.sys.agents.cfg)),
+    "theta_hat_envelope": ((), lambda b, t, d, p:
+                           strictfb_ctrl.theta_hat_monitor(
+                               t, d["mu"], d["theta_hat"], d["tau"],
+                               b.sys.agents.cfg)),
+}
 
 
 def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,
@@ -374,41 +393,5 @@ def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,
     """Run every monitor the scenario lists; returns MonitorReport objects."""
     if derived is None:
         derived = derived_series(build, traj, z_star)
-    times = traj.times
-    n = build.net.n_agents
-    cfg = None if build.sys.agents is None else build.sys.agents.cfg
-    reports = []
-    for name, params in build.monitors.items():
-        if name == "conservation":
-            reports.append(conservation_monitor(times, derived["p_sum"],
-                                                **params))
-        elif name == "envelope":
-            reports.append(envelope_monitor(
-                times, derived["e_r_norm"], build.clock, build.alpha,
-                build.gen_constants, **params))
-        elif name == "tracking":
-            tol = params.get("tol", 1e-2)
-            final = float(derived["track_err"][-1].max())
-            reports.append(MonitorReport("tracking", final <= tol,
-                                         final / tol,
-                                         None if final <= tol
-                                         else float(times[-1])))
-        elif name == "chain_decay":
-            reports.append(_worst([chain_ctrl.chain_decay_monitor(
-                times, derived["e_s_norm"][:, i],
-                derived["e_tilde_norm"][:, i], cfg, build.clock)
-                for i in range(n)]))
-        elif name == "invariant_set":
-            reports.append(_worst([strictfb_ctrl.invariant_set_monitor(
-                times, nrm, **{"h": strictfb_ctrl.default_invariant_radius(
-                    float(nrm[0])), **params})
-                for nrm in derived["e_tilde_norm"].T]))
-        elif name == "sf_decay":
-            reports.append(_worst([strictfb_ctrl.sf_decay_monitor(
-                times, derived["mu"], derived["e_s_norm"][:, i], cfg)
-                for i in range(n)]))
-        elif name == "theta_hat_envelope":
-            reports.append(_worst([strictfb_ctrl.theta_hat_monitor(
-                times, derived["mu"], derived["theta_hat"][:, i],
-                derived["tau"][:, i], cfg) for i in range(n)]))
-    return reports
+    return [_MONITORS[name][1](build, traj.times, derived, params)
+            for name, params in build.monitors.items()]

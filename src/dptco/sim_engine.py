@@ -353,15 +353,6 @@ class CoupledSystem:
             c[1][...] = rows[:, 1:].reshape(n, -1, d).transpose(1, 0, 2)
         return y
 
-    def control(self, t: float, y: np.ndarray, i: int) -> np.ndarray:
-        """Control applied by agent i at (t, y)."""
-        if self.agents is None:
-            raise ValueError("plant 'none' has no control")
-        varpi, _, x, c = self.views(y)
-        return self.agents.control(
-            self.clock.mu(t), x[:, i], None if c is None else
-            (c[0][i], c[1][:, i]), self.references(varpi)[i])
-
     def rhs(self, t: float, y: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
         """dy/dt at (t, y), written into every entry of out and returned.

@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (EmptyTrajectory, GuardExceeded, MarginTooSmall)
-from .generator import MonitorReport
+from .errors import GuardExceeded, MarginTooSmall
+from .generator import ratio_report
 from .timegain import (GainFunction, GrowthCriterion, check_growth_criterion,
                        log_grid)
 
@@ -173,12 +173,6 @@ def virtual_controls(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
     return {"xi": xi, "x_tilde": x_tilde, "xi_tilde": xi_tilde, "tau": tau}
 
 
-def sf_control(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
-               theta_hat, mu: float, cfg: SfControllerConfig) -> np.ndarray:
-    """Applied control u = xi_m."""
-    return virtual_controls(x, varpi_i, xi_f, theta_hat, mu, cfg)["xi"][-1]
-
-
 def _rows(stages: np.ndarray) -> np.ndarray:
     """A (k, ..., n) stage stack as one row (..., k n) per leading index,
     stages in order."""
@@ -231,10 +225,6 @@ class StrictFeedbackAgents:
         self._theta_n = np.repeat(self.thetas[:, None], cfg.n, axis=1)
         self.ctrl_size = cfg.n_ctrl
 
-    def control(self, mu, x, c, ref):
-        theta_hat, xi_f = c
-        return sf_control(x, ref, xi_f, theta_hat, mu, self.cfg)
-
     def derivatives(self, t, mu, x, c, ref, dx, dc):
         """Write the plant and controller derivatives of every agent into
         dx and dc, from one walk of the cascade."""
@@ -270,75 +260,50 @@ class StrictFeedbackAgents:
         return out
 
 
-def default_invariant_radius(e_tilde0_norm: float) -> float:
-    """Default invariant-set radius: twice the initial scaled error plus 1."""
-    return 2.0 * e_tilde0_norm + 1.0
+def _alpha_xi_series(mus, cfg: SfControllerConfig) -> np.ndarray:
+    """alpha_xi(mu) at every logged mu, as a (K, 1) column."""
+    return np.array([[cfg.alpha_xi.eval(float(mu))] for mu in mus])
 
 
-def invariant_set_monitor(times, e_tilde_norms, h: float,
-                          slack: float = 0.02):
+def invariant_set_monitor(times, e_tilde_norms, h, slack: float = 0.02):
     """Check forward invariance of {||e_tilde_s|| <= h}.
 
-    Passes iff the initial scaled error is inside the ball and the
-    trajectory never exceeds (1+slack) h afterwards.
+    e_tilde_norms is (K, N) and h a radius per agent (N,) or one for all.
+    Passes iff every initial scaled error is inside its ball and no
+    trajectory exceeds (1+slack) h afterwards.
     """
-    times = np.asarray(times, dtype=float)
-    norms = np.asarray(e_tilde_norms, dtype=float)
-    if times.size < 2:
-        raise EmptyTrajectory("invariant set monitor needs a trajectory")
-    max_ratio = float(norms.max()) / h
-    first_violation = None
-    if norms[0] > h:
-        first_violation = float(times[0])
-    else:
-        over = np.flatnonzero(norms > h * (1.0 + slack))
-        if over.size:
-            first_violation = float(times[int(over[0])])
-    return MonitorReport("invariant_set", first_violation is None,
-                         max_ratio, first_violation)
+    limit = np.full(len(times), 1.0 + slack)
+    limit[0] = 1.0
+    return ratio_report("invariant_set", times,
+                        np.asarray(e_tilde_norms, dtype=float) / h, limit)
 
 
 def theta_hat_monitor(times, mus, theta_hats, taus, cfg: SfControllerConfig):
-    """Post-hoc estimator envelope:
+    """Post-hoc estimator envelope, for theta_hats and taus (K, N):
 
     |theta_hat(t)| <= (alpha_xi(mu0) |theta_hat(t0)| + tau_max / sqrt(2 sigma'))
                       / alpha_xi(mu(t))
 
-    with tau_max the logged sup of |tau| and sigma' = 2 sigma - 3.
+    with tau_max each agent's logged sup of |tau| and sigma' = 2 sigma - 3.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise EmptyTrajectory("estimator monitor needs a trajectory")
-    sigma_prime = 2.0 * cfg.sigma - 3.0
-    tau_max = float(np.max(np.abs(np.asarray(taus, dtype=float))))
-    a0 = cfg.alpha_xi.eval(float(mus[0]))
-    gamma = a0 * abs(float(theta_hats[0])) + tau_max / math.sqrt(
-        2.0 * sigma_prime)
-    max_ratio = 0.0
-    first_violation = None
-    for t, mu, th in zip(times, mus, theta_hats):
-        bound = gamma / cfg.alpha_xi.eval(float(mu))
-        ratio = math.inf if bound <= 0 else abs(float(th)) / bound
-        max_ratio = max(max_ratio, ratio)
-        if ratio > 1.0 and first_violation is None:
-            first_violation = float(t)
-    return MonitorReport("theta_hat_envelope", first_violation is None,
-                         max_ratio, first_violation)
+    theta_hats = np.asarray(theta_hats, dtype=float)
+    a = _alpha_xi_series(mus, cfg)
+    tau_max = np.abs(np.asarray(taus, dtype=float)).max(axis=0)
+    gamma = a[0] * np.abs(theta_hats[0]) + tau_max / math.sqrt(
+        2.0 * (2.0 * cfg.sigma - 3.0))
+    bound = gamma / a
+    ratio = np.divide(np.abs(theta_hats), bound, where=bound > 0.0,
+                      out=np.full(bound.shape, math.inf))
+    return ratio_report("theta_hat_envelope", times, ratio, 1.0)
 
 
 def sf_decay_monitor(times, mus, e_s_norms, cfg: SfControllerConfig):
-    """Fit the smallest C with ||e_s(t)|| <= C / alpha_xi(mu(t)).
+    """Fit the smallest C with ||e_s(t)|| <= C / alpha_xi(mu(t)), e_s_norms
+    (K, N); passes iff the fit is finite.
 
     A finite fit certifies the prescribed-time decay of the raw errors,
     since alpha_xi(mu) grows without bound toward the deadline.
     """
-    times = np.asarray(times, dtype=float)
-    norms = np.asarray(e_s_norms, dtype=float)
-    if times.size < 2:
-        raise EmptyTrajectory("decay monitor needs a trajectory")
-    c_fit = 0.0
-    for mu, nrm in zip(mus, norms):
-        c_fit = max(c_fit, nrm * cfg.alpha_xi.eval(float(mu)))
-    passed = math.isfinite(c_fit)
-    return MonitorReport("sf_decay", passed, c_fit,
-                         None if passed else float(times[0]))
+    return ratio_report("sf_decay", times,
+                        np.asarray(e_s_norms, dtype=float)
+                        * _alpha_xi_series(mus, cfg), math.inf)

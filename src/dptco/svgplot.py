@@ -1,8 +1,8 @@
 """Minimal static SVG line plots.
 
 A deliberately small polyline writer so runs produce figures without any
-plotting dependency.  Linear axes with an optional log10 y scale, a handful
-of ticks, and a text legend.
+plotting dependency.  A linear time axis, a log10 y scale, a handful of
+ticks, and a text legend.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ def _ticks(lo: float, hi: float) -> list:
     return out
 
 
-def write_svg(path: str, series: list, title: str = "", ylabel: str = "",
-              logy: bool = False) -> None:
-    """Write labelled (label, x, y) series as one 720 x 460 SVG figure
-    against time t.
+def write_svg(path: str, series: list, title: str, ylabel: str) -> None:
+    """Write labelled (label, x, y) series as one 720 x 460 SVG figure of
+    log10 |y| against time t.
 
-    With logy, y values are clipped below at 1e-16 before taking log10 so
-    exactly-zero samples stay plottable.
+    |y| is clipped below at 1e-16 before taking log10 so exactly-zero
+    samples stay plottable.
     """
     if not series:
         raise EmptyTrajectory("no series to plot")
@@ -54,9 +53,8 @@ def write_svg(path: str, series: list, title: str = "", ylabel: str = "",
     prepared = []
     for label, x, y in series:
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if logy:
-            y = np.log10(np.maximum(np.abs(y), _LOG_FLOOR))
+        y = np.log10(np.maximum(np.abs(np.asarray(y, dtype=float)),
+                                _LOG_FLOOR))
         keep = np.isfinite(x) & np.isfinite(y)
         prepared.append((label, x[keep], y[keep]))
     xs = np.concatenate([p[1] for p in prepared])
@@ -100,18 +98,18 @@ def write_svg(path: str, series: list, title: str = "", ylabel: str = "",
                      f'font-family="sans-serif">{tv:g}</text>')
     for tv in _ticks(y_lo, y_hi):
         Y = py(tv)
-        label = f"1e{tv:g}" if logy else f"{tv:g}"
         parts.append(f'<line x1="{ml - 5}" y1="{Y:.1f}" x2="{ml}" '
                      f'y2="{Y:.1f}" stroke="black"/>')
         parts.append(f'<text x="{ml - 8}" y="{Y + 4:.1f}" text-anchor="end" '
-                     f'font-size="11" font-family="sans-serif">{label}</text>')
+                     f'font-size="11" font-family="sans-serif">'
+                     f'1e{tv:g}</text>')
     parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" '
                  f'text-anchor="middle" font-size="13" '
                  f'font-family="sans-serif">t</text>')
-    ytext = f"log10 {ylabel}" if logy else ylabel
     parts.append(f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
                  f'font-size="13" font-family="sans-serif" '
-                 f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{ytext}</text>')
+                 f'transform="rotate(-90 16 {mt + ph / 2:.1f})">'
+                 f'log10 {ylabel}</text>')
 
     for idx, (label, x, y) in enumerate(prepared):
         color = _PALETTE[idx % len(_PALETTE)]

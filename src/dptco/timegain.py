@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import NonPositiveInput, QuadratureFailure, TimeOutOfWindow
 
 _SIMPSON_REL_TOL = 1e-9
@@ -162,12 +164,6 @@ class GainFunction:
         ax = self.base.eval(s)
         return val * (m * self.base.deriv(s) / ax + 0.5 * v1 * ax / s ** 2)
 
-    def to_dict(self) -> dict:
-        if self.family == "dc2":
-            return {"family": "dc2", "params": list(self.params),
-                    "base": self.base.to_dict()}
-        return {"family": self.family, "params": list(self.params)}
-
     @staticmethod
     def from_dict(d: dict) -> "GainFunction":
         fam = d["family"]
@@ -236,6 +232,13 @@ def kappa(clock: PrescribedClock, alpha: GainFunction, iota: float, t: float) ->
     if x < -745.0:
         return 0.0
     return math.exp(x)
+
+
+def kappa_series(times, clock: PrescribedClock, alpha: GainFunction,
+                 iota: float) -> np.ndarray:
+    """kappa(iota alpha(mu(t))) at every logged time t, one scalar kappa
+    call each."""
+    return np.array([kappa(clock, alpha, iota, t) for t in times])
 
 
 @dataclass(frozen=True)

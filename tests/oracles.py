@@ -1,22 +1,25 @@
 """Reference forms of library math that the library itself computes in a
 fused, one-pass way or does not need; tests compare the library against
-these.  Also the gain constructors the tests use; scenarios build their
-gains with GainFunction.from_dict."""
+these.  Also the gain constructors the tests use (scenarios build their
+gains with GainFunction.from_dict), the applied controls, which the
+closed loop computes only inside its right-hand side, and the JSON forms
+of gains and costs, which only round-trip tests write."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from dptco.chain_ctrl import EulerLagrangeParams
-from dptco.costs import CostSet
+from dptco.chain_ctrl import EulerLagrangeParams, chain_control
+from dptco.costs import CostSet, ExpQuadraticCost, QuadraticCost
 from dptco.errors import Disconnected, NonFiniteState, StepUnderflow
 from dptco.generator import ErrorState, GeneratorConstants
 from dptco.graph import Network
 from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, SolverSettings,
                               Trajectory, step_ceiling)
-from dptco.strictfb_ctrl import SfControllerConfig, scale_powers
-from dptco.timegain import GainFunction, PrescribedClock
+from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
+                                 scale_powers, virtual_controls)
+from dptco.timegain import GainFunction, PrescribedClock, kappa
 
 
 class DegenerateSize(ValueError):
@@ -37,6 +40,91 @@ def log_gain(k: float) -> GainFunction:
 
 def exp_gain(k1: float, k2: float) -> GainFunction:
     return GainFunction("exp", (float(k1), float(k2)))
+
+
+def gain_to_dict(g: GainFunction) -> dict:
+    """The scenario-JSON form GainFunction.from_dict reads."""
+    d = {"family": g.family, "params": list(g.params)}
+    if g.family == "dc2":
+        d["base"] = gain_to_dict(g.base)
+    return d
+
+
+def cost_to_dict(c):
+    """The scenario-JSON form cost_from_dict reads; a sum is a list."""
+    if isinstance(c, QuadraticCost):
+        return {"family": "quadratic", "Q": c.Q.tolist(),
+                "center": c.center.tolist(), "offset": c.offset}
+    if isinstance(c, ExpQuadraticCost):
+        return {"family": "exp_quadratic", "P": c.P.tolist(),
+                "center": c.center.tolist()}
+    return [cost_to_dict(t) for t in c.terms]
+
+
+def wide_box(dim: int) -> np.ndarray:
+    """Working box [-10, 10]^dim, twice the default box."""
+    return np.tile([-10.0, 10.0], (dim, 1))
+
+
+def sf_control(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
+               theta_hat, mu: float, cfg: SfControllerConfig) -> np.ndarray:
+    """Applied strict-feedback control u = xi_m."""
+    return virtual_controls(x, varpi_i, xi_f, theta_hat, mu, cfg)["xi"][-1]
+
+
+def stacked_control(agents, mu: float, x, c, ref) -> np.ndarray:
+    """Every agent's applied control (..., n) from the stage-major plant
+    stages x, the controller states c and the references ref."""
+    if isinstance(agents, StrictFeedbackAgents):
+        theta_hat, xi_f = c
+        return sf_control(x, ref, xi_f, theta_hat, mu, agents.cfg)
+    return chain_control(x, ref, mu, agents.cfg)
+
+
+def agent_control(sys, t: float, y: np.ndarray, i: int) -> np.ndarray:
+    """Control applied by agent i of the closed loop sys at (t, y)."""
+    varpi, _, x, c = sys.views(y)
+    return stacked_control(
+        sys.agents, sys.clock.mu(t), x[:, i],
+        None if c is None else (c[0][i], c[1][:, i]),
+        sys.references(varpi)[i])
+
+
+def chain_decay_fit(times, e_s_norms, cfg, clock) -> float:
+    """Smallest C with ||e_s|| <= C kappa(-(v1/4m) alpha_x(mu)) over the
+    (K, N) norms, one scalar division at a time; 0/0 counts as 0."""
+    c_fit = 0.0
+    for t, row in zip(times, e_s_norms):
+        k = kappa(clock, cfg.alpha_x, -cfg.v1 / (4.0 * cfg.m), t)
+        for nrm in row:
+            if k > 0.0:
+                c_fit = max(c_fit, nrm / k)
+            elif nrm > 1e-12:
+                c_fit = math.inf
+    return c_fit
+
+
+def sf_decay_fit(mus, e_s_norms, cfg: SfControllerConfig) -> float:
+    """Smallest C with ||e_s|| <= C / alpha_xi(mu) over the (K, N) norms,
+    one scalar product at a time."""
+    return max([0.0] + [nrm * cfg.alpha_xi.eval(float(mu))
+                        for mu, row in zip(mus, e_s_norms) for nrm in row])
+
+
+def theta_hat_max_ratio(mus, theta_hats, taus,
+                        cfg: SfControllerConfig) -> float:
+    """Largest |theta_hat| over its estimator envelope, agent by agent and
+    point by point; a zero envelope reads inf."""
+    worst = 0.0
+    for th, tau in zip(np.transpose(theta_hats), np.transpose(taus)):
+        gamma = (cfg.alpha_xi.eval(float(mus[0])) * abs(float(th[0]))
+                 + float(np.max(np.abs(tau)))
+                 / math.sqrt(2.0 * (2.0 * cfg.sigma - 3.0)))
+        for mu, value in zip(mus, th):
+            bound = gamma / cfg.alpha_xi.eval(float(mu))
+            worst = max(worst, abs(float(value)) / bound if bound > 0.0
+                        else math.inf)
+    return worst
 
 
 # C picks x2 entries _C_PICK with signs _C_SIGN

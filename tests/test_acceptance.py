@@ -23,7 +23,7 @@ from dptco.chain_ctrl import companion, hurwitz_gain, solve_lyapunov
 
 import conftest
 from conftest import modified_scenario, scenario_path
-from oracles import exp_gain, linear_gain, log_gain
+from oracles import agent_control, exp_gain, linear_gain, log_gain
 
 Z_STAR_E2 = np.array([0.7263, 0.7183])
 Y_BAR_E1 = np.array([-1.0 / 36.0, -2.0 / 36.0])
@@ -114,7 +114,7 @@ def test_criterion_05_formation(example1_run):
     controls_finite = True
     for t, y in zip(traj.times, traj.states):
         for i in range(n):
-            if not np.all(np.isfinite(build.sys.control(t, y, i))):
+            if not np.all(np.isfinite(agent_control(build.sys, t, y, i))):
                 controls_finite = False
     wall = man["wall_seconds"]
     ok = endpoint_err <= 5e-2 and controls_finite and wall < 60.0

@@ -7,20 +7,21 @@ import pytest
 from dptco.chain_ctrl import (ChainAgents, ElMismatch, EulerLagrangeParams,
                               chain_control, chain_error_view,
                               el_acceleration, make_chain_config)
-from dptco.costs import CostSet, QuadraticCost, default_box
+from dptco.costs import CostSet, QuadraticCost
 from dptco.errors import GuardExceeded
 from dptco.graph import build_network
 from dptco.sim_engine import (CoupledSystem, SolverSettings, integrate,
                               make_disturbance)
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
-                                 error_vector, scaled_error_vector, sf_control,
+                                 error_vector, scaled_error_vector,
                                  virtual_controls)
 from dptco.timegain import PrescribedClock
 
-from oracles import (adaptation_rhs, cascade, chain_plant_rhs,
+from oracles import (adaptation_rhs, agent_control, cascade, chain_plant_rhs,
                      concatenated_rhs, el_acceleration_solve, el_matrices,
                      exp_gain, filter_rhs, integrate_allocating, linear_gain,
-                     power_gain, sf_derivatives, sf_plant_rhs, tau_value)
+                     power_gain, sf_control, sf_derivatives, sf_plant_rhs,
+                     tau_value, wide_box)
 
 N, DIM = 5, 2
 CLOCK = PrescribedClock(0.0, 1.0)
@@ -32,7 +33,7 @@ REL = 1e-12
 def coupled(agents, offsets=None) -> CoupledSystem:
     net = build_network(N, [[i, (i + 1) % N, 1.0] for i in range(N)])
     costs = CostSet([QuadraticCost(np.eye(DIM) * (0.5 + 0.25 * i), [i, -i])
-                     for i in range(N)], DIM, default_box(DIM, 10.0))
+                     for i in range(N)], DIM, wide_box(DIM))
     return CoupledSystem(CLOCK, net, costs, linear_gain(10.0), agents=agents,
                          offsets=offsets)
 
@@ -87,7 +88,7 @@ def test_chain_model_matches_per_agent_loop(seed):
     dx, us = per_agent_chain(sys, t, y)
     assert_close(sys.rhs(t, y)[sys.gen_size:], dx)
     for i in range(N):
-        assert_close(sys.control(t, y, i), us[i])
+        assert_close(agent_control(sys, t, y, i), us[i])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -100,7 +101,7 @@ def test_euler_lagrange_model_matches_per_agent_loop(seed):
     dx, us = per_agent_chain(sys, t, y)
     assert_close(sys.rhs(t, y)[sys.gen_size:], dx)
     for i in range(N):
-        assert_close(sys.control(t, y, i), us[i])
+        assert_close(agent_control(sys, t, y, i), us[i])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -142,7 +143,7 @@ def test_strict_feedback_model_matches_per_agent_loop(seed):
         xi_f = xi_fs[:, i]
         view = virtual_controls(x[:, i], varpi[i], xi_f, theta_hat, mu, cfg)
         u = view["xi"][-1]
-        assert_close(sys.control(t, y, i),
+        assert_close(agent_control(sys, t, y, i),
                      sf_control(x[:, i], varpi[i], xi_f, theta_hat, mu, cfg))
         dx[:, i] = sf_plant_rhs(x[:, i], u, float(agents.thetas[i]), cfg)
         tau = tau_value(x[:, i], view["x_tilde"], mu, cfg)
@@ -299,7 +300,7 @@ def test_stacked_rhs_enforces_mu_guard(make):
     with pytest.raises(GuardExceeded):
         sys.rhs(0.9, y)  # mu = 10 > 5
     with pytest.raises(GuardExceeded):
-        sys.control(0.9, y, 0)
+        agent_control(sys, 0.9, y, 0)
 
 
 # --- in-place right-hand side ------------------------------------------------

@@ -214,7 +214,8 @@ def test_decay_monitor_zero_trajectory():
     cfg = cfg_m2()
     clock = PrescribedClock(0.0, 1.0)
     times = np.linspace(0.0, 0.9, 10)
-    rep = chain_decay_monitor(times, np.zeros(10), np.zeros(10), cfg, clock)
+    rep = chain_decay_monitor(times, np.zeros((10, 1)), np.zeros((10, 1)),
+                              cfg, clock)
     assert rep.passed and rep.max_ratio == 0.0
 
 
@@ -223,8 +224,8 @@ def test_decay_monitor_fits_initial_value():
     clock = PrescribedClock(0.0, 1.0)
     times = np.linspace(0.0, 0.9, 40)
     rate = cfg.v1 / (4.0 * cfg.m)
-    norms = [3.0 * kappa(clock, cfg.alpha_x, -rate, t) for t in times]
-    rep = chain_decay_monitor(times, norms, np.ones(40), cfg, clock)
+    norms = [[3.0 * kappa(clock, cfg.alpha_x, -rate, t)] for t in times]
+    rep = chain_decay_monitor(times, norms, np.ones((40, 1)), cfg, clock)
     assert rep.passed
     assert rep.max_ratio == pytest.approx(3.0, rel=1e-9)
 

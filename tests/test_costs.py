@@ -64,7 +64,7 @@ def test_cost_roundtrip_serialization():
     c = cost_from_dict([{"family": "quadratic", "Q": [[1.0]], "center": [0.5]},
                         {"family": "exp_quadratic", "P": [[0.2]],
                          "center": [0.0]}])
-    c2 = cost_from_dict(json.loads(json.dumps(c.to_dict())))
+    c2 = cost_from_dict(json.loads(json.dumps(oracles.cost_to_dict(c))))
     z = np.array([0.7])
     assert c2.value(z) == pytest.approx(c.value(z))
 
@@ -104,7 +104,7 @@ def test_grad_stack_matches_per_agent():
     assert np.allclose(cs.grad_stack(Z), direct, atol=1e-14)
     # one quadratic per agent takes the path without gather and scatter
     quad = CostSet([QuadraticCost(np.diag([1.0 + i, 0.5]), [i, -i])
-                    for i in range(5)], 2, default_box(2, 10.0))
+                    for i in range(5)], 2, oracles.wide_box(2))
     Z = rng.uniform(-1.0, 2.0, size=(5, 2))
     direct = np.array([c.gradient(Z[i]) for i, c in enumerate(quad.costs)])
     assert np.allclose(quad.grad_stack(Z), direct, atol=1e-14)
@@ -114,7 +114,7 @@ def test_grad_stack_matches_per_agent():
              for i in range(4)]
     merged = CostSet([SumCost(terms[0]), terms[1][0], SumCost(terms[2]),
                       SumCost(terms[3] + [terms[0][1]])], 2,
-                     default_box(2, 10.0))
+                     oracles.wide_box(2))
     Z = rng.uniform(-1.0, 2.0, size=(4, 2))
     direct = np.array([c.gradient(Z[i])
                        for i, c in enumerate(merged.costs)])
@@ -148,7 +148,7 @@ def test_oracle_weighted_mean():
     iotas = [0.5, 1.0, 2.0]
     centers = [[0.0, 0.0], [1.0, 2.0], [-1.0, 4.0]]
     cs = CostSet([QuadraticCost(i * np.eye(2), c)
-                  for i, c in zip(iotas, centers)], 2, default_box(2, 10.0))
+                  for i, c in zip(iotas, centers)], 2, oracles.wide_box(2))
     expected = (np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 4.0]])
                 * np.array(iotas)[:, None]).sum(axis=0) / sum(iotas)
     assert np.allclose(optimum_oracle(cs).z_star, expected, atol=1e-8)

@@ -13,7 +13,7 @@ from dptco.generator import (ErrorState, conservation_monitor,
 from dptco.graph import build_network
 from dptco.sim_engine import CoupledSystem
 from dptco.timegain import PrescribedClock, kappa
-from oracles import agent_rhs, linear_gain, lyapunov_vr
+from oracles import agent_rhs, linear_gain, lyapunov_vr, wide_box
 
 RING6 = [[i, (i + 1) % 6, 1.0] for i in range(6)]
 
@@ -96,7 +96,7 @@ def test_stacked_rhs_matches_agent_rhs():
 def test_equilibrium_is_stationary():
     net = build_network(6, RING6)
     cs = CostSet([QuadraticCost(np.eye(2) * (0.2 + 0.1 * i), [i, -i])
-                  for i in range(6)], 2, default_box(2, 10.0))
+                  for i in range(6)], 2, wide_box(2))
     cert = optimum_oracle(cs)
     varpi = np.tile(cert.z_star, (6, 1))
     p = -np.array([c.gradient(cert.z_star) for c in cs.costs])

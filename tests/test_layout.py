@@ -13,6 +13,7 @@ import pytest
 from dptco.scenario import load_scenario
 
 from conftest import scenario_path
+from oracles import agent_control, stacked_control
 
 SCENARIOS = ["example1", "example2"]
 
@@ -86,12 +87,12 @@ def test_agent_control_is_row_of_stacked_control(build):
     y = build.y0 + 0.1 * rng.standard_normal(sys.total_dim)
     t = 0.3
     varpi, _, x, c = sys.views(y)
-    stacked = sys.agents.control(sys.clock.mu(t), x, c,
-                                 sys.references(varpi))
+    stacked = stacked_control(sys.agents, sys.clock.mu(t), x, c,
+                              sys.references(varpi))
     assert stacked.shape == (sys.net.n_agents, sys.dim)
     scale = max(1.0, float(np.abs(stacked).max()))
     for i in range(sys.net.n_agents):
-        assert np.abs(sys.control(t, y, i) - stacked[i]).max() <= (
+        assert np.abs(agent_control(sys, t, y, i) - stacked[i]).max() <= (
             1e-12 * scale)
 
 

@@ -13,8 +13,7 @@ from dptco import cli
 from dptco.cli import (EXIT_CONFIG, EXIT_MONITOR, EXIT_OK, main,
                        read_trajectory_csv, run_scenario)
 from dptco.errors import NonFiniteState, ScenarioError
-from dptco.generator import MonitorReport
-from dptco.scenario import _worst, load_scenario, scenario_hash
+from dptco.scenario import load_scenario, scenario_hash
 from dptco.sim_engine import export_csv
 
 from conftest import modified_scenario, scenario_path
@@ -255,16 +254,6 @@ def test_seed_changes_disturbance_only():
     d2 = b2.sys.agents.disturbance(0.3)[0]
     assert not np.allclose(d1, d2)
     assert np.array_equal(b1.y0, b2.y0)
-
-
-def test_worst_agent_report_prefers_failures():
-    # an agent that fails with a small ratio outranks one that passes with
-    # a larger ratio; among passing agents the largest ratio is shown
-    failing = MonitorReport("invariant_set", False, 1.01, 0.0)
-    passing = MonitorReport("invariant_set", True, 1.015, None)
-    assert _worst([passing, failing, passing]) is failing
-    larger = MonitorReport("invariant_set", True, 1.5, None)
-    assert _worst([passing, larger]) is larger
 
 
 # --- run pipeline ------------------------------------------------------------

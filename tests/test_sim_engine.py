@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dptco.costs import CostSet, QuadraticCost, default_box, optimum_oracle
+from dptco.costs import CostSet, QuadraticCost, optimum_oracle
 from dptco.errors import (DimensionMismatch, NonFiniteState, StepUnderflow)
 from dptco.graph import build_network
 from dptco.sim_engine import (CoupledSystem, SolverSettings, export_csv,
@@ -13,7 +13,7 @@ from dptco.sim_engine import (CoupledSystem, SolverSettings, export_csv,
                               trajectory_columns)
 from dptco.timegain import PrescribedClock
 
-from oracles import linear_gain
+from oracles import linear_gain, wide_box
 
 CLOCK = PrescribedClock(0.0, 1.0)
 # the same window, the run ending at t = 0.5 or t = 0.9
@@ -167,7 +167,7 @@ def test_solver_settings_validation():
 def ring_system(T=1.0, k=21.0, guard_frac=0.9):
     net = build_network(4, [[i, (i + 1) % 4, 1.0] for i in range(4)])
     costs = CostSet([QuadraticCost(np.eye(2) * (0.5 + 0.25 * i), [i, -i])
-                     for i in range(4)], 2, default_box(2, 10.0))
+                     for i in range(4)], 2, wide_box(2))
     clock = PrescribedClock(0.0, T, guard_frac)
     sys = CoupledSystem(clock, net, costs, linear_gain(k))
     return sys, costs

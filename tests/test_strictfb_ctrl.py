@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptco.errors import GuardExceeded, MarginTooSmall
-from dptco.strictfb_ctrl import (SfControllerConfig,
-                                 default_invariant_radius, error_vector,
+from dptco.strictfb_ctrl import (SfControllerConfig, error_vector,
                                  invariant_set_monitor, scale_powers,
                                  scaled_error_vector, select_parameters,
-                                 sf_control, sf_decay_monitor,
-                                 theta_hat_monitor, virtual_controls)
+                                 sf_decay_monitor, theta_hat_monitor,
+                                 virtual_controls)
 
 from oracles import (adaptation_rhs, filter_rhs, linear_gain, phi_weights,
-                     power_gain, sf_plant_rhs, tau_value,
+                     power_gain, sf_control, sf_plant_rhs, tau_value,
                      transformation_matrices)
 
 
@@ -250,21 +249,17 @@ def test_phi_weights_descending():
     assert all(a > b for a, b in zip(w1, w1[1:]))
 
 
-# --- monitors ----------------------------------------------------------------
-
-def test_default_invariant_radius():
-    assert default_invariant_radius(3.0) == pytest.approx(7.0)
-
+# --- monitors (one agent: every channel a (K, 1) column) ---------------------
 
 def test_invariant_monitor_zero_trajectory():
     times = np.linspace(0.0, 1.0, 5)
-    rep = invariant_set_monitor(times, np.zeros(5), h=0.5)
+    rep = invariant_set_monitor(times, np.zeros((5, 1)), h=0.5)
     assert rep.passed
 
 
 def test_invariant_monitor_flags_exit():
     times = np.linspace(0.0, 1.0, 5)
-    norms = np.array([0.5, 0.6, 2.0, 0.1, 0.1])
+    norms = np.array([[0.5], [0.6], [2.0], [0.1], [0.1]])
     rep = invariant_set_monitor(times, norms, h=1.0)
     assert not rep.passed
     assert rep.first_violation_t == pytest.approx(0.5)
@@ -272,7 +267,8 @@ def test_invariant_monitor_flags_exit():
 
 def test_invariant_monitor_initially_outside():
     times = np.linspace(0.0, 1.0, 3)
-    rep = invariant_set_monitor(times, np.array([2.0, 0.1, 0.1]), h=1.0)
+    rep = invariant_set_monitor(times, np.array([[2.0], [0.1], [0.1]]),
+                                h=1.0)
     assert not rep.passed
     assert rep.first_violation_t == pytest.approx(0.0)
 
@@ -281,7 +277,7 @@ def test_sf_decay_monitor_fits_constant():
     cfg = cfg_m2()
     mus = np.linspace(1.0, 100.0, 50)
     times = 1.0 - 1.0 / mus
-    norms = 2.0 / mus  # exactly C / alpha_xi with C = 2
+    norms = (2.0 / mus)[:, None]  # exactly C / alpha_xi with C = 2
     rep = sf_decay_monitor(times, mus, norms, cfg)
     assert rep.passed
     assert rep.max_ratio == pytest.approx(2.0, rel=1e-12)
@@ -291,10 +287,10 @@ def test_theta_hat_monitor_pass_and_fail():
     cfg = cfg_m2(sigma=10.0)
     mus = np.linspace(1.0, 100.0, 50)
     times = 1.0 - 1.0 / mus
-    taus = np.zeros(50)
-    good = 0.5 / mus
+    taus = np.zeros((50, 1))
+    good = (0.5 / mus)[:, None]
     rep = theta_hat_monitor(times, mus, good, taus, cfg)
     assert rep.passed
-    bad = np.full(50, 0.5)
+    bad = np.full((50, 1), 0.5)
     rep2 = theta_hat_monitor(times, mus, bad, taus, cfg)
     assert not rep2.passed

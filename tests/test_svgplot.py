@@ -1,4 +1,4 @@
-"""SVG polyline writer: well-formed output, scaling, log mode."""
+"""SVG polyline writer: well-formed output, scaling, log scale."""
 
 import xml.etree.ElementTree as ET
 
@@ -27,7 +27,7 @@ def test_output_is_well_formed_xml(tmp_path):
 def test_points_stay_inside_canvas(tmp_path):
     p = tmp_path / "b.svg"
     x = np.linspace(0.0, 5.0, 50)
-    write_svg(str(p), [("s", x, np.sin(x) * 1e6)])
+    write_svg(str(p), [("s", x, np.sin(x) * 1e6)], title="b", ylabel="y")
     root = ET.parse(p).getroot()
     for poly in root.findall(f"{NS}polyline"):
         coords = [float(v) for pair in poly.get("points").split()
@@ -39,7 +39,7 @@ def test_points_stay_inside_canvas(tmp_path):
 def test_logy_handles_zeros(tmp_path):
     p = tmp_path / "c.svg"
     y = np.array([1.0, 1e-5, 0.0, 1e-12])
-    write_svg(str(p), [("z", np.arange(4.0), y)], logy=True)
+    write_svg(str(p), [("z", np.arange(4.0), y)], title="c", ylabel="y")
     root = ET.parse(p).getroot()
     pts = root.find(f"{NS}polyline").get("points").split()
     assert len(pts) == 4  # zero sample clipped to the floor, not dropped
@@ -48,7 +48,7 @@ def test_logy_handles_zeros(tmp_path):
 def test_nonfinite_points_dropped(tmp_path):
     p = tmp_path / "d.svg"
     y = np.array([1.0, np.nan, 3.0, np.inf, 5.0])
-    write_svg(str(p), [("n", np.arange(5.0), y)])
+    write_svg(str(p), [("n", np.arange(5.0), y)], title="d", ylabel="y")
     root = ET.parse(p).getroot()
     pts = root.find(f"{NS}polyline").get("points").split()
     assert len(pts) == 3
@@ -56,7 +56,7 @@ def test_nonfinite_points_dropped(tmp_path):
 
 def test_empty_series_rejected(tmp_path):
     with pytest.raises(EmptyTrajectory):
-        write_svg(str(tmp_path / "e.svg"), [])
+        write_svg(str(tmp_path / "e.svg"), [], title="e", ylabel="y")
 
 
 def test_ticks_cover_range():

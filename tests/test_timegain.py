@@ -13,7 +13,7 @@ from dptco.timegain import (GainFunction, GrowthCriterion, PrescribedClock,
                             check_growth_criterion, gain_integral, kappa,
                             log_grid)
 
-from oracles import exp_gain, linear_gain, log_gain, power_gain
+from oracles import exp_gain, gain_to_dict, linear_gain, log_gain, power_gain
 
 
 # --- clock -------------------------------------------------------------------
@@ -127,7 +127,10 @@ def test_gain_integral_simpson_matches_closed_form():
 def test_gain_roundtrip_serialization():
     for g in (linear_gain(2.0), power_gain(1.5, 1.5), log_gain(0.3),
               exp_gain(1.0, 1.0)):
-        assert GainFunction.from_dict(g.to_dict()) == g
+        assert GainFunction.from_dict(gain_to_dict(g)) == g
+    dc2 = alpha_s_from_dc2(power_gain(1.5, 1.5), 2.0, 2, 1.0)
+    back = GainFunction.from_dict(gain_to_dict(dc2))
+    assert back == dc2 and back.base == dc2.base
 
 
 def test_validate_rejects_nonzero_origin():
