@@ -112,6 +112,7 @@ def run_scenario(scenario_path: str, out_dir: str, seed: int | None = None,
         "n_steps": traj.n_steps,
         "n_rejected": traj.n_rejected,
         "n_rhs": traj.n_rhs,
+        "integrator": traj.integrator,
         "outputs": files,
         "wall_seconds": time.monotonic() - t_start,
     }
@@ -125,12 +126,20 @@ def run_scenario(scenario_path: str, out_dir: str, seed: int | None = None,
     return (EXIT_OK if all_pass else EXIT_MONITOR), manifest
 
 
+def _monitor_line(m: dict) -> str:
+    """The line `run` and `verify` print for one monitor report's dict."""
+    status = "pass" if m["pass"] else "FAIL"
+    extra = ("" if m["first_violation_t"] is None
+             else f", first violation t={m['first_violation_t']:.6g}")
+    return (f"monitor {m['name']}: {status} "
+            f"(max_ratio={m['max_ratio']:.4g}{extra})")
+
+
 def cmd_run(args) -> int:
     code, manifest = run_scenario(args.scenario, args.out, seed=args.seed,
                                   guard_frac=args.guard_frac)
     for m in manifest["monitors"]:
-        status = "pass" if m["pass"] else "FAIL"
-        print(f"monitor {m['name']}: {status} (max_ratio={m['max_ratio']:.4g})")
+        print(_monitor_line(m))
     print(f"wrote {len(manifest['outputs']) + 1} files to {args.out}")
     return code
 
@@ -210,11 +219,7 @@ def cmd_verify(args) -> int:
     monitors = evaluate_monitors(build, traj, cert.z_star)
     all_pass = True
     for m in monitors:
-        status = "pass" if m.passed else "FAIL"
-        extra = ("" if m.first_violation_t is None
-                 else f", first violation t={m.first_violation_t:.6g}")
-        print(f"monitor {m.name}: {status} "
-              f"(max_ratio={m.max_ratio:.4g}{extra})")
+        print(_monitor_line(m.to_dict()))
         all_pass = all_pass and m.passed
     return EXIT_OK if all_pass else EXIT_MONITOR
 

@@ -20,18 +20,45 @@ The adaptive Dormand-Prince integrator (rk45) runs on the log clock
 s = -ln(1 - (t - t0)/T), where dt = ds / mu, so its error control alone
 follows the blow-up of the time-varying gain.  Its last stage is the first
 stage of the next step (first same as last, FSAL), so every attempted step
-costs six right-hand-side evaluations, plus one at the start.  The
-fixed-step RK4 integrator stays on the t clock under the step ceiling
+costs six right-hand-side evaluations, plus one at the start.
+
+The gain makes every closed loop stiff near the deadline, and there
+Dormand-Prince ("DP5") is held at its real-axis stability limit,
+h rho ~ 3.3 for spectral radius rho.  The rk45 path then hands over to the
+damped second-order Runge-Kutta-Chebyshev step ("RKC2"; Sommeijer,
+Shampine & Verwer, J. Comput. Appl. Math. 88, 1998), whose stability
+interval grows as about 0.65 m^2 with its stage count m:
+- the switch: DP5's free stiffness estimate h ||k7 - k6|| / ||y7 - y6||
+  (Hairer & Wanner, Solving ODEs II, IV.2) is above 90% of the limit on 10
+  trials in a row;
+- the spectral radius: a nonlinear power iteration on f(s, y + v) -
+  f(s, y), seeded from k7 - k6 and warm-started from its last direction,
+  taken at the hand-over, every 25 RKC2 steps and after a rejection (once
+  per point); the stage count follows rkc.f,
+  m = 1 + floor(sqrt(1 + 1.54 h 1.2 rho));
+- the error target: RKC2's embedded estimate 0.8 (y_n - y_n+1) +
+  0.4 h (F_n + F_n+1), held to 1/100 of DP5's tolerance, because RKC2
+  advances the solution its estimate measures (no local extrapolation);
+- the cost rule: after each step RKC2 takes at its first trial it
+  projects its calls per unit log time over the rest of the window, as if
+  its step kept growing at the present rate; when that is no cheaper than
+  DP5 at its limit (6 calls per step of 3.3/rho) it hands back, and DP5
+  hands over again only once its own steps cost more calls per unit log
+  time than that RKC2 run did.
+The rule reads only what the integrator observes, so it has no setting; a
+run that never hands over is the plain Dormand-Prince run.  The fixed-step
+RK4 integrator stays on the t clock under the step ceiling
 min(dt_max, 0.05 / mu^2).
 Integration stops at the guard time strictly before the prescribed deadline;
-no right-hand side is ever evaluated at or beyond the deadline.
+every stage and every power-iteration probe lies inside its step, and no
+right-hand side is ever evaluated at or beyond the deadline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -78,13 +105,21 @@ class SolverSettings:
 
 @dataclass
 class Trajectory:
-    """Logged solution: times (K,) and states (K, D)."""
+    """Logged solution: times (K,) and states (K, D).
+
+    integrator, filled in by `integrate`, says how it stepped: the method,
+    accepted and rejected steps of each scheme, n_rhs (with the
+    power-iteration probes), each hand-over {"t", "to"} (None if there was
+    none) and the largest RKC2 stage count (None if RKC2 never ran).
+    """
 
     times: np.ndarray
     states: np.ndarray
     n_steps: int
     n_rejected: int = 0
     n_rhs: int = 0
+    # None for a trajectory read back from a CSV
+    integrator: dict | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.times.shape[0] != self.states.shape[0]:
@@ -158,6 +193,147 @@ def _rk45_step(f, s, y, h, K, y_s, y_new):
     return h * np.dot(_DP_E, K)
 
 
+# Dormand-Prince's real-axis stability limit in h rho (Hairer & Wanner,
+# Solving ODEs II, IV.2, test against 3.25) and its calls per step
+_DP5_H_RHO = 3.3
+_DP5_CALLS = 6
+# DP5 hands over after this many trials in a row above 90% of its limit:
+# Hairer's own 3.25 is never reached in a row by estimates that oscillate
+# around the limit
+_HANDOVER_H_RHO = 0.9 * _DP5_H_RHO
+_HANDOVER_TRIALS = 10
+# RKC2 (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998, and
+# their rkc.f): the damping epsilon, the safety factor on the spectral
+# radius, the most steps between two estimates of it, and the most probes
+# of one estimate
+_RKC_DAMPING = 2.0 / 13.0
+_RHO_SAFETY = 1.2
+_RKC_REFRESH = 25
+_POWER_ITERS = 20
+# RKC2 holds its error estimate to 1/100 of DP5's target.  DP5 advances
+# its fifth-order solution, far more accurate than the estimate it
+# controls; RKC2 advances the second-order solution its estimate measures,
+# and its errors add up over its steps.  Held to DP5's target, example1
+# ends 14 tolerances from a tight reference; at 1/100 every bundled and
+# benchmark endpoint stays within one.
+_RKC_TOL_FRAC = 0.01
+
+
+@lru_cache(maxsize=None)
+def _rkc2_coefficients(m: int) -> tuple:
+    """Coefficients of the m-stage damped RKC2 step (rkc.f's recurrence).
+
+    Returns (A, B, theta).  The step works on five rows (F_n, y_n, F, Ya,
+    Yb): F_n = f(s, y_n), F the last stage's derivative, and Ya, Yb the
+    last two stage values, stage j writing row 3 + j % 2 (so y_0 = y_n
+    sits in row 3).  Row j - 1 of A + h B is stage j's input as a
+    combination of the rows, j = 1..m, and row m the error estimate
+    0.8 (y_n - y_m) + 0.4 h (F_n + f(s + h, y_m)) once F holds the last
+    derivative.  theta[j] is stage j's time in units of h (theta[m] = 1).
+    """
+    w0 = 1.0 + _RKC_DAMPING / (m * m)
+    t1 = w0 * w0 - 1.0
+    t2 = math.sqrt(t1)
+    arg = m * math.log(w0 + t2)
+    w1 = math.sinh(arg) * t1 / (math.cosh(arg) * m * t2 - w0 * math.sinh(arg))
+    A = np.zeros((m + 1, 5))
+    B = np.zeros((m + 1, 5))
+    theta = np.zeros(m + 1)
+    b_jm1 = b_jm2 = 1.0 / (4.0 * w0 * w0)
+    A[0, 1] = 1.0
+    B[0, 0] = theta[1] = w1 * b_jm1
+    # the Chebyshev polynomials T_1, T_0 at w0 and their two derivatives
+    z_jm1, dz_jm1, d2z_jm1 = w0, 1.0, 0.0
+    z_jm2, dz_jm2, d2z_jm2 = 1.0, 0.0, 0.0
+    for j in range(2, m + 1):
+        z_j = 2.0 * w0 * z_jm1 - z_jm2
+        dz_j = 2.0 * w0 * dz_jm1 - dz_jm2 + 2.0 * z_jm1
+        d2z_j = 2.0 * w0 * d2z_jm1 - d2z_jm2 + 4.0 * dz_jm1
+        b_j = d2z_j / (dz_j * dz_j)
+        a_jm1 = 1.0 - z_jm1 * b_jm1
+        mu = 2.0 * w0 * b_j / b_jm1
+        nu = -b_j / b_jm2
+        mus = mu * w1 / w0
+        # y_j = (1 - mu - nu) y_n + mu y_{j-1} + nu y_{j-2}
+        #       + h mus (F(y_{j-1}) - a_{j-1} F_n)
+        A[j - 1, 1] = 1.0 - mu - nu
+        A[j - 1, 3 + (j - 1) % 2] = mu
+        A[j - 1, 3 + j % 2] = nu
+        B[j - 1, 0] = -mus * a_jm1
+        B[j - 1, 2] = mus
+        theta[j] = mu * theta[j - 1] + nu * theta[j - 2] + mus * (1.0 - a_jm1)
+        b_jm2, b_jm1 = b_jm1, b_j
+        z_jm2, z_jm1 = z_jm1, z_j
+        dz_jm2, dz_jm1 = dz_jm1, dz_j
+        d2z_jm2, d2z_jm1 = d2z_jm1, d2z_j
+    A[m, 1] = 0.8
+    A[m, 3 + m % 2] = -0.8
+    B[m, 0] = B[m, 2] = 0.4
+    theta[m] = 1.0
+    return A, B, theta
+
+
+def _rkc2_stages(h: float, rho: float) -> int:
+    """rkc.f's stage count for the step h at spectral radius rho: the
+    fewest stages whose stability interval, about 0.65 m^2, covers h rho."""
+    return 1 + int(math.sqrt(1.0 + 1.54 * h * rho))
+
+
+def _rkc2_step(f, s, y, h, m, K, y_new):
+    """One m-stage RKC2 trial step of size h from (s, y); returns the error
+    estimate.
+
+    K is the (7, D) stage array with K[0] = f(s, y) in place.  The step
+    copies y into K[1] and K[3], keeps its stage values in K[3] and K[4]
+    and their derivatives in K[2] (see `_rkc2_coefficients`), writes
+    y_m into y_new, which must not share memory with y, and leaves
+    f(s + h, y_m) in K[2] for the next step's K[0].  K[5] and K[6] are
+    not touched.
+    """
+    A, B, theta = _rkc2_coefficients(m)
+    C = A + h * B
+    K[1] = y
+    K[3] = y
+    np.dot(C[0, :2], K[:2], out=y_new)
+    for j in range(2, m + 1):
+        K[3 + (j - 1) % 2] = y_new
+        f(s + theta[j - 1] * h, y_new, K[2])
+        np.dot(C[j - 1], K[:5], out=y_new)
+    K[3 + m % 2] = y_new
+    f(s + h, y_new, K[2])
+    return np.dot(C[m], K[:5])
+
+
+def _spectral_radius(f, s, y, K) -> tuple:
+    """Spectral radius of f's Jacobian at (s, y), by nonlinear power
+    iteration on differences f(s, y + v) - f(s, y) (rkc.f's rkcrho).
+
+    K[0] holds f(s, y) and K[5] the start direction v; the iteration
+    leaves its last direction in K[5], to warm-start the next call, and
+    uses K[6] as scratch.  Stops once two estimates agree to 1%, or after
+    _POWER_ITERS probes.  Returns (estimate, probes).
+    """
+    eps = math.sqrt(np.finfo(float).eps)
+    v, fv = K[5], K[6]
+    y_norm = math.sqrt(y @ y)
+    dy = y_norm * eps if y_norm > 0.0 else eps
+    v_norm = math.sqrt(v @ v)
+    if v_norm == 0.0:  # no direction yet: stretch y, or any direction
+        v[...] = y if y_norm > 0.0 else 1.0
+        v_norm = math.sqrt(v @ v)
+    sigma = 0.0
+    for n in range(1, _POWER_ITERS + 1):
+        v *= dy / v_norm
+        v += y
+        f(s, v, fv)
+        np.subtract(fv, K[0], out=v)
+        v_norm = math.sqrt(v @ v)
+        sigma, last = v_norm / dy, sigma
+        if v_norm == 0.0 or (n > 1 and abs(sigma - last) <= 0.01 * sigma):
+            break
+    return sigma, n
+
+
 def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
               settings: SolverSettings,
               norm_order: np.ndarray | None = None) -> Trajectory:
@@ -167,7 +343,9 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
     of the integrator) without reading it.  RK45 steps in
     s = -ln(1 - (t - t0)/T), i.e. t(s) = t0 - T expm1(-s), on
     dy/ds = rhs / mu, its step in s capped by dt_max * mu (dt_max in t);
-    no stage time passes the guard time clock.t_guard, where the run ends.
+    while Dormand-Prince is held at its stability limit it hands over to
+    RKC2 (see the module docstring).  No stage time passes the guard time
+    clock.t_guard, where the run ends.
     norm_order, when given, is the order in which the RK45 error norm sums
     the entries of y (an index array; `CoupledSystem.agent_major`), so the
     steps it accepts do not depend on how y is stored.
@@ -185,36 +363,76 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
         rhs(t, y, out)
         out *= T + t0 - t  # 1/mu = T + t0 - t
 
+    def err_norm(err, y, y_new):
+        err /= settings.abs_tol + settings.rel_tol * np.maximum(
+            np.abs(y), np.abs(y_new))
+        if norm_order is not None:
+            err = err[norm_order]
+        return math.sqrt((err @ err) / err.shape[0])
+
     t, s = t0, 0.0
     s_end = -math.log1p(-(t_end - t0) / T)
     y = np.asarray(y0, dtype=float).copy()
     _check_finite(y, t)
     times = [t]
     states = [y.copy()]
+    rk45 = settings.method == "rk45"
+    # accepted and rejected steps of each scheme
+    steps = dict.fromkeys(("dp5", "rkc2") if rk45 else ("rk4",), 0)
+    rejected = dict.fromkeys(steps, 0)
+    handovers = []
+    max_stages = 0
     n_steps = 0
-    n_rejected = 0
     n_rhs = 0
     h = settings.dt * clock.mu0
     last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
     # stage rows and stage input: scratch that never holds the accepted y
-    K = np.empty((7 if settings.method == "rk45" else 4, y.shape[0]))
+    K = np.empty((7 if rk45 else 4, y.shape[0]))
     y_s = np.empty_like(y)
     y_new = np.empty_like(y)
-    if settings.method == "rk45" and not last:
+    if rk45 and not last:
         f(s, y, K[0])
         n_rhs = 1
+    stiff_trials = 0  # DP5 trials in a row above _HANDOVER_H_RHO
+    sigma = None      # RKC2's spectral-radius estimate; None while DP5 steps
+    fresh = False     # sigma was estimated at the current (s, y)
+    rkc_cost = 0.0    # RKC2's calls per unit log time when it last gave up
+    # the current RKC2 run: accepted steps, calls and log time so far
+    rkc_steps = rkc_calls = 0
+    rkc_ds = 0.0
+
+    def estimate():
+        # the power iteration at the accepted (s, y), where K[0] = f(s, y);
+        # a non-finite estimate hands back to DP5
+        nonlocal sigma, fresh, n_rhs, rkc_calls
+        sigma, probes = _spectral_radius(f, s, y, K)
+        n_rhs += probes
+        rkc_calls += probes
+        fresh = True
+        if not math.isfinite(sigma):
+            hand_back()
+
+    def hand_back():
+        nonlocal sigma, stiff_trials, h
+        handovers.append({"t": t, "to": "dp5"})
+        sigma = None
+        stiff_trials = 0
+        h = h_dp5
+
     while not last:
-        if settings.method == "rk4":
+        if not rk45:
             h = min(settings.dt, step_ceiling(clock, t, settings.dt_max),
                     t_end - t)
             _rk4_step(rhs, t, y, h, K, y_s, y_new)
             y, y_new = y_new, y
             n_rhs += 4
+            steps["rk4"] += 1
             t += h
             last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
         else:
             mu = clock.mu(t)
             h = min(h, settings.dt_max * mu)
+            trials = 0
             while True:
                 # a step that would leave a sliver of the window takes it all
                 last = h >= s_end - s - 1e-12 * s_end
@@ -223,33 +441,91 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
                 if h < 1e-14 * mu * max(1.0, abs(t)):
                     raise StepUnderflow(
                         f"step size {h / mu} underflowed at t={t}")
-                err = _rk45_step(f, s, y, h, K, y_s, y_new)
-                n_rhs += 6
-                err /= settings.abs_tol + settings.rel_tol * np.maximum(
-                    np.abs(y), np.abs(y_new))
-                if norm_order is not None:
-                    err = err[norm_order]
-                err_norm = math.sqrt((err @ err) / err.shape[0])
-                if err_norm <= 1.0:
-                    break
-                n_rejected += 1
-                h *= max(0.2, 0.9 * err_norm ** -0.2)
+                trials += 1
+                if sigma is None:
+                    err = err_norm(_rk45_step(f, s, y, h, K, y_s, y_new),
+                                   y, y_new)
+                    n_rhs += 6
+                    # DP5's free stiffness estimate h ||k7 - k6|| /
+                    # ||y7 - y6||, both stages at s + h, against 90% of
+                    # its limit; k7 - k6 stays in K[5], y6 is scratch
+                    dk = np.subtract(K[6], K[5], out=K[5])
+                    dy = np.subtract(y_new, y_s, out=y_s)
+                    stiff = (h * h * (dk @ dk)
+                             > _HANDOVER_H_RHO ** 2 * (dy @ dy))
+                    stiff_trials = stiff_trials + 1 if stiff else 0
+                    if err <= 1.0:
+                        break
+                    rejected["dp5"] += 1
+                    h *= max(0.2, 0.9 * err ** -0.2)
+                else:
+                    m = _rkc2_stages(h, _RHO_SAFETY * sigma)
+                    err = err_norm(_rkc2_step(f, s, y, h, m, K, y_new),
+                                   y, y_new) / _RKC_TOL_FRAC
+                    n_rhs += m
+                    rkc_calls += m
+                    if err <= 1.0:
+                        break
+                    rejected["rkc2"] += 1
+                    h *= max(0.1, 0.8 * err ** (-1 / 3))
+                    if not fresh:
+                        estimate()
             s = s_end if last else s + h
             t = t_end if last else t_at(s)
             # swap, so the next trial step writes into the old state
             y, y_new = y_new, y
-            K[0] = K[6]
-            # grow the step for the next attempt
-            factor = 5.0 if err_norm == 0.0 else min(
-                5.0, 0.9 * err_norm ** -0.2)
-            h = max(h * factor, 1e-14)
+            if sigma is None:
+                steps["dp5"] += 1
+                K[0] = K[6]
+                # hand over a stability-bound DP5 that costs more calls per
+                # unit log time than RKC2 did when it last gave up
+                handover = (stiff_trials >= _HANDOVER_TRIALS and not last
+                            and _DP5_CALLS / h > rkc_cost)
+                # grow the step for the next attempt
+                factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
+                h = max(h * factor, 1e-14)
+                if handover:
+                    handovers.append({"t": t, "to": "rkc2"})
+                    h_dp5 = h
+                    rkc_steps = rkc_calls = 0
+                    rkc_ds = 0.0
+                    # the power iteration starts from k7 - k6, in K[5]
+                    estimate()
+            else:
+                steps["rkc2"] += 1
+                K[0] = K[2]
+                fresh = False
+                max_stages = max(max_stages, m)
+                rkc_steps += 1
+                rkc_ds += h
+                factor = 10.0 if err == 0.0 else min(
+                    10.0, 0.8 * err ** (-1 / 3))
+                # the step's calls per unit log time, averaged over the rest
+                # of the window as if the step kept growing as it does now;
+                # after a first trial RKC2 gives up when that is no cheaper
+                # than DP5 at its limit
+                growth = math.log(factor) / h * (s_end - s)
+                cost = m / h * (-math.expm1(-growth) / growth
+                                if growth > 0.0 else 1.0)
+                h = max(h * factor, 1e-14)
+                if rkc_steps % _RKC_REFRESH == 0:
+                    estimate()
+                if (sigma is not None and not last and trials == 1
+                        and cost >= _DP5_CALLS * sigma / _DP5_H_RHO):
+                    rkc_cost = rkc_calls / rkc_ds
+                    hand_back()
         _check_finite(y, t)
         n_steps += 1
         if n_steps % settings.log_every == 0 or last:
             times.append(t)
             states.append(y.copy())
-    return Trajectory(np.array(times), np.array(states), n_steps, n_rejected,
-                      n_rhs)
+    traj = Trajectory(np.array(times), np.array(states), n_steps,
+                      sum(rejected.values()), n_rhs)
+    traj.integrator = {"method": settings.method, "steps": steps,
+                       "rejected": rejected, "n_rhs": n_rhs,
+                       "handovers": handovers or None,
+                       "max_rkc2_stages": max_stages or None}
+    return traj
 
 
 # --- coupled closed-loop system -------------------------------------------

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GuardExceeded, MarginTooSmall
-from .generator import ratio_report
+from .generator import bound_ratio, ratio_report
 from .timegain import (GainFunction, GrowthCriterion, check_growth_criterion,
                        log_grid)
 
@@ -285,16 +285,16 @@ def theta_hat_monitor(times, mus, theta_hats, taus, cfg: SfControllerConfig):
                       / alpha_xi(mu(t))
 
     with tau_max each agent's logged sup of |tau| and sigma' = 2 sigma - 3.
+    A zero bound (theta_hat(t0) = 0 and tau = 0) admits only a zero
+    estimate (`generator.bound_ratio`).
     """
     theta_hats = np.asarray(theta_hats, dtype=float)
     a = _alpha_xi_series(mus, cfg)
     tau_max = np.abs(np.asarray(taus, dtype=float)).max(axis=0)
     gamma = a[0] * np.abs(theta_hats[0]) + tau_max / math.sqrt(
         2.0 * (2.0 * cfg.sigma - 3.0))
-    bound = gamma / a
-    ratio = np.divide(np.abs(theta_hats), bound, where=bound > 0.0,
-                      out=np.full(bound.shape, math.inf))
-    return ratio_report("theta_hat_envelope", times, ratio, 1.0)
+    return ratio_report("theta_hat_envelope", times,
+                        bound_ratio(np.abs(theta_hats), gamma / a), 1.0)
 
 
 def sf_decay_monitor(times, mus, e_s_norms, cfg: SfControllerConfig):

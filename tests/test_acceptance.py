@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dptco.cli import EXIT_OK, read_trajectory_csv, run_scenario
 from dptco.costs import optimum_oracle
@@ -280,3 +281,34 @@ def test_criterion_10_integrator():
     ok = rk45_err <= 1e-8 and order >= 3.7
     report(10, "integrator oracle", ok,
            f"rk45 err {rk45_err:.2e}, rk4 order {order:.2f}")
+
+
+# --- accuracy gate: endpoints against a tight reference -------------------------
+
+REFERENCE = json.loads(
+    (Path(__file__).parent / "reference_endpoints.json").read_text())
+# the RK45 session fixtures and the most RHS calls each may take at its
+# bundled guard: two thirds of plain Dormand-Prince's 3397 (ring) and 6589
+# (example2_generator) calls, and a third of its 63661 on example1
+RK45_RUNS = {"ring": ("ring_run", 2264),
+             "example2_generator": ("e2gen_run", 4400),
+             "example1": ("example1_run", 21220)}
+
+
+@pytest.mark.parametrize("name", RK45_RUNS)
+def test_endpoint_within_tolerance_of_reference(name, request):
+    # max_i |y_i - y_ref,i| / (abs_tol + rel_tol |y_ref,i|) <= 1 at the
+    # scenario's own tolerances, against tests/reference_endpoints.json
+    # (tests/make_reference_endpoints.py)
+    fixture, max_rhs = RK45_RUNS[name]
+    run = request.getfixturevalue(fixture)
+    build = load_scenario(scenario_path(name)).build()
+    traj = read_trajectory_csv(str(run["out"] / "trajectory.csv"), build)
+    ref = REFERENCE[name]
+    y_ref = np.array(ref["y"])
+    st = build.settings
+    units = np.abs(traj.states[-1] - y_ref) / (st.abs_tol
+                                               + st.rel_tol * np.abs(y_ref))
+    assert traj.times[-1] == ref["t"]
+    assert units.max() <= 1.0
+    assert run["manifest"]["n_rhs"] <= max_rhs

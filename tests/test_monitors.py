@@ -90,6 +90,19 @@ def test_invariant_set_fails_at_the_earliest_failing_agent():
     assert rep.max_ratio == 1.015
 
 
+def test_theta_hat_envelope_zero_bound_keeps_a_zero_estimate():
+    # theta_hat(t0) = 0 and tau = 0 give a zero envelope: an estimator that
+    # stays at zero passes, and any non-zero estimate under it fails
+    zeros = np.zeros((5, 2))
+    rep = theta_hat_monitor(TIMES, MUS, zeros, zeros, SF)
+    assert rep.passed and rep.max_ratio == 0.0
+    drifted = zeros.copy()
+    drifted[3, 1] = 1e-3
+    rep = theta_hat_monitor(TIMES, MUS, drifted, zeros, SF)
+    assert not rep.passed and rep.max_ratio == math.inf
+    assert rep.first_violation_t == TIMES[3]
+
+
 # --- every monitor fails on a violating (K, N) input -------------------------
 
 def _channel(value, edits, violate):

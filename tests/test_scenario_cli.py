@@ -268,6 +268,24 @@ def test_tiny_run_green(tmp_path):
     assert isinstance(written["n_rhs"], int) and written["n_rhs"] > 0
 
 
+def test_manifest_integrator_block(ring_run, example2_run):
+    # ring hands over to RKC2 in its stiff tail; example2 runs fixed-step
+    # RK4; the top-level counts stay as they were
+    for run in (ring_run, example2_run):
+        man = json.loads((run["out"] / "manifest.json").read_text())
+        block = man["integrator"]
+        assert sum(block["steps"].values()) == man["n_steps"]
+        assert sum(block["rejected"].values()) == man["n_rejected"]
+        assert block["n_rhs"] == man["n_rhs"]
+    ring = ring_run["manifest"]["integrator"]
+    assert ring["method"] == "rk45" and ring["steps"]["rkc2"] > 0
+    assert ring["handovers"][0]["to"] == "rkc2"
+    assert ring["max_rkc2_stages"] >= 2
+    rk4 = example2_run["manifest"]["integrator"]
+    assert rk4["steps"] == {"rk4": example2_run["manifest"]["n_steps"]}
+    assert rk4["handovers"] is None and rk4["max_rkc2_stages"] is None
+
+
 def test_run_emits_artifacts(example2_run):
     assert example2_run["code"] == EXIT_OK
     out = example2_run["out"]
@@ -353,6 +371,23 @@ def test_verify_flags_envelope_violation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "envelope: FAIL" in out
     assert "first violation" in out
+
+
+def test_run_and_verify_print_the_same_failing_monitor_lines(tmp_path,
+                                                             capsys):
+    # at guard 0.9 example1's tracking monitor has not met its tolerance;
+    # both commands name the first violation in the same words
+    p = scenario_path("example1")
+    out = tmp_path / "out"
+    assert main(["run", p, "--guard-frac", "0.9",
+                 "--out", str(out)]) == EXIT_MONITOR
+    run_lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("monitor ")]
+    assert main(["verify", str(out / "trajectory.csv"), p]) == EXIT_MONITOR
+    verify_lines = [ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("monitor ")]
+    assert any("first violation t=" in ln for ln in run_lines)
+    assert run_lines == verify_lines
 
 
 def test_verify_rejects_wrong_schema(tmp_path):

@@ -1,5 +1,6 @@
 """ODE engine: accuracy, determinism, guard discipline, CSV round trips."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 from dptco.costs import CostSet, QuadraticCost, optimum_oracle
 from dptco.errors import (DimensionMismatch, NonFiniteState, StepUnderflow)
 from dptco.graph import build_network
-from dptco.sim_engine import (CoupledSystem, SolverSettings, export_csv,
-                              integrate, make_disturbance, step_ceiling,
+from dptco.sim_engine import (CoupledSystem, SolverSettings, _rkc2_stages,
+                              _rkc2_step, export_csv, integrate,
+                              make_disturbance, step_ceiling,
                               trajectory_columns)
 from dptco.timegain import PrescribedClock
 
-from oracles import linear_gain, wide_box
+from oracles import integrate_allocating, linear_gain, wide_box
 
 CLOCK = PrescribedClock(0.0, 1.0)
 # the same window, the run ending at t = 0.5 or t = 0.9
@@ -68,19 +70,40 @@ def test_rk4_respects_ceiling():
 
 # --- guard discipline ------------------------------------------------------
 
+# on the log clock y' = -mu diag(RATES) (y - 1) is dy/ds = -diag(RATES)
+# (y - 1): once the fast mode has decayed, Dormand-Prince is held at its
+# stability limit, and RKC2, cheaper there, takes over
+RATES = np.array([10.0, 1000.0])
+
+
+def stiff_rhs(clock, seen=None):
+    def rhs(t, y, out):
+        if seen is not None:
+            seen.append(t)
+        np.multiply(-clock.mu(t) * RATES, y - 1.0, out=out)
+
+    return rhs
+
+
 def test_no_rhs_evaluation_at_deadline():
     # on the second clock the last log-clock stage rounds past the guard
-    # unless the integrator clamps it
-    for clock in (CLOCK, PrescribedClock(-0.06, 1.2, 0.673)):
+    # unless the integrator clamps it; the stiff runs hand over to RKC2,
+    # whose stages and power-iteration probes are checked too
+    clocks = (CLOCK, PrescribedClock(-0.06, 1.2, 0.673))
+    for clock, stiff in itertools.product(clocks, (False, True)):
         seen = []
-
-        def rhs(t, y, out):
-            seen.append(t)
-            np.multiply(-clock.mu(t), y, out=out)
+        if stiff:
+            rhs = stiff_rhs(clock, seen)
+        else:
+            def rhs(t, y, out):
+                seen.append(t)
+                np.multiply(-clock.mu(t), y, out=out)
 
         settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2)
-        traj = integrate(rhs, np.array([1.0]), clock, settings)
+        traj = integrate(rhs, np.full(2, 2.0), clock, settings)
+        assert (traj.integrator["handovers"] is not None) == stiff
         assert max(seen) <= clock.t_guard
+        assert min(seen) == clock.t0
         assert traj.times[-1] == clock.t_guard
         assert traj.n_rhs == len(seen)
 
@@ -99,6 +122,7 @@ def test_rk45_reuses_last_stage():
                               rel_tol=1e-10, abs_tol=1e-12)
     traj = integrate(rhs, np.array([1.0, -2.0]), CLOCK_09, settings)
     assert traj.n_rejected > 0
+    assert traj.integrator["handovers"] is None
     assert traj.n_rhs == 6 * (traj.n_steps + traj.n_rejected) + 1
     assert traj.n_rhs == len(seen) == len(set(seen))
     assert seen[0] == (0.0, np.array([1.0, -2.0]).tobytes())
@@ -131,6 +155,87 @@ def test_norm_order_makes_steps_independent_of_storage():
         want.n_steps, want.n_rejected, want.n_rhs)
     assert got.times.tobytes() == want.times.tobytes()
     assert got.states.tobytes() == want.states[:, perm].tobytes()
+
+
+def test_non_stiff_run_is_plain_dormand_prince():
+    # y' = -mu y is dy/ds = -y on the log clock: never stability-bound, so
+    # the run never hands over and is the oracle's Dormand-Prince run
+    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
+                              rel_tol=1e-10, abs_tol=1e-12, log_every=3)
+    got = integrate(mu_decay_rhs, np.array([1.0, -2.0]), CLOCK_09, settings)
+    want = integrate_allocating(lambda t, y: -CLOCK.mu(t) * y,
+                                np.array([1.0, -2.0]), CLOCK_09, settings)
+    assert got.integrator["handovers"] is None
+    assert got.integrator["steps"]["rkc2"] == 0
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()
+    assert (got.n_steps, got.n_rejected, got.n_rhs) == (
+        want.n_steps, want.n_rejected, want.n_rhs)
+
+
+def test_stiff_run_hands_over_and_stays_accurate():
+    # dy/ds = -diag(RATES) (y - 1) has the solution 1 + exp(-RATES s): RKC2
+    # takes the tail in far fewer calls than Dormand-Prince, within the
+    # tolerances of the exact endpoint
+    clock = PrescribedClock(0.0, 1.0, 0.999)
+    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
+                              rel_tol=1e-8, abs_tol=1e-10)
+    traj = integrate(stiff_rhs(clock), np.full(2, 2.0), clock, settings)
+    info = traj.integrator
+    assert [h["to"] for h in info["handovers"]] == ["rkc2"]
+    assert info["max_rkc2_stages"] > 2
+    assert info["steps"]["dp5"] + info["steps"]["rkc2"] == traj.n_steps
+    assert sum(info["rejected"].values()) == traj.n_rejected
+    assert info["n_rhs"] == traj.n_rhs
+    exact = 1.0 + np.exp(RATES * math.log1p(-0.999))
+    units = np.abs(traj.states[-1] - exact) / (1e-10 + 1e-8 * exact)
+    assert units.max() <= 1.0
+    # Dormand-Prince at its limit: 6 calls per step of 3.3 / 1000 in s,
+    # over s_end = -ln(1 - 0.999)
+    assert traj.n_rhs < 6 * 1000 / 3.3 * -math.log1p(-0.999) / 3
+
+
+# --- RKC2 step ---------------------------------------------------------------
+
+def _rkc2_run(a, y0, h, n, m):
+    # n RKC2 steps of y' = a y (a matrix) with m stages; the step's
+    # contract: K[0] = f(y) on entry, f(y_new) left in K[2]
+    def f(s, y, out):
+        np.dot(a, y, out=out)
+
+    y = np.array(y0, dtype=float)
+    K = np.empty((7, y.size))
+    y_new = np.empty_like(y)
+    f(0.0, y, K[0])
+    for k in range(n):
+        _rkc2_step(f, k * h, y, h, m, K, y_new)
+        y, y_new = y_new, y
+        K[0] = K[2]
+    return y
+
+
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_rkc2_second_order_convergence(m):
+    # a smooth linear problem with eigenvalues -1 and -3 on s in [0, 1]:
+    # halving the step quarters the endpoint error
+    a = np.array([[-2.0, 1.0], [1.0, -2.0]])
+    lam, vec = np.linalg.eigh(a)
+    exact = vec @ (np.exp(lam) * (vec.T @ np.array([1.0, 0.5])))
+    errs = [np.abs(_rkc2_run(a, [1.0, 0.5], 1.0 / n, n, m) - exact).max()
+            for n in (10, 20, 40)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 1.9 < math.log2(coarse / fine) < 2.2
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 10, 20, 40])
+def test_rkc2_bounded_at_its_stage_count_limit(m):
+    # y' = lam y at the largest h |lam| that still gets m stages, about
+    # 0.65 m^2: 200 steps never grow the solution
+    h_lam = (m * m - 1) / 1.54 * (1.0 - 1e-9)
+    assert _rkc2_stages(h_lam, 1.0) == m
+    for z in np.linspace(h_lam / 10.0, h_lam, 10):
+        y = _rkc2_run(np.array([[-z]]), [1.0], 1.0, 200, m)
+        assert abs(y[0]) <= 1.0
 
 
 # --- failure modes ----------------------------------------------------------
@@ -174,14 +279,17 @@ def ring_system(T=1.0, k=21.0, guard_frac=0.9):
 
 
 def test_determinism_bit_identical():
+    # the run hands over to RKC2, whose stage rows and power-iteration rows
+    # are reused in place
     sys, _ = ring_system()
     y0 = sys.pack(np.arange(8.0).reshape(4, 2), np.zeros((4, 2)))
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-8, abs_tol=1e-10)
     a = integrate(sys.rhs, y0, sys.clock, settings)
     b = integrate(sys.rhs, y0, sys.clock, settings)
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.times, b.times)
+    assert a.integrator["handovers"] is not None
+    assert a.states.tobytes() == b.states.tobytes()
+    assert a.times.tobytes() == b.times.tobytes()
 
 
 def test_optimum_is_equilibrium():
@@ -212,18 +320,28 @@ def test_deadline_rescaling_of_generator():
 
 def test_deadline_invariant_step_count():
     # on the log clock a linear gain makes the generator autonomous, so the
-    # step count does not grow as the deadline shrinks
-    steps = []
-    for T in (0.5, 1.0, 2.0):
-        sys, _ = ring_system(T=T, guard_frac=0.999)
-        y0 = sys.pack(np.arange(8.0).reshape(4, 2) / 4.0, np.zeros((4, 2)))
-        settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                                  rel_tol=1e-9, abs_tol=1e-11)
-        traj = integrate(sys.rhs, y0, sys.clock, settings)
-        assert traj.times[-1] == 0.999 * T
-        steps.append(traj.n_steps)
-    assert max(steps) <= 1000
-    assert max(steps) <= 1.25 * min(steps)
+    # step count does not grow as the deadline shrinks; with dt and dt_max
+    # (steps in t) scaled by T as well, the runs agree step for step,
+    # through the hand-over to RKC2
+    for scaled in (False, True):
+        steps, rhs_calls = [], []
+        for T in (0.5, 1.0, 2.0):
+            sys, _ = ring_system(T=T, guard_frac=0.999)
+            y0 = sys.pack(np.arange(8.0).reshape(4, 2) / 4.0,
+                          np.zeros((4, 2)))
+            unit = T if scaled else 1.0
+            settings = SolverSettings(method="rk45", dt=1e-3 * unit,
+                                      dt_max=1e-2 * unit, rel_tol=1e-9,
+                                      abs_tol=1e-11)
+            traj = integrate(sys.rhs, y0, sys.clock, settings)
+            assert traj.times[-1] == 0.999 * T
+            assert traj.integrator["handovers"] is not None
+            steps.append(traj.n_steps)
+            rhs_calls.append(traj.n_rhs)
+        assert max(steps) <= 1000
+        assert steps == sorted(steps)
+        if scaled:
+            assert len(set(steps)) == len(set(rhs_calls)) == 1
 
 
 def test_column_names_cover_state():
