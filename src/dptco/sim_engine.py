@@ -40,11 +40,12 @@ interval grows as about 0.65 m^2 with its stage count m:
   0.4 h (F_n + F_n+1), held to 1/100 of DP5's tolerance, because RKC2
   advances the solution its estimate measures (no local extrapolation);
 - the cost rule: after each step RKC2 takes at its first trial it
-  projects its calls per unit log time over the rest of the window, as if
-  its step kept growing at the present rate; when that is no cheaper than
-  DP5 at its limit (6 calls per step of 3.3/rho) it hands back, and DP5
-  hands over again only once its own steps cost more calls per unit log
-  time than that RKC2 run did.
+  projects its steps per unit log time over the rest of the window, as if
+  its step kept growing at the present rate; when that is no fewer than
+  DP5's at its limit (rho/3.3) it hands back, since only with fewer steps
+  is it cheaper in calls and in the work per step and per logged row too.
+  DP5 hands over again only once its own steps cost more calls per unit
+  log time than that RKC2 run did.
 The rule reads only what the integrator observes, so it has no setting; a
 run that never hands over is the plain Dormand-Prince run.  The fixed-step
 RK4 integrator stays on the t clock under the step ceiling
@@ -213,9 +214,10 @@ _POWER_ITERS = 20
 # RKC2 holds its error estimate to 1/100 of DP5's target.  DP5 advances
 # its fifth-order solution, far more accurate than the estimate it
 # controls; RKC2 advances the second-order solution its estimate measures,
-# and its errors add up over its steps.  Held to DP5's target, example1
-# ends 14 tolerances from a tight reference; at 1/100 every bundled and
-# benchmark endpoint stays within one.
+# and its errors add up over its steps.  The factor is measured, not
+# derived: held to DP5's target, example1 ends 14 tolerances from a tight
+# reference, and error per unit step (err / h on the log clock) makes
+# RKC2 dearer than DP5 on example1; no rule tried does both.
 _RKC_TOL_FRAC = 0.01
 
 
@@ -413,11 +415,13 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
             hand_back()
 
     def hand_back():
+        # DP5 resumes at the step it handed over with, under the dt_max cap
+        # at the current t, also from inside a rejected RKC2 trial
         nonlocal sigma, stiff_trials, h
         handovers.append({"t": t, "to": "dp5"})
         sigma = None
         stiff_trials = 0
-        h = h_dp5
+        h = min(h_dp5, settings.dt_max * clock.mu(t))
 
     while not last:
         if not rk45:
@@ -500,18 +504,20 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
                 rkc_ds += h
                 factor = 10.0 if err == 0.0 else min(
                     10.0, 0.8 * err ** (-1 / 3))
-                # the step's calls per unit log time, averaged over the rest
-                # of the window as if the step kept growing as it does now;
-                # after a first trial RKC2 gives up when that is no cheaper
-                # than DP5 at its limit
+                # steps per unit log time, averaged over the rest of the
+                # window as if the step kept growing as it does now; after
+                # a first trial RKC2 gives up when that is no fewer than
+                # DP5's at its limit.  Fewer steps than DP5's also means
+                # fewer calls (at most 3 stages at DP5's limit step), and
+                # less work outside the right-hand side and fewer rows
                 growth = math.log(factor) / h * (s_end - s)
-                cost = m / h * (-math.expm1(-growth) / growth
-                                if growth > 0.0 else 1.0)
+                rate = (-math.expm1(-growth) / growth if growth > 0.0
+                        else 1.0) / h
                 h = max(h * factor, 1e-14)
                 if rkc_steps % _RKC_REFRESH == 0:
                     estimate()
                 if (sigma is not None and not last and trials == 1
-                        and cost >= _DP5_CALLS * sigma / _DP5_H_RHO):
+                        and rate >= sigma / _DP5_H_RHO):
                     rkc_cost = rkc_calls / rkc_ds
                     hand_back()
         _check_finite(y, t)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dptco import sim_engine
 from dptco.costs import CostSet, QuadraticCost, optimum_oracle
 from dptco.errors import (DimensionMismatch, NonFiniteState, StepUnderflow)
 from dptco.graph import build_network
@@ -195,6 +196,77 @@ def test_stiff_run_hands_over_and_stays_accurate():
     assert traj.n_rhs < 6 * 1000 / 3.3 * -math.log1p(-0.999) / 3
 
 
+def test_rkc2_hands_back_when_dearer_than_dormand_prince():
+    # dy/ds = -diag(1, 1000) y: once the fast mode has decayed RKC2 takes
+    # over, but its accuracy-bound steps stay shorter than Dormand-Prince's
+    # at its limit, so it hands back; Dormand-Prince then keeps the run,
+    # its calls per unit log time never exceeding that RKC2 run's
+    clock = PrescribedClock(0.0, 1.0, 0.99)
+    rates = np.array([1.0, 1000.0])
+
+    def run():
+        seen = []
+
+        def rhs(t, y, out):
+            seen.append(t)
+            np.multiply(-clock.mu(t) * rates, y, out=out)
+
+        settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
+                                  rel_tol=1e-8, abs_tol=1e-10)
+        return integrate(rhs, np.ones(2), clock, settings), seen
+
+    traj, seen = run()
+    info = traj.integrator
+    handovers = info["handovers"]
+    assert [h["to"] for h in handovers] == ["rkc2", "dp5"]
+    assert clock.t0 < handovers[0]["t"] < handovers[1]["t"] < clock.t_guard
+    # most of the run after the hand-back is Dormand-Prince's
+    assert info["steps"]["dp5"] > 50 * info["steps"]["rkc2"] > 0
+    assert info["steps"]["dp5"] + info["steps"]["rkc2"] == traj.n_steps
+    assert sum(info["rejected"].values()) == traj.n_rejected
+    assert info["n_rhs"] == traj.n_rhs == len(seen)
+    assert min(seen) == clock.t0 and max(seen) <= clock.t_guard
+    assert traj.times[-1] == clock.t_guard
+    exact = np.exp(rates * math.log1p(-0.99))
+    units = np.abs(traj.states[-1] - exact) / (1e-10 + 1e-8 * exact)
+    assert units.max() <= 1.0
+    again, seen_again = run()
+    assert seen_again == seen
+    assert again.integrator == info
+    assert again.times.tobytes() == traj.times.tobytes()
+    assert again.states.tobytes() == traj.states.tobytes()
+
+
+def test_non_finite_spectral_radius_hands_straight_back(monkeypatch):
+    # every estimate fails after one probe: each hand-over is undone at
+    # once, and the run is Dormand-Prince's own plus the probes
+    def failing_estimate(f, s, y, K):
+        f(s, y, K[6])
+        return math.inf, 1
+
+    monkeypatch.setattr(sim_engine, "_spectral_radius", failing_estimate)
+    clock = PrescribedClock(0.0, 1.0, 0.999)
+    seen = []
+    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
+                              rel_tol=1e-8, abs_tol=1e-10)
+    traj = integrate(stiff_rhs(clock, seen), np.full(2, 2.0), clock,
+                     settings)
+    want = integrate_allocating(
+        lambda t, y: -clock.mu(t) * RATES * (y - 1.0), np.full(2, 2.0),
+        clock, settings)
+    handovers = traj.integrator["handovers"]
+    assert len(handovers) > 2
+    assert [h["to"] for h in handovers] == ["rkc2", "dp5"] * (
+        len(handovers) // 2)
+    assert all(a["t"] == b["t"] for a, b in zip(handovers[::2],
+                                               handovers[1::2]))
+    assert traj.integrator["steps"]["rkc2"] == 0
+    assert traj.n_rhs == len(seen) == want.n_rhs + len(handovers) // 2
+    assert max(seen) <= clock.t_guard
+    assert traj.times.tobytes() == want.times.tobytes()
+    assert traj.states.tobytes() == want.states.tobytes()
+
+
 # --- RKC2 step ---------------------------------------------------------------
 
 def _rkc2_run(a, y0, h, n, m):
@@ -320,9 +392,14 @@ def test_deadline_rescaling_of_generator():
 
 def test_deadline_invariant_step_count():
     # on the log clock a linear gain makes the generator autonomous, so the
-    # step count does not grow as the deadline shrinks; with dt and dt_max
+    # step count does not grow as the deadline shrinks.  With dt and dt_max
     # (steps in t) scaled by T as well, the runs agree step for step,
-    # through the hand-over to RKC2
+    # through the hand-over to RKC2.  With them fixed, dt_max binds each
+    # run over a t-span that grows with T (about 155 steps at T = 2), so the
+    # counts stay within a 25% band of each other only while a
+    # stability-bound Dormand-Prince tail adds some 150 steps to every run;
+    # each run here stays within the plain Dormand-Prince run's steps and
+    # calls instead
     for scaled in (False, True):
         steps, rhs_calls = [], []
         for T in (0.5, 1.0, 2.0):
@@ -338,6 +415,11 @@ def test_deadline_invariant_step_count():
             assert traj.integrator["handovers"] is not None
             steps.append(traj.n_steps)
             rhs_calls.append(traj.n_rhs)
+            if not scaled:
+                plain = integrate_allocating(
+                    lambda t, y: sys.rhs(t, y), y0, sys.clock, settings)
+                assert traj.n_steps <= plain.n_steps
+                assert traj.n_rhs <= plain.n_rhs
         assert max(steps) <= 1000
         assert steps == sorted(steps)
         if scaled:
