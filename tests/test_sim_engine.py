@@ -10,9 +10,9 @@ from dptco import sim_engine
 from dptco.costs import CostSet, QuadraticCost, optimum_oracle
 from dptco.errors import (DimensionMismatch, NonFiniteState, StepUnderflow)
 from dptco.graph import build_network
-from dptco.sim_engine import (CoupledSystem, SolverSettings, _rkc2_stages,
-                              _rkc2_step, export_csv, integrate,
-                              make_disturbance, step_ceiling,
+from dptco.rkc import rkc2_stages, rkc2_step
+from dptco.sim_engine import (CoupledSystem, SolverSettings, export_csv,
+                              integrate, make_disturbance, step_ceiling,
                               trajectory_columns)
 from dptco.timegain import PrescribedClock
 
@@ -244,7 +244,7 @@ def test_non_finite_spectral_radius_hands_straight_back(monkeypatch):
         f(s, y, K[6])
         return math.inf, 1
 
-    monkeypatch.setattr(sim_engine, "_spectral_radius", failing_estimate)
+    monkeypatch.setattr(sim_engine, "spectral_radius", failing_estimate)
     clock = PrescribedClock(0.0, 1.0, 0.999)
     seen = []
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
@@ -280,7 +280,7 @@ def _rkc2_run(a, y0, h, n, m):
     y_new = np.empty_like(y)
     f(0.0, y, K[0])
     for k in range(n):
-        _rkc2_step(f, k * h, y, h, m, K, y_new)
+        rkc2_step(f, k * h, y, h, m, K, y_new)
         y, y_new = y_new, y
         K[0] = K[2]
     return y
@@ -304,7 +304,7 @@ def test_rkc2_bounded_at_its_stage_count_limit(m):
     # y' = lam y at the largest h |lam| that still gets m stages, about
     # 0.65 m^2: 200 steps never grow the solution
     h_lam = (m * m - 1) / 1.54 * (1.0 - 1e-9)
-    assert _rkc2_stages(h_lam, 1.0) == m
+    assert rkc2_stages(h_lam, 1.0) == m
     for z in np.linspace(h_lam / 10.0, h_lam, 10):
         y = _rkc2_run(np.array([[-z]]), [1.0], 1.0, 200, m)
         assert abs(y[0]) <= 1.0
