@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dptco import sim_engine
+from dptco import rkc, sim_engine
 from dptco.costs import CostSet, QuadraticCost, optimum_oracle
 from dptco.errors import (DimensionMismatch, NonFiniteState, StepUnderflow)
 from dptco.graph import build_network
@@ -266,6 +266,41 @@ def test_non_finite_spectral_radius_hands_straight_back(monkeypatch):
     assert traj.times.tobytes() == want.times.tobytes()
     assert traj.states.tobytes() == want.states.tobytes()
 
+
+
+def test_non_finite_estimate_after_a_rejection_hands_back_in_the_trial(
+        monkeypatch):
+    # every second estimate fails: the one RKC2 takes after rejecting its
+    # first trial hands back from inside the trial loop, and Dormand-Prince
+    # retakes that step within dt_max, the guard and the call count
+    calls = []
+
+    def flaky_estimate(f, s, y, K):
+        calls.append(s)
+        if len(calls) % 2:
+            return rkc.spectral_radius(f, s, y, K)
+        f(s, y, K[6])
+        return math.nan, 1
+
+    monkeypatch.setattr(sim_engine, "spectral_radius", flaky_estimate)
+    clock = PrescribedClock(0.0, 1.0, 0.999)
+    seen = []
+    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
+                              rel_tol=1e-8, abs_tol=1e-10)
+    traj = integrate(stiff_rhs(clock, seen), np.full(2, 2.0), clock,
+                     settings)
+    info = traj.integrator
+    handovers = info["handovers"]
+    assert len(handovers) == len(calls) > 2
+    assert [h["to"] for h in handovers] == ["rkc2", "dp5"] * (
+        len(handovers) // 2)
+    assert info["rejected"]["rkc2"] >= len(handovers) // 2
+    assert traj.n_rhs == len(seen)
+    assert max(seen) <= clock.t_guard
+    assert np.diff(traj.times).max() <= settings.dt_max * (1.0 + 1e-12)
+    exact = 1.0 + np.exp(RATES * math.log1p(-0.999))
+    units = np.abs(traj.states[-1] - exact) / (1e-10 + 1e-8 * exact)
+    assert units.max() <= 1.0
 
 # --- RKC2 step ---------------------------------------------------------------
 
