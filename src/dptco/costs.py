@@ -11,6 +11,7 @@ cost with a finite-difference Hessian.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,29 +321,16 @@ def optimum_oracle(costs: CostSet) -> OptimumCertificate:
 def estimate_constants(costs, box) -> tuple[float, float]:
     """Empirical strong-convexity and gradient-Lipschitz constants.
 
-    Samples point pairs in the box (400 random pairs from seed 0, plus
-    deterministic axis-aligned pairs, which hit the extremal curvature
-    directions of diagonal quadratics exactly) and returns
+    Samples 400 seeded random point pairs in the box, plus axis-aligned
+    pairs (`_curvature_pairs`), and returns
 
       rho_hat    = min (grad f(x) - grad f(y))^T (x - y) / ||x - y||^2
       varrho_hat = max ||grad f(x) - grad f(y)|| / ||x - y||
 
     aggregated as min/max over agents when given a CostSet.
     """
-    box = np.asarray(box, dtype=float)
     agent_costs = costs.costs if isinstance(costs, CostSet) else [costs]
-    dim = agent_costs[0].dim
-    rng = np.random.default_rng(0)
-    lo, hi = box[:, 0], box[:, 1]
-    # one block is the same stream as one x draw, then one y draw, per pair
-    X, Y = (lo + rng.random((_CURVATURE_SAMPLES, 2, dim))
-            * (hi - lo)).transpose(1, 0, 2)
-    keep = np.linalg.norm(X - Y, axis=1) > 1e-9
-    # axis-aligned pairs at several anchors
-    anchors = np.repeat([lo, hi, 0.5 * (lo + hi)], dim, axis=0)
-    steps = np.tile(np.diag(1e-4 * np.maximum(1.0, hi - lo)), (3, 1))
-    X = np.concatenate([X[keep], anchors])
-    Y = np.concatenate([Y[keep], anchors + steps])
+    X, Y = _curvature_pairs(box)
     dZ = X - Y
     nz2 = (dZ * dZ).sum(axis=1)
     rho, varrho = math.inf, 0.0
@@ -352,6 +340,30 @@ def estimate_constants(costs, box) -> tuple[float, float]:
         varrho = max(varrho, float(
             (np.linalg.norm(dG, axis=1) / np.sqrt(nz2)).max()))
     return rho, varrho
+
+
+def _curvature_pairs(box) -> tuple[np.ndarray, np.ndarray]:
+    """Point pairs (rows of X, Y) at which estimate_constants samples.
+
+    400 random pairs, x then y, each lo + (hi - lo) u for the successive
+    draws u of random.Random(0) (a stream that does not depend on the
+    numpy version), without those whose points coincide; then
+    deterministic axis-aligned pairs at the corners lo and hi and the
+    centre, which hit the extremal curvature directions of diagonal
+    quadratics exactly.
+    """
+    box = np.asarray(box, dtype=float)
+    lo, hi = box[:, 0], box[:, 1]
+    dim = box.shape[0]
+    u = random.Random(0).random
+    U = np.array([u() for _ in range(_CURVATURE_SAMPLES * 2 * dim)])
+    X, Y = (lo + (hi - lo) * U.reshape(_CURVATURE_SAMPLES, 2, dim)
+            ).transpose(1, 0, 2)
+    keep = np.linalg.norm(X - Y, axis=1) > 1e-9
+    anchors = np.repeat([lo, hi, 0.5 * (lo + hi)], dim, axis=0)
+    steps = np.tile(np.diag(1e-4 * np.maximum(1.0, hi - lo)), (3, 1))
+    return (np.concatenate([X[keep], anchors]),
+            np.concatenate([Y[keep], anchors + steps]))
 
 
 def _gradients(c: CostFunction, Z: np.ndarray) -> np.ndarray:

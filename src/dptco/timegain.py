@@ -317,8 +317,10 @@ def check_growth_criterion(alpha: GainFunction, crit: GrowthCriterion,
     coef = crit.growth_coef
     worst = math.inf
     worst_s = grid[0]
+    values = []
     for s in grid:
         a = alpha.eval(s)
+        values.append(a)
         da = alpha.deriv(s)
         margin = (coef * a * a / (s * s) - da) / max(1.0, abs(da))
         if margin < worst:
@@ -330,8 +332,8 @@ def check_growth_criterion(alpha: GainFunction, crit: GrowthCriterion,
     c_worst = math.inf
     c_worst_s = math.nan
     if crit.coupling_coef > 0.0 and alpha_main is not None:
-        for s in grid:
-            slack = crit.coupling_coef * alpha_main.eval(s) - alpha.eval(s)
+        for s, a in zip(grid, values):
+            slack = crit.coupling_coef * alpha_main.eval(s) - a
             if slack < c_worst:
                 c_worst = slack
                 c_worst_s = s

@@ -6,6 +6,7 @@ closed loop computes only inside its right-hand side, and the JSON forms
 of gains and costs, which only round-trip tests write."""
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,13 +273,13 @@ def estimate_constants(costs, box, samples: int = 400, seed: int = 0):
     box = np.asarray(box, dtype=float)
     agent_costs = costs.costs if isinstance(costs, CostSet) else [costs]
     dim = agent_costs[0].dim
-    rng = np.random.default_rng(seed)
+    u = random.Random(seed).random
     lo, hi = box[:, 0], box[:, 1]
 
     pairs = []
     for _ in range(samples):
-        x = lo + rng.random(dim) * (hi - lo)
-        y = lo + rng.random(dim) * (hi - lo)
+        x = lo + (hi - lo) * np.array([u() for _ in range(dim)])
+        y = lo + (hi - lo) * np.array([u() for _ in range(dim)])
         if np.linalg.norm(x - y) > 1e-9:
             pairs.append((x, y))
     for anchor in (lo, hi, 0.5 * (lo + hi)):

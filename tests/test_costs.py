@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptco.costs import (CostFunction, CostSet, ExpQuadraticCost,
-                         QuadraticCost, SumCost, cost_from_dict, default_box,
-                         estimate_constants, grad_sum, optimum_oracle)
+                         QuadraticCost, SumCost, _curvature_pairs,
+                         cost_from_dict, default_box, estimate_constants,
+                         grad_sum, optimum_oracle)
 from dptco.errors import DimensionMismatch
 
 import oracles
@@ -174,6 +175,15 @@ def test_estimate_constants_identity_quadratic():
     rho, varrho = estimate_constants(c, default_box(2))
     assert rho == pytest.approx(2.0, abs=1e-6)
     assert varrho == pytest.approx(2.0, abs=1e-6)
+
+
+def test_curvature_sample_pinned():
+    # literal first pair: random.Random gives the same stream in every
+    # Python version, so it changes only with the stream or draw order
+    X, Y = _curvature_pairs(default_box(2))
+    assert X.shape == Y.shape == (400 + 3 * 2, 2)
+    assert X[0].tolist() == [3.4442185152504816, 2.5795440294030243]
+    assert Y[0].tolist() == [-0.79428419169155, -2.4108324970703663]
 
 
 def test_estimate_constants_example2_agent1():

@@ -1,15 +1,23 @@
-"""Every module imports only names it uses.
+"""Every module imports only names it uses, and every command only the
+modules it needs.
 
-No linter ships with the project, so this AST scan stands in for one: it
+No linter ships with the project, so an AST scan stands in for one: it
 fails on any name an import binds that the module never reads.  Package
 `__init__` files (whose imports are re-exports) and `from __future__`
-imports are exempt.
+imports are exempt.  A dptco command runs in a fresh interpreter per
+process, so each module it loads without need is paid for on every run.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import scenario_path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "dptco").glob("*.py")
@@ -44,3 +52,44 @@ def test_scan_flags_unused_names():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# runs one dptco command line, then prints its exit code and which of the
+# modules named in the first argument are loaded
+_PROBE = """\
+import json, sys
+from dptco.cli import main
+code = main(sys.argv[2:])
+print(json.dumps([code, [m for m in json.loads(sys.argv[1])
+                         if m in sys.modules]]))
+"""
+
+
+def loaded_modules(args: list, modules: list) -> list:
+    """Which of `modules` a fresh interpreter has loaded after the dptco
+    command `args`; the command must exit 0 or 2."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(modules)] + args,
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code in (0, 2), proc.stderr
+    return loaded
+
+
+@pytest.mark.parametrize("name", ["ring", "example1", "example2",
+                                  "example2_generator"])
+def test_commands_do_not_load_numpy_random(name, tmp_path):
+    # the disturbance and the curvature sample draw from the stdlib random,
+    # so no command pays for numpy.random and its imports
+    out = tmp_path / "out"
+    run = loaded_modules(["run", scenario_path(name), "--out", str(out),
+                          "--guard-frac", "0.5"], ["numpy.random"])
+    verify = loaded_modules(["verify", str(out / "trajectory.csv"),
+                             scenario_path(name)],
+                            ["numpy.random", "dptco.rkc", "dptco.svgplot"])
+    assert run == []
+    # verify neither integrates nor plots
+    assert verify == []

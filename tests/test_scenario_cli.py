@@ -256,6 +256,23 @@ def test_seed_changes_disturbance_only():
     assert np.array_equal(b1.y0, b2.y0)
 
 
+def test_negative_disturbance_seed_refused(tmp_path, capsys):
+    # random.Random would seed with abs(seed): -3 would repeat seed 3
+    p = modified_scenario("example1", tmp_path, lambda raw: raw["agents"][
+        "disturbance"].update({"seed": -3}))
+    assert main(["run", p, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {p}: agents: expected non-negative integer\n"
+
+
+def test_negative_seed_option_refused(tmp_path, capsys):
+    p = scenario_path("example1")
+    assert main(["run", p, "--seed", "-3",
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {p}: agents: expected non-negative integer\n"
+
+
 # --- run pipeline ------------------------------------------------------------
 
 def test_tiny_run_green(tmp_path):
