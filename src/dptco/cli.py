@@ -7,7 +7,6 @@ Exit codes: 0 all monitors pass, 2 a monitor failed, 1 parse/config errors.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import sys
@@ -23,6 +22,7 @@ from .generator import envelope_bound
 from .scenario import (ScenarioBuild, derived_series, evaluate_monitors,
                        load_scenario)
 from .sim_engine import Trajectory, export_csv, integrate, trajectory_columns
+from .svgplot import write_svg
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -46,9 +46,6 @@ def _derived_columns(derived: dict) -> dict:
 
 def _write_plots(out: Path, build: ScenarioBuild, traj: Trajectory,
                  derived: dict) -> list:
-    # imported here: verify writes no plot, and need not load svgplot
-    from .svgplot import write_svg
-
     files = []
     bound = envelope_bound(traj.times, float(derived["e_r_norm"][0]),
                            build.clock, build.alpha, build.gen_constants)
@@ -258,11 +255,7 @@ def cmd_sweep(args) -> int:
     out_root = Path(args.out)
     worst = EXIT_OK
     # fork: the workers inherit the imported modules and start in
-    # milliseconds; this process runs no other thread when they are forked.
-    # The modules a run imports on first use are imported here, once,
-    # rather than by each worker
-    for name in ("rkc", "svgplot"):
-        importlib.import_module(f".{name}", __package__)
+    # milliseconds; this process runs no other thread when they are forked
     ctx = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(workers, ctx) as ex:
         futures = [ex.submit(_sweep_one, str(p), str(out_root / p.stem))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .draws import uniform
 from .errors import DimensionMismatch, NoConvergence, NonPositiveInput
 
 _NEWTON_MAX_ITER = 10_000
@@ -345,9 +346,8 @@ def estimate_constants(costs, box) -> tuple[float, float]:
 def _curvature_pairs(box) -> tuple[np.ndarray, np.ndarray]:
     """Point pairs (rows of X, Y) at which estimate_constants samples.
 
-    400 random pairs, x then y, each lo + (hi - lo) u for the successive
-    draws u of random.Random(0) (a stream that does not depend on the
-    numpy version), without those whose points coincide; then
+    400 random pairs, x then y, one (400, 2, dim) `draws.uniform` block
+    from random.Random(0), without those whose points coincide; then
     deterministic axis-aligned pairs at the corners lo and hi and the
     centre, which hit the extremal curvature directions of diagonal
     quadratics exactly.
@@ -355,10 +355,8 @@ def _curvature_pairs(box) -> tuple[np.ndarray, np.ndarray]:
     box = np.asarray(box, dtype=float)
     lo, hi = box[:, 0], box[:, 1]
     dim = box.shape[0]
-    u = random.Random(0).random
-    U = np.array([u() for _ in range(_CURVATURE_SAMPLES * 2 * dim)])
-    X, Y = (lo + (hi - lo) * U.reshape(_CURVATURE_SAMPLES, 2, dim)
-            ).transpose(1, 0, 2)
+    X, Y = uniform(random.Random(0), lo, hi,
+                   (_CURVATURE_SAMPLES, 2, dim)).transpose(1, 0, 2)
     keep = np.linalg.norm(X - Y, axis=1) > 1e-9
     anchors = np.repeat([lo, hi, 0.5 * (lo + hi)], dim, axis=0)
     steps = np.tile(np.diag(1e-4 * np.maximum(1.0, hi - lo)), (3, 1))

@@ -64,9 +64,11 @@ from functools import cached_property
 
 import numpy as np
 
+from .draws import uniform
 from .errors import (DimensionMismatch, IoFailure, NonFiniteState,
                      StepUnderflow)
 from .graph import Network
+from .rkc import rkc2_stages, rkc2_step, spectral_radius
 from .timegain import GainFunction, PrescribedClock
 
 # RK4 has no error estimate; its fixed step stays below this coefficient / mu^2
@@ -289,7 +291,7 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
         # the power iteration at the accepted (s, y), where K[0] = f(s, y);
         # a non-finite estimate hands back to DP5
         nonlocal sigma, fresh, n_rhs, rkc_calls
-        sigma, probes = rkc.spectral_radius(f, s, y, K)
+        sigma, probes = spectral_radius(f, s, y, K)
         n_rhs += probes
         rkc_calls += probes
         fresh = True
@@ -345,8 +347,8 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
                     rejected["dp5"] += 1
                     h *= max(0.2, 0.9 * err ** -0.2)
                 else:
-                    m = rkc.rkc2_stages(h, _RHO_SAFETY * sigma)
-                    err = err_norm(rkc.rkc2_step(f, s, y, h, m, K, y_new),
+                    m = rkc2_stages(h, _RHO_SAFETY * sigma)
+                    err = err_norm(rkc2_step(f, s, y, h, m, K, y_new),
                                    y, y_new) / _RKC_TOL_FRAC
                     n_rhs += m
                     rkc_calls += m
@@ -371,9 +373,6 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
                 factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
                 h = max(h * factor, 1e-14)
                 if handover:
-                    # imported at the first hand-over: a run that never
-                    # hands over (and verify) does not load the module
-                    from . import rkc
                     handovers.append({"t": t, "to": "rkc2"})
                     h_dp5 = h
                     rkc_steps = rkc_calls = 0
@@ -566,23 +565,18 @@ def make_disturbance(seed: int, n_agents: int, dim: int, amplitude: float):
     agent and channel.  Returns d(t) -> (n_agents, dim).
 
     Deterministic in the seed, whatever the numpy version: the frequencies,
-    then the phases, then the weights, each in row-major (n_agents, dim, 3)
-    order, are lo + (hi - lo) u for the draws u of random.Random(seed).
-    The sup norm is at most `amplitude`.
+    then the phases, then the weights, each an (n_agents, dim, 3)
+    `draws.uniform` block from random.Random(seed).  The sup norm is at
+    most `amplitude`.
     """
     if seed < 0:
         # random.Random would seed with abs(seed)
         raise ValueError("expected non-negative integer")
-    u = random.Random(seed).random
+    rng = random.Random(seed)
     shape = (n_agents, dim, 3)
-
-    def uniform(lo, hi):
-        return np.array([lo + (hi - lo) * u()
-                         for _ in range(math.prod(shape))]).reshape(shape)
-
-    freq = uniform(0.5, 5.0)
-    phase = uniform(0.0, 2.0 * math.pi)
-    coef = uniform(0.2, 1.0)
+    freq = uniform(rng, 0.5, 5.0, shape)
+    phase = uniform(rng, 0.0, 2.0 * math.pi, shape)
+    coef = uniform(rng, 0.2, 1.0, shape)
     coef *= amplitude / coef.sum(axis=2, keepdims=True)
     # modes first, each an (n_agents, dim) block: the sum over the modes is
     # then two whole-block additions, in the order of .sum(axis=2)

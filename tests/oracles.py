@@ -13,6 +13,7 @@ import numpy as np
 
 from dptco.chain_ctrl import EulerLagrangeParams, chain_control
 from dptco.costs import CostSet, ExpQuadraticCost, QuadraticCost
+from dptco.draws import uniform
 from dptco.errors import Disconnected, NonFiniteState, StepUnderflow
 from dptco.generator import ErrorState, GeneratorConstants
 from dptco.graph import Network
@@ -273,13 +274,13 @@ def estimate_constants(costs, box, samples: int = 400, seed: int = 0):
     box = np.asarray(box, dtype=float)
     agent_costs = costs.costs if isinstance(costs, CostSet) else [costs]
     dim = agent_costs[0].dim
-    u = random.Random(seed).random
+    rng = random.Random(seed)
     lo, hi = box[:, 0], box[:, 1]
 
     pairs = []
     for _ in range(samples):
-        x = lo + (hi - lo) * np.array([u() for _ in range(dim)])
-        y = lo + (hi - lo) * np.array([u() for _ in range(dim)])
+        x = uniform(rng, lo, hi, (dim,))
+        y = uniform(rng, lo, hi, (dim,))
         if np.linalg.norm(x - y) > 1e-9:
             pairs.append((x, y))
     for anchor in (lo, hi, 0.5 * (lo + hi)):

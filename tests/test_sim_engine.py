@@ -1,6 +1,5 @@
 """ODE engine: accuracy, determinism, guard discipline, CSV round trips."""
 
-import inspect
 import itertools
 import math
 import random
@@ -8,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from dptco import rkc
+from dptco import rkc, sim_engine
 from dptco.costs import CostSet, QuadraticCost, optimum_oracle
+from dptco.draws import uniform
 from dptco.errors import (DimensionMismatch, NonFiniteState, StepUnderflow)
 from dptco.graph import build_network
 from dptco.rkc import rkc2_stages, rkc2_step
@@ -246,7 +246,7 @@ def test_non_finite_spectral_radius_hands_straight_back(monkeypatch):
         f(s, y, K[6])
         return math.inf, 1
 
-    monkeypatch.setattr(rkc, "spectral_radius", failing_estimate)
+    monkeypatch.setattr(sim_engine, "spectral_radius", failing_estimate)
     clock = PrescribedClock(0.0, 1.0, 0.999)
     seen = []
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
@@ -276,16 +276,15 @@ def test_non_finite_estimate_after_a_rejection_hands_back_in_the_trial(
     # first trial hands back from inside the trial loop, and Dormand-Prince
     # retakes that step within dt_max, the guard and the call count
     calls = []
-    estimate = rkc.spectral_radius
 
     def flaky_estimate(f, s, y, K):
         calls.append(s)
         if len(calls) % 2:
-            return estimate(f, s, y, K)
+            return rkc.spectral_radius(f, s, y, K)
         f(s, y, K[6])
         return math.nan, 1
 
-    monkeypatch.setattr(rkc, "spectral_radius", flaky_estimate)
+    monkeypatch.setattr(sim_engine, "spectral_radius", flaky_estimate)
     clock = PrescribedClock(0.0, 1.0, 0.999)
     seen = []
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
@@ -497,28 +496,24 @@ def test_disturbance_bounded_and_seeded():
 
 
 def test_disturbance_stream_pinned():
-    # literal first draws: random.Random gives the same stream in every
-    # Python version, so these change only with the stream or draw order
+    # literal values: random.Random gives the same stream in every Python
+    # version, so these change only with the stream, the draw order or the
+    # mode sum
     d = make_disturbance(0, 2, 2, amplitude=0.1)
-    draws = inspect.getclosurevars(d).nonlocals
-    assert draws["freq"][0, 0, 0] == 4.299898331862717
-    assert draws["phase"][0, 0, 0] == 1.7708394029393855
-    assert draws["coef"][0, 0, 0] == 0.0411005258071248
+    assert d(0.0).tolist() == [[-0.006029460721431276, 0.0032344088057792916],
+                               [-0.03588660035187253, -0.08321904310073025]]
+    assert d(1.0).tolist() == [[0.004952863395729158, 0.055743996284036715],
+                               [0.03278031625318893, 0.030828176372901424]]
 
 
 def test_disturbance_bit_identical_to_mode_axis_sum():
     # the same draws as make_disturbance, summed over a trailing mode axis
     d = make_disturbance(7, 5, 3, amplitude=0.3)
-    u = random.Random(7).random
+    rng = random.Random(7)
     shape = (5, 3, 3)
-
-    def uniform(lo, hi):
-        return np.array([lo + (hi - lo) * u()
-                         for _ in range(45)]).reshape(shape)
-
-    freq = uniform(0.5, 5.0)
-    phase = uniform(0.0, 2.0 * math.pi)
-    coef = uniform(0.2, 1.0)
+    freq = uniform(rng, 0.5, 5.0, shape)
+    phase = uniform(rng, 0.0, 2.0 * math.pi, shape)
+    coef = uniform(rng, 0.2, 1.0, shape)
     coef *= 0.3 / coef.sum(axis=2, keepdims=True)
     for t in np.linspace(0.0, 10.0, 41):
         want = (coef * np.sin(freq * t + phase)).sum(axis=2)
