@@ -315,29 +315,25 @@ def check_growth_criterion(alpha: GainFunction, crit: GrowthCriterion,
     coupling slack coef * alpha_main(s) - alpha(s) is also checked.
     """
     coef = crit.growth_coef
+    coupled = crit.coupling_coef > 0.0 and alpha_main is not None
     worst = math.inf
     worst_s = grid[0]
-    values = []
+    c_worst = math.inf
+    c_worst_s = math.nan
     for s in grid:
         a = alpha.eval(s)
-        values.append(a)
         da = alpha.deriv(s)
         margin = (coef * a * a / (s * s) - da) / max(1.0, abs(da))
         if margin < worst:
             worst = margin
             worst_s = s
-    passed = worst >= -1e-12
-
-    c_pass = True
-    c_worst = math.inf
-    c_worst_s = math.nan
-    if crit.coupling_coef > 0.0 and alpha_main is not None:
-        for s, a in zip(grid, values):
+        if coupled:
             slack = crit.coupling_coef * alpha_main.eval(s) - a
             if slack < c_worst:
                 c_worst = slack
                 c_worst_s = s
-        c_pass = c_worst >= -1e-12
+    passed = worst >= -1e-12
+    c_pass = c_worst >= -1e-12 if coupled else True
     return CriterionReport(crit.kind, passed, worst, worst_s,
                            c_pass, c_worst, c_worst_s)
 

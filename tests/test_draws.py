@@ -23,10 +23,3 @@ def test_uniform_row_major_with_broadcast_bounds():
     assert got.tolist() == [[0.6888437030500962, 17.579544029403024],
                             [-0.15885683833831, 12.589167502929634]]
 
-
-def test_uniform_continues_the_stream():
-    # two blocks drawn in turn are one block drawn at once
-    rng = random.Random(5)
-    a, b = uniform(rng, 0.0, 1.0, (3,)), uniform(rng, 0.0, 1.0, (4,))
-    whole = uniform(random.Random(5), 0.0, 1.0, (7,))
-    assert np.array_equal(np.concatenate([a, b]), whole)
