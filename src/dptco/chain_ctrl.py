@@ -26,8 +26,7 @@ import numpy as np
 from .errors import GuardExceeded, NotHurwitz, SingularSystem
 from .generator import bound_ratio, ratio_report
 from .timegain import (GainFunction, GrowthCriterion, PrescribedClock,
-                       alpha_s_from_dc2, check_growth_criterion, kappa_series,
-                       log_grid)
+                       alpha_s_from_dc2, check_growth_criterion, kappa_series)
 
 
 def hurwitz_gain(m: int) -> np.ndarray:
@@ -147,11 +146,11 @@ def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
 
 
 def check_dc1(cfg: ChainControllerConfig, alpha: GainFunction,
-              c_star: float, mu0: float):
-    """DC1 report for alpha_x against the generator gain alpha."""
+              c_star: float, grid):
+    """DC1 report for alpha_x against the generator gain alpha on the grid
+    of the build's criteria (`log_grid(mu0, mu_guard)`)."""
     crit = GrowthCriterion("chain_dc1", c_star=c_star, v1=cfg.v1, v2=cfg.v2,
                            coupling_coef=c_star / cfg.v1)
-    grid = log_grid(mu0, cfg.mu_guard)
     return check_growth_criterion(cfg.alpha_x, crit, grid, alpha_main=alpha)
 
 

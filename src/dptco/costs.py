@@ -40,7 +40,7 @@ class CostFunction:
 class QuadraticCost(CostFunction):
     """f(z) = (z - center)^T Q (z - center) + offset with Q symmetric PD."""
 
-    def __init__(self, Q, center, offset: float = 0.0):
+    def __init__(self, Q, center, offset: float):
         self.Q = np.asarray(Q, dtype=float)
         self.center = np.asarray(center, dtype=float)
         self.offset = float(offset)
@@ -162,54 +162,6 @@ class CostSet:
     def team_value(self, z) -> float:
         return sum(c.value(z) for c in self.costs)
 
-    def _term_batches(self):
-        """Group all agents' terms by family for batched gradients, each
-        family's terms ordered by agent.
-
-        An agent's quadratic terms merge into one, (z - c)^T Q (z - c) with
-        Q = sum_k Q_k and Q c = sum_k Q_k c_k (the same gradient), and the
-        quadratic batch holds 2Q, which its gradient multiplies by
-        (doubling is exact).  Returns a list of (idx, mats, centers, unique,
-        grad), one per family present, where idx is None for one term per
-        agent in agent order; a term of any other class is a TypeError.
-        """
-        quads = {}
-        expq = []
-        stack = [(i, c) for i, c in enumerate(self.costs)]
-        while stack:
-            i, c = stack.pop()
-            if isinstance(c, SumCost):
-                stack.extend((i, t) for t in c.terms)
-            elif isinstance(c, QuadraticCost):
-                quads.setdefault(i, []).append((c.Q, c.center))
-            elif isinstance(c, ExpQuadraticCost):
-                expq.append((i, c.P, c.center))
-            else:
-                raise TypeError(
-                    f"agent {i}: no batched gradient for {type(c).__name__}")
-        quad = []
-        for i, terms in quads.items():
-            Q, c = terms[0]
-            if len(terms) > 1:
-                Q = sum(Qk for Qk, _ in terms)
-                c = np.linalg.solve(Q, sum(Qk @ ck for Qk, ck in terms))
-            quad.append((i, Q, c))
-
-        def pack(items, grad, scale):
-            # stable, so one agent's terms keep their summation order
-            items.sort(key=lambda item: item[0])
-            idx = np.array([i for i, _, _ in items])
-            mats = scale * np.array([m for _, m, _ in items])
-            cents = np.array([c for _, _, c in items])
-            if np.array_equal(idx, np.arange(self.n_agents)):
-                idx = None  # one term per agent, already in agent order
-            unique = idx is None or len(set(idx.tolist())) == len(idx)
-            return idx, mats, cents, unique, grad
-
-        return [pack(items, grad, scale) for items, grad, scale in
-                ((quad, _quad_grads, 2.0), (expq, _expq_grads, 1.0))
-                if items]
-
     def grad_stack(self, Z: np.ndarray) -> np.ndarray:
         """Per-agent gradients at per-agent points: row i is grad f_i(Z[i]).
 
@@ -217,7 +169,7 @@ class CostSet:
         """
         batches = getattr(self, "_batches", None)
         if batches is None:
-            batches = self._term_batches()
+            batches = _term_batches(self.costs)
             self._batches = batches
         out = None
         for idx, mats, cents, unique, grad in batches:
@@ -236,17 +188,68 @@ class CostSet:
         return out
 
 
+def _term_batches(costs: list) -> list:
+    """Group the terms of all agents' costs by family for batched
+    gradients, each family's terms ordered by agent.
+
+    An agent's quadratic terms merge into one, (z - c)^T Q (z - c) with
+    Q = sum_k Q_k and Q c = sum_k Q_k c_k (the same gradient), and the
+    quadratic batch holds 2Q, which its gradient multiplies by
+    (doubling is exact).  Returns a list of (idx, mats, centers, unique,
+    grad), one per family present, where idx is None for one term per
+    agent in agent order; a term of any other class is a TypeError.
+    """
+    quads = {}
+    expq = []
+    stack = list(enumerate(costs))
+    while stack:
+        i, c = stack.pop()
+        if isinstance(c, SumCost):
+            stack.extend((i, t) for t in c.terms)
+        elif isinstance(c, QuadraticCost):
+            quads.setdefault(i, []).append((c.Q, c.center))
+        elif isinstance(c, ExpQuadraticCost):
+            expq.append((i, c.P, c.center))
+        else:
+            raise TypeError(
+                f"agent {i}: no batched gradient for {type(c).__name__}")
+    quad = []
+    for i, terms in quads.items():
+        Q, c = terms[0]
+        if len(terms) > 1:
+            Q = sum(Qk for Qk, _ in terms)
+            c = np.linalg.solve(Q, sum(Qk @ ck for Qk, ck in terms))
+        quad.append((i, Q, c))
+
+    def pack(items, grad, scale):
+        # stable, so one agent's terms keep their summation order
+        items.sort(key=lambda item: item[0])
+        idx = np.array([i for i, _, _ in items])
+        mats = scale * np.array([m for _, m, _ in items])
+        cents = np.array([c for _, _, c in items])
+        if np.array_equal(idx, np.arange(len(costs))):
+            idx = None  # one term per agent, already in agent order
+        unique = idx is None or len(set(idx.tolist())) == len(idx)
+        return idx, mats, cents, unique, grad
+
+    return [pack(items, grad, scale) for items, grad, scale in
+            ((quad, _quad_grads, 2.0), (expq, _expq_grads, 1.0))
+            if items]
+
+
 def _quad_grads(Q2s: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Rows 2 Q_k d_k of quadratic terms at offsets D = z - center, from
-    the doubled matrices Q2s = 2 Q_k."""
-    return (Q2s @ D[:, :, None])[:, :, 0]
+    the doubled matrices Q2s = 2 Q_k; D may hold several rows per term
+    when Q2s broadcasts over them."""
+    return (Q2s @ D[..., None])[..., 0]
 
 
 def _expq_grads(Ps: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Rows 2 exp(d'P d) P d of exp-quadratic terms at offsets D."""
-    Pd = (Ps @ D[:, :, None])[:, :, 0]
-    e = np.exp((D * Pd).sum(axis=1))
-    return (2.0 * e)[:, None] * Pd
+    """Rows 2 exp(d'P d) P d of exp-quadratic terms at offsets D, shaped
+    as in _quad_grads."""
+    Pd = (Ps @ D[..., None])[..., 0]
+    e = np.exp((D * Pd).sum(axis=-1))
+    return (2.0 * e)[..., None] * Pd
 
 
 def grad_sum(costs: CostSet, z) -> np.ndarray:
@@ -328,19 +331,36 @@ def estimate_constants(costs, box) -> tuple[float, float]:
       rho_hat    = min (grad f(x) - grad f(y))^T (x - y) / ||x - y||^2
       varrho_hat = max ||grad f(x) - grad f(y)|| / ||x - y||
 
-    aggregated as min/max over agents when given a CostSet.
+    aggregated as min/max over agents when given a CostSet.  Every agent's
+    gradient at every sample point comes from one pass over the term
+    batches (`_gradient_blocks`).
     """
     agent_costs = costs.costs if isinstance(costs, CostSet) else [costs]
     X, Y = _curvature_pairs(box)
+    G = _gradient_blocks(_term_batches(agent_costs), len(agent_costs),
+                         np.concatenate([X, Y]))
+    dG = G[:, :len(X)] - G[:, len(X):]
     dZ = X - Y
     nz2 = (dZ * dZ).sum(axis=1)
-    rho, varrho = math.inf, 0.0
-    for c in agent_costs:
-        dG = _gradients(c, X) - _gradients(c, Y)
-        rho = min(rho, float(((dG * dZ).sum(axis=1) / nz2).min()))
-        varrho = max(varrho, float(
-            (np.linalg.norm(dG, axis=1) / np.sqrt(nz2)).max()))
+    rho = float(((dG * dZ).sum(axis=-1) / nz2).min())
+    varrho = float((np.linalg.norm(dG, axis=-1) / np.sqrt(nz2)).max())
     return rho, varrho
+
+
+def _gradient_blocks(batches: list, n_agents: int,
+                     Z: np.ndarray) -> np.ndarray:
+    """Block i, row p: grad f_i(Z[p]), every agent's gradient at every
+    row of Z (P, dim), from the term batches of `_term_batches`."""
+    out = np.zeros((n_agents,) + Z.shape)
+    for idx, mats, cents, unique, grad in batches:
+        G = grad(mats[:, None], Z - cents[:, None])
+        if idx is None:
+            out += G
+        elif unique:
+            out[idx] += G
+        else:
+            np.add.at(out, idx, G)
+    return out
 
 
 def _curvature_pairs(box) -> tuple[np.ndarray, np.ndarray]:
@@ -362,17 +382,6 @@ def _curvature_pairs(box) -> tuple[np.ndarray, np.ndarray]:
     steps = np.tile(np.diag(1e-4 * np.maximum(1.0, hi - lo)), (3, 1))
     return (np.concatenate([X[keep], anchors]),
             np.concatenate([Y[keep], anchors + steps]))
-
-
-def _gradients(c: CostFunction, Z: np.ndarray) -> np.ndarray:
-    """Rows grad c(z) at the rows z of Z."""
-    if isinstance(c, SumCost):
-        return sum(_gradients(t, Z) for t in c.terms)
-    if isinstance(c, QuadraticCost):
-        return _quad_grads(2.0 * c.Q[None], Z - c.center)
-    if isinstance(c, ExpQuadraticCost):
-        return _expq_grads(c.P[None], Z - c.center)
-    raise TypeError(f"no batched gradient for {type(c).__name__}")
 
 
 def default_box(dim: int) -> np.ndarray:

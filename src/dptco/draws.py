@@ -14,5 +14,5 @@ import numpy as np
 def uniform(rng, lo, hi, shape: tuple) -> np.ndarray:
     """lo + (hi - lo) u for the next prod(shape) draws u of `rng.random()`,
     filled in row-major order; `lo` and `hi` broadcast against `shape`."""
-    u = np.array([rng.random() for _ in range(math.prod(shape))])
+    u = np.fromiter(iter(rng.random, None), float, math.prod(shape))
     return lo + (hi - lo) * u.reshape(shape)

@@ -215,6 +215,9 @@ def _build(sc: Scenario, seed: int | None = None,
 
     with _section(path, "agents"):
         ag = raw["agents"]
+        if seed is not None and seed < 0:
+            # refused on every scenario, as agents.disturbance.seed is
+            raise ValueError("expected non-negative integer")
         agents = None
         dist_seed = 0
         if controller == "chain":
@@ -227,7 +230,7 @@ def _build(sc: Scenario, seed: int | None = None,
             constants["v1"] = chain_cfg.v1
             constants["v2"] = chain_cfg.v2
             reports.append(chain_ctrl.check_dc1(chain_cfg, alpha,
-                                                consts.c_star, clock.mu0))
+                                                consts.c_star, grid))
             plant = ag.get("plant", "chain")
             el = None
             if plant == "euler_lagrange":
@@ -271,8 +274,7 @@ def _build(sc: Scenario, seed: int | None = None,
             sf_cfg = strictfb_ctrl.SfControllerConfig(
                 m, dim, l, c, upsilon, sigma, alpha_xi, clock.mu_guard, phis)
             reports.append(strictfb_ctrl.check_dcxi(
-                alpha_xi, alpha, consts.c_star, float(sf_cfg.L[1]),
-                clock.mu0, clock.mu_guard))
+                alpha_xi, alpha, consts.c_star, float(sf_cfg.L[1]), grid))
             thetas = np.asarray(ag["thetas"], dtype=float)
             if thetas.shape != (net.n_agents,):
                 raise _fail(path, "agents", "one theta per agent required")

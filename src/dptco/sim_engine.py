@@ -612,7 +612,7 @@ def export_csv(path: str, columns: dict) -> None:
 def trajectory_columns(sys: CoupledSystem, traj: Trajectory) -> dict:
     """CSV-ready columns: time, mu, then every state channel."""
     cols = {"t": traj.times,
-            "mu": np.array([sys.clock.mu(t) for t in traj.times])}
+            "mu": sys.clock.mu(traj.times)}
     for j, name in enumerate(sys.column_names()):
         cols[name] = traj.states[:, j]
     return cols

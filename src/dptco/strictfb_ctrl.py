@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import GuardExceeded, MarginTooSmall
 from .generator import bound_ratio, ratio_report
-from .timegain import (GainFunction, GrowthCriterion, check_growth_criterion,
-                       log_grid)
+from .timegain import GainFunction, GrowthCriterion, check_growth_criterion
 
 
 def scale_powers(m: int, l: float) -> np.ndarray:
@@ -104,11 +103,11 @@ class SfControllerConfig:
 
 
 def check_dcxi(alpha_xi: GainFunction, alpha: GainFunction, c_star: float,
-               L2: float, mu0: float, mu_guard: float):
-    """Growth-criterion report for alpha_xi against the generator gain."""
+               L2: float, grid):
+    """Growth-criterion report for alpha_xi against the generator gain on
+    the grid of the build's criteria (`log_grid(mu0, mu_guard)`)."""
     crit = GrowthCriterion("strict_dcxi", c_star=c_star,
                            coupling_coef=c_star / (2.0 * L2))
-    grid = log_grid(mu0, mu_guard)
     return check_growth_criterion(alpha_xi, crit, grid, alpha_main=alpha)
 
 
@@ -262,7 +261,7 @@ class StrictFeedbackAgents:
 
 def _alpha_xi_series(mus, cfg: SfControllerConfig) -> np.ndarray:
     """alpha_xi(mu) at every logged mu, as a (K, 1) column."""
-    return np.array([[cfg.alpha_xi.eval(float(mu))] for mu in mus])
+    return cfg.alpha_xi.eval(np.asarray(mus, dtype=float))[:, None]
 
 
 def invariant_set_monitor(times, e_tilde_norms, h, slack: float = 0.02):

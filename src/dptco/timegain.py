@@ -6,12 +6,24 @@ class-K-infinity gain functions alpha(s), and the pointwise growth criteria
 that a gain must satisfy for the convergence envelopes to hold.
 
 All types are immutable after construction and every operation is pure.
+
+The clock's mu, the gains' eval and deriv, gain_integral and kappa take a
+float or an ndarray.  A float stays on math, as the right-hand side needs,
+and is told apart from an array by its exact type first.  An array goes
+through numpy ufuncs, and every entry equals the float result bit for bit:
+powers use np.float_power, which calls libm's pow as Python's ** does, and
+exp and log call math's functions entry by entry (`_each`).  numpy's own
+power, exp and log run SIMD code that differs from libm in the last place
+on a few per cent of inputs, which would move the growth criteria's worst
+points and the monitors' ratios.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,14 +63,40 @@ class PrescribedClock:
     def mu_guard(self) -> float:
         return self.mu(self.t_guard)
 
-    def mu(self, t: float) -> float:
-        """Time-varying gain mu(t) = 1/(T + t0 - t); strictly increasing."""
-        if t < self.t0 or t >= self.t0 + self.T:
+    def mu(self, t):
+        """Time-varying gain mu(t) = 1/(T + t0 - t), at a float t or at
+        every entry of an ndarray t; strictly increasing."""
+        if not self.in_window(t):
             raise TimeOutOfWindow(f"t={t} outside [{self.t0}, {self.t0 + self.T})")
         return 1.0 / (self.T + self.t0 - t)
 
-    def in_window(self, t: float) -> bool:
+    def in_window(self, t) -> bool:
+        """Whether t, or every entry of an ndarray t, lies in [t0, t0 + T)."""
+        if type(t) is not float and isinstance(t, np.ndarray):
+            return bool(((self.t0 <= t) & (t < self.t0 + self.T)).all())
         return self.t0 <= t < self.t0 + self.T
+
+
+def _exp(x: float) -> float:
+    """math.exp, but inf past 709 instead of an OverflowError."""
+    return math.inf if x > 709.0 else math.exp(x)
+
+
+def _each(f):
+    """f, a function of floats, applied to every entry of an ndarray x
+    (further arguments are the same floats for every entry)."""
+    def each(x, *args):
+        out = map(f, x.ravel().tolist(), *map(repeat, args))
+        return np.fromiter(out, float, x.size).reshape(x.shape)
+    return each
+
+
+# the transcendental functions and the select that a gain formula uses,
+# for floats and for arrays
+_FLOAT = SimpleNamespace(log=math.log, exp=_exp, pow=pow,
+                         where=lambda c, a, b: a if c else b)
+_ARRAY = SimpleNamespace(log=_each(math.log), exp=_each(_exp),
+                         pow=np.float_power, where=np.where)
 
 
 def _adaptive_simpson(f, a, b):
@@ -119,50 +157,71 @@ class GainFunction:
         if self.family not in ("linear", "power", "log", "exp", "dc2"):
             raise ValueError(f"unknown gain family {self.family!r}")
 
-    def eval(self, s: float) -> float:
+    def eval(self, s):
+        """alpha(s) at a float s, or at every entry of an ndarray s.
+
+        exp, and a dc2 gain's exponential factor, read inf past exp(709),
+        without a RuntimeWarning.
+        """
+        if type(s) is not float and isinstance(s, np.ndarray):
+            if (s < 0).any():
+                raise ValueError(f"gain evaluated at negative s={s.min()}")
+            with np.errstate(over="ignore"):
+                return self._value(s, _ARRAY)
         if s < 0:
             raise ValueError(f"gain evaluated at negative s={s}")
+        return self._value(s, _FLOAT)
+
+    def _value(self, s, ops):
         fam, p = self.family, self.params
         if fam == "linear":
             return p[0] * s
         if fam == "power":
-            return p[0] * s ** p[1]
+            return p[0] * ops.pow(s, p[1])
         if fam == "log":
-            return p[0] * s * math.log(s + 2.0)
+            return p[0] * s * ops.log(s + 2.0)
         if fam == "exp":
-            x = p[1] * s
-            if x > 709.0:  # exp overflows; the gain is effectively infinite
-                return math.inf
-            return p[0] * s * math.exp(x)
-        # dc2
+            return p[0] * s * ops.exp(p[1] * s)
+        # dc2, 0 where s or alpha_x(s) is
         v1, m, mu0 = p
-        if s == 0.0:
-            return 0.0
         ax = self.base.eval(s)
-        if ax == 0.0:
-            return 0.0
-        return ax ** m * math.exp(0.5 * v1 * gain_integral(self.base, mu0, s))
+        zero = (s == 0.0) | (ax == 0.0)
+        rise = ops.exp(0.5 * v1 * gain_integral(self.base, mu0,
+                                                ops.where(zero, mu0, s)))
+        return ops.where(zero, 0.0, ops.pow(ax, m) * rise)
 
-    def deriv(self, s: float) -> float:
+    def deriv(self, s):
+        """d(alpha)/ds at a float s, or at every entry of an ndarray s."""
+        if type(s) is not float and isinstance(s, np.ndarray):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self._slope(s, _ARRAY)
+        return self._slope(s, _FLOAT)
+
+    def _slope(self, s, ops):
         fam, p = self.family, self.params
         if fam == "linear":
-            return p[0]
+            return p[0] + 0.0 * s  # k, shaped like s
         if fam == "power":
-            return p[0] * p[1] * s ** (p[1] - 1.0) if s > 0 else (p[0] if p[1] == 1.0 else 0.0)
+            # at s = 0: k for a = 1, else 0
+            k, a = p
+            pos = s > 0.0
+            return ops.where(pos, k * a * ops.pow(ops.where(pos, s, 1.0),
+                                                  a - 1.0),
+                             k if a == 1.0 else 0.0)
         if fam == "log":
-            return p[0] * (math.log(s + 2.0) + s / (s + 2.0))
+            return p[0] * (ops.log(s + 2.0) + s / (s + 2.0))
         if fam == "exp":
             x = p[1] * s
-            if x > 709.0:
-                return math.inf
-            return p[0] * math.exp(x) * (1.0 + x)
-        # dc2: d/ds = alpha_s(s) * (m ax'(s)/ax(s) + (v1/2) s^-2 ax(s))
-        v1, m, _ = p
+            return p[0] * ops.exp(x) * (1.0 + x)
+        # dc2: d/ds = alpha_s(s) * (m ax'(s)/ax(s) + (v1/2) s^-2 ax(s)), 0
+        # where s or alpha_s(s) is; those entries are computed at mu0
+        v1, m, mu0 = p
         val = self.eval(s)
-        if s == 0.0 or val == 0.0:
-            return 0.0
-        ax = self.base.eval(s)
-        return val * (m * self.base.deriv(s) / ax + 0.5 * v1 * ax / s ** 2)
+        zero = (s == 0.0) | (val == 0.0)
+        at = ops.where(zero, mu0, s)
+        ax = self.base.eval(at)
+        return ops.where(zero, 0.0, val * (m * self.base.deriv(at) / ax
+                                           + 0.5 * v1 * ax / ops.pow(at, 2)))
 
     @staticmethod
     def from_dict(d: dict) -> "GainFunction":
@@ -180,65 +239,85 @@ class GainFunction:
         """
         if self.eval(0.0) != 0.0:
             raise ValueError("class K-infinity gain must satisfy alpha(0) = 0")
-        prev = None
-        for s in log_grid(1e-2, 1e3, 50):
+        s = log_grid(1e-2, 1e3, 50)
+        h = 1e-6 * s
+        with np.errstate(over="ignore", invalid="ignore"):
             v = self.eval(s)
-            if not math.isfinite(v):
-                break  # overflowed upward; increase already established
-            if prev is not None and v <= prev:
-                raise ValueError(f"gain not strictly increasing near s={s}")
-            prev = v
-            h = 1e-6 * s
             fd = (self.eval(s + h) - self.eval(s - h)) / (2.0 * h)
             d = self.deriv(s)
-            if abs(d - fd) > 1e-6 * max(1.0, abs(fd)) * 10.0:
+            off = np.abs(d - fd) > 1e-6 * np.fmax(1.0, np.abs(fd)) * 10.0
+        prev = -math.inf
+        for i, (val, bad) in enumerate(zip(v.tolist(), off.tolist())):
+            if not math.isfinite(val):
+                break  # overflowed upward; increase already established
+            if val <= prev:
                 raise ValueError(
-                    f"deriv inconsistent with eval at s={s}: {d} vs FD {fd}")
+                    f"gain not strictly increasing near s={float(s[i])}")
+            if bad:
+                raise ValueError(f"deriv inconsistent with eval at "
+                                 f"s={float(s[i])}: {float(d[i])} vs FD "
+                                 f"{float(fd[i])}")
+            prev = val
 
 
-def gain_integral(alpha: GainFunction, s0: float, s1: float) -> float:
-    """Integral of alpha(s)/s**2 over [s0, s1].
+def gain_integral(alpha: GainFunction, s0: float, s1):
+    """Integral of alpha(s)/s**2 over [s0, s1], or over [s0, x] for every
+    entry x of an ndarray s1.
 
     This is the time integral int alpha(mu(tau)) dtau rewritten through the
     substitution s = mu(tau), ds = s**2 dtau.  Closed forms exist for the
-    linear and power families; everything else goes through adaptive Simpson.
+    linear and power families; everything else goes through adaptive
+    Simpson, one upper limit at a time.
     """
+    if isinstance(s1, np.ndarray):
+        if s0 <= 0 or (s1 <= 0).any():
+            raise NonPositiveInput("gain_integral limits must be positive")
+        return np.where(s1 == s0, 0.0, _integral(alpha, s0, s1, _ARRAY))
     if s0 <= 0 or s1 <= 0:
         raise NonPositiveInput("gain_integral limits must be positive")
     if s0 == s1:
         return 0.0
+    return _integral(alpha, s0, s1, _FLOAT)
+
+
+def _integral(alpha: GainFunction, s0: float, s1, ops):
     fam, p = alpha.family, alpha.params
     if fam == "linear":
-        return p[0] * math.log(s1 / s0)
+        return p[0] * ops.log(s1 / s0)
     if fam == "power":
         k, a = p
         if a == 1.0:
-            return k * math.log(s1 / s0)
-        return k * (s1 ** (a - 1.0) - s0 ** (a - 1.0)) / (a - 1.0)
-    return _adaptive_simpson(lambda s: alpha.eval(s) / (s * s), s0, s1)
+            return k * ops.log(s1 / s0)
+        return k * (ops.pow(s1, a - 1.0) - s0 ** (a - 1.0)) / (a - 1.0)
+
+    def simpson(s):
+        return _adaptive_simpson(lambda x: alpha.eval(x) / (x * x), s0, s)
+
+    # log, exp and dc2: adaptive Simpson, one upper limit at a time
+    return _each(simpson)(s1) if ops is _ARRAY else simpson(s1)
 
 
-def kappa(clock: PrescribedClock, alpha: GainFunction, iota: float, t: float) -> float:
-    """Decay factor exp(iota * int_{t0}^{t} alpha(mu(tau)) dtau).
+def kappa(clock: PrescribedClock, alpha: GainFunction, iota: float, t):
+    """Decay factor exp(iota * int_{t0}^{t} alpha(mu(tau)) dtau), at a float
+    t or at every entry of an ndarray t.
 
     Converges to zero as t approaches the deadline for any iota < 0.
     """
     if not clock.in_window(t):
         raise TimeOutOfWindow(f"t={t} outside the prescribed window")
-    if iota == 0.0 or t == clock.t0:
-        return 1.0
-    integral = gain_integral(alpha, clock.mu(clock.t0), clock.mu(t))
-    x = iota * integral
-    if x < -745.0:
-        return 0.0
-    return math.exp(x)
+    array = isinstance(t, np.ndarray)
+    if iota == 0.0:
+        return np.ones(t.shape) if array else 1.0
+    # the integral is 0 at t = t0, where kappa is 1
+    x = iota * gain_integral(alpha, clock.mu(clock.t0), clock.mu(t))
+    ops = _ARRAY if array else _FLOAT
+    return ops.where(x < -745.0, 0.0, ops.exp(x))
 
 
 def kappa_series(times, clock: PrescribedClock, alpha: GainFunction,
                  iota: float) -> np.ndarray:
-    """kappa(iota alpha(mu(t))) at every logged time t, one scalar kappa
-    call each."""
-    return np.array([kappa(clock, alpha, iota, t) for t in times])
+    """kappa(iota alpha(mu(t))) at every logged time t, in one kappa call."""
+    return kappa(clock, alpha, iota, np.asarray(times, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -297,45 +376,52 @@ class CriterionReport:
         }
 
 
-def log_grid(s_lo: float, s_hi: float, n: int = 1000) -> list[float]:
-    """Log-spaced grid covering [s_lo, s_hi]."""
+def log_grid(s_lo: float, s_hi: float, n: int = 1000) -> np.ndarray:
+    """n log-spaced points covering [s_lo, s_hi]: s_lo (s_hi/s_lo)**(i/(n-1))
+    for i = 0 .. n-1."""
     if s_lo <= 0 or s_hi <= s_lo:
         raise NonPositiveInput("grid endpoints must satisfy 0 < s_lo < s_hi")
-    return [s_lo * (s_hi / s_lo) ** (i / (n - 1)) for i in range(n)]
+    return s_lo * np.float_power(s_hi / s_lo, np.arange(n) / (n - 1))
 
 
 def check_growth_criterion(alpha: GainFunction, crit: GrowthCriterion,
-                           grid: list[float],
+                           grid,
                            alpha_main: GainFunction | None = None) -> CriterionReport:
-    """Verify the growth bound pointwise on the grid; never raises on fail.
+    """Verify the growth bound at every grid point; never raises on fail.
 
     The margin at s is C * s**-2 * alpha(s)**2 - d(alpha)/ds, normalized by
-    max(1, d(alpha)/ds); the report carries the minimum over the grid.  When
-    the criterion has a coupling bound and alpha_main is supplied, the
-    coupling slack coef * alpha_main(s) - alpha(s) is also checked.
+    max(1, d(alpha)/ds); the report carries the minimum over the grid and
+    the first point where it is reached.  When the criterion has a
+    coupling bound and alpha_main is supplied, the coupling slack
+    coef * alpha_main(s) - alpha(s) is also checked.  NaN margins and
+    slacks are skipped.
     """
-    coef = crit.growth_coef
-    coupled = crit.coupling_coef > 0.0 and alpha_main is not None
-    worst = math.inf
-    worst_s = grid[0]
-    c_worst = math.inf
-    c_worst_s = math.nan
-    for s in grid:
-        a = alpha.eval(s)
-        da = alpha.deriv(s)
-        margin = (coef * a * a / (s * s) - da) / max(1.0, abs(da))
-        if margin < worst:
-            worst = margin
-            worst_s = s
-        if coupled:
+    s = np.asarray(grid, dtype=float)
+    a = alpha.eval(s)
+    da = alpha.deriv(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = ((crit.growth_coef * a * a / (s * s) - da)
+                  / np.fmax(1.0, np.abs(da)))
+        worst, worst_s = _first_min(margin, s, float(s[0]))
+        if crit.coupling_coef > 0.0 and alpha_main is not None:
             slack = crit.coupling_coef * alpha_main.eval(s) - a
-            if slack < c_worst:
-                c_worst = slack
-                c_worst_s = s
-    passed = worst >= -1e-12
-    c_pass = c_worst >= -1e-12 if coupled else True
-    return CriterionReport(crit.kind, passed, worst, worst_s,
+            c_worst, c_worst_s = _first_min(slack, s, math.nan)
+            c_pass = c_worst >= -1e-12
+        else:
+            c_worst, c_worst_s, c_pass = math.inf, math.nan, True
+    return CriterionReport(crit.kind, worst >= -1e-12, worst, worst_s,
                            c_pass, c_worst, c_worst_s)
+
+
+def _first_min(values: np.ndarray, s: np.ndarray,
+               default_s: float) -> tuple[float, float]:
+    """The least non-NaN value below inf and the first s where it occurs;
+    (inf, default_s) when there is none."""
+    values = np.fmin(values, math.inf)  # NaN reads inf
+    i = int(values.argmin())
+    if values[i] == math.inf:
+        return math.inf, default_s
+    return float(values[i]), float(s[i])
 
 
 def alpha_s_from_dc2(alpha_x: GainFunction, v1: float, m: int, mu0: float) -> GainFunction:

@@ -21,7 +21,8 @@ from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, SolverSettings,
                               Trajectory, step_ceiling)
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
                                  scale_powers, virtual_controls)
-from dptco.timegain import GainFunction, PrescribedClock, kappa
+from dptco.timegain import (CriterionReport, GainFunction, GrowthCriterion,
+                            PrescribedClock, kappa)
 
 
 class DegenerateSize(ValueError):
@@ -299,6 +300,37 @@ def estimate_constants(costs, box, samples: int = 400, seed: int = 0):
             rho = min(rho, float(dg @ dz) / nz2)
             varrho = max(varrho, float(np.linalg.norm(dg)) / math.sqrt(nz2))
     return rho, varrho
+
+
+def check_growth_criterion(alpha: GainFunction, crit: GrowthCriterion,
+                           grid,
+                           alpha_main: GainFunction | None = None) -> CriterionReport:
+    """timegain.check_growth_criterion one grid point at a time, with the
+    gains evaluated at floats: the first strict minimum of the margin and
+    of the coupling slack, NaN never below it."""
+    coef = crit.growth_coef
+    coupled = crit.coupling_coef > 0.0 and alpha_main is not None
+    grid = [float(s) for s in grid]
+    worst = math.inf
+    worst_s = grid[0]
+    c_worst = math.inf
+    c_worst_s = math.nan
+    for s in grid:
+        a = alpha.eval(s)
+        da = alpha.deriv(s)
+        margin = (coef * a * a / (s * s) - da) / max(1.0, abs(da))
+        if margin < worst:
+            worst = margin
+            worst_s = s
+        if coupled:
+            slack = crit.coupling_coef * alpha_main.eval(s) - a
+            if slack < c_worst:
+                c_worst = slack
+                c_worst_s = s
+    passed = worst >= -1e-12
+    c_pass = c_worst >= -1e-12 if coupled else True
+    return CriterionReport(crit.kind, passed, worst, worst_s,
+                           c_pass, c_worst, c_worst_s)
 
 
 # --- generator: one agent's dynamics and the Lyapunov diagnostic ----------

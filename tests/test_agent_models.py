@@ -32,7 +32,8 @@ REL = 1e-12
 
 def coupled(agents, offsets=None) -> CoupledSystem:
     net = build_network(N, [[i, (i + 1) % N, 1.0] for i in range(N)])
-    costs = CostSet([QuadraticCost(np.eye(DIM) * (0.5 + 0.25 * i), [i, -i])
+    costs = CostSet([QuadraticCost(np.eye(DIM) * (0.5 + 0.25 * i), [i, -i],
+                                   0.0)
                      for i in range(N)], DIM, wide_box(DIM))
     return CoupledSystem(CLOCK, net, costs, linear_gain(10.0), agents=agents,
                          offsets=offsets)

@@ -14,7 +14,7 @@ from dptco.chain_ctrl import (ChainControllerConfig, ElMismatch,
                               companion, el_acceleration, hurwitz_gain,
                               make_chain_config, solve_lyapunov, v_constants)
 from dptco.errors import GuardExceeded, NotHurwitz
-from dptco.timegain import PrescribedClock, kappa
+from dptco.timegain import PrescribedClock, kappa, log_grid
 
 from oracles import chain_plant_rhs, el_matrices, linear_gain, power_gain
 
@@ -114,10 +114,11 @@ def test_check_dc1_compliant_pair():
     cfg.alpha_x = linear_gain(k)
     c_star = 0.1
     alpha = linear_gain(k * cfg.v1 / c_star)
-    rep = check_dc1(cfg, alpha, c_star, mu0=1.0)
+    grid = log_grid(1.0, cfg.mu_guard)
+    rep = check_dc1(cfg, alpha, c_star, grid)
     assert rep.passed and rep.coupling_passed
     cfg.alpha_x = linear_gain(0.5 * k)
-    assert not check_dc1(cfg, alpha, c_star, mu0=1.0).passed
+    assert not check_dc1(cfg, alpha, c_star, grid).passed
 
 
 # --- error coordinates -------------------------------------------------------

@@ -34,7 +34,7 @@ def test_quadratic_value_and_gradient():
 
 
 def test_quadratic_curvature_constants():
-    c = QuadraticCost(np.diag([0.5, 0.3]), [0.0, 0.0])
+    c = QuadraticCost(np.diag([0.5, 0.3]), [0.0, 0.0], 0.0)
     assert c.rho_c == pytest.approx(0.6)
     assert c.varrho_c == pytest.approx(1.0)
 
@@ -53,8 +53,8 @@ def test_exp_quadratic_gradient_fd():
 
 
 def test_sum_cost_adds():
-    a = QuadraticCost(np.eye(1), [0.0])
-    b = QuadraticCost(np.eye(1), [2.0])
+    a = QuadraticCost(np.eye(1), [0.0], 0.0)
+    b = QuadraticCost(np.eye(1), [2.0], 0.0)
     s = SumCost([a, b])
     z = np.array([1.0])
     assert s.value(z) == pytest.approx(a.value(z) + b.value(z))
@@ -72,20 +72,21 @@ def test_cost_roundtrip_serialization():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
-        CostSet([QuadraticCost(np.eye(2), [0.0, 0.0]),
-                 QuadraticCost(np.eye(1), [0.0])], 2, default_box(2))
+        CostSet([QuadraticCost(np.eye(2), [0.0, 0.0], 0.0),
+                 QuadraticCost(np.eye(1), [0.0], 0.0)], 2, default_box(2))
 
 
 # --- team gradient -----------------------------------------------------------
 
 def test_grad_sum_zero_at_center():
-    cs = CostSet([QuadraticCost(np.eye(2), [1.0, -1.0])], 2, default_box(2))
+    cs = CostSet([QuadraticCost(np.eye(2), [1.0, -1.0], 0.0)], 2,
+                 default_box(2))
     assert np.allclose(grad_sum(cs, [1.0, -1.0]), 0.0)
 
 
 def test_grad_sum_symmetric_pair():
-    cs = CostSet([QuadraticCost(np.eye(1), [0.0]),
-                  QuadraticCost(np.eye(1), [2.0])], 1, default_box(1))
+    cs = CostSet([QuadraticCost(np.eye(1), [0.0], 0.0),
+                  QuadraticCost(np.eye(1), [2.0], 0.0)], 1, default_box(1))
     assert np.allclose(grad_sum(cs, [1.0]), 0.0)
 
 
@@ -104,14 +105,14 @@ def test_grad_stack_matches_per_agent():
     direct = np.array([c.gradient(Z[i]) for i, c in enumerate(cs.costs)])
     assert np.allclose(cs.grad_stack(Z), direct, atol=1e-14)
     # one quadratic per agent takes the path without gather and scatter
-    quad = CostSet([QuadraticCost(np.diag([1.0 + i, 0.5]), [i, -i])
+    quad = CostSet([QuadraticCost(np.diag([1.0 + i, 0.5]), [i, -i], 0.0)
                     for i in range(5)], 2, oracles.wide_box(2))
     Z = rng.uniform(-1.0, 2.0, size=(5, 2))
     direct = np.array([c.gradient(Z[i]) for i, c in enumerate(quad.costs)])
     assert np.allclose(quad.grad_stack(Z), direct, atol=1e-14)
     # several quadratics of one agent are merged into one term
-    terms = [[QuadraticCost(np.diag([1.0 + i, 0.5]), [i, -i]),
-              QuadraticCost([[0.3, 0.1], [0.1, 0.2]], [-i, 2.0])]
+    terms = [[QuadraticCost(np.diag([1.0 + i, 0.5]), [i, -i], 0.0),
+              QuadraticCost([[0.3, 0.1], [0.1, 0.2]], [-i, 2.0], 0.0)]
              for i in range(4)]
     merged = CostSet([SumCost(terms[0]), terms[1][0], SumCost(terms[2]),
                       SumCost(terms[3] + [terms[0][1]])], 2,
@@ -130,7 +131,7 @@ def test_grad_stack_refuses_foreign_term():
         def gradient(self, z):
             return np.ones(2)
 
-    cs = CostSet([QuadraticCost(np.eye(2), [0.0, 0.0]), Linear()], 2,
+    cs = CostSet([QuadraticCost(np.eye(2), [0.0, 0.0], 0.0), Linear()], 2,
                  default_box(2))
     with pytest.raises(TypeError, match="agent 1: .* Linear"):
         cs.grad_stack(np.zeros((2, 2)))
@@ -139,7 +140,8 @@ def test_grad_stack_refuses_foreign_term():
 # --- optimum oracle ----------------------------------------------------------
 
 def test_oracle_single_quadratic():
-    cs = CostSet([QuadraticCost(np.eye(2), [3.0, -1.0])], 2, default_box(2))
+    cs = CostSet([QuadraticCost(np.eye(2), [3.0, -1.0], 0.0)], 2,
+                 default_box(2))
     cert = optimum_oracle(cs)
     assert np.allclose(cert.z_star, [3.0, -1.0], atol=1e-8)
 
@@ -148,7 +150,7 @@ def test_oracle_weighted_mean():
     # sum of iota_i ||z - c_i||^2 has optimum sum(iota c)/sum(iota)
     iotas = [0.5, 1.0, 2.0]
     centers = [[0.0, 0.0], [1.0, 2.0], [-1.0, 4.0]]
-    cs = CostSet([QuadraticCost(i * np.eye(2), c)
+    cs = CostSet([QuadraticCost(i * np.eye(2), c, 0.0)
                   for i, c in zip(iotas, centers)], 2, oracles.wide_box(2))
     expected = (np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 4.0]])
                 * np.array(iotas)[:, None]).sum(axis=0) / sum(iotas)
@@ -164,14 +166,14 @@ def test_oracle_reference_value():
 # --- curvature constants -----------------------------------------------------
 
 def test_estimate_constants_diagonal_quadratic():
-    c = QuadraticCost(np.diag([0.5, 0.3]), [0.0, 0.0])
+    c = QuadraticCost(np.diag([0.5, 0.3]), [0.0, 0.0], 0.0)
     rho, varrho = estimate_constants(c, default_box(2))
     assert 0.6 - 1e-3 <= rho <= 0.6 + 1e-9
     assert 1.0 - 1e-9 <= varrho <= 1.0 + 1e-3
 
 
 def test_estimate_constants_identity_quadratic():
-    c = QuadraticCost(np.eye(2), [0.0, 0.0])
+    c = QuadraticCost(np.eye(2), [0.0, 0.0], 0.0)
     rho, varrho = estimate_constants(c, default_box(2))
     assert rho == pytest.approx(2.0, abs=1e-6)
     assert varrho == pytest.approx(2.0, abs=1e-6)
@@ -196,7 +198,8 @@ def test_estimate_constants_example2_agent1():
 @pytest.mark.parametrize("make", [
     lambda: (ExpQuadraticCost([[0.1, 0.0], [0.0, 0.1]], [0.5, 0.5]),
              np.array([[-1.0, 2.0], [-1.0, 2.0]])),
-    lambda: (SumCost([QuadraticCost([[0.5, -0.2], [-0.2, 0.3]], [1.0, 1.0]),
+    lambda: (SumCost([QuadraticCost([[0.5, -0.2], [-0.2, 0.3]], [1.0, 1.0],
+                                    0.0),
                       ExpQuadraticCost([[0.2, 0.05], [0.05, 0.1]],
                                        [0.3, -0.2])]), default_box(2)),
     lambda: ((cs := example2_costs()), cs.box),
@@ -209,8 +212,9 @@ def test_estimate_constants_matches_loop(make):
 
 
 def test_costset_analytic_constants():
-    cs = CostSet([QuadraticCost(np.diag([0.5, 0.3]), [0.0, 0.0]),
-                  QuadraticCost(np.eye(2), [1.0, 1.0])], 2, default_box(2))
+    cs = CostSet([QuadraticCost(np.diag([0.5, 0.3]), [0.0, 0.0], 0.0),
+                  QuadraticCost(np.eye(2), [1.0, 1.0], 0.0)], 2,
+                 default_box(2))
     assert cs.rho_c == pytest.approx(0.6)
     assert cs.varrho_c == pytest.approx(2.0)
 

@@ -78,7 +78,7 @@ def test_agent_rhs_hand_case():
 
 def test_stacked_rhs_matches_agent_rhs():
     net = build_network(6, RING6)
-    cs = CostSet([QuadraticCost(np.eye(2), [float(i), 0.0])
+    cs = CostSet([QuadraticCost(np.eye(2), [float(i), 0.0], 0.0)
                   for i in range(6)], 2, default_box(2))
     rng = np.random.default_rng(2)
     varpi = rng.standard_normal((6, 2))
@@ -95,7 +95,7 @@ def test_stacked_rhs_matches_agent_rhs():
 
 def test_equilibrium_is_stationary():
     net = build_network(6, RING6)
-    cs = CostSet([QuadraticCost(np.eye(2) * (0.2 + 0.1 * i), [i, -i])
+    cs = CostSet([QuadraticCost(np.eye(2) * (0.2 + 0.1 * i), [i, -i], 0.0)
                   for i in range(6)], 2, wide_box(2))
     cert = optimum_oracle(cs)
     varpi = np.tile(cert.z_star, (6, 1))
@@ -109,7 +109,7 @@ def test_equilibrium_is_stationary():
 @settings(max_examples=20, deadline=None)
 def test_p_sum_derivative_vanishes(seed):
     net = build_network(6, RING6)
-    cs = CostSet([QuadraticCost(np.eye(2), [0.0, 0.0])] * 6, 2,
+    cs = CostSet([QuadraticCost(np.eye(2), [0.0, 0.0], 0.0)] * 6, 2,
                  default_box(2))
     rng = np.random.default_rng(seed)
     varpi = rng.standard_normal((6, 2))
@@ -126,8 +126,8 @@ def example2_like_constants():
 
 
 def test_error_state_zero_at_equilibrium():
-    cs = CostSet([QuadraticCost(np.eye(1), [1.0]),
-                  QuadraticCost(np.eye(1), [3.0])], 1, default_box(1))
+    cs = CostSet([QuadraticCost(np.eye(1), [1.0], 0.0),
+                  QuadraticCost(np.eye(1), [3.0], 0.0)], 1, default_box(1))
     cert = optimum_oracle(cs)
     varpi = np.tile(cert.z_star, (2, 1))
     p = -np.array([c.gradient(cert.z_star) for c in cs.costs])

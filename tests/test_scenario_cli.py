@@ -273,6 +273,18 @@ def test_negative_seed_option_refused(tmp_path, capsys):
     assert err == f"error: {p}: agents: expected non-negative integer\n"
 
 
+@pytest.mark.parametrize("name", ["ring", "example2"])
+def test_negative_seed_option_refused_without_a_disturbance(name, tmp_path,
+                                                            capsys):
+    # neither scenario reads the seed, yet a negative one is refused
+    p = scenario_path(name)
+    assert main(["run", p, "--seed", "-3",
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {p}: agents: expected non-negative integer\n"
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+
 # --- run pipeline ------------------------------------------------------------
 
 def test_tiny_run_green(tmp_path):

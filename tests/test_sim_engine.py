@@ -380,7 +380,7 @@ def test_solver_settings_validation():
 
 def ring_system(T=1.0, k=21.0, guard_frac=0.9):
     net = build_network(4, [[i, (i + 1) % 4, 1.0] for i in range(4)])
-    costs = CostSet([QuadraticCost(np.eye(2) * (0.5 + 0.25 * i), [i, -i])
+    costs = CostSet([QuadraticCost(np.eye(2) * (0.5 + 0.25 * i), [i, -i], 0.0)
                      for i in range(4)], 2, wide_box(2))
     clock = PrescribedClock(0.0, T, guard_frac)
     sys = CoupledSystem(clock, net, costs, linear_gain(k))

@@ -1,18 +1,22 @@
 """Time-varying gain calculus: clock, kappa factors, growth criteria."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dptco import chain_ctrl, scenario, strictfb_ctrl
 from dptco.errors import NonPositiveInput, TimeOutOfWindow
 from dptco.timegain import (GainFunction, GrowthCriterion, PrescribedClock,
                             _adaptive_simpson, alpha_s_from_dc2,
                             check_growth_criterion, gain_integral, kappa,
                             log_grid)
 
+import oracles
+from conftest import scenario_path
 from oracles import exp_gain, gain_to_dict, linear_gain, log_gain, power_gain
 
 
@@ -258,3 +262,137 @@ def test_dc2_deriv_matches_fd():
         h = 1e-6 * s
         fd = (alpha_s.eval(s + h) - alpha_s.eval(s - h)) / (2.0 * h)
         assert alpha_s.deriv(s) == pytest.approx(fd, rel=1e-5)
+
+
+# --- array arguments ---------------------------------------------------------
+
+# every family, with a grid for it; exp reaches past its overflow point
+# (k2 s > 709), and the dc2 gains go through their base's closed form
+# (power) or through adaptive Simpson one point at a time (log)
+ARRAY_GAINS = {
+    "linear": (linear_gain(3.0), log_grid(1.0, 1000.0)),
+    "power": (power_gain(10.0, 1.5), log_grid(1.0, 1000.0)),
+    "power_below_one": (power_gain(2.0, 0.5), log_grid(1e-3, 1e3)),
+    "log": (log_gain(0.7), log_grid(1e-2, 1000.0)),
+    "exp": (exp_gain(2.0, 1.0), log_grid(1.0, 1000.0)),
+    "dc2_power": (alpha_s_from_dc2(power_gain(1.0, 1.5), 2.0, 2, 1.0),
+                  log_grid(1.0, 100.0)),
+    "dc2_log": (alpha_s_from_dc2(log_gain(0.5), 1.0, 2, 1.0),
+                log_grid(1.0, 50.0, 60)),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_GAINS)
+def test_gain_on_an_array_equals_the_float_path_bitwise(name):
+    g, grid = ARRAY_GAINS[name]
+    s = np.concatenate([[0.0], grid]).reshape(-1, 1)  # s = 0, and a 2-D shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning, overflow included
+        vals, slopes = g.eval(s), g.deriv(s)
+    assert vals.shape == slopes.shape == s.shape
+    np.testing.assert_array_equal(vals, [[g.eval(float(x))] for x in s[:, 0]])
+    np.testing.assert_array_equal(slopes,
+                                  [[g.deriv(float(x))] for x in s[:, 0]])
+
+
+def test_exp_gain_on_an_array_reads_inf_past_overflow():
+    # 709 s e^s overflows in the product, 709.5 and 800 in the exponential
+    g = exp_gain(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = g.eval(np.array([700.0, 709.0, 709.5, 800.0]))
+    assert np.isfinite(vals[0]) and (vals[1:] == math.inf).all()
+
+
+def test_gain_on_an_array_refuses_a_negative_entry():
+    with pytest.raises(ValueError, match="negative"):
+        linear_gain(1.0).eval(np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("name", ["linear", "power", "log", "exp"])
+def test_integral_and_kappa_on_an_array_equal_the_float_path(name):
+    g, _ = ARRAY_GAINS[name]
+    clock = PrescribedClock(t0=0.5, T=2.0, guard_frac=0.99)
+    times = np.linspace(clock.t0, clock.t_guard, 40)
+    mus = clock.mu(times)
+    np.testing.assert_array_equal(mus, [clock.mu(float(t)) for t in times])
+    np.testing.assert_array_equal(
+        gain_integral(g, clock.mu0, mus),
+        [gain_integral(g, clock.mu0, float(m)) for m in mus])
+    for iota in (-0.5, 0.0):
+        np.testing.assert_array_equal(
+            kappa(clock, g, iota, times),
+            [kappa(clock, g, iota, float(t)) for t in times])
+
+
+def test_array_outside_the_window_refused():
+    clock = PrescribedClock(t0=0.0, T=1.0)
+    with pytest.raises(TimeOutOfWindow):
+        clock.mu(np.array([0.5, 1.0]))
+    with pytest.raises(TimeOutOfWindow):
+        kappa(clock, linear_gain(1.0), -1.0, np.array([-0.1, 0.5]))
+
+
+def test_log_grid_equals_its_scalar_formula():
+    for lo, hi, n in ((1.0, 1000.0, 1000), (1e-2, 1e3, 50), (0.5, 199.9, 7)):
+        want = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+        assert log_grid(lo, hi, n).tolist() == want
+
+
+def test_validate_names_the_first_point_that_does_not_increase():
+    with pytest.raises(ValueError,
+                       match=r"not strictly increasing near s=0\.012648"):
+        GainFunction("power", (-1.0, 1.5)).validate()
+
+
+CRITERIA = {
+    "generator": GrowthCriterion("generator", c_star=0.1),
+    "chain_dc1": GrowthCriterion("chain_dc1", c_star=0.1, v1=1.0, v2=4.0,
+                                 coupling_coef=0.1),
+    "strict_dcxi": GrowthCriterion("strict_dcxi", c_star=0.1,
+                                   coupling_coef=0.05),
+}
+
+
+def _same_report(got, want):
+    # repr compares every float bit for bit and takes NaN as equal to NaN
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("kind", CRITERIA)
+@pytest.mark.parametrize("name", ARRAY_GAINS)
+def test_growth_criterion_equals_the_point_by_point_check(name, kind):
+    g, grid = ARRAY_GAINS[name]
+    crit = CRITERIA[kind]
+    main = linear_gain(20.0)
+    _same_report(check_growth_criterion(g, crit, grid, main),
+                 oracles.check_growth_criterion(g, crit, grid, main))
+
+
+def test_growth_criterion_with_no_finite_margin():
+    # every margin of exp past its overflow point is NaN: no worst point
+    grid = log_grid(800.0, 1000.0, 20)
+    crit = CRITERIA["chain_dc1"]
+    rep = check_growth_criterion(exp_gain(1.0, 1.0), crit, grid,
+                                 exp_gain(1.0, 1.0))
+    assert rep.worst_margin == math.inf and rep.worst_s == 800.0
+    assert math.isnan(rep.coupling_worst_s)
+    _same_report(rep, oracles.check_growth_criterion(
+        exp_gain(1.0, 1.0), crit, grid, exp_gain(1.0, 1.0)))
+
+
+@pytest.mark.parametrize("name", ["ring", "example2_generator", "example1",
+                                  "example2"])
+def test_bundled_criteria_equal_the_point_by_point_check(name, monkeypatch):
+    calls = []
+
+    def recording(alpha, crit, grid, alpha_main=None):
+        calls.append((alpha, crit, grid, alpha_main))
+        return check_growth_criterion(alpha, crit, grid, alpha_main)
+
+    for module in (scenario, chain_ctrl, strictfb_ctrl):
+        monkeypatch.setattr(module, "check_growth_criterion", recording)
+    build = scenario.load_scenario(scenario_path(name)).build()
+    assert len(calls) == len(build.criterion_reports) >= 1
+    for report, args in zip(build.criterion_reports, calls):
+        _same_report(report, oracles.check_growth_criterion(*args))
