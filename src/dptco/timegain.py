@@ -242,10 +242,11 @@ class GainFunction:
         s = log_grid(1e-2, 1e3, 50)
         h = 1e-6 * s
         with np.errstate(over="ignore", invalid="ignore"):
-            v = self.eval(s)
-            fd = (self.eval(s + h) - self.eval(s - h)) / (2.0 * h)
-            d = self.deriv(s)
-            off = np.abs(d - fd) > 1e-6 * np.fmax(1.0, np.abs(fd)) * 10.0
+            v = self._value(s, _ARRAY)
+            fd = ((self._value(s + h, _ARRAY) - self._value(s - h, _ARRAY))
+                  / (2.0 * h))
+            d = self._slope(s, _ARRAY)
+            off = np.abs(d - fd) > 1e-6 * np.maximum(1.0, np.abs(fd)) * 10.0
         prev = -math.inf
         for i, (val, bad) in enumerate(zip(v.tolist(), off.tolist())):
             if not math.isfinite(val):
@@ -387,7 +388,8 @@ def log_grid(s_lo: float, s_hi: float, n: int = 1000) -> np.ndarray:
 def check_growth_criterion(alpha: GainFunction, crit: GrowthCriterion,
                            grid,
                            alpha_main: GainFunction | None = None) -> CriterionReport:
-    """Verify the growth bound at every grid point; never raises on fail.
+    """Verify the growth bound at every grid point, all of them > 0; never
+    raises on fail.
 
     The margin at s is C * s**-2 * alpha(s)**2 - d(alpha)/ds, normalized by
     max(1, d(alpha)/ds); the report carries the minimum over the grid and
@@ -397,14 +399,16 @@ def check_growth_criterion(alpha: GainFunction, crit: GrowthCriterion,
     slacks are skipped.
     """
     s = np.asarray(grid, dtype=float)
-    a = alpha.eval(s)
-    da = alpha.deriv(s)
+    if not (s > 0.0).all():
+        raise NonPositiveInput("growth criterion grid points must be > 0")
     with np.errstate(over="ignore", invalid="ignore"):
+        a = alpha._value(s, _ARRAY)
+        da = alpha._slope(s, _ARRAY)
         margin = ((crit.growth_coef * a * a / (s * s) - da)
-                  / np.fmax(1.0, np.abs(da)))
+                  / np.maximum(1.0, np.abs(da)))
         worst, worst_s = _first_min(margin, s, float(s[0]))
         if crit.coupling_coef > 0.0 and alpha_main is not None:
-            slack = crit.coupling_coef * alpha_main.eval(s) - a
+            slack = crit.coupling_coef * alpha_main._value(s, _ARRAY) - a
             c_worst, c_worst_s = _first_min(slack, s, math.nan)
             c_pass = c_worst >= -1e-12
         else:

@@ -369,6 +369,13 @@ def test_growth_criterion_equals_the_point_by_point_check(name, kind):
                  oracles.check_growth_criterion(g, crit, grid, main))
 
 
+def test_growth_criterion_refuses_a_grid_point_at_or_below_zero():
+    crit = CRITERIA["generator"]
+    for grid in ([0.0, 1.0, 2.0], [1.0, -2.0]):
+        with pytest.raises(NonPositiveInput):
+            check_growth_criterion(linear_gain(1.0), crit, grid)
+
+
 def test_growth_criterion_with_no_finite_margin():
     # every margin of exp past its overflow point is NaN: no worst point
     grid = log_grid(800.0, 1000.0, 20)
