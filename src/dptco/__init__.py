@@ -17,7 +17,7 @@ from .graph import Network, build_network, require_connected
 from .scenario import Scenario, load_scenario
 from .sim_engine import (CoupledSystem, SolverSettings, Trajectory,
                          export_csv, integrate)
-from .timegain import (GainFunction, GrowthCriterion, PrescribedClock,
-                       check_growth_criterion, gain_integral, kappa)
+from .timegain import (GainFunction, PrescribedClock, check_growth_criterion,
+                       gain_integral, kappa)
 
 __version__ = "0.1.0"

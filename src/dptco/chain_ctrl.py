@@ -11,7 +11,8 @@ scales it into e_tilde_s = alpha_s(mu) * s_tilde, and applies
 where psi is the scenario's constant bound on the disturbance factor
 psi(x) and pi(x) collects the known part of the s_tilde dynamics.  K
 places all eigenvalues of the companion matrix Lambda at -1; (P, Q = I)
-solve the associated Lyapunov equation and give the decay constants v1, v2.
+solve the associated Lyapunov equation and give the decay constants v1, v2,
+which set alpha_x's growth criterion DC1 (check_dc1).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 
 from .errors import GuardExceeded, NotHurwitz, SingularSystem
 from .generator import bound_ratio, ratio_report
-from .timegain import (GainFunction, GrowthCriterion, PrescribedClock,
-                       alpha_s_from_dc2, check_growth_criterion, kappa_series)
+from .timegain import (GainFunction, PrescribedClock, check_growth_criterion,
+                       kappa_series)
 
 
 def hurwitz_gain(m: int) -> np.ndarray:
@@ -139,7 +140,7 @@ def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
     P = solve_lyapunov(Lambda, Q)
     v1, v2 = v_constants(P, Q, m)
     if alpha_s is None:
-        alpha_s = alpha_s_from_dc2(alpha_x, v1, m, mu0)
+        alpha_s = GainFunction("dc2", (v1, int(m), float(mu0)), alpha_x)
     return ChainControllerConfig(m, n, K, Lambda, P, Q, v1, v2, float(v),
                                  alpha_x, alpha_s, float(psi),
                                  float(mu_guard))
@@ -148,10 +149,12 @@ def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
 def check_dc1(cfg: ChainControllerConfig, alpha: GainFunction,
               c_star: float, grid):
     """DC1 report for alpha_x against the generator gain alpha on the grid
-    of the build's criteria (`log_grid(mu0, mu_guard)`)."""
-    crit = GrowthCriterion("chain_dc1", c_star=c_star, v1=cfg.v1, v2=cfg.v2,
-                           coupling_coef=c_star / cfg.v1)
-    return check_growth_criterion(cfg.alpha_x, crit, grid, alpha_main=alpha)
+    of the build's criteria (`log_grid(mu0, mu_guard)`): growth
+    d(alpha_x)/ds <= (v1/(2 v2)) s^-2 alpha_x(s)^2 and coupling
+    alpha_x(s) <= (c_star/v1) alpha(s)."""
+    return check_growth_criterion("chain_dc1", cfg.alpha_x,
+                                  cfg.v1 / (2.0 * cfg.v2), grid,
+                                  (c_star / cfg.v1, alpha))
 
 
 def _agent_major(x: np.ndarray) -> np.ndarray:

@@ -11,9 +11,10 @@ Only neighbor differences and the local gradient are read, so the scheme is
 distributed.  When sum_i p_i(t0) = 0 the sum is conserved and the unique
 equilibrium is varpi = 1 (x) z*, p = -grad F(1 (x) z*).  The right-hand
 side itself is sim_engine.CoupledSystem.rhs; this module carries the
-convergence constants c1..c_star, the error coordinates, the prescribed-time
-envelope and its monitor, and the one pass rule every monitor reports
-through (ratio_report).
+convergence constants c1..c_star, the generator's growth criterion on
+alpha (C = c_star/2), the error coordinates, the prescribed-time envelope
+and its monitor, and the one pass rule every monitor reports through
+(ratio_report).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrajectory, NonPositiveInput
-from .timegain import GainFunction, PrescribedClock, kappa_series
+from .timegain import (CriterionReport, GainFunction, PrescribedClock,
+                       check_growth_criterion, kappa_series)
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,13 @@ def generator_constants(rho_c: float, varrho_c: float,
     c2 = 0.5 * c1 * min(1.0, 1.0 / lambdaN)
     c3 = c1 * max(1.0, 1.0 / lambda2) + 1.0
     return GeneratorConstants(c1, c2, c3, 1.0 / (4.0 * c3))
+
+
+def check_generator_criterion(alpha: GainFunction, c_star: float,
+                              grid) -> CriterionReport:
+    """The generator's growth criterion on alpha, C = c_star/2, over the
+    grid of the build's criteria (`log_grid(mu0, mu_guard)`)."""
+    return check_growth_criterion("generator", alpha, 0.5 * c_star, grid)
 
 
 @dataclass

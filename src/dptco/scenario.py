@@ -21,13 +21,13 @@ from . import chain_ctrl, strictfb_ctrl
 from .costs import CostSet, cost_from_dict, default_box
 from .errors import DptcoError, ScenarioError
 from .generator import (GeneratorConstants, MonitorReport,
-                        conservation_monitor, envelope_monitor, error_state,
-                        generator_constants, gradients_at, ratio_report)
+                        check_generator_criterion, conservation_monitor,
+                        envelope_monitor, error_state, generator_constants,
+                        gradients_at, ratio_report)
 from .graph import Network, build_network, require_connected
 from .sim_engine import (CoupledSystem, SolverSettings, Trajectory,
                          make_disturbance)
-from .timegain import (GainFunction, GrowthCriterion, PrescribedClock,
-                       check_growth_criterion, log_grid)
+from .timegain import GainFunction, PrescribedClock, log_grid
 
 _SECTIONS = ("clock", "network", "costs", "gains", "agents", "solver",
              "monitors")
@@ -92,7 +92,182 @@ class Scenario:
 
     def build(self, seed: int | None = None,
               guard_frac: float | None = None) -> ScenarioBuild:
-        return _build(self, seed=seed, guard_frac=guard_frac)
+        """Resolve the scenario; seed and guard_frac, when given, replace
+        the disturbance seed and the clock's guard_frac."""
+        raw, path = self.raw, self.path
+        for section in _SECTIONS:
+            if section not in raw:
+                raise _fail(path, "top level",
+                            f"missing required key {section!r}")
+            if not isinstance(raw[section], dict):
+                raise _fail(path, section, "must be a JSON object")
+
+        monitors = {}
+        for name, params in raw["monitors"].items():
+            with _section(path, f"monitors: {name}"):
+                if name not in _MONITORS:
+                    raise ValueError("unknown monitor")
+                monitors[name] = {k: float(v)
+                                  for k, v in (params or {}).items()}
+                for k, v in monitors[name].items():
+                    if k not in _MONITORS[name][0]:
+                        raise ValueError(f"unknown parameter {k!r}")
+                    if (not np.isfinite(v) or v < 0
+                            or (v == 0 and k != "slack")):
+                        raise ValueError(f"{k} out of range: {v}")
+
+        with _section(path, "clock"):
+            ck = raw["clock"]
+            clock = PrescribedClock(
+                t0=float(ck.get("t0", 0.0)), T=float(ck["T"]),
+                guard_frac=float(guard_frac if guard_frac is not None
+                                 else ck.get("guard_frac", 0.999)))
+
+        with _section(path, "network"):
+            nw = raw["network"]
+            net = build_network(int(nw["n_agents"]), nw["edges"])
+            require_connected(net)
+
+        with _section(path, "costs"):
+            cs = raw["costs"]
+            dim = int(cs["dim"])
+            agent_costs = [cost_from_dict(d) for d in cs["agents"]]
+            if len(agent_costs) != net.n_agents:
+                raise _fail(path, "costs", "one cost per agent required")
+            costs = CostSet(agent_costs, dim, cs.get("box", default_box(dim)))
+
+        consts = generator_constants(costs.rho_c, costs.varrho_c,
+                                     net.lambda2, net.lambdaN)
+        constants = {
+            "lambda2": net.lambda2, "lambdaN": net.lambdaN,
+            "rho_c": costs.rho_c, "varrho_c": costs.varrho_c,
+            "c1": consts.c1, "c2": consts.c2, "c3": consts.c3,
+            "c_star": consts.c_star,
+        }
+
+        controller = raw["agents"].get("controller", "none")
+        with _section(path, "gains"):
+            gains = raw["gains"]
+            alpha = _gain(path, gains, "alpha")
+            override = bool(gains.get("acknowledge_criteria_override", False))
+            grid = log_grid(clock.mu0, clock.mu_guard)
+            reports = [check_generator_criterion(alpha, consts.c_star, grid)]
+            if controller == "chain":
+                alpha_x = _gain(path, gains, "alpha_x")
+                auto = gains.get("alpha_s", "auto_dc2") == "auto_dc2"
+                alpha_s = None if auto else _gain(path, gains, "alpha_s")
+            elif controller == "strict_feedback":
+                alpha_xi = _gain(path, gains, "alpha_xi")
+
+        with _section(path, "agents"):
+            ag = raw["agents"]
+            if seed is not None and seed < 0:
+                # refused on every scenario, as agents.disturbance.seed is
+                raise ValueError("expected non-negative integer")
+            agents = None
+            dist_seed = 0
+            if controller == "chain":
+                m = int(ag["order"])
+                K = ag.get("K", "auto")
+                chain_cfg = chain_ctrl.make_chain_config(
+                    m, dim, float(ag.get("v", 1.0)), alpha_x, clock.mu_guard,
+                    float(ag.get("psi", 1.0)), clock.mu0, alpha_s=alpha_s,
+                    K=None if K == "auto" else K)
+                constants["v1"] = chain_cfg.v1
+                constants["v2"] = chain_cfg.v2
+                reports.append(chain_ctrl.check_dc1(chain_cfg, alpha,
+                                                    consts.c_star, grid))
+                plant = ag.get("plant", "chain")
+                el = None
+                if plant == "euler_lagrange":
+                    theta_true = tuple(ag["el_true_theta"])
+                    scale = float(ag.get("el_nominal_scale", 0.9))
+                    gravity = float(ag.get("gravity", 9.8))
+                    el = (chain_ctrl.EulerLagrangeParams(theta_true, gravity),
+                          chain_ctrl.EulerLagrangeParams(
+                              tuple(scale * t for t in theta_true), gravity))
+                elif plant != "chain":
+                    raise _fail(path, "agents",
+                                f"unknown plant kind {plant!r}")
+                disturbance = None
+                if "disturbance" in ag:
+                    dd = ag["disturbance"]
+                    dist_seed = int(seed if seed is not None
+                                    else dd.get("seed", 0))
+                    disturbance = make_disturbance(
+                        dist_seed, net.n_agents, dim,
+                        float(dd.get("amplitude", 0.1)))
+                agents = chain_ctrl.ChainAgents(chain_cfg, el, disturbance)
+            elif controller == "strict_feedback":
+                m = int(ag["order"])
+                l = float(ag.get("l", 1.0))
+                if "c" in ag:
+                    c = tuple(float(v) for v in ag["c"])
+                    upsilon = tuple(float(v) for v in ag["upsilon"])
+                    sigma = float(ag["sigma"])
+                else:
+                    par = strictfb_ctrl.select_parameters(
+                        m, l, float(ag.get("sigma_prime", 1.0)),
+                        float(ag.get("rho", 10.0)),
+                        float(ag.get("margin", 1.0)))
+                    c, upsilon, sigma = par.c, par.upsilon, par.sigma
+                phi_ids = ag.get("phi", ["identity"] * (m - 1))
+                try:
+                    phis = tuple(_PHI_REGISTRY[p] for p in phi_ids)
+                except KeyError as exc:
+                    raise _fail(path, "agents",
+                                f"unknown phi id {exc}") from exc
+                sf_cfg = strictfb_ctrl.SfControllerConfig(
+                    m, dim, l, c, upsilon, sigma, alpha_xi, clock.mu_guard,
+                    phis)
+                reports.append(strictfb_ctrl.check_dcxi(
+                    alpha_xi, alpha, consts.c_star, float(sf_cfg.L[1]), grid))
+                thetas = np.asarray(ag["thetas"], dtype=float)
+                if thetas.shape != (net.n_agents,):
+                    raise _fail(path, "agents", "one theta per agent required")
+                agents = strictfb_ctrl.StrictFeedbackAgents(sf_cfg, thetas)
+            elif controller != "none":
+                raise _fail(path, "agents",
+                            f"unknown controller {controller!r}")
+
+        failed = [r for r in reports if not (r.passed and r.coupling_passed)]
+        if failed and not override:
+            kinds = ", ".join(r.kind for r in failed)
+            raise _fail(path, "gains",
+                        f"growth criterion failed ({kinds}); worst margin "
+                        f"{failed[0].worst_margin:.3g} at "
+                        f"s={failed[0].worst_s:.4g}. Set "
+                        "\"acknowledge_criteria_override\": true to run "
+                        "anyway")
+
+        with _section(path, "agents"):
+            sys = CoupledSystem(clock, net, costs, alpha, agents=agents,
+                                offsets=ag.get("offsets"))
+            varpi0 = np.asarray(ag["varpi_init"], dtype=float)
+            if varpi0.shape != (net.n_agents, dim):
+                raise _fail(path, "agents", f"varpi_init must be "
+                            f"{net.n_agents} x {dim}, got {varpi0.shape}")
+            p_init = ag.get("p_init", "zeros")
+            if p_init == "zeros":
+                p0 = np.zeros((net.n_agents, dim))
+            else:
+                p0 = np.asarray(p_init, dtype=float)
+                if float(np.abs(p0.sum(axis=0)).max()) > 1e-12:
+                    raise _fail(path, "agents", "p_init must sum to zero")
+            plants = ctrls = None
+            if agents is not None:
+                plants = ag["x_init"]
+            if controller == "strict_feedback":
+                # theta_hat from the scenario, filter states start at zero
+                ctrls = np.zeros((net.n_agents, sf_cfg.n_ctrl))
+                ctrls[:, 0] = ag.get("theta_hat_init", 0.0)
+            y0 = sys.pack(varpi0, p0, plants, ctrls)
+
+        settings = _solver_settings(raw["solver"], path)
+
+        return ScenarioBuild(self.name, path, scenario_hash(raw), clock,
+                             net, costs, alpha, sys, y0, settings, monitors,
+                             reports, constants, override, seed=dist_seed)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -128,6 +303,14 @@ def _solver_settings(sv, path: str) -> SolverSettings:
         return SolverSettings(**{k: _SOLVER_KEYS[k](v) for k, v in sv.items()})
 
 
+def _gain(path: str, gains: dict, key: str) -> GainFunction:
+    """gains[key]; any error but a missing key is located under the key."""
+    try:
+        return GainFunction.from_dict(gains[key])
+    except (DptcoError, TypeError, ValueError) as exc:
+        raise _fail(path, f"gains: {key}", str(exc)) from exc
+
+
 @contextmanager
 def _section(path: str, where: str):
     """Report a missing key or a malformed value met while reading one
@@ -142,182 +325,6 @@ def _section(path: str, where: str):
     except (AttributeError, DptcoError, IndexError, TypeError,
             ValueError) as exc:
         raise _fail(path, where, str(exc)) from exc
-
-
-def _build(sc: Scenario, seed: int | None = None,
-           guard_frac: float | None = None) -> ScenarioBuild:
-    raw, path = sc.raw, sc.path
-    for section in _SECTIONS:
-        if section not in raw:
-            raise _fail(path, "top level", f"missing required key {section!r}")
-        if not isinstance(raw[section], dict):
-            raise _fail(path, section, "must be a JSON object")
-
-    monitors = {}
-    for name, params in raw["monitors"].items():
-        with _section(path, f"monitors: {name}"):
-            if name not in _MONITORS:
-                raise ValueError("unknown monitor")
-            monitors[name] = {k: float(v) for k, v in (params or {}).items()}
-            for k, v in monitors[name].items():
-                if k not in _MONITORS[name][0]:
-                    raise ValueError(f"unknown parameter {k!r}")
-                if not np.isfinite(v) or v < 0 or (v == 0 and k != "slack"):
-                    raise ValueError(f"{k} out of range: {v}")
-
-    with _section(path, "clock"):
-        ck = raw["clock"]
-        clock = PrescribedClock(
-            t0=float(ck.get("t0", 0.0)), T=float(ck["T"]),
-            guard_frac=float(guard_frac if guard_frac is not None
-                             else ck.get("guard_frac", 0.999)))
-
-    with _section(path, "network"):
-        nw = raw["network"]
-        net = build_network(int(nw["n_agents"]), nw["edges"])
-        require_connected(net)
-
-    with _section(path, "costs"):
-        cs = raw["costs"]
-        dim = int(cs["dim"])
-        agent_costs = [cost_from_dict(d) for d in cs["agents"]]
-        if len(agent_costs) != net.n_agents:
-            raise _fail(path, "costs", "one cost per agent required")
-        costs = CostSet(agent_costs, dim, cs.get("box", default_box(dim)))
-
-    consts = generator_constants(costs.rho_c, costs.varrho_c,
-                                 net.lambda2, net.lambdaN)
-    constants = {
-        "lambda2": net.lambda2, "lambdaN": net.lambdaN,
-        "rho_c": costs.rho_c, "varrho_c": costs.varrho_c,
-        "c1": consts.c1, "c2": consts.c2, "c3": consts.c3,
-        "c_star": consts.c_star,
-    }
-
-    controller = raw["agents"].get("controller", "none")
-    with _section(path, "gains"):
-        gains = raw["gains"]
-        alpha = GainFunction.from_dict(gains["alpha"])
-        alpha.validate()
-        override = bool(gains.get("acknowledge_criteria_override", False))
-        grid = log_grid(clock.mu0, clock.mu_guard)
-        reports = [check_growth_criterion(
-            alpha, GrowthCriterion("generator", c_star=consts.c_star), grid)]
-        if controller == "chain":
-            alpha_x = GainFunction.from_dict(gains["alpha_x"])
-            alpha_x.validate()
-            a_s = gains.get("alpha_s", "auto_dc2")
-            alpha_s = (None if a_s == "auto_dc2"
-                       else GainFunction.from_dict(a_s))
-        elif controller == "strict_feedback":
-            alpha_xi = GainFunction.from_dict(gains["alpha_xi"])
-            alpha_xi.validate()
-
-    with _section(path, "agents"):
-        ag = raw["agents"]
-        if seed is not None and seed < 0:
-            # refused on every scenario, as agents.disturbance.seed is
-            raise ValueError("expected non-negative integer")
-        agents = None
-        dist_seed = 0
-        if controller == "chain":
-            m = int(ag["order"])
-            K = ag.get("K", "auto")
-            chain_cfg = chain_ctrl.make_chain_config(
-                m, dim, float(ag.get("v", 1.0)), alpha_x, clock.mu_guard,
-                float(ag.get("psi", 1.0)), clock.mu0, alpha_s=alpha_s,
-                K=None if K == "auto" else K)
-            constants["v1"] = chain_cfg.v1
-            constants["v2"] = chain_cfg.v2
-            reports.append(chain_ctrl.check_dc1(chain_cfg, alpha,
-                                                consts.c_star, grid))
-            plant = ag.get("plant", "chain")
-            el = None
-            if plant == "euler_lagrange":
-                if m != 2:
-                    raise _fail(path, "agents",
-                                "euler_lagrange needs order 2")
-                theta_true = tuple(ag["el_true_theta"])
-                scale = float(ag.get("el_nominal_scale", 0.9))
-                gravity = float(ag.get("gravity", 9.8))
-                el = (chain_ctrl.EulerLagrangeParams(theta_true, gravity),
-                      chain_ctrl.EulerLagrangeParams(
-                          tuple(scale * t for t in theta_true), gravity))
-            elif plant != "chain":
-                raise _fail(path, "agents", f"unknown plant kind {plant!r}")
-            disturbance = None
-            if "disturbance" in ag:
-                dd = ag["disturbance"]
-                dist_seed = int(seed if seed is not None
-                                else dd.get("seed", 0))
-                disturbance = make_disturbance(
-                    dist_seed, net.n_agents, dim,
-                    float(dd.get("amplitude", 0.1)))
-            agents = chain_ctrl.ChainAgents(chain_cfg, el, disturbance)
-        elif controller == "strict_feedback":
-            m = int(ag["order"])
-            l = float(ag.get("l", 1.0))
-            if "c" in ag:
-                c = tuple(float(v) for v in ag["c"])
-                upsilon = tuple(float(v) for v in ag["upsilon"])
-                sigma = float(ag["sigma"])
-            else:
-                par = strictfb_ctrl.select_parameters(
-                    m, l, float(ag.get("sigma_prime", 1.0)),
-                    float(ag.get("rho", 10.0)), float(ag.get("margin", 1.0)))
-                c, upsilon, sigma = par.c, par.upsilon, par.sigma
-            phi_ids = ag.get("phi", ["identity"] * (m - 1))
-            try:
-                phis = tuple(_PHI_REGISTRY[p] for p in phi_ids)
-            except KeyError as exc:
-                raise _fail(path, "agents", f"unknown phi id {exc}") from exc
-            sf_cfg = strictfb_ctrl.SfControllerConfig(
-                m, dim, l, c, upsilon, sigma, alpha_xi, clock.mu_guard, phis)
-            reports.append(strictfb_ctrl.check_dcxi(
-                alpha_xi, alpha, consts.c_star, float(sf_cfg.L[1]), grid))
-            thetas = np.asarray(ag["thetas"], dtype=float)
-            if thetas.shape != (net.n_agents,):
-                raise _fail(path, "agents", "one theta per agent required")
-            agents = strictfb_ctrl.StrictFeedbackAgents(sf_cfg, thetas)
-        elif controller != "none":
-            raise _fail(path, "agents", f"unknown controller {controller!r}")
-
-    failed = [r for r in reports if not (r.passed and r.coupling_passed)]
-    if failed and not override:
-        kinds = ", ".join(r.kind for r in failed)
-        raise _fail(path, "gains",
-                    f"growth criterion failed ({kinds}); worst margin "
-                    f"{failed[0].worst_margin:.3g} at s={failed[0].worst_s:.4g}."
-                    " Set \"acknowledge_criteria_override\": true to run anyway")
-
-    with _section(path, "agents"):
-        sys = CoupledSystem(clock, net, costs, alpha, agents=agents,
-                            offsets=ag.get("offsets"))
-        varpi0 = np.asarray(ag["varpi_init"], dtype=float)
-        if varpi0.shape != (net.n_agents, dim):
-            raise _fail(path, "agents", f"varpi_init must be "
-                        f"{net.n_agents} x {dim}, got {varpi0.shape}")
-        p_init = ag.get("p_init", "zeros")
-        if p_init == "zeros":
-            p0 = np.zeros((net.n_agents, dim))
-        else:
-            p0 = np.asarray(p_init, dtype=float)
-            if float(np.abs(p0.sum(axis=0)).max()) > 1e-12:
-                raise _fail(path, "agents", "p_init must sum to zero")
-        plants = ctrls = None
-        if agents is not None:
-            plants = ag["x_init"]
-        if controller == "strict_feedback":
-            # theta_hat from the scenario, filter states start at zero
-            ctrls = np.zeros((net.n_agents, sf_cfg.n_ctrl))
-            ctrls[:, 0] = ag.get("theta_hat_init", 0.0)
-        y0 = sys.pack(varpi0, p0, plants, ctrls)
-
-    settings = _solver_settings(raw["solver"], path)
-
-    return ScenarioBuild(sc.name, path, scenario_hash(raw), clock, net,
-                         costs, alpha, sys, y0, settings, monitors, reports,
-                         constants, override, seed=dist_seed)
 
 
 # --- derived channels and monitor evaluation --------------------------------

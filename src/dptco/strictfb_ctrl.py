@@ -7,7 +7,8 @@ controls xi_q driven by a single time-varying gain alpha_xi(mu), tracks them
 through a dynamic filter xi_qf (so no derivatives of the reference are ever
 needed), estimates theta with a sigma-modification law, and applies
 u = xi_m.  Descending scale powers L_q = m + l + 1 - q turn the tracking
-errors into the bounded coordinates omega_q = alpha_xi^{L_q} x_tilde_q.
+errors into the bounded coordinates omega_q = alpha_xi^{L_q} x_tilde_q;
+alpha_xi meets the growth criterion DCxi (check_dcxi).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import GuardExceeded, MarginTooSmall
 from .generator import bound_ratio, ratio_report
-from .timegain import GainFunction, GrowthCriterion, check_growth_criterion
+from .timegain import GainFunction, check_growth_criterion
 
 
 def scale_powers(m: int, l: float) -> np.ndarray:
@@ -104,11 +105,12 @@ class SfControllerConfig:
 
 def check_dcxi(alpha_xi: GainFunction, alpha: GainFunction, c_star: float,
                L2: float, grid):
-    """Growth-criterion report for alpha_xi against the generator gain on
-    the grid of the build's criteria (`log_grid(mu0, mu_guard)`)."""
-    crit = GrowthCriterion("strict_dcxi", c_star=c_star,
-                           coupling_coef=c_star / (2.0 * L2))
-    return check_growth_criterion(alpha_xi, crit, grid, alpha_main=alpha)
+    """DCxi report for alpha_xi against the generator gain alpha on the
+    grid of the build's criteria (`log_grid(mu0, mu_guard)`): growth
+    d(alpha_xi)/ds <= s^-2 alpha_xi(s)^2 and coupling
+    alpha_xi(s) <= (c_star/(2 L2)) alpha(s), L2 the second scale power."""
+    return check_growth_criterion("strict_dcxi", alpha_xi, 1.0, grid,
+                                  (c_star / (2.0 * L2), alpha))
 
 
 def _gain(mu: float, cfg: SfControllerConfig) -> float:

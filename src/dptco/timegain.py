@@ -2,8 +2,11 @@
 
 The central objects are the blow-up gain mu(t) = 1/(T + t0 - t), the decay
 factor kappa(iota * alpha(mu)) = exp(iota * int_{t0}^{t} alpha(mu(tau)) dtau),
-class-K-infinity gain functions alpha(s), and the pointwise growth criteria
-that a gain must satisfy for the convergence envelopes to hold.
+class-K-infinity gain functions alpha(s), whose family parameters are
+checked against their ranges when a gain is built, and the check of a
+pointwise growth criterion d(alpha)/ds <= C s**-2 alpha(s)**2.  Each
+criterion's C and coupling coefficient are computed in the module of its
+theorem: generator, chain_ctrl (DC1) and strictfb_ctrl (DCxi).
 
 All types are immutable after construction and every operation is pure.
 
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -83,10 +85,9 @@ def _exp(x: float) -> float:
 
 
 def _each(f):
-    """f, a function of floats, applied to every entry of an ndarray x
-    (further arguments are the same floats for every entry)."""
-    def each(x, *args):
-        out = map(f, x.ravel().tolist(), *map(repeat, args))
+    """f, a function of a float, applied to every entry of an ndarray x."""
+    def each(x):
+        out = map(f, x.ravel().tolist())
         return np.fromiter(out, float, x.size).reshape(x.shape)
     return each
 
@@ -132,30 +133,59 @@ def _adaptive_simpson(f, a, b):
     return recurse(a, b, fa, fm, fb, whole, 0, abs(whole))
 
 
+# family -> (parameter count, the range in which alpha is class-K-infinity
+# (alpha(0) = 0, strictly increasing, unbounded), a test of that range)
+_RANGES = {
+    "linear": (1, "k > 0", lambda k: k > 0),
+    "power": (2, "k > 0 and a > 0", lambda k, a: k > 0 and a > 0),
+    "log": (1, "k > 0", lambda k: k > 0),
+    "exp": (2, "k1 > 0 and k2 >= 0", lambda k1, k2: k1 > 0 and k2 >= 0),
+    "dc2": (3, "v1 > 0, an integer m >= 1 and mu0 > 0",
+            lambda v1, m, mu0: v1 > 0 and m >= 1 and m == int(m) and mu0 > 0),
+}
+
+
 @dataclass(frozen=True)
 class GainFunction:
     """Class-K-infinity scalar gain alpha(s) with its derivative.
 
     Families:
-      linear   alpha(s) = k*s               params (k,)
-      power    alpha(s) = k*s**a            params (k, a)
-      log      alpha(s) = k*s*ln(s+2)       params (k,)
-      exp      alpha(s) = k1*s*exp(k2*s)    params (k1, k2)
-      dc2      derived chain gain alpha_x(s)**m * exp((v1/2) I(mu0, s))
-               params (v1, m, mu0), built by alpha_s_from_dc2 from base
+      linear   alpha(s) = k*s               params (k,)      k > 0
+      power    alpha(s) = k*s**a            params (k, a)    k > 0, a > 0
+      log      alpha(s) = k*s*ln(s+2)       params (k,)      k > 0
+      exp      alpha(s) = k1*s*exp(k2*s)    params (k1, k2)  k1 > 0, k2 >= 0
+      dc2      chain gain alpha_s(s) = alpha_x(s)**m * exp((v1/2) I(mu0, s))
+               derived from base = alpha_x, params (v1, m, mu0);
+               v1 > 0, an integer m >= 1, mu0 > 0
 
-    Scenarios give a gain as {"family": ..., "params": [...]} (from_dict);
-    any other family is refused at construction.
+    I(mu0, s) = int_{mu0}^{s} tau**-2 alpha_x(tau) dtau starts at
+    mu0 = mu(t0), not at 0: from 0 it diverges for gains linear near the
+    origin, and only ratios alpha_s(mu(t))/alpha_s(mu(t0)) enter a bound.
+
+    Scenarios give a gain as {"family": ..., "params": [...]} (from_dict).
+    Construction refuses any other family, the wrong number of params
+    (ValueError), a non-finite param, and a param outside its family's
+    range (NonPositiveInput): every gain that builds is class-K-infinity.
     """
 
     family: str
-    params: tuple = ()
+    params: tuple
     # dc2 carries the base gain it was derived from
     base: "GainFunction | None" = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.family not in ("linear", "power", "log", "exp", "dc2"):
+        if self.family not in _RANGES:
             raise ValueError(f"unknown gain family {self.family!r}")
+        count, rule, holds = _RANGES[self.family]
+        p = self.params
+        if len(p) != count:
+            raise ValueError(f"{self.family} gain takes {count} params, "
+                             f"got {len(p)}")
+        if not (all(map(math.isfinite, p)) and holds(*p)):
+            raise NonPositiveInput(f"{self.family} gain needs finite "
+                                   f"params with {rule}, got {list(p)}")
+        if self.family == "dc2" and not isinstance(self.base, GainFunction):
+            raise ValueError("dc2 gain needs a base gain")
 
     def eval(self, s):
         """alpha(s) at a float s, or at every entry of an ndarray s.
@@ -225,40 +255,9 @@ class GainFunction:
 
     @staticmethod
     def from_dict(d: dict) -> "GainFunction":
-        fam = d["family"]
-        if fam == "dc2":
-            return GainFunction("dc2", tuple(d["params"]),
-                                base=GainFunction.from_dict(d["base"]))
-        return GainFunction(fam, tuple(d["params"]))
-
-    def validate(self) -> None:
-        """Check alpha(0)=0, strict increase, and eval/deriv consistency.
-
-        deriv is compared against a central finite difference, to 1e-5
-        relative, on 50 log-spaced points of [1e-2, 1e3].
-        """
-        if self.eval(0.0) != 0.0:
-            raise ValueError("class K-infinity gain must satisfy alpha(0) = 0")
-        s = log_grid(1e-2, 1e3, 50)
-        h = 1e-6 * s
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = self._value(s, _ARRAY)
-            fd = ((self._value(s + h, _ARRAY) - self._value(s - h, _ARRAY))
-                  / (2.0 * h))
-            d = self._slope(s, _ARRAY)
-            off = np.abs(d - fd) > 1e-6 * np.maximum(1.0, np.abs(fd)) * 10.0
-        prev = -math.inf
-        for i, (val, bad) in enumerate(zip(v.tolist(), off.tolist())):
-            if not math.isfinite(val):
-                break  # overflowed upward; increase already established
-            if val <= prev:
-                raise ValueError(
-                    f"gain not strictly increasing near s={float(s[i])}")
-            if bad:
-                raise ValueError(f"deriv inconsistent with eval at "
-                                 f"s={float(s[i])}: {float(d[i])} vs FD "
-                                 f"{float(fd[i])}")
-            prev = val
+        dc2 = d["family"] == "dc2"
+        return GainFunction(d["family"], tuple(d["params"]),
+                            GainFunction.from_dict(d["base"]) if dc2 else None)
 
 
 def gain_integral(alpha: GainFunction, s0: float, s1):
@@ -322,49 +321,13 @@ def kappa_series(times, clock: PrescribedClock, alpha: GainFunction,
 
 
 @dataclass(frozen=True)
-class GrowthCriterion:
-    """Pointwise growth bound d(alpha)/ds <= C * s**-2 * alpha(s)**2.
-
-    kind selects the coefficient C and an optional coupling bound against a
-    second (main) gain:
-
-      generator    C = c_star / 2,  no coupling
-      chain_dc1    C = v1 / (2 v2), coupling alpha_x(s) <= (c_star/v1) alpha(s)
-      strict_dcxi  C = 1,           coupling alpha_xi(s) <= (c_star/(2 L2)) alpha(s)
-    """
-
-    kind: str
-    c_star: float = 0.0
-    v1: float = 0.0
-    v2: float = 0.0
-    coupling_coef: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("generator", "chain_dc1", "strict_dcxi"):
-            raise ValueError(f"unknown criterion kind {self.kind!r}")
-        if self.kind == "generator" and self.c_star <= 0:
-            raise NonPositiveInput("c_star must be > 0")
-        if self.kind == "chain_dc1" and (self.v1 <= 0 or self.v2 <= 0):
-            raise NonPositiveInput("v1, v2 must be > 0")
-
-    @property
-    def growth_coef(self) -> float:
-        if self.kind == "generator":
-            return 0.5 * self.c_star
-        if self.kind == "chain_dc1":
-            return self.v1 / (2.0 * self.v2)
-        return 1.0
-
-
-@dataclass(frozen=True)
 class CriterionReport:
     kind: str
     passed: bool
     worst_margin: float
     worst_s: float
-    coupling_passed: bool = True
-    coupling_worst_margin: float = math.inf
-    coupling_worst_s: float = math.nan
+    coupling_passed: bool
+    coupling_worst_margin: float
 
     def to_dict(self) -> dict:
         return {
@@ -377,26 +340,23 @@ class CriterionReport:
         }
 
 
-def log_grid(s_lo: float, s_hi: float, n: int = 1000) -> np.ndarray:
-    """n log-spaced points covering [s_lo, s_hi]: s_lo (s_hi/s_lo)**(i/(n-1))
-    for i = 0 .. n-1."""
-    if s_lo <= 0 or s_hi <= s_lo:
-        raise NonPositiveInput("grid endpoints must satisfy 0 < s_lo < s_hi")
-    return s_lo * np.float_power(s_hi / s_lo, np.arange(n) / (n - 1))
+def log_grid(s_lo: float, s_hi: float) -> np.ndarray:
+    """1000 log-spaced points covering [s_lo, s_hi], 0 < s_lo < s_hi as a
+    clock's mu0 and mu_guard are: s_lo (s_hi/s_lo)**(i/999), i = 0 .. 999."""
+    return s_lo * np.float_power(s_hi / s_lo, np.arange(1000) / 999)
 
 
-def check_growth_criterion(alpha: GainFunction, crit: GrowthCriterion,
-                           grid,
-                           alpha_main: GainFunction | None = None) -> CriterionReport:
-    """Verify the growth bound at every grid point, all of them > 0; never
-    raises on fail.
+def check_growth_criterion(kind: str, alpha: GainFunction, coef: float, grid,
+                           coupling: tuple | None = None) -> CriterionReport:
+    """Check the growth bound d(alpha)/ds <= coef * s**-2 * alpha(s)**2 at
+    every grid point, all of them > 0; never raises on fail.
 
-    The margin at s is C * s**-2 * alpha(s)**2 - d(alpha)/ds, normalized by
-    max(1, d(alpha)/ds); the report carries the minimum over the grid and
-    the first point where it is reached.  When the criterion has a
-    coupling bound and alpha_main is supplied, the coupling slack
-    coef * alpha_main(s) - alpha(s) is also checked.  NaN margins and
-    slacks are skipped.
+    The margin at s is coef * s**-2 * alpha(s)**2 - d(alpha)/ds, normalized
+    by max(1, d(alpha)/ds); the report, labelled kind, carries the minimum
+    over the grid and the first point where it is reached (the first grid
+    point when no margin is finite).  coupling, when given, is a pair
+    (c, alpha_main), and the coupling slack c * alpha_main(s) - alpha(s)
+    must stay >= 0 as well.  NaN margins and slacks are skipped.
     """
     s = np.asarray(grid, dtype=float)
     if not (s > 0.0).all():
@@ -404,39 +364,15 @@ def check_growth_criterion(alpha: GainFunction, crit: GrowthCriterion,
     with np.errstate(over="ignore", invalid="ignore"):
         a = alpha._value(s, _ARRAY)
         da = alpha._slope(s, _ARRAY)
-        margin = ((crit.growth_coef * a * a / (s * s) - da)
-                  / np.maximum(1.0, np.abs(da)))
-        worst, worst_s = _first_min(margin, s, float(s[0]))
-        if crit.coupling_coef > 0.0 and alpha_main is not None:
-            slack = crit.coupling_coef * alpha_main._value(s, _ARRAY) - a
-            c_worst, c_worst_s = _first_min(slack, s, math.nan)
-            c_pass = c_worst >= -1e-12
-        else:
-            c_worst, c_worst_s, c_pass = math.inf, math.nan, True
-    return CriterionReport(crit.kind, worst >= -1e-12, worst, worst_s,
-                           c_pass, c_worst, c_worst_s)
-
-
-def _first_min(values: np.ndarray, s: np.ndarray,
-               default_s: float) -> tuple[float, float]:
-    """The least non-NaN value below inf and the first s where it occurs;
-    (inf, default_s) when there is none."""
-    values = np.fmin(values, math.inf)  # NaN reads inf
-    i = int(values.argmin())
-    if values[i] == math.inf:
-        return math.inf, default_s
-    return float(values[i]), float(s[i])
-
-
-def alpha_s_from_dc2(alpha_x: GainFunction, v1: float, m: int, mu0: float) -> GainFunction:
-    """Chain-controller scaling gain derived from alpha_x.
-
-    alpha_s(s) = alpha_x(s)**m * exp((v1/2) * int_{mu0}^{s} tau**-2 alpha_x(tau) dtau)
-
-    The lower integration limit is mu0 = mu(t0) rather than 0: for gains
-    linear near the origin the integral from 0 diverges, and only the ratio
-    alpha_s(mu(t))/alpha_s(mu(t0)) ever enters a bound.
-    """
-    if v1 <= 0 or m < 1 or mu0 <= 0:
-        raise NonPositiveInput("alpha_s_from_dc2 needs v1 > 0, m >= 1, mu0 > 0")
-    return GainFunction("dc2", (float(v1), int(m), float(mu0)), base=alpha_x)
+        # NaN reads inf; argmin takes the first of equal minima
+        margin = np.fmin((coef * a * a / (s * s) - da)
+                         / np.maximum(1.0, np.abs(da)), math.inf)
+        i = int(margin.argmin())
+        worst = float(margin[i])
+        c_worst = math.inf
+        if coupling is not None:
+            c, alpha_main = coupling
+            c_worst = float(np.fmin(c * alpha_main._value(s, _ARRAY) - a,
+                                    math.inf).min())
+    return CriterionReport(kind, worst >= -1e-12, worst, float(s[i]),
+                           c_worst >= -1e-12, c_worst)

@@ -1,7 +1,7 @@
 """Reference forms of library math that the library itself computes in a
 fused, one-pass way or does not need; tests compare the library against
 these.  Also the gain constructors the tests use (scenarios build their
-gains with GainFunction.from_dict), the applied controls, which the
+gains with GainFunction.from_dict, and make_chain_config the dc2 gain), the applied controls, which the
 closed loop computes only inside its right-hand side, and the JSON forms
 of gains and costs, which only round-trip tests write."""
 
@@ -21,8 +21,8 @@ from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, SolverSettings,
                               Trajectory, step_ceiling)
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
                                  scale_powers, virtual_controls)
-from dptco.timegain import (CriterionReport, GainFunction, GrowthCriterion,
-                            PrescribedClock, kappa)
+from dptco.timegain import (CriterionReport, GainFunction, PrescribedClock,
+                            kappa)
 
 
 class DegenerateSize(ValueError):
@@ -43,6 +43,13 @@ def log_gain(k: float) -> GainFunction:
 
 def exp_gain(k1: float, k2: float) -> GainFunction:
     return GainFunction("exp", (float(k1), float(k2)))
+
+
+def dc2_gain(alpha_x: GainFunction, v1: float, m: int,
+             mu0: float) -> GainFunction:
+    """The chain gain alpha_s derived from alpha_x, as
+    chain_ctrl.make_chain_config builds it."""
+    return GainFunction("dc2", (float(v1), int(m), float(mu0)), alpha_x)
 
 
 def gain_to_dict(g: GainFunction) -> dict:
@@ -302,19 +309,23 @@ def estimate_constants(costs, box, samples: int = 400, seed: int = 0):
     return rho, varrho
 
 
-def check_growth_criterion(alpha: GainFunction, crit: GrowthCriterion,
-                           grid,
-                           alpha_main: GainFunction | None = None) -> CriterionReport:
+def log_grid(s_lo: float, s_hi: float, n: int) -> np.ndarray:
+    """n log-spaced points covering [s_lo, s_hi], one float at a time:
+    s_lo (s_hi/s_lo)**(i/(n-1)) for i = 0 .. n-1 (timegain.log_grid takes
+    n = 1000)."""
+    return np.array([s_lo * (s_hi / s_lo) ** (i / (n - 1)) for i in range(n)])
+
+
+def check_growth_criterion(kind: str, alpha: GainFunction, coef: float,
+                           grid, coupling=None) -> CriterionReport:
     """timegain.check_growth_criterion one grid point at a time, with the
     gains evaluated at floats: the first strict minimum of the margin and
-    of the coupling slack, NaN never below it."""
-    coef = crit.growth_coef
-    coupled = crit.coupling_coef > 0.0 and alpha_main is not None
+    the least coupling slack, NaN never below either."""
     grid = [float(s) for s in grid]
+    c, alpha_main = coupling or (None, None)
     worst = math.inf
     worst_s = grid[0]
     c_worst = math.inf
-    c_worst_s = math.nan
     for s in grid:
         a = alpha.eval(s)
         da = alpha.deriv(s)
@@ -322,15 +333,10 @@ def check_growth_criterion(alpha: GainFunction, crit: GrowthCriterion,
         if margin < worst:
             worst = margin
             worst_s = s
-        if coupled:
-            slack = crit.coupling_coef * alpha_main.eval(s) - a
-            if slack < c_worst:
-                c_worst = slack
-                c_worst_s = s
-    passed = worst >= -1e-12
-    c_pass = c_worst >= -1e-12 if coupled else True
-    return CriterionReport(crit.kind, passed, worst, worst_s,
-                           c_pass, c_worst, c_worst_s)
+        if coupling is not None:
+            c_worst = min(c_worst, c * alpha_main.eval(s) - a)
+    return CriterionReport(kind, worst >= -1e-12, worst, worst_s,
+                           c_worst >= -1e-12, c_worst)
 
 
 # --- generator: one agent's dynamics and the Lyapunov diagnostic ----------

@@ -18,13 +18,13 @@ from dptco.cli import EXIT_OK, read_trajectory_csv, run_scenario
 from dptco.costs import optimum_oracle
 from dptco.scenario import load_scenario
 from dptco.sim_engine import SolverSettings, integrate
-from dptco.timegain import (GrowthCriterion, PrescribedClock,
-                            check_growth_criterion, log_grid)
+from dptco.generator import check_generator_criterion
+from dptco.timegain import PrescribedClock
 from dptco.chain_ctrl import companion, hurwitz_gain, solve_lyapunov
 
 import conftest
 from conftest import modified_scenario, scenario_path
-from oracles import agent_control, exp_gain, linear_gain, log_gain
+from oracles import agent_control, exp_gain, linear_gain, log_gain, log_grid
 
 Z_STAR_E2 = np.array([0.7263, 0.7183])
 Y_BAR_E1 = np.array([-1.0 / 36.0, -2.0 / 36.0])
@@ -234,21 +234,22 @@ def test_criterion_08_lyapunov():
 
 def test_criterion_09_criterion_checker():
     c_star = 0.1
-    crit = GrowthCriterion("generator", c_star=c_star)
     grid = log_grid(1.0, 1000.0, 2000)
     k_b = 2.0 / c_star
     boundary_ok = (
-        check_growth_criterion(linear_gain(k_b * (1 + 1e-6)), crit,
-                               grid).passed
-        and not check_growth_criterion(linear_gain(k_b * (1 - 1e-6)), crit,
-                                       grid).passed)
-    linear_ok = check_growth_criterion(linear_gain(k_b), crit, grid).passed
+        check_generator_criterion(linear_gain(k_b * (1 + 1e-6)), c_star,
+                                  grid).passed
+        and not check_generator_criterion(linear_gain(k_b * (1 - 1e-6)),
+                                          c_star, grid).passed)
+    linear_ok = check_generator_criterion(linear_gain(k_b), c_star,
+                                          grid).passed
     # log family: any coefficient at or above the stated floor 1/(c* ln 2);
     # twice the floor is needed to cover small gain values as well
-    log_ok = check_growth_criterion(
-        log_gain(2.0 / (c_star * math.log(2.0))), crit, grid).passed
-    exp_ok = check_growth_criterion(
-        exp_gain(2.0 / c_star, 1.0), crit, log_grid(1.0, 500.0, 2000)).passed
+    log_ok = check_generator_criterion(
+        log_gain(2.0 / (c_star * math.log(2.0))), c_star, grid).passed
+    exp_ok = check_generator_criterion(
+        exp_gain(2.0 / c_star, 1.0), c_star,
+        log_grid(1.0, 500.0, 2000)).passed
     ok = boundary_ok and linear_ok and log_ok and exp_ok
     report(9, "criterion checker boundary and gain families", ok,
            f"boundary {boundary_ok}, linear {linear_ok}, log {log_ok}, "

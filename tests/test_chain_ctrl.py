@@ -16,7 +16,8 @@ from dptco.chain_ctrl import (ChainControllerConfig, ElMismatch,
 from dptco.errors import GuardExceeded, NotHurwitz
 from dptco.timegain import PrescribedClock, kappa, log_grid
 
-from oracles import chain_plant_rhs, el_matrices, linear_gain, power_gain
+from oracles import (chain_plant_rhs, dc2_gain, el_matrices, linear_gain,
+                     power_gain)
 
 P_HAND = np.array([[1.5, 0.5], [0.5, 0.5]])
 
@@ -96,7 +97,8 @@ def test_make_chain_config_defaults():
     assert np.allclose(cfg.K, [1.0, 2.0])
     assert cfg.k1 == 1.0
     assert np.allclose(cfg.L, [0.0, 1.0, 2.0])
-    assert cfg.alpha_s.family == "dc2"
+    assert cfg.alpha_s == dc2_gain(linear_gain(1.0), cfg.v1, 3, 1.0)
+    assert cfg.alpha_s.base == linear_gain(1.0)
 
 
 def test_make_chain_config_override_flagged():

@@ -199,6 +199,62 @@ def test_small_sigma_refused_before_integration(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def _refused_before_integration(monkeypatch, capsys, tmp_path, p):
+    """Run p, which must fail its build: exit 1, no integration, no
+    output file; returns stderr."""
+    def no_integrate(*args, **kwargs):
+        raise AssertionError("integrated a scenario that must not build")
+
+    monkeypatch.setattr(cli, "integrate", no_integrate)
+    out = tmp_path / "o"
+    assert main(["run", p, "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "trajectory.csv").exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("key, gain, message", [
+    # decreasing from the start: alpha_s(s) = -s e^s
+    ("alpha_s", {"family": "exp", "params": [-1.0, 1.0]},
+     "exp gain needs finite params with k1 > 0 and k2 >= 0"),
+    ("alpha_s", {"family": "power", "params": [-1.0, 1.5]},
+     "power gain needs finite params with k > 0 and a > 0"),
+    # s e^{-s/1e4} peaks at s = 1e4 and decreases past it
+    ("alpha_x", {"family": "exp", "params": [1.0, -1e-4]},
+     "exp gain needs finite params with k1 > 0 and k2 >= 0"),
+    ("alpha_x", {"family": "linear", "params": [math.nan]},
+     "linear gain needs finite params"),
+    ("alpha_s", {"family": "linear", "params": [1.0, 2.0]},
+     "linear gain takes 1 params, got 2"),
+    ("alpha_s", {"family": "dc2", "params": [1.0, 0, 1.0],
+                 "base": {"family": "linear", "params": [1.0]}},
+     "dc2 gain needs finite params with v1 > 0, an integer m >= 1"),
+    ("alpha_s", {"family": "dc2", "params": [1.0, 2, 1.0],
+                 "base": {"family": "log", "params": [0.0]}},
+     "log gain needs finite params with k > 0"),
+], ids=["exp_k1", "power_k", "exp_k2", "nan", "count", "dc2", "dc2_base"])
+def test_gain_out_of_range_refused_with_its_key(tmp_path, capsys, monkeypatch,
+                                                key, gain, message):
+    p = modified_scenario("example1", tmp_path,
+                          lambda raw: raw["gains"].update({key: gain}))
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(f"error: {p}: gains: {key}: {message}")
+
+
+def test_euler_lagrange_plant_of_order_3_refused(tmp_path, capsys,
+                                                 monkeypatch):
+    # K is left to pole placement: example1's K = [2.0] is for order 2
+    def edit(raw):
+        raw["agents"]["order"] = 3
+        del raw["agents"]["K"]
+
+    p = modified_scenario("example1", tmp_path, edit)
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(
+        f"error: {p}: agents: the Euler-Lagrange plant needs order 2")
+
+
 def test_nonconserving_p_init_rejected(tmp_path):
     p = write_tiny(tmp_path,
                    lambda raw: raw["agents"].update(

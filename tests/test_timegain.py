@@ -1,6 +1,7 @@
 """Time-varying gain calculus: clock, kappa factors, growth criteria."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,16 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dptco import chain_ctrl, scenario, strictfb_ctrl
+from dptco import chain_ctrl, generator, scenario, strictfb_ctrl
 from dptco.errors import NonPositiveInput, TimeOutOfWindow
-from dptco.timegain import (GainFunction, GrowthCriterion, PrescribedClock,
-                            _adaptive_simpson, alpha_s_from_dc2,
+from dptco.generator import check_generator_criterion
+from dptco.timegain import (GainFunction, PrescribedClock, _adaptive_simpson,
                             check_growth_criterion, gain_integral, kappa,
                             log_grid)
 
 import oracles
 from conftest import scenario_path
-from oracles import exp_gain, gain_to_dict, linear_gain, log_gain, power_gain
+from oracles import (dc2_gain, exp_gain, gain_to_dict, linear_gain, log_gain,
+                     power_gain)
 
 
 # --- clock -------------------------------------------------------------------
@@ -132,15 +134,83 @@ def test_gain_roundtrip_serialization():
     for g in (linear_gain(2.0), power_gain(1.5, 1.5), log_gain(0.3),
               exp_gain(1.0, 1.0)):
         assert GainFunction.from_dict(gain_to_dict(g)) == g
-    dc2 = alpha_s_from_dc2(power_gain(1.5, 1.5), 2.0, 2, 1.0)
+    dc2 = dc2_gain(power_gain(1.5, 1.5), 2.0, 2, 1.0)
     back = GainFunction.from_dict(gain_to_dict(dc2))
     assert back == dc2 and back.base == dc2.base
 
 
-def test_validate_rejects_nonzero_origin():
-    bad = GainFunction("power", (1.0, 0.0))  # constant 1, alpha(0) != 0
-    with pytest.raises(ValueError):
-        bad.validate()
+def test_construction_refuses_a_nonzero_origin():
+    with pytest.raises(NonPositiveInput, match="a > 0"):
+        GainFunction("power", (1.0, 0.0))  # constant 1, alpha(0) != 0
+
+
+# each family's parameters at the edge of their range, and just inside it
+RANGE_EDGES = [
+    ("linear", (0.0,), (1e-300,)),
+    ("power", (0.0, 1.5), (1e-300, 1.5)),
+    ("power", (1.0, 0.0), (1.0, 1e-300)),
+    ("log", (0.0,), (1e-300,)),
+    ("exp", (0.0, 1.0), (1e-300, 1.0)),
+    ("exp", (1.0, -1e-4), (1.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("family, bad, good", RANGE_EDGES)
+def test_construction_refuses_each_bound_of_each_family(family, bad, good):
+    GainFunction(family, good)
+    with pytest.raises(NonPositiveInput, match=f"{family} gain needs"):
+        GainFunction(family, bad)
+
+
+@pytest.mark.parametrize("params", [
+    (0.0, 2, 1.0), (1.0, 0, 1.0), (1.0, 1.5, 1.0), (1.0, 2, 0.0),
+], ids=["v1", "m", "integer_m", "mu0"])
+def test_construction_refuses_each_bound_of_dc2(params):
+    GainFunction("dc2", (1.0, 2, 1.0), base=linear_gain(1.0))
+    with pytest.raises(NonPositiveInput, match=re.escape(
+            f"dc2 gain needs finite params with v1 > 0, an integer m >= 1 "
+            f"and mu0 > 0, got {list(params)}")):
+        GainFunction("dc2", params, base=linear_gain(1.0))
+
+
+def test_construction_refuses_a_dc2_gain_without_a_base():
+    with pytest.raises(ValueError, match="base"):
+        GainFunction("dc2", (1.0, 2, 1.0))
+
+
+@pytest.mark.parametrize("family, params", [
+    ("linear", ()), ("linear", (1.0, 2.0)), ("power", (1.0,)),
+    ("log", (1.0, 1.0)), ("exp", (1.0, 1.0, 1.0)), ("dc2", (1.0, 2)),
+])
+def test_construction_refuses_the_wrong_count(family, params):
+    with pytest.raises(ValueError, match=f"{family} gain takes"):
+        GainFunction(family, params, base=linear_gain(1.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family, params", [
+    ("linear", (1.0,)), ("power", (1.0, 1.5)), ("log", (1.0,)),
+    ("exp", (1.0, 1.0)), ("dc2", (1.0, 2, 1.0)),
+])
+def test_construction_refuses_a_non_finite_param(family, params, value):
+    for i in range(len(params)):
+        bad = params[:i] + (value,) + params[i + 1:]
+        with pytest.raises(NonPositiveInput, match="finite"):
+            GainFunction(family, bad, base=linear_gain(1.0))
+
+
+def test_from_dict_checks_a_dc2_gain_and_its_base():
+    base = {"family": "linear", "params": [1.0]}
+    assert GainFunction.from_dict(
+        {"family": "dc2", "params": [1.0, 2, 1.0], "base": base}).base == \
+        linear_gain(1.0)
+    with pytest.raises(NonPositiveInput, match="v1 > 0"):
+        GainFunction.from_dict(
+            {"family": "dc2", "params": [-1.0, 2, 1.0], "base": base})
+    with pytest.raises(NonPositiveInput, match="k1 > 0"):
+        GainFunction.from_dict({"family": "dc2", "params": [1.0, 2, 1.0],
+                                "base": {"family": "exp",
+                                         "params": [-1.0, 1.0]}})
 
 
 @given(st.floats(min_value=0.1, max_value=10.0),
@@ -154,10 +224,27 @@ def test_power_gain_deriv_matches_fd(k, a):
         assert g.deriv(s) == pytest.approx(fd, rel=1e-5)
 
 
-def test_all_families_validate():
-    for g in (linear_gain(2.0), power_gain(1.5, 1.5), log_gain(0.3),
-              exp_gain(1.0, 1.0)):
-        g.validate()
+# one gain of each family, every value finite on [1e-2, 1e3]
+FAMILY_GAINS = {
+    "linear": linear_gain(2.0),
+    "power": power_gain(1.5, 1.5),
+    "log": log_gain(0.3),
+    "exp": exp_gain(1.0, 0.5),
+    "dc2": dc2_gain(power_gain(1.0, 0.5), 2.0, 2, 1e-2),
+}
+
+
+def test_deriv_matches_a_finite_difference_in_every_family():
+    # deriv against a central difference, to 1e-5 relative, on 50
+    # log-spaced points of [1e-2, 1e3]
+    s = oracles.log_grid(1e-2, 1e3, 50)
+    h = 1e-6 * s
+    for name, g in FAMILY_GAINS.items():
+        fd = (g.eval(s + h) - g.eval(s - h)) / (2.0 * h)
+        assert np.isfinite(fd).all(), name
+        np.testing.assert_array_less(np.abs(g.deriv(s) - fd),
+                                     1e-5 * np.maximum(1.0, np.abs(fd)),
+                                     err_msg=name)
 
 
 # --- growth criteria ---------------------------------------------------------
@@ -165,50 +252,46 @@ def test_all_families_validate():
 def test_linear_boundary_exact():
     # k s' satisfies k <= (c*/2) k^2 exactly when k >= 2/c*
     c_star = 0.1
-    crit = GrowthCriterion("generator", c_star=c_star)
-    grid = log_grid(1.0, 1000.0, 1000)
+    grid = log_grid(1.0, 1000.0)
     k_pass = 2.0 / c_star
-    assert check_growth_criterion(linear_gain(k_pass), crit, grid).passed
-    assert not check_growth_criterion(
-        linear_gain(1.0 / c_star), crit, grid).passed
+    assert check_generator_criterion(linear_gain(k_pass), c_star, grid).passed
+    assert not check_generator_criterion(
+        linear_gain(1.0 / c_star), c_star, grid).passed
 
 
 def test_linear_boundary_resolution():
     # the pass/fail boundary sits at k = 2/c* within 1e-6 relative
     c_star = 0.1
-    crit = GrowthCriterion("generator", c_star=c_star)
-    grid = log_grid(1.0, 1000.0, 1000)
+    grid = log_grid(1.0, 1000.0)
     k_b = 2.0 / c_star
-    assert check_growth_criterion(
-        linear_gain(k_b * (1.0 + 1e-6)), crit, grid).passed
-    assert not check_growth_criterion(
-        linear_gain(k_b * (1.0 - 1e-6)), crit, grid).passed
+    assert check_generator_criterion(
+        linear_gain(k_b * (1.0 + 1e-6)), c_star, grid).passed
+    assert not check_generator_criterion(
+        linear_gain(k_b * (1.0 - 1e-6)), c_star, grid).passed
 
 
 def test_log_family_passes():
     # alpha(s) = k s ln(s+2); k = 2/(c* ln 2) passes for all s >= 0 with
     # equality exactly at s = 0 (half that k fails for s below about 5)
     c_star = 0.1
-    crit = GrowthCriterion("generator", c_star=c_star)
-    grid = log_grid(1e-2, 1000.0, 2000)
+    grid = oracles.log_grid(1e-2, 1000.0, 2000)
     k = 2.0 / (c_star * math.log(2.0))
-    assert check_growth_criterion(log_gain(k), crit, grid).passed
-    assert not check_growth_criterion(log_gain(0.5 * k), crit, grid).passed
+    assert check_generator_criterion(log_gain(k), c_star, grid).passed
+    assert not check_generator_criterion(log_gain(0.5 * k), c_star,
+                                         grid).passed
 
 
 def test_exp_family_passes():
     # alpha(s) = k1 s e^{k2 s} passes for k1 large enough on s >= 1
     c_star = 0.1
-    crit = GrowthCriterion("generator", c_star=c_star)
-    grid = log_grid(1.0, 500.0, 2000)
+    grid = oracles.log_grid(1.0, 500.0, 2000)
     k1 = 4.0 / c_star
-    assert check_growth_criterion(exp_gain(k1, 1.0), crit, grid).passed
+    assert check_generator_criterion(exp_gain(k1, 1.0), c_star, grid).passed
 
 
 def test_criterion_report_carries_worst_point():
-    crit = GrowthCriterion("generator", c_star=0.1)
-    grid = log_grid(1.0, 100.0, 500)
-    rep = check_growth_criterion(linear_gain(10.0), crit, grid)
+    grid = oracles.log_grid(1.0, 100.0, 500)
+    rep = check_generator_criterion(linear_gain(10.0), 0.1, grid)
     assert not rep.passed
     assert rep.worst_margin < 0
     d = rep.to_dict()
@@ -216,14 +299,14 @@ def test_criterion_report_carries_worst_point():
 
 
 def test_coupling_bound_checked():
-    # chain gain must stay below (c*/v1) alpha
-    crit = GrowthCriterion("chain_dc1", c_star=0.1, v1=1.0, v2=4.0,
-                           coupling_coef=0.1)
-    grid = log_grid(1.0, 100.0, 500)
+    # chain gain must stay below (c*/v1) alpha, here 0.1 alpha
+    grid = oracles.log_grid(1.0, 100.0, 500)
     alpha_main = linear_gain(20.0)
-    ok = check_growth_criterion(linear_gain(1.0), crit, grid, alpha_main)
+    ok = check_growth_criterion("chain_dc1", linear_gain(1.0), 0.125, grid,
+                                (0.1, alpha_main))
     assert ok.coupling_passed
-    bad = check_growth_criterion(linear_gain(3.0), crit, grid, alpha_main)
+    bad = check_growth_criterion("chain_dc1", linear_gain(3.0), 0.125, grid,
+                                 (0.1, alpha_main))
     assert not bad.coupling_passed
 
 
@@ -232,32 +315,32 @@ def test_coupling_bound_checked():
 def test_dc2_closed_form_linear_base():
     # alpha_x(s) = s, v1 = 2, m = 2, mu0 = 1: at s = e the integral of
     # 1/tau over [1, e] is 1, so alpha_s(e) = e^2 * e^1
-    alpha_s = alpha_s_from_dc2(linear_gain(1.0), v1=2.0, m=2, mu0=1.0)
+    alpha_s = dc2_gain(linear_gain(1.0), v1=2.0, m=2, mu0=1.0)
     assert alpha_s.eval(math.e) == pytest.approx(math.e ** 3, rel=1e-8)
 
 
 def test_dc2_closed_form_power_base():
     # alpha_x(s) = s^{3/2}: integral of tau^{-1/2} over [1, 4] is 2,
     # so alpha_s(4) = 4^3 * e^2
-    alpha_s = alpha_s_from_dc2(power_gain(1.0, 1.5), v1=2.0, m=2, mu0=1.0)
+    alpha_s = dc2_gain(power_gain(1.0, 1.5), v1=2.0, m=2, mu0=1.0)
     assert alpha_s.eval(4.0) == pytest.approx(64.0 * math.e ** 2, rel=1e-8)
 
 
 def test_dc2_at_lower_limit():
-    alpha_s = alpha_s_from_dc2(power_gain(2.0, 1.5), v1=1.0, m=3, mu0=1.5)
+    alpha_s = dc2_gain(power_gain(2.0, 1.5), v1=1.0, m=3, mu0=1.5)
     assert alpha_s.eval(1.5) == pytest.approx(
         power_gain(2.0, 1.5).eval(1.5) ** 3)
 
 
 def test_dc2_rejects_bad_inputs():
     with pytest.raises(NonPositiveInput):
-        alpha_s_from_dc2(linear_gain(1.0), v1=0.0, m=2, mu0=1.0)
+        dc2_gain(linear_gain(1.0), v1=0.0, m=2, mu0=1.0)
     with pytest.raises(NonPositiveInput):
-        alpha_s_from_dc2(linear_gain(1.0), v1=1.0, m=0, mu0=1.0)
+        dc2_gain(linear_gain(1.0), v1=1.0, m=0, mu0=1.0)
 
 
 def test_dc2_deriv_matches_fd():
-    alpha_s = alpha_s_from_dc2(linear_gain(1.0), v1=2.0, m=2, mu0=1.0)
+    alpha_s = dc2_gain(linear_gain(1.0), v1=2.0, m=2, mu0=1.0)
     for s in (1.5, 3.0, 8.0):
         h = 1e-6 * s
         fd = (alpha_s.eval(s + h) - alpha_s.eval(s - h)) / (2.0 * h)
@@ -275,10 +358,10 @@ ARRAY_GAINS = {
     "power_below_one": (power_gain(2.0, 0.5), log_grid(1e-3, 1e3)),
     "log": (log_gain(0.7), log_grid(1e-2, 1000.0)),
     "exp": (exp_gain(2.0, 1.0), log_grid(1.0, 1000.0)),
-    "dc2_power": (alpha_s_from_dc2(power_gain(1.0, 1.5), 2.0, 2, 1.0),
+    "dc2_power": (dc2_gain(power_gain(1.0, 1.5), 2.0, 2, 1.0),
                   log_grid(1.0, 100.0)),
-    "dc2_log": (alpha_s_from_dc2(log_gain(0.5), 1.0, 2, 1.0),
-                log_grid(1.0, 50.0, 60)),
+    "dc2_log": (dc2_gain(log_gain(0.5), 1.0, 2, 1.0),
+                oracles.log_grid(1.0, 50.0, 60)),
 }
 
 
@@ -334,24 +417,29 @@ def test_array_outside_the_window_refused():
 
 
 def test_log_grid_equals_its_scalar_formula():
-    for lo, hi, n in ((1.0, 1000.0, 1000), (1e-2, 1e3, 50), (0.5, 199.9, 7)):
-        want = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
-        assert log_grid(lo, hi, n).tolist() == want
+    for lo, hi in ((1.0, 1000.0), (1e-2, 1e3), (0.5, 199.9)):
+        assert log_grid(lo, hi).tolist() == \
+            oracles.log_grid(lo, hi, 1000).tolist()
 
 
-def test_validate_names_the_first_point_that_does_not_increase():
-    with pytest.raises(ValueError,
-                       match=r"not strictly increasing near s=0\.012648"):
-        GainFunction("power", (-1.0, 1.5)).validate()
+def test_construction_refuses_a_decreasing_gain():
+    with pytest.raises(NonPositiveInput,
+                       match=r"power gain needs finite params with k > 0"):
+        GainFunction("power", (-1.0, 1.5))
 
 
+# kind -> (C, the coupling coefficient or None): the generator's at
+# c* = 0.1, DC1's at v1 = 1, v2 = 4, DCxi's at L2 = 1
 CRITERIA = {
-    "generator": GrowthCriterion("generator", c_star=0.1),
-    "chain_dc1": GrowthCriterion("chain_dc1", c_star=0.1, v1=1.0, v2=4.0,
-                                 coupling_coef=0.1),
-    "strict_dcxi": GrowthCriterion("strict_dcxi", c_star=0.1,
-                                   coupling_coef=0.05),
+    "generator": (0.05, None),
+    "chain_dc1": (0.125, 0.1),
+    "strict_dcxi": (1.0, 0.05),
 }
+
+
+def _check(check, kind, g, grid, main):
+    coef, c = CRITERIA[kind]
+    return check(kind, g, coef, grid, None if c is None else (c, main))
 
 
 def _same_report(got, want):
@@ -363,29 +451,27 @@ def _same_report(got, want):
 @pytest.mark.parametrize("name", ARRAY_GAINS)
 def test_growth_criterion_equals_the_point_by_point_check(name, kind):
     g, grid = ARRAY_GAINS[name]
-    crit = CRITERIA[kind]
     main = linear_gain(20.0)
-    _same_report(check_growth_criterion(g, crit, grid, main),
-                 oracles.check_growth_criterion(g, crit, grid, main))
+    _same_report(_check(check_growth_criterion, kind, g, grid, main),
+                 _check(oracles.check_growth_criterion, kind, g, grid, main))
 
 
 def test_growth_criterion_refuses_a_grid_point_at_or_below_zero():
-    crit = CRITERIA["generator"]
     for grid in ([0.0, 1.0, 2.0], [1.0, -2.0]):
         with pytest.raises(NonPositiveInput):
-            check_growth_criterion(linear_gain(1.0), crit, grid)
+            check_growth_criterion("generator", linear_gain(1.0), 0.05, grid)
 
 
 def test_growth_criterion_with_no_finite_margin():
-    # every margin of exp past its overflow point is NaN: no worst point
-    grid = log_grid(800.0, 1000.0, 20)
-    crit = CRITERIA["chain_dc1"]
-    rep = check_growth_criterion(exp_gain(1.0, 1.0), crit, grid,
-                                 exp_gain(1.0, 1.0))
+    # every margin and slack of exp past its overflow point is NaN: no
+    # worst point
+    grid = oracles.log_grid(800.0, 1000.0, 20)
+    g = exp_gain(1.0, 1.0)
+    rep = _check(check_growth_criterion, "chain_dc1", g, grid, g)
     assert rep.worst_margin == math.inf and rep.worst_s == 800.0
-    assert math.isnan(rep.coupling_worst_s)
-    _same_report(rep, oracles.check_growth_criterion(
-        exp_gain(1.0, 1.0), crit, grid, exp_gain(1.0, 1.0)))
+    assert rep.coupling_worst_margin == math.inf and rep.coupling_passed
+    _same_report(rep, _check(oracles.check_growth_criterion, "chain_dc1", g,
+                             grid, g))
 
 
 @pytest.mark.parametrize("name", ["ring", "example2_generator", "example1",
@@ -393,13 +479,24 @@ def test_growth_criterion_with_no_finite_margin():
 def test_bundled_criteria_equal_the_point_by_point_check(name, monkeypatch):
     calls = []
 
-    def recording(alpha, crit, grid, alpha_main=None):
-        calls.append((alpha, crit, grid, alpha_main))
-        return check_growth_criterion(alpha, crit, grid, alpha_main)
+    def recording(*args):
+        calls.append(args)
+        return check_growth_criterion(*args)
 
-    for module in (scenario, chain_ctrl, strictfb_ctrl):
+    for module in (generator, chain_ctrl, strictfb_ctrl):
         monkeypatch.setattr(module, "check_growth_criterion", recording)
     build = scenario.load_scenario(scenario_path(name)).build()
     assert len(calls) == len(build.criterion_reports) >= 1
     for report, args in zip(build.criterion_reports, calls):
         _same_report(report, oracles.check_growth_criterion(*args))
+    # each criterion's C and coupling coefficient, as its theorem states
+    c = build.constants
+    coefs = {"generator": (0.5 * c["c_star"], None)}
+    if "v1" in c:
+        coefs["chain_dc1"] = (c["v1"] / (2.0 * c["v2"]),
+                              c["c_star"] / c["v1"])
+    if name == "example2":
+        L2 = float(build.sys.agents.cfg.L[1])
+        coefs["strict_dcxi"] = (1.0, c["c_star"] / (2.0 * L2))
+    assert {args[0]: (args[2], args[4][0] if len(args) > 4 else None)
+            for args in calls} == coefs
