@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GuardExceeded, NotHurwitz, SingularSystem
+from .errors import (DimensionMismatch, GuardExceeded, NotHurwitz,
+                     SingularSystem)
 from .generator import bound_ratio, ratio_report
 from .timegain import (GainFunction, PrescribedClock, check_growth_criterion,
                        kappa_series)
@@ -135,6 +136,9 @@ def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
     Q = I, and the DC2-derived alpha_s unless an override gain is
     supplied."""
     K = hurwitz_gain(m) if K is None else np.asarray(K, dtype=float)
+    if K.shape != (m - 1,):
+        raise DimensionMismatch(f"K must list m - 1 = {m - 1} gains for "
+                                f"order {m}, got shape {K.shape}")
     Lambda = companion(K)
     Q = np.eye(m - 1)
     P = solve_lyapunov(Lambda, Q)
@@ -251,6 +255,15 @@ class ChainAgents:
         self.cfg = cfg
         self.el = None if el is None else ElMismatch.of(*el)
         self.disturbance = disturbance
+
+    @property
+    def spectral_rate(self):
+        """Chain agents have none: their block's spectral radius over
+        alpha_s drifts with the state (from 3.8 to 0.36 over example1 to
+        guard 0.9, and over alpha_x from 10 to 7900), so no design
+        constant sizes a fixed step."""
+        raise ValueError("chain agents have no design spectral radius "
+                         "for RK4's step; integrate them with rk45")
 
     def derivatives(self, t, mu, x, c, ref, dx, dc):
         """Write every agent's x_q' = x_{q+1}, x_m' = u + d(t) into dx."""

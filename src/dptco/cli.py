@@ -87,8 +87,7 @@ def run_scenario(scenario_path: str, out_dir: str, seed: int | None = None,
     sc = load_scenario(scenario_path)
     build = sc.build(seed=seed, guard_frac=guard_frac)
     cert = optimum_oracle(build.costs)
-    traj = integrate(build.sys.rhs, build.y0, build.clock, build.settings,
-                     build.sys.agent_major)
+    traj = integrate(build.sys, build.y0, build.clock, build.settings)
     derived = derived_series(build, traj, cert.z_star)
     monitors = evaluate_monitors(build, traj, cert.z_star, derived)
 

@@ -13,8 +13,10 @@ equilibrium is varpi = 1 (x) z*, p = -grad F(1 (x) z*).  The right-hand
 side itself is sim_engine.CoupledSystem.rhs; this module carries the
 convergence constants c1..c_star, the generator's growth criterion on
 alpha (C = c_star/2), the error coordinates, the prescribed-time envelope
-and its monitor, and the one pass rule every monitor reports through
-(ratio_report).
+and its monitor, the one pass rule every monitor reports through
+(ratio_report), and the closed loop's spectral radius, which sizes RK4's
+steps: the generator's Jacobian is alpha(mu) times its design matrix
+(design_radius).
 """
 
 from __future__ import annotations
@@ -58,6 +60,80 @@ def check_generator_criterion(alpha: GainFunction, c_star: float,
     """The generator's growth criterion on alpha, C = c_star/2, over the
     grid of the build's criteria (`log_grid(mu0, mu_guard)`)."""
     return check_growth_criterion("generator", alpha, 0.5 * c_star, grid)
+
+
+def closed_loop_radius(system, y: np.ndarray):
+    """rho(mu), the spectral radius of the closed loop `system` (a
+    `sim_engine.CoupledSystem`) at gain mu, with the generator's part taken
+    at the estimates in y.
+
+    The generator drives the agents and never reads them, so the Jacobian
+    is block-triangular and its spectrum is the union of the generator's,
+    kappa_gen alpha(mu) with kappa_gen = `design_radius` at y, and the
+    agents', kappa_xi alpha_xi(mu) (`StrictFeedbackAgents.spectral_rate`).
+    Chain agents have no such rate.
+    """
+    k_gen = design_radius(system.net.laplacian, system.costs,
+                          system.views(y)[0])
+    alpha = system.alpha.eval
+    if system.agents is None:
+        return lambda mu: k_gen * alpha(mu)
+    k_agents, gain = system.agents.spectral_rate
+    gain = gain.eval
+    return lambda mu: max(k_gen * alpha(mu), k_agents * gain(mu))
+
+
+def design_radius(laplacian: np.ndarray, costs, varpi: np.ndarray) -> float:
+    """Spectral radius of the generator's design matrix
+
+        [[-(L (x) I + blkdiag H_i(varpi_i)), -I], [L (x) I, 0]]
+
+    at the estimates varpi (N, dim), with H_i the Hessian of f_i by central
+    differences of costs.grad_stack.  The generator's Jacobian at
+    (varpi, p) is alpha(mu) times this matrix.
+    """
+    n, d = varpi.shape
+    # L (x) I as (N, dim, N, dim); np.kron's first call adds 0.1 MiB to
+    # the peak resident memory
+    lap = laplacian[:, None, :, None] * np.eye(d)[None, :, None, :]
+    h = 1e-5 * (1.0 + np.linalg.norm(varpi, axis=1))
+    hess = np.empty((n, d, d))
+    for k in range(d):
+        dz = np.zeros((n, d))
+        dz[:, k] = h
+        hess[:, :, k] = (costs.grad_stack(varpi + dz)
+                         - costs.grad_stack(varpi - dz)) / (2.0 * h[:, None])
+    top = -lap
+    # the (dim, dim) diagonal block of each agent
+    top[np.arange(n), :, np.arange(n), :] -= hess
+    nd = n * d
+    m = np.block([[top.reshape(nd, nd), -np.eye(nd)],
+                  [lap.reshape(nd, nd), np.zeros((nd, nd))]])
+    return matrix_radius(m)
+
+
+def matrix_radius(m: np.ndarray) -> float:
+    """Spectral radius of the square matrix m by Gelfand's formula,
+    rho = lim ||m^n||^(1/n) in the max-entry norm, at n = 2^20.
+
+    Each square is taken of the last one over its largest entry c_k, so
+    log rho = sum_k log(c_k) / 2^k + log max|m_20| / 2^20.  The n-th
+    root errs below rho by at most a factor dim^(-1/n), and above it by
+    the n-th root of the eigenvectors' condition number (of n^j for a
+    Jordan block of size j + 1): on the closed loops here it agrees with
+    np.linalg.eigvals to about 1e-5.  That call would do as well, but its
+    first use in a process adds about 0.7 MiB to the peak resident memory
+    (LAPACK's nonsymmetric eigensolver paged in).
+    """
+    log_rho = 0.0
+    for k in range(20):
+        c = np.abs(m).max()
+        if c == 0.0:
+            return 0.0
+        m = m / c
+        m = m @ m
+        log_rho += math.log(c) / 2.0 ** k
+    return math.exp(log_rho + math.log(np.abs(m).max()) / 2.0 ** 20)
 
 
 @dataclass

@@ -264,6 +264,11 @@ class Scenario:
             y0 = sys.pack(varpi0, p0, plants, ctrls)
 
         settings = _solver_settings(raw["solver"], path)
+        if settings.method == "rk4" and controller == "chain":
+            raise _fail(path, "solver: method",
+                        "rk4 sizes its steps from the closed loop's design "
+                        "spectral radius, and chain agents have none (their "
+                        "stiffness drifts with the state); use rk45")
 
         return ScenarioBuild(self.name, path, scenario_hash(raw), clock,
                              net, costs, alpha, sys, y0, settings, monitors,

@@ -47,9 +47,12 @@ stability interval grows as about 0.65 m^2 with its stage count m:
   DP5 hands over again only once its own steps cost more calls per unit
   log time than that RKC2 run did.
 The rule reads only what the integrator observes, so it has no setting; a
-run that never hands over is the plain Dormand-Prince run.  The fixed-step
-RK4 integrator stays on the t clock under the step ceiling
-min(dt_max, 0.05 / mu^2).
+run that never hands over is the plain Dormand-Prince run.
+
+The fixed-step RK4 integrator stays on the t clock, its step
+h = min(dt, dt_max, 1.39 / rho(mu), t_guard - t) holding the stiffest mode
+at half of RK4's real-axis stability limit 2.785, with rho(mu) the closed
+loop's spectral radius from its design (`CoupledSystem.stiffness`).
 Integration stops at the guard time strictly before the prescribed deadline;
 every stage and every power-iteration probe lies inside its step, and no
 right-hand side is ever evaluated at or beyond the deadline.
@@ -67,22 +70,24 @@ import numpy as np
 from .draws import uniform
 from .errors import (DimensionMismatch, IoFailure, NonFiniteState,
                      StepUnderflow)
+from .generator import closed_loop_radius
 from .graph import Network
 from .rkc import rkc2_stages, rkc2_step, spectral_radius
 from .timegain import GainFunction, PrescribedClock
 
-# RK4 has no error estimate; its fixed step stays below this coefficient / mu^2
-_RK4_CEILING_COEF = 0.05
+# RK4 holds h rho at this, half its real-axis stability limit 2.785
+_RK4_H_RHO = 1.39
 
 
 @dataclass
 class SolverSettings:
     """Integrator configuration; every field is a scenario solver key.
 
-    method "rk4" uses the fixed step dt, capped by the mu^2 ceiling;
-    "rk45" is an embedded Dormand-Prince pair with absolute/relative error
-    control on the log clock, starting from the step dt, its step in t never
-    above dt_max.  log_every decimates the stored trajectory.  Every run
+    method "rk4" uses the fixed step dt, capped by dt_max and by 1.39 over
+    the closed loop's spectral radius (see the module docstring); "rk45"
+    is an embedded Dormand-Prince pair with absolute/relative error
+    control on the log clock, starting from the step dt, its step in t
+    never above dt_max.  log_every decimates the stored trajectory.  Every run
     ends at the clock's guard time.
     """
 
@@ -128,12 +133,6 @@ class Trajectory:
     def __post_init__(self):
         if self.times.shape[0] != self.states.shape[0]:
             raise DimensionMismatch("times and states disagree in length")
-
-
-def step_ceiling(clock: PrescribedClock, t: float, dt_max: float) -> float:
-    """Largest RK4 step at time t: min(dt_max, 0.05 / mu(t)^2)."""
-    mu = clock.mu(t)
-    return min(dt_max, _RK4_CEILING_COEF / (mu * mu))
 
 
 def _check_finite(y: np.ndarray, t: float) -> None:
@@ -220,24 +219,28 @@ _RKC_REFRESH = 25
 _RKC_TOL_FRAC = 0.01
 
 
-def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
-              settings: SolverSettings,
-              norm_order: np.ndarray | None = None) -> Trajectory:
-    """Integrate y' = rhs(t, y) from the window start to the guard time.
+def integrate(system, y0: np.ndarray, clock: PrescribedClock,
+              settings: SolverSettings) -> Trajectory:
+    """Integrate y' = system.rhs(t, y) from the window start to the guard
+    time.
 
+    system is a `CoupledSystem` or any object with its three members:
     rhs(t, y, out) must write dy/dt into every entry of out (a stage row
-    of the integrator) without reading it.  RK45 steps in
+    of the integrator) without reading it; agent_major, when not None, is
+    the order in which the RK45 error norm sums the entries of y (an index
+    array), so the steps it accepts do not depend on how y is stored; and
+    stiffness(y) gives rho(mu), the spectral radius that sizes RK4's
+    steps, h = min(dt, dt_max, 1.39 / rho(mu), t_guard - t), taken anew
+    at the current y each time mu has doubled.  RK45 steps in
     s = -ln(1 - (t - t0)/T), i.e. t(s) = t0 - T expm1(-s), on
     dy/ds = rhs / mu, its step in s capped by dt_max * mu (dt_max in t);
     while Dormand-Prince is held at its stability limit it hands over to
     RKC2 (see the module docstring).  No stage time passes the guard time
     clock.t_guard, where the run ends.
-    norm_order, when given, is the order in which the RK45 error norm sums
-    the entries of y (an index array; `CoupledSystem.agent_major`), so the
-    steps it accepts do not depend on how y is stored.
     Deterministic: no hidden randomness, and identical inputs give
     bit-identical trajectories.
     """
+    rhs, norm_order = system.rhs, system.agent_major
     t_end = clock.t_guard
     t0, T = clock.t0, clock.T
 
@@ -286,6 +289,7 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
     # the current RKC2 run: accepted steps, calls and log time so far
     rkc_steps = rkc_calls = 0
     rkc_ds = 0.0
+    mu_fresh = 0.0    # mu at which RK4 last took the spectral radius
 
     def estimate():
         # the power iteration at the accepted (s, y), where K[0] = f(s, y);
@@ -309,7 +313,10 @@ def integrate(rhs, y0: np.ndarray, clock: PrescribedClock,
 
     while not last:
         if not rk45:
-            h = min(settings.dt, step_ceiling(clock, t, settings.dt_max),
+            mu = clock.mu(t)
+            if mu >= 2.0 * mu_fresh:
+                radius, mu_fresh = system.stiffness(y), mu
+            h = min(settings.dt, settings.dt_max, _RK4_H_RHO / radius(mu),
                     t_end - t)
             _rk4_step(rhs, t, y, h, K, y_s, y_new)
             y, y_new = y_new, y
@@ -518,6 +525,12 @@ class CoupledSystem:
             c[0][...] = rows[:, 0]
             c[1][...] = rows[:, 1:].reshape(n, -1, d).transpose(1, 0, 2)
         return y
+
+    def stiffness(self, y: np.ndarray):
+        """rho(mu), the spectral radius that sizes RK4's steps, with the
+        generator's part at the estimates in y
+        (`generator.closed_loop_radius`)."""
+        return closed_loop_radius(self, y)
 
     def rhs(self, t: float, y: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GuardExceeded, MarginTooSmall
-from .generator import bound_ratio, ratio_report
+from .generator import bound_ratio, matrix_radius, ratio_report
 from .timegain import GainFunction, check_growth_criterion
 
 
@@ -225,6 +225,37 @@ class StrictFeedbackAgents:
         # theta_i repeated over the n channels of a stage
         self._theta_n = np.repeat(self.thetas[:, None], cfg.n, axis=1)
         self.ctrl_size = cfg.n_ctrl
+
+    @cached_property
+    def spectral_rate(self) -> tuple:
+        """(kappa, alpha_xi): the cascade's spectral radius is
+        kappa alpha_xi(mu).
+
+        kappa is the spectral radius of one agent's linearization at zero
+        error with theta = theta_hat = 0, taken at mu = 1, over
+        alpha_xi(1).  In the coordinates alpha_xi^(1-q) x_q (and the
+        filters and theta_hat alike) that linearization is alpha_xi times
+        a fixed matrix, so the ratio holds at every mu; theta and theta_hat
+        add only the bounded theta phi_q terms.  The Jacobian's columns come
+        from central differences, each perturbation one agent of a
+        zero-theta stack.
+        """
+        cfg = self.cfg
+        m, n = cfg.m, cfg.n
+        size = m * n + cfg.n_ctrl
+        step = 1e-6
+        e = np.concatenate([np.eye(size), -np.eye(size)]) * step
+        x = e[:, :m * n].reshape(-1, m, n).transpose(1, 0, 2)
+        theta_hat = e[:, m * n]
+        xi_f = e[:, m * n + 1:].reshape(-1, m - 1, n).transpose(1, 0, 2)
+        dx, dxi = np.empty(x.shape), np.empty(xi_f.shape)
+        dth = np.empty(2 * size)
+        StrictFeedbackAgents(cfg, np.zeros(2 * size)).derivatives(
+            0.0, 1.0, x, (theta_hat, xi_f), np.zeros((2 * size, n)), dx,
+            (dth, dxi))
+        f = np.concatenate([_rows(dx), dth[:, None], _rows(dxi)], axis=1)
+        jac = (f[:size] - f[size:]).T / (2.0 * step)
+        return matrix_radius(jac) / cfg.alpha_xi.eval(1.0), cfg.alpha_xi
 
     def derivatives(self, t, mu, x, c, ref, dx, dc):
         """Write the plant and controller derivatives of every agent into

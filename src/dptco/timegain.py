@@ -232,12 +232,12 @@ class GainFunction:
         if fam == "linear":
             return p[0] + 0.0 * s  # k, shaped like s
         if fam == "power":
-            # at s = 0: k for a = 1, else 0
+            # at s = 0: 0 for a > 1, k for a = 1, inf for a < 1
             k, a = p
             pos = s > 0.0
+            at_zero = 0.0 if a > 1.0 else k if a == 1.0 else math.inf
             return ops.where(pos, k * a * ops.pow(ops.where(pos, s, 1.0),
-                                                  a - 1.0),
-                             k if a == 1.0 else 0.0)
+                                                  a - 1.0), at_zero)
         if fam == "log":
             return p[0] * (ops.log(s + 2.0) + s / (s + 2.0))
         if fam == "exp":

@@ -17,8 +17,8 @@ from dptco.draws import uniform
 from dptco.errors import Disconnected, NonFiniteState, StepUnderflow
 from dptco.generator import ErrorState, GeneratorConstants
 from dptco.graph import Network
-from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, SolverSettings,
-                              Trajectory, step_ceiling)
+from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, _RK4_H_RHO,
+                              SolverSettings, Trajectory)
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
                                  scale_powers, virtual_controls)
 from dptco.timegain import (CriterionReport, GainFunction, PrescribedClock,
@@ -437,6 +437,32 @@ def concatenated_rhs(sys, t: float, y: np.ndarray) -> np.ndarray:
     return np.concatenate([q.ravel() for q in parts])
 
 
+def rhs_jacobian(sys, t: float, y: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of sys.rhs at (t, y), column j from the
+    step 1e-7 max(1, |y_j|)."""
+    jac = np.empty((y.size, y.size))
+    for j in range(y.size):
+        dy = np.zeros(y.size)
+        dy[j] = 1e-7 * max(1.0, abs(y[j]))
+        jac[:, j] = (sys.rhs(t, y + dy) - sys.rhs(t, y - dy)) / (2.0 * dy[j])
+    return jac
+
+
+@dataclass
+class System:
+    """A right-hand side rhs(t, y, out) as sim_engine.integrate takes a
+    closed loop: its spectral radius is kappa mu^p, and its error norm
+    sums y in the order agent_major (None: as stored)."""
+
+    rhs: object
+    kappa: float = 1.0
+    p: float = 1.0
+    agent_major: np.ndarray | None = None
+
+    def stiffness(self, y):
+        return lambda mu: self.kappa * mu ** self.p
+
+
 def _rk4_step(rhs, t, y, h):
     k1 = rhs(t, y)
     k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
@@ -454,9 +480,17 @@ def _rk45_step(f, s, y, h, K):
 
 
 def integrate_allocating(rhs, y0: np.ndarray, clock: PrescribedClock,
-                         settings: SolverSettings) -> Trajectory:
+                         settings: SolverSettings, stiffness=None,
+                         step_frac: float = 1.0,
+                         norm_order=None) -> Trajectory:
     """sim_engine.integrate with a right-hand side rhs(t, y) that returns a
-    new array, every stage input and result a new array too."""
+    new array, every stage input and result a new array too.
+
+    RK4 takes the spectral radius from stiffness(y) (a system's
+    `stiffness`) and its steps step_frac times as long as integrate's:
+    the same rule on a finer grid for step_frac < 1.  RK45 sums its error
+    norm in the order norm_order (a system's `agent_major`; None: as
+    stored)."""
     t_end = clock.t_guard
     t0, T = clock.t0, clock.T
 
@@ -478,10 +512,14 @@ def integrate_allocating(rhs, y0: np.ndarray, clock: PrescribedClock,
         K = np.empty((7, y.shape[0]))
         f(s, y, K[0])
         n_rhs = 1
+    mu_fresh = 0.0
     while not last:
         if settings.method == "rk4":
-            h = min(settings.dt, step_ceiling(clock, t, settings.dt_max),
-                    t_end - t)
+            mu = clock.mu(t)
+            if mu >= 2.0 * mu_fresh:
+                radius, mu_fresh = stiffness(y), mu
+            h = min(step_frac * min(settings.dt, settings.dt_max,
+                                    _RK4_H_RHO / radius(mu)), t_end - t)
             y = _rk4_step(rhs, t, y, h)
             n_rhs += 4
             t += h
@@ -499,6 +537,8 @@ def integrate_allocating(rhs, y0: np.ndarray, clock: PrescribedClock,
                 n_rhs += 6
                 err /= settings.abs_tol + settings.rel_tol * np.maximum(
                     np.abs(y), np.abs(y_new))
+                if norm_order is not None:
+                    err = err[norm_order]
                 err_norm = math.sqrt((err @ err) / err.shape[0])
                 if err_norm <= 1.0:
                     break

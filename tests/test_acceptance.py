@@ -24,7 +24,8 @@ from dptco.chain_ctrl import companion, hurwitz_gain, solve_lyapunov
 
 import conftest
 from conftest import modified_scenario, scenario_path
-from oracles import agent_control, exp_gain, linear_gain, log_gain, log_grid
+from oracles import (System, agent_control, exp_gain, linear_gain, log_gain,
+                     log_grid)
 
 Z_STAR_E2 = np.array([0.7263, 0.7183])
 Y_BAR_E1 = np.array([-1.0 / 36.0, -2.0 / 36.0])
@@ -264,7 +265,7 @@ def test_criterion_10_integrator():
     def rhs(t, y, out):
         np.multiply(-clock.mu(t), y, out=out)
 
-    traj = integrate(rhs, np.array([1.0]),
+    traj = integrate(System(rhs), np.array([1.0]),
                      PrescribedClock(0.0, 1.0, guard_frac=0.9),
                      SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                                     rel_tol=1e-10, abs_tol=1e-12))
@@ -274,7 +275,8 @@ def test_criterion_10_integrator():
     exact = math.exp(1.0 - 2.0)
     for dt in (4e-3, 2e-3, 1e-3):
         tr = integrate(
-            lambda t, y, out: np.multiply(-clock.mu(t) ** 2, y, out=out),
+            System(lambda t, y, out: np.multiply(-clock.mu(t) ** 2, y,
+                                                 out=out), p=2.0),
             np.array([1.0]), PrescribedClock(0.0, 1.0, guard_frac=0.5),
             SolverSettings(method="rk4", dt=dt, dt_max=1.0))
         errs.append(abs(tr.states[-1, 0] - exact))
@@ -313,3 +315,28 @@ def test_endpoint_within_tolerance_of_reference(name, request):
     assert traj.times[-1] == ref["t"]
     assert units.max() <= 1.0
     assert run["manifest"]["n_rhs"] <= max_rhs
+
+
+# RK4 has no tolerance of its own: its endpoint is held to 1e-8 of a
+# Richardson-extrapolated RK4 reference at guard 0.99, where the spread of
+# RK4 endpoints under step refinement is a few 1e-9.  At the bundled guard
+# 0.999, x3 and xi_3f are round-off sized and no reference converges.
+RK4_MAX_DIFF = 1e-8
+# the most RHS calls the bundled example2 (the example2_run fixture) may
+# take: half of the 82852 it took when RK4's step was capped at 0.05/mu^2
+EXAMPLE2_MAX_RHS = 41426
+
+
+def test_example2_endpoint_within_1e8_of_reference():
+    ref = REFERENCE["example2"]
+    build = load_scenario(scenario_path("example2")).build(
+        guard_frac=ref["guard_frac"])
+    traj = integrate(build.sys, build.y0, build.clock, build.settings)
+    assert traj.times[-1] == ref["t"]
+    assert ref["correction"] < RK4_MAX_DIFF / 10.0
+    assert np.abs(traj.states[-1] - np.array(ref["y"])).max() <= RK4_MAX_DIFF
+
+
+def test_bundled_example2_rhs_calls_within_cap(example2_run):
+    assert example2_run["code"] == EXIT_OK
+    assert example2_run["manifest"]["n_rhs"] <= EXAMPLE2_MAX_RHS

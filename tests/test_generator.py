@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dptco.costs import CostSet, QuadraticCost, default_box, optimum_oracle
+from dptco.costs import (CostSet, ExpQuadraticCost, QuadraticCost, SumCost,
+                         default_box, optimum_oracle)
 from dptco.errors import EmptyTrajectory, NonPositiveInput
 from dptco.generator import (ErrorState, conservation_monitor,
-                             envelope_monitor, error_state,
-                             generator_constants, gradients_at)
+                             design_radius, envelope_monitor, error_state,
+                             generator_constants, gradients_at,
+                             matrix_radius)
 from dptco.graph import build_network
 from dptco.sim_engine import CoupledSystem
 from dptco.timegain import PrescribedClock, kappa
-from oracles import agent_rhs, linear_gain, lyapunov_vr, wide_box
+from oracles import (agent_rhs, linear_gain, lyapunov_vr, rhs_jacobian,
+                     wide_box)
 
 RING6 = [[i, (i + 1) % 6, 1.0] for i in range(6)]
 
@@ -25,6 +28,48 @@ def generator_derivative(net, costs, varpi, p, gain):
                         linear_gain(gain))
     dvarpi, dp, _, _ = sys.views(sys.rhs(0.0, sys.pack(varpi, p)))
     return dvarpi, dp
+
+
+# --- spectral radius ---------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(5))
+def test_matrix_radius_matches_eigvals(seed):
+    a = np.random.default_rng(seed).standard_normal((30, 30))
+    want = np.abs(np.linalg.eigvals(a)).max()
+    assert matrix_radius(a) == pytest.approx(want, rel=1e-5)
+
+
+@pytest.mark.parametrize("m, want", [
+    # a rotation: a complex pair of modulus 3
+    ([[0.0, -3.0], [3.0, 0.0]], 3.0),
+    # a Jordan block: n^2 growth of its powers, overestimated by 2.5e-5
+    ([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]], 2.0),
+    # nilpotent
+    ([[0.0, 1.0], [0.0, 0.0]], 0.0),
+])
+def test_matrix_radius_special_cases(m, want):
+    got = matrix_radius(np.array(m))
+    assert want <= got <= want * (1.0 + 3e-5)
+
+
+def test_design_radius_is_the_generator_jacobian_over_alpha():
+    # a central-difference Jacobian of the generator-only right-hand side
+    # at t = t0, where alpha = 7, for six agents with quadratic plus
+    # exp-quadratic costs, at random estimates away from the optimum
+    net = build_network(6, RING6)
+    costs = CostSet([SumCost([QuadraticCost(np.eye(2) * (0.2 + 0.1 * i),
+                                            [1.0, -1.0], 0.0),
+                              ExpQuadraticCost(np.eye(2) * 0.1 * (i + 1),
+                                               [0.5, 0.5])])
+                     for i in range(6)], 2, default_box(2))
+    sys = CoupledSystem(PrescribedClock(0.0, 1.0), net, costs,
+                        linear_gain(7.0))
+    rng = np.random.default_rng(4)
+    y = sys.pack(rng.uniform(-1.0, 2.0, (6, 2)), rng.standard_normal((6, 2)))
+    want = np.abs(np.linalg.eigvals(rhs_jacobian(sys, 0.0, y))).max() / 7.0
+    assert design_radius(net.laplacian, costs, sys.views(y)[0]) == (
+        pytest.approx(want, rel=1e-5))
+    assert sys.stiffness(y)(1.0) == pytest.approx(7.0 * want, rel=1e-5)
 
 
 # --- constants ---------------------------------------------------------------

@@ -255,6 +255,29 @@ def test_euler_lagrange_plant_of_order_3_refused(tmp_path, capsys,
         f"error: {p}: agents: the Euler-Lagrange plant needs order 2")
 
 
+def test_chain_gains_of_another_order_refused_naming_k(tmp_path, capsys,
+                                                     monkeypatch):
+    # example1's K = [2.0] has m - 1 = 1 entry; at order 3 it needs 2
+    p = modified_scenario("example1", tmp_path,
+                          _set("agents", "order", 3))
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(
+        f"error: {p}: agents: K must list m - 1 = 2 gains for order 3, "
+        "got shape (1,)")
+
+
+def test_rk4_refused_for_chain_agents(tmp_path, capsys, monkeypatch):
+    # RK4 sizes its steps from the closed loop's design spectral radius;
+    # the chain block has none, and example1 under RK4 ran into a
+    # non-finite state before the guard
+    p = modified_scenario("example1", tmp_path,
+                          _set("solver", "method", "rk4"))
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(f"error: {p}: solver: method: rk4 sizes its "
+                          "steps from the closed loop's design spectral "
+                          "radius, and chain agents have none")
+
+
 def test_nonconserving_p_init_rejected(tmp_path):
     p = write_tiny(tmp_path,
                    lambda raw: raw["agents"].update(

@@ -1,5 +1,6 @@
 """ODE engine: accuracy, determinism, guard discipline, CSV round trips."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -11,14 +12,18 @@ from dptco import rkc, sim_engine
 from dptco.costs import CostSet, QuadraticCost, optimum_oracle
 from dptco.draws import uniform
 from dptco.errors import (DimensionMismatch, NonFiniteState, StepUnderflow)
+from dptco.generator import design_radius
 from dptco.graph import build_network
 from dptco.rkc import rkc2_stages, rkc2_step
+from dptco.scenario import load_scenario
 from dptco.sim_engine import (CoupledSystem, SolverSettings, export_csv,
-                              integrate, make_disturbance, step_ceiling,
+                              integrate, make_disturbance,
                               trajectory_columns)
 from dptco.timegain import PrescribedClock
 
-from oracles import integrate_allocating, linear_gain, wide_box
+from conftest import scenario_path
+from oracles import (System, integrate_allocating, linear_gain, rhs_jacobian,
+                     wide_box)
 
 CLOCK = PrescribedClock(0.0, 1.0)
 # the same window, the run ending at t = 0.5 or t = 0.9
@@ -36,39 +41,91 @@ def mu_decay_rhs(t, y, out):
 def test_rk45_matches_exact_solution():
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-10, abs_tol=1e-12)
-    traj = integrate(mu_decay_rhs, np.array([1.0]), CLOCK_09, settings)
+    traj = integrate(System(mu_decay_rhs), np.array([1.0]), CLOCK_09, settings)
     assert traj.times[-1] == pytest.approx(0.9, abs=1e-12)
     assert traj.states[-1, 0] == pytest.approx(0.1, abs=1e-8)
 
 
 def test_rk4_fourth_order_convergence():
-    # halve dt twice on [0, 0.5] where the mu ceiling never binds; the
-    # observed order of the endpoint error should be close to 4.  The test
-    # problem y' = -mu^2 y has the curved solution exp(1 - mu(t)).
+    # halve dt twice on [0, 0.5] where the spectral-radius rule never
+    # binds; the observed order of the endpoint error should be close to 4.
+    # The test problem y' = -mu^2 y has the curved solution exp(1 - mu(t)).
     errs = []
     exact = math.exp(1.0 - 2.0)
+    system = System(
+        lambda t, y, out: np.multiply(-CLOCK.mu(t) ** 2, y, out=out), p=2.0)
     for dt in (4e-3, 2e-3, 1e-3):
         settings = SolverSettings(method="rk4", dt=dt, dt_max=1.0)
-        traj = integrate(
-            lambda t, y, out: np.multiply(-CLOCK.mu(t) ** 2, y, out=out),
-            np.array([1.0]), CLOCK_05, settings)
+        traj = integrate(system, np.array([1.0]), CLOCK_05, settings)
         errs.append(abs(traj.states[-1, 0] - exact))
     for coarse, fine in zip(errs, errs[1:]):
         assert math.log2(coarse / fine) > 3.7
 
 
-def test_step_ceiling_tracks_mu():
-    assert step_ceiling(CLOCK, 0.0, 1.0) == pytest.approx(0.05)
-    assert step_ceiling(CLOCK, 0.9, 1.0) == pytest.approx(0.05 / 100.0)
-    assert step_ceiling(CLOCK, 0.0, 1e-3) == 1e-3
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_rk4_step_follows_spectral_radius(p):
+    # y' = -kappa mu^p y has spectral radius rho = kappa mu^p.  With dt and
+    # dt_max out of the way every step but the last is h = 1.39 / rho, and
+    # the run decays without a sign change to the guard at mu = 1000, each
+    # step's factor near RK4's R(-1.39) = 0.28
+    kappa = 7.0
+    clock = PrescribedClock(0.0, 1.0, 0.999)
+    system = System(lambda t, y, out: np.multiply(
+        -kappa * clock.mu(t) ** p, y, out=out), kappa, p)
+    settings = SolverSettings(method="rk4", dt=1.0, dt_max=1.0)
+    traj = integrate(system, np.array([1.0]), clock, settings)
+    h = np.diff(traj.times)
+    rho = kappa * clock.mu(traj.times[:-1]) ** p
+    # diff(times) carries the rounding of t, about 1e-16 / h relative
+    assert np.allclose(h[:-1] * rho[:-1], 1.39, rtol=1e-6)
+    assert h[-1] * rho[-1] <= 1.39 * (1.0 + 1e-6)
+    assert traj.times[-1] == clock.t_guard
+    y = traj.states[:, 0]
+    # down to 0, where the product of the step factors underflows
+    assert (np.diff(y) <= 0.0).all() and (y >= 0.0).all()
+    assert y[-1] < 1e-12
+    if p == 1.0:
+        # 1 - t shrinks by 1 - 1.39 / kappa a step, so the guard takes
+        # the first k with (1 - 1.39 / kappa)^k <= 1 - 0.999
+        want = math.ceil(math.log(1.0 - 0.999) / math.log1p(-1.39 / kappa))
+        assert traj.n_steps == want == 32
 
 
-def test_rk4_respects_ceiling():
-    # with dt much larger than the ceiling the engine still resolves the
-    # fast late-time dynamics
-    settings = SolverSettings(method="rk4", dt=0.5, dt_max=1.0)
-    traj = integrate(mu_decay_rhs, np.array([1.0]), CLOCK_09, settings)
-    assert traj.states[-1, 0] == pytest.approx(0.1, abs=1e-4)
+def test_rk4_spectral_radius_matches_example2_jacobian():
+    # example2 at guard 0.99: along the run the generator block of a
+    # dense central-difference Jacobian of the closed loop has spectral
+    # radius kappa_gen alpha(mu) and the agent block kappa_xi alpha_xi(mu),
+    # within 1%, and every step holds h rho of the whole Jacobian at most
+    # 1.4; kappa_gen is taken anew each time mu doubles, 7 times up to
+    # mu = 100
+    build = load_scenario(scenario_path("example2")).build(guard_frac=0.99)
+    sys = build.sys
+    taken = []
+
+    def stiffness(y):
+        taken.append(1)
+        return CoupledSystem.stiffness(sys, y)
+
+    sys.stiffness = stiffness
+    settings = dataclasses.replace(build.settings, log_every=1)
+    traj = integrate(sys, build.y0, build.clock, settings)
+    assert len(taken) == 7
+    kappa_xi, alpha_xi = sys.agents.spectral_rate
+    g = sys.gen_size
+    late = np.flatnonzero(traj.times > 0.9)[:-1]
+    for k in late[::10]:
+        t, y = traj.times[k], traj.states[k]
+        mu = build.clock.mu(t)
+        jac = rhs_jacobian(sys, t, y)
+        radius = [np.abs(np.linalg.eigvals(block)).max()
+                  for block in (jac[:g, :g], jac[g:, g:], jac)]
+        kappa_gen = design_radius(build.net.laplacian, build.costs,
+                                  sys.views(y)[0])
+        assert radius[0] == pytest.approx(kappa_gen * build.alpha.eval(mu),
+                                          rel=1e-2)
+        assert radius[1] == pytest.approx(kappa_xi * alpha_xi.eval(mu),
+                                          rel=1e-2)
+        assert (traj.times[k + 1] - t) * radius[2] <= 1.4
 
 
 # --- guard discipline ------------------------------------------------------
@@ -103,7 +160,7 @@ def test_no_rhs_evaluation_at_deadline():
                 np.multiply(-clock.mu(t), y, out=out)
 
         settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2)
-        traj = integrate(rhs, np.full(2, 2.0), clock, settings)
+        traj = integrate(System(rhs), np.full(2, 2.0), clock, settings)
         assert (traj.integrator["handovers"] is not None) == stiff
         assert max(seen) <= clock.t_guard
         assert min(seen) == clock.t0
@@ -123,7 +180,7 @@ def test_rk45_reuses_last_stage():
 
     settings = SolverSettings(method="rk45", dt=0.5, dt_max=1.0,
                               rel_tol=1e-10, abs_tol=1e-12)
-    traj = integrate(rhs, np.array([1.0, -2.0]), CLOCK_09, settings)
+    traj = integrate(System(rhs), np.array([1.0, -2.0]), CLOCK_09, settings)
     assert traj.n_rejected > 0
     assert traj.integrator["handovers"] is None
     assert traj.n_rhs == 6 * (traj.n_steps + traj.n_rejected) + 1
@@ -131,7 +188,7 @@ def test_rk45_reuses_last_stage():
     assert seen[0] == (0.0, np.array([1.0, -2.0]).tobytes())
 
     settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2)
-    traj = integrate(mu_decay_rhs, np.array([1.0]), CLOCK_05, settings)
+    traj = integrate(System(mu_decay_rhs), np.array([1.0]), CLOCK_05, settings)
     assert traj.n_rhs == 4 * traj.n_steps
 
 
@@ -150,9 +207,9 @@ def test_norm_order_makes_steps_independent_of_storage():
 
     settings = SolverSettings(method="rk45", dt=0.05, dt_max=1e-2,
                               rel_tol=1e-7, abs_tol=1e-9)
-    want = integrate(sys.rhs, y0, sys.clock, settings)
-    got = integrate(shuffled_rhs, y0[perm], sys.clock, settings,
-                    norm_order=np.argsort(perm))
+    want = integrate(sys, y0, sys.clock, settings)
+    got = integrate(System(shuffled_rhs, agent_major=np.argsort(perm)),
+                    y0[perm], sys.clock, settings)
     assert want.n_rejected > 0
     assert (got.n_steps, got.n_rejected, got.n_rhs) == (
         want.n_steps, want.n_rejected, want.n_rhs)
@@ -165,7 +222,8 @@ def test_non_stiff_run_is_plain_dormand_prince():
     # the run never hands over and is the oracle's Dormand-Prince run
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-10, abs_tol=1e-12, log_every=3)
-    got = integrate(mu_decay_rhs, np.array([1.0, -2.0]), CLOCK_09, settings)
+    got = integrate(System(mu_decay_rhs), np.array([1.0, -2.0]), CLOCK_09,
+                    settings)
     want = integrate_allocating(lambda t, y: -CLOCK.mu(t) * y,
                                 np.array([1.0, -2.0]), CLOCK_09, settings)
     assert got.integrator["handovers"] is None
@@ -183,7 +241,8 @@ def test_stiff_run_hands_over_and_stays_accurate():
     clock = PrescribedClock(0.0, 1.0, 0.999)
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-8, abs_tol=1e-10)
-    traj = integrate(stiff_rhs(clock), np.full(2, 2.0), clock, settings)
+    traj = integrate(System(stiff_rhs(clock)), np.full(2, 2.0), clock,
+                     settings)
     info = traj.integrator
     assert [h["to"] for h in info["handovers"]] == ["rkc2"]
     assert info["max_rkc2_stages"] > 2
@@ -215,7 +274,7 @@ def test_rkc2_hands_back_when_dearer_than_dormand_prince():
 
         settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                                   rel_tol=1e-8, abs_tol=1e-10)
-        return integrate(rhs, np.ones(2), clock, settings), seen
+        return integrate(System(rhs), np.ones(2), clock, settings), seen
 
     traj, seen = run()
     info = traj.integrator
@@ -251,7 +310,7 @@ def test_non_finite_spectral_radius_hands_straight_back(monkeypatch):
     seen = []
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-8, abs_tol=1e-10)
-    traj = integrate(stiff_rhs(clock, seen), np.full(2, 2.0), clock,
+    traj = integrate(System(stiff_rhs(clock, seen)), np.full(2, 2.0), clock,
                      settings)
     want = integrate_allocating(
         lambda t, y: -clock.mu(t) * RATES * (y - 1.0), np.full(2, 2.0),
@@ -289,7 +348,7 @@ def test_non_finite_estimate_after_a_rejection_hands_back_in_the_trial(
     seen = []
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-8, abs_tol=1e-10)
-    traj = integrate(stiff_rhs(clock, seen), np.full(2, 2.0), clock,
+    traj = integrate(System(stiff_rhs(clock, seen)), np.full(2, 2.0), clock,
                      settings)
     info = traj.integrator
     handovers = info["handovers"]
@@ -357,7 +416,7 @@ def test_nonfinite_state_detected():
     settings = SolverSettings(method="rk4", dt=0.05, dt_max=0.05)
     with pytest.raises(NonFiniteState):
         with np.errstate(over="ignore", invalid="ignore"):
-            integrate(blowup, np.array([10.0]), CLOCK_09, settings)
+            integrate(System(blowup), np.array([10.0]), CLOCK_09, settings)
 
 
 def test_step_underflow_on_nan_rhs():
@@ -366,7 +425,7 @@ def test_step_underflow_on_nan_rhs():
 
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2)
     with pytest.raises(StepUnderflow):
-        integrate(bad, np.array([1.0]), CLOCK, settings)
+        integrate(System(bad), np.array([1.0]), CLOCK, settings)
 
 
 def test_solver_settings_validation():
@@ -394,8 +453,8 @@ def test_determinism_bit_identical():
     y0 = sys.pack(np.arange(8.0).reshape(4, 2), np.zeros((4, 2)))
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-8, abs_tol=1e-10)
-    a = integrate(sys.rhs, y0, sys.clock, settings)
-    b = integrate(sys.rhs, y0, sys.clock, settings)
+    a = integrate(sys, y0, sys.clock, settings)
+    b = integrate(sys, y0, sys.clock, settings)
     assert a.integrator["handovers"] is not None
     assert a.states.tobytes() == b.states.tobytes()
     assert a.times.tobytes() == b.times.tobytes()
@@ -409,7 +468,7 @@ def test_optimum_is_equilibrium():
     y0 = sys.pack(varpi, p)
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-9, abs_tol=1e-11)
-    traj = integrate(sys.rhs, y0, sys.clock, settings)
+    traj = integrate(sys, y0, sys.clock, settings)
     assert np.abs(traj.states - y0).max() < 1e-6
 
 
@@ -423,7 +482,7 @@ def test_deadline_rescaling_of_generator():
     for sys in (sys1, sys2):
         settings = SolverSettings(method="rk45", dt=1e-4, dt_max=1e-2,
                                   rel_tol=1e-11, abs_tol=1e-13)
-        out.append(integrate(sys.rhs, y0, sys.clock, settings))
+        out.append(integrate(sys, y0, sys.clock, settings))
     assert np.allclose(out[0].states[-1], out[1].states[-1], atol=1e-7)
 
 
@@ -447,7 +506,7 @@ def test_deadline_invariant_step_count():
             settings = SolverSettings(method="rk45", dt=1e-3 * unit,
                                       dt_max=1e-2 * unit, rel_tol=1e-9,
                                       abs_tol=1e-11)
-            traj = integrate(sys.rhs, y0, sys.clock, settings)
+            traj = integrate(sys, y0, sys.clock, settings)
             assert traj.times[-1] == 0.999 * T
             assert traj.integrator["handovers"] is not None
             steps.append(traj.n_steps)
@@ -475,7 +534,7 @@ def test_trajectory_columns_layout():
     sys, _ = ring_system(guard_frac=0.1)
     y0 = sys.pack(np.zeros((4, 2)), np.zeros((4, 2)))
     settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2)
-    traj = integrate(sys.rhs, y0, sys.clock, settings)
+    traj = integrate(sys, y0, sys.clock, settings)
     cols = trajectory_columns(sys, traj)
     assert list(cols)[:2] == ["t", "mu"]
     assert len(cols) == 2 + sys.total_dim

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dptco.costs import CostSet, QuadraticCost
 from dptco.errors import GuardExceeded, MarginTooSmall
-from dptco.strictfb_ctrl import (SfControllerConfig, error_vector,
-                                 invariant_set_monitor, scale_powers,
-                                 scaled_error_vector, select_parameters,
-                                 sf_decay_monitor, theta_hat_monitor,
-                                 virtual_controls)
+from dptco.graph import build_network
+from dptco.sim_engine import CoupledSystem
+from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
+                                 error_vector, invariant_set_monitor,
+                                 scale_powers, scaled_error_vector,
+                                 select_parameters, sf_decay_monitor,
+                                 theta_hat_monitor, virtual_controls)
+from dptco.timegain import PrescribedClock
 
 from oracles import (adaptation_rhs, filter_rhs, linear_gain, phi_weights,
-                     power_gain, sf_control, sf_plant_rhs, tau_value,
-                     transformation_matrices)
+                     power_gain, rhs_jacobian, sf_control, sf_plant_rhs,
+                     tau_value, transformation_matrices, wide_box)
 
 
 def identity(x):
@@ -26,6 +30,33 @@ def cfg_m2(c=(2.0, 2.0), upsilon=(3.0,), sigma=2.0) -> SfControllerConfig:
     return SfControllerConfig(2, 1, 1.0, c, upsilon, sigma,
                               linear_gain(1.0), mu_guard=1000.0,
                               phis=(identity,))
+
+
+# --- spectral rate -----------------------------------------------------------
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_spectral_rate_scales_with_alpha_xi(m):
+    # the agents' block of a central-difference Jacobian of the closed loop
+    # at zero error, theta = 0: its spectral radius is kappa alpha_xi(mu)
+    # at every mu, from one agent's linearization at mu = 1
+    n_agents, dim = 3, 2
+    par = select_parameters(m, 1.0, 1.0, 10.0, 1.0)
+    cfg = SfControllerConfig(m, dim, 1.0, par.c, par.upsilon, par.sigma,
+                             power_gain(2.0, 1.5), 1e6, (np.tanh,) * (m - 1))
+    agents = StrictFeedbackAgents(cfg, np.zeros(n_agents))
+    net = build_network(n_agents, [[0, 1, 1.0], [1, 2, 1.0]])
+    costs = CostSet([QuadraticCost(np.eye(dim), np.zeros(dim), 0.0)] * 3,
+                    dim, wide_box(dim))
+    sys = CoupledSystem(PrescribedClock(0.0, 1.0, 0.9999), net, costs,
+                        linear_gain(1.0), agents=agents)
+    kappa, gain = agents.spectral_rate
+    assert gain is cfg.alpha_xi
+    g = sys.gen_size
+    for t in (0.0, 0.9, 0.999):
+        mu = sys.clock.mu(t)
+        block = rhs_jacobian(sys, t, np.zeros(sys.total_dim))[g:, g:]
+        assert np.abs(np.linalg.eigvals(block)).max() == pytest.approx(
+            kappa * gain.eval(mu), rel=1e-4)
 
 
 # --- gain recipe -------------------------------------------------------------

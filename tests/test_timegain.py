@@ -224,6 +224,21 @@ def test_power_gain_deriv_matches_fd(k, a):
         assert g.deriv(s) == pytest.approx(fd, rel=1e-5)
 
 
+@pytest.mark.parametrize("a, at_zero", [(0.5, math.inf), (1.0, 2.0),
+                                         (1.5, 0.0)])
+def test_power_gain_slope_at_zero(a, at_zero):
+    # k s^a with k = 2: its slope k a s^(a-1) grows without bound toward
+    # s = 0 for a < 1, is k for a = 1 and falls to 0 for a > 1; a float and
+    # an array entry agree
+    g = power_gain(2.0, a)
+    assert g.deriv(0.0) == at_zero
+    got = g.deriv(np.array([0.0, 1e-12, 1.0]))
+    assert got[0] == at_zero
+    assert got[1:].tolist() == [g.deriv(1e-12), g.deriv(1.0)]
+    if a < 1.0:
+        assert g.deriv(1e-12) == pytest.approx(1e6)
+
+
 # one gain of each family, every value finite on [1e-2, 1e3]
 FAMILY_GAINS = {
     "linear": linear_gain(2.0),
