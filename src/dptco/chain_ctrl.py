@@ -130,11 +130,11 @@ class ChainControllerConfig:
 
 def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
                       mu_guard: float, psi: float, mu0: float,
-                      alpha_s: GainFunction | None = None,
-                      K=None) -> ChainControllerConfig:
-    """Assemble a chain controller: pole placement, Lyapunov solve with
-    Q = I, and the DC2-derived alpha_s unless an override gain is
-    supplied."""
+                      alpha_s: GainFunction | None, K
+                      ) -> ChainControllerConfig:
+    """Assemble a chain controller: pole placement (K, or `hurwitz_gain`
+    when K is None), Lyapunov solve with Q = I, and alpha_s, or the
+    DC2-derived gain when alpha_s is None."""
     K = hurwitz_gain(m) if K is None else np.asarray(K, dtype=float)
     if K.shape != (m - 1,):
         raise DimensionMismatch(f"K must list m - 1 = {m - 1} gains for "
@@ -241,15 +241,14 @@ class ChainAgents:
 
     With el = (true, nominal) Euler-Lagrange parameters the plant is the
     two-link manipulator driven through inverse dynamics, kept as its
-    folded ElMismatch table; disturbance(t), when given, returns the (N, n)
-    matched signal added at the last stage.  Chain agents carry no
-    controller state (c is None).
+    folded ElMismatch table (el None: the chain of integrators);
+    disturbance(t), when not None, returns the (N, n) matched signal added
+    at the last stage.  Chain agents carry no controller state (c is None).
     """
 
     ctrl_size = 0
 
-    def __init__(self, cfg: ChainControllerConfig, el=None,
-                 disturbance=None):
+    def __init__(self, cfg: ChainControllerConfig, el, disturbance):
         if el is not None and cfg.m != 2:
             raise ValueError("the Euler-Lagrange plant needs order 2")
         self.cfg = cfg
@@ -308,7 +307,7 @@ class EulerLagrangeParams:
     """Two-link manipulator parameters theta_1..theta_6 and gravity."""
 
     theta: tuple
-    gravity: float = 9.8
+    gravity: float
 
     @cached_property
     def coefficients(self) -> tuple:
@@ -353,8 +352,7 @@ class ElMismatch(NamedTuple):
 
 
 def el_acceleration(el: ElMismatch, x1: np.ndarray, x2: np.ndarray,
-                    u: np.ndarray, out: np.ndarray | None = None
-                    ) -> np.ndarray:
+                    u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Closed-loop acceleration of the Euler-Lagrange plant.
 
     The chain controller's output u is applied through inverse dynamics
@@ -364,7 +362,7 @@ def el_acceleration(el: ElMismatch, x1: np.ndarray, x2: np.ndarray,
     G = W^T [cos q1, cos(q1 + q2)] with q = x1.  The parameter mismatch is
     the bounded matched disturbance the robust term absorbs.  All arguments
     are (..., 2); the mismatch terms are folded into one right-hand side and
-    M^{-1} = adj(M) / det(M) is applied component-wise, into out when given.
+    M^{-1} = adj(M) / det(M) is applied component-wise, into out.
     """
     A_hat, B_hat, dW, dtheta3, diag_A, diag_B, a12, b12 = el
     c2 = np.cos(x1[..., 1:])

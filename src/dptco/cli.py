@@ -89,7 +89,7 @@ def run_scenario(scenario_path: str, out_dir: str, seed: int | None = None,
     cert = optimum_oracle(build.costs)
     traj = integrate(build.sys, build.y0, build.clock, build.settings)
     derived = derived_series(build, traj, cert.z_star)
-    monitors = evaluate_monitors(build, traj, cert.z_star, derived)
+    monitors = evaluate_monitors(build, traj, derived)
 
     csv_path = out / "trajectory.csv"
     cols = trajectory_columns(build.sys, traj)
@@ -215,7 +215,8 @@ def cmd_verify(args) -> int:
     build = sc.build()
     traj = read_trajectory_csv(args.csv, build)
     cert = optimum_oracle(build.costs)
-    monitors = evaluate_monitors(build, traj, cert.z_star)
+    derived = derived_series(build, traj, cert.z_star)
+    monitors = evaluate_monitors(build, traj, derived)
     all_pass = True
     for m in monitors:
         print(_monitor_line(m.to_dict()))

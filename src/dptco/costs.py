@@ -24,6 +24,15 @@ _NEWTON_TOL = 1e-8  # gradient norm at which the oracle stops
 _CURVATURE_SAMPLES = 400  # random point pairs of estimate_constants
 
 
+def _finite(name: str, a) -> np.ndarray:
+    """a as a float array, refused unless every entry is finite."""
+    a = np.asarray(a, dtype=float)
+    # math over a list: a few times faster than np.isfinite on small arrays
+    if not all(map(math.isfinite, a.ravel().tolist())):
+        raise NonPositiveInput(f"{name} must be finite, got {a.tolist()}")
+    return a
+
+
 class CostFunction:
     """Convex cost with value(z) and gradient(z); the families are
     QuadraticCost, ExpQuadraticCost and SumCost."""
@@ -41,9 +50,10 @@ class QuadraticCost(CostFunction):
     """f(z) = (z - center)^T Q (z - center) + offset with Q symmetric PD."""
 
     def __init__(self, Q, center, offset: float):
-        self.Q = np.asarray(Q, dtype=float)
-        self.center = np.asarray(center, dtype=float)
+        self.Q = _finite("Q", Q)
+        self.center = _finite("center", center)
         self.offset = float(offset)
+        _finite("offset", self.offset)
         self.dim = self.center.shape[0]
         if self.Q.shape != (self.dim, self.dim):
             raise DimensionMismatch("Q shape does not match center")
@@ -70,8 +80,8 @@ class ExpQuadraticCost(CostFunction):
     """
 
     def __init__(self, P, center):
-        self.P = np.asarray(P, dtype=float)
-        self.center = np.asarray(center, dtype=float)
+        self.P = _finite("P", P)
+        self.center = _finite("center", center)
         self.dim = self.center.shape[0]
         if self.P.shape != (self.dim, self.dim):
             raise DimensionMismatch("P shape does not match center")
@@ -145,7 +155,7 @@ class CostSet:
         for c in self.costs:
             if c.dim != self.dim:
                 raise DimensionMismatch("cost dimension mismatch in CostSet")
-        self.box = np.asarray(self.box, dtype=float)
+        self.box = _finite("box", self.box)
         if self.box.shape != (self.dim, 2):
             raise DimensionMismatch("box must be (dim, 2)")
         analytic = [(c.rho_c, c.varrho_c) for c in self.costs]

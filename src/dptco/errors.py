@@ -18,7 +18,8 @@ class SelfLoop(DptcoError):
 
 
 class NegativeWeight(DptcoError):
-    """Edge with weight <= 0 supplied to the network builder."""
+    """Edge with a weight that is not finite and > 0 supplied to the
+    network builder."""
 
 
 class Disconnected(DptcoError):
@@ -37,7 +38,7 @@ class DimensionMismatch(DptcoError):
 
 
 class NonPositiveInput(DptcoError):
-    """A constant that must be strictly positive was not."""
+    """A constant that must be finite, or strictly positive, was not."""
 
 
 class NoConvergence(DptcoError):

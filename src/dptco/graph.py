@@ -1,6 +1,6 @@
 """Undirected communication topology.
 
-Builds the weighted adjacency and Laplacian matrices, computes the spectral
+Builds the weighted Laplacian matrix, computes the spectral
 constants lambda_2 (algebraic connectivity) and lambda_N, and certifies
 connectivity.  All objects are immutable after construction.
 """
@@ -23,7 +23,6 @@ class Network:
     """Undirected weighted graph with Laplacian spectrum."""
 
     n_agents: int
-    adjacency: np.ndarray
     laplacian: np.ndarray
     lambda2: float
     lambdaN: float
@@ -33,21 +32,22 @@ def build_network(n_agents: int, edges: list) -> Network:
     """Build a Network from (i, j, weight) edge triples.
 
     The Laplacian is l_ii = sum_j a_ij, l_ij = -a_ij; its spectrum comes
-    from numpy's symmetric eigensolver.
+    from numpy's symmetric eigensolver.  Weights must be finite and > 0.
     """
     n = int(n_agents)
-    adj = np.zeros((n, n))
+    lap = np.zeros((n, n))
     for i, j, w in edges:
         i, j, w = int(i), int(j), float(w)
         if i == j:
             raise SelfLoop(f"self loop at node {i}")
-        if w <= 0:
-            raise NegativeWeight(f"edge ({i},{j}) has weight {w} <= 0")
+        if not (math.isfinite(w) and w > 0):
+            raise NegativeWeight(f"edge ({i},{j}) has weight {w}, not "
+                                 "finite and > 0")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i},{j}) outside 0..{n - 1}")
-        adj[i, j] = w
-        adj[j, i] = w
-    lap = np.diag(adj.sum(axis=1)) - adj
+        lap[i, j] = lap[j, i] = -w
+    # l_ii from the row's -a_ij; 0.0 - 0.0 keeps an empty row's +0.0
+    np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
     if n >= 2:
         eigs = np.linalg.eigvalsh(lap)
         lambda2 = float(eigs[1])
@@ -55,16 +55,16 @@ def build_network(n_agents: int, edges: list) -> Network:
     else:
         lambda2 = math.nan
         lambdaN = math.nan
-    adj.setflags(write=False)
     lap.setflags(write=False)
-    return Network(n, adj, lap, lambda2, lambdaN)
+    return Network(n, lap, lambda2, lambdaN)
 
 
 def require_connected(net: Network) -> dict:
     """Certify connectivity with two independent witnesses.
 
     Passes iff lambda2 > 1e-10 AND a breadth-first search from node 0
-    reaches every node.  A single node is connected vacuously.
+    along the Laplacian's nonzero entries reaches every node.  A single
+    node is connected vacuously.
     """
     if net.n_agents == 1:
         return {"lambda2": None, "bfs_reached": 1}
@@ -72,7 +72,7 @@ def require_connected(net: Network) -> dict:
     queue = deque([0])
     while queue:
         i = queue.popleft()
-        for j in np.flatnonzero(net.adjacency[i]).tolist():
+        for j in np.flatnonzero(net.laplacian[i]).tolist():
             if j not in reached:
                 reached.add(j)
                 queue.append(j)

@@ -65,7 +65,7 @@ class ScenarioBuild:
     criterion_reports: list
     constants: dict
     override_acknowledged: bool
-    seed: int = 0
+    seed: int
 
     @property
     def gen_constants(self) -> GeneratorConstants:
@@ -75,8 +75,7 @@ class ScenarioBuild:
 
     @property
     def criteria_ok(self) -> bool:
-        return all(r.passed and r.coupling_passed
-                   for r in self.criterion_reports)
+        return all(r.ok for r in self.criterion_reports)
 
 
 @dataclass
@@ -84,7 +83,7 @@ class Scenario:
     """Parsed scenario file; build() resolves it into a ScenarioBuild."""
 
     raw: dict
-    path: str = "<dict>"
+    path: str
 
     @property
     def name(self) -> str:
@@ -230,7 +229,7 @@ class Scenario:
                 raise _fail(path, "agents",
                             f"unknown controller {controller!r}")
 
-        failed = [r for r in reports if not (r.passed and r.coupling_passed)]
+        failed = [r for r in reports if not r.ok]
         if failed and not override:
             kinds = ", ".join(r.kind for r in failed)
             raise _fail(path, "gains",
@@ -262,6 +261,10 @@ class Scenario:
                 ctrls = np.zeros((net.n_agents, sf_cfg.n_ctrl))
                 ctrls[:, 0] = ag.get("theta_hat_init", 0.0)
             y0 = sys.pack(varpi0, p0, plants, ctrls)
+            bad = np.flatnonzero(~np.isfinite(y0))
+            if bad.size:
+                raise _fail(path, "agents", "non-finite initial value of "
+                            f"{sys.column_names()[bad[0]]}")
 
         settings = _solver_settings(raw["solver"], path)
         if settings.method == "rk4" and controller == "chain":
@@ -272,7 +275,7 @@ class Scenario:
 
         return ScenarioBuild(self.name, path, scenario_hash(raw), clock,
                              net, costs, alpha, sys, y0, settings, monitors,
-                             reports, constants, override, seed=dist_seed)
+                             reports, constants, override, dist_seed)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -403,9 +406,7 @@ _MONITORS = {
 
 
 def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,
-                      z_star: np.ndarray, derived: dict | None = None) -> list:
-    """Run every monitor the scenario lists; returns MonitorReport objects."""
-    if derived is None:
-        derived = derived_series(build, traj, z_star)
+                      derived: dict) -> list:
+    """Run every monitor the scenario lists on traj's derived channels."""
     return [_MONITORS[name][1](build, traj.times, derived, params)
             for name, params in build.monitors.items()]

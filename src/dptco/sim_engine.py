@@ -9,12 +9,12 @@ and controller states, each part stage-major:
 so every plant stage and every filter stage is a contiguous (N, dim)
 block (`CoupledSystem.views`).  The right-hand side works in place:
 `CoupledSystem.rhs(t, y, out)` writes dy/dt into every entry of `out`
-through `views(out)`, never reads `out`, and returns it (it allocates only
-when `out` is None); the agent models' `derivatives(t, mu, x, c, ref, dx,
-dc)` fill the plant and controller views `dx` and `dc`.  `integrate`
-takes any right-hand side with that contract, hands it its own stage
-rows and forms every stage input and every new state in a preallocated
-row; the accepted state never shares memory with a stage buffer.
+through `views(out)`, never reads `out`, and returns it; the agent
+models' `derivatives(t, mu, x, c, ref, dx, dc)` fill the plant and
+controller views `dx` and `dc`.  `integrate` takes any right-hand side
+with that contract, hands it its own stage rows and forms every stage
+input and every new state in a preallocated row; the accepted state
+never shares memory with a stage buffer.
 
 The adaptive Dormand-Prince integrator (rk45) runs on the log clock
 s = -ln(1 - (t - t0)/T), where dt = ds / mu, so its error control alone
@@ -436,7 +436,7 @@ class CoupledSystem:
     the plant stages x (m, N, dim) and the controller states c to their
     derivatives for all agents at once.  The state is stored stage-major
     (see `views`), so each plant and filter stage is one contiguous
-    (N, dim) block.  offsets, when given, shift each agent's reference to
+    (N, dim) block.  offsets, when not None, shift each agent's reference to
     varpi_i + offset_i (formation tracking).
     """
 
@@ -444,8 +444,8 @@ class CoupledSystem:
     net: Network
     costs: object
     alpha: GainFunction
-    agents: object = None
-    offsets: np.ndarray | None = None
+    agents: object
+    offsets: np.ndarray | None
 
     def __post_init__(self):
         self.dim = self.costs.dim
@@ -506,8 +506,8 @@ class CoupledSystem:
         """Reference of every agent's first stage, (N, dim)."""
         return varpi if self.offsets is None else varpi + self.offsets
 
-    def pack(self, varpi, p, plants=None, ctrls=None) -> np.ndarray:
-        """The state vector y holding the given parts; omitted parts are 0.
+    def pack(self, varpi, p, plants, ctrls) -> np.ndarray:
+        """The state vector y holding the given parts; None parts are 0.
 
         plants and ctrls are agent-major, as a scenario gives them: plants
         (N, m, dim), and ctrls (N, ctrl_size) rows [theta_hat, xi_2f, ..,
@@ -532,15 +532,12 @@ class CoupledSystem:
         (`generator.closed_loop_radius`)."""
         return closed_loop_radius(self, y)
 
-    def rhs(self, t: float, y: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
+    def rhs(self, t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """dy/dt at (t, y), written into every entry of out and returned.
 
         out, a contiguous float array of length total_dim, is never read,
-        so it may hold anything; when it is None a new array is allocated.
+        so it may hold anything.
         """
-        if out is None:
-            out = np.empty(self.total_dim)
         mu = self.clock.mu(t)
         a = self.alpha.eval(mu)
         varpi, p, x, c = self.views(y)

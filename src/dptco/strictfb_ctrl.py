@@ -195,13 +195,11 @@ def error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
 
 def scaled_error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
                         theta_hat, theta, mu: float, cfg: SfControllerConfig,
-                        view: dict | None = None) -> np.ndarray:
+                        view: dict) -> np.ndarray:
     """Transformed stack e_tilde_s = [omega; eta; theta_tilde] with
     omega_q = alpha_xi^{L_q} x_tilde_q, eta_q = alpha_xi^{L_q} xi_tilde_q,
-    one row per leading index.  view, when given, is the virtual_controls
-    result at the same arguments."""
-    if view is None:
-        view = virtual_controls(x, varpi_i, xi_f, theta_hat, mu, cfg)
+    one row per leading index, from view, the virtual_controls result at
+    the same arguments."""
     a = cfg.alpha_xi.eval(mu)
     L = cfg.L
     axes = (1,) * (x.ndim - 1)  # broadcast one weight over each stage

@@ -43,13 +43,15 @@ class PrescribedClock:
     blows up; runs stop at t0 + guard_frac * T.
     """
 
-    t0: float = 0.0
-    T: float = 1.0
-    guard_frac: float = 0.999
+    t0: float
+    T: float
+    guard_frac: float
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise NonPositiveInput(f"T must be > 0, got {self.T}")
+        if not math.isfinite(self.t0):
+            raise NonPositiveInput(f"t0 must be finite, got {self.t0}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise NonPositiveInput(f"T must be finite and > 0, got {self.T}")
         if not 0.0 < self.guard_frac < 1.0:
             raise NonPositiveInput(f"guard_frac must be in (0,1), got {self.guard_frac}")
 
@@ -329,10 +331,15 @@ class CriterionReport:
     coupling_passed: bool
     coupling_worst_margin: float
 
+    @property
+    def ok(self) -> bool:
+        """The verdict: the growth and the coupling bound both hold."""
+        return bool(self.passed and self.coupling_passed)
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "pass": bool(self.passed and self.coupling_passed),
+            "pass": self.ok,
             "worst_margin": self.worst_margin,
             "worst_s": self.worst_s,
             "coupling_pass": bool(self.coupling_passed),

@@ -27,7 +27,7 @@ sys.path.insert(0, str(HERE))
 from dptco.scenario import load_scenario  # noqa: E402
 
 from conftest import scenario_path  # noqa: E402
-from oracles import integrate_allocating  # noqa: E402
+from oracles import integrate_allocating, rhs_new  # noqa: E402
 
 NAMES = ("ring", "example2_generator", "example1")
 REL_TOL, ABS_TOL = 1e-11, 1e-13
@@ -40,8 +40,8 @@ def reference_endpoint(name: str) -> dict:
     build = load_scenario(scenario_path(name)).build()
     settings = dataclasses.replace(build.settings, rel_tol=REL_TOL,
                                    abs_tol=ABS_TOL, log_every=10 ** 9)
-    traj = integrate_allocating(lambda t, y: build.sys.rhs(t, y), build.y0,
-                                build.clock, settings)
+    traj = integrate_allocating(lambda t, y: rhs_new(build.sys, t, y),
+                                build.y0, build.clock, settings)
     return {"t": float(traj.times[-1]), "rel_tol": REL_TOL,
             "abs_tol": ABS_TOL, "y": [float(v) for v in traj.states[-1]]}
 
@@ -50,7 +50,7 @@ def richardson_endpoint(name: str) -> dict:
     build = load_scenario(scenario_path(name)).build(guard_frac=RK4_GUARD)
     settings = dataclasses.replace(build.settings, log_every=10 ** 9)
     half, quarter = (integrate_allocating(
-        lambda t, y: build.sys.rhs(t, y), build.y0, build.clock, settings,
+        lambda t, y: rhs_new(build.sys, t, y), build.y0, build.clock, settings,
         build.sys.stiffness, frac) for frac in (0.5, 0.25))
     assert half.times[-1] == quarter.times[-1]
     y_half, y_quarter = half.states[-1], quarter.states[-1]

@@ -421,6 +421,11 @@ def lyapunov_vr(err: ErrorState, net: Network,
 
 # --- closed loop: allocating right-hand side and integrator ----------------
 
+def rhs_new(sys, t: float, y: np.ndarray) -> np.ndarray:
+    """dy/dt of a CoupledSystem at (t, y), written into a new array."""
+    return sys.rhs(t, y, np.empty(sys.total_dim))
+
+
 def concatenated_rhs(sys, t: float, y: np.ndarray) -> np.ndarray:
     """dy/dt of a CoupledSystem assembled from freshly allocated parts,
     glued together in the layout order of sys.views."""
@@ -444,7 +449,8 @@ def rhs_jacobian(sys, t: float, y: np.ndarray) -> np.ndarray:
     for j in range(y.size):
         dy = np.zeros(y.size)
         dy[j] = 1e-7 * max(1.0, abs(y[j]))
-        jac[:, j] = (sys.rhs(t, y + dy) - sys.rhs(t, y - dy)) / (2.0 * dy[j])
+        jac[:, j] = ((rhs_new(sys, t, y + dy) - rhs_new(sys, t, y - dy))
+                     / (2.0 * dy[j]))
     return jac
 
 

@@ -260,7 +260,7 @@ def test_criterion_09_criterion_checker():
 # --- 10: integrator oracle ------------------------------------------------------
 
 def test_criterion_10_integrator():
-    clock = PrescribedClock(0.0, 1.0)
+    clock = PrescribedClock(0.0, 1.0, 0.999)
 
     def rhs(t, y, out):
         np.multiply(-clock.mu(t), y, out=out)

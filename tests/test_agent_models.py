@@ -20,13 +20,14 @@ from dptco.timegain import PrescribedClock
 from oracles import (System, adaptation_rhs, agent_control, cascade,
                      chain_plant_rhs, concatenated_rhs, el_acceleration_solve,
                      el_matrices, exp_gain, filter_rhs, integrate_allocating,
-                     linear_gain, power_gain, sf_control, sf_derivatives,
-                     sf_plant_rhs, tau_value, wide_box)
+                     linear_gain, power_gain, rhs_new, sf_control,
+                     sf_derivatives, sf_plant_rhs, tau_value, wide_box)
 
 N, DIM = 5, 2
-CLOCK = PrescribedClock(0.0, 1.0)
-EL_TRUE = EulerLagrangeParams((7.0, 0.96, 1.2, 5.96, 2.0, 1.2))
-EL_NOMINAL = EulerLagrangeParams(tuple(0.9 * t for t in EL_TRUE.theta))
+CLOCK = PrescribedClock(0.0, 1.0, 0.999)
+EL_TRUE = EulerLagrangeParams((7.0, 0.96, 1.2, 5.96, 2.0, 1.2), 9.8)
+EL_NOMINAL = EulerLagrangeParams(tuple(0.9 * t for t in EL_TRUE.theta),
+                                 9.8)
 REL = 1e-12
 
 
@@ -51,7 +52,7 @@ def assert_close(got, want):
 
 def chain_agents(m, el=None, disturbance=None, mu_guard=1e3):
     cfg = make_chain_config(m, DIM, 6.0, linear_gain(1.0), mu_guard, 0.5,
-                            1.0, alpha_s=exp_gain(1.0, 1.0))
+                            1.0, alpha_s=exp_gain(1.0, 1.0), K=None)
     return ChainAgents(cfg, el, disturbance)
 
 
@@ -75,7 +76,8 @@ def per_agent_chain(sys, t, y):
         us.append(u)
         acc = u
         if agents.el is not None:
-            acc = el_acceleration(agents.el, x[0, i], x[1, i], u)
+            acc = el_acceleration(agents.el, x[0, i], x[1, i], u,
+                                  np.empty(DIM))
         d = (np.zeros(DIM) if agents.disturbance is None
              else agents.disturbance(t)[i])
         dx[:, i] = chain_plant_rhs(x[:, i], acc, d)
@@ -87,7 +89,7 @@ def test_chain_model_matches_per_agent_loop(seed):
     sys = coupled(chain_agents(3))
     y, t = random_state(sys, seed)
     dx, us = per_agent_chain(sys, t, y)
-    assert_close(sys.rhs(t, y)[sys.gen_size:], dx)
+    assert_close(rhs_new(sys, t, y)[sys.gen_size:], dx)
     for i in range(N):
         assert_close(agent_control(sys, t, y, i), us[i])
 
@@ -100,7 +102,7 @@ def test_euler_lagrange_model_matches_per_agent_loop(seed):
     sys = coupled(agents, offsets=rng.standard_normal((N, DIM)))
     y, t = random_state(sys, seed)
     dx, us = per_agent_chain(sys, t, y)
-    assert_close(sys.rhs(t, y)[sys.gen_size:], dx)
+    assert_close(rhs_new(sys, t, y)[sys.gen_size:], dx)
     for i in range(N):
         assert_close(agent_control(sys, t, y, i), us[i])
 
@@ -112,12 +114,13 @@ def test_batched_el_acceleration_matches_linear_solve(seed):
     rng = np.random.default_rng(seed)
     x1, x2, u = rng.uniform(-3.0, 3.0, (3, 7, 2))
     for nominal in (EL_NOMINAL, EL_TRUE):
-        acc = el_acceleration(ElMismatch.of(EL_TRUE, nominal), x1, x2, u)
+        acc = el_acceleration(ElMismatch.of(EL_TRUE, nominal), x1, x2, u,
+                              np.empty((7, 2)))
         for i in range(7):
             assert_close(acc[i], el_acceleration_solve(
                 EL_TRUE, nominal, x1[i], x2[i], u[i]))
     assert_close(el_acceleration(ElMismatch.of(EL_TRUE, EL_TRUE), x1, x2,
-                                 u), u)
+                                 u, np.empty((7, 2))), u)
 
 
 def test_el_matrices_hand_case():
@@ -150,7 +153,7 @@ def test_strict_feedback_model_matches_per_agent_loop(seed):
         tau = tau_value(x[:, i], view["x_tilde"], mu, cfg)
         dth[i] = adaptation_rhs(theta_hat, tau, mu, cfg)
         dxi_f[:, i] = filter_rhs(xi_f, view["xi"], mu, cfg)
-    dy = sys.rhs(t, y)
+    dy = rhs_new(sys, t, y)
     assert_close(dy[sys.gen_size:sys.ctrl_start], dx.ravel())
     assert_close(dy[sys.ctrl_start:], np.concatenate([dth, dxi_f.ravel()]))
 
@@ -244,7 +247,8 @@ def test_sf_diagnostics_bit_identical_to_separate_views(m):
         "e_s_norm": np.linalg.norm(
             error_vector(x, ref, xi_f, theta_hat), axis=-1),
         "e_tilde_norm": np.linalg.norm(scaled_error_vector(
-            x, ref, xi_f, theta_hat, agents.thetas, mu, cfg), axis=-1),
+            x, ref, xi_f, theta_hat, agents.thetas, mu, cfg,
+            virtual_controls(x, ref, xi_f, theta_hat, mu, cfg)), axis=-1),
         "theta_hat": theta_hat,
         "tau": tau_value(x, cascade(x, ref, xi_f, theta_hat, mu,
                                     cfg)["x_tilde"], mu, cfg),
@@ -279,8 +283,10 @@ def test_diagnostics_match_per_agent_views():
     for i in range(N):
         xi_f = xi_fs[:, i]
         es = error_vector(x[:, i], varpi[i], xi_f, theta_hat[i])
-        et = scaled_error_vector(x[:, i], varpi[i], xi_f, theta_hat[i],
-                                 sys.agents.thetas[i], mu, cfg)
+        et = scaled_error_vector(
+            x[:, i], varpi[i], xi_f, theta_hat[i], sys.agents.thetas[i], mu,
+            cfg, virtual_controls(x[:, i], varpi[i], xi_f, theta_hat[i], mu,
+                                  cfg))
         assert diag["e_s_norm"][i] == pytest.approx(np.linalg.norm(es),
                                                     rel=REL)
         assert diag["e_tilde_norm"][i] == pytest.approx(np.linalg.norm(et),
@@ -297,9 +303,9 @@ def test_diagnostics_match_per_agent_views():
 def test_stacked_rhs_enforces_mu_guard(make):
     sys = coupled(make())
     y, _ = random_state(sys, 3)
-    sys.rhs(0.7, y)  # mu = 3.3, inside the guard
+    rhs_new(sys, 0.7, y)  # mu = 3.3, inside the guard
     with pytest.raises(GuardExceeded):
-        sys.rhs(0.9, y)  # mu = 10 > 5
+        rhs_new(sys, 0.9, y)  # mu = 10 > 5
     with pytest.raises(GuardExceeded):
         agent_control(sys, 0.9, y, 0)
 
@@ -325,7 +331,7 @@ def test_rhs_fills_all_of_out_without_reading_it(kind, seed):
     sys = SYSTEMS[kind]()
     y, t = random_state(sys, seed)
     y_before = y.copy()
-    want = sys.rhs(t, y)
+    want = rhs_new(sys, t, y)
     out = np.full(sys.total_dim, np.nan)
     assert sys.rhs(t, y, out) is out
     assert out.tobytes() == want.tobytes()

@@ -24,7 +24,7 @@ P_HAND = np.array([[1.5, 0.5], [0.5, 0.5]])
 
 def cfg_m2(v: float = 1.0, psi: float = 1.0) -> ChainControllerConfig:
     return make_chain_config(2, 1, v, linear_gain(1.0), mu_guard=1000.0,
-                             psi=psi, mu0=1.0)
+                             psi=psi, mu0=1.0, alpha_s=None, K=None)
 
 
 # --- pole placement ----------------------------------------------------------
@@ -93,7 +93,7 @@ def test_v_constants_hand_case():
 
 def test_make_chain_config_defaults():
     cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=100.0,
-                            psi=1.0, mu0=1.0)
+                            psi=1.0, mu0=1.0, alpha_s=None, K=None)
     assert np.allclose(cfg.K, [1.0, 2.0])
     assert cfg.k1 == 1.0
     assert np.allclose(cfg.L, [0.0, 1.0, 2.0])
@@ -104,7 +104,8 @@ def test_make_chain_config_defaults():
 def test_make_chain_config_override_flagged():
     override = power_gain(1.0, 2.0)
     cfg = make_chain_config(2, 1, 6.0, linear_gain(1.0), mu_guard=100.0,
-                            psi=1.0, mu0=1.0, alpha_s=override)
+                            psi=1.0, mu0=1.0, alpha_s=override,
+                            K=None)
     assert cfg.alpha_s is override
 
 
@@ -139,7 +140,7 @@ def test_error_view_matches_kron_form(seed):
     rng = np.random.default_rng(seed)
     m, n = 3, 2
     cfg = make_chain_config(m, n, 6.0, linear_gain(1.0), mu_guard=1000.0,
-                            psi=1.0, mu0=1.0)
+                            psi=1.0, mu0=1.0, alpha_s=None, K=None)
     x = rng.standard_normal((m, n))
     varpi = rng.standard_normal(n)
     mu = float(rng.uniform(1.0, 50.0))
@@ -157,7 +158,7 @@ def test_error_view_matches_kron_form(seed):
 
 def test_control_zero_at_origin():
     cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=1000.0,
-                            psi=1.0, mu0=1.0)
+                            psi=1.0, mu0=1.0, alpha_s=None, K=None)
     u = chain_control(np.zeros((3, 2)), np.zeros(2), 2.0, cfg)
     assert np.allclose(u, 0.0)
 
@@ -185,14 +186,14 @@ def test_control_sign_flip():
 
 def test_control_guard_enforced():
     cfg = make_chain_config(2, 1, 6.0, linear_gain(1.0), mu_guard=10.0,
-                            psi=1.0, mu0=1.0)
+                            psi=1.0, mu0=1.0, alpha_s=None, K=None)
     with pytest.raises(GuardExceeded):
         chain_control(np.ones((2, 1)), np.zeros(1), 11.0, cfg)
 
 
 def test_control_continuity():
     cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=1000.0,
-                            psi=1.0, mu0=1.0)
+                            psi=1.0, mu0=1.0, alpha_s=None, K=None)
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = rng.standard_normal((3, 2))
@@ -215,7 +216,7 @@ def test_plant_rhs_shifts_stages():
 
 def test_decay_monitor_zero_trajectory():
     cfg = cfg_m2()
-    clock = PrescribedClock(0.0, 1.0)
+    clock = PrescribedClock(0.0, 1.0, 0.999)
     times = np.linspace(0.0, 0.9, 10)
     rep = chain_decay_monitor(times, np.zeros((10, 1)), np.zeros((10, 1)),
                               cfg, clock)
@@ -224,7 +225,7 @@ def test_decay_monitor_zero_trajectory():
 
 def test_decay_monitor_fits_initial_value():
     cfg = cfg_m2()
-    clock = PrescribedClock(0.0, 1.0)
+    clock = PrescribedClock(0.0, 1.0, 0.999)
     times = np.linspace(0.0, 0.9, 40)
     rate = cfg.v1 / (4.0 * cfg.m)
     norms = [[3.0 * kappa(clock, cfg.alpha_x, -rate, t)] for t in times]
@@ -235,7 +236,7 @@ def test_decay_monitor_fits_initial_value():
 
 # --- Euler-Lagrange embedding ------------------------------------------------
 
-EL_TRUE = EulerLagrangeParams((7.0, 0.96, 1.2, 5.96, 2.0, 1.2))
+EL_TRUE = EulerLagrangeParams((7.0, 0.96, 1.2, 5.96, 2.0, 1.2), 9.8)
 
 
 def test_el_inertia_symmetric_positive():
@@ -253,18 +254,21 @@ def test_el_exact_parameters_recover_u():
     x1 = rng.uniform(-1.0, 1.0, 2)
     x2 = rng.uniform(-1.0, 1.0, 2)
     u = rng.uniform(-1.0, 1.0, 2)
-    acc = el_acceleration(ElMismatch.of(EL_TRUE, EL_TRUE), x1, x2, u)
+    acc = el_acceleration(ElMismatch.of(EL_TRUE, EL_TRUE), x1, x2, u,
+                          np.empty(2))
     assert np.allclose(acc, u, atol=1e-12)
 
 
 def test_el_mismatch_is_bounded_disturbance():
-    nominal = EulerLagrangeParams(tuple(0.9 * t for t in EL_TRUE.theta))
+    nominal = EulerLagrangeParams(tuple(0.9 * t for t in EL_TRUE.theta),
+                                  9.8)
     rng = np.random.default_rng(8)
     for _ in range(20):
         x1 = rng.uniform(-math.pi, math.pi, 2)
         x2 = rng.uniform(-2.0, 2.0, 2)
         u = rng.uniform(-5.0, 5.0, 2)
-        acc = el_acceleration(ElMismatch.of(EL_TRUE, nominal), x1, x2, u)
+        acc = el_acceleration(ElMismatch.of(EL_TRUE, nominal), x1, x2, u,
+                              np.empty(2))
         resid = acc - u
         assert np.isfinite(resid).all()
         # mismatch scales with the 10 percent parameter error

@@ -16,7 +16,7 @@ from dptco.graph import build_network
 from dptco.sim_engine import CoupledSystem
 from dptco.timegain import PrescribedClock, kappa
 from oracles import (agent_rhs, linear_gain, lyapunov_vr, rhs_jacobian,
-                     wide_box)
+                     rhs_new, wide_box)
 
 RING6 = [[i, (i + 1) % 6, 1.0] for i in range(6)]
 
@@ -24,9 +24,10 @@ RING6 = [[i, (i + 1) % 6, 1.0] for i in range(6)]
 def generator_derivative(net, costs, varpi, p, gain):
     """(dvarpi, dp) from the generator-only CoupledSystem.rhs at t = t0,
     where mu = 1/T = 1, so linear_gain(gain) gives alpha(mu) = gain."""
-    sys = CoupledSystem(PrescribedClock(0.0, 1.0), net, costs,
-                        linear_gain(gain))
-    dvarpi, dp, _, _ = sys.views(sys.rhs(0.0, sys.pack(varpi, p)))
+    sys = CoupledSystem(PrescribedClock(0.0, 1.0, 0.999), net, costs,
+                        linear_gain(gain), None, None)
+    y = sys.pack(varpi, p, None, None)
+    dvarpi, dp, _, _ = sys.views(rhs_new(sys, 0.0, y))
     return dvarpi, dp
 
 
@@ -62,10 +63,11 @@ def test_design_radius_is_the_generator_jacobian_over_alpha():
                               ExpQuadraticCost(np.eye(2) * 0.1 * (i + 1),
                                                [0.5, 0.5])])
                      for i in range(6)], 2, default_box(2))
-    sys = CoupledSystem(PrescribedClock(0.0, 1.0), net, costs,
-                        linear_gain(7.0))
+    sys = CoupledSystem(PrescribedClock(0.0, 1.0, 0.999), net, costs,
+                        linear_gain(7.0), None, None)
     rng = np.random.default_rng(4)
-    y = sys.pack(rng.uniform(-1.0, 2.0, (6, 2)), rng.standard_normal((6, 2)))
+    y = sys.pack(rng.uniform(-1.0, 2.0, (6, 2)), rng.standard_normal((6, 2)),
+                 None, None)
     want = np.abs(np.linalg.eigvals(rhs_jacobian(sys, 0.0, y))).max() / 7.0
     assert design_radius(net.laplacian, costs, sys.views(y)[0]) == (
         pytest.approx(want, rel=1e-5))
@@ -129,9 +131,11 @@ def test_stacked_rhs_matches_agent_rhs():
     varpi = rng.standard_normal((6, 2))
     p = rng.standard_normal((6, 2))
     d_varpi, d_p = generator_derivative(net, cs, varpi, p, 1.7)
+    # a_ij is -l_ij off the diagonal
+    adjacency = np.diag(net.laplacian.diagonal()) - net.laplacian
     for i in range(6):
-        neigh = [(net.adjacency[i, j], varpi[j])
-                 for j in np.flatnonzero(net.adjacency[i])]
+        neigh = [(adjacency[i, j], varpi[j])
+                 for j in np.flatnonzero(adjacency[i])]
         dv, dp = agent_rhs(varpi[i], p[i], cs.costs[i].gradient(varpi[i]),
                            neigh, 1.7)
         assert np.allclose(d_varpi[i], dv, atol=1e-12)
@@ -210,7 +214,7 @@ def test_lyapunov_sandwich(seed):
 # --- monitors ----------------------------------------------------------------
 
 def test_envelope_monitor_zero_trajectory():
-    clock = PrescribedClock(0.0, 1.0)
+    clock = PrescribedClock(0.0, 1.0, 0.999)
     times = np.linspace(0.0, 0.9, 10)
     rep = envelope_monitor(times, np.zeros(10), clock, linear_gain(21.0),
                            example2_like_constants())
@@ -218,7 +222,7 @@ def test_envelope_monitor_zero_trajectory():
 
 
 def test_envelope_monitor_on_the_bound():
-    clock = PrescribedClock(0.0, 1.0)
+    clock = PrescribedClock(0.0, 1.0, 0.999)
     consts = example2_like_constants()
     alpha = linear_gain(21.0)
     times = np.linspace(0.0, 0.9, 50)
@@ -232,7 +236,7 @@ def test_envelope_monitor_on_the_bound():
 
 
 def test_envelope_monitor_flags_violation():
-    clock = PrescribedClock(0.0, 1.0)
+    clock = PrescribedClock(0.0, 1.0, 0.999)
     consts = example2_like_constants()
     times = np.linspace(0.0, 0.9, 10)
     norms = np.full(10, 100.0)
@@ -243,7 +247,7 @@ def test_envelope_monitor_flags_violation():
 
 
 def test_envelope_monitor_needs_data():
-    clock = PrescribedClock(0.0, 1.0)
+    clock = PrescribedClock(0.0, 1.0, 0.999)
     with pytest.raises(EmptyTrajectory):
         envelope_monitor([0.0], [1.0], clock, linear_gain(21.0),
                          example2_like_constants())

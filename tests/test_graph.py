@@ -62,16 +62,17 @@ def test_rejects_negative_weight():
 
 
 def test_neighbor_list_symmetry():
-    # agent i's neighbors are the nonzero entries of adjacency row i
+    # agent i's neighbors are the nonzero off-diagonal entries of
+    # Laplacian row i, each -a_ij
     net = build_network(4, [[0, 1, 2.0], [1, 2, 1.0], [2, 3, 1.0]])
+    adjacency = np.diag(net.laplacian.diagonal()) - net.laplacian
 
     def neighbors(i):
-        return {int(j): net.adjacency[i, j]
-                for j in np.flatnonzero(net.adjacency[i])}
+        return {int(j): adjacency[i, j] for j in np.flatnonzero(adjacency[i])}
 
     assert neighbors(0) == {1: 2.0}
     assert neighbors(1) == {0: 2.0, 2: 1.0}
-    assert np.array_equal(net.adjacency, net.adjacency.T)
+    assert np.array_equal(adjacency, adjacency.T)
 
 
 # --- connectivity ------------------------------------------------------------

@@ -102,8 +102,10 @@ def test_agent_major_lists_the_state_as_pack_takes_it(build):
     rng = np.random.default_rng(6)
     parts = [rng.standard_normal((n, d)), rng.standard_normal((n, d)),
              rng.standard_normal((n, m, d))]
+    ctrls = None
     if sys.ctrl_size:
-        parts.append(rng.standard_normal((n, sys.ctrl_size)))
-    y = sys.pack(*parts)
+        ctrls = rng.standard_normal((n, sys.ctrl_size))
+        parts.append(ctrls)
+    y = sys.pack(*parts[:3], ctrls)
     want = np.concatenate([part.ravel() for part in parts])
     assert y[sys.agent_major].tobytes() == want.tobytes()

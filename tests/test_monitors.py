@@ -22,11 +22,11 @@ from conftest import scenario_path
 from oracles import (chain_decay_fit, linear_gain, sf_decay_fit,
                      theta_hat_max_ratio)
 
-CLOCK = PrescribedClock(0.0, 1.0)
+CLOCK = PrescribedClock(0.0, 1.0, 0.999)
 TIMES = np.linspace(0.0, 0.8, 5)  # K = 5 logged times of N = 2 agents
 MUS = np.array([CLOCK.mu(t) for t in TIMES])
 CHAIN = make_chain_config(2, 1, 1.0, linear_gain(1.0), mu_guard=1000.0,
-                          psi=1.0, mu0=1.0)
+                          psi=1.0, mu0=1.0, alpha_s=None, K=None)
 SF = SfControllerConfig(2, 1, 1.0, (2.0, 2.0), (3.0,), 2.0, linear_gain(1.0),
                         mu_guard=1000.0, phis=(lambda x: x,))
 
@@ -161,9 +161,9 @@ def test_every_monitor_fails_at_its_first_violating_row(name):
         gen_constants=generator_constants(0.2, 2.0, 1.0, 4.0),
         sys=SimpleNamespace(agents=SimpleNamespace(cfg=cfg)))
     traj = SimpleNamespace(times=TIMES)
-    [ok] = evaluate_monitors(build, traj, None, derived(False))
+    [ok] = evaluate_monitors(build, traj, derived(False))
     assert ok.passed
-    [rep] = evaluate_monitors(build, traj, None, derived(True))
+    [rep] = evaluate_monitors(build, traj, derived(True))
     assert not rep.passed
     assert rep.first_violation_t == TIMES[row]
 
@@ -174,7 +174,7 @@ def _derived(run):
     build = load_scenario(scenario_path(run["name"])).build()
     traj = read_trajectory_csv(str(run["out"] / "trajectory.csv"), build)
     z_star = optimum_oracle(build.costs).z_star
-    return build, traj, z_star, derived_series(build, traj, z_star)
+    return build, traj, derived_series(build, traj, z_star)
 
 
 def _check_columns(report, column_reports, loop_max=None):
@@ -187,19 +187,19 @@ def _check_columns(report, column_reports, loop_max=None):
 
 
 def test_example2_monitors_equal_their_per_column_calls(example2_run):
-    build, traj, z_star, d = _derived(example2_run)
+    build, traj, d = _derived(example2_run)
     t, cfg = traj.times, build.sys.agents.cfg
     cols = range(build.net.n_agents)
     # the bundled radius, then the default one: 2 ||e_tilde(t0)|| + 1
     for params in (build.monitors["invariant_set"], {"slack": 0.02}):
         [rep] = evaluate_monitors(
             dataclasses.replace(build, monitors={"invariant_set": params}),
-            traj, z_star, d)
+            traj, d)
         e = d["e_tilde_norm"]
         _check_columns(rep, [invariant_set_monitor(
             t, e[:, i:i + 1], **{"h": 2.0 * e[0, i] + 1.0, **params})
             for i in cols])
-    reports = {r.name: r for r in evaluate_monitors(build, traj, z_star, d)}
+    reports = {r.name: r for r in evaluate_monitors(build, traj, d)}
     _check_columns(reports["sf_decay"], [sf_decay_monitor(
         t, d["mu"], d["e_s_norm"][:, i:i + 1], cfg) for i in cols],
         sf_decay_fit(d["mu"], d["e_s_norm"], cfg))
@@ -210,8 +210,8 @@ def test_example2_monitors_equal_their_per_column_calls(example2_run):
 
 
 def test_example1_chain_decay_equals_its_per_column_calls(example1_run):
-    build, traj, z_star, d = _derived(example1_run)
-    reports = {r.name: r for r in evaluate_monitors(build, traj, z_star, d)}
+    build, traj, d = _derived(example1_run)
+    reports = {r.name: r for r in evaluate_monitors(build, traj, d)}
     cfg = build.sys.agents.cfg
     _check_columns(reports["chain_decay"], [chain_decay_monitor(
         traj.times, d["e_s_norm"][:, i:i + 1], d["e_tilde_norm"][:, i:i + 1],

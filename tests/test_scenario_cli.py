@@ -242,6 +242,52 @@ def test_gain_out_of_range_refused_with_its_key(tmp_path, capsys, monkeypatch,
     assert err.startswith(f"error: {p}: gains: {key}: {message}")
 
 
+def _put(*keys, value=math.nan):
+    """An edit that sets raw[keys[0]]...[keys[-1]] to value; json writes
+    NaN and Infinity, and reads them back."""
+    def edit(raw):
+        d = raw
+        for k in keys[:-1]:
+            d = d[k]
+        d[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("ring", _put("clock", "T"), "clock: T must be finite and > 0"),
+    ("example1", _put("clock", "T", value=math.inf),
+     "clock: T must be finite and > 0"),
+    ("example2", _put("clock", "t0"), "clock: t0 must be finite"),
+    ("ring", _put("clock", "t0", value=-math.inf), "clock: t0 must be finite"),
+    ("ring", _put("agents", "varpi_init", 2, 0),
+     "agents: non-finite initial value of agent2.varpi0"),
+    ("ring", _put("agents", "p_init",
+                  value=[[math.nan, 0.0]] + [[0.0, 0.0]] * 5),
+     "agents: non-finite initial value of agent0.p0"),
+    ("example1", _put("agents", "x_init", 0, 1, 0),
+     "agents: non-finite initial value of agent0.x2_0"),
+    ("example2", _put("agents", "theta_hat_init", 3),
+     "agents: non-finite initial value of agent3.theta_hat"),
+    ("ring", _put("costs", "agents", 1, "center", 0),
+     "costs: center must be finite"),
+    ("example2", _put("costs", "agents", 0, 1, "center", 1),
+     "costs: center must be finite"),
+    ("example2", _put("costs", "box", 0, 0), "costs: box must be finite"),
+    ("ring", _put("network", "edges", 2, 2),
+     "network: edge (2,3) has weight nan, not finite and > 0"),
+    ("example2", _put("network", "edges", 0, 2, value=math.inf),
+     "network: edge (0,1) has weight inf, not finite and > 0"),
+], ids=["T_nan", "T_inf", "t0_nan", "t0_-inf", "varpi_init", "p_init",
+        "x_init", "theta_hat_init", "quadratic_center",
+        "exp_quadratic_center", "box", "weight_nan", "weight_inf"])
+def test_non_finite_number_refused_in_its_section(tmp_path, capsys,
+                                                  monkeypatch, name, edit,
+                                                  message):
+    p = modified_scenario(name, tmp_path, edit)
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(f"error: {p}: {message}")
+
+
 def test_euler_lagrange_plant_of_order_3_refused(tmp_path, capsys,
                                                  monkeypatch):
     # K is left to pole placement: example1's K = [2.0] is for order 2

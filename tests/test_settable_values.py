@@ -4,9 +4,9 @@ A settable value is a parameter with a default, or a dataclass field that
 `__init__` accepts with a default.  An AST census of src/dptco lists them,
 and ALLOWED names, for each, the code outside the tests that relies on the
 default: a call that omits the argument, or a JSON key that may be left
-out.  A default that only tests use is listed as open (None), to be
-deleted.  A new default fails test_every_default_is_listed until it is
-listed here with its caller.
+out.  A default that only tests use would be listed as open (None), and
+none is left.  A new default fails test_every_default_is_listed until it
+is listed here with its caller.
 """
 
 import ast
@@ -18,22 +18,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dptco"
 # "module.qualname", "module.name" for a module-level table, or
 # "module.__main__" for a module's script block; None when only tests use it
 ALLOWED = {
-    "chain_ctrl.make_chain_config.alpha_s": None,
-    "chain_ctrl.make_chain_config.K": None,
     "chain_ctrl.chain_control.out": "chain_ctrl.ChainAgents.derivatives",
-    "chain_ctrl.EulerLagrangeParams.gravity": None,
-    "chain_ctrl.el_acceleration.out": None,
-    "chain_ctrl.ChainAgents.__init__.el": None,
-    "chain_ctrl.ChainAgents.__init__.disturbance": None,
     "cli.run_scenario.seed": "cli._sweep_one",
     "cli.run_scenario.guard_frac": "cli._sweep_one",
     # `python -m dptco.cli`; the `dptco` console script calls main() too
     "cli.main.argv": "cli.__main__",
     "generator.envelope_monitor.slack": "scenario._MONITORS",
     "generator.conservation_monitor.tol": "scenario._MONITORS",
-    "scenario.ScenarioBuild.seed": None,
-    "scenario.Scenario.path": None,
-    "scenario.evaluate_monitors.derived": "cli.cmd_verify",
     "scenario.Scenario.build.seed": "cli.cmd_verify",
     "scenario.Scenario.build.guard_frac": "cli.cmd_verify",
     # a solver key the scenario leaves out keeps its default
@@ -45,24 +36,15 @@ ALLOWED = {
     "sim_engine.SolverSettings.log_every": "scenario._solver_settings",
     "sim_engine.Trajectory.n_rejected": "cli.read_trajectory_csv",
     "sim_engine.Trajectory.n_rhs": "cli.read_trajectory_csv",
-    "sim_engine.CoupledSystem.agents": None,
-    "sim_engine.CoupledSystem.offsets": None,
-    "sim_engine.CoupledSystem.pack.plants": None,
-    "sim_engine.CoupledSystem.pack.ctrls": None,
-    "sim_engine.CoupledSystem.rhs.out": None,
     "strictfb_ctrl._cascade.drive": "strictfb_ctrl.virtual_controls",
-    "strictfb_ctrl.scaled_error_vector.view": None,
     "strictfb_ctrl.invariant_set_monitor.slack": "scenario._MONITORS",
-    "timegain.PrescribedClock.t0": None,
-    "timegain.PrescribedClock.T": None,
-    "timegain.PrescribedClock.guard_frac": None,
     "timegain.GainFunction.base": "timegain.GainFunction.from_dict",
     "timegain.check_growth_criterion.coupling":
         "generator.check_generator_criterion",
 }
 
-# the defaults only tests use may shrink, never grow
-OPEN_AT_MOST = 17
+# the defaults only tests use: none, and none may come back
+OPEN_AT_MOST = 0
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -23,9 +23,9 @@ from dptco.timegain import PrescribedClock
 
 from conftest import scenario_path
 from oracles import (System, integrate_allocating, linear_gain, rhs_jacobian,
-                     wide_box)
+                     rhs_new, wide_box)
 
-CLOCK = PrescribedClock(0.0, 1.0)
+CLOCK = PrescribedClock(0.0, 1.0, 0.999)
 # the same window, the run ending at t = 0.5 or t = 0.9
 CLOCK_05 = PrescribedClock(0.0, 1.0, guard_frac=0.5)
 CLOCK_09 = PrescribedClock(0.0, 1.0, guard_frac=0.9)
@@ -197,13 +197,14 @@ def test_norm_order_makes_steps_independent_of_storage():
     # error norm summed in y's order, every step and every state is the
     # same, bit for bit
     sys, _ = ring_system(guard_frac=0.5)
-    y0 = sys.pack(np.arange(8.0).reshape(4, 2) / 4.0, np.zeros((4, 2)))
+    y0 = sys.pack(np.arange(8.0).reshape(4, 2) / 4.0, np.zeros((4, 2)),
+                  None, None)
     perm = np.random.default_rng(3).permutation(sys.total_dim)
 
     def shuffled_rhs(t, yp, out):
         y = np.empty_like(yp)
         y[perm] = yp
-        out[...] = sys.rhs(t, y)[perm]
+        out[...] = rhs_new(sys, t, y)[perm]
 
     settings = SolverSettings(method="rk45", dt=0.05, dt_max=1e-2,
                               rel_tol=1e-7, abs_tol=1e-9)
@@ -442,7 +443,7 @@ def ring_system(T=1.0, k=21.0, guard_frac=0.9):
     costs = CostSet([QuadraticCost(np.eye(2) * (0.5 + 0.25 * i), [i, -i], 0.0)
                      for i in range(4)], 2, wide_box(2))
     clock = PrescribedClock(0.0, T, guard_frac)
-    sys = CoupledSystem(clock, net, costs, linear_gain(k))
+    sys = CoupledSystem(clock, net, costs, linear_gain(k), None, None)
     return sys, costs
 
 
@@ -450,7 +451,8 @@ def test_determinism_bit_identical():
     # the run hands over to RKC2, whose stage rows and power-iteration rows
     # are reused in place
     sys, _ = ring_system()
-    y0 = sys.pack(np.arange(8.0).reshape(4, 2), np.zeros((4, 2)))
+    y0 = sys.pack(np.arange(8.0).reshape(4, 2), np.zeros((4, 2)), None,
+                  None)
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-8, abs_tol=1e-10)
     a = integrate(sys, y0, sys.clock, settings)
@@ -465,7 +467,7 @@ def test_optimum_is_equilibrium():
     cert = optimum_oracle(costs)
     varpi = np.tile(cert.z_star, (4, 1))
     p = -np.array([c.gradient(cert.z_star) for c in costs.costs])
-    y0 = sys.pack(varpi, p)
+    y0 = sys.pack(varpi, p, None, None)
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-9, abs_tol=1e-11)
     traj = integrate(sys, y0, sys.clock, settings)
@@ -477,7 +479,8 @@ def test_deadline_rescaling_of_generator():
     # window fraction, so runs with T = 1 and T = 2 agree at matched times
     sys1, _ = ring_system(T=1.0)
     sys2, _ = ring_system(T=2.0)
-    y0 = sys1.pack(np.arange(8.0).reshape(4, 2) / 4.0, np.zeros((4, 2)))
+    y0 = sys1.pack(np.arange(8.0).reshape(4, 2) / 4.0, np.zeros((4, 2)),
+                   None, None)
     out = []
     for sys in (sys1, sys2):
         settings = SolverSettings(method="rk45", dt=1e-4, dt_max=1e-2,
@@ -501,7 +504,7 @@ def test_deadline_invariant_step_count():
         for T in (0.5, 1.0, 2.0):
             sys, _ = ring_system(T=T, guard_frac=0.999)
             y0 = sys.pack(np.arange(8.0).reshape(4, 2) / 4.0,
-                          np.zeros((4, 2)))
+                          np.zeros((4, 2)), None, None)
             unit = T if scaled else 1.0
             settings = SolverSettings(method="rk45", dt=1e-3 * unit,
                                       dt_max=1e-2 * unit, rel_tol=1e-9,
@@ -513,7 +516,7 @@ def test_deadline_invariant_step_count():
             rhs_calls.append(traj.n_rhs)
             if not scaled:
                 plain = integrate_allocating(
-                    lambda t, y: sys.rhs(t, y), y0, sys.clock, settings)
+                    lambda t, y: rhs_new(sys, t, y), y0, sys.clock, settings)
                 assert traj.n_steps <= plain.n_steps
                 assert traj.n_rhs <= plain.n_rhs
         assert max(steps) <= 1000
@@ -532,7 +535,7 @@ def test_column_names_cover_state():
 
 def test_trajectory_columns_layout():
     sys, _ = ring_system(guard_frac=0.1)
-    y0 = sys.pack(np.zeros((4, 2)), np.zeros((4, 2)))
+    y0 = sys.pack(np.zeros((4, 2)), np.zeros((4, 2)), None, None)
     settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2)
     traj = integrate(sys, y0, sys.clock, settings)
     cols = trajectory_columns(sys, traj)

@@ -48,7 +48,8 @@ def test_spectral_rate_scales_with_alpha_xi(m):
     costs = CostSet([QuadraticCost(np.eye(dim), np.zeros(dim), 0.0)] * 3,
                     dim, wide_box(dim))
     sys = CoupledSystem(PrescribedClock(0.0, 1.0, 0.9999), net, costs,
-                        linear_gain(1.0), agents=agents)
+                        linear_gain(1.0), agents=agents,
+                        offsets=None)
     kappa, gain = agents.spectral_rate
     assert gain is cfg.alpha_xi
     g = sys.gen_size
@@ -236,8 +237,8 @@ def test_scaled_error_norm_identity():
     xi_f = rng.standard_normal((2, 2))
     varpi = rng.standard_normal(2)
     mu = 2.0
-    es = scaled_error_vector(x, varpi, xi_f, 0.7, 1.3, mu, cfg)
     view = virtual_controls(x, varpi, xi_f, 0.7, mu, cfg)
+    es = scaled_error_vector(x, varpi, xi_f, 0.7, 1.3, mu, cfg, view)
     a = cfg.alpha_xi.eval(mu)
     omega = (a ** cfg.L)[:, None] * view["x_tilde"]
     eta = (a ** cfg.L[1:])[:, None] * view["xi_tilde"]
@@ -260,8 +261,8 @@ def test_scaled_error_matches_stacked_form(seed):
     theta = float(rng.standard_normal())
     mu = float(rng.uniform(1.0, 5.0))
 
-    es = scaled_error_vector(x, varpi, xi_f, theta_hat, theta, mu, cfg)
     view = virtual_controls(x, varpi, xi_f, theta_hat, mu, cfg)
+    es = scaled_error_vector(x, varpi, xi_f, theta_hat, theta, mu, cfg, view)
     lams = transformation_matrices(3, 2)
     raw = error_vector(x, varpi, xi_f, theta_hat)
     w1, w2 = phi_weights(3, 1.0, 2, cfg.alpha_xi.eval(mu))

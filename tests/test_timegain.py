@@ -25,29 +25,30 @@ from oracles import (dc2_gain, exp_gain, gain_to_dict, linear_gain, log_gain,
 # --- clock -------------------------------------------------------------------
 
 def test_mu_at_start():
-    clock = PrescribedClock(t0=0.0, T=1.0)
+    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
     assert clock.mu(0.0) == 1.0
 
 
 def test_mu_midpoint():
-    clock = PrescribedClock(t0=0.0, T=1.0)
+    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
     assert clock.mu(0.5) == 2.0
 
 
 def test_mu_rejects_deadline():
-    clock = PrescribedClock(t0=0.0, T=1.0)
+    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
     with pytest.raises(TimeOutOfWindow):
         clock.mu(1.0)
 
 
 def test_mu0_is_inverse_deadline():
     for T in (0.5, 1.0, 2.0, 7.25):
-        assert PrescribedClock(t0=0.0, T=T).mu0 == pytest.approx(1.0 / T)
+        clock = PrescribedClock(t0=0.0, T=T, guard_frac=0.999)
+        assert clock.mu0 == pytest.approx(1.0 / T)
 
 
 def test_mu_derivative_is_mu_squared():
     # numerical check of d(mu)/dt = mu^2
-    clock = PrescribedClock(t0=0.0, T=1.0)
+    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
     h = 1e-6
     for t in (0.0, 0.3, 0.7, 0.9):
         fd = (clock.mu(t + h) - clock.mu(t)) / h
@@ -55,7 +56,7 @@ def test_mu_derivative_is_mu_squared():
 
 
 def test_mu_strictly_increasing():
-    clock = PrescribedClock(t0=2.0, T=3.0)
+    clock = PrescribedClock(t0=2.0, T=3.0, guard_frac=0.999)
     ts = np.linspace(2.0, 2.0 + 3.0 * 0.999, 200)
     mus = [clock.mu(t) for t in ts]
     assert all(b > a for a, b in zip(mus, mus[1:]))
@@ -63,32 +64,37 @@ def test_mu_strictly_increasing():
 
 def test_clock_rejects_bad_params():
     with pytest.raises(NonPositiveInput):
-        PrescribedClock(t0=0.0, T=0.0)
+        PrescribedClock(t0=0.0, T=0.0, guard_frac=0.999)
     with pytest.raises(NonPositiveInput):
         PrescribedClock(t0=0.0, T=1.0, guard_frac=1.0)
+    for t0, T, guard_frac in ((math.nan, 1.0, 0.9), (math.inf, 1.0, 0.9),
+                              (0.0, math.nan, 0.9), (0.0, math.inf, 0.9),
+                              (0.0, 1.0, math.nan)):
+        with pytest.raises(NonPositiveInput):
+            PrescribedClock(t0, T, guard_frac)
 
 
 # --- kappa -------------------------------------------------------------------
 
 def test_kappa_zero_iota():
-    clock = PrescribedClock(t0=0.0, T=1.0)
+    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
     assert kappa(clock, linear_gain(3.0), 0.0, 0.7) == 1.0
 
 
 def test_kappa_at_start():
-    clock = PrescribedClock(t0=0.0, T=1.0)
+    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
     assert kappa(clock, linear_gain(3.0), -2.5, 0.0) == 1.0
 
 
 def test_kappa_linear_closed_form():
     # alpha(s) = 2s, iota = -1: integral is 2 ln(mu/mu0), kappa = (mu0/mu)^2
-    clock = PrescribedClock(t0=0.0, T=1.0)
+    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
     assert kappa(clock, linear_gain(2.0), -1.0, 0.5) == pytest.approx(0.25)
 
 
 def test_kappa_linear_power_law():
     rng = np.random.default_rng(3)
-    clock = PrescribedClock(t0=0.0, T=1.0)
+    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
     k = 1.7
     alpha = linear_gain(k)
     for t in rng.uniform(0.0, 0.99, size=100):
@@ -98,7 +104,7 @@ def test_kappa_linear_power_law():
 
 
 def test_kappa_multiplicative_in_iota():
-    clock = PrescribedClock(t0=1.0, T=2.0)
+    clock = PrescribedClock(t0=1.0, T=2.0, guard_frac=0.999)
     alpha = power_gain(0.8, 1.5)
     for i1, i2 in ((-1.0, -0.5), (0.3, 0.7), (-2.0, 1.0)):
         prod = (kappa(clock, alpha, i1, 2.4) * kappa(clock, alpha, i2, 2.4))
@@ -424,7 +430,7 @@ def test_integral_and_kappa_on_an_array_equal_the_float_path(name):
 
 
 def test_array_outside_the_window_refused():
-    clock = PrescribedClock(t0=0.0, T=1.0)
+    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
     with pytest.raises(TimeOutOfWindow):
         clock.mu(np.array([0.5, 1.0]))
     with pytest.raises(TimeOutOfWindow):
