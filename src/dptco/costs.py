@@ -3,9 +3,11 @@
 Cost families are quadratic (z - c)^T Q (z - c) + offset and exp-quadratic
 exp((z - c)^T P (z - c)), plus sums of these.  The strong-convexity constant
 rho_c and gradient-Lipschitz constant varrho_c are analytic for quadratics
-and sampled on a declared working box otherwise.  The centralized optimum
-oracle is verification-only plumbing: a damped Newton iteration on the team
-cost with a finite-difference Hessian.
+and sampled on a declared working box otherwise.  Every gradient comes
+from one batched table of all agents' terms (`CostSet.grad_stack`), and
+every Hessian from central differences of it (`CostSet.hessian_stack`).
+The centralized optimum oracle is verification-only plumbing: a damped
+Newton iteration on the team cost.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,20 +36,7 @@ def _finite(name: str, a) -> np.ndarray:
     return a
 
 
-class CostFunction:
-    """Convex cost with value(z) and gradient(z); the families are
-    QuadraticCost, ExpQuadraticCost and SumCost."""
-
-    dim: int
-
-    def _check(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise DimensionMismatch(f"expected dimension {self.dim}, got {z.shape}")
-        return z
-
-
-class QuadraticCost(CostFunction):
+class QuadraticCost:
     """f(z) = (z - center)^T Q (z - center) + offset with Q symmetric PD."""
 
     def __init__(self, Q, center, offset: float):
@@ -64,15 +54,11 @@ class QuadraticCost(CostFunction):
         self.varrho_c = 2.0 * float(eigs[-1])
 
     def value(self, z):
-        d = self._check(z) - self.center
+        d = np.asarray(z, dtype=float) - self.center
         return float(d @ self.Q @ d) + self.offset
 
-    def gradient(self, z):
-        d = self._check(z) - self.center
-        return 2.0 * (self.Q @ d)
 
-
-class ExpQuadraticCost(CostFunction):
+class ExpQuadraticCost:
     """f(z) = exp((z - center)^T P (z - center)) with P symmetric PSD.
 
     Only locally gradient-Lipschitz; curvature constants are sampled on the
@@ -92,15 +78,11 @@ class ExpQuadraticCost(CostFunction):
         self.varrho_c = None
 
     def value(self, z):
-        d = self._check(z) - self.center
+        d = np.asarray(z, dtype=float) - self.center
         return float(math.exp(d @ self.P @ d))
 
-    def gradient(self, z):
-        d = self._check(z) - self.center
-        return self.value(z) * 2.0 * (self.P @ d)
 
-
-class SumCost(CostFunction):
+class SumCost:
     """Sum of cost terms sharing one dimension."""
 
     def __init__(self, terms):
@@ -122,14 +104,8 @@ class SumCost(CostFunction):
     def value(self, z):
         return sum(t.value(z) for t in self.terms)
 
-    def gradient(self, z):
-        g = np.zeros(self.dim)
-        for t in self.terms:
-            g += t.gradient(z)
-        return g
 
-
-def cost_from_dict(d) -> CostFunction:
+def cost_from_dict(d) -> QuadraticCost | ExpQuadraticCost | SumCost:
     """Build a cost from its scenario-JSON form; lists become sums."""
     if isinstance(d, list):
         return SumCost([cost_from_dict(x) for x in d])
@@ -164,6 +140,10 @@ class CostSet:
             self.varrho_c = max(v for _, v in analytic)
         else:
             self.rho_c, self.varrho_c = estimate_constants(self, self.box)
+        if not (math.isfinite(self.rho_c) and math.isfinite(self.varrho_c)):
+            raise NonPositiveInput(
+                "curvature constants must be finite on the working box, got "
+                f"rho_c = {self.rho_c}, varrho_c = {self.varrho_c}")
 
     @property
     def n_agents(self) -> int:
@@ -177,12 +157,8 @@ class CostSet:
 
         Batched over all agents' terms; used in the simulation hot path.
         """
-        batches = getattr(self, "_batches", None)
-        if batches is None:
-            batches = _term_batches(self.costs)
-            self._batches = batches
         out = None
-        for idx, mats, cents, unique, grad in batches:
+        for idx, mats, cents, unique, grad in self._batches:
             if idx is None and out is None:
                 # one term per agent in agent order starts the sum
                 out = grad(mats, Z - cents)
@@ -196,6 +172,30 @@ class CostSet:
             else:
                 np.add.at(out, idx, grad(mats, Z[idx] - cents))
         return out
+
+    def hessian_stack(self, Z: np.ndarray) -> np.ndarray:
+        """Per-agent Hessians at per-agent points, (N, dim, dim): block i
+        is the Hessian of f_i at Z[i] (`_central_differences` of
+        grad_stack)."""
+        return _central_differences(self.grad_stack, Z)
+
+    @cached_property
+    def _batches(self) -> list:
+        return _term_batches(self.costs)
+
+
+def _central_differences(grad, Z: np.ndarray) -> np.ndarray:
+    """Jacobians (n, dim, dim) of a map grad that takes n points (n, dim)
+    to n gradients, block i at Z[i] by central differences with step
+    1e-5 (1 + ||Z[i]||)."""
+    n, d = Z.shape
+    h = 1e-5 * (1.0 + np.linalg.norm(Z, axis=1))
+    hess = np.empty((n, d, d))
+    for k in range(d):
+        dz = np.zeros((n, d))
+        dz[:, k] = h
+        hess[:, :, k] = (grad(Z + dz) - grad(Z - dz)) / (2.0 * h[:, None])
+    return hess
 
 
 def _term_batches(costs: list) -> list:
@@ -267,10 +267,7 @@ def grad_sum(costs: CostSet, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (costs.dim,):
         raise DimensionMismatch(f"expected dimension {costs.dim}, got {z.shape}")
-    g = np.zeros(costs.dim)
-    for c in costs.costs:
-        g += c.gradient(z)
-    return g
+    return costs.grad_stack(np.tile(z, (costs.n_agents, 1))).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -284,24 +281,14 @@ class OptimumCertificate:
                 "iterations": self.iterations}
 
 
-def _fd_hessian(costs: CostSet, z: np.ndarray) -> np.ndarray:
-    h = 1e-5 * (1.0 + float(np.linalg.norm(z)))
-    n = costs.dim
-    H = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        H[:, j] = (grad_sum(costs, z + e) - grad_sum(costs, z - e)) / (2.0 * h)
-    return 0.5 * (H + H.T)
-
-
 def optimum_oracle(costs: CostSet) -> OptimumCertificate:
     """Centralized optimum by damped Newton with backtracking from z = 0,
     run until the team gradient norm is at most 1e-8.
 
-    Strong convexity (rho_c > 0) guarantees a unique optimum; the
-    certificate records the final gradient norm so downstream error
-    computations can budget for it.
+    The Hessian is `_central_differences` of the team gradient, the one
+    rule of `CostSet.hessian_stack`, symmetrised.  Strong convexity
+    (rho_c > 0) guarantees a unique optimum; the certificate records the
+    final gradient norm so downstream error computations can budget for it.
     """
     if costs.rho_c is None or costs.rho_c <= 0:
         raise NonPositiveInput("optimum oracle needs rho_c > 0")
@@ -311,7 +298,9 @@ def optimum_oracle(costs: CostSet) -> OptimumCertificate:
     while float(np.linalg.norm(g)) > _NEWTON_TOL:
         if it >= _NEWTON_MAX_ITER:
             raise NoConvergence(f"Newton exceeded {_NEWTON_MAX_ITER} iterations")
-        H = _fd_hessian(costs, z)
+        H = _central_differences(
+            lambda Z: grad_sum(costs, Z[0])[None], z[None])[0]
+        H = 0.5 * (H + H.T)
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -332,7 +321,7 @@ def optimum_oracle(costs: CostSet) -> OptimumCertificate:
     return OptimumCertificate(z, float(np.linalg.norm(g)), it)
 
 
-def estimate_constants(costs, box) -> tuple[float, float]:
+def estimate_constants(costs: CostSet, box) -> tuple[float, float]:
     """Empirical strong-convexity and gradient-Lipschitz constants.
 
     Samples 400 seeded random point pairs in the box, plus axis-aligned
@@ -341,19 +330,20 @@ def estimate_constants(costs, box) -> tuple[float, float]:
       rho_hat    = min (grad f(x) - grad f(y))^T (x - y) / ||x - y||^2
       varrho_hat = max ||grad f(x) - grad f(y)|| / ||x - y||
 
-    aggregated as min/max over agents when given a CostSet.  Every agent's
-    gradient at every sample point comes from one pass over the term
-    batches (`_gradient_blocks`).
+    aggregated as min/max over agents.  Every agent's gradient at every
+    sample point comes from one pass over the term batches
+    (`_gradient_blocks`).  A gradient that overflows on the box gives a
+    non-finite constant, without a warning.
     """
-    agent_costs = costs.costs if isinstance(costs, CostSet) else [costs]
     X, Y = _curvature_pairs(box)
-    G = _gradient_blocks(_term_batches(agent_costs), len(agent_costs),
-                         np.concatenate([X, Y]))
-    dG = G[:, :len(X)] - G[:, len(X):]
-    dZ = X - Y
-    nz2 = (dZ * dZ).sum(axis=1)
-    rho = float(((dG * dZ).sum(axis=-1) / nz2).min())
-    varrho = float((np.linalg.norm(dG, axis=-1) / np.sqrt(nz2)).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _gradient_blocks(costs._batches, costs.n_agents,
+                             np.concatenate([X, Y]))
+        dG = G[:, :len(X)] - G[:, len(X):]
+        dZ = X - Y
+        nz2 = (dZ * dZ).sum(axis=1)
+        rho = float(((dG * dZ).sum(axis=-1) / nz2).min())
+        varrho = float((np.linalg.norm(dG, axis=-1) / np.sqrt(nz2)).max())
     return rho, varrho
 
 

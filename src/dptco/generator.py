@@ -47,8 +47,8 @@ def generator_constants(rho_c: float, varrho_c: float,
     c3 = c1 max{1, 1/lambda2} + 1; c_star = 1/(4 c3)."""
     for name, v in (("rho_c", rho_c), ("varrho_c", varrho_c),
                     ("lambda2", lambda2), ("lambdaN", lambdaN)):
-        if v <= 0:
-            raise NonPositiveInput(f"{name} must be > 0, got {v}")
+        if not (math.isfinite(v) and v > 0):
+            raise NonPositiveInput(f"{name} must be finite and > 0, got {v}")
     c1 = max(1.0 / lambda2, (1.0 + 2.0 * varrho_c ** 2) / (2.0 * rho_c))
     c2 = 0.5 * c1 * min(1.0, 1.0 / lambdaN)
     c3 = c1 * max(1.0, 1.0 / lambda2) + 1.0
@@ -88,24 +88,17 @@ def design_radius(laplacian: np.ndarray, costs, varpi: np.ndarray) -> float:
 
         [[-(L (x) I + blkdiag H_i(varpi_i)), -I], [L (x) I, 0]]
 
-    at the estimates varpi (N, dim), with H_i the Hessian of f_i by central
-    differences of costs.grad_stack.  The generator's Jacobian at
+    at the estimates varpi (N, dim), with H_i the Hessian of f_i from
+    costs.hessian_stack.  The generator's Jacobian at
     (varpi, p) is alpha(mu) times this matrix.
     """
     n, d = varpi.shape
     # L (x) I as (N, dim, N, dim); np.kron's first call adds 0.1 MiB to
     # the peak resident memory
     lap = laplacian[:, None, :, None] * np.eye(d)[None, :, None, :]
-    h = 1e-5 * (1.0 + np.linalg.norm(varpi, axis=1))
-    hess = np.empty((n, d, d))
-    for k in range(d):
-        dz = np.zeros((n, d))
-        dz[:, k] = h
-        hess[:, :, k] = (costs.grad_stack(varpi + dz)
-                         - costs.grad_stack(varpi - dz)) / (2.0 * h[:, None])
     top = -lap
     # the (dim, dim) diagonal block of each agent
-    top[np.arange(n), :, np.arange(n), :] -= hess
+    top[np.arange(n), :, np.arange(n), :] -= costs.hessian_stack(varpi)
     nd = n * d
     m = np.block([[top.reshape(nd, nd), -np.eye(nd)],
                   [lap.reshape(nd, nd), np.zeros((nd, nd))]])
@@ -155,7 +148,7 @@ class ErrorState:
 def gradients_at(costs, z_star: np.ndarray) -> np.ndarray:
     """grad F(1 (x) z*): every agent's gradient at z*, as (N, dim)."""
     z_star = np.asarray(z_star, dtype=float)
-    return np.array([c.gradient(z_star) for c in costs.costs])
+    return costs.grad_stack(np.tile(z_star, (costs.n_agents, 1)))
 
 
 def error_state(varpi: np.ndarray, p: np.ndarray, z_star: np.ndarray,

@@ -135,8 +135,13 @@ class Scenario:
                 raise _fail(path, "costs", "one cost per agent required")
             costs = CostSet(agent_costs, dim, cs.get("box", default_box(dim)))
 
-        consts = generator_constants(costs.rho_c, costs.varrho_c,
-                                     net.lambda2, net.lambdaN)
+        if net.n_agents == 1:
+            # no second eigenvalue, so no envelope constants: NaN, which
+            # the envelope monitor reads as a failure
+            consts = GeneratorConstants(*[np.nan] * 4)
+        else:
+            consts = generator_constants(costs.rho_c, costs.varrho_c,
+                                         net.lambda2, net.lambdaN)
         constants = {
             "lambda2": net.lambda2, "lambdaN": net.lambdaN,
             "rho_c": costs.rho_c, "varrho_c": costs.varrho_c,

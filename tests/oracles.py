@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dptco.chain_ctrl import EulerLagrangeParams, chain_control
-from dptco.costs import CostSet, ExpQuadraticCost, QuadraticCost
+from dptco.costs import CostSet, ExpQuadraticCost, QuadraticCost, SumCost
 from dptco.draws import uniform
 from dptco.errors import Disconnected, NonFiniteState, StepUnderflow
 from dptco.generator import ErrorState, GeneratorConstants
@@ -276,12 +276,24 @@ def phi_weights(m: int, l: float, n: int, alpha_val: float) -> tuple:
     return w1, w2
 
 
-def estimate_constants(costs, box, samples: int = 400, seed: int = 0):
+def cost_gradient(c, z) -> np.ndarray:
+    """grad f(z) of one agent's cost, term by term: the per-object form
+    of CostSet.grad_stack, which batches all agents' terms."""
+    z = np.asarray(z, dtype=float)
+    if isinstance(c, SumCost):
+        return sum(cost_gradient(t, z) for t in c.terms)
+    d = z - c.center
+    if isinstance(c, QuadraticCost):
+        return 2.0 * (c.Q @ d)
+    return c.value(z) * 2.0 * (c.P @ d)
+
+
+def estimate_constants(costs: CostSet, box, samples: int = 400,
+                       seed: int = 0):
     """(rho_hat, varrho_hat) over the same point pairs as
     costs.estimate_constants, one gradient call per point and pair."""
     box = np.asarray(box, dtype=float)
-    agent_costs = costs.costs if isinstance(costs, CostSet) else [costs]
-    dim = agent_costs[0].dim
+    dim = costs.dim
     rng = random.Random(seed)
     lo, hi = box[:, 0], box[:, 1]
 
@@ -299,9 +311,9 @@ def estimate_constants(costs, box, samples: int = 400, seed: int = 0):
 
     rho = math.inf
     varrho = 0.0
-    for c in agent_costs:
+    for c in costs.costs:
         for x, y in pairs:
-            dg = c.gradient(x) - c.gradient(y)
+            dg = cost_gradient(c, x) - cost_gradient(c, y)
             dz = x - y
             nz2 = float(dz @ dz)
             rho = min(rho, float(dg @ dz) / nz2)

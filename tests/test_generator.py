@@ -1,5 +1,7 @@
 """Distributed optimal-trajectory generator: dynamics, constants, monitors."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,8 @@ from dptco.generator import (ErrorState, conservation_monitor,
 from dptco.graph import build_network
 from dptco.sim_engine import CoupledSystem
 from dptco.timegain import PrescribedClock, kappa
-from oracles import (agent_rhs, linear_gain, lyapunov_vr, rhs_jacobian,
-                     rhs_new, wide_box)
+from oracles import (agent_rhs, cost_gradient, linear_gain, lyapunov_vr,
+                     rhs_jacobian, rhs_new, wide_box)
 
 RING6 = [[i, (i + 1) % 6, 1.0] for i in range(6)]
 
@@ -109,6 +111,18 @@ def test_constants_reject_nonpositive():
         generator_constants(0.0, 1.0, 1.0, 4.0)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((1.0, math.inf, 1.0, 4.0), "varrho_c"),
+    ((math.nan, 1.0, 1.0, 4.0), "rho_c"),
+    ((1.0, 1.0, math.nan, 4.0), "lambda2"),
+    ((1.0, 1.0, 1.0, math.inf), "lambdaN"),
+], ids=["varrho_inf", "rho_nan", "lambda2_nan", "lambdaN_inf"])
+def test_constants_reject_non_finite(args, name):
+    # an overflowing cost once gave varrho_c = inf and c_star = 0
+    with pytest.raises(NonPositiveInput, match=f"{name} must be finite"):
+        generator_constants(*args)
+
+
 # --- dynamics ----------------------------------------------------------------
 
 def test_agent_rhs_hand_case():
@@ -136,8 +150,8 @@ def test_stacked_rhs_matches_agent_rhs():
     for i in range(6):
         neigh = [(adjacency[i, j], varpi[j])
                  for j in np.flatnonzero(adjacency[i])]
-        dv, dp = agent_rhs(varpi[i], p[i], cs.costs[i].gradient(varpi[i]),
-                           neigh, 1.7)
+        dv, dp = agent_rhs(varpi[i], p[i],
+                           cost_gradient(cs.costs[i], varpi[i]), neigh, 1.7)
         assert np.allclose(d_varpi[i], dv, atol=1e-12)
         assert np.allclose(d_p[i], dp, atol=1e-12)
 
@@ -148,7 +162,7 @@ def test_equilibrium_is_stationary():
                   for i in range(6)], 2, wide_box(2))
     cert = optimum_oracle(cs)
     varpi = np.tile(cert.z_star, (6, 1))
-    p = -np.array([c.gradient(cert.z_star) for c in cs.costs])
+    p = -np.array([cost_gradient(c, cert.z_star) for c in cs.costs])
     d_varpi, d_p = generator_derivative(net, cs, varpi, p, 3.0)
     assert np.abs(d_varpi).max() <= 3.0 * cert.grad_norm + 1e-10
     assert np.abs(d_p).max() <= 1e-10
@@ -179,7 +193,7 @@ def test_error_state_zero_at_equilibrium():
                   QuadraticCost(np.eye(1), [3.0], 0.0)], 1, default_box(1))
     cert = optimum_oracle(cs)
     varpi = np.tile(cert.z_star, (2, 1))
-    p = -np.array([c.gradient(cert.z_star) for c in cs.costs])
+    p = -np.array([cost_gradient(c, cert.z_star) for c in cs.costs])
     err = error_state(varpi, p, cert.z_star, gradients_at(cs, cert.z_star))
     assert err.norm <= 1e-10
 

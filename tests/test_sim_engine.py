@@ -22,8 +22,8 @@ from dptco.sim_engine import (CoupledSystem, SolverSettings, export_csv,
 from dptco.timegain import PrescribedClock
 
 from conftest import scenario_path
-from oracles import (System, integrate_allocating, linear_gain, rhs_jacobian,
-                     rhs_new, wide_box)
+from oracles import (System, cost_gradient, integrate_allocating,
+                     linear_gain, rhs_jacobian, rhs_new, wide_box)
 
 CLOCK = PrescribedClock(0.0, 1.0, 0.999)
 # the same window, the run ending at t = 0.5 or t = 0.9
@@ -466,7 +466,7 @@ def test_optimum_is_equilibrium():
     sys, costs = ring_system(guard_frac=0.5)
     cert = optimum_oracle(costs)
     varpi = np.tile(cert.z_star, (4, 1))
-    p = -np.array([c.gradient(cert.z_star) for c in costs.costs])
+    p = -np.array([cost_gradient(c, cert.z_star) for c in costs.costs])
     y0 = sys.pack(varpi, p, None, None)
     settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
                               rel_tol=1e-9, abs_tol=1e-11)
