@@ -33,8 +33,8 @@ _SECTIONS = ("clock", "network", "costs", "gains", "agents", "solver",
              "monitors")
 
 # solver keys and their JSON-to-SolverSettings conversions
-_SOLVER_KEYS = {"method": str, "dt": float, "dt_max": float,
-                "rel_tol": float, "abs_tol": float, "log_every": int}
+_SOLVER_KEYS = {"method": str, "dt": float, "rel_tol": float,
+                "abs_tol": float, "log_every": int}
 
 _PHI_REGISTRY = {
     "identity": lambda x: x,

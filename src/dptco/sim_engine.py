@@ -50,7 +50,7 @@ The rule reads only what the integrator observes, so it has no setting; a
 run that never hands over is the plain Dormand-Prince run.
 
 The fixed-step RK4 integrator stays on the t clock, its step
-h = min(dt, dt_max, 1.39 / rho(mu), t_guard - t) holding the stiffest mode
+h = min(dt, 1.39 / rho(mu), t_guard - t) holding the stiffest mode
 at half of RK4's real-axis stability limit 2.785, with rho(mu) the closed
 loop's spectral radius from its design (`CoupledSystem.stiffness`).
 Integration stops at the guard time strictly before the prescribed deadline;
@@ -83,17 +83,15 @@ _RK4_H_RHO = 1.39
 class SolverSettings:
     """Integrator configuration; every field is a scenario solver key.
 
-    method "rk4" uses the fixed step dt, capped by dt_max and by 1.39 over
-    the closed loop's spectral radius (see the module docstring); "rk45"
-    is an embedded Dormand-Prince pair with absolute/relative error
-    control on the log clock, starting from the step dt, its step in t
-    never above dt_max.  log_every decimates the stored trajectory.  Every run
-    ends at the clock's guard time.
+    method "rk4" uses the fixed step dt, capped by 1.39 over the closed
+    loop's spectral radius (see the module docstring); "rk45" is an
+    embedded Dormand-Prince pair with absolute/relative error control on
+    the log clock, starting from the step dt.  log_every decimates the
+    stored trajectory.  Every run ends at the clock's guard time.
     """
 
     method: str = "rk45"
     dt: float = 1e-3
-    dt_max: float = 1e-2
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     log_every: int = 1
@@ -101,7 +99,7 @@ class SolverSettings:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
-        for name in ("dt", "dt_max", "abs_tol"):
+        for name in ("dt", "abs_tol"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
@@ -230,11 +228,10 @@ def integrate(system, y0: np.ndarray, clock: PrescribedClock,
     the order in which the RK45 error norm sums the entries of y (an index
     array), so the steps it accepts do not depend on how y is stored; and
     stiffness(y) gives rho(mu), the spectral radius that sizes RK4's
-    steps, h = min(dt, dt_max, 1.39 / rho(mu), t_guard - t), taken anew
-    at the current y each time mu has doubled.  RK45 steps in
+    steps, h = min(dt, 1.39 / rho(mu), t_guard - t), taken anew at the
+    current y each time mu has doubled.  RK45 steps in
     s = -ln(1 - (t - t0)/T), i.e. t(s) = t0 - T expm1(-s), on
-    dy/ds = rhs / mu, its step in s capped by dt_max * mu (dt_max in t);
-    while Dormand-Prince is held at its stability limit it hands over to
+    dy/ds = rhs / mu, under error control alone; while Dormand-Prince is held at its stability limit it hands over to
     RKC2 (see the module docstring).  No stage time passes the guard time
     clock.t_guard, where the run ends.
     Deterministic: no hidden randomness, and identical inputs give
@@ -303,21 +300,20 @@ def integrate(system, y0: np.ndarray, clock: PrescribedClock,
             hand_back()
 
     def hand_back():
-        # DP5 resumes at the step it handed over with, under the dt_max cap
-        # at the current t, also from inside a rejected RKC2 trial
+        # DP5 resumes at the step it handed over with, also from inside a
+        # rejected RKC2 trial
         nonlocal sigma, stiff_trials, h
         handovers.append({"t": t, "to": "dp5"})
         sigma = None
         stiff_trials = 0
-        h = min(h_dp5, settings.dt_max * clock.mu(t))
+        h = h_dp5
 
     while not last:
         if not rk45:
             mu = clock.mu(t)
             if mu >= 2.0 * mu_fresh:
                 radius, mu_fresh = system.stiffness(y), mu
-            h = min(settings.dt, settings.dt_max, _RK4_H_RHO / radius(mu),
-                    t_end - t)
+            h = min(settings.dt, _RK4_H_RHO / radius(mu), t_end - t)
             _rk4_step(rhs, t, y, h, K, y_s, y_new)
             y, y_new = y_new, y
             n_rhs += 4
@@ -326,7 +322,6 @@ def integrate(system, y0: np.ndarray, clock: PrescribedClock,
             last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
         else:
             mu = clock.mu(t)
-            h = min(h, settings.dt_max * mu)
             trials = 0
             while True:
                 # a step that would leave a sliver of the window takes it all

@@ -536,15 +536,14 @@ def integrate_allocating(rhs, y0: np.ndarray, clock: PrescribedClock,
             mu = clock.mu(t)
             if mu >= 2.0 * mu_fresh:
                 radius, mu_fresh = stiffness(y), mu
-            h = min(step_frac * min(settings.dt, settings.dt_max,
-                                    _RK4_H_RHO / radius(mu)), t_end - t)
+            h = min(step_frac * min(settings.dt, _RK4_H_RHO / radius(mu)),
+                    t_end - t)
             y = _rk4_step(rhs, t, y, h)
             n_rhs += 4
             t += h
             last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
         else:
             mu = clock.mu(t)
-            h = min(h, settings.dt_max * mu)
             while True:
                 last = h >= s_end - s - 1e-12 * s_end
                 if last:

@@ -157,11 +157,11 @@ def test_criterion_06_strict_feedback(example2_run):
 # stronger estimator leak (the adaptation drive scales with the squared
 # time-derivative magnitudes, which grow as the window shrinks)
 SF_VARIANTS = {
-    0.5: {"solver": {"method": "rk45", "dt": 1e-4, "dt_max": 1e-3,
-                     "rel_tol": 1e-6, "abs_tol": 1e-8, "log_every": 20},
+    0.5: {"solver": {"method": "rk45", "dt": 1e-4, "rel_tol": 1e-6,
+                     "abs_tol": 1e-8, "log_every": 20},
           "h": 45000.0, "sigma": 1000.0},
-    2.0: {"solver": {"method": "rk45", "dt": 1e-4, "dt_max": 4e-3,
-                     "rel_tol": 1e-7, "abs_tol": 1e-9, "log_every": 20},
+    2.0: {"solver": {"method": "rk45", "dt": 1e-4, "rel_tol": 1e-7,
+                     "abs_tol": 1e-9, "log_every": 20},
           "h": 1000.0, "sigma": 10.0},
 }
 
@@ -267,8 +267,8 @@ def test_criterion_10_integrator():
 
     traj = integrate(System(rhs), np.array([1.0]),
                      PrescribedClock(0.0, 1.0, guard_frac=0.9),
-                     SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                                    rel_tol=1e-10, abs_tol=1e-12))
+                     SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-10,
+                                    abs_tol=1e-12))
     rk45_err = abs(traj.states[-1, 0] - 0.1)
 
     errs = []
@@ -278,7 +278,7 @@ def test_criterion_10_integrator():
             System(lambda t, y, out: np.multiply(-clock.mu(t) ** 2, y,
                                                  out=out), p=2.0),
             np.array([1.0]), PrescribedClock(0.0, 1.0, guard_frac=0.5),
-            SolverSettings(method="rk4", dt=dt, dt_max=1.0))
+            SolverSettings(method="rk4", dt=dt))
         errs.append(abs(tr.states[-1, 0] - exact))
     order = min(math.log2(a / b) for a, b in zip(errs, errs[1:]))
     ok = rk45_err <= 1e-8 and order >= 3.7

@@ -30,7 +30,6 @@ ALLOWED = {
     # a solver key the scenario leaves out keeps its default
     "sim_engine.SolverSettings.method": "scenario._solver_settings",
     "sim_engine.SolverSettings.dt": "scenario._solver_settings",
-    "sim_engine.SolverSettings.dt_max": "scenario._solver_settings",
     "sim_engine.SolverSettings.rel_tol": "scenario._solver_settings",
     "sim_engine.SolverSettings.abs_tol": "scenario._solver_settings",
     "sim_engine.SolverSettings.log_every": "scenario._solver_settings",

@@ -39,8 +39,8 @@ def mu_decay_rhs(t, y, out):
 # --- accuracy ------------------------------------------------------------
 
 def test_rk45_matches_exact_solution():
-    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                              rel_tol=1e-10, abs_tol=1e-12)
+    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-10,
+                              abs_tol=1e-12)
     traj = integrate(System(mu_decay_rhs), np.array([1.0]), CLOCK_09, settings)
     assert traj.times[-1] == pytest.approx(0.9, abs=1e-12)
     assert traj.states[-1, 0] == pytest.approx(0.1, abs=1e-8)
@@ -55,7 +55,7 @@ def test_rk4_fourth_order_convergence():
     system = System(
         lambda t, y, out: np.multiply(-CLOCK.mu(t) ** 2, y, out=out), p=2.0)
     for dt in (4e-3, 2e-3, 1e-3):
-        settings = SolverSettings(method="rk4", dt=dt, dt_max=1.0)
+        settings = SolverSettings(method="rk4", dt=dt)
         traj = integrate(system, np.array([1.0]), CLOCK_05, settings)
         errs.append(abs(traj.states[-1, 0] - exact))
     for coarse, fine in zip(errs, errs[1:]):
@@ -64,15 +64,15 @@ def test_rk4_fourth_order_convergence():
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_rk4_step_follows_spectral_radius(p):
-    # y' = -kappa mu^p y has spectral radius rho = kappa mu^p.  With dt and
-    # dt_max out of the way every step but the last is h = 1.39 / rho, and
+    # y' = -kappa mu^p y has spectral radius rho = kappa mu^p.  With dt out
+    # of the way every step but the last is h = 1.39 / rho, and
     # the run decays without a sign change to the guard at mu = 1000, each
     # step's factor near RK4's R(-1.39) = 0.28
     kappa = 7.0
     clock = PrescribedClock(0.0, 1.0, 0.999)
     system = System(lambda t, y, out: np.multiply(
         -kappa * clock.mu(t) ** p, y, out=out), kappa, p)
-    settings = SolverSettings(method="rk4", dt=1.0, dt_max=1.0)
+    settings = SolverSettings(method="rk4", dt=1.0)
     traj = integrate(system, np.array([1.0]), clock, settings)
     h = np.diff(traj.times)
     rho = kappa * clock.mu(traj.times[:-1]) ** p
@@ -159,7 +159,7 @@ def test_no_rhs_evaluation_at_deadline():
                 seen.append(t)
                 np.multiply(-clock.mu(t), y, out=out)
 
-        settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2)
+        settings = SolverSettings(method="rk45", dt=1e-3)
         traj = integrate(System(rhs), np.full(2, 2.0), clock, settings)
         assert (traj.integrator["handovers"] is not None) == stiff
         assert max(seen) <= clock.t_guard
@@ -178,8 +178,8 @@ def test_rk45_reuses_last_stage():
         seen.append((t, y.tobytes()))
         np.multiply(-CLOCK.mu(t), y, out=out)
 
-    settings = SolverSettings(method="rk45", dt=0.5, dt_max=1.0,
-                              rel_tol=1e-10, abs_tol=1e-12)
+    settings = SolverSettings(method="rk45", dt=0.5, rel_tol=1e-10,
+                              abs_tol=1e-12)
     traj = integrate(System(rhs), np.array([1.0, -2.0]), CLOCK_09, settings)
     assert traj.n_rejected > 0
     assert traj.integrator["handovers"] is None
@@ -187,7 +187,7 @@ def test_rk45_reuses_last_stage():
     assert traj.n_rhs == len(seen) == len(set(seen))
     assert seen[0] == (0.0, np.array([1.0, -2.0]).tobytes())
 
-    settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2)
+    settings = SolverSettings(method="rk4", dt=1e-2)
     traj = integrate(System(mu_decay_rhs), np.array([1.0]), CLOCK_05, settings)
     assert traj.n_rhs == 4 * traj.n_steps
 
@@ -206,8 +206,8 @@ def test_norm_order_makes_steps_independent_of_storage():
         y[perm] = yp
         out[...] = rhs_new(sys, t, y)[perm]
 
-    settings = SolverSettings(method="rk45", dt=0.05, dt_max=1e-2,
-                              rel_tol=1e-7, abs_tol=1e-9)
+    settings = SolverSettings(method="rk45", dt=0.05, rel_tol=1e-7,
+                              abs_tol=1e-9)
     want = integrate(sys, y0, sys.clock, settings)
     got = integrate(System(shuffled_rhs, agent_major=np.argsort(perm)),
                     y0[perm], sys.clock, settings)
@@ -221,8 +221,8 @@ def test_norm_order_makes_steps_independent_of_storage():
 def test_non_stiff_run_is_plain_dormand_prince():
     # y' = -mu y is dy/ds = -y on the log clock: never stability-bound, so
     # the run never hands over and is the oracle's Dormand-Prince run
-    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                              rel_tol=1e-10, abs_tol=1e-12, log_every=3)
+    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-10,
+                              abs_tol=1e-12, log_every=3)
     got = integrate(System(mu_decay_rhs), np.array([1.0, -2.0]), CLOCK_09,
                     settings)
     want = integrate_allocating(lambda t, y: -CLOCK.mu(t) * y,
@@ -240,8 +240,8 @@ def test_stiff_run_hands_over_and_stays_accurate():
     # takes the tail in far fewer calls than Dormand-Prince, within the
     # tolerances of the exact endpoint
     clock = PrescribedClock(0.0, 1.0, 0.999)
-    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                              rel_tol=1e-8, abs_tol=1e-10)
+    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-8,
+                              abs_tol=1e-10)
     traj = integrate(System(stiff_rhs(clock)), np.full(2, 2.0), clock,
                      settings)
     info = traj.integrator
@@ -273,8 +273,8 @@ def test_rkc2_hands_back_when_dearer_than_dormand_prince():
             seen.append(t)
             np.multiply(-clock.mu(t) * rates, y, out=out)
 
-        settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                                  rel_tol=1e-8, abs_tol=1e-10)
+        settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-8,
+                                  abs_tol=1e-10)
         return integrate(System(rhs), np.ones(2), clock, settings), seen
 
     traj, seen = run()
@@ -309,8 +309,8 @@ def test_non_finite_spectral_radius_hands_straight_back(monkeypatch):
     monkeypatch.setattr(sim_engine, "spectral_radius", failing_estimate)
     clock = PrescribedClock(0.0, 1.0, 0.999)
     seen = []
-    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                              rel_tol=1e-8, abs_tol=1e-10)
+    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-8,
+                              abs_tol=1e-10)
     traj = integrate(System(stiff_rhs(clock, seen)), np.full(2, 2.0), clock,
                      settings)
     want = integrate_allocating(
@@ -334,7 +334,7 @@ def test_non_finite_estimate_after_a_rejection_hands_back_in_the_trial(
         monkeypatch):
     # every second estimate fails: the one RKC2 takes after rejecting its
     # first trial hands back from inside the trial loop, and Dormand-Prince
-    # retakes that step within dt_max, the guard and the call count
+    # retakes that step within the guard and the call count
     calls = []
 
     def flaky_estimate(f, s, y, K):
@@ -347,19 +347,20 @@ def test_non_finite_estimate_after_a_rejection_hands_back_in_the_trial(
     monkeypatch.setattr(sim_engine, "spectral_radius", flaky_estimate)
     clock = PrescribedClock(0.0, 1.0, 0.999)
     seen = []
-    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                              rel_tol=1e-8, abs_tol=1e-10)
+    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-8,
+                              abs_tol=1e-10)
     traj = integrate(System(stiff_rhs(clock, seen)), np.full(2, 2.0), clock,
                      settings)
     info = traj.integrator
     handovers = info["handovers"]
     assert len(handovers) == len(calls) > 2
-    assert [h["to"] for h in handovers] == ["rkc2", "dp5"] * (
-        len(handovers) // 2)
+    # alternating from the first hand-over to RKC2; the last RKC2 run may
+    # reach the guard
+    assert [h["to"] for h in handovers] == (
+        ["rkc2", "dp5"] * len(handovers))[:len(handovers)]
     assert info["rejected"]["rkc2"] >= len(handovers) // 2
     assert traj.n_rhs == len(seen)
     assert max(seen) <= clock.t_guard
-    assert np.diff(traj.times).max() <= settings.dt_max * (1.0 + 1e-12)
     exact = 1.0 + np.exp(RATES * math.log1p(-0.999))
     units = np.abs(traj.states[-1] - exact) / (1e-10 + 1e-8 * exact)
     assert units.max() <= 1.0
@@ -414,7 +415,7 @@ def test_nonfinite_state_detected():
         with np.errstate(over="ignore"):
             np.power(y, 3, out=out)
 
-    settings = SolverSettings(method="rk4", dt=0.05, dt_max=0.05)
+    settings = SolverSettings(method="rk4", dt=0.05)
     with pytest.raises(NonFiniteState):
         with np.errstate(over="ignore", invalid="ignore"):
             integrate(System(blowup), np.array([10.0]), CLOCK_09, settings)
@@ -424,7 +425,7 @@ def test_step_underflow_on_nan_rhs():
     def bad(t, y, out):
         out[:] = math.nan
 
-    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2)
+    settings = SolverSettings(method="rk45", dt=1e-3)
     with pytest.raises(StepUnderflow):
         integrate(System(bad), np.array([1.0]), CLOCK, settings)
 
@@ -453,8 +454,8 @@ def test_determinism_bit_identical():
     sys, _ = ring_system()
     y0 = sys.pack(np.arange(8.0).reshape(4, 2), np.zeros((4, 2)), None,
                   None)
-    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                              rel_tol=1e-8, abs_tol=1e-10)
+    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-8,
+                              abs_tol=1e-10)
     a = integrate(sys, y0, sys.clock, settings)
     b = integrate(sys, y0, sys.clock, settings)
     assert a.integrator["handovers"] is not None
@@ -468,8 +469,8 @@ def test_optimum_is_equilibrium():
     varpi = np.tile(cert.z_star, (4, 1))
     p = -np.array([cost_gradient(c, cert.z_star) for c in costs.costs])
     y0 = sys.pack(varpi, p, None, None)
-    settings = SolverSettings(method="rk45", dt=1e-3, dt_max=1e-2,
-                              rel_tol=1e-9, abs_tol=1e-11)
+    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-9,
+                              abs_tol=1e-11)
     traj = integrate(sys, y0, sys.clock, settings)
     assert np.abs(traj.states - y0).max() < 1e-6
 
@@ -483,22 +484,20 @@ def test_deadline_rescaling_of_generator():
                    None, None)
     out = []
     for sys in (sys1, sys2):
-        settings = SolverSettings(method="rk45", dt=1e-4, dt_max=1e-2,
-                                  rel_tol=1e-11, abs_tol=1e-13)
+        settings = SolverSettings(method="rk45", dt=1e-4, rel_tol=1e-11,
+                                  abs_tol=1e-13)
         out.append(integrate(sys, y0, sys.clock, settings))
     assert np.allclose(out[0].states[-1], out[1].states[-1], atol=1e-7)
 
 
 def test_deadline_invariant_step_count():
     # on the log clock a linear gain makes the generator autonomous, so the
-    # step count does not grow as the deadline shrinks.  With dt and dt_max
-    # (steps in t) scaled by T as well, the runs agree step for step,
-    # through the hand-over to RKC2.  With them fixed, dt_max binds each
-    # run over a t-span that grows with T (about 155 steps at T = 2), so the
-    # counts stay within a 25% band of each other only while a
-    # stability-bound Dormand-Prince tail adds some 150 steps to every run;
-    # each run here stays within the plain Dormand-Prince run's steps and
-    # calls instead
+    # step count does not depend on the deadline.  With dt (the first step,
+    # in t) scaled by T as well, the runs agree step for step, through the
+    # hand-over to RKC2; with dt fixed only the first step differs, and the
+    # steps and calls stay within 2% of each other (221-222 steps and
+    # 1308-1323 calls here).  Each run stays within the plain
+    # Dormand-Prince run's steps and calls
     for scaled in (False, True):
         steps, rhs_calls = [], []
         for T in (0.5, 1.0, 2.0):
@@ -507,8 +506,7 @@ def test_deadline_invariant_step_count():
                           np.zeros((4, 2)), None, None)
             unit = T if scaled else 1.0
             settings = SolverSettings(method="rk45", dt=1e-3 * unit,
-                                      dt_max=1e-2 * unit, rel_tol=1e-9,
-                                      abs_tol=1e-11)
+                                      rel_tol=1e-9, abs_tol=1e-11)
             traj = integrate(sys, y0, sys.clock, settings)
             assert traj.times[-1] == 0.999 * T
             assert traj.integrator["handovers"] is not None
@@ -520,9 +518,11 @@ def test_deadline_invariant_step_count():
                 assert traj.n_steps <= plain.n_steps
                 assert traj.n_rhs <= plain.n_rhs
         assert max(steps) <= 1000
-        assert steps == sorted(steps)
         if scaled:
             assert len(set(steps)) == len(set(rhs_calls)) == 1
+        else:
+            assert max(steps) <= 1.02 * min(steps)
+            assert max(rhs_calls) <= 1.02 * min(rhs_calls)
 
 
 def test_column_names_cover_state():
@@ -536,7 +536,7 @@ def test_column_names_cover_state():
 def test_trajectory_columns_layout():
     sys, _ = ring_system(guard_frac=0.1)
     y0 = sys.pack(np.zeros((4, 2)), np.zeros((4, 2)), None, None)
-    settings = SolverSettings(method="rk4", dt=1e-2, dt_max=1e-2)
+    settings = SolverSettings(method="rk4", dt=1e-2)
     traj = integrate(sys, y0, sys.clock, settings)
     cols = trajectory_columns(sys, traj)
     assert list(cols)[:2] == ["t", "mu"]
