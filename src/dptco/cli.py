@@ -48,7 +48,8 @@ def _write_plots(out: Path, build: ScenarioBuild, traj: Trajectory,
                  derived: dict) -> list:
     files = []
     bound = envelope_bound(traj.times, float(derived["e_r_norm"][0]),
-                           build.clock, build.alpha, build.gen_constants)
+                           build.sys.clock, build.sys.alpha,
+                           build.gen_constants)
     env_path = out / "envelope.svg"
     write_svg(str(env_path),
               [("||e_r||", traj.times, derived["e_r_norm"]),
@@ -57,7 +58,7 @@ def _write_plots(out: Path, build: ScenarioBuild, traj: Trajectory,
               ylabel="||e_r||")
     files.append(str(env_path))
     series = [(f"agent {i}", traj.times, derived["track_err"][:, i])
-              for i in range(build.net.n_agents)]
+              for i in range(build.sys.net.n_agents)]
     if "theta_hat" in derived:
         series.append(("theta_hat 1", traj.times,
                        np.abs(derived["theta_hat"][:, 0])))
@@ -86,8 +87,8 @@ def run_scenario(scenario_path: str, out_dir: str, seed: int | None = None,
         raise IoFailure(f"cannot create {out}: {exc}") from exc
     sc = load_scenario(scenario_path)
     build = sc.build(seed=seed, guard_frac=guard_frac)
-    cert = optimum_oracle(build.costs)
-    traj = integrate(build.sys, build.y0, build.clock, build.settings)
+    cert = optimum_oracle(build.sys.costs)
+    traj = integrate(build.sys, build.y0, build.sys.clock, build.settings)
     derived = derived_series(build, traj, cert.z_star)
     monitors = evaluate_monitors(build, traj, derived)
 
@@ -146,7 +147,7 @@ def cmd_run(args) -> int:
 def cmd_optimum(args) -> int:
     sc = load_scenario(args.scenario)
     build = sc.build()
-    cert = optimum_oracle(build.costs)
+    cert = optimum_oracle(build.sys.costs)
     print(json.dumps(cert.to_dict(), indent=2))
     return EXIT_OK
 
@@ -214,7 +215,7 @@ def cmd_verify(args) -> int:
     sc = load_scenario(args.scenario)
     build = sc.build()
     traj = read_trajectory_csv(args.csv, build)
-    cert = optimum_oracle(build.costs)
+    cert = optimum_oracle(build.sys.costs)
     derived = derived_series(build, traj, cert.z_star)
     monitors = evaluate_monitors(build, traj, derived)
     all_pass = True

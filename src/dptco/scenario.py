@@ -24,7 +24,7 @@ from .generator import (GeneratorConstants, MonitorReport,
                         check_generator_criterion, conservation_monitor,
                         envelope_monitor, error_state, generator_constants,
                         gradients_at, ratio_report)
-from .graph import Network, build_network, require_connected
+from .graph import build_network, require_connected
 from .sim_engine import (CoupledSystem, SolverSettings, Trajectory,
                          make_disturbance)
 from .timegain import GainFunction, PrescribedClock, log_grid
@@ -49,15 +49,12 @@ def _fail(path: str, where: str, msg: str) -> ScenarioError:
 
 @dataclass
 class ScenarioBuild:
-    """Everything a run needs, with provenance for the manifest."""
+    """Everything a run needs, with provenance for the manifest; the
+    clock, network, costs and gain are those of sys."""
 
     name: str
     path: str
     sha256: str
-    clock: PrescribedClock
-    net: Network
-    costs: CostSet
-    alpha: GainFunction
     sys: CoupledSystem
     y0: np.ndarray
     settings: SolverSettings
@@ -278,9 +275,9 @@ class Scenario:
                         "spectral radius, and chain agents have none (their "
                         "stiffness drifts with the state); use rk45")
 
-        return ScenarioBuild(self.name, path, scenario_hash(raw), clock,
-                             net, costs, alpha, sys, y0, settings, monitors,
-                             reports, constants, override, dist_seed)
+        return ScenarioBuild(self.name, path, scenario_hash(raw), sys, y0,
+                             settings, monitors, reports, constants, override,
+                             dist_seed)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -352,20 +349,20 @@ def derived_series(build: ScenarioBuild, traj: Trajectory,
     the scaled error norm.  The run CSV lists the channels in this order.
     """
     sys = build.sys
-    n = build.net.n_agents
+    n = sys.net.n_agents
     K = traj.times.shape[0]
     z_star = np.asarray(z_star, dtype=float)
-    grads_at_star = gradients_at(build.costs, z_star)
+    grads_at_star = gradients_at(sys.costs, z_star)
     targets = sys.references(np.tile(z_star, (n, 1)))
     out = {
         "mu": np.empty(K),
         "e_r_norm": np.empty(K),
-        "p_sum": np.empty((K, build.costs.dim)),
+        "p_sum": np.empty((K, sys.dim)),
         "track_err": np.empty((K, n)),
     }
     for k in range(K):
         varpi, p, x, c = sys.views(traj.states[k])
-        mu = build.clock.mu(traj.times[k])
+        mu = sys.clock.mu(traj.times[k])
         out["mu"][k] = mu
         out["e_r_norm"][k] = error_state(varpi, p, z_star, grads_at_star).norm
         out["p_sum"][k] = p.sum(axis=0)
@@ -392,10 +389,11 @@ _MONITORS = {
     "conservation": (("tol",), lambda b, t, d, p: conservation_monitor(
         t, d["p_sum"], **p)),
     "envelope": (("slack",), lambda b, t, d, p: envelope_monitor(
-        t, d["e_r_norm"], b.clock, b.alpha, b.gen_constants, **p)),
+        t, d["e_r_norm"], b.sys.clock, b.sys.alpha, b.gen_constants, **p)),
     "tracking": (("tol",), _tracking),
     "chain_decay": ((), lambda b, t, d, p: chain_ctrl.chain_decay_monitor(
-        t, d["e_s_norm"], d["e_tilde_norm"], b.sys.agents.cfg, b.clock)),
+        t, d["e_s_norm"], d["e_tilde_norm"], b.sys.agents.cfg,
+        b.sys.clock)),
     # default radius: twice each agent's initial scaled error, plus 1
     "invariant_set": (("h", "slack"),
                       lambda b, t, d, p: strictfb_ctrl.invariant_set_monitor(

@@ -231,9 +231,10 @@ def integrate(system, y0: np.ndarray, clock: PrescribedClock,
     steps, h = min(dt, 1.39 / rho(mu), t_guard - t), taken anew at the
     current y each time mu has doubled.  RK45 steps in
     s = -ln(1 - (t - t0)/T), i.e. t(s) = t0 - T expm1(-s), on
-    dy/ds = rhs / mu, under error control alone; while Dormand-Prince is held at its stability limit it hands over to
-    RKC2 (see the module docstring).  No stage time passes the guard time
-    clock.t_guard, where the run ends.
+    dy/ds = rhs / mu, under error control alone; while Dormand-Prince is
+    held at its stability limit it hands over to RKC2 (see the module
+    docstring).  No stage time passes the guard time clock.t_guard, where
+    the run ends.
     Deterministic: no hidden randomness, and identical inputs give
     bit-identical trajectories.
     """

@@ -41,7 +41,7 @@ def reference_endpoint(name: str) -> dict:
     settings = dataclasses.replace(build.settings, rel_tol=REL_TOL,
                                    abs_tol=ABS_TOL, log_every=10 ** 9)
     traj = integrate_allocating(lambda t, y: rhs_new(build.sys, t, y),
-                                build.y0, build.clock, settings)
+                                build.y0, build.sys.clock, settings)
     return {"t": float(traj.times[-1]), "rel_tol": REL_TOL,
             "abs_tol": ABS_TOL, "y": [float(v) for v in traj.states[-1]]}
 
@@ -50,8 +50,8 @@ def richardson_endpoint(name: str) -> dict:
     build = load_scenario(scenario_path(name)).build(guard_frac=RK4_GUARD)
     settings = dataclasses.replace(build.settings, log_every=10 ** 9)
     half, quarter = (integrate_allocating(
-        lambda t, y: rhs_new(build.sys, t, y), build.y0, build.clock, settings,
-        build.sys.stiffness, frac) for frac in (0.5, 0.25))
+        lambda t, y: rhs_new(build.sys, t, y), build.y0, build.sys.clock,
+        settings, build.sys.stiffness, frac) for frac in (0.5, 0.25))
     assert half.times[-1] == quarter.times[-1]
     y_half, y_quarter = half.states[-1], quarter.states[-1]
     return {"t": float(quarter.times[-1]), "guard_frac": RK4_GUARD,

@@ -59,7 +59,7 @@ def monitor(run: dict, name: str) -> dict:
 def test_criterion_01_optimum():
     build = load_scenario(scenario_path("example2")).build()
     t0 = time.perf_counter()
-    cert = optimum_oracle(build.costs)
+    cert = optimum_oracle(build.sys.costs)
     elapsed = time.perf_counter() - t0
     err = float(np.abs(np.asarray(cert.z_star) - Z_STAR_E2).max())
     ok = err <= 1e-3 and elapsed < 1.0
@@ -331,7 +331,7 @@ def test_example2_endpoint_within_1e8_of_reference():
     ref = REFERENCE["example2"]
     build = load_scenario(scenario_path("example2")).build(
         guard_frac=ref["guard_frac"])
-    traj = integrate(build.sys, build.y0, build.clock, build.settings)
+    traj = integrate(build.sys, build.y0, build.sys.clock, build.settings)
     assert traj.times[-1] == ref["t"]
     assert ref["correction"] < RK4_MAX_DIFF / 10.0
     assert np.abs(traj.states[-1] - np.array(ref["y"])).max() <= RK4_MAX_DIFF

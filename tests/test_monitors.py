@@ -157,9 +157,10 @@ FAILING = {
 def test_every_monitor_fails_at_its_first_violating_row(name):
     params, cfg, derived, row = FAILING[name]
     build = SimpleNamespace(
-        monitors={name: params}, clock=CLOCK, alpha=linear_gain(1.0),
+        monitors={name: params},
         gen_constants=generator_constants(0.2, 2.0, 1.0, 4.0),
-        sys=SimpleNamespace(agents=SimpleNamespace(cfg=cfg)))
+        sys=SimpleNamespace(clock=CLOCK, alpha=linear_gain(1.0),
+                            agents=SimpleNamespace(cfg=cfg)))
     traj = SimpleNamespace(times=TIMES)
     [ok] = evaluate_monitors(build, traj, derived(False))
     assert ok.passed
@@ -173,7 +174,7 @@ def test_every_monitor_fails_at_its_first_violating_row(name):
 def _derived(run):
     build = load_scenario(scenario_path(run["name"])).build()
     traj = read_trajectory_csv(str(run["out"] / "trajectory.csv"), build)
-    z_star = optimum_oracle(build.costs).z_star
+    z_star = optimum_oracle(build.sys.costs).z_star
     return build, traj, derived_series(build, traj, z_star)
 
 
@@ -189,7 +190,7 @@ def _check_columns(report, column_reports, loop_max=None):
 def test_example2_monitors_equal_their_per_column_calls(example2_run):
     build, traj, d = _derived(example2_run)
     t, cfg = traj.times, build.sys.agents.cfg
-    cols = range(build.net.n_agents)
+    cols = range(build.sys.net.n_agents)
     # the bundled radius, then the default one: 2 ||e_tilde(t0)|| + 1
     for params in (build.monitors["invariant_set"], {"slack": 0.02}):
         [rep] = evaluate_monitors(
@@ -215,5 +216,5 @@ def test_example1_chain_decay_equals_its_per_column_calls(example1_run):
     cfg = build.sys.agents.cfg
     _check_columns(reports["chain_decay"], [chain_decay_monitor(
         traj.times, d["e_s_norm"][:, i:i + 1], d["e_tilde_norm"][:, i:i + 1],
-        cfg, build.clock) for i in range(build.net.n_agents)],
-        chain_decay_fit(traj.times, d["e_s_norm"], cfg, build.clock))
+        cfg, build.sys.clock) for i in range(build.sys.net.n_agents)],
+        chain_decay_fit(traj.times, d["e_s_norm"], cfg, build.sys.clock))

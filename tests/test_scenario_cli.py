@@ -515,7 +515,7 @@ def test_verify_flags_envelope_violation(tmp_path, capsys):
     p = write_tiny(tmp_path)
     build = load_scenario(p).build()
     times = np.linspace(0.0, 0.9, 10)
-    cols = {"t": times, "mu": [build.clock.mu(t) for t in times]}
+    cols = {"t": times, "mu": [build.sys.clock.mu(t) for t in times]}
     for name, val in zip(build.sys.column_names(), build.y0):
         cols[name] = np.full(10, val)
     csv = tmp_path / "frozen.csv"

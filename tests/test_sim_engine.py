@@ -108,20 +108,20 @@ def test_rk4_spectral_radius_matches_example2_jacobian():
 
     sys.stiffness = stiffness
     settings = dataclasses.replace(build.settings, log_every=1)
-    traj = integrate(sys, build.y0, build.clock, settings)
+    traj = integrate(sys, build.y0, build.sys.clock, settings)
     assert len(taken) == 7
     kappa_xi, alpha_xi = sys.agents.spectral_rate
     g = sys.gen_size
     late = np.flatnonzero(traj.times > 0.9)[:-1]
     for k in late[::10]:
         t, y = traj.times[k], traj.states[k]
-        mu = build.clock.mu(t)
+        mu = build.sys.clock.mu(t)
         jac = rhs_jacobian(sys, t, y)
         radius = [np.abs(np.linalg.eigvals(block)).max()
                   for block in (jac[:g, :g], jac[g:, g:], jac)]
-        kappa_gen = design_radius(build.net.laplacian, build.costs,
+        kappa_gen = design_radius(build.sys.net.laplacian, build.sys.costs,
                                   sys.views(y)[0])
-        assert radius[0] == pytest.approx(kappa_gen * build.alpha.eval(mu),
+        assert radius[0] == pytest.approx(kappa_gen * build.sys.alpha.eval(mu),
                                           rel=1e-2)
         assert radius[1] == pytest.approx(kappa_xi * alpha_xi.eval(mu),
                                           rel=1e-2)
