@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -35,6 +36,9 @@ _SECTIONS = ("clock", "network", "costs", "gains", "agents", "solver",
 # solver keys and their JSON-to-SolverSettings conversions
 _SOLVER_KEYS = {"method": str, "dt": float, "rel_tol": float,
                 "abs_tol": float, "log_every": int}
+
+# agents keys of the initial state, located by column once packed into y0
+_INITIAL_STATE = ("varpi_init", "p_init", "x_init", "theta_hat_init")
 
 _PHI_REGISTRY = {
     "identity": lambda x: x,
@@ -162,6 +166,9 @@ class Scenario:
 
         with _section(path, "agents"):
             ag = raw["agents"]
+            for key in _non_finite_keys(ag, ""):
+                if key not in _INITIAL_STATE:
+                    raise ValueError(f"{key} must be finite")
             if seed is not None and seed < 0:
                 # refused on every scenario, as agents.disturbance.seed is
                 raise ValueError("expected non-negative integer")
@@ -311,6 +318,22 @@ def _solver_settings(sv, path: str) -> SolverSettings:
                     f"allowed: {', '.join(_SOLVER_KEYS)}")
     with _section(path, "solver"):
         return SolverSettings(**{k: _SOLVER_KEYS[k](v) for k, v in sv.items()})
+
+
+def _non_finite_keys(d: dict, prefix: str):
+    """The keys of the JSON object d, dotted below nested objects, whose
+    value holds a non-finite number."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _non_finite_keys(value, f"{prefix}{key}.")
+        elif not _all_finite(value):
+            yield prefix + key
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, list):
+        return all(map(_all_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _gain(path: str, gains: dict, key: str) -> GainFunction:

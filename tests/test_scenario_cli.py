@@ -276,9 +276,30 @@ def _put(*keys, value=math.nan):
      "network: edge (2,3) has weight nan, not finite and > 0"),
     ("example2", _put("network", "edges", 0, 2, value=math.inf),
      "network: edge (0,1) has weight inf, not finite and > 0"),
+    ("example1", _put("agents", "offsets", 4, 1),
+     "agents: offsets must be finite"),
+    ("example1", _put("agents", "v"), "agents: v must be finite"),
+    ("example1", _put("agents", "psi", value=math.inf),
+     "agents: psi must be finite"),
+    ("example1", _put("agents", "el_true_theta", 2),
+     "agents: el_true_theta must be finite"),
+    ("example1", _put("agents", "disturbance", "amplitude"),
+     "agents: disturbance.amplitude must be finite"),
+    ("example2", _put("agents", "thetas", 1), "agents: thetas must be finite"),
+    ("example2", _put("agents", "c", 0), "agents: c must be finite"),
+    ("example2", _put("agents", "upsilon", 1, value=-math.inf),
+     "agents: upsilon must be finite"),
+    ("example2", _put("agents", "sigma", value=math.inf),
+     "agents: sigma must be finite"),
+    # exp(100 ||z - c||^2) overflows on the working box
+    ("example2_generator", _put("costs", "agents", 2, 1, "P",
+                                value=[[100.0, 0.0], [0.0, 100.0]]),
+     "costs: curvature constants must be finite on the working box"),
 ], ids=["T_nan", "T_inf", "t0_nan", "t0_-inf", "varpi_init", "p_init",
         "x_init", "theta_hat_init", "quadratic_center",
-        "exp_quadratic_center", "box", "weight_nan", "weight_inf"])
+        "exp_quadratic_center", "box", "weight_nan", "weight_inf", "offsets",
+        "v", "psi", "el_true_theta", "disturbance_amplitude", "thetas", "c",
+        "upsilon", "sigma", "overflowing_cost"])
 def test_non_finite_number_refused_in_its_section(tmp_path, capsys,
                                                   monkeypatch, name, edit,
                                                   message):
