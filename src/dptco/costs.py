@@ -93,13 +93,11 @@ class SumCost:
         for t in self.terms:
             if t.dim != self.dim:
                 raise DimensionMismatch("SumCost terms disagree on dimension")
-        rhos = [t.rho_c for t in self.terms]
-        self.rho_c = sum(r for r in rhos if r is not None) if any(
-            r is not None for r in rhos) else None
-        if any(t.varrho_c is None for t in self.terms):
-            self.varrho_c = None
-        else:
-            self.varrho_c = sum(t.varrho_c for t in self.terms)
+        # analytic only when every term's constants are
+        analytic = all(t.varrho_c is not None for t in self.terms)
+        self.rho_c = sum(t.rho_c for t in self.terms) if analytic else None
+        self.varrho_c = (sum(t.varrho_c for t in self.terms) if analytic
+                         else None)
 
     def value(self, z):
         return sum(t.value(z) for t in self.terms)
@@ -134,12 +132,11 @@ class CostSet:
         self.box = _finite("box", self.box)
         if self.box.shape != (self.dim, 2):
             raise DimensionMismatch("box must be (dim, 2)")
-        analytic = [(c.rho_c, c.varrho_c) for c in self.costs]
-        if all(r is not None and v is not None for r, v in analytic):
-            self.rho_c = min(r for r, _ in analytic)
-            self.varrho_c = max(v for _, v in analytic)
+        if all(c.varrho_c is not None for c in self.costs):
+            self.rho_c = min(c.rho_c for c in self.costs)
+            self.varrho_c = max(c.varrho_c for c in self.costs)
         else:
-            self.rho_c, self.varrho_c = estimate_constants(self, self.box)
+            self.rho_c, self.varrho_c = estimate_constants(self)
         if not (math.isfinite(self.rho_c) and math.isfinite(self.varrho_c)):
             raise NonPositiveInput(
                 "curvature constants must be finite on the working box, got "
@@ -321,10 +318,10 @@ def optimum_oracle(costs: CostSet) -> OptimumCertificate:
     return OptimumCertificate(z, float(np.linalg.norm(g)), it)
 
 
-def estimate_constants(costs: CostSet, box) -> tuple[float, float]:
+def estimate_constants(costs: CostSet) -> tuple[float, float]:
     """Empirical strong-convexity and gradient-Lipschitz constants.
 
-    Samples 400 seeded random point pairs in the box, plus axis-aligned
+    Samples 400 seeded random point pairs in costs.box, plus axis-aligned
     pairs (`_curvature_pairs`), and returns
 
       rho_hat    = min (grad f(x) - grad f(y))^T (x - y) / ||x - y||^2
@@ -335,7 +332,7 @@ def estimate_constants(costs: CostSet, box) -> tuple[float, float]:
     (`_gradient_blocks`).  A gradient that overflows on the box gives a
     non-finite constant, without a warning.
     """
-    X, Y = _curvature_pairs(box)
+    X, Y = _curvature_pairs(costs.box)
     with np.errstate(over="ignore", invalid="ignore"):
         G = _gradient_blocks(costs._batches, costs.n_agents,
                              np.concatenate([X, Y]))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -136,13 +135,11 @@ class Scenario:
                 raise _fail(path, "costs", "one cost per agent required")
             costs = CostSet(agent_costs, dim, cs.get("box", default_box(dim)))
 
-        if net.n_agents == 1:
-            # no second eigenvalue, so no envelope constants: NaN, which
-            # the envelope monitor reads as a failure
-            consts = GeneratorConstants(*[np.nan] * 4)
-        else:
-            consts = generator_constants(costs.rho_c, costs.varrho_c,
-                                         net.lambda2, net.lambdaN)
+        # a single agent has no second eigenvalue and no envelope
+        # constants: NaN, which the envelope monitor reads as a failure
+        consts = (GeneratorConstants(*[np.nan] * 4) if net.n_agents == 1
+                  else generator_constants(costs.rho_c, costs.varrho_c,
+                                           net.lambda2, net.lambdaN))
         constants = {
             "lambda2": net.lambda2, "lambdaN": net.lambdaN,
             "rho_c": costs.rho_c, "varrho_c": costs.varrho_c,
@@ -322,18 +319,15 @@ def _solver_settings(sv, path: str) -> SolverSettings:
 
 def _non_finite_keys(d: dict, prefix: str):
     """The keys of the JSON object d, dotted below nested objects, whose
-    value holds a non-finite number."""
+    value holds a NaN or an infinity."""
     for key, value in d.items():
         if isinstance(value, dict):
             yield from _non_finite_keys(value, f"{prefix}{key}.")
-        elif not _all_finite(value):
+            continue
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
             yield prefix + key
-
-
-def _all_finite(value) -> bool:
-    if isinstance(value, list):
-        return all(map(_all_finite, value))
-    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _gain(path: str, gains: dict, key: str) -> GainFunction:

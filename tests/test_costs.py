@@ -206,14 +206,14 @@ def test_oracle_reference_value():
 
 def test_estimate_constants_diagonal_quadratic():
     c = QuadraticCost(np.diag([0.5, 0.3]), [0.0, 0.0], 0.0)
-    rho, varrho = estimate_constants(one_agent(c), default_box(2))
+    rho, varrho = estimate_constants(one_agent(c))
     assert 0.6 - 1e-3 <= rho <= 0.6 + 1e-9
     assert 1.0 - 1e-9 <= varrho <= 1.0 + 1e-3
 
 
 def test_estimate_constants_identity_quadratic():
     c = QuadraticCost(np.eye(2), [0.0, 0.0], 0.0)
-    rho, varrho = estimate_constants(one_agent(c), default_box(2))
+    rho, varrho = estimate_constants(one_agent(c))
     assert rho == pytest.approx(2.0, abs=1e-6)
     assert varrho == pytest.approx(2.0, abs=1e-6)
 
@@ -229,24 +229,23 @@ def test_curvature_sample_pinned():
 
 def test_estimate_constants_example2_agent1():
     cs = example2_costs()
-    rho, varrho = estimate_constants(one_agent(cs.costs[0], cs.box), cs.box)
+    rho, varrho = estimate_constants(one_agent(cs.costs[0], cs.box))
     assert rho > 0.0
     assert np.isfinite(varrho)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: (one_agent(ExpQuadraticCost([[0.1, 0.0], [0.0, 0.1]], [0.5, 0.5]),
-                       (box := np.array([[-1.0, 2.0], [-1.0, 2.0]]))), box),
-    lambda: (one_agent(SumCost([
+    lambda: one_agent(ExpQuadraticCost([[0.1, 0.0], [0.0, 0.1]], [0.5, 0.5]),
+                      np.array([[-1.0, 2.0], [-1.0, 2.0]])),
+    lambda: one_agent(SumCost([
         QuadraticCost([[0.5, -0.2], [-0.2, 0.3]], [1.0, 1.0], 0.0),
         ExpQuadraticCost([[0.2, 0.05], [0.05, 0.1]], [0.3, -0.2])])),
-        default_box(2)),
-    lambda: ((cs := example2_costs()), cs.box),
+    example2_costs,
 ], ids=["single", "sum", "costset"])
 def test_estimate_constants_matches_loop(make):
-    costs, box = make()
-    got = estimate_constants(costs, box)
-    want = oracles.estimate_constants(costs, box)
+    costs = make()
+    got = estimate_constants(costs)
+    want = oracles.estimate_constants(costs, costs.box)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
