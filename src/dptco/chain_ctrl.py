@@ -255,15 +255,6 @@ class ChainAgents:
         self.el = None if el is None else ElMismatch.of(*el)
         self.disturbance = disturbance
 
-    @property
-    def spectral_rate(self):
-        """Chain agents have none: their block's spectral radius over
-        alpha_s drifts with the state (from 3.8 to 0.36 over example1 to
-        guard 0.9, and over alpha_x from 10 to 7900), so no design
-        constant sizes a fixed step."""
-        raise ValueError("chain agents have no design spectral radius "
-                         "for RK4's step; integrate them with rk45")
-
     def derivatives(self, t, mu, x, c, ref, dx, dc):
         """Write every agent's x_q' = x_{q+1}, x_m' = u + d(t) into dx."""
         dx[:-1] = x[1:]

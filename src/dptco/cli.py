@@ -1,7 +1,8 @@
 """Command-line harness.
 
 Thin shell over the library: every command is a library call plus I/O.
-Exit codes: 0 all monitors pass, 2 a monitor failed, 1 parse/config errors.
+Exit codes: 0 all monitors pass, 2 a monitor failed, 1 parse/config errors
+and a malformed command line.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ def _write_plots(out: Path, build: ScenarioBuild, traj: Trajectory,
     return files
 
 
-def run_scenario(scenario_path: str, out_dir: str, seed: int | None = None,
-                 guard_frac: float | None = None) -> tuple:
+def run_scenario(scenario_path: str, out_dir: str) -> tuple:
     """Full pipeline: build, solve optimum, integrate, monitor, write files.
 
     Returns (exit_code, manifest dict).
@@ -86,7 +86,7 @@ def run_scenario(scenario_path: str, out_dir: str, seed: int | None = None,
     except OSError as exc:
         raise IoFailure(f"cannot create {out}: {exc}") from exc
     sc = load_scenario(scenario_path)
-    build = sc.build(seed=seed, guard_frac=guard_frac)
+    build = sc.build()
     cert = optimum_oracle(build.sys.costs)
     traj = integrate(build.sys, build.y0, build.sys.clock, build.settings)
     derived = derived_series(build, traj, cert.z_star)
@@ -136,8 +136,7 @@ def _monitor_line(m: dict) -> str:
 
 
 def cmd_run(args) -> int:
-    code, manifest = run_scenario(args.scenario, args.out, seed=args.seed,
-                                  guard_frac=args.guard_frac)
+    code, manifest = run_scenario(args.scenario, args.out)
     for m in manifest["monitors"]:
         print(_monitor_line(m))
     print(f"wrote {len(manifest['outputs']) + 1} files to {args.out}")
@@ -289,10 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario end to end")
     p_run.add_argument("scenario")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="override the disturbance seed (non-negative)")
-    p_run.add_argument("--guard-frac", type=float, default=None,
-                       dest="guard_frac")
     p_run.set_defaults(func=cmd_run)
 
     p_opt = sub.add_parser("optimum", help="print the optimum certificate")
@@ -313,7 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a malformed command line, which is the code
+        # of a failed monitor here; --help exits 0
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except DptcoError as exc:

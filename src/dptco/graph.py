@@ -32,9 +32,13 @@ def build_network(n_agents: int, edges: list) -> Network:
     """Build a Network from (i, j, weight) edge triples.
 
     The Laplacian is l_ii = sum_j a_ij, l_ij = -a_ij; its spectrum comes
-    from numpy's symmetric eigensolver.  Weights must be finite and > 0.
+    from numpy's symmetric eigensolver.  Weights must be finite and > 0,
+    and there must be two nodes at least: one has no lambda_2.
     """
     n = int(n_agents)
+    if n < 2:
+        raise ValueError(f"n_agents must be at least 2, got {n}: lambda2 "
+                         "is undefined")
     lap = np.zeros((n, n))
     for i, j, w in edges:
         i, j, w = int(i), int(j), float(w)
@@ -48,26 +52,17 @@ def build_network(n_agents: int, edges: list) -> Network:
         lap[i, j] = lap[j, i] = -w
     # l_ii from the row's -a_ij; 0.0 - 0.0 keeps an empty row's +0.0
     np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
-    if n >= 2:
-        eigs = np.linalg.eigvalsh(lap)
-        lambda2 = float(eigs[1])
-        lambdaN = float(eigs[-1])
-    else:
-        lambda2 = math.nan
-        lambdaN = math.nan
+    eigs = np.linalg.eigvalsh(lap)
     lap.setflags(write=False)
-    return Network(n, lap, lambda2, lambdaN)
+    return Network(n, lap, float(eigs[1]), float(eigs[-1]))
 
 
 def require_connected(net: Network) -> dict:
     """Certify connectivity with two independent witnesses.
 
     Passes iff lambda2 > 1e-10 AND a breadth-first search from node 0
-    along the Laplacian's nonzero entries reaches every node.  A single
-    node is connected vacuously.
+    along the Laplacian's nonzero entries reaches every node.
     """
-    if net.n_agents == 1:
-        return {"lambda2": None, "bfs_reached": 1}
     reached = {0}
     queue = deque([0])
     while queue:

@@ -89,10 +89,7 @@ class Scenario:
     def name(self) -> str:
         return self.raw.get("name", "unnamed")
 
-    def build(self, seed: int | None = None,
-              guard_frac: float | None = None) -> ScenarioBuild:
-        """Resolve the scenario; seed and guard_frac, when given, replace
-        the disturbance seed and the clock's guard_frac."""
+    def build(self) -> ScenarioBuild:
         raw, path = self.raw, self.path
         for section in _SECTIONS:
             if section not in raw:
@@ -119,8 +116,7 @@ class Scenario:
             ck = raw["clock"]
             clock = PrescribedClock(
                 t0=float(ck.get("t0", 0.0)), T=float(ck["T"]),
-                guard_frac=float(guard_frac if guard_frac is not None
-                                 else ck.get("guard_frac", 0.999)))
+                guard_frac=float(ck.get("guard_frac", 0.999)))
 
         with _section(path, "network"):
             nw = raw["network"]
@@ -135,11 +131,8 @@ class Scenario:
                 raise _fail(path, "costs", "one cost per agent required")
             costs = CostSet(agent_costs, dim, cs.get("box", default_box(dim)))
 
-        # a single agent has no second eigenvalue and no envelope
-        # constants: NaN, which the envelope monitor reads as a failure
-        consts = (GeneratorConstants(*[np.nan] * 4) if net.n_agents == 1
-                  else generator_constants(costs.rho_c, costs.varrho_c,
-                                           net.lambda2, net.lambdaN))
+        consts = generator_constants(costs.rho_c, costs.varrho_c,
+                                     net.lambda2, net.lambdaN)
         constants = {
             "lambda2": net.lambda2, "lambdaN": net.lambdaN,
             "rho_c": costs.rho_c, "varrho_c": costs.varrho_c,
@@ -166,9 +159,6 @@ class Scenario:
             for key in _non_finite_keys(ag, ""):
                 if key not in _INITIAL_STATE:
                     raise ValueError(f"{key} must be finite")
-            if seed is not None and seed < 0:
-                # refused on every scenario, as agents.disturbance.seed is
-                raise ValueError("expected non-negative integer")
             agents = None
             dist_seed = 0
             if controller == "chain":
@@ -197,8 +187,7 @@ class Scenario:
                 disturbance = None
                 if "disturbance" in ag:
                     dd = ag["disturbance"]
-                    dist_seed = int(seed if seed is not None
-                                    else dd.get("seed", 0))
+                    dist_seed = int(dd.get("seed", 0))
                     disturbance = make_disturbance(
                         dist_seed, net.n_agents, dim,
                         float(dd.get("amplitude", 0.1)))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dptco
+from dptco.scenario import Scenario
 
 SCEN_DIR = Path(dptco.__file__).parent / "scenarios"
 
@@ -35,11 +36,10 @@ def out_root(tmp_path_factory):
     return tmp_path_factory.mktemp("runs")
 
 
-def _run(name: str, out_root: Path, **kwargs) -> dict:
+def _run(name: str, out_root: Path) -> dict:
     from dptco.cli import run_scenario
 
-    code, manifest = run_scenario(scenario_path(name),
-                                  str(out_root / name), **kwargs)
+    code, manifest = run_scenario(scenario_path(name), str(out_root / name))
     return {"code": code, "manifest": manifest,
             "out": out_root / name, "name": name}
 
@@ -69,10 +69,24 @@ def all_runs(ring_run, e2gen_run, example1_run, example2_run):
     return [ring_run, e2gen_run, example1_run, example2_run]
 
 
-def modified_scenario(name: str, tmp: Path, edits) -> str:
-    """Copy a bundled scenario with an edit callback applied; returns path."""
+def _edited(name: str, edits) -> dict:
     raw = json.loads(Path(scenario_path(name)).read_text())
     edits(raw)
+    return raw
+
+
+def modified_scenario(name: str, tmp: Path, edits) -> str:
+    """Copy a bundled scenario with an edit callback applied; returns path."""
     p = tmp / f"{name}_mod.json"
-    p.write_text(json.dumps(raw))
+    p.write_text(json.dumps(_edited(name, edits)))
     return str(p)
+
+
+def modified_build(name: str, edits):
+    """Build a bundled scenario with an edit callback applied, in memory."""
+    return Scenario(_edited(name, edits), scenario_path(name)).build()
+
+
+def at_guard(guard_frac: float):
+    """An edit callback that sets the clock's guard_frac."""
+    return lambda raw: raw["clock"].update(guard_frac=guard_frac)

@@ -26,7 +26,7 @@ sys.path.insert(0, str(HERE))
 
 from dptco.scenario import load_scenario  # noqa: E402
 
-from conftest import scenario_path  # noqa: E402
+from conftest import at_guard, modified_build, scenario_path  # noqa: E402
 from oracles import integrate_allocating, rhs_new  # noqa: E402
 
 NAMES = ("ring", "example2_generator", "example1")
@@ -47,7 +47,7 @@ def reference_endpoint(name: str) -> dict:
 
 
 def richardson_endpoint(name: str) -> dict:
-    build = load_scenario(scenario_path(name)).build(guard_frac=RK4_GUARD)
+    build = modified_build(name, at_guard(RK4_GUARD))
     settings = dataclasses.replace(build.settings, log_every=10 ** 9)
     half, quarter = (integrate_allocating(
         lambda t, y: rhs_new(build.sys, t, y), build.y0, build.sys.clock,

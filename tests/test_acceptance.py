@@ -23,7 +23,8 @@ from dptco.timegain import PrescribedClock
 from dptco.chain_ctrl import companion, hurwitz_gain, solve_lyapunov
 
 import conftest
-from conftest import modified_scenario, scenario_path
+from conftest import (at_guard, modified_build, modified_scenario,
+                      scenario_path)
 from oracles import (System, agent_control, exp_gain, linear_gain, log_gain,
                      log_grid)
 
@@ -329,8 +330,7 @@ EXAMPLE2_MAX_RHS = 41426
 
 def test_example2_endpoint_within_1e8_of_reference():
     ref = REFERENCE["example2"]
-    build = load_scenario(scenario_path("example2")).build(
-        guard_frac=ref["guard_frac"])
+    build = modified_build("example2", at_guard(ref["guard_frac"]))
     traj = integrate(build.sys, build.y0, build.sys.clock, build.settings)
     assert traj.times[-1] == ref["t"]
     assert ref["correction"] < RK4_MAX_DIFF / 10.0

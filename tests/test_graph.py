@@ -88,8 +88,11 @@ def test_disjoint_edges_disconnected():
     assert {2, 3} == exc.value.unreached or {0, 1} == exc.value.unreached
 
 
-def test_single_node_vacuously_connected():
-    require_connected(build_network(1, []))
+@pytest.mark.parametrize("n", [1, 0])
+def test_fewer_than_two_nodes_refused(n):
+    # lambda2 is undefined below two nodes
+    with pytest.raises(ValueError, match=f"at least 2, got {n}"):
+        build_network(n, [])
 
 
 # --- reduced basis -----------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import scenario_path
+from conftest import at_guard, modified_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "dptco").glob("*.py")
@@ -85,9 +85,9 @@ def test_commands_do_not_load_numpy_random(name, tmp_path):
     # the disturbance and the curvature sample draw from the stdlib random,
     # so no command pays for numpy.random and its imports
     out = tmp_path / "out"
-    run = loaded_modules(["run", scenario_path(name), "--out", str(out),
-                          "--guard-frac", "0.5"], ["numpy.random"])
-    verify = loaded_modules(["verify", str(out / "trajectory.csv"),
-                             scenario_path(name)], ["numpy.random"])
+    p = modified_scenario(name, tmp_path, at_guard(0.5))
+    run = loaded_modules(["run", p, "--out", str(out)], ["numpy.random"])
+    verify = loaded_modules(["verify", str(out / "trajectory.csv"), p],
+                            ["numpy.random"])
     assert run == []
     assert verify == []

@@ -16,7 +16,8 @@ from dptco.errors import NonFiniteState, ScenarioError
 from dptco.scenario import load_scenario, scenario_hash
 from dptco.sim_engine import export_csv
 
-from conftest import modified_scenario, scenario_path
+from conftest import (at_guard, modified_build, modified_scenario,
+                      scenario_path)
 
 # two quadratic agents on one edge: lambda2 = lambdaN = 2, rho = varrho = 2,
 # c* = 1/13, so the generator criterion boundary sits at k = 26
@@ -391,9 +392,8 @@ def test_build_records_constants(tmp_path):
 
 
 def test_seed_changes_disturbance_only():
-    sc = load_scenario(scenario_path("example1"))
-    b1 = sc.build(seed=1)
-    b2 = sc.build(seed=2)
+    b1, b2 = (modified_build("example1", lambda raw: raw["agents"][
+        "disturbance"].update(seed=s)) for s in (1, 2))
     assert b1.seed == 1 and b2.seed == 2
     d1 = b1.sys.agents.disturbance(0.3)[0]
     d2 = b2.sys.agents.disturbance(0.3)[0]
@@ -410,24 +410,25 @@ def test_negative_disturbance_seed_refused(tmp_path, capsys):
     assert err == f"error: {p}: agents: expected non-negative integer\n"
 
 
-def test_negative_seed_option_refused(tmp_path, capsys):
-    p = scenario_path("example1")
-    assert main(["run", p, "--seed", "-3",
-                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err == f"error: {p}: agents: expected non-negative integer\n"
+@pytest.mark.parametrize("argv", [
+    ["run", "{p}", "--guard-frac", "0.9", "--out", "{o}"],
+    ["run", "{p}", "--seed", "7", "--out", "{o}"],
+    ["run", "{p}", "--bogus"],
+    ["frobnicate"],
+], ids=["guard-frac", "seed", "bogus", "unknown-command"])
+def test_malformed_command_line_exits_1(argv, tmp_path, capsys):
+    # argparse's own exit code 2 would read as a failed monitor; the
+    # scenario file is a run's only input, so the old overrides are unknown
+    out = tmp_path / "o"
+    argv = [a.format(p=scenario_path("ring"), o=out) for a in argv]
+    assert main(argv) == EXIT_CONFIG
+    assert "usage: dptco" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["ring", "example2"])
-def test_negative_seed_option_refused_without_a_disturbance(name, tmp_path,
-                                                            capsys):
-    # neither scenario reads the seed, yet a negative one is refused
-    p = scenario_path(name)
-    assert main(["run", p, "--seed", "-3",
-                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err == f"error: {p}: agents: expected non-negative integer\n"
-    assert not (tmp_path / "o" / "trajectory.csv").exists()
+def test_help_exits_0(capsys):
+    assert main(["run", "--help"]) == EXIT_OK
+    assert "--guard-frac" not in capsys.readouterr().out
 
 
 # --- run pipeline ------------------------------------------------------------
@@ -507,15 +508,20 @@ def test_cli_optimum_example1(capsys):
 
 
 def test_cli_optimum_single_agent(tmp_path, capsys):
+    # one agent has no lambda2, so no envelope constants: every command
+    # refuses it at the network section
     def edit(raw):
         raw["network"] = {"n_agents": 1, "edges": []}
         raw["costs"]["agents"] = [raw["costs"]["agents"][1]]
         raw["agents"]["varpi_init"] = [[0.0]]
 
     p = write_tiny(tmp_path, edit)
-    assert main(["optimum", p]) == EXIT_OK
-    cert = json.loads(capsys.readouterr().out)
-    assert np.allclose(cert["z_star"], [1.0], atol=1e-10)
+    for argv in (["optimum", p], ["run", p, "--out", str(tmp_path / "o")]):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {p}: network: n_agents must be at least 2, got 1: "
+            "lambda2 is undefined\n")
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
 # --- verify command ----------------------------------------------------------
@@ -551,10 +557,9 @@ def test_run_and_verify_print_the_same_failing_monitor_lines(tmp_path,
                                                              capsys):
     # at guard 0.9 example1's tracking monitor has not met its tolerance;
     # both commands name the first violation in the same words
-    p = scenario_path("example1")
+    p = modified_scenario("example1", tmp_path, at_guard(0.9))
     out = tmp_path / "out"
-    assert main(["run", p, "--guard-frac", "0.9",
-                 "--out", str(out)]) == EXIT_MONITOR
+    assert main(["run", p, "--out", str(out)]) == EXIT_MONITOR
     run_lines = [ln for ln in capsys.readouterr().out.splitlines()
                  if ln.startswith("monitor ")]
     assert main(["verify", str(out / "trajectory.csv"), p]) == EXIT_MONITOR

@@ -19,14 +19,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dptco"
 # "module.__main__" for a module's script block; None when only tests use it
 ALLOWED = {
     "chain_ctrl.chain_control.out": "chain_ctrl.ChainAgents.derivatives",
-    "cli.run_scenario.seed": "cli._sweep_one",
-    "cli.run_scenario.guard_frac": "cli._sweep_one",
     # `python -m dptco.cli`; the `dptco` console script calls main() too
     "cli.main.argv": "cli.__main__",
     "generator.envelope_monitor.slack": "scenario._MONITORS",
     "generator.conservation_monitor.tol": "scenario._MONITORS",
-    "scenario.Scenario.build.seed": "cli.cmd_verify",
-    "scenario.Scenario.build.guard_frac": "cli.cmd_verify",
     # a solver key the scenario leaves out keeps its default
     "sim_engine.SolverSettings.method": "scenario._solver_settings",
     "sim_engine.SolverSettings.dt": "scenario._solver_settings",

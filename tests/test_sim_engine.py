@@ -15,13 +15,12 @@ from dptco.errors import (DimensionMismatch, NonFiniteState, StepUnderflow)
 from dptco.generator import design_radius
 from dptco.graph import build_network
 from dptco.rkc import rkc2_stages, rkc2_step
-from dptco.scenario import load_scenario
 from dptco.sim_engine import (CoupledSystem, SolverSettings, export_csv,
                               integrate, make_disturbance,
                               trajectory_columns)
 from dptco.timegain import PrescribedClock
 
-from conftest import scenario_path
+from conftest import at_guard, modified_build
 from oracles import (System, cost_gradient, integrate_allocating,
                      linear_gain, rhs_jacobian, rhs_new, wide_box)
 
@@ -98,7 +97,7 @@ def test_rk4_spectral_radius_matches_example2_jacobian():
     # within 1%, and every step holds h rho of the whole Jacobian at most
     # 1.4; kappa_gen is taken anew each time mu doubles, 7 times up to
     # mu = 100
-    build = load_scenario(scenario_path("example2")).build(guard_frac=0.99)
+    build = modified_build("example2", at_guard(0.99))
     sys = build.sys
     taken = []
 
