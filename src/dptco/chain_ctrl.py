@@ -24,8 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DimensionMismatch, GuardExceeded, NotHurwitz,
-                     SingularSystem)
+from .errors import DptcoError
 from .generator import bound_ratio, ratio_report
 from .timegain import (GainFunction, PrescribedClock, check_growth_criterion,
                        kappa_series)
@@ -63,19 +62,19 @@ def solve_lyapunov(Lambda: np.ndarray, Q: np.ndarray) -> np.ndarray:
     d = Lambda.shape[0]
     eigs = np.linalg.eigvals(Lambda)
     if np.max(eigs.real) >= 0.0:
-        raise NotHurwitz(f"eigenvalues {eigs} not all in the open left half-plane")
+        raise DptcoError(f"eigenvalues {eigs} not all in the open left half-plane")
     A = np.kron(np.eye(d), Lambda.T) + np.kron(Lambda.T, np.eye(d))
     try:
         vec_p = np.linalg.solve(A, -Q.reshape(-1))
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+        raise DptcoError(str(exc)) from exc
     P = vec_p.reshape(d, d)
     P = 0.5 * (P + P.T)
     resid = np.linalg.norm(P @ Lambda + Lambda.T @ P + Q)
     if resid > 1e-10:
-        raise SingularSystem(f"Lyapunov residual {resid} too large")
+        raise DptcoError(f"Lyapunov residual {resid} too large")
     if np.min(np.linalg.eigvalsh(P)) <= 0.0:
-        raise SingularSystem("Lyapunov solution not positive definite")
+        raise DptcoError("Lyapunov solution not positive definite")
     return P
 
 
@@ -137,8 +136,8 @@ def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
     DC2-derived gain when alpha_s is None."""
     K = hurwitz_gain(m) if K is None else np.asarray(K, dtype=float)
     if K.shape != (m - 1,):
-        raise DimensionMismatch(f"K must list m - 1 = {m - 1} gains for "
-                                f"order {m}, got shape {K.shape}")
+        raise DptcoError(f"K must list m - 1 = {m - 1} gains for "
+                         f"order {m}, got shape {K.shape}")
     Lambda = companion(K)
     Q = np.eye(m - 1)
     P = solve_lyapunov(Lambda, Q)
@@ -201,7 +200,7 @@ def chain_control(x: np.ndarray, varpi_i: np.ndarray, mu: float,
     with shape (..., n), written into out when given.
     """
     if mu > cfg.mu_guard * (1.0 + 1e-12):
-        raise GuardExceeded(f"mu={mu} beyond guard {cfg.mu_guard}")
+        raise DptcoError(f"mu={mu} beyond guard {cfg.mu_guard}")
     L_m = float(cfg.m - 1)
     ax = cfg.alpha_x.eval(mu)
     als = cfg.alpha_s.eval(mu)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .costs import optimum_oracle
-from .errors import DptcoError, IoFailure, ScenarioError
+from .errors import DptcoError, ScenarioError
 from .generator import envelope_bound
 from .scenario import (ScenarioBuild, derived_series, evaluate_monitors,
                        load_scenario)
@@ -84,7 +84,7 @@ def run_scenario(scenario_path: str, out_dir: str) -> tuple:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise IoFailure(f"cannot create {out}: {exc}") from exc
+        raise DptcoError(f"cannot create {out}: {exc}") from exc
     sc = load_scenario(scenario_path)
     build = sc.build()
     cert = optimum_oracle(build.sys.costs)
@@ -121,7 +121,7 @@ def run_scenario(scenario_path: str, out_dir: str) -> tuple:
         with open(man_path, "w") as fh:
             json.dump(manifest, fh, indent=2)
     except OSError as exc:
-        raise IoFailure(f"cannot write {man_path}: {exc}") from exc
+        raise DptcoError(f"cannot write {man_path}: {exc}") from exc
     manifest["manifest_path"] = str(man_path)
     return (EXIT_OK if all_pass else EXIT_MONITOR), manifest
 

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .draws import uniform
-from .errors import DimensionMismatch, NoConvergence, NonPositiveInput
+from .errors import DptcoError
 
 _NEWTON_MAX_ITER = 10_000
 _NEWTON_TOL = 1e-8  # gradient norm at which the oracle stops
@@ -32,7 +32,7 @@ def _finite(name: str, a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     # math over a list: a few times faster than np.isfinite on small arrays
     if not all(map(math.isfinite, a.ravel().tolist())):
-        raise NonPositiveInput(f"{name} must be finite, got {a.tolist()}")
+        raise DptcoError(f"{name} must be finite, got {a.tolist()}")
     return a
 
 
@@ -46,10 +46,10 @@ class QuadraticCost:
         _finite("offset", self.offset)
         self.dim = self.center.shape[0]
         if self.Q.shape != (self.dim, self.dim):
-            raise DimensionMismatch("Q shape does not match center")
+            raise DptcoError("Q shape does not match center")
         eigs = np.linalg.eigvalsh(self.Q)
         if eigs[0] <= 0:
-            raise NonPositiveInput("Q must be positive definite")
+            raise DptcoError("Q must be positive definite")
         self.rho_c = 2.0 * float(eigs[0])
         self.varrho_c = 2.0 * float(eigs[-1])
 
@@ -70,10 +70,10 @@ class ExpQuadraticCost:
         self.center = _finite("center", center)
         self.dim = self.center.shape[0]
         if self.P.shape != (self.dim, self.dim):
-            raise DimensionMismatch("P shape does not match center")
+            raise DptcoError("P shape does not match center")
         eigs = np.linalg.eigvalsh(self.P)
         if eigs[0] < 0:
-            raise NonPositiveInput("P must be positive semidefinite")
+            raise DptcoError("P must be positive semidefinite")
         self.rho_c = None
         self.varrho_c = None
 
@@ -92,7 +92,7 @@ class SumCost:
         self.dim = self.terms[0].dim
         for t in self.terms:
             if t.dim != self.dim:
-                raise DimensionMismatch("SumCost terms disagree on dimension")
+                raise DptcoError("SumCost terms disagree on dimension")
         # analytic only when every term's constants are
         analytic = all(t.varrho_c is not None for t in self.terms)
         self.rho_c = sum(t.rho_c for t in self.terms) if analytic else None
@@ -128,17 +128,17 @@ class CostSet:
     def __post_init__(self):
         for c in self.costs:
             if c.dim != self.dim:
-                raise DimensionMismatch("cost dimension mismatch in CostSet")
+                raise DptcoError("cost dimension mismatch in CostSet")
         self.box = _finite("box", self.box)
         if self.box.shape != (self.dim, 2):
-            raise DimensionMismatch("box must be (dim, 2)")
+            raise DptcoError("box must be (dim, 2)")
         if all(c.varrho_c is not None for c in self.costs):
             self.rho_c = min(c.rho_c for c in self.costs)
             self.varrho_c = max(c.varrho_c for c in self.costs)
         else:
             self.rho_c, self.varrho_c = estimate_constants(self)
         if not (math.isfinite(self.rho_c) and math.isfinite(self.varrho_c)):
-            raise NonPositiveInput(
+            raise DptcoError(
                 "curvature constants must be finite on the working box, got "
                 f"rho_c = {self.rho_c}, varrho_c = {self.varrho_c}")
 
@@ -263,7 +263,7 @@ def grad_sum(costs: CostSet, z) -> np.ndarray:
     """Gradient of the team cost sum_i f_i(z); zero exactly at the optimum."""
     z = np.asarray(z, dtype=float)
     if z.shape != (costs.dim,):
-        raise DimensionMismatch(f"expected dimension {costs.dim}, got {z.shape}")
+        raise DptcoError(f"expected dimension {costs.dim}, got {z.shape}")
     return costs.grad_stack(np.tile(z, (costs.n_agents, 1))).sum(axis=0)
 
 
@@ -288,13 +288,13 @@ def optimum_oracle(costs: CostSet) -> OptimumCertificate:
     final gradient norm so downstream error computations can budget for it.
     """
     if costs.rho_c is None or costs.rho_c <= 0:
-        raise NonPositiveInput("optimum oracle needs rho_c > 0")
+        raise DptcoError("optimum oracle needs rho_c > 0")
     z = np.zeros(costs.dim)
     g = grad_sum(costs, z)
     it = 0
     while float(np.linalg.norm(g)) > _NEWTON_TOL:
         if it >= _NEWTON_MAX_ITER:
-            raise NoConvergence(f"Newton exceeded {_NEWTON_MAX_ITER} iterations")
+            raise DptcoError(f"Newton exceeded {_NEWTON_MAX_ITER} iterations")
         H = _central_differences(
             lambda Z: grad_sum(costs, Z[0])[None], z[None])[0]
         H = 0.5 * (H + H.T)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrajectory, NonPositiveInput
+from .errors import DptcoError
 from .timegain import (CriterionReport, GainFunction, PrescribedClock,
                        check_growth_criterion, kappa_series)
 
@@ -48,7 +48,7 @@ def generator_constants(rho_c: float, varrho_c: float,
     for name, v in (("rho_c", rho_c), ("varrho_c", varrho_c),
                     ("lambda2", lambda2), ("lambdaN", lambdaN)):
         if not (math.isfinite(v) and v > 0):
-            raise NonPositiveInput(f"{name} must be finite and > 0, got {v}")
+            raise DptcoError(f"{name} must be finite and > 0, got {v}")
     c1 = max(1.0 / lambda2, (1.0 + 2.0 * varrho_c ** 2) / (2.0 * rho_c))
     c2 = 0.5 * c1 * min(1.0, 1.0 / lambdaN)
     c3 = c1 * max(1.0, 1.0 / lambda2) + 1.0
@@ -187,7 +187,7 @@ def ratio_report(name: str, times, ratio, limit) -> MonitorReport:
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2:
-        raise EmptyTrajectory(f"{name} monitor needs a logged trajectory")
+        raise DptcoError(f"{name} monitor needs a logged trajectory")
     rows = np.asarray(ratio, dtype=float).reshape(times.size, -1)
     limits = np.asarray(limit, dtype=float).reshape(-1, 1)
     bad = np.flatnonzero(~(np.isfinite(rows) & (rows <= limits)).all(axis=1))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Disconnected, NegativeWeight, SelfLoop
+from .errors import DptcoError
 
 _CONNECTIVITY_TOL = 1e-10
 
@@ -43,10 +43,10 @@ def build_network(n_agents: int, edges: list) -> Network:
     for i, j, w in edges:
         i, j, w = int(i), int(j), float(w)
         if i == j:
-            raise SelfLoop(f"self loop at node {i}")
+            raise DptcoError(f"self loop at node {i}")
         if not (math.isfinite(w) and w > 0):
-            raise NegativeWeight(f"edge ({i},{j}) has weight {w}, not "
-                                 "finite and > 0")
+            raise DptcoError(f"edge ({i},{j}) has weight {w}, not "
+                             "finite and > 0")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i},{j}) outside 0..{n - 1}")
         lap[i, j] = lap[j, i] = -w
@@ -73,5 +73,6 @@ def require_connected(net: Network) -> dict:
                 queue.append(j)
     unreached = set(range(net.n_agents)) - reached
     if unreached or net.lambda2 <= _CONNECTIVITY_TOL:
-        raise Disconnected(unreached if unreached else set())
+        raise DptcoError("graph is disconnected, unreached nodes: "
+                         f"{sorted(unreached)}")
     return {"lambda2": net.lambda2, "bfs_reached": len(reached)}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -34,10 +35,25 @@ _SECTIONS = ("clock", "network", "costs", "gains", "agents", "solver",
 
 # solver keys and their JSON-to-SolverSettings conversions
 _SOLVER_KEYS = {"method": str, "dt": float, "rel_tol": float,
-                "abs_tol": float, "log_every": int}
+                "abs_tol": float,
+                "log_every": lambda v: _count(v, "log_every")}
+
+# the keys each object of the file may hold; those of gains and agents
+# depend on the controller, and are not listed
+_KEYS = {"top level": ("name",) + _SECTIONS,
+         "clock": ("t0", "T", "guard_frac"),
+         "network": ("n_agents", "edges"),
+         "costs": ("dim", "box", "agents"),
+         "disturbance": ("seed", "amplitude")}
+_COST_KEYS = {"quadratic": ("family", "Q", "center", "offset"),
+              "exp_quadratic": ("family", "P", "center")}
 
 # agents keys of the initial state, located by column once packed into y0
 _INITIAL_STATE = ("varpi_init", "p_init", "x_init", "theta_hat_init")
+
+# agents keys that hold names, and the words that stand for a number
+_AGENT_NAMES = ("controller", "plant", "phi")
+_AGENT_WORDS = {"K": "auto", "p_init": "zeros"}
 
 _PHI_REGISTRY = {
     "identity": lambda x: x,
@@ -97,16 +113,23 @@ class Scenario:
                             f"missing required key {section!r}")
             if not isinstance(raw[section], dict):
                 raise _fail(path, section, "must be a JSON object")
+        with _section(path, "top level"):
+            _known_keys(raw, _KEYS["top level"])
 
+        controller = raw["agents"].get("controller", "none")
         monitors = {}
         for name, params in raw["monitors"].items():
             with _section(path, f"monitors: {name}"):
                 if name not in _MONITORS:
                     raise ValueError("unknown monitor")
+                keys, needs, _ = _MONITORS[name]
+                if needs not in (None, controller):
+                    raise ValueError(f"needs the {needs!r} controller, not "
+                                     f"{controller!r}")
                 monitors[name] = {k: float(v)
                                   for k, v in (params or {}).items()}
                 for k, v in monitors[name].items():
-                    if k not in _MONITORS[name][0]:
+                    if k not in keys:
                         raise ValueError(f"unknown parameter {k!r}")
                     if (not np.isfinite(v) or v < 0
                             or (v == 0 and k != "slack")):
@@ -114,19 +137,29 @@ class Scenario:
 
         with _section(path, "clock"):
             ck = raw["clock"]
+            _known_keys(ck, _KEYS["clock"])
             clock = PrescribedClock(
                 t0=float(ck.get("t0", 0.0)), T=float(ck["T"]),
                 guard_frac=float(ck.get("guard_frac", 0.999)))
 
         with _section(path, "network"):
             nw = raw["network"]
-            net = build_network(int(nw["n_agents"]), nw["edges"])
+            _known_keys(nw, _KEYS["network"])
+            net = build_network(_count(nw["n_agents"], "n_agents"),
+                                nw["edges"])
+            for k, (i, j, _) in enumerate(nw["edges"]):
+                if type(i) is not int or type(j) is not int:  # JSON ints pass
+                    for v in (i, j):
+                        _count(v, f"edges[{k}] endpoint")
             require_connected(net)
 
         with _section(path, "costs"):
             cs = raw["costs"]
-            dim = int(cs["dim"])
+            _known_keys(cs, _KEYS["costs"])
+            dim = _count(cs["dim"], "dim")
             agent_costs = [cost_from_dict(d) for d in cs["agents"]]
+            for d in cs["agents"]:
+                _cost_keys(d)
             if len(agent_costs) != net.n_agents:
                 raise _fail(path, "costs", "one cost per agent required")
             costs = CostSet(agent_costs, dim, cs.get("box", default_box(dim)))
@@ -140,7 +173,6 @@ class Scenario:
             "c_star": consts.c_star,
         }
 
-        controller = raw["agents"].get("controller", "none")
         with _section(path, "gains"):
             gains = raw["gains"]
             alpha = _gain(path, gains, "alpha")
@@ -156,13 +188,15 @@ class Scenario:
 
         with _section(path, "agents"):
             ag = raw["agents"]
-            for key in _non_finite_keys(ag, ""):
+            for key, leaf in _bad_numbers(ag, ""):
+                if isinstance(leaf, (str, bool)):
+                    raise ValueError(f"{key} must be a number, got {leaf!r}")
                 if key not in _INITIAL_STATE:
                     raise ValueError(f"{key} must be finite")
             agents = None
             dist_seed = 0
             if controller == "chain":
-                m = int(ag["order"])
+                m = _count(ag["order"], "order")
                 K = ag.get("K", "auto")
                 chain_cfg = chain_ctrl.make_chain_config(
                     m, dim, float(ag.get("v", 1.0)), alpha_x, clock.mu_guard,
@@ -187,13 +221,15 @@ class Scenario:
                 disturbance = None
                 if "disturbance" in ag:
                     dd = ag["disturbance"]
-                    dist_seed = int(dd.get("seed", 0))
+                    with _section(path, "agents: disturbance"):
+                        _known_keys(dd, _KEYS["disturbance"])
+                    dist_seed = _count(dd.get("seed", 0), "disturbance.seed")
                     disturbance = make_disturbance(
                         dist_seed, net.n_agents, dim,
                         float(dd.get("amplitude", 0.1)))
                 agents = chain_ctrl.ChainAgents(chain_cfg, el, disturbance)
             elif controller == "strict_feedback":
-                m = int(ag["order"])
+                m = _count(ag["order"], "order")
                 l = float(ag.get("l", 1.0))
                 if "c" in ag:
                     c = tuple(float(v) for v in ag["c"])
@@ -298,33 +334,69 @@ def scenario_hash(raw: dict) -> str:
 def _solver_settings(sv, path: str) -> SolverSettings:
     """SolverSettings from the solver section; omitted keys keep their
     defaults, and an unknown key or a bad value is a located error."""
-    unknown = sorted(set(sv) - set(_SOLVER_KEYS))
-    if unknown:
-        raise _fail(path, "solver", f"unknown key(s) {', '.join(unknown)}; "
-                    f"allowed: {', '.join(_SOLVER_KEYS)}")
     with _section(path, "solver"):
+        _known_keys(sv, _SOLVER_KEYS)
         return SolverSettings(**{k: _SOLVER_KEYS[k](v) for k, v in sv.items()})
 
 
-def _non_finite_keys(d: dict, prefix: str):
-    """The keys of the JSON object d, dotted below nested objects, whose
-    value holds a NaN or an infinity."""
-    for key, value in d.items():
-        if isinstance(value, dict):
-            yield from _non_finite_keys(value, f"{prefix}{key}.")
-            continue
-        try:
-            json.dumps(value, allow_nan=False)
-        except ValueError:
-            yield prefix + key
+def _known_keys(d: dict, allowed) -> None:
+    """Refuse a key of the JSON object d that allowed does not list."""
+    unknown = d.keys() - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(sorted(unknown))}; "
+                         f"allowed: {', '.join(allowed)}")
+
+
+def _count(v, what: str) -> int:
+    """v as an int; a count given as a string, a bool or a fraction is an
+    error."""
+    if isinstance(v, bool) or not (isinstance(v, int) or (
+            isinstance(v, float) and v.is_integer())):
+        raise ValueError(f"{what} must be a whole number, got {v!r}")
+    return int(v)
+
+
+def _bad_numbers(value, key: str):
+    """(key, leaf) for each string, bool, NaN or infinity in the agents
+    value under key, dotted below nested objects; a name, or a word that
+    stands for a number, is skipped."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            if k not in _AGENT_NAMES and _AGENT_WORDS.get(k) != v:
+                yield from _bad_numbers(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _bad_numbers(v, key)
+    elif isinstance(value, (str, bool)) or (
+            isinstance(value, float) and not math.isfinite(value)):
+        yield key, value
+
+
+def _cost_keys(d) -> None:
+    """Refuse an unknown key in a cost or, for a list, in each term."""
+    if isinstance(d, list):
+        for term in d:
+            _cost_keys(term)
+    else:
+        _known_keys(d, _COST_KEYS[d["family"]])
 
 
 def _gain(path: str, gains: dict, key: str) -> GainFunction:
     """gains[key]; any error but a missing key is located under the key."""
     try:
-        return GainFunction.from_dict(gains[key])
+        gain = GainFunction.from_dict(gains[key])
+        _gain_keys(gains[key])
+        return gain
     except (DptcoError, TypeError, ValueError) as exc:
         raise _fail(path, f"gains: {key}", str(exc)) from exc
+
+
+def _gain_keys(d: dict) -> None:
+    """Refuse an unknown key in a gain object or in a dc2 gain's base."""
+    dc2 = d["family"] == "dc2"
+    _known_keys(d, ("family", "params") + ("base",) * dc2)
+    if dc2:
+        _gain_keys(d["base"])
 
 
 @contextmanager
@@ -389,25 +461,28 @@ def _tracking(build, times, d, params) -> MonitorReport:
     return ratio_report("tracking", times, ratio, 1.0)
 
 
-# monitor name -> (the numeric parameters it reads, its report from the
-# build, the logged times, the derived channels and those parameters)
+# monitor name -> (the numeric parameters it reads, the controller whose
+# channels it reads or None, its report from the build, the logged times,
+# the derived channels and those parameters)
 _MONITORS = {
-    "conservation": (("tol",), lambda b, t, d, p: conservation_monitor(
+    "conservation": (("tol",), None, lambda b, t, d, p: conservation_monitor(
         t, d["p_sum"], **p)),
-    "envelope": (("slack",), lambda b, t, d, p: envelope_monitor(
+    "envelope": (("slack",), None, lambda b, t, d, p: envelope_monitor(
         t, d["e_r_norm"], b.sys.clock, b.sys.alpha, b.gen_constants, **p)),
-    "tracking": (("tol",), _tracking),
-    "chain_decay": ((), lambda b, t, d, p: chain_ctrl.chain_decay_monitor(
-        t, d["e_s_norm"], d["e_tilde_norm"], b.sys.agents.cfg,
-        b.sys.clock)),
+    "tracking": (("tol",), None, _tracking),
+    "chain_decay": ((), "chain", lambda b, t, d, p:
+                    chain_ctrl.chain_decay_monitor(
+                        t, d["e_s_norm"], d["e_tilde_norm"], b.sys.agents.cfg,
+                        b.sys.clock)),
     # default radius: twice each agent's initial scaled error, plus 1
-    "invariant_set": (("h", "slack"),
+    "invariant_set": (("h", "slack"), "strict_feedback",
                       lambda b, t, d, p: strictfb_ctrl.invariant_set_monitor(
                           t, d["e_tilde_norm"],
                           **{"h": 2.0 * d["e_tilde_norm"][0] + 1.0, **p})),
-    "sf_decay": ((), lambda b, t, d, p: strictfb_ctrl.sf_decay_monitor(
-        t, d["mu"], d["e_s_norm"], b.sys.agents.cfg)),
-    "theta_hat_envelope": ((), lambda b, t, d, p:
+    "sf_decay": ((), "strict_feedback", lambda b, t, d, p:
+                 strictfb_ctrl.sf_decay_monitor(
+                     t, d["mu"], d["e_s_norm"], b.sys.agents.cfg)),
+    "theta_hat_envelope": ((), "strict_feedback", lambda b, t, d, p:
                            strictfb_ctrl.theta_hat_monitor(
                                t, d["mu"], d["theta_hat"], d["tau"],
                                b.sys.agents.cfg)),
@@ -417,5 +492,5 @@ _MONITORS = {
 def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,
                       derived: dict) -> list:
     """Run every monitor the scenario lists on traj's derived channels."""
-    return [_MONITORS[name][1](build, traj.times, derived, params)
+    return [_MONITORS[name][2](build, traj.times, derived, params)
             for name, params in build.monitors.items()]

@@ -68,8 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from .draws import uniform
-from .errors import (DimensionMismatch, IoFailure, NonFiniteState,
-                     StepUnderflow)
+from .errors import DptcoError
 from .generator import closed_loop_radius
 from .graph import Network
 from .rkc import rkc2_stages, rkc2_step, spectral_radius
@@ -130,13 +129,13 @@ class Trajectory:
 
     def __post_init__(self):
         if self.times.shape[0] != self.states.shape[0]:
-            raise DimensionMismatch("times and states disagree in length")
+            raise DptcoError("times and states disagree in length")
 
 
 def _check_finite(y: np.ndarray, t: float) -> None:
     if not np.isfinite(y).all():
         bad = int(np.flatnonzero(~np.isfinite(y))[0])
-        raise NonFiniteState(t, bad)
+        raise DptcoError(f"non-finite state at t={t}: {bad}")
 
 
 def _rk4_step(rhs, t, y, h, K, y_s, y_new):
@@ -330,7 +329,7 @@ def integrate(system, y0: np.ndarray, clock: PrescribedClock,
                 if last:
                     h = s_end - s
                 if h < 1e-14 * mu * max(1.0, abs(t)):
-                    raise StepUnderflow(
+                    raise DptcoError(
                         f"step size {h / mu} underflowed at t={t}")
                 trials += 1
                 if sigma is None:
@@ -451,13 +450,13 @@ class CoupledSystem:
             self.ctrl_size = 0
         else:
             if self.agents.cfg.n != self.dim:
-                raise DimensionMismatch("plant stage dim != cost dim")
+                raise DptcoError("plant stage dim != cost dim")
             self.plant_size = self.agents.cfg.m * self.dim
             self.ctrl_size = self.agents.ctrl_size
         if self.offsets is not None:
             self.offsets = np.asarray(self.offsets, dtype=float)
             if self.offsets.shape != (n, self.dim):
-                raise DimensionMismatch("offsets must be (N, dim)")
+                raise DptcoError("offsets must be (N, dim)")
         self.gen_size = 2 * n * self.dim
         self.ctrl_start = self.gen_size + n * self.plant_size
         self.total_dim = self.ctrl_start + n * self.ctrl_size
@@ -604,7 +603,7 @@ def export_csv(path: str, columns: dict) -> None:
     length = arrays[0].shape[0]
     for k, arr in zip(names, arrays):
         if arr.shape != (length,):
-            raise DimensionMismatch(f"column {k!r} has shape {arr.shape}")
+            raise DptcoError(f"column {k!r} has shape {arr.shape}")
     row_fmt = ",".join(["%.17g"] * len(arrays)) + "\n"
     try:
         with open(path, "w", newline="") as fh:
@@ -612,7 +611,7 @@ def export_csv(path: str, columns: dict) -> None:
             for row in zip(*arrays):
                 fh.write(row_fmt % row)
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise DptcoError(f"cannot write {path}: {exc}") from exc
 
 
 def trajectory_columns(sys: CoupledSystem, traj: Trajectory) -> dict:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GuardExceeded, MarginTooSmall
+from .errors import DptcoError
 from .generator import bound_ratio, matrix_radius, ratio_report
 from .timegain import GainFunction, check_growth_criterion
 
@@ -54,10 +54,10 @@ def select_parameters(m: int, l: float, sigma_prime: float, rho: float,
     if l <= 0:
         raise ValueError("l must be positive")
     if sigma_prime <= 0 or rho <= 0:
-        raise MarginTooSmall("sigma_prime and rho must be positive")
+        raise DptcoError("sigma_prime and rho must be positive")
     sigma = 0.5 * (3.0 + sigma_prime)
     if margin < 0.5 * sigma - 1e-12:
-        raise MarginTooSmall(f"margin {margin} below sigma/2 = {0.5 * sigma}")
+        raise DptcoError(f"margin {margin} below sigma/2 = {0.5 * sigma}")
     L = scale_powers(m, l)
     c = [L[0] + 1.5 + margin]
     c += [L[q] + 2.0 + margin for q in range(1, m)]
@@ -87,7 +87,7 @@ class SfControllerConfig:
 
     def __post_init__(self):
         if not self.sigma > 1.5:
-            raise MarginTooSmall(f"sigma must be > 1.5, got {self.sigma}")
+            raise DptcoError(f"sigma must be > 1.5, got {self.sigma}")
         if len(self.c) != self.m or len(self.upsilon) != self.m - 1:
             raise ValueError("gain tuple lengths must be m and m-1")
         if len(self.phis) != self.m - 1:
@@ -116,7 +116,7 @@ def check_dcxi(alpha_xi: GainFunction, alpha: GainFunction, c_star: float,
 def _gain(mu: float, cfg: SfControllerConfig) -> float:
     """alpha_xi(mu), refused past the guard."""
     if mu > cfg.mu_guard * (1.0 + 1e-12):
-        raise GuardExceeded(f"mu={mu} beyond guard {cfg.mu_guard}")
+        raise DptcoError(f"mu={mu} beyond guard {cfg.mu_guard}")
     return cfg.alpha_xi.eval(mu)
 
 

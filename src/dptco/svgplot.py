@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyTrajectory, IoFailure
+from .errors import DptcoError
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2"]
@@ -45,7 +45,7 @@ def write_svg(path: str, series: list, title: str, ylabel: str) -> None:
     samples stay plottable.
     """
     if not series:
-        raise EmptyTrajectory("no series to plot")
+        raise DptcoError("no series to plot")
     width, height = 720, 460
     ml, mr, mt, mb = 70, 20, 40, 50  # margins
     pw, ph = width - ml - mr, height - mt - mb
@@ -60,7 +60,7 @@ def write_svg(path: str, series: list, title: str, ylabel: str) -> None:
     xs = np.concatenate([p[1] for p in prepared])
     ys = np.concatenate([p[2] for p in prepared])
     if xs.size == 0:
-        raise EmptyTrajectory("all points non-finite")
+        raise DptcoError("all points non-finite")
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_hi <= x_lo:
@@ -127,4 +127,4 @@ def write_svg(path: str, series: list, title: str, ylabel: str) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(parts) + "\n")
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise DptcoError(f"cannot write {path}: {exc}") from exc

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import NonPositiveInput, QuadratureFailure, TimeOutOfWindow
+from .errors import DptcoError
 
 _SIMPSON_REL_TOL = 1e-9
 _SIMPSON_MAX_DEPTH = 20  # interval subdivision cap 2**20
@@ -49,11 +49,11 @@ class PrescribedClock:
 
     def __post_init__(self):
         if not math.isfinite(self.t0):
-            raise NonPositiveInput(f"t0 must be finite, got {self.t0}")
+            raise DptcoError(f"t0 must be finite, got {self.t0}")
         if not (math.isfinite(self.T) and self.T > 0):
-            raise NonPositiveInput(f"T must be finite and > 0, got {self.T}")
+            raise DptcoError(f"T must be finite and > 0, got {self.T}")
         if not 0.0 < self.guard_frac < 1.0:
-            raise NonPositiveInput(f"guard_frac must be in (0,1), got {self.guard_frac}")
+            raise DptcoError(f"guard_frac must be in (0,1), got {self.guard_frac}")
 
     @property
     def t_guard(self) -> float:
@@ -71,7 +71,7 @@ class PrescribedClock:
         """Time-varying gain mu(t) = 1/(T + t0 - t), at a float t or at
         every entry of an ndarray t; strictly increasing."""
         if not self.in_window(t):
-            raise TimeOutOfWindow(f"t={t} outside [{self.t0}, {self.t0 + self.T})")
+            raise DptcoError(f"t={t} outside [{self.t0}, {self.t0 + self.T})")
         return 1.0 / (self.T + self.t0 - t)
 
     def in_window(self, t) -> bool:
@@ -123,7 +123,7 @@ def _adaptive_simpson(f, a, b):
         if abs(err) <= 15.0 * _SIMPSON_REL_TOL * max(scale, abs(left + right)):
             return left + right + err / 15.0
         if depth >= _SIMPSON_MAX_DEPTH:
-            raise QuadratureFailure(
+            raise DptcoError(
                 f"adaptive Simpson hit subdivision cap on [{x0}, {x2}]")
         return (recurse(x0, xm, f0, fl, f1, left, depth + 1, scale)
                 + recurse(xm, x2, f1, fr, f2, right, depth + 1, scale))
@@ -167,7 +167,7 @@ class GainFunction:
     Scenarios give a gain as {"family": ..., "params": [...]} (from_dict).
     Construction refuses any other family, the wrong number of params
     (ValueError), a non-finite param, and a param outside its family's
-    range (NonPositiveInput): every gain that builds is class-K-infinity.
+    range (DptcoError): every gain that builds is class-K-infinity.
     """
 
     family: str
@@ -184,8 +184,8 @@ class GainFunction:
             raise ValueError(f"{self.family} gain takes {count} params, "
                              f"got {len(p)}")
         if not (all(map(math.isfinite, p)) and holds(*p)):
-            raise NonPositiveInput(f"{self.family} gain needs finite "
-                                   f"params with {rule}, got {list(p)}")
+            raise DptcoError(f"{self.family} gain needs finite "
+                             f"params with {rule}, got {list(p)}")
         if self.family == "dc2" and not isinstance(self.base, GainFunction):
             raise ValueError("dc2 gain needs a base gain")
 
@@ -273,10 +273,10 @@ def gain_integral(alpha: GainFunction, s0: float, s1):
     """
     if isinstance(s1, np.ndarray):
         if s0 <= 0 or (s1 <= 0).any():
-            raise NonPositiveInput("gain_integral limits must be positive")
+            raise DptcoError("gain_integral limits must be positive")
         return np.where(s1 == s0, 0.0, _integral(alpha, s0, s1, _ARRAY))
     if s0 <= 0 or s1 <= 0:
-        raise NonPositiveInput("gain_integral limits must be positive")
+        raise DptcoError("gain_integral limits must be positive")
     if s0 == s1:
         return 0.0
     return _integral(alpha, s0, s1, _FLOAT)
@@ -306,7 +306,7 @@ def kappa(clock: PrescribedClock, alpha: GainFunction, iota: float, t):
     Converges to zero as t approaches the deadline for any iota < 0.
     """
     if not clock.in_window(t):
-        raise TimeOutOfWindow(f"t={t} outside the prescribed window")
+        raise DptcoError(f"t={t} outside the prescribed window")
     array = isinstance(t, np.ndarray)
     if iota == 0.0:
         return np.ones(t.shape) if array else 1.0
@@ -367,7 +367,7 @@ def check_growth_criterion(kind: str, alpha: GainFunction, coef: float, grid,
     """
     s = np.asarray(grid, dtype=float)
     if not (s > 0.0).all():
-        raise NonPositiveInput("growth criterion grid points must be > 0")
+        raise DptcoError("growth criterion grid points must be > 0")
     with np.errstate(over="ignore", invalid="ignore"):
         a = alpha._value(s, _ARRAY)
         da = alpha._slope(s, _ARRAY)

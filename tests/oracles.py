@@ -14,7 +14,7 @@ import numpy as np
 from dptco.chain_ctrl import EulerLagrangeParams, chain_control
 from dptco.costs import CostSet, ExpQuadraticCost, QuadraticCost, SumCost
 from dptco.draws import uniform
-from dptco.errors import Disconnected, NonFiniteState, StepUnderflow
+from dptco.errors import DptcoError
 from dptco.generator import ErrorState, GeneratorConstants
 from dptco.graph import Network
 from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, _RK4_H_RHO,
@@ -420,7 +420,7 @@ def lyapunov_vr(err: ErrorState, net: Network,
     basis = reduced_basis(net)
     L_R = reduced_laplacian(net, basis)
     if np.linalg.eigvalsh(L_R)[0] <= 1e-10:
-        raise Disconnected(set())
+        raise DptcoError("graph is disconnected, unreached nodes: []")
     # phi-block coordinates of e_p: bar over r, tilde over R columns
     bar_phi = basis.r @ err.e_p            # (dim,)
     tilde_phi = basis.R.T @ err.e_p        # (N-1, dim)
@@ -549,7 +549,7 @@ def integrate_allocating(rhs, y0: np.ndarray, clock: PrescribedClock,
                 if last:
                     h = s_end - s
                 if h < 1e-14 * mu * max(1.0, abs(t)):
-                    raise StepUnderflow(f"step underflow at t={t}")
+                    raise DptcoError(f"step underflow at t={t}")
                 y_new, err = _rk45_step(f, s, y, h, K)
                 n_rhs += 6
                 err /= settings.abs_tol + settings.rel_tol * np.maximum(
@@ -569,7 +569,8 @@ def integrate_allocating(rhs, y0: np.ndarray, clock: PrescribedClock,
                 5.0, 0.9 * err_norm ** -0.2)
             h = max(h * factor, 1e-14)
         if not np.all(np.isfinite(y)):
-            raise NonFiniteState(t, int(np.flatnonzero(~np.isfinite(y))[0]))
+            bad = int(np.flatnonzero(~np.isfinite(y))[0])
+            raise DptcoError(f"non-finite state at t={t}: {bad}")
         n_steps += 1
         if n_steps % settings.log_every == 0 or last:
             times.append(t)

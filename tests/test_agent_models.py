@@ -8,7 +8,7 @@ from dptco.chain_ctrl import (ChainAgents, ElMismatch, EulerLagrangeParams,
                               chain_control, chain_error_view,
                               el_acceleration, make_chain_config)
 from dptco.costs import CostSet, QuadraticCost
-from dptco.errors import GuardExceeded
+from dptco.errors import DptcoError
 from dptco.graph import build_network
 from dptco.sim_engine import (CoupledSystem, SolverSettings, integrate,
                               make_disturbance)
@@ -304,9 +304,9 @@ def test_stacked_rhs_enforces_mu_guard(make):
     sys = coupled(make())
     y, _ = random_state(sys, 3)
     rhs_new(sys, 0.7, y)  # mu = 3.3, inside the guard
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(DptcoError, match="beyond guard"):
         rhs_new(sys, 0.9, y)  # mu = 10 > 5
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(DptcoError, match="beyond guard"):
         agent_control(sys, 0.9, y, 0)
 
 

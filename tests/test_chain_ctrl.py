@@ -13,7 +13,7 @@ from dptco.chain_ctrl import (ChainControllerConfig, ElMismatch,
                               chain_decay_monitor, chain_error_view, check_dc1,
                               companion, el_acceleration, hurwitz_gain,
                               make_chain_config, solve_lyapunov, v_constants)
-from dptco.errors import GuardExceeded, NotHurwitz
+from dptco.errors import DptcoError
 from dptco.timegain import PrescribedClock, kappa, log_grid
 
 from oracles import (chain_plant_rhs, dc2_gain, el_matrices, linear_gain,
@@ -73,7 +73,8 @@ def test_lyapunov_residual_binomial_family():
 
 
 def test_lyapunov_rejects_non_hurwitz():
-    with pytest.raises(NotHurwitz):
+    with pytest.raises(DptcoError,
+                       match="not all in the open left half-plane"):
         solve_lyapunov(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
 
 
@@ -187,7 +188,7 @@ def test_control_sign_flip():
 def test_control_guard_enforced():
     cfg = make_chain_config(2, 1, 6.0, linear_gain(1.0), mu_guard=10.0,
                             psi=1.0, mu0=1.0, alpha_s=None, K=None)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(DptcoError, match="mu=11.0 beyond guard 10.0"):
         chain_control(np.ones((2, 1)), np.zeros(1), 11.0, cfg)
 
 

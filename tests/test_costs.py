@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dptco.costs import (CostSet, ExpQuadraticCost, QuadraticCost, SumCost,
                          _curvature_pairs, cost_from_dict, default_box,
                          estimate_constants, grad_sum, optimum_oracle)
-from dptco.errors import DimensionMismatch, NonPositiveInput
+from dptco.errors import DptcoError
 
 import oracles
 from conftest import scenario_path
@@ -80,7 +80,8 @@ def test_cost_roundtrip_serialization():
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DptcoError,
+                       match="cost dimension mismatch in CostSet"):
         CostSet([QuadraticCost(np.eye(2), [0.0, 0.0], 0.0),
                  QuadraticCost(np.eye(1), [0.0], 0.0)], 2, default_box(2))
 
@@ -171,7 +172,7 @@ def test_overflowing_cost_refused_without_warning():
     # exp(100 ||z - c||^2) overflows on the box [-5, 5]^2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonPositiveInput,
+        with pytest.raises(DptcoError,
                            match="curvature constants must be finite"):
             one_agent(ExpQuadraticCost(100.0 * np.eye(2), [0.0, 0.0]))
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dptco.costs import (CostSet, ExpQuadraticCost, QuadraticCost, SumCost,
                          default_box, optimum_oracle)
-from dptco.errors import EmptyTrajectory, NonPositiveInput
+from dptco.errors import DptcoError
 from dptco.generator import (ErrorState, conservation_monitor,
                              design_radius, envelope_monitor, error_state,
                              generator_constants, gradients_at,
@@ -107,7 +107,7 @@ def test_constants_ordering_invariants():
 
 
 def test_constants_reject_nonpositive():
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(DptcoError, match="rho_c must be finite and > 0"):
         generator_constants(0.0, 1.0, 1.0, 4.0)
 
 
@@ -119,7 +119,7 @@ def test_constants_reject_nonpositive():
 ], ids=["varrho_inf", "rho_nan", "lambda2_nan", "lambdaN_inf"])
 def test_constants_reject_non_finite(args, name):
     # an overflowing cost once gave varrho_c = inf and c_star = 0
-    with pytest.raises(NonPositiveInput, match=f"{name} must be finite"):
+    with pytest.raises(DptcoError, match=f"{name} must be finite"):
         generator_constants(*args)
 
 
@@ -262,7 +262,8 @@ def test_envelope_monitor_flags_violation():
 
 def test_envelope_monitor_needs_data():
     clock = PrescribedClock(0.0, 1.0, 0.999)
-    with pytest.raises(EmptyTrajectory):
+    with pytest.raises(DptcoError,
+                       match="envelope monitor needs a logged trajectory"):
         envelope_monitor([0.0], [1.0], clock, linear_gain(21.0),
                          example2_like_constants())
 

@@ -11,7 +11,7 @@ import pytest
 from dptco.chain_ctrl import chain_decay_monitor, make_chain_config
 from dptco.cli import read_trajectory_csv
 from dptco.costs import optimum_oracle
-from dptco.errors import EmptyTrajectory
+from dptco.errors import DptcoError
 from dptco.generator import generator_constants, ratio_report
 from dptco.scenario import derived_series, evaluate_monitors, load_scenario
 from dptco.strictfb_ctrl import (SfControllerConfig, invariant_set_monitor,
@@ -75,7 +75,8 @@ def test_ratio_report_floors_max_ratio_at_zero():
 
 
 def test_ratio_report_needs_two_logged_points():
-    with pytest.raises(EmptyTrajectory):
+    with pytest.raises(DptcoError,
+                       match="m monitor needs a logged trajectory"):
         ratio_report("m", TIMES[:1], np.zeros((1, 2)), 1.0)
 
 

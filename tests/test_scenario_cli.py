@@ -12,7 +12,7 @@ import pytest
 from dptco import cli
 from dptco.cli import (EXIT_CONFIG, EXIT_MONITOR, EXIT_OK, main,
                        read_trajectory_csv, run_scenario)
-from dptco.errors import NonFiniteState, ScenarioError
+from dptco.errors import DptcoError, ScenarioError
 from dptco.scenario import load_scenario, scenario_hash
 from dptco.sim_engine import export_csv
 
@@ -304,6 +304,105 @@ def _put(*keys, value=math.nan):
 def test_non_finite_number_refused_in_its_section(tmp_path, capsys,
                                                   monkeypatch, name, edit,
                                                   message):
+    p = modified_scenario(name, tmp_path, edit)
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(f"error: {p}: {message}")
+
+
+@pytest.mark.parametrize("name, monitor, message", [
+    # the ring has no agent model, so no e_s_norm channel
+    ("ring", "chain_decay", "needs the 'chain' controller, not 'none'"),
+    ("example2", "chain_decay",
+     "needs the 'chain' controller, not 'strict_feedback'"),
+    ("example1", "sf_decay",
+     "needs the 'strict_feedback' controller, not 'chain'"),
+    # the chain has an e_tilde_norm channel, but not the strict-feedback
+    # scaled error that the invariant-set bound is stated for
+    ("example1", "invariant_set",
+     "needs the 'strict_feedback' controller, not 'chain'"),
+], ids=["ring_chain_decay", "example2_chain_decay", "example1_sf_decay",
+        "example1_invariant_set"])
+def test_monitor_of_another_controller_refused(tmp_path, capsys, monkeypatch,
+                                               name, monitor, message):
+    p = modified_scenario(name, tmp_path,
+                          lambda raw: raw["monitors"].update({monitor: {}}))
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(f"error: {p}: monitors: {monitor}: {message}")
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    # float("nan") would take a string and run into a step-size underflow
+    ("example1", _put("agents", "psi", value="nan"),
+     "agents: psi must be a number, got 'nan'"),
+    ("example2", _put("agents", "thetas", 1, value="1.0"),
+     "agents: thetas must be a number, got '1.0'"),
+    ("example2", _put("agents", "sigma", value=True),
+     "agents: sigma must be a number, got True"),
+    ("example1", _put("agents", "x_init", 0, 1, 0, value="0"),
+     "agents: x_init must be a number, got '0'"),
+    ("example1", _put("agents", "disturbance", "seed", value="7"),
+     "agents: disturbance.seed must be a number, got '7'"),
+    # counts: int() would truncate a fraction and convert a string or a bool
+    ("ring", _put("network", "n_agents", value=5.9),
+     "network: n_agents must be a whole number, got 5.9"),
+    ("ring", _put("network", "n_agents", value="6"),
+     "network: n_agents must be a whole number, got '6'"),
+    ("ring", _put("network", "edges", 2, 1, value=3.5),
+     "network: edges[2] endpoint must be a whole number, got 3.5"),
+    ("ring", _put("network", "edges", 0, 0, value=False),
+     "network: edges[0] endpoint must be a whole number, got False"),
+    ("ring", _put("costs", "dim", value=2.5),
+     "costs: dim must be a whole number, got 2.5"),
+    ("example2", _put("agents", "order", value=3.5),
+     "agents: order must be a whole number, got 3.5"),
+    ("ring", _put("solver", "log_every", value=2.7),
+     "solver: log_every must be a whole number, got 2.7"),
+    ("ring", _put("solver", "log_every", value=True),
+     "solver: log_every must be a whole number, got True"),
+    ("example1", _put("agents", "disturbance", "seed", value=1.5),
+     "agents: disturbance.seed must be a whole number, got 1.5"),
+], ids=["psi_string", "thetas_string", "sigma_bool", "x_init_string",
+        "seed_string", "n_agents_fraction", "n_agents_string",
+        "endpoint_fraction", "endpoint_bool", "dim_fraction",
+        "order_fraction", "log_every_fraction", "log_every_bool",
+        "seed_fraction"])
+def test_non_number_refused_in_its_section(tmp_path, capsys, monkeypatch,
+                                           name, edit, message):
+    p = modified_scenario(name, tmp_path, edit)
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(f"error: {p}: {message}")
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("ring", _put("nmae", value="ring"),
+     "top level: unknown key(s) nmae; allowed: name, clock, network, costs, "
+     "gains, agents, solver, monitors"),
+    # a misspelled key would leave its default in force: guard 0.999 here
+    ("ring", _put("clock", "guard_fac", value=0.5),
+     "clock: unknown key(s) guard_fac; allowed: t0, T, guard_frac"),
+    ("ring", _put("network", "weights", value=[]),
+     "network: unknown key(s) weights; allowed: n_agents, edges"),
+    ("ring", _put("costs", "boxes", value=[]),
+     "costs: unknown key(s) boxes; allowed: dim, box, agents"),
+    ("ring", _put("costs", "agents", 3, "ofset", value=1.0),
+     "costs: unknown key(s) ofset; allowed: family, Q, center, offset"),
+    ("example2", _put("costs", "agents", 1, 1, "offset", value=1.0),
+     "costs: unknown key(s) offset; allowed: family, P, center"),
+    ("example1", _put("gains", "alpha_x", "base", value={}),
+     "gains: alpha_x: unknown key(s) base; allowed: family, params"),
+    ("example1", _put("gains", "alpha_s",
+                      value={"family": "dc2", "params": [1.0, 2, 1.0],
+                             "base": {"family": "linear", "params": [1.0],
+                                      "k": 2.0}}),
+     "gains: alpha_s: unknown key(s) k; allowed: family, params"),
+    # and amplitude 0.1 here
+    ("example1", _put("agents", "disturbance", "amplitud", value=0.5),
+     "agents: disturbance: unknown key(s) amplitud; allowed: seed, "
+     "amplitude"),
+], ids=["top_level", "clock", "network", "costs", "quadratic",
+        "exp_quadratic", "gain", "dc2_base", "disturbance"])
+def test_unknown_key_refused_in_its_section(tmp_path, capsys, monkeypatch,
+                                            name, edit, message):
     p = modified_scenario(name, tmp_path, edit)
     err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
     assert err.startswith(f"error: {p}: {message}")
@@ -766,7 +865,7 @@ def test_cli_sweep_prints_in_file_order(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_sweep_reports_worker_exception(tmp_path, capfd, monkeypatch):
-    # NonFiniteState raised in a worker comes back as a config error of its
+    # a non-finite state raised in a worker comes back as a config error of its
     # file, and the other files still finish
     d = tmp_path / "scens"
     d.mkdir()
@@ -776,7 +875,7 @@ def test_cli_sweep_reports_worker_exception(tmp_path, capfd, monkeypatch):
 
     def run(path, out, **kwargs):
         if path.endswith("a_blowup.json"):
-            raise NonFiniteState(0.25, 3)
+            raise DptcoError("non-finite state at t=0.25: 3")
         return real_run(path, out, **kwargs)
 
     monkeypatch.setattr(cli, "run_scenario", run)

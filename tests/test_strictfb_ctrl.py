@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptco.costs import CostSet, QuadraticCost
-from dptco.errors import GuardExceeded, MarginTooSmall
+from dptco.errors import DptcoError
 from dptco.graph import build_network
 from dptco.sim_engine import CoupledSystem
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
@@ -83,12 +83,13 @@ def test_select_parameters_sigma_backsolve():
 
 
 def test_select_parameters_rejects_zero_rho():
-    with pytest.raises(MarginTooSmall):
+    with pytest.raises(DptcoError,
+                       match="sigma_prime and rho must be positive"):
         select_parameters(3, 1.0, sigma_prime=1.0, rho=0.0, margin=1.0)
 
 
 def test_select_parameters_rejects_small_margin():
-    with pytest.raises(MarginTooSmall):
+    with pytest.raises(DptcoError, match="margin 1.0 below sigma/2"):
         select_parameters(3, 1.0, sigma_prime=17.0, rho=10.0, margin=1.0)
 
 
@@ -153,7 +154,7 @@ def test_cascade_guard_enforced():
     cfg = SfControllerConfig(2, 1, 1.0, (2.0, 2.0), (3.0,), 2.0,
                              linear_gain(1.0), mu_guard=10.0,
                              phis=(identity,))
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(DptcoError, match="mu=20.0 beyond guard 10.0"):
         virtual_controls(np.ones((2, 1)), np.zeros(1), np.zeros((1, 1)),
                          0.0, 20.0, cfg)
 

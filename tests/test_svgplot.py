@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dptco.errors import EmptyTrajectory
+from dptco.errors import DptcoError
 from dptco.svgplot import _ticks, write_svg
 
 NS = "{http://www.w3.org/2000/svg}"
@@ -55,7 +55,7 @@ def test_nonfinite_points_dropped(tmp_path):
 
 
 def test_empty_series_rejected(tmp_path):
-    with pytest.raises(EmptyTrajectory):
+    with pytest.raises(DptcoError, match="no series to plot"):
         write_svg(str(tmp_path / "e.svg"), [], title="e", ylabel="y")
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptco import chain_ctrl, generator, scenario, strictfb_ctrl
-from dptco.errors import NonPositiveInput, TimeOutOfWindow
+from dptco.errors import DptcoError
 from dptco.generator import check_generator_criterion
 from dptco.timegain import (GainFunction, PrescribedClock, _adaptive_simpson,
                             check_growth_criterion, gain_integral, kappa,
@@ -36,7 +36,8 @@ def test_mu_midpoint():
 
 def test_mu_rejects_deadline():
     clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
-    with pytest.raises(TimeOutOfWindow):
+    with pytest.raises(DptcoError,
+                       match=re.escape("t=1.0 outside [0.0, 1.0)")):
         clock.mu(1.0)
 
 
@@ -63,14 +64,15 @@ def test_mu_strictly_increasing():
 
 
 def test_clock_rejects_bad_params():
-    with pytest.raises(NonPositiveInput):
-        PrescribedClock(t0=0.0, T=0.0, guard_frac=0.999)
-    with pytest.raises(NonPositiveInput):
-        PrescribedClock(t0=0.0, T=1.0, guard_frac=1.0)
-    for t0, T, guard_frac in ((math.nan, 1.0, 0.9), (math.inf, 1.0, 0.9),
-                              (0.0, math.nan, 0.9), (0.0, math.inf, 0.9),
-                              (0.0, 1.0, math.nan)):
-        with pytest.raises(NonPositiveInput):
+    for t0, T, guard_frac, msg in (
+            (0.0, 0.0, 0.999, "T must be finite and > 0"),
+            (0.0, 1.0, 1.0, "guard_frac must be in"),
+            (math.nan, 1.0, 0.9, "t0 must be finite"),
+            (math.inf, 1.0, 0.9, "t0 must be finite"),
+            (0.0, math.nan, 0.9, "T must be finite and > 0"),
+            (0.0, math.inf, 0.9, "T must be finite and > 0"),
+            (0.0, 1.0, math.nan, "guard_frac must be in")):
+        with pytest.raises(DptcoError, match=msg):
             PrescribedClock(t0, T, guard_frac)
 
 
@@ -146,7 +148,7 @@ def test_gain_roundtrip_serialization():
 
 
 def test_construction_refuses_a_nonzero_origin():
-    with pytest.raises(NonPositiveInput, match="a > 0"):
+    with pytest.raises(DptcoError, match="a > 0"):
         GainFunction("power", (1.0, 0.0))  # constant 1, alpha(0) != 0
 
 
@@ -164,7 +166,7 @@ RANGE_EDGES = [
 @pytest.mark.parametrize("family, bad, good", RANGE_EDGES)
 def test_construction_refuses_each_bound_of_each_family(family, bad, good):
     GainFunction(family, good)
-    with pytest.raises(NonPositiveInput, match=f"{family} gain needs"):
+    with pytest.raises(DptcoError, match=f"{family} gain needs"):
         GainFunction(family, bad)
 
 
@@ -173,7 +175,7 @@ def test_construction_refuses_each_bound_of_each_family(family, bad, good):
 ], ids=["v1", "m", "integer_m", "mu0"])
 def test_construction_refuses_each_bound_of_dc2(params):
     GainFunction("dc2", (1.0, 2, 1.0), base=linear_gain(1.0))
-    with pytest.raises(NonPositiveInput, match=re.escape(
+    with pytest.raises(DptcoError, match=re.escape(
             f"dc2 gain needs finite params with v1 > 0, an integer m >= 1 "
             f"and mu0 > 0, got {list(params)}")):
         GainFunction("dc2", params, base=linear_gain(1.0))
@@ -201,7 +203,7 @@ def test_construction_refuses_the_wrong_count(family, params):
 def test_construction_refuses_a_non_finite_param(family, params, value):
     for i in range(len(params)):
         bad = params[:i] + (value,) + params[i + 1:]
-        with pytest.raises(NonPositiveInput, match="finite"):
+        with pytest.raises(DptcoError, match="finite"):
             GainFunction(family, bad, base=linear_gain(1.0))
 
 
@@ -210,10 +212,10 @@ def test_from_dict_checks_a_dc2_gain_and_its_base():
     assert GainFunction.from_dict(
         {"family": "dc2", "params": [1.0, 2, 1.0], "base": base}).base == \
         linear_gain(1.0)
-    with pytest.raises(NonPositiveInput, match="v1 > 0"):
+    with pytest.raises(DptcoError, match="v1 > 0"):
         GainFunction.from_dict(
             {"family": "dc2", "params": [-1.0, 2, 1.0], "base": base})
-    with pytest.raises(NonPositiveInput, match="k1 > 0"):
+    with pytest.raises(DptcoError, match="k1 > 0"):
         GainFunction.from_dict({"family": "dc2", "params": [1.0, 2, 1.0],
                                 "base": {"family": "exp",
                                          "params": [-1.0, 1.0]}})
@@ -354,9 +356,9 @@ def test_dc2_at_lower_limit():
 
 
 def test_dc2_rejects_bad_inputs():
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(DptcoError, match=re.escape("got [0.0, 2, 1.0]")):
         dc2_gain(linear_gain(1.0), v1=0.0, m=2, mu0=1.0)
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(DptcoError, match=re.escape("got [1.0, 0, 1.0]")):
         dc2_gain(linear_gain(1.0), v1=1.0, m=0, mu0=1.0)
 
 
@@ -431,9 +433,9 @@ def test_integral_and_kappa_on_an_array_equal_the_float_path(name):
 
 def test_array_outside_the_window_refused():
     clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
-    with pytest.raises(TimeOutOfWindow):
+    with pytest.raises(DptcoError, match=re.escape("outside [0.0, 1.0)")):
         clock.mu(np.array([0.5, 1.0]))
-    with pytest.raises(TimeOutOfWindow):
+    with pytest.raises(DptcoError, match="outside the prescribed window"):
         kappa(clock, linear_gain(1.0), -1.0, np.array([-0.1, 0.5]))
 
 
@@ -444,7 +446,7 @@ def test_log_grid_equals_its_scalar_formula():
 
 
 def test_construction_refuses_a_decreasing_gain():
-    with pytest.raises(NonPositiveInput,
+    with pytest.raises(DptcoError,
                        match=r"power gain needs finite params with k > 0"):
         GainFunction("power", (-1.0, 1.5))
 
@@ -479,7 +481,8 @@ def test_growth_criterion_equals_the_point_by_point_check(name, kind):
 
 def test_growth_criterion_refuses_a_grid_point_at_or_below_zero():
     for grid in ([0.0, 1.0, 2.0], [1.0, -2.0]):
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(DptcoError,
+                           match="grid points must be > 0"):
             check_growth_criterion("generator", linear_gain(1.0), 0.05, grid)
 
 
