@@ -104,12 +104,12 @@ class SumCost:
 
 
 def cost_from_dict(d) -> QuadraticCost | ExpQuadraticCost | SumCost:
-    """Build a cost from its scenario-JSON form; lists become sums."""
+    """Build a cost from its read scenario JSON; lists become sums."""
     if isinstance(d, list):
         return SumCost([cost_from_dict(x) for x in d])
     fam = d["family"]
     if fam == "quadratic":
-        return QuadraticCost(d["Q"], d["center"], d.get("offset", 0.0))
+        return QuadraticCost(d["Q"], d["center"], d["offset"])
     if fam == "exp_quadratic":
         return ExpQuadraticCost(d["P"], d["center"])
     raise ValueError(f"unknown cost family {fam!r}")

@@ -214,7 +214,7 @@ def envelope_bound(times, e_r0: float, clock: PrescribedClock,
 
 def envelope_monitor(times, e_r_norms, clock: PrescribedClock,
                      alpha: GainFunction, consts: GeneratorConstants,
-                     slack: float = 0.05) -> MonitorReport:
+                     slack: float) -> MonitorReport:
     """Check ||e_r(t)|| <= (1+slack) envelope_bound(t), e_r_norms (K,).
 
     The slack absorbs discretization of the logged trajectory.
@@ -225,7 +225,7 @@ def envelope_monitor(times, e_r_norms, clock: PrescribedClock,
                         bound_ratio(norms, bounds), 1.0 + slack)
 
 
-def conservation_monitor(times, p_sums, tol: float = 1e-8) -> MonitorReport:
+def conservation_monitor(times, p_sums, tol: float) -> MonitorReport:
     """Check the gradient-tracking conservation law
     sum_i p_i(t) = sum_i p_i(t0) to within tol, p_sums (K, dim)."""
     p_sums = np.asarray(p_sums, dtype=float)

@@ -40,7 +40,11 @@ def build_network(n_agents: int, edges: list) -> Network:
         raise ValueError(f"n_agents must be at least 2, got {n}: lambda2 "
                          "is undefined")
     lap = np.zeros((n, n))
-    for i, j, w in edges:
+    for k, (i, j, w) in enumerate(edges):
+        for end in (i, j):
+            if type(end) is not int and not float(end).is_integer():
+                raise ValueError(f"edges[{k}] endpoint must be a whole "
+                                 f"number, got {end!r}")
         i, j, w = int(i), int(j), float(w)
         if i == j:
             raise DptcoError(f"self loop at node {i}")

@@ -1,11 +1,10 @@
 """Scenario files: JSON in, a ready-to-integrate closed loop out.
 
-A scenario has sections {clock, network, costs, gains, agents, solver,
-monitors}.  Loading resolves every constant (spectrum, curvature, c1..c*,
-v1/v2), checks the gain growth criteria, and refuses to build when a
-criterion fails unless the scenario sets "acknowledge_criteria_override":
-true.  Monitor evaluation lives here too, so the command-line layer stays a
-thin shell.
+One key table lists every key a file may hold, and one reader checks the
+file against it.  Loading then resolves every constant (spectrum,
+curvature, c1..c*, v1/v2) and checks the gain growth criteria, refusing a
+failing one unless "acknowledge_criteria_override" is true.  Monitor
+evaluation lives here too, so the command-line layer stays a thin shell.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,36 +30,82 @@ from .sim_engine import (CoupledSystem, SolverSettings, Trajectory,
                          make_disturbance)
 from .timegain import GainFunction, PrescribedClock, log_grid
 
-_SECTIONS = ("clock", "network", "costs", "gains", "agents", "solver",
-             "monitors")
+_PHI_REGISTRY = {"identity": lambda x: x, "sin": np.sin, "tanh": np.tanh}
 
-# solver keys and their JSON-to-SolverSettings conversions
-_SOLVER_KEYS = {"method": str, "dt": float, "rel_tol": float,
-                "abs_tol": float,
-                "log_every": lambda v: _count(v, "log_every")}
+# --- the key table -----------------------------------------------------------
+#
+# Each key a scenario file may hold, as key: (kind, default); _value reads
+# each kind.  A _REQUIRED key must be given, and a _COMPUTED one reads None
+# when absent, for the build to work out.  A tag's name adds its table of
+# keys to its object's.  An error is located at its section, and in an
+# object also at its key ("gains: alpha").  Numbers outside agents and
+# monitors may be NaN here, for their constructors to refuse.
+_REQUIRED, _COMPUTED = "required", "computed"
+_NUMBER, _FINITE, _COUNT = ("number",), ("finite",), ("count",)
+_NUMBERS, _FINITES = ("numbers", None), ("finites", None)
 
-# the keys each object of the file may hold; those of gains and agents
-# depend on the controller, and are not listed
-_KEYS = {"top level": ("name",) + _SECTIONS,
-         "clock": ("t0", "T", "guard_frac"),
-         "network": ("n_agents", "edges"),
-         "costs": ("dim", "box", "agents"),
-         "disturbance": ("seed", "amplitude")}
-_COST_KEYS = {"quadratic": ("family", "Q", "center", "offset"),
-              "exp_quadratic": ("family", "P", "center")}
+_PARAMS = {"params": (_NUMBERS, _REQUIRED)}
+_DC2 = dict(_PARAMS)
+_GAIN = ("object", {"family": (("tag", "gain family", {
+    "linear": _PARAMS, "power": _PARAMS, "log": _PARAMS, "exp": _PARAMS,
+    "dc2": _DC2}), _REQUIRED)}, None)
+_DC2["base"] = (_GAIN, _REQUIRED)
 
-# agents keys of the initial state, located by column once packed into y0
-_INITIAL_STATE = ("varpi_init", "p_init", "x_init", "theta_hat_init")
+_TERM = {"family": (("tag", "cost family", {
+    "quadratic": {"Q": (_NUMBERS, _REQUIRED), "center": (_NUMBERS, _REQUIRED),
+                  "offset": (_NUMBER, 0.0)},
+    "exp_quadratic": {"P": (_NUMBERS, _REQUIRED),
+                      "center": (_NUMBERS, _REQUIRED)}}), _REQUIRED)}
 
-# agents keys that hold names, and the words that stand for a number
-_AGENT_NAMES = ("controller", "plant", "phi")
-_AGENT_WORDS = {"K": "auto", "p_init": "zeros"}
-
-_PHI_REGISTRY = {
-    "identity": lambda x: x,
-    "sin": np.sin,
-    "tanh": np.tanh,
+_MODEL = {"order": (_COUNT, _REQUIRED), "x_init": (_NUMBERS, _REQUIRED),
+          "offsets": (_FINITES, None)}
+_CONTROLLERS = {
+    "none": {},
+    "chain": {**_MODEL, "v": (_FINITE, 1.0), "psi": (_FINITE, 1.0),
+              "K": (("finites", "auto"), "auto"),
+              "plant": (("tag", "plant kind", {"chain": {}, "euler_lagrange": {
+                  "el_true_theta": (_FINITES, _REQUIRED),
+                  "el_nominal_scale": (_FINITE, 0.9),
+                  "gravity": (_FINITE, 9.8)}}), "chain"),
+              "disturbance": (("object", {"seed": (_COUNT, 0),
+                                          "amplitude": (_FINITE, 0.1)},
+                               None), None)},
+    # without c, upsilon and sigma, select_parameters works them out from
+    # sigma_prime, rho and margin
+    "strict_feedback": {
+        **_MODEL, "l": (_FINITE, 1.0), "c": (_FINITES, _COMPUTED),
+        "upsilon": (_FINITES, _COMPUTED), "sigma": (_FINITE, _COMPUTED),
+        "sigma_prime": (_FINITE, 1.0), "rho": (_FINITE, 10.0),
+        "margin": (_FINITE, 1.0),
+        "phi": (("names", "phi id", tuple(_PHI_REGISTRY)), _COMPUTED),
+        "thetas": (_FINITES, _REQUIRED), "theta_hat_init": (_NUMBERS, 0.0)},
 }
+
+_TABLE = {
+    "top level": {"name": (("text", "a string"), "unnamed"), **dict.fromkeys(
+        ("clock", "network", "costs", "gains", "agents", "solver",
+         "monitors"), (("section",), _REQUIRED))},
+    "clock": {"t0": (_NUMBER, 0.0), "T": (_NUMBER, _REQUIRED),
+              "guard_frac": (_NUMBER, 0.999)},
+    "network": {"n_agents": (_COUNT, _REQUIRED),
+                "edges": (_NUMBERS, _REQUIRED)},
+    "costs": {"dim": (_COUNT, _REQUIRED), "box": (_NUMBERS, _COMPUTED),
+              "agents": (("costs",), _REQUIRED)},
+    # and each controller's gains, in _GAINS
+    "gains": {"alpha": (_GAIN, _REQUIRED), "acknowledge_criteria_override": (
+        ("bool", "true or false"), False)},
+    "agents": {"controller": (("tag", "controller", _CONTROLLERS), "none"),
+               "varpi_init": (_NUMBERS, _REQUIRED),
+               "p_init": (("numbers", "zeros"), "zeros")},
+    "solver": {"method": (("text", "a string"), "rk45"),
+               "dt": (_NUMBER, 1e-3), "rel_tol": (_NUMBER, 1e-8),
+               "abs_tol": (_NUMBER, 1e-10), "log_every": (_COUNT, 1)},
+    # and "monitors", each monitor's keys, from _MONITORS
+}
+_GAINS = {"none": {},
+          "chain": {"alpha_x": (_GAIN, _REQUIRED), "alpha_s": (
+              ("object", _GAIN[1], "auto_dc2"), "auto_dc2")},
+          "strict_feedback": {"alpha_xi": (_GAIN, _REQUIRED)}}
 
 
 def _fail(path: str, where: str, msg: str) -> ScenarioError:
@@ -80,14 +126,9 @@ class ScenarioBuild:
     monitors: dict
     criterion_reports: list
     constants: dict
+    gen_constants: GeneratorConstants  # c1..c_star of constants
     override_acknowledged: bool
     seed: int
-
-    @property
-    def gen_constants(self) -> GeneratorConstants:
-        """The envelope constants c1..c_star of the generator."""
-        c = self.constants
-        return GeneratorConstants(c["c1"], c["c2"], c["c3"], c["c_star"])
 
     @property
     def criteria_ok(self) -> bool:
@@ -101,228 +142,159 @@ class Scenario:
     raw: dict
     path: str
 
-    @property
-    def name(self) -> str:
-        return self.raw.get("name", "unnamed")
-
     def build(self) -> ScenarioBuild:
         raw, path = self.raw, self.path
-        for section in _SECTIONS:
-            if section not in raw:
-                raise _fail(path, "top level",
-                            f"missing required key {section!r}")
-            if not isinstance(raw[section], dict):
-                raise _fail(path, section, "must be a JSON object")
-        with _section(path, "top level"):
-            _known_keys(raw, _KEYS["top level"])
-
-        controller = raw["agents"].get("controller", "none")
-        monitors = {}
-        for name, params in raw["monitors"].items():
-            with _section(path, f"monitors: {name}"):
-                if name not in _MONITORS:
-                    raise ValueError("unknown monitor")
-                keys, needs, _ = _MONITORS[name]
-                if needs not in (None, controller):
-                    raise ValueError(f"needs the {needs!r} controller, not "
-                                     f"{controller!r}")
-                monitors[name] = {k: float(v)
-                                  for k, v in (params or {}).items()}
-                for k, v in monitors[name].items():
-                    if k not in keys:
-                        raise ValueError(f"unknown parameter {k!r}")
-                    if (not np.isfinite(v) or v < 0
-                            or (v == 0 and k != "slack")):
-                        raise ValueError(f"{k} out of range: {v}")
+        read = {}  # each section, read against its table
+        for s in ("top level", "agents", "clock", "network", "costs",
+                  "solver", "monitors", "gains"):
+            more = _GAINS[read["agents"]["controller"]] if s == "gains" else {}
+            with _section(path, s):
+                read[s] = _read(path, s, raw if s == "top level" else raw[s],
+                                {**_TABLE[s], **more})
+        ag, cs, gains = read["agents"], read["costs"], read["gains"]
+        controller = ag["controller"]
+        # the monitors the file lists, in its order
+        monitors = {m: read["monitors"][m] for m in raw["monitors"]}
+        for m in monitors:
+            needs = _MONITORS[m][1]
+            if needs not in (None, controller):
+                raise _fail(path, f"monitors: {m}", f"needs the {needs!r} "
+                            f"controller, not {controller!r}")
 
         with _section(path, "clock"):
-            ck = raw["clock"]
-            _known_keys(ck, _KEYS["clock"])
-            clock = PrescribedClock(
-                t0=float(ck.get("t0", 0.0)), T=float(ck["T"]),
-                guard_frac=float(ck.get("guard_frac", 0.999)))
+            clock = PrescribedClock(**read["clock"])
 
         with _section(path, "network"):
-            nw = raw["network"]
-            _known_keys(nw, _KEYS["network"])
-            net = build_network(_count(nw["n_agents"], "n_agents"),
-                                nw["edges"])
-            for k, (i, j, _) in enumerate(nw["edges"]):
-                if type(i) is not int or type(j) is not int:  # JSON ints pass
-                    for v in (i, j):
-                        _count(v, f"edges[{k}] endpoint")
+            net = build_network(**read["network"])
             require_connected(net)
 
         with _section(path, "costs"):
-            cs = raw["costs"]
-            _known_keys(cs, _KEYS["costs"])
-            dim = _count(cs["dim"], "dim")
+            dim = cs["dim"]
             agent_costs = [cost_from_dict(d) for d in cs["agents"]]
-            for d in cs["agents"]:
-                _cost_keys(d)
             if len(agent_costs) != net.n_agents:
-                raise _fail(path, "costs", "one cost per agent required")
-            costs = CostSet(agent_costs, dim, cs.get("box", default_box(dim)))
+                raise ValueError("one cost per agent required")
+            costs = CostSet(agent_costs, dim, default_box(dim)
+                            if cs["box"] is None else cs["box"])
 
         consts = generator_constants(costs.rho_c, costs.varrho_c,
                                      net.lambda2, net.lambdaN)
-        constants = {
-            "lambda2": net.lambda2, "lambdaN": net.lambdaN,
-            "rho_c": costs.rho_c, "varrho_c": costs.varrho_c,
-            "c1": consts.c1, "c2": consts.c2, "c3": consts.c3,
-            "c_star": consts.c_star,
-        }
+        constants = {"lambda2": net.lambda2, "lambdaN": net.lambdaN,
+                     "rho_c": costs.rho_c, "varrho_c": costs.varrho_c,
+                     **vars(consts)}
 
+        alpha = gains["alpha"]
         with _section(path, "gains"):
-            gains = raw["gains"]
-            alpha = _gain(path, gains, "alpha")
-            override = bool(gains.get("acknowledge_criteria_override", False))
             grid = log_grid(clock.mu0, clock.mu_guard)
             reports = [check_generator_criterion(alpha, consts.c_star, grid)]
-            if controller == "chain":
-                alpha_x = _gain(path, gains, "alpha_x")
-                auto = gains.get("alpha_s", "auto_dc2") == "auto_dc2"
-                alpha_s = None if auto else _gain(path, gains, "alpha_s")
-            elif controller == "strict_feedback":
-                alpha_xi = _gain(path, gains, "alpha_xi")
 
         with _section(path, "agents"):
-            ag = raw["agents"]
-            for key, leaf in _bad_numbers(ag, ""):
-                if isinstance(leaf, (str, bool)):
-                    raise ValueError(f"{key} must be a number, got {leaf!r}")
-                if key not in _INITIAL_STATE:
-                    raise ValueError(f"{key} must be finite")
-            agents = None
-            dist_seed = 0
+            agents, dist_seed = None, 0
             if controller == "chain":
-                m = _count(ag["order"], "order")
-                K = ag.get("K", "auto")
+                auto = gains["alpha_s"] == "auto_dc2"  # the chain's dc2 gain
                 chain_cfg = chain_ctrl.make_chain_config(
-                    m, dim, float(ag.get("v", 1.0)), alpha_x, clock.mu_guard,
-                    float(ag.get("psi", 1.0)), clock.mu0, alpha_s=alpha_s,
-                    K=None if K == "auto" else K)
-                constants["v1"] = chain_cfg.v1
-                constants["v2"] = chain_cfg.v2
+                    ag["order"], dim, ag["v"], gains["alpha_x"],
+                    clock.mu_guard, ag["psi"], clock.mu0,
+                    alpha_s=None if auto else gains["alpha_s"],
+                    K=None if ag["K"] == "auto" else ag["K"])
+                constants.update(v1=chain_cfg.v1, v2=chain_cfg.v2)
                 reports.append(chain_ctrl.check_dc1(chain_cfg, alpha,
                                                     consts.c_star, grid))
-                plant = ag.get("plant", "chain")
                 el = None
-                if plant == "euler_lagrange":
+                if ag["plant"] == "euler_lagrange":
                     theta_true = tuple(ag["el_true_theta"])
-                    scale = float(ag.get("el_nominal_scale", 0.9))
-                    gravity = float(ag.get("gravity", 9.8))
+                    scale, gravity = ag["el_nominal_scale"], ag["gravity"]
                     el = (chain_ctrl.EulerLagrangeParams(theta_true, gravity),
                           chain_ctrl.EulerLagrangeParams(
                               tuple(scale * t for t in theta_true), gravity))
-                elif plant != "chain":
-                    raise _fail(path, "agents",
-                                f"unknown plant kind {plant!r}")
-                disturbance = None
-                if "disturbance" in ag:
-                    dd = ag["disturbance"]
-                    with _section(path, "agents: disturbance"):
-                        _known_keys(dd, _KEYS["disturbance"])
-                    dist_seed = _count(dd.get("seed", 0), "disturbance.seed")
+                dd = disturbance = ag["disturbance"]
+                if dd is not None:
+                    dist_seed = dd["seed"]
                     disturbance = make_disturbance(
-                        dist_seed, net.n_agents, dim,
-                        float(dd.get("amplitude", 0.1)))
+                        dist_seed, net.n_agents, dim, dd["amplitude"])
                 agents = chain_ctrl.ChainAgents(chain_cfg, el, disturbance)
             elif controller == "strict_feedback":
-                m = _count(ag["order"], "order")
-                l = float(ag.get("l", 1.0))
-                if "c" in ag:
-                    c = tuple(float(v) for v in ag["c"])
-                    upsilon = tuple(float(v) for v in ag["upsilon"])
-                    sigma = float(ag["sigma"])
-                else:
+                m, l = ag["order"], ag["l"]
+                c, upsilon, sigma = ag["c"], ag["upsilon"], ag["sigma"]
+                if c is upsilon is sigma is None:
                     par = strictfb_ctrl.select_parameters(
-                        m, l, float(ag.get("sigma_prime", 1.0)),
-                        float(ag.get("rho", 10.0)),
-                        float(ag.get("margin", 1.0)))
+                        m, l, ag["sigma_prime"], ag["rho"], ag["margin"])
                     c, upsilon, sigma = par.c, par.upsilon, par.sigma
-                phi_ids = ag.get("phi", ["identity"] * (m - 1))
-                try:
-                    phis = tuple(_PHI_REGISTRY[p] for p in phi_ids)
-                except KeyError as exc:
-                    raise _fail(path, "agents",
-                                f"unknown phi id {exc}") from exc
+                elif None in (c, upsilon, sigma):
+                    raise ValueError("give c, upsilon and sigma together, or "
+                                     "none of them")
+                phis = tuple(_PHI_REGISTRY[p] for p in (
+                    ["identity"] * (m - 1) if ag["phi"] is None
+                    else ag["phi"]))
                 sf_cfg = strictfb_ctrl.SfControllerConfig(
-                    m, dim, l, c, upsilon, sigma, alpha_xi, clock.mu_guard,
-                    phis)
+                    m, dim, l, tuple(map(float, c)),
+                    tuple(map(float, upsilon)), sigma, gains["alpha_xi"],
+                    clock.mu_guard, phis)
                 reports.append(strictfb_ctrl.check_dcxi(
-                    alpha_xi, alpha, consts.c_star, float(sf_cfg.L[1]), grid))
+                    gains["alpha_xi"], alpha, consts.c_star,
+                    float(sf_cfg.L[1]), grid))
                 thetas = np.asarray(ag["thetas"], dtype=float)
                 if thetas.shape != (net.n_agents,):
-                    raise _fail(path, "agents", "one theta per agent required")
+                    raise ValueError("one theta per agent required")
                 agents = strictfb_ctrl.StrictFeedbackAgents(sf_cfg, thetas)
-            elif controller != "none":
-                raise _fail(path, "agents",
-                            f"unknown controller {controller!r}")
 
+        override = gains["acknowledge_criteria_override"]
         failed = [r for r in reports if not r.ok]
         if failed and not override:
             kinds = ", ".join(r.kind for r in failed)
-            raise _fail(path, "gains",
-                        f"growth criterion failed ({kinds}); worst margin "
-                        f"{failed[0].worst_margin:.3g} at "
+            raise _fail(path, "gains", f"growth criterion failed ({kinds}); "
+                        f"worst margin {failed[0].worst_margin:.3g} at "
                         f"s={failed[0].worst_s:.4g}. Set "
-                        "\"acknowledge_criteria_override\": true to run "
-                        "anyway")
+                        '"acknowledge_criteria_override": true to run anyway')
 
         with _section(path, "agents"):
             sys = CoupledSystem(clock, net, costs, alpha, agents=agents,
-                                offsets=ag.get("offsets"))
+                                offsets=None if agents is None
+                                else ag["offsets"])
             varpi0 = np.asarray(ag["varpi_init"], dtype=float)
             if varpi0.shape != (net.n_agents, dim):
-                raise _fail(path, "agents", f"varpi_init must be "
-                            f"{net.n_agents} x {dim}, got {varpi0.shape}")
-            p_init = ag.get("p_init", "zeros")
-            if p_init == "zeros":
+                raise ValueError(f"varpi_init must be {net.n_agents} x {dim}, "
+                                 f"got {varpi0.shape}")
+            if ag["p_init"] == "zeros":
                 p0 = np.zeros((net.n_agents, dim))
             else:
-                p0 = np.asarray(p_init, dtype=float)
+                p0 = np.asarray(ag["p_init"], dtype=float)
                 if float(np.abs(p0.sum(axis=0)).max()) > 1e-12:
-                    raise _fail(path, "agents", "p_init must sum to zero")
-            plants = ctrls = None
-            if agents is not None:
-                plants = ag["x_init"]
+                    raise ValueError("p_init must sum to zero")
+            plants = None if agents is None else ag["x_init"]
+            ctrls = None
             if controller == "strict_feedback":
                 # theta_hat from the scenario, filter states start at zero
                 ctrls = np.zeros((net.n_agents, sf_cfg.n_ctrl))
-                ctrls[:, 0] = ag.get("theta_hat_init", 0.0)
+                ctrls[:, 0] = ag["theta_hat_init"]
             y0 = sys.pack(varpi0, p0, plants, ctrls)
             bad = np.flatnonzero(~np.isfinite(y0))
             if bad.size:
-                raise _fail(path, "agents", "non-finite initial value of "
-                            f"{sys.column_names()[bad[0]]}")
+                raise ValueError("non-finite initial value of "
+                                 f"{sys.column_names()[bad[0]]}")
 
-        settings = _solver_settings(raw["solver"], path)
+        with _section(path, "solver"):
+            settings = SolverSettings(**read["solver"])
         if settings.method == "rk4" and controller == "chain":
             raise _fail(path, "solver: method",
                         "rk4 sizes its steps from the closed loop's design "
                         "spectral radius, and chain agents have none (their "
                         "stiffness drifts with the state); use rk45")
 
-        return ScenarioBuild(self.name, path, scenario_hash(raw), sys, y0,
-                             settings, monitors, reports, constants, override,
-                             dist_seed)
+        return ScenarioBuild(read["top level"]["name"], path,
+                             scenario_hash(raw), sys, y0, settings, monitors,
+                             reports, constants, consts, override, dist_seed)
 
 
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
+            raw = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read: {exc}") from exc
-    try:
-        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: top level must be a JSON object")
     return Scenario(raw, path)
 
 
@@ -331,72 +303,89 @@ def scenario_hash(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _solver_settings(sv, path: str) -> SolverSettings:
-    """SolverSettings from the solver section; omitted keys keep their
-    defaults, and an unknown key or a bad value is a located error."""
-    with _section(path, "solver"):
-        _known_keys(sv, _SOLVER_KEYS)
-        return SolverSettings(**{k: _SOLVER_KEYS[k](v) for k, v in sv.items()})
+# --- the reader --------------------------------------------------------------
+
+def _read(path: str, where: str, obj, table: dict) -> dict:
+    """obj read against table, each key as its kind and defaults filled in;
+    a bad or unknown key raises, for the caller's _section to locate."""
+    if type(obj) is not dict:
+        raise ValueError("must be a JSON object")
+    out, keys = {}, list(table.items())
+    for key, (kind, default) in keys:  # a tag's keys join the list
+        if key in obj:
+            out[key] = _value(path, where, key, obj[key], kind)
+        elif default is _REQUIRED:
+            raise KeyError(key)
+        else:
+            out[key] = None if default is _COMPUTED else default
+        if kind[0] == "tag":
+            keys += kind[2][out[key]].items()
+    if not out.keys() >= obj.keys():
+        unknown = ", ".join(sorted(obj.keys() - out.keys()))
+        raise ValueError(f"unknown key(s) {unknown}; allowed: "
+                         f"{', '.join(out)}")
+    return out
 
 
-def _known_keys(d: dict, allowed) -> None:
-    """Refuse a key of the JSON object d that allowed does not list."""
-    unknown = d.keys() - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown key(s) {', '.join(sorted(unknown))}; "
-                         f"allowed: {', '.join(allowed)}")
+def _value(path: str, where: str, key: str, v, kind):
+    """v, the value of key in the object at where, read as kind."""
+    name = kind[0]
+    if name == "numbers" or name == "finites":
+        if type(v) is str and v == kind[1]:
+            return v
+        if not _numbers(v):
+            while type(v) is list:  # down to the leaf _numbers refuses
+                v = next(x for x in v if not _numbers(x))
+            raise ValueError(f"{key} must be a number, got {v!r}")
+        if name == "finites" and not np.isfinite(np.asarray(v, float)).all():
+            raise ValueError(f"{key} must be finite")
+        return v
+    if name == "tag" or name == "names":  # names: a list of them
+        for x in v if name == "names" else (v,):
+            if type(x) is not str or x not in kind[2]:
+                raise ValueError(f"unknown {kind[1]} {x!r}")
+        return v
+    if name in ("number", "finite", "limit"):
+        if type(v) is not float and (type(v) is not int or abs(v) > 1e308):
+            raise ValueError(f"{key} must be a number, got {v!r}")
+        if name == "finite" and not math.isfinite(v):
+            raise ValueError(f"{key} must be finite")
+        if name == "limit" and not (math.isfinite(v) and (
+                v > 0 or (v == 0 and kind[1]))):  # kind[1]: 0 allowed
+            raise ValueError(f"{key} out of range: {float(v)}")
+        return float(v)
+    if name == "count":
+        if type(v) is int or (type(v) is float and v.is_integer()):
+            return int(v)
+        raise ValueError(f"{key} must be a whole number, got {v!r}")
+    if name == "bool" or name == "text":
+        if type(v) is not (bool if name == "bool" else str):
+            raise ValueError(f"{key} must be {kind[1]}, got {v!r}")
+        return v
+    if name == "object":
+        if type(v) is str and v == kind[2]:
+            return v
+        with _section(path, f"{where}: {key}"):
+            out = _read(path, f"{where}: {key}", v, kind[1])
+            return GainFunction.from_dict(v) if kind[1] is _GAIN[1] else out
+    if name == "section":  # read on its own
+        return v
+    # costs: per agent, a term or a list of terms whose costs add
+    if type(v) is not list:
+        raise ValueError(f"{key} must be a list, got {v!r}")
+    return [[_read(path, where, t, _TERM) for t in c] if type(c) is list
+            else _read(path, where, c, _TERM) for c in v]
 
 
-def _count(v, what: str) -> int:
-    """v as an int; a count given as a string, a bool or a fraction is an
-    error."""
-    if isinstance(v, bool) or not (isinstance(v, int) or (
-            isinstance(v, float) and v.is_integer())):
-        raise ValueError(f"{what} must be a whole number, got {v!r}")
-    return int(v)
-
-
-def _bad_numbers(value, key: str):
-    """(key, leaf) for each string, bool, NaN or infinity in the agents
-    value under key, dotted below nested objects; a name, or a word that
-    stands for a number, is skipped."""
-    if isinstance(value, dict):
-        for k, v in value.items():
-            if k not in _AGENT_NAMES and _AGENT_WORDS.get(k) != v:
-                yield from _bad_numbers(v, f"{key}.{k}" if key else k)
-    elif isinstance(value, list):
-        for v in value:
-            yield from _bad_numbers(v, key)
-    elif isinstance(value, (str, bool)) or (
-            isinstance(value, float) and not math.isfinite(value)):
-        yield key, value
-
-
-def _cost_keys(d) -> None:
-    """Refuse an unknown key in a cost or, for a list, in each term."""
-    if isinstance(d, list):
-        for term in d:
-            _cost_keys(term)
-    else:
-        _known_keys(d, _COST_KEYS[d["family"]])
-
-
-def _gain(path: str, gains: dict, key: str) -> GainFunction:
-    """gains[key]; any error but a missing key is located under the key."""
-    try:
-        gain = GainFunction.from_dict(gains[key])
-        _gain_keys(gains[key])
-        return gain
-    except (DptcoError, TypeError, ValueError) as exc:
-        raise _fail(path, f"gains: {key}", str(exc)) from exc
-
-
-def _gain_keys(d: dict) -> None:
-    """Refuse an unknown key in a gain object or in a dc2 gain's base."""
-    dc2 = d["family"] == "dc2"
-    _known_keys(d, ("family", "params") + ("base",) * dc2)
-    if dc2:
-        _gain_keys(d["base"])
+def _numbers(v) -> bool:
+    """Whether v is a number, or nested lists of them."""
+    if type(v) is not list:
+        return type(v) is float or type(v) is int
+    types = set(map(type, v))  # a level at C speed
+    while types == {list}:  # lists only: the next level, all at once
+        v = list(chain.from_iterable(v))
+        types = set(map(type, v))
+    return types <= {float, int} or (list in types and all(map(_numbers, v)))
 
 
 @contextmanager
@@ -457,36 +446,41 @@ def derived_series(build: ScenarioBuild, traj: Trajectory,
 def _tracking(build, times, d, params) -> MonitorReport:
     """Endpoint distance to the optimum over tol; every earlier row reads 0."""
     ratio = np.zeros_like(d["track_err"])
-    ratio[-1] = d["track_err"][-1] / params.get("tol", 1e-2)
+    ratio[-1] = d["track_err"][-1] / params["tol"]
     return ratio_report("tracking", times, ratio, 1.0)
 
 
-# monitor name -> (the numeric parameters it reads, the controller whose
-# channels it reads or None, its report from the build, the logged times,
-# the derived channels and those parameters)
+# monitor -> (its key table, the controller whose channels it reads or
+# None, its report from the build, logged times, channels and keys read)
+_TOL, _SLACK = ("limit", False), ("limit", True)
 _MONITORS = {
-    "conservation": (("tol",), None, lambda b, t, d, p: conservation_monitor(
-        t, d["p_sum"], **p)),
-    "envelope": (("slack",), None, lambda b, t, d, p: envelope_monitor(
-        t, d["e_r_norm"], b.sys.clock, b.sys.alpha, b.gen_constants, **p)),
-    "tracking": (("tol",), None, _tracking),
-    "chain_decay": ((), "chain", lambda b, t, d, p:
+    "conservation": ({"tol": (_TOL, 1e-8)}, None, lambda b, t, d, p:
+                     conservation_monitor(t, d["p_sum"], p["tol"])),
+    "envelope": ({"slack": (_SLACK, 0.05)}, None, lambda b, t, d, p:
+                 envelope_monitor(t, d["e_r_norm"], b.sys.clock, b.sys.alpha,
+                                  b.gen_constants, p["slack"])),
+    "tracking": ({"tol": (_TOL, 1e-2)}, None, _tracking),
+    "chain_decay": ({}, "chain", lambda b, t, d, p:
                     chain_ctrl.chain_decay_monitor(
                         t, d["e_s_norm"], d["e_tilde_norm"], b.sys.agents.cfg,
                         b.sys.clock)),
-    # default radius: twice each agent's initial scaled error, plus 1
-    "invariant_set": (("h", "slack"), "strict_feedback",
-                      lambda b, t, d, p: strictfb_ctrl.invariant_set_monitor(
-                          t, d["e_tilde_norm"],
-                          **{"h": 2.0 * d["e_tilde_norm"][0] + 1.0, **p})),
-    "sf_decay": ((), "strict_feedback", lambda b, t, d, p:
+    # computed radius h: twice each agent's initial scaled error, plus 1
+    "invariant_set": ({"h": (_TOL, _COMPUTED), "slack": (_SLACK, 0.02)},
+                      "strict_feedback", lambda b, t, d, p:
+                      strictfb_ctrl.invariant_set_monitor(
+                          t, d["e_tilde_norm"], 2.0 * d["e_tilde_norm"][0]
+                          + 1.0 if p["h"] is None else p["h"], p["slack"])),
+    "sf_decay": ({}, "strict_feedback", lambda b, t, d, p:
                  strictfb_ctrl.sf_decay_monitor(
                      t, d["mu"], d["e_s_norm"], b.sys.agents.cfg)),
-    "theta_hat_envelope": ((), "strict_feedback", lambda b, t, d, p:
+    "theta_hat_envelope": ({}, "strict_feedback", lambda b, t, d, p:
                            strictfb_ctrl.theta_hat_monitor(
                                t, d["mu"], d["theta_hat"], d["tau"],
                                b.sys.agents.cfg)),
 }
+# a monitor the file leaves out reads None, and is not run
+_TABLE["monitors"] = {m: (("object", keys, None), None)
+                      for m, (keys, _, _) in _MONITORS.items()}
 
 
 def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,

@@ -89,11 +89,11 @@ class SolverSettings:
     stored trajectory.  Every run ends at the clock's guard time.
     """
 
-    method: str = "rk45"
-    dt: float = 1e-3
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    log_every: int = 1
+    method: str
+    dt: float
+    rel_tol: float
+    abs_tol: float
+    log_every: int
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):

@@ -295,7 +295,7 @@ def _alpha_xi_series(mus, cfg: SfControllerConfig) -> np.ndarray:
     return cfg.alpha_xi.eval(np.asarray(mus, dtype=float))[:, None]
 
 
-def invariant_set_monitor(times, e_tilde_norms, h, slack: float = 0.02):
+def invariant_set_monitor(times, e_tilde_norms, h, slack: float):
     """Check forward invariance of {||e_tilde_s|| <= h}.
 
     e_tilde_norms is (K, N) and h a radius per agent (N,) or one for all.

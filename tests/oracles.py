@@ -17,6 +17,7 @@ from dptco.draws import uniform
 from dptco.errors import DptcoError
 from dptco.generator import ErrorState, GeneratorConstants
 from dptco.graph import Network
+from dptco.scenario import _TABLE
 from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, _RK4_H_RHO,
                               SolverSettings, Trajectory)
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
@@ -27,6 +28,13 @@ from dptco.timegain import (CriterionReport, GainFunction, PrescribedClock,
 
 class DegenerateSize(ValueError):
     """Operation needs at least two agents."""
+
+
+def solver_settings(**given) -> SolverSettings:
+    """SolverSettings as a scenario's solver section giving only these
+    keys reads: the key table's default for every other field."""
+    return SolverSettings(**{**{k: d for k, (_, d) in
+                                _TABLE["solver"].items()}, **given})
 
 
 def linear_gain(k: float) -> GainFunction:

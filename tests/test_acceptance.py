@@ -17,7 +17,7 @@ import pytest
 from dptco.cli import EXIT_OK, read_trajectory_csv, run_scenario
 from dptco.costs import optimum_oracle
 from dptco.scenario import load_scenario
-from dptco.sim_engine import SolverSettings, integrate
+from dptco.sim_engine import integrate
 from dptco.generator import check_generator_criterion
 from dptco.timegain import PrescribedClock
 from dptco.chain_ctrl import companion, hurwitz_gain, solve_lyapunov
@@ -26,7 +26,7 @@ import conftest
 from conftest import (at_guard, modified_build, modified_scenario,
                       scenario_path)
 from oracles import (System, agent_control, exp_gain, linear_gain, log_gain,
-                     log_grid)
+                     log_grid, solver_settings)
 
 Z_STAR_E2 = np.array([0.7263, 0.7183])
 Y_BAR_E1 = np.array([-1.0 / 36.0, -2.0 / 36.0])
@@ -268,8 +268,8 @@ def test_criterion_10_integrator():
 
     traj = integrate(System(rhs), np.array([1.0]),
                      PrescribedClock(0.0, 1.0, guard_frac=0.9),
-                     SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-10,
-                                    abs_tol=1e-12))
+                     solver_settings(method="rk45", dt=1e-3, rel_tol=1e-10,
+                                     abs_tol=1e-12))
     rk45_err = abs(traj.states[-1, 0] - 0.1)
 
     errs = []
@@ -279,7 +279,7 @@ def test_criterion_10_integrator():
             System(lambda t, y, out: np.multiply(-clock.mu(t) ** 2, y,
                                                  out=out), p=2.0),
             np.array([1.0]), PrescribedClock(0.0, 1.0, guard_frac=0.5),
-            SolverSettings(method="rk4", dt=dt))
+            solver_settings(method="rk4", dt=dt))
         errs.append(abs(tr.states[-1, 0] - exact))
     order = min(math.log2(a / b) for a, b in zip(errs, errs[1:]))
     ok = rk45_err <= 1e-8 and order >= 3.7

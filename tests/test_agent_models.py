@@ -10,8 +10,7 @@ from dptco.chain_ctrl import (ChainAgents, ElMismatch, EulerLagrangeParams,
 from dptco.costs import CostSet, QuadraticCost
 from dptco.errors import DptcoError
 from dptco.graph import build_network
-from dptco.sim_engine import (CoupledSystem, SolverSettings, integrate,
-                              make_disturbance)
+from dptco.sim_engine import CoupledSystem, integrate, make_disturbance
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
                                  error_vector, scaled_error_vector,
                                  virtual_controls)
@@ -21,7 +20,8 @@ from oracles import (System, adaptation_rhs, agent_control, cascade,
                      chain_plant_rhs, concatenated_rhs, el_acceleration_solve,
                      el_matrices, exp_gain, filter_rhs, integrate_allocating,
                      linear_gain, power_gain, rhs_new, sf_control,
-                     sf_derivatives, sf_plant_rhs, tau_value, wide_box)
+                     sf_derivatives, sf_plant_rhs, solver_settings, tau_value,
+                     wide_box)
 
 N, DIM = 5, 2
 CLOCK = PrescribedClock(0.0, 1.0, 0.999)
@@ -345,9 +345,9 @@ def test_integrate_bit_identical_to_allocating_oracle(kind, method):
     # every stage; the large first step makes rk45 reject steps too
     sys = SYSTEMS[kind]()
     y0, _ = random_state(sys, 11)
-    settings = SolverSettings(method=method, dt=0.05 if method == "rk45"
-                              else 2e-3, rel_tol=1e-7,
-                              abs_tol=1e-9, log_every=3)
+    settings = solver_settings(method=method, dt=0.05 if method == "rk45"
+                               else 2e-3, rel_tol=1e-7,
+                               abs_tol=1e-9, log_every=3)
     # the systems' window, the run ending at t = 0.3
     clock = PrescribedClock(0.0, 1.0, guard_frac=0.3)
     system = sys

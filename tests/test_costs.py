@@ -71,7 +71,8 @@ def test_sum_cost_adds():
 
 
 def test_cost_roundtrip_serialization():
-    c = cost_from_dict([{"family": "quadratic", "Q": [[1.0]], "center": [0.5]},
+    c = cost_from_dict([{"family": "quadratic", "Q": [[1.0]], "center": [0.5],
+                         "offset": 0.0},
                         {"family": "exp_quadratic", "P": [[0.2]],
                          "center": [0.0]}])
     c2 = cost_from_dict(json.loads(json.dumps(oracles.cost_to_dict(c))))

@@ -17,11 +17,11 @@ from dptco.errors import DptcoError, ScenarioError
 from dptco.generator import ratio_report
 from dptco.graph import build_network, require_connected
 from dptco.scenario import load_scenario
-from dptco.sim_engine import SolverSettings, export_csv, integrate
+from dptco.sim_engine import export_csv, integrate
 from dptco.strictfb_ctrl import select_parameters
 from dptco.timegain import GainFunction, PrescribedClock, _adaptive_simpson
 
-from oracles import System
+from oracles import System, solver_settings
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dptco"
 
@@ -63,10 +63,10 @@ SITES = {
     "MarginTooSmall": lambda tmp, mp: select_parameters(3, 1.0, 1.0, 0.0, 1.0),
     "NonFiniteState": lambda tmp, mp: integrate(
         System(_nan_rhs), np.ones(1), PrescribedClock(0.0, 1.0, 0.9),
-        SolverSettings(method="rk4", dt=0.05)),
+        solver_settings(method="rk4", dt=0.05)),
     "StepUnderflow": lambda tmp, mp: integrate(
         System(_nan_rhs), np.ones(1), PrescribedClock(0.0, 1.0, 0.9),
-        SolverSettings(method="rk45", dt=1e-3)),
+        solver_settings(method="rk45", dt=1e-3)),
     "IoFailure": lambda tmp, mp: export_csv(str(tmp / "no" / "x.csv"),
                                             {"a": [1.0]}),
     "ScenarioError": lambda tmp, mp: load_scenario(str(tmp / "no.json")),

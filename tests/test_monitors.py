@@ -126,9 +126,9 @@ def _theta_hats(violate):
     return th
 
 
-# monitor -> (its parameters, the agent config, its derived channels with
-# or without the violation, the first logged row at which some agent
-# violates its bound)
+# monitor -> (its parameters, with the defaults filled in, the agent config,
+# its derived channels with or without the violation, the first logged row
+# at which some agent violates its bound)
 FAILING = {
     "conservation": ({"tol": 1e-8}, None, lambda v: {
         # the largest drift comes after the first exceedance
@@ -143,7 +143,7 @@ FAILING = {
     "chain_decay": ({}, CHAIN, lambda v: {
         "e_s_norm": _channel(0.0, {(3, 0): math.nan}, v),
         "e_tilde_norm": _channel(1.0, {(2, 1): math.inf}, v)}, 2),
-    "invariant_set": ({}, SF, lambda v: {
+    "invariant_set": ({"h": None, "slack": 0.02}, SF, lambda v: {
         # default radius 2 * 1 + 1 = 3; 3.1 / 3 is over 1 + slack
         "e_tilde_norm": _channel(1.0, {(2, 1): 3.1, (3, 0): 10.0}, v)}, 2),
     "sf_decay": ({}, SF, lambda v: {
@@ -193,14 +193,15 @@ def test_example2_monitors_equal_their_per_column_calls(example2_run):
     t, cfg = traj.times, build.sys.agents.cfg
     cols = range(build.sys.net.n_agents)
     # the bundled radius, then the default one: 2 ||e_tilde(t0)|| + 1
-    for params in (build.monitors["invariant_set"], {"slack": 0.02}):
+    for params in (build.monitors["invariant_set"],
+                   {"h": None, "slack": 0.02}):
         [rep] = evaluate_monitors(
             dataclasses.replace(build, monitors={"invariant_set": params}),
             traj, d)
         e = d["e_tilde_norm"]
         _check_columns(rep, [invariant_set_monitor(
-            t, e[:, i:i + 1], **{"h": 2.0 * e[0, i] + 1.0, **params})
-            for i in cols])
+            t, e[:, i:i + 1], 2.0 * e[0, i] + 1.0 if params["h"] is None
+            else params["h"], params["slack"]) for i in cols])
     reports = {r.name: r for r in evaluate_monitors(build, traj, d)}
     _check_columns(reports["sf_decay"], [sf_decay_monitor(
         t, d["mu"], d["e_s_norm"][:, i:i + 1], cfg) for i in cols],

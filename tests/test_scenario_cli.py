@@ -58,6 +58,16 @@ def test_load_rejects_bad_json(tmp_path):
     assert "line 1" in str(exc.value)
 
 
+def test_load_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    # the decode error escaped load_scenario as a traceback
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"name": "\xff"}')
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: cannot read: ")
+    assert "Traceback" not in err
+
+
 def test_missing_section_named(tmp_path):
     p = write_tiny(tmp_path, lambda raw: raw.pop("solver"))
     with pytest.raises(ScenarioError) as exc:
@@ -156,18 +166,21 @@ def test_unknown_monitor_rejected(tmp_path):
                    lambda raw: raw["monitors"].update({"bogus": {}}))
     with pytest.raises(ScenarioError) as exc:
         load_scenario(p).build()
-    assert "monitors: bogus: unknown monitor" in str(exc.value)
+    assert ("monitors: unknown key(s) bogus; allowed: conservation, envelope, "
+            "tracking, chain_decay, invariant_set, sf_decay, "
+            "theta_hat_envelope") in str(exc.value)
 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda mons: mons.update({"tracking": {"tol": "abc"}}),
-     "tracking: could not convert string to float: 'abc'"),
+     "tracking: tol must be a number, got 'abc'"),
     (lambda mons: mons.update({"trackng": {"tol": 0.01}}),
-     "trackng: unknown monitor"),
+     "unknown key(s) trackng; allowed: conservation, envelope, tracking, "
+     "chain_decay"),
     (lambda mons: mons.update({"tracking": {"tol": 0.0}}),
      "tracking: tol out of range: 0.0"),
     (lambda mons: mons.update({"envelope": {"slak": 0.05}}),
-     "envelope: unknown parameter 'slak'"),
+     "envelope: unknown key(s) slak; allowed: slack"),
 ], ids=["tol_not_a_number", "unknown_monitor", "tol_zero", "unknown_param"])
 def test_bad_monitor_refused_before_integration(tmp_path, capsys,
                                                 monkeypatch, edit, message):
@@ -232,7 +245,7 @@ def _refused_before_integration(monkeypatch, capsys, tmp_path, p):
      "dc2 gain needs finite params with v1 > 0, an integer m >= 1"),
     ("alpha_s", {"family": "dc2", "params": [1.0, 2, 1.0],
                  "base": {"family": "log", "params": [0.0]}},
-     "log gain needs finite params with k > 0"),
+     "base: log gain needs finite params with k > 0"),
 ], ids=["exp_k1", "power_k", "exp_k2", "nan", "count", "dc2", "dc2_base"])
 def test_gain_out_of_range_refused_with_its_key(tmp_path, capsys, monkeypatch,
                                                 key, gain, message):
@@ -285,7 +298,7 @@ def _put(*keys, value=math.nan):
     ("example1", _put("agents", "el_true_theta", 2),
      "agents: el_true_theta must be finite"),
     ("example1", _put("agents", "disturbance", "amplitude"),
-     "agents: disturbance.amplitude must be finite"),
+     "agents: disturbance: amplitude must be finite"),
     ("example2", _put("agents", "thetas", 1), "agents: thetas must be finite"),
     ("example2", _put("agents", "c", 0), "agents: c must be finite"),
     ("example2", _put("agents", "upsilon", 1, value=-math.inf),
@@ -341,7 +354,7 @@ def test_monitor_of_another_controller_refused(tmp_path, capsys, monkeypatch,
     ("example1", _put("agents", "x_init", 0, 1, 0, value="0"),
      "agents: x_init must be a number, got '0'"),
     ("example1", _put("agents", "disturbance", "seed", value="7"),
-     "agents: disturbance.seed must be a number, got '7'"),
+     "agents: disturbance: seed must be a whole number, got '7'"),
     # counts: int() would truncate a fraction and convert a string or a bool
     ("ring", _put("network", "n_agents", value=5.9),
      "network: n_agents must be a whole number, got 5.9"),
@@ -350,7 +363,7 @@ def test_monitor_of_another_controller_refused(tmp_path, capsys, monkeypatch,
     ("ring", _put("network", "edges", 2, 1, value=3.5),
      "network: edges[2] endpoint must be a whole number, got 3.5"),
     ("ring", _put("network", "edges", 0, 0, value=False),
-     "network: edges[0] endpoint must be a whole number, got False"),
+     "network: edges must be a number, got False"),
     ("ring", _put("costs", "dim", value=2.5),
      "costs: dim must be a whole number, got 2.5"),
     ("example2", _put("agents", "order", value=3.5),
@@ -360,12 +373,30 @@ def test_monitor_of_another_controller_refused(tmp_path, capsys, monkeypatch,
     ("ring", _put("solver", "log_every", value=True),
      "solver: log_every must be a whole number, got True"),
     ("example1", _put("agents", "disturbance", "seed", value=1.5),
-     "agents: disturbance.seed must be a whole number, got 1.5"),
+     "agents: disturbance: seed must be a whole number, got 1.5"),
+    # outside agents, float() and np.asarray took these: T = 1.0 twice,
+    # rel_tol = 1e-8, tol = 1.0, and string boxes, matrices and weights
+    ("ring", _put("clock", "T", value=True), "clock: T must be a number, "
+     "got True"),
+    ("ring", _put("clock", "T", value="1"), "clock: T must be a number, "
+     "got '1'"),
+    ("ring", _put("solver", "rel_tol", value="1e-8"),
+     "solver: rel_tol must be a number, got '1e-8'"),
+    ("ring", _put("monitors", "tracking", "tol", value=True),
+     "monitors: tracking: tol must be a number, got True"),
+    ("ring", _put("costs", "box", value=[["-5", "5"], ["-5", "5"]]),
+     "costs: box must be a number, got '-5'"),
+    ("ring", _put("costs", "agents", 0, "Q",
+                  value=[["1.0", "0.0"], ["0.0", "1.0"]]),
+     "costs: Q must be a number, got '1.0'"),
+    ("ring", _put("network", "edges", 0, 2, value="1.0"),
+     "network: edges must be a number, got '1.0'"),
 ], ids=["psi_string", "thetas_string", "sigma_bool", "x_init_string",
         "seed_string", "n_agents_fraction", "n_agents_string",
         "endpoint_fraction", "endpoint_bool", "dim_fraction",
         "order_fraction", "log_every_fraction", "log_every_bool",
-        "seed_fraction"])
+        "seed_fraction", "T_bool", "T_string", "rel_tol_string",
+        "tol_bool", "box_strings", "Q_strings", "weight_string"])
 def test_non_number_refused_in_its_section(tmp_path, capsys, monkeypatch,
                                            name, edit, message):
     p = modified_scenario(name, tmp_path, edit)
@@ -394,18 +425,45 @@ def test_non_number_refused_in_its_section(tmp_path, capsys, monkeypatch,
                       value={"family": "dc2", "params": [1.0, 2, 1.0],
                              "base": {"family": "linear", "params": [1.0],
                                       "k": 2.0}}),
-     "gains: alpha_s: unknown key(s) k; allowed: family, params"),
+     "gains: alpha_s: base: unknown key(s) k; allowed: family, params"),
     # and amplitude 0.1 here
     ("example1", _put("agents", "disturbance", "amplitud", value=0.5),
      "agents: disturbance: unknown key(s) amplitud; allowed: seed, "
      "amplitude"),
+    # the keys of gains and agents are those of the controller: each of
+    # these built and ran with the key ignored
+    ("example1", _put("gains", "alhpa_x", value={}),
+     "gains: unknown key(s) alhpa_x; allowed: alpha, "
+     "acknowledge_criteria_override, alpha_x, alpha_s"),
+    ("example1", _put("agents", "psy", value=1.0),
+     "agents: unknown key(s) psy; allowed: controller, varpi_init, p_init, "
+     "order, x_init, offsets, v, psi, K, plant, disturbance, el_true_theta, "
+     "el_nominal_scale, gravity"),
+    # a strict-feedback key, and offsets, which only an agent model reads
+    ("ring", _put("agents", "sigma", value=10.0),
+     "agents: unknown key(s) sigma; allowed: controller, varpi_init, "
+     "p_init"),
+    ("ring", _put("agents", "offsets", value=[[0.0, 0.0]] * 6),
+     "agents: unknown key(s) offsets; allowed: controller, varpi_init, "
+     "p_init"),
 ], ids=["top_level", "clock", "network", "costs", "quadratic",
-        "exp_quadratic", "gain", "dc2_base", "disturbance"])
+        "exp_quadratic", "gain", "dc2_base", "disturbance", "alhpa_x",
+        "psy", "sigma_without_controller", "offsets_without_controller"])
 def test_unknown_key_refused_in_its_section(tmp_path, capsys, monkeypatch,
                                             name, edit, message):
     p = modified_scenario(name, tmp_path, edit)
     err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
     assert err.startswith(f"error: {p}: {message}")
+
+
+def test_override_acknowledged_only_by_true(tmp_path, capsys, monkeypatch):
+    # bool("false") is True: the string acknowledged the override, and
+    # example1 built and ran past its failing chain_dc1 criterion
+    p = modified_scenario("example1", tmp_path, _put(
+        "gains", "acknowledge_criteria_override", value="false"))
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(f"error: {p}: gains: acknowledge_criteria_override "
+                          "must be true or false, got 'false'")
 
 
 def test_euler_lagrange_plant_of_order_3_refused(tmp_path, capsys,
@@ -811,7 +869,7 @@ def test_cli_sweep_survives_malformed_file(tmp_path, capsys, monkeypatch):
     code = main(["sweep", str(d), "--out", str(tmp_path / "sw")])
     assert code == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert (f"a_bad.json: config error: {d / 'a_bad.json'}: gains: "
+    assert (f"a_bad.json: config error: {d / 'a_bad.json'}: gains: alpha: "
             "missing required key 'family'") in captured.err
     assert "c_crash.json: error: RuntimeError: boom" in captured.err
     assert "Traceback" not in captured.err

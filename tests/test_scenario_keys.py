@@ -1,0 +1,331 @@
+"""The scenario key table (`scenario._TABLE`): every default set by a
+scenario we ship, the README reference written from it, and builds of
+bundled scenarios mutated along it.
+
+The census is the scenario-file twin of test_settable_values.py.  Each key
+with a default is listed in SET_BY with the bundled scenario or seed-201
+benchmark input that sets it to another value (for a computed or absent
+default: that gives it at all), or None when none does.  A key some
+scenario sets must name one, and the open keys may not grow.
+"""
+
+import copy
+import json
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dptco import timegain
+from dptco.errors import ScenarioError
+from dptco.scenario import (_COMPUTED, _GAIN, _GAINS, _REQUIRED, _TABLE,
+                            _TERM, Scenario)
+
+from conftest import SCEN_DIR, scenario_path
+
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLED = ("ring", "example2_generator", "example1", "example2")
+
+# dotted key -> the scenario that sets it to another value, or None
+SET_BY = {
+    "name": "ring",
+    "clock.t0": None,
+    "clock.guard_frac": "example1",
+    "costs.box": "ring",
+    "costs.agents.offset": "example2",
+    "gains.acknowledge_criteria_override": "example1",
+    "gains.alpha_s": "example1",
+    "agents.controller": "example1",
+    "agents.p_init": None,
+    "agents.offsets": "example1",
+    "agents.v": "example1",
+    "agents.psi": None,
+    "agents.K": "example1",
+    "agents.plant": "example1",
+    "agents.disturbance": "example1",
+    "agents.disturbance.seed": "manipulator_chain",
+    "agents.disturbance.amplitude": None,
+    "agents.el_nominal_scale": None,
+    "agents.gravity": None,
+    "agents.l": None,
+    "agents.c": "example2",
+    "agents.upsilon": "example2",
+    "agents.sigma": "example2",
+    "agents.sigma_prime": None,
+    "agents.rho": None,
+    "agents.margin": None,
+    "agents.phi": "example2",
+    "agents.theta_hat_init": "example2",
+    "solver.method": "example2",
+    "solver.dt": None,
+    "solver.rel_tol": "ring",
+    "solver.abs_tol": "ring",
+    "solver.log_every": "ring",
+    "monitors.conservation": "ring",
+    "monitors.conservation.tol": None,
+    "monitors.envelope": "ring",
+    "monitors.envelope.slack": None,
+    "monitors.tracking": "ring",
+    "monitors.tracking.tol": "example1",
+    "monitors.chain_decay": "example1",
+    "monitors.invariant_set": "example2",
+    "monitors.invariant_set.h": "example2",
+    "monitors.invariant_set.slack": None,
+    "monitors.sf_decay": "example2",
+    "monitors.theta_hat_envelope": "example2",
+}
+
+# the keys no scenario sets to another value: these, and no more
+OPEN_AT_MOST = 14
+
+
+def _tables():
+    """(dotted prefix, table) of every table of the file: the sections,
+    each controller's gains, and each table below them."""
+    todo = [("name" if s == "top level" else s, t) for s, t in _TABLE.items()]
+    todo += [("gains", t) for t in _GAINS.values()]
+    seen = set()
+    while todo:
+        prefix, table = todo.pop(0)
+        if id(table) in seen:
+            continue
+        seen.add(id(table))
+        yield prefix, table
+        for key, (kind, _) in table.items():
+            if kind[0] == "object":
+                todo.append((f"{prefix}.{key}", kind[1]))
+            elif kind[0] == "tag":
+                todo += [(prefix, t) for t in kind[2].values()]
+            elif kind[0] == "costs":
+                todo.append((f"{prefix}.{key}", _TERM))
+
+
+def defaulted_keys() -> dict:
+    """Dotted key -> default, for every key that is not required."""
+    out = {}
+    for prefix, table in _tables():
+        for key, (kind, default) in table.items():
+            if default != _REQUIRED and kind[0] != "section":
+                out[key if prefix == "name" else f"{prefix}.{key}"] = default
+    return out
+
+
+def _found(node, keys):
+    """The values at the dotted keys below node; a list on the way stands
+    for each of its entries."""
+    if not keys:
+        return [node]
+    if isinstance(node, list):
+        return [v for x in node for v in _found(x, keys)]
+    if isinstance(node, dict) and keys[0] in node:
+        return _found(node[keys[0]], keys[1:])
+    return []
+
+
+@pytest.fixture(scope="module")
+def scenarios(tmp_path_factory) -> dict:
+    """Name -> raw JSON of each bundled scenario and seed-201 benchmark
+    input."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    out = {name: json.loads(Path(scenario_path(name)).read_text())
+           for name in BUNDLED}
+    work = tmp_path_factory.mktemp("workloads")
+    for name in workloads.WORKLOADS:
+        for p in workloads.generate(name, 201, ROOT, work / name).scenarios:
+            out[p.stem] = json.loads(p.read_text())
+    return out
+
+
+def _setters(scenarios: dict, key: str, default) -> list:
+    """The scenarios that set key to another value than its default."""
+    return [name for name, raw in scenarios.items()
+            if any(default in (None, _COMPUTED) or v != default
+                   for v in _found(raw, key.split(".")))]
+
+
+def test_every_defaulted_key_is_listed():
+    assert sorted(SET_BY) == sorted(defaulted_keys())
+
+
+def test_each_listed_scenario_sets_its_key(scenarios):
+    wrong = {key: (name, _setters(scenarios, key, default))
+             for key, default in defaulted_keys().items()
+             if (name := SET_BY[key]) is not None
+             and name not in _setters(scenarios, key, default)}
+    assert wrong == {}
+
+
+def test_open_keys_are_set_by_no_scenario(scenarios):
+    # a key a scenario now sets must name it in SET_BY
+    set_now = {key: _setters(scenarios, key, default)
+               for key, default in defaulted_keys().items()
+               if SET_BY[key] is None and _setters(scenarios, key, default)}
+    assert set_now == {}
+
+
+def test_open_keys_do_not_grow():
+    assert sum(v is None for v in SET_BY.values()) <= OPEN_AT_MOST
+
+
+# --- the README reference ---------------------------------------------------
+
+def _kind_text(kind) -> str:
+    name = kind[0]
+    if name == "tag":
+        return "one of " + ", ".join(f"`{v}`" for v in kind[2])
+    if name == "names":
+        return "list of " + ", ".join(f"`{v}`" for v in kind[2])
+    if name == "limit":
+        return "number >= 0" if kind[1] else "number > 0"
+    word = kind[-1] if name in ("numbers", "finites", "object") else None
+    text = {"number": "number", "finite": "finite number",
+            "count": "whole number", "bool": "true or false",
+            "text": "string", "numbers": "numbers",
+            "finites": "finite numbers", "section": "object",
+            "costs": "list of cost terms", "object": "object"}[name]
+    if name == "object" and kind[1] is _GAIN[1]:
+        text = "gain"
+    return text + (f' or `"{word}"`' if word else "")
+
+
+def _default_text(default) -> str:
+    if default in (_REQUIRED, _COMPUTED, None):
+        return {None: "none"}.get(default, default)
+    return f"`{json.dumps(default)}`"
+
+
+def reference() -> str:
+    """The README's table of scenario keys, written from the key table:
+    each object's keys, then the objects below them."""
+    rows = ["| object | key | kind | default |", "| --- | --- | --- | --- |"]
+    seen = set()
+
+    def add(title, table):
+        if id(table) in seen:  # the gain's table, once
+            return
+        seen.add(id(table))
+        rows.extend(f"| {title} | `{key}` | {_kind_text(kind)} | "
+                    f"{_default_text(default)} |"
+                    for key, (kind, default) in table.items())
+        for key, (kind, _) in table.items():
+            if kind[0] == "object":
+                add("gain" if kind[1] is _GAIN[1] else f"{title}: {key}",
+                    kind[1])
+            elif kind[0] == "tag":
+                for sub in {id(t): t for t in kind[2].values()}.values():
+                    values = ", ".join(f"`{v}`" for v, t in kind[2].items()
+                                       if t is sub)
+                    add(f"{title}, {key} {values}", sub)
+            elif kind[0] == "costs":
+                add("cost term", _TERM)
+
+    for section, table in _TABLE.items():
+        add(section, table)
+        if section == "gains":
+            for controller, extra in _GAINS.items():
+                add(f"gains, controller `{controller}`", extra)
+    return "\n".join(rows)
+
+
+def test_gain_families_are_the_library_families():
+    assert set(_GAIN[1]["family"][0][2]) == set(timegain._RANGES)
+
+
+def test_readme_reference_matches_the_table():
+    readme = (ROOT / "README.md").read_text()
+    assert reference() in readme, (
+        "rewrite the README's table of scenario keys from reference()")
+
+
+# --- builds of mutated bundled scenarios -------------------------------------
+
+def _paths(raw: dict):
+    """(path, kind) of every key the key table reads in raw: each section
+    against its table, and below it each object and cost term."""
+    controller = raw["agents"].get("controller",
+                                    _TABLE["agents"]["controller"][1])
+
+    def walk(path, obj, table):
+        for key, (kind, _) in table.items():
+            if key not in obj:
+                continue
+            here = path + (key,)
+            yield here, kind
+            v = obj[key]
+            if kind[0] == "object" and isinstance(v, dict):
+                yield from walk(here, v, kind[1])
+            elif kind[0] == "tag" and v in kind[2]:
+                yield from walk(path, obj, kind[2][v])
+            elif kind[0] == "costs":
+                for i, c in enumerate(v):
+                    for j, term in enumerate(c if isinstance(c, list)
+                                             else [c]):
+                        where = here + ((i, j) if isinstance(c, list)
+                                        else (i,))
+                        yield from walk(where, term, _TERM)
+
+    yield from walk((), raw, _TABLE["top level"])
+    for section, table in _TABLE.items():
+        if section != "top level":
+            yield from walk((section,), raw[section], {
+                **table, **_GAINS[controller]} if section == "gains"
+                else table)
+
+
+# a value of each kind; a retyped key takes one its kind does not read
+SAMPLES = {"number": 1.5, "count": 3, "bool": True, "text": "x",
+           "array": [[1.0, 2.0]], "object": {}, "null": None}
+READS = {"number": ("number", "count"), "finite": ("number", "count"),
+         "limit": ("number", "count"), "count": ("count",),
+         "bool": ("bool",), "text": ("text",),
+         "numbers": ("number", "count", "array"),
+         "finites": ("number", "count", "array"), "object": ("object",),
+         "section": ("object",)}
+
+
+def _mutate(raw: dict, path: tuple, kind, how: str, draw) -> None:
+    parent = raw
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    if how == "drop":
+        del parent[key]
+    elif how == "misspell":
+        parent[key + "x"] = parent.pop(key)
+    elif how == "retype":
+        parent[key] = copy.deepcopy(SAMPLES[draw(st.sampled_from(sorted(
+            set(SAMPLES) - set(READS.get(kind[0], ())))))])
+    else:  # reshape an array: one entry fewer, wrapped once more, or its
+        # first entry
+        v = parent[key]
+        parent[key] = draw(st.sampled_from(
+            [v[:-1], [v], v[0]] if isinstance(v, list) and v else [[v]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", BUNDLED)
+def test_mutated_scenario_builds_or_is_refused_in_its_section(name, data):
+    raw = json.loads((SCEN_DIR / f"{name}.json").read_text())
+    paths = sorted(_paths(raw), key=str)
+    path, kind = data.draw(st.sampled_from(paths))
+    shapeable = kind[0] in ("numbers", "finites", "costs")
+    how = data.draw(st.sampled_from(
+        ["drop", "misspell", "retype"] + ["reshape"] * shapeable))
+    _mutate(raw, path, kind, how, data.draw)
+    try:
+        Scenario(raw, "mutated.json").build()
+    except ScenarioError as exc:
+        msg = str(exc)
+        # the growth criteria weigh the network and the costs against the
+        # gains, and fail at gains, where the override is
+        located = [f"mutated.json: {path[0]}", "mutated.json: gains: growth"]
+        if len(path) == 1:  # a section itself, or the name
+            located.append("mutated.json: top level")
+        assert msg.startswith(tuple(located)), (path, how, msg)

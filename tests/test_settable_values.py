@@ -3,10 +3,12 @@
 A settable value is a parameter with a default, or a dataclass field that
 `__init__` accepts with a default.  An AST census of src/dptco lists them,
 and ALLOWED names, for each, the code outside the tests that relies on the
-default: a call that omits the argument, or a JSON key that may be left
-out.  A default that only tests use would be listed as open (None), and
-none is left.  A new default fails test_every_default_is_listed until it
-is listed here with its caller.
+default: a call that omits the argument.  A default that only tests use
+would be listed as open (None), and none is left.  A new default fails
+test_every_default_is_listed until it is listed here with its caller.
+The defaults of scenario keys are not parameters: the scenario key table
+(`scenario._TABLE`) holds each once, and tests/test_scenario_keys.py takes
+their census.
 """
 
 import ast
@@ -21,18 +23,9 @@ ALLOWED = {
     "chain_ctrl.chain_control.out": "chain_ctrl.ChainAgents.derivatives",
     # `python -m dptco.cli`; the `dptco` console script calls main() too
     "cli.main.argv": "cli.__main__",
-    "generator.envelope_monitor.slack": "scenario._MONITORS",
-    "generator.conservation_monitor.tol": "scenario._MONITORS",
-    # a solver key the scenario leaves out keeps its default
-    "sim_engine.SolverSettings.method": "scenario._solver_settings",
-    "sim_engine.SolverSettings.dt": "scenario._solver_settings",
-    "sim_engine.SolverSettings.rel_tol": "scenario._solver_settings",
-    "sim_engine.SolverSettings.abs_tol": "scenario._solver_settings",
-    "sim_engine.SolverSettings.log_every": "scenario._solver_settings",
     "sim_engine.Trajectory.n_rejected": "cli.read_trajectory_csv",
     "sim_engine.Trajectory.n_rhs": "cli.read_trajectory_csv",
     "strictfb_ctrl._cascade.drive": "strictfb_ctrl.virtual_controls",
-    "strictfb_ctrl.invariant_set_monitor.slack": "scenario._MONITORS",
     "timegain.GainFunction.base": "timegain.GainFunction.from_dict",
     "timegain.check_growth_criterion.coupling":
         "generator.check_generator_criterion",

@@ -15,14 +15,14 @@ from dptco.errors import DptcoError
 from dptco.generator import design_radius
 from dptco.graph import build_network
 from dptco.rkc import rkc2_stages, rkc2_step
-from dptco.sim_engine import (CoupledSystem, SolverSettings, export_csv,
-                              integrate, make_disturbance,
-                              trajectory_columns)
+from dptco.sim_engine import (CoupledSystem, export_csv, integrate,
+                              make_disturbance, trajectory_columns)
 from dptco.timegain import PrescribedClock
 
 from conftest import at_guard, modified_build
 from oracles import (System, cost_gradient, integrate_allocating,
-                     linear_gain, rhs_jacobian, rhs_new, wide_box)
+                     linear_gain, rhs_jacobian, rhs_new, solver_settings,
+                     wide_box)
 
 CLOCK = PrescribedClock(0.0, 1.0, 0.999)
 # the same window, the run ending at t = 0.5 or t = 0.9
@@ -38,8 +38,8 @@ def mu_decay_rhs(t, y, out):
 # --- accuracy ------------------------------------------------------------
 
 def test_rk45_matches_exact_solution():
-    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-10,
-                              abs_tol=1e-12)
+    settings = solver_settings(method="rk45", dt=1e-3, rel_tol=1e-10,
+                               abs_tol=1e-12)
     traj = integrate(System(mu_decay_rhs), np.array([1.0]), CLOCK_09, settings)
     assert traj.times[-1] == pytest.approx(0.9, abs=1e-12)
     assert traj.states[-1, 0] == pytest.approx(0.1, abs=1e-8)
@@ -54,7 +54,7 @@ def test_rk4_fourth_order_convergence():
     system = System(
         lambda t, y, out: np.multiply(-CLOCK.mu(t) ** 2, y, out=out), p=2.0)
     for dt in (4e-3, 2e-3, 1e-3):
-        settings = SolverSettings(method="rk4", dt=dt)
+        settings = solver_settings(method="rk4", dt=dt)
         traj = integrate(system, np.array([1.0]), CLOCK_05, settings)
         errs.append(abs(traj.states[-1, 0] - exact))
     for coarse, fine in zip(errs, errs[1:]):
@@ -71,7 +71,7 @@ def test_rk4_step_follows_spectral_radius(p):
     clock = PrescribedClock(0.0, 1.0, 0.999)
     system = System(lambda t, y, out: np.multiply(
         -kappa * clock.mu(t) ** p, y, out=out), kappa, p)
-    settings = SolverSettings(method="rk4", dt=1.0)
+    settings = solver_settings(method="rk4", dt=1.0)
     traj = integrate(system, np.array([1.0]), clock, settings)
     h = np.diff(traj.times)
     rho = kappa * clock.mu(traj.times[:-1]) ** p
@@ -158,7 +158,7 @@ def test_no_rhs_evaluation_at_deadline():
                 seen.append(t)
                 np.multiply(-clock.mu(t), y, out=out)
 
-        settings = SolverSettings(method="rk45", dt=1e-3)
+        settings = solver_settings(method="rk45", dt=1e-3)
         traj = integrate(System(rhs), np.full(2, 2.0), clock, settings)
         assert (traj.integrator["handovers"] is not None) == stiff
         assert max(seen) <= clock.t_guard
@@ -177,8 +177,8 @@ def test_rk45_reuses_last_stage():
         seen.append((t, y.tobytes()))
         np.multiply(-CLOCK.mu(t), y, out=out)
 
-    settings = SolverSettings(method="rk45", dt=0.5, rel_tol=1e-10,
-                              abs_tol=1e-12)
+    settings = solver_settings(method="rk45", dt=0.5, rel_tol=1e-10,
+                               abs_tol=1e-12)
     traj = integrate(System(rhs), np.array([1.0, -2.0]), CLOCK_09, settings)
     assert traj.n_rejected > 0
     assert traj.integrator["handovers"] is None
@@ -186,7 +186,7 @@ def test_rk45_reuses_last_stage():
     assert traj.n_rhs == len(seen) == len(set(seen))
     assert seen[0] == (0.0, np.array([1.0, -2.0]).tobytes())
 
-    settings = SolverSettings(method="rk4", dt=1e-2)
+    settings = solver_settings(method="rk4", dt=1e-2)
     traj = integrate(System(mu_decay_rhs), np.array([1.0]), CLOCK_05, settings)
     assert traj.n_rhs == 4 * traj.n_steps
 
@@ -205,8 +205,8 @@ def test_norm_order_makes_steps_independent_of_storage():
         y[perm] = yp
         out[...] = rhs_new(sys, t, y)[perm]
 
-    settings = SolverSettings(method="rk45", dt=0.05, rel_tol=1e-7,
-                              abs_tol=1e-9)
+    settings = solver_settings(method="rk45", dt=0.05, rel_tol=1e-7,
+                               abs_tol=1e-9)
     want = integrate(sys, y0, sys.clock, settings)
     got = integrate(System(shuffled_rhs, agent_major=np.argsort(perm)),
                     y0[perm], sys.clock, settings)
@@ -220,8 +220,8 @@ def test_norm_order_makes_steps_independent_of_storage():
 def test_non_stiff_run_is_plain_dormand_prince():
     # y' = -mu y is dy/ds = -y on the log clock: never stability-bound, so
     # the run never hands over and is the oracle's Dormand-Prince run
-    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-10,
-                              abs_tol=1e-12, log_every=3)
+    settings = solver_settings(method="rk45", dt=1e-3, rel_tol=1e-10,
+                               abs_tol=1e-12, log_every=3)
     got = integrate(System(mu_decay_rhs), np.array([1.0, -2.0]), CLOCK_09,
                     settings)
     want = integrate_allocating(lambda t, y: -CLOCK.mu(t) * y,
@@ -239,8 +239,8 @@ def test_stiff_run_hands_over_and_stays_accurate():
     # takes the tail in far fewer calls than Dormand-Prince, within the
     # tolerances of the exact endpoint
     clock = PrescribedClock(0.0, 1.0, 0.999)
-    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-8,
-                              abs_tol=1e-10)
+    settings = solver_settings(method="rk45", dt=1e-3, rel_tol=1e-8,
+                               abs_tol=1e-10)
     traj = integrate(System(stiff_rhs(clock)), np.full(2, 2.0), clock,
                      settings)
     info = traj.integrator
@@ -272,8 +272,8 @@ def test_rkc2_hands_back_when_dearer_than_dormand_prince():
             seen.append(t)
             np.multiply(-clock.mu(t) * rates, y, out=out)
 
-        settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-8,
-                                  abs_tol=1e-10)
+        settings = solver_settings(method="rk45", dt=1e-3, rel_tol=1e-8,
+                                   abs_tol=1e-10)
         return integrate(System(rhs), np.ones(2), clock, settings), seen
 
     traj, seen = run()
@@ -308,8 +308,8 @@ def test_non_finite_spectral_radius_hands_straight_back(monkeypatch):
     monkeypatch.setattr(sim_engine, "spectral_radius", failing_estimate)
     clock = PrescribedClock(0.0, 1.0, 0.999)
     seen = []
-    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-8,
-                              abs_tol=1e-10)
+    settings = solver_settings(method="rk45", dt=1e-3, rel_tol=1e-8,
+                               abs_tol=1e-10)
     traj = integrate(System(stiff_rhs(clock, seen)), np.full(2, 2.0), clock,
                      settings)
     want = integrate_allocating(
@@ -346,8 +346,8 @@ def test_non_finite_estimate_after_a_rejection_hands_back_in_the_trial(
     monkeypatch.setattr(sim_engine, "spectral_radius", flaky_estimate)
     clock = PrescribedClock(0.0, 1.0, 0.999)
     seen = []
-    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-8,
-                              abs_tol=1e-10)
+    settings = solver_settings(method="rk45", dt=1e-3, rel_tol=1e-8,
+                               abs_tol=1e-10)
     traj = integrate(System(stiff_rhs(clock, seen)), np.full(2, 2.0), clock,
                      settings)
     info = traj.integrator
@@ -414,7 +414,7 @@ def test_nonfinite_state_detected():
         with np.errstate(over="ignore"):
             np.power(y, 3, out=out)
 
-    settings = SolverSettings(method="rk4", dt=0.05)
+    settings = solver_settings(method="rk4", dt=0.05)
     with pytest.raises(DptcoError, match="non-finite state at t="):
         with np.errstate(over="ignore", invalid="ignore"):
             integrate(System(blowup), np.array([10.0]), CLOCK_09, settings)
@@ -424,16 +424,16 @@ def test_step_underflow_on_nan_rhs():
     def bad(t, y, out):
         out[:] = math.nan
 
-    settings = SolverSettings(method="rk45", dt=1e-3)
+    settings = solver_settings(method="rk45", dt=1e-3)
     with pytest.raises(DptcoError, match="underflowed at t="):
         integrate(System(bad), np.array([1.0]), CLOCK, settings)
 
 
 def test_solver_settings_validation():
     with pytest.raises(ValueError):
-        SolverSettings(method="euler")
+        solver_settings(method="euler")
     with pytest.raises(ValueError):
-        SolverSettings(dt=0.0)
+        solver_settings(dt=0.0)
 
 
 # --- coupled generator system ------------------------------------------------
@@ -453,8 +453,8 @@ def test_determinism_bit_identical():
     sys, _ = ring_system()
     y0 = sys.pack(np.arange(8.0).reshape(4, 2), np.zeros((4, 2)), None,
                   None)
-    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-8,
-                              abs_tol=1e-10)
+    settings = solver_settings(method="rk45", dt=1e-3, rel_tol=1e-8,
+                               abs_tol=1e-10)
     a = integrate(sys, y0, sys.clock, settings)
     b = integrate(sys, y0, sys.clock, settings)
     assert a.integrator["handovers"] is not None
@@ -468,8 +468,8 @@ def test_optimum_is_equilibrium():
     varpi = np.tile(cert.z_star, (4, 1))
     p = -np.array([cost_gradient(c, cert.z_star) for c in costs.costs])
     y0 = sys.pack(varpi, p, None, None)
-    settings = SolverSettings(method="rk45", dt=1e-3, rel_tol=1e-9,
-                              abs_tol=1e-11)
+    settings = solver_settings(method="rk45", dt=1e-3, rel_tol=1e-9,
+                               abs_tol=1e-11)
     traj = integrate(sys, y0, sys.clock, settings)
     assert np.abs(traj.states - y0).max() < 1e-6
 
@@ -483,8 +483,8 @@ def test_deadline_rescaling_of_generator():
                    None, None)
     out = []
     for sys in (sys1, sys2):
-        settings = SolverSettings(method="rk45", dt=1e-4, rel_tol=1e-11,
-                                  abs_tol=1e-13)
+        settings = solver_settings(method="rk45", dt=1e-4, rel_tol=1e-11,
+                                   abs_tol=1e-13)
         out.append(integrate(sys, y0, sys.clock, settings))
     assert np.allclose(out[0].states[-1], out[1].states[-1], atol=1e-7)
 
@@ -504,8 +504,8 @@ def test_deadline_invariant_step_count():
             y0 = sys.pack(np.arange(8.0).reshape(4, 2) / 4.0,
                           np.zeros((4, 2)), None, None)
             unit = T if scaled else 1.0
-            settings = SolverSettings(method="rk45", dt=1e-3 * unit,
-                                      rel_tol=1e-9, abs_tol=1e-11)
+            settings = solver_settings(method="rk45", dt=1e-3 * unit,
+                                       rel_tol=1e-9, abs_tol=1e-11)
             traj = integrate(sys, y0, sys.clock, settings)
             assert traj.times[-1] == 0.999 * T
             assert traj.integrator["handovers"] is not None
@@ -535,7 +535,7 @@ def test_column_names_cover_state():
 def test_trajectory_columns_layout():
     sys, _ = ring_system(guard_frac=0.1)
     y0 = sys.pack(np.zeros((4, 2)), np.zeros((4, 2)), None, None)
-    settings = SolverSettings(method="rk4", dt=1e-2)
+    settings = solver_settings(method="rk4", dt=1e-2)
     traj = integrate(sys, y0, sys.clock, settings)
     cols = trajectory_columns(sys, traj)
     assert list(cols)[:2] == ["t", "mu"]

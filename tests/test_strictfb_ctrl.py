@@ -286,14 +286,14 @@ def test_phi_weights_descending():
 
 def test_invariant_monitor_zero_trajectory():
     times = np.linspace(0.0, 1.0, 5)
-    rep = invariant_set_monitor(times, np.zeros((5, 1)), h=0.5)
+    rep = invariant_set_monitor(times, np.zeros((5, 1)), h=0.5, slack=0.02)
     assert rep.passed
 
 
 def test_invariant_monitor_flags_exit():
     times = np.linspace(0.0, 1.0, 5)
     norms = np.array([[0.5], [0.6], [2.0], [0.1], [0.1]])
-    rep = invariant_set_monitor(times, norms, h=1.0)
+    rep = invariant_set_monitor(times, norms, h=1.0, slack=0.02)
     assert not rep.passed
     assert rep.first_violation_t == pytest.approx(0.5)
 
@@ -301,7 +301,7 @@ def test_invariant_monitor_flags_exit():
 def test_invariant_monitor_initially_outside():
     times = np.linspace(0.0, 1.0, 3)
     rep = invariant_set_monitor(times, np.array([[2.0], [0.1], [0.1]]),
-                                h=1.0)
+                                h=1.0, slack=0.02)
     assert not rep.passed
     assert rep.first_violation_t == pytest.approx(0.0)
 
