@@ -47,9 +47,9 @@ class QuadraticCost:
         self.dim = self.center.shape[0]
         if self.Q.shape != (self.dim, self.dim):
             raise DptcoError("Q shape does not match center")
-        eigs = np.linalg.eigvalsh(self.Q)
-        if eigs[0] <= 0:
-            raise DptcoError("Q must be positive definite")
+        eigs = np.linalg.eigvalsh(self.Q)  # reads one triangle only
+        if eigs[0] <= 0 or not (self.Q == self.Q.T).all():
+            raise DptcoError("Q must be symmetric positive definite")
         self.rho_c = 2.0 * float(eigs[0])
         self.varrho_c = 2.0 * float(eigs[-1])
 
@@ -71,9 +71,9 @@ class ExpQuadraticCost:
         self.dim = self.center.shape[0]
         if self.P.shape != (self.dim, self.dim):
             raise DptcoError("P shape does not match center")
-        eigs = np.linalg.eigvalsh(self.P)
-        if eigs[0] < 0:
-            raise DptcoError("P must be positive semidefinite")
+        eigs = np.linalg.eigvalsh(self.P)  # reads one triangle only
+        if eigs[0] < 0 or not (self.P == self.P.T).all():
+            raise DptcoError("P must be symmetric positive semidefinite")
         self.rho_c = None
         self.varrho_c = None
 

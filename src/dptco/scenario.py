@@ -33,7 +33,6 @@ from .timegain import GainFunction, PrescribedClock, log_grid
 _PHI_REGISTRY = {"identity": lambda x: x, "sin": np.sin, "tanh": np.tanh}
 
 # --- the key table -----------------------------------------------------------
-#
 # Each key a scenario file may hold, as key: (kind, default); _value reads
 # each kind.  A _REQUIRED key must be given, and a _COMPUTED one reads None
 # when absent, for the build to work out.  A tag's name adds its table of
@@ -147,10 +146,11 @@ class Scenario:
         read = {}  # each section, read against its table
         for s in ("top level", "agents", "clock", "network", "costs",
                   "solver", "monitors", "gains"):
-            more = _GAINS[read["agents"]["controller"]] if s == "gains" else {}
+            table = _TABLE[s] if s != "gains" else {
+                **_TABLE[s], **_GAINS[read["agents"]["controller"]]}
             with _section(path, s):
                 read[s] = _read(path, s, raw if s == "top level" else raw[s],
-                                {**_TABLE[s], **more})
+                                table)
         ag, cs, gains = read["agents"], read["costs"], read["gains"]
         controller = ag["controller"]
         # the monitors the file lists, in its order
@@ -170,14 +170,13 @@ class Scenario:
 
         with _section(path, "costs"):
             dim = cs["dim"]
-            agent_costs = [cost_from_dict(d) for d in cs["agents"]]
-            if len(agent_costs) != net.n_agents:
+            if len(cs["agents"]) != net.n_agents:
                 raise ValueError("one cost per agent required")
-            costs = CostSet(agent_costs, dim, default_box(dim)
+            costs = CostSet(cs["agents"], dim, default_box(dim)
                             if cs["box"] is None else cs["box"])
+            consts = generator_constants(costs.rho_c, costs.varrho_c,
+                                         net.lambda2, net.lambdaN)
 
-        consts = generator_constants(costs.rho_c, costs.varrho_c,
-                                     net.lambda2, net.lambdaN)
         constants = {"lambda2": net.lambda2, "lambdaN": net.lambdaN,
                      "rho_c": costs.rho_c, "varrho_c": costs.varrho_c,
                      **vars(consts)}
@@ -310,16 +309,17 @@ def _read(path: str, where: str, obj, table: dict) -> dict:
     a bad or unknown key raises, for the caller's _section to locate."""
     if type(obj) is not dict:
         raise ValueError("must be a JSON object")
-    out, keys = {}, list(table.items())
-    for key, (kind, default) in keys:  # a tag's keys join the list
-        if key in obj:
-            out[key] = _value(path, where, key, obj[key], kind)
-        elif default is _REQUIRED:
-            raise KeyError(key)
-        else:
-            out[key] = None if default is _COMPUTED else default
-        if kind[0] == "tag":
-            keys += kind[2][out[key]].items()
+    out, tables = {}, [table]
+    for t in tables:  # a tag's table of keys joins the list
+        for key, (kind, default) in t.items():
+            if key in obj:
+                out[key] = _value(path, where, key, obj[key], kind)
+            elif default is _REQUIRED:
+                raise KeyError(key)
+            else:
+                out[key] = None if default is _COMPUTED else default
+            if kind[0] == "tag":
+                tables.append(kind[2][out[key]])
     if not out.keys() >= obj.keys():
         unknown = ", ".join(sorted(obj.keys() - out.keys()))
         raise ValueError(f"unknown key(s) {unknown}; allowed: "
@@ -370,11 +370,12 @@ def _value(path: str, where: str, key: str, v, kind):
             return GainFunction.from_dict(v) if kind[1] is _GAIN[1] else out
     if name == "section":  # read on its own
         return v
-    # costs: per agent, a term or a list of terms whose costs add
+    # costs: per agent a term, or a list of terms (their sum), built here
     if type(v) is not list:
         raise ValueError(f"{key} must be a list, got {v!r}")
-    return [[_read(path, where, t, _TERM) for t in c] if type(c) is list
-            else _read(path, where, c, _TERM) for c in v]
+    return [cost_from_dict([_read(path, where, t, _TERM) for t in c]
+                           if type(c) is list
+                           else _read(path, where, c, _TERM)) for c in v]
 
 
 def _numbers(v) -> bool:

@@ -322,6 +322,33 @@ def test_non_finite_number_refused_in_its_section(tmp_path, capsys,
     assert err.startswith(f"error: {p}: {message}")
 
 
+@pytest.mark.parametrize("name, edit, message", [
+    # eigvalsh reads one triangle: Q = [[1, 4], [0, 1]] passed as positive
+    # definite with rho_c = 2, though f's Hessian [[2, 4], [4, 2]] has the
+    # eigenvalue -2, and the gradients 2 Q d disagreed with f
+    ("ring", _put("costs", "agents", 0, "Q", value=[[1.0, 4.0], [0.0, 1.0]]),
+     "costs: Q must be symmetric positive definite"),
+    ("example2_generator", _put("costs", "agents", 1, 1, "P",
+                                value=[[0.1, 0.3], [0.0, 0.2]]),
+     "costs: P must be symmetric positive semidefinite"),
+], ids=["Q", "P"])
+def test_asymmetric_cost_matrix_refused(tmp_path, capsys, monkeypatch, name,
+                                        edit, message):
+    p = modified_scenario(name, tmp_path, edit)
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(f"error: {p}: {message}")
+
+
+def test_flat_curvature_refused_under_costs(tmp_path, capsys, monkeypatch):
+    # a term centred 1e154 away leaves the sampled curvature at 0; the
+    # generator constants refused rho_c = 0 outside any section, so the
+    # error named neither the file nor the costs
+    p = modified_scenario("example2", tmp_path, _put(
+        "costs", "agents", 3, 0, "center", 1, value=1e154))
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(f"error: {p}: costs: rho_c must be finite and > 0")
+
+
 @pytest.mark.parametrize("name, monitor, message", [
     # the ring has no agent model, so no e_s_norm channel
     ("ring", "chain_decay", "needs the 'chain' controller, not 'none'"),
