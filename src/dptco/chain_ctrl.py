@@ -8,8 +8,8 @@ scales it into e_tilde_s = alpha_s(mu) * s_tilde, and applies
     u = -(v + psi^2 + 1) sign(k1) e_tilde_s - pi(x)
         - B(mu)^{-1} delta_s(mu) s_tilde
 
-where psi is the scenario's constant bound on the disturbance factor
-psi(x) and pi(x) collects the known part of the s_tilde dynamics.  K
+where psi = 1 bounds the disturbance factor psi(x) (_PSI) and pi(x)
+collects the known part of the s_tilde dynamics.  K
 places all eigenvalues of the companion matrix Lambda at -1; (P, Q = I)
 solve the associated Lyapunov equation and give the decay constants v1, v2,
 which set alpha_x's growth criterion DC1 (check_dc1).
@@ -28,6 +28,13 @@ from .errors import DptcoError
 from .generator import bound_ratio, ratio_report
 from .timegain import (GainFunction, PrescribedClock, check_growth_criterion,
                        kappa_series)
+
+# the bound psi on the disturbance factor psi(x) in the chain law
+_PSI = 1.0
+# the Euler-Lagrange plant: gravity, and the nominal parameters of the
+# inverse dynamics as a share of the true ones
+_GRAVITY = 9.8
+_EL_NOMINAL_SCALE = 0.9
 
 
 def hurwitz_gain(m: int) -> np.ndarray:
@@ -100,7 +107,6 @@ class ChainControllerConfig:
     v: float
     alpha_x: GainFunction
     alpha_s: GainFunction
-    psi: float
     mu_guard: float
 
     @cached_property
@@ -128,7 +134,7 @@ class ChainControllerConfig:
 
 
 def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
-                      mu_guard: float, psi: float, mu0: float,
+                      mu_guard: float, mu0: float,
                       alpha_s: GainFunction | None, K
                       ) -> ChainControllerConfig:
     """Assemble a chain controller: pole placement (K, or `hurwitz_gain`
@@ -145,8 +151,7 @@ def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
     if alpha_s is None:
         alpha_s = GainFunction("dc2", (v1, int(m), float(mu0)), alpha_x)
     return ChainControllerConfig(m, n, K, Lambda, P, Q, v1, v2, float(v),
-                                 alpha_x, alpha_s, float(psi),
-                                 float(mu_guard))
+                                 alpha_x, alpha_s, float(mu_guard))
 
 
 def check_dc1(cfg: ChainControllerConfig, alpha: GainFunction,
@@ -228,7 +233,7 @@ def chain_control(x: np.ndarray, varpi_i: np.ndarray, mu: float,
     s_tilde -= varpi_i
     # u = -gain sign(k1) alpha_s s_tilde - pi - B^-1 delta_s s_tilde with
     # B = alpha_x^{-L_m} / k1
-    gain = cfg.v + cfg.psi * cfg.psi + 1.0
+    gain = cfg.v + _PSI * _PSI + 1.0
     s_tilde *= -(gain * (math.copysign(1.0, cfg.k1) * als)
                  + delta_s * cfg.k1 * ax ** L_m)
     return np.subtract(s_tilde, pi, out=out)
@@ -238,20 +243,23 @@ class ChainAgents:
     """N chain-integrator agents under chain_control, stacked stage-major
     as (m, N, n).
 
-    With el = (true, nominal) Euler-Lagrange parameters the plant is the
-    two-link manipulator driven through inverse dynamics, kept as its
-    folded ElMismatch table (el None: the chain of integrators);
+    With el_theta, the true theta_1..theta_6, the plant is the two-link
+    manipulator driven through inverse dynamics computed with
+    _EL_NOMINAL_SCALE times them, kept as its folded ElMismatch table
+    (el_theta None: the chain of integrators);
     disturbance(t), when not None, returns the (N, n) matched signal added
     at the last stage.  Chain agents carry no controller state (c is None).
     """
 
     ctrl_size = 0
 
-    def __init__(self, cfg: ChainControllerConfig, el, disturbance):
-        if el is not None and cfg.m != 2:
+    def __init__(self, cfg: ChainControllerConfig, el_theta, disturbance):
+        if el_theta is not None and cfg.m != 2:
             raise ValueError("the Euler-Lagrange plant needs order 2")
         self.cfg = cfg
-        self.el = None if el is None else ElMismatch.of(*el)
+        self.el = None if el_theta is None else ElMismatch.of(
+            EulerLagrangeParams(tuple(el_theta)), EulerLagrangeParams(
+                tuple(_EL_NOMINAL_SCALE * t for t in el_theta)))
         self.disturbance = disturbance
 
     def derivatives(self, t, mu, x, c, ref, dx, dc):
@@ -294,17 +302,17 @@ def chain_decay_monitor(times, e_s_norms, e_tilde_norms,
 
 @dataclass(frozen=True)
 class EulerLagrangeParams:
-    """Two-link manipulator parameters theta_1..theta_6 and gravity."""
+    """Two-link manipulator parameters theta_1..theta_6, under gravity
+    _GRAVITY."""
 
     theta: tuple
-    gravity: float
 
     @cached_property
     def coefficients(self) -> tuple:
         """(A, B, W) with M(x1) = A + cos(q2) B and
         G(x1) = W^T [cos q1, cos(q1 + q2)]."""
         t1, t2, t3, t4, t5, t6 = self.theta
-        g = self.gravity
+        g = _GRAVITY
         return (np.array([[t1 + t2, t2], [t2, t4]]),
                 np.array([[2.0 * t3, t3], [t3, 0.0]]),
                 np.array([[t5 * g, 0.0], [t6 * g, t6 * g]]))

@@ -33,12 +33,17 @@ def build_network(n_agents: int, edges: list) -> Network:
 
     The Laplacian is l_ii = sum_j a_ij, l_ij = -a_ij; its spectrum comes
     from numpy's symmetric eigensolver.  Weights must be finite and > 0,
-    and there must be two nodes at least: one has no lambda_2.
+    and there must be two nodes at least: one has no lambda_2.  A
+    connected graph of n nodes has n - 1 edges at least, so fewer are
+    refused before the n x n Laplacian is allocated.
     """
     n = int(n_agents)
     if n < 2:
         raise ValueError(f"n_agents must be at least 2, got {n}: lambda2 "
                          "is undefined")
+    if len(edges) < n - 1:
+        raise ValueError(f"{len(edges)} edges cannot connect {n} agents, "
+                         f"which takes n_agents - 1 = {n - 1} at least")
     lap = np.zeros((n, n))
     for k, (i, j, w) in enumerate(edges):
         for end in (i, j):

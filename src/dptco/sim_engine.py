@@ -17,7 +17,7 @@ input and every new state in a preallocated row; the accepted state
 never shares memory with a stage buffer.
 
 The adaptive Dormand-Prince integrator (rk45) runs on the log clock
-s = -ln(1 - (t - t0)/T), where dt = ds / mu, so its error control alone
+s = -ln(1 - t/T), where dt = ds / mu, so its error control alone
 follows the blow-up of the time-varying gain.  Its last stage is the first
 stage of the next step (first same as last, FSAL), so every attempted step
 costs six right-hand-side evaluations, plus one at the start.
@@ -50,9 +50,12 @@ The rule reads only what the integrator observes, so it has no setting; a
 run that never hands over is the plain Dormand-Prince run.
 
 The fixed-step RK4 integrator stays on the t clock, its step
-h = min(dt, 1.39 / rho(mu), t_guard - t) holding the stiffest mode
-at half of RK4's real-axis stability limit 2.785, with rho(mu) the closed
-loop's spectral radius from its design (`CoupledSystem.stiffness`).
+h = min(dt, 1.39 / rho(mu), t_guard - t) with rho(mu) the closed loop's
+design spectral radius (`CoupledSystem.stiffness`).  1.39 is half of
+RK4's real-axis stability limit 2.785, but the design radius is a
+linearization at zero error, and away from it the true one can be several
+times larger: on example2 the cap dt, not rho(mu), keeps the run stable
+until mu nears 8.
 Integration stops at the guard time strictly before the prescribed deadline;
 every stage and every power-iteration probe lies inside its step, and no
 right-hand side is ever evaluated at or beyond the deadline.
@@ -74,16 +77,18 @@ from .graph import Network
 from .rkc import rkc2_stages, rkc2_step, spectral_radius
 from .timegain import GainFunction, PrescribedClock
 
-# RK4 holds h rho at this, half its real-axis stability limit 2.785
+# RK4 holds h times the design radius at this, half its real-axis
+# stability limit 2.785
 _RK4_H_RHO = 1.39
 
 
 @dataclass
 class SolverSettings:
-    """Integrator configuration; every field is a scenario solver key.
+    """Integrator configuration; every field but dt is a scenario solver
+    key, and a scenario's build passes the fixed dt of 1e-3.
 
     method "rk4" uses the fixed step dt, capped by 1.39 over the closed
-    loop's spectral radius (see the module docstring); "rk45" is an
+    loop's design spectral radius (see the module docstring); "rk45" is an
     embedded Dormand-Prince pair with absolute/relative error control on
     the log clock, starting from the step dt.  log_every decimates the
     stored trajectory.  Every run ends at the clock's guard time.
@@ -226,10 +231,11 @@ def integrate(system, y0: np.ndarray, clock: PrescribedClock,
     of the integrator) without reading it; agent_major, when not None, is
     the order in which the RK45 error norm sums the entries of y (an index
     array), so the steps it accepts do not depend on how y is stored; and
-    stiffness(y) gives rho(mu), the spectral radius that sizes RK4's
-    steps, h = min(dt, 1.39 / rho(mu), t_guard - t), taken anew at the
-    current y each time mu has doubled.  RK45 steps in
-    s = -ln(1 - (t - t0)/T), i.e. t(s) = t0 - T expm1(-s), on
+    stiffness(y) gives rho(mu), the design spectral radius in RK4's step
+    h = min(dt, 1.39 / rho(mu), t_guard - t), taken anew at the current y
+    each time mu has doubled (a linearization: where it reads low, the
+    cap dt bounds the step).  RK45 steps in
+    s = -ln(1 - t/T), i.e. t(s) = -T expm1(-s), on
     dy/ds = rhs / mu, under error control alone; while Dormand-Prince is
     held at its stability limit it hands over to RKC2 (see the module
     docstring).  No stage time passes the guard time clock.t_guard, where
@@ -239,15 +245,16 @@ def integrate(system, y0: np.ndarray, clock: PrescribedClock,
     """
     rhs, norm_order = system.rhs, system.agent_major
     t_end = clock.t_guard
-    t0, T = clock.t0, clock.T
+    T = clock.T
 
     def t_at(s):
-        return min(t0 - T * math.expm1(-s), t_end)
+        # round-off can carry t(s) past the guard time: clamp it there
+        return min(-T * math.expm1(-s), t_end)
 
     def f(s, y, out):
         t = t_at(s)
         rhs(t, y, out)
-        out *= T + t0 - t  # 1/mu = T + t0 - t
+        out *= T - t  # 1/mu = T - t
 
     def err_norm(err, y, y_new):
         err /= settings.abs_tol + settings.rel_tol * np.maximum(
@@ -256,8 +263,8 @@ def integrate(system, y0: np.ndarray, clock: PrescribedClock,
             err = err[norm_order]
         return math.sqrt((err @ err) / err.shape[0])
 
-    t, s = t0, 0.0
-    s_end = -math.log1p(-(t_end - t0) / T)
+    t, s = 0.0, 0.0
+    s_end = -math.log1p(-t_end / T)
     y = np.asarray(y0, dtype=float).copy()
     _check_finite(y, t)
     times = [t]
@@ -565,14 +572,18 @@ class CoupledSystem:
         return names
 
 
-def make_disturbance(seed: int, n_agents: int, dim: int, amplitude: float):
+# the sup norm of the chain agents' matched disturbance
+_DISTURBANCE_AMPLITUDE = 0.1
+
+
+def make_disturbance(seed: int, n_agents: int, dim: int):
     """Smooth bounded disturbance: a random Fourier sum of three modes per
     agent and channel.  Returns d(t) -> (n_agents, dim).
 
     Deterministic in the seed, whatever the numpy version: the frequencies,
     then the phases, then the weights, each an (n_agents, dim, 3)
     `draws.uniform` block from random.Random(seed).  The sup norm is at
-    most `amplitude`.
+    most 0.1 (_DISTURBANCE_AMPLITUDE).
     """
     if seed < 0:
         # random.Random would seed with abs(seed)
@@ -582,7 +593,7 @@ def make_disturbance(seed: int, n_agents: int, dim: int, amplitude: float):
     freq = uniform(rng, 0.5, 5.0, shape)
     phase = uniform(rng, 0.0, 2.0 * math.pi, shape)
     coef = uniform(rng, 0.2, 1.0, shape)
-    coef *= amplitude / coef.sum(axis=2, keepdims=True)
+    coef *= _DISTURBANCE_AMPLITUDE / coef.sum(axis=2, keepdims=True)
     # modes first, each an (n_agents, dim) block: the sum over the modes is
     # then two whole-block additions, in the order of .sum(axis=2)
     freq, phase, coef = (np.ascontiguousarray(np.moveaxis(a, 2, 0))

@@ -6,9 +6,10 @@ phi_q known nonlinearities vanishing at 0.  The controller cascades virtual
 controls xi_q driven by a single time-varying gain alpha_xi(mu), tracks them
 through a dynamic filter xi_qf (so no derivatives of the reference are ever
 needed), estimates theta with a sigma-modification law, and applies
-u = xi_m.  Descending scale powers L_q = m + l + 1 - q turn the tracking
-errors into the bounded coordinates omega_q = alpha_xi^{L_q} x_tilde_q;
-alpha_xi meets the growth criterion DCxi (check_dcxi).
+u = xi_m.  Descending scale powers L_q = m + l + 1 - q, with l = 1, turn
+the tracking errors into the bounded coordinates omega_q =
+alpha_xi^{L_q} x_tilde_q; alpha_xi meets the growth criterion DCxi
+(check_dcxi).
 """
 
 from __future__ import annotations
@@ -23,46 +24,13 @@ from .errors import DptcoError
 from .generator import bound_ratio, matrix_radius, ratio_report
 from .timegain import GainFunction, check_growth_criterion
 
-
-def scale_powers(m: int, l: float) -> np.ndarray:
-    """Exponents L_q = m + l + 1 - q for stages q = 1..m."""
-    return np.array([m + l + 1 - q for q in range(1, m + 1)], dtype=float)
+# l in the scale powers L_q = m + l + 1 - q
+_L = 1.0
 
 
-@dataclass(frozen=True)
-class SfParameters:
-    """Gains produced by the stability-margin recipe."""
-
-    sigma: float
-    L: tuple
-    c: tuple
-    upsilon: tuple
-
-
-def select_parameters(m: int, l: float, sigma_prime: float, rho: float,
-                      margin: float) -> SfParameters:
-    """Pick sigma, c_q and upsilon_q with uniform stability margins.
-
-    sigma = (3 + sigma_prime)/2, c_1 = L_1 + 3/2 + margin,
-    c_q = L_q + 2 + margin for q >= 2, and
-    upsilon_q = L_q + rho + 1/2 + margin, where rho dominates the filter
-    coupling.  Each margin must be at least sigma/2 so the estimator leak
-    cannot eat the tracking decay.
-    """
-    if m < 2:
-        raise ValueError("strict-feedback order must be >= 2")
-    if l <= 0:
-        raise ValueError("l must be positive")
-    if sigma_prime <= 0 or rho <= 0:
-        raise DptcoError("sigma_prime and rho must be positive")
-    sigma = 0.5 * (3.0 + sigma_prime)
-    if margin < 0.5 * sigma - 1e-12:
-        raise DptcoError(f"margin {margin} below sigma/2 = {0.5 * sigma}")
-    L = scale_powers(m, l)
-    c = [L[0] + 1.5 + margin]
-    c += [L[q] + 2.0 + margin for q in range(1, m)]
-    upsilon = [L[q] + rho + 0.5 + margin for q in range(1, m)]
-    return SfParameters(sigma, tuple(L), tuple(c), tuple(upsilon))
+def scale_powers(m: int) -> np.ndarray:
+    """Exponents L_q = m + l + 1 - q for stages q = 1..m, l = _L."""
+    return np.array([m + _L + 1 - q for q in range(1, m + 1)], dtype=float)
 
 
 @dataclass
@@ -77,7 +45,6 @@ class SfControllerConfig:
 
     m: int
     n: int
-    l: float
     c: tuple
     upsilon: tuple
     sigma: float
@@ -95,7 +62,7 @@ class SfControllerConfig:
 
     @cached_property
     def L(self) -> np.ndarray:
-        return scale_powers(self.m, self.l)
+        return scale_powers(self.m)
 
     @property
     def n_ctrl(self) -> int:
@@ -295,14 +262,19 @@ def _alpha_xi_series(mus, cfg: SfControllerConfig) -> np.ndarray:
     return cfg.alpha_xi.eval(np.asarray(mus, dtype=float))[:, None]
 
 
-def invariant_set_monitor(times, e_tilde_norms, h, slack: float):
+# how far past its ball the invariant-set monitor lets a trajectory go,
+# as a share of the radius
+_INVARIANT_SLACK = 0.02
+
+
+def invariant_set_monitor(times, e_tilde_norms, h):
     """Check forward invariance of {||e_tilde_s|| <= h}.
 
     e_tilde_norms is (K, N) and h a radius per agent (N,) or one for all.
     Passes iff every initial scaled error is inside its ball and no
-    trajectory exceeds (1+slack) h afterwards.
+    trajectory exceeds (1 + _INVARIANT_SLACK) h afterwards.
     """
-    limit = np.full(len(times), 1.0 + slack)
+    limit = np.full(len(times), 1.0 + _INVARIANT_SLACK)
     limit[0] = 1.0
     return ratio_report("invariant_set", times,
                         np.asarray(e_tilde_norms, dtype=float) / h, limit)
@@ -311,11 +283,11 @@ def invariant_set_monitor(times, e_tilde_norms, h, slack: float):
 def theta_hat_monitor(times, mus, theta_hats, taus, cfg: SfControllerConfig):
     """Post-hoc estimator envelope, for theta_hats and taus (K, N):
 
-    |theta_hat(t)| <= (alpha_xi(mu0) |theta_hat(t0)| + tau_max / sqrt(2 sigma'))
+    |theta_hat(t)| <= (alpha_xi(mu0) |theta_hat(0)| + tau_max / sqrt(2 sigma'))
                       / alpha_xi(mu(t))
 
     with tau_max each agent's logged sup of |tau| and sigma' = 2 sigma - 3.
-    A zero bound (theta_hat(t0) = 0 and tau = 0) admits only a zero
+    A zero bound (theta_hat(0) = 0 and tau = 0) admits only a zero
     estimate (`generator.bound_ratio`).
     """
     theta_hats = np.asarray(theta_hats, dtype=float)

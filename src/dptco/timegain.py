@@ -1,7 +1,7 @@
 """Time-varying gain calculus for prescribed-time control.
 
-The central objects are the blow-up gain mu(t) = 1/(T + t0 - t), the decay
-factor kappa(iota * alpha(mu)) = exp(iota * int_{t0}^{t} alpha(mu(tau)) dtau),
+The central objects are the blow-up gain mu(t) = 1/(T - t), the decay
+factor kappa(iota * alpha(mu)) = exp(iota * int_0^t alpha(mu(tau)) dtau),
 class-K-infinity gain functions alpha(s), whose family parameters are
 checked against their ranges when a gain is built, and the check of a
 pointwise growth criterion d(alpha)/ds <= C s**-2 alpha(s)**2.  Each
@@ -37,19 +37,19 @@ _SIMPSON_MAX_DEPTH = 20  # interval subdivision cap 2**20
 
 @dataclass(frozen=True)
 class PrescribedClock:
-    """Prescribed-time window [t0, t0 + T) with a singularity guard.
+    """Prescribed-time window [0, T) with a singularity guard.
 
-    The simulation never evaluates anything at or beyond t0 + T, where mu
-    blows up; runs stop at t0 + guard_frac * T.
+    The simulation never evaluates anything at or beyond T, where mu blows
+    up; runs stop at guard_frac * T.
     """
 
-    t0: float
     T: float
     guard_frac: float
+    # the window's start, for readers outside the package: the benchmark's
+    # tail counter (perfbench/child.py) reads it
+    t0 = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.t0):
-            raise DptcoError(f"t0 must be finite, got {self.t0}")
         if not (math.isfinite(self.T) and self.T > 0):
             raise DptcoError(f"T must be finite and > 0, got {self.T}")
         if not 0.0 < self.guard_frac < 1.0:
@@ -57,7 +57,7 @@ class PrescribedClock:
 
     @property
     def t_guard(self) -> float:
-        return self.t0 + self.guard_frac * self.T
+        return self.guard_frac * self.T
 
     @property
     def mu0(self) -> float:
@@ -68,17 +68,17 @@ class PrescribedClock:
         return self.mu(self.t_guard)
 
     def mu(self, t):
-        """Time-varying gain mu(t) = 1/(T + t0 - t), at a float t or at
-        every entry of an ndarray t; strictly increasing."""
+        """Time-varying gain mu(t) = 1/(T - t), at a float t or at every
+        entry of an ndarray t; strictly increasing."""
         if not self.in_window(t):
-            raise DptcoError(f"t={t} outside [{self.t0}, {self.t0 + self.T})")
-        return 1.0 / (self.T + self.t0 - t)
+            raise DptcoError(f"t={t} outside [0.0, {self.T})")
+        return 1.0 / (self.T - t)
 
     def in_window(self, t) -> bool:
-        """Whether t, or every entry of an ndarray t, lies in [t0, t0 + T)."""
+        """Whether t, or every entry of an ndarray t, lies in [0, T)."""
         if type(t) is not float and isinstance(t, np.ndarray):
-            return bool(((self.t0 <= t) & (t < self.t0 + self.T)).all())
-        return self.t0 <= t < self.t0 + self.T
+            return bool(((0.0 <= t) & (t < self.T)).all())
+        return 0.0 <= t < self.T
 
 
 def _exp(x: float) -> float:
@@ -161,8 +161,8 @@ class GainFunction:
                v1 > 0, an integer m >= 1, mu0 > 0
 
     I(mu0, s) = int_{mu0}^{s} tau**-2 alpha_x(tau) dtau starts at
-    mu0 = mu(t0), not at 0: from 0 it diverges for gains linear near the
-    origin, and only ratios alpha_s(mu(t))/alpha_s(mu(t0)) enter a bound.
+    mu0 = mu(0) = 1/T, not at 0: from 0 it diverges for gains linear near
+    the origin, and only ratios alpha_s(mu(t))/alpha_s(mu0) enter a bound.
 
     Scenarios give a gain as {"family": ..., "params": [...]} (from_dict).
     Construction refuses any other family, the wrong number of params
@@ -300,7 +300,7 @@ def _integral(alpha: GainFunction, s0: float, s1, ops):
 
 
 def kappa(clock: PrescribedClock, alpha: GainFunction, iota: float, t):
-    """Decay factor exp(iota * int_{t0}^{t} alpha(mu(tau)) dtau), at a float
+    """Decay factor exp(iota * int_0^t alpha(mu(tau)) dtau), at a float
     t or at every entry of an ndarray t.
 
     Converges to zero as t approaches the deadline for any iota < 0.
@@ -310,8 +310,8 @@ def kappa(clock: PrescribedClock, alpha: GainFunction, iota: float, t):
     array = isinstance(t, np.ndarray)
     if iota == 0.0:
         return np.ones(t.shape) if array else 1.0
-    # the integral is 0 at t = t0, where kappa is 1
-    x = iota * gain_integral(alpha, clock.mu(clock.t0), clock.mu(t))
+    # the integral is 0 at t = 0, where kappa is 1
+    x = iota * gain_integral(alpha, clock.mu0, clock.mu(t))
     ops = _ARRAY if array else _FLOAT
     return ops.where(x < -745.0, 0.0, ops.exp(x))
 

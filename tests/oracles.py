@@ -2,8 +2,10 @@
 fused, one-pass way or does not need; tests compare the library against
 these.  Also the gain constructors the tests use (scenarios build their
 gains with GainFunction.from_dict, and make_chain_config the dc2 gain), the applied controls, which the
-closed loop computes only inside its right-hand side, and the JSON forms
-of gains and costs, which only round-trip tests write."""
+closed loop computes only inside its right-hand side, the JSON forms
+of gains and costs, which only round-trip tests write, and the
+strict-feedback gain recipe (select_parameters), which scenarios do not
+use: they give c, upsilon and sigma."""
 
 import math
 import random
@@ -17,7 +19,7 @@ from dptco.draws import uniform
 from dptco.errors import DptcoError
 from dptco.generator import ErrorState, GeneratorConstants
 from dptco.graph import Network
-from dptco.scenario import _TABLE
+from dptco.scenario import _DT, _TABLE
 from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, _RK4_H_RHO,
                               SolverSettings, Trajectory)
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
@@ -32,9 +34,11 @@ class DegenerateSize(ValueError):
 
 def solver_settings(**given) -> SolverSettings:
     """SolverSettings as a scenario's solver section giving only these
-    keys reads: the key table's default for every other field."""
-    return SolverSettings(**{**{k: d for k, (_, d) in
-                                _TABLE["solver"].items()}, **given})
+    keys reads: the key table's default for every other field, and the
+    build's step cap for dt."""
+    return SolverSettings(**{"dt": _DT, **{k: d for k, (_, d) in
+                                           _TABLE["solver"].items()},
+                             **given})
 
 
 def linear_gain(k: float) -> GainFunction:
@@ -276,9 +280,43 @@ def transformation_matrices(m: int, n: int) -> dict:
             "Lambda4": lam4}
 
 
-def phi_weights(m: int, l: float, n: int, alpha_val: float) -> tuple:
+@dataclass(frozen=True)
+class SfParameters:
+    """Gains produced by the stability-margin recipe."""
+
+    sigma: float
+    L: tuple
+    c: tuple
+    upsilon: tuple
+
+
+def select_parameters(m: int, sigma_prime: float, rho: float,
+                      margin: float) -> SfParameters:
+    """Pick sigma, c_q and upsilon_q with uniform stability margins.
+
+    sigma = (3 + sigma_prime)/2, c_1 = L_1 + 3/2 + margin,
+    c_q = L_q + 2 + margin for q >= 2, and
+    upsilon_q = L_q + rho + 1/2 + margin, where rho dominates the filter
+    coupling.  Each margin must be at least sigma/2 so the estimator leak
+    cannot eat the tracking decay.
+    """
+    if m < 2:
+        raise ValueError("strict-feedback order must be >= 2")
+    if sigma_prime <= 0 or rho <= 0:
+        raise DptcoError("sigma_prime and rho must be positive")
+    sigma = 0.5 * (3.0 + sigma_prime)
+    if margin < 0.5 * sigma - 1e-12:
+        raise DptcoError(f"margin {margin} below sigma/2 = {0.5 * sigma}")
+    L = scale_powers(m)
+    c = [L[0] + 1.5 + margin]
+    c += [L[q] + 2.0 + margin for q in range(1, m)]
+    upsilon = [L[q] + rho + 0.5 + margin for q in range(1, m)]
+    return SfParameters(sigma, tuple(L), tuple(c), tuple(upsilon))
+
+
+def phi_weights(m: int, n: int, alpha_val: float) -> tuple:
     """Diagonals of Phi_1 (x) I_n and Phi_2 (x) I_n at one gain value."""
-    L = scale_powers(m, l)
+    L = scale_powers(m)
     w1 = np.repeat(alpha_val ** L, n)
     w2 = np.repeat(alpha_val ** L[1:], n)
     return w1, w2
@@ -518,17 +556,17 @@ def integrate_allocating(rhs, y0: np.ndarray, clock: PrescribedClock,
     norm in the order norm_order (a system's `agent_major`; None: as
     stored)."""
     t_end = clock.t_guard
-    t0, T = clock.t0, clock.T
+    T = clock.T
 
     def t_at(s):
-        return min(t0 - T * math.expm1(-s), t_end)
+        return min(-T * math.expm1(-s), t_end)
 
     def f(s, y, out):
         t = t_at(s)
-        np.multiply(rhs(t, y), T + t0 - t, out=out)
+        np.multiply(rhs(t, y), T - t, out=out)
 
-    t, s = t0, 0.0
-    s_end = -math.log1p(-(t_end - t0) / T)
+    t, s = 0.0, 0.0
+    s_end = -math.log1p(-t_end / T)
     y = np.asarray(y0, dtype=float).copy()
     times, states = [t], [y.copy()]
     n_steps = n_rejected = n_rhs = 0

@@ -24,10 +24,9 @@ from oracles import (System, adaptation_rhs, agent_control, cascade,
                      wide_box)
 
 N, DIM = 5, 2
-CLOCK = PrescribedClock(0.0, 1.0, 0.999)
-EL_TRUE = EulerLagrangeParams((7.0, 0.96, 1.2, 5.96, 2.0, 1.2), 9.8)
-EL_NOMINAL = EulerLagrangeParams(tuple(0.9 * t for t in EL_TRUE.theta),
-                                 9.8)
+CLOCK = PrescribedClock(1.0, 0.999)
+EL_TRUE = EulerLagrangeParams((7.0, 0.96, 1.2, 5.96, 2.0, 1.2))
+EL_NOMINAL = EulerLagrangeParams(tuple(0.9 * t for t in EL_TRUE.theta))
 REL = 1e-12
 
 
@@ -50,14 +49,14 @@ def assert_close(got, want):
     assert np.abs(np.asarray(got) - want).max() <= REL * scale
 
 
-def chain_agents(m, el=None, disturbance=None, mu_guard=1e3):
-    cfg = make_chain_config(m, DIM, 6.0, linear_gain(1.0), mu_guard, 0.5,
-                            1.0, alpha_s=exp_gain(1.0, 1.0), K=None)
-    return ChainAgents(cfg, el, disturbance)
+def chain_agents(m, el_theta=None, disturbance=None, mu_guard=1e3):
+    cfg = make_chain_config(m, DIM, 6.0, linear_gain(1.0), mu_guard, 1.0,
+                            alpha_s=exp_gain(1.0, 1.0), K=None)
+    return ChainAgents(cfg, el_theta, disturbance)
 
 
 def sf_agents(mu_guard=1e3):
-    cfg = SfControllerConfig(3, DIM, 1.0, (10.0, 9.0, 8.0), (15.0, 20.0),
+    cfg = SfControllerConfig(3, DIM, (10.0, 9.0, 8.0), (15.0, 20.0),
                              10.0, power_gain(1.0, 1.5), mu_guard,
                              (np.sin, np.tanh))
     return StrictFeedbackAgents(cfg, np.linspace(-2.0, 2.0, N))
@@ -97,8 +96,8 @@ def test_chain_model_matches_per_agent_loop(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_euler_lagrange_model_matches_per_agent_loop(seed):
     rng = np.random.default_rng(100 + seed)
-    agents = chain_agents(2, el=(EL_TRUE, EL_NOMINAL),
-                          disturbance=make_disturbance(seed, N, DIM, 0.1))
+    agents = chain_agents(2, el_theta=EL_TRUE.theta,
+                          disturbance=make_disturbance(seed, N, DIM))
     sys = coupled(agents, offsets=rng.standard_normal((N, DIM)))
     y, t = random_state(sys, seed)
     dx, us = per_agent_chain(sys, t, y)
@@ -127,7 +126,7 @@ def test_el_matrices_hand_case():
     # q = (0, 0), x2 = (1, 2): cos q2 = 1, sin q2 = 0
     M, C, G = el_matrices(EL_TRUE, np.zeros(2), np.array([1.0, 2.0]))
     t1, t2, t3, t4, t5, t6 = EL_TRUE.theta
-    g = EL_TRUE.gravity
+    g = 9.8
     assert np.allclose(M, [[t1 + t2 + 2 * t3, t2 + t3], [t2 + t3, t4]])
     assert np.allclose(C, 0.0)
     assert np.allclose(G, [(t5 + t6) * g, t6 * g])
@@ -167,7 +166,7 @@ def random_sf(m, phis, seed, n_agents=N):
     ref) inside the guard: x (m, N, DIM) and c = (theta_hat (N,),
     xi_f (m-1, N, DIM)), drawn agent by agent."""
     rng = np.random.default_rng(seed)
-    cfg = SfControllerConfig(m, DIM, 1.0, tuple(rng.uniform(5.0, 12.0, m)),
+    cfg = SfControllerConfig(m, DIM, tuple(rng.uniform(5.0, 12.0, m)),
                              tuple(rng.uniform(10.0, 20.0, m - 1)), 10.0,
                              power_gain(1.0, 1.5), 1e3, phis)
     agents = StrictFeedbackAgents(cfg, rng.uniform(-3.0, 3.0, n_agents))
@@ -297,7 +296,7 @@ def test_diagnostics_match_per_agent_views():
 
 @pytest.mark.parametrize("make", [
     lambda: chain_agents(3, mu_guard=5.0),
-    lambda: chain_agents(2, el=(EL_TRUE, EL_NOMINAL), mu_guard=5.0),
+    lambda: chain_agents(2, el_theta=EL_TRUE.theta, mu_guard=5.0),
     lambda: sf_agents(mu_guard=5.0),
 ])
 def test_stacked_rhs_enforces_mu_guard(make):
@@ -318,8 +317,8 @@ SYSTEMS = {
     "generator": lambda: coupled(None),
     "chain": lambda: coupled(chain_agents(3)),
     "euler_lagrange": lambda: coupled(
-        chain_agents(2, el=(EL_TRUE, EL_NOMINAL),
-                     disturbance=make_disturbance(4, N, DIM, 0.1)),
+        chain_agents(2, el_theta=EL_TRUE.theta,
+                     disturbance=make_disturbance(4, N, DIM)),
         offsets=np.random.default_rng(9).standard_normal((N, DIM))),
     "strict_feedback": lambda: coupled(sf_agents()),
 }
@@ -349,7 +348,7 @@ def test_integrate_bit_identical_to_allocating_oracle(kind, method):
                                else 2e-3, rel_tol=1e-7,
                                abs_tol=1e-9, log_every=3)
     # the systems' window, the run ending at t = 0.3
-    clock = PrescribedClock(0.0, 1.0, guard_frac=0.3)
+    clock = PrescribedClock(1.0, guard_frac=0.3)
     system = sys
     if method == "rk4" and sys.agents is not None and not sys.ctrl_size:
         # chain agents have no design spectral radius, and scenarios

@@ -22,9 +22,9 @@ from oracles import (chain_plant_rhs, dc2_gain, el_matrices, linear_gain,
 P_HAND = np.array([[1.5, 0.5], [0.5, 0.5]])
 
 
-def cfg_m2(v: float = 1.0, psi: float = 1.0) -> ChainControllerConfig:
+def cfg_m2(v: float = 1.0) -> ChainControllerConfig:
     return make_chain_config(2, 1, v, linear_gain(1.0), mu_guard=1000.0,
-                             psi=psi, mu0=1.0, alpha_s=None, K=None)
+                             mu0=1.0, alpha_s=None, K=None)
 
 
 # --- pole placement ----------------------------------------------------------
@@ -94,7 +94,7 @@ def test_v_constants_hand_case():
 
 def test_make_chain_config_defaults():
     cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=100.0,
-                            psi=1.0, mu0=1.0, alpha_s=None, K=None)
+                            mu0=1.0, alpha_s=None, K=None)
     assert np.allclose(cfg.K, [1.0, 2.0])
     assert cfg.k1 == 1.0
     assert np.allclose(cfg.L, [0.0, 1.0, 2.0])
@@ -105,7 +105,7 @@ def test_make_chain_config_defaults():
 def test_make_chain_config_override_flagged():
     override = power_gain(1.0, 2.0)
     cfg = make_chain_config(2, 1, 6.0, linear_gain(1.0), mu_guard=100.0,
-                            psi=1.0, mu0=1.0, alpha_s=override,
+                            mu0=1.0, alpha_s=override,
                             K=None)
     assert cfg.alpha_s is override
 
@@ -141,7 +141,7 @@ def test_error_view_matches_kron_form(seed):
     rng = np.random.default_rng(seed)
     m, n = 3, 2
     cfg = make_chain_config(m, n, 6.0, linear_gain(1.0), mu_guard=1000.0,
-                            psi=1.0, mu0=1.0, alpha_s=None, K=None)
+                            mu0=1.0, alpha_s=None, K=None)
     x = rng.standard_normal((m, n))
     varpi = rng.standard_normal(n)
     mu = float(rng.uniform(1.0, 50.0))
@@ -159,42 +159,44 @@ def test_error_view_matches_kron_form(seed):
 
 def test_control_zero_at_origin():
     cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=1000.0,
-                            psi=1.0, mu0=1.0, alpha_s=None, K=None)
+                            mu0=1.0, alpha_s=None, K=None)
     u = chain_control(np.zeros((3, 2)), np.zeros(2), 2.0, cfg)
     assert np.allclose(u, 0.0)
 
 
 def test_control_hand_case():
-    # m=2, k1=1, v=1, psi=0, alpha_x=mu, x=(1,0), reference 0, mu=1
-    cfg = cfg_m2(v=1.0, psi=0.0)
+    # m=2, k1=1, v=1, psi=1, alpha_x=mu, x=(1,0), reference 0, mu=1:
+    # u = -(v + psi^2 + 1) alpha_s s_tilde - B^-1 delta_s s_tilde with
+    # alpha_s(1) = 1, s_tilde = 1 and B^-1 delta_s = 2 + v1/2
+    cfg = cfg_m2(v=1.0)
     u = chain_control(np.array([[1.0], [0.0]]), np.zeros(1), 1.0, cfg)
-    assert u[0] == pytest.approx(-2.0 - (2.0 + cfg.v1 / 2.0))
+    assert u[0] == pytest.approx(-3.0 - (2.0 + cfg.v1 / 2.0))
 
 
 def test_control_sign_flip():
-    cfg = cfg_m2(v=1.0, psi=0.0)
+    cfg = cfg_m2(v=1.0)
     flipped = ChainControllerConfig(
         cfg.m, cfg.n, np.array([-1.0]), cfg.Lambda, cfg.P, cfg.Q, cfg.v1,
-        cfg.v2, cfg.v, cfg.alpha_x, cfg.alpha_s, cfg.psi, cfg.mu_guard)
+        cfg.v2, cfg.v, cfg.alpha_x, cfg.alpha_s, cfg.mu_guard)
     x = np.array([[1.0], [0.0]])
     u_pos = chain_control(x, np.zeros(1), 1.0, cfg)
     u_neg = chain_control(x, np.zeros(1), 1.0, flipped)
     # with K = [-1] both e_s weights flip inside k1^-1, so s_tilde is
     # unchanged while sign(k1) and B^-1 flip: both control terms negate
-    assert u_pos[0] == pytest.approx(-2.0 - (2.0 + cfg.v1 / 2.0))
-    assert u_neg[0] == pytest.approx(2.0 + (2.0 + cfg.v1 / 2.0))
+    assert u_pos[0] == pytest.approx(-3.0 - (2.0 + cfg.v1 / 2.0))
+    assert u_neg[0] == pytest.approx(3.0 + (2.0 + cfg.v1 / 2.0))
 
 
 def test_control_guard_enforced():
     cfg = make_chain_config(2, 1, 6.0, linear_gain(1.0), mu_guard=10.0,
-                            psi=1.0, mu0=1.0, alpha_s=None, K=None)
+                            mu0=1.0, alpha_s=None, K=None)
     with pytest.raises(DptcoError, match="mu=11.0 beyond guard 10.0"):
         chain_control(np.ones((2, 1)), np.zeros(1), 11.0, cfg)
 
 
 def test_control_continuity():
     cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=1000.0,
-                            psi=1.0, mu0=1.0, alpha_s=None, K=None)
+                            mu0=1.0, alpha_s=None, K=None)
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = rng.standard_normal((3, 2))
@@ -217,7 +219,7 @@ def test_plant_rhs_shifts_stages():
 
 def test_decay_monitor_zero_trajectory():
     cfg = cfg_m2()
-    clock = PrescribedClock(0.0, 1.0, 0.999)
+    clock = PrescribedClock(1.0, 0.999)
     times = np.linspace(0.0, 0.9, 10)
     rep = chain_decay_monitor(times, np.zeros((10, 1)), np.zeros((10, 1)),
                               cfg, clock)
@@ -226,7 +228,7 @@ def test_decay_monitor_zero_trajectory():
 
 def test_decay_monitor_fits_initial_value():
     cfg = cfg_m2()
-    clock = PrescribedClock(0.0, 1.0, 0.999)
+    clock = PrescribedClock(1.0, 0.999)
     times = np.linspace(0.0, 0.9, 40)
     rate = cfg.v1 / (4.0 * cfg.m)
     norms = [[3.0 * kappa(clock, cfg.alpha_x, -rate, t)] for t in times]
@@ -237,7 +239,7 @@ def test_decay_monitor_fits_initial_value():
 
 # --- Euler-Lagrange embedding ------------------------------------------------
 
-EL_TRUE = EulerLagrangeParams((7.0, 0.96, 1.2, 5.96, 2.0, 1.2), 9.8)
+EL_TRUE = EulerLagrangeParams((7.0, 0.96, 1.2, 5.96, 2.0, 1.2))
 
 
 def test_el_inertia_symmetric_positive():
@@ -261,8 +263,7 @@ def test_el_exact_parameters_recover_u():
 
 
 def test_el_mismatch_is_bounded_disturbance():
-    nominal = EulerLagrangeParams(tuple(0.9 * t for t in EL_TRUE.theta),
-                                  9.8)
+    nominal = EulerLagrangeParams(tuple(0.9 * t for t in EL_TRUE.theta))
     rng = np.random.default_rng(8)
     for _ in range(20):
         x1 = rng.uniform(-math.pi, math.pi, 2)

@@ -18,7 +18,7 @@ from dptco.generator import ratio_report
 from dptco.graph import build_network, require_connected
 from dptco.scenario import load_scenario
 from dptco.sim_engine import export_csv, integrate
-from dptco.strictfb_ctrl import select_parameters
+from dptco.strictfb_ctrl import SfControllerConfig
 from dptco.timegain import GainFunction, PrescribedClock, _adaptive_simpson
 
 from oracles import System, solver_settings
@@ -28,7 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dptco"
 
 def _guard(tmp, mp):
     cfg = make_chain_config(2, 1, 6.0, GainFunction("linear", (1.0,)),
-                            10.0, 1.0, 1.0, None, None)
+                            10.0, 1.0, None, None)
     chain_control(np.ones((2, 1)), np.zeros(1), 11.0, cfg)
 
 
@@ -45,27 +45,29 @@ def _nan_rhs(t, y, out):
 # one raise site of each kind of failure, labelled by its kind and called
 # with tmp_path and monkeypatch
 SITES = {
-    "TimeOutOfWindow": lambda tmp, mp: PrescribedClock(0.0, 1.0, 0.9).mu(1.0),
+    "TimeOutOfWindow": lambda tmp, mp: PrescribedClock(1.0, 0.9).mu(1.0),
     "QuadratureFailure": lambda tmp, mp: _adaptive_simpson(
         lambda x: math.nan, 1.0, 2.0),
     "SelfLoop": lambda tmp, mp: build_network(2, [[0, 0, 1.0]]),
     "NegativeWeight": lambda tmp, mp: build_network(2, [[0, 1, -1.0]]),
     "Disconnected": lambda tmp, mp: require_connected(
-        build_network(3, [[0, 1, 1.0]])),
+        build_network(3, [[0, 1, 1.0]] * 2)),
     "DimensionMismatch": lambda tmp, mp: QuadraticCost(np.eye(2), [0.0], 0.0),
-    "NonPositiveInput": lambda tmp, mp: PrescribedClock(0.0, 0.0, 0.9),
+    "NonPositiveInput": lambda tmp, mp: PrescribedClock(0.0, 0.9),
     "NoConvergence": _newton,
     "NotHurwitz": lambda tmp, mp: solve_lyapunov(np.eye(2), np.eye(2)),
     "SingularSystem": lambda tmp, mp: solve_lyapunov(-np.eye(2), -np.eye(2)),
     "GuardExceeded": _guard,
     "EmptyTrajectory": lambda tmp, mp: ratio_report(
         "m", np.zeros(1), np.zeros((1, 1)), 1.0),
-    "MarginTooSmall": lambda tmp, mp: select_parameters(3, 1.0, 1.0, 0.0, 1.0),
+    "SigmaTooSmall": lambda tmp, mp: SfControllerConfig(
+        2, 1, (2.0, 2.0), (3.0,), 1.5, GainFunction("linear", (1.0,)), 10.0,
+        (abs,)),
     "NonFiniteState": lambda tmp, mp: integrate(
-        System(_nan_rhs), np.ones(1), PrescribedClock(0.0, 1.0, 0.9),
+        System(_nan_rhs), np.ones(1), PrescribedClock(1.0, 0.9),
         solver_settings(method="rk4", dt=0.05)),
     "StepUnderflow": lambda tmp, mp: integrate(
-        System(_nan_rhs), np.ones(1), PrescribedClock(0.0, 1.0, 0.9),
+        System(_nan_rhs), np.ones(1), PrescribedClock(1.0, 0.9),
         solver_settings(method="rk45", dt=1e-3)),
     "IoFailure": lambda tmp, mp: export_csv(str(tmp / "no" / "x.csv"),
                                             {"a": [1.0]}),

@@ -24,9 +24,9 @@ RING6 = [[i, (i + 1) % 6, 1.0] for i in range(6)]
 
 
 def generator_derivative(net, costs, varpi, p, gain):
-    """(dvarpi, dp) from the generator-only CoupledSystem.rhs at t = t0,
+    """(dvarpi, dp) from the generator-only CoupledSystem.rhs at t = 0,
     where mu = 1/T = 1, so linear_gain(gain) gives alpha(mu) = gain."""
-    sys = CoupledSystem(PrescribedClock(0.0, 1.0, 0.999), net, costs,
+    sys = CoupledSystem(PrescribedClock(1.0, 0.999), net, costs,
                         linear_gain(gain), None, None)
     y = sys.pack(varpi, p, None, None)
     dvarpi, dp, _, _ = sys.views(rhs_new(sys, 0.0, y))
@@ -57,7 +57,7 @@ def test_matrix_radius_special_cases(m, want):
 
 def test_design_radius_is_the_generator_jacobian_over_alpha():
     # a central-difference Jacobian of the generator-only right-hand side
-    # at t = t0, where alpha = 7, for six agents with quadratic plus
+    # at t = 0, where alpha = 7, for six agents with quadratic plus
     # exp-quadratic costs, at random estimates away from the optimum
     net = build_network(6, RING6)
     costs = CostSet([SumCost([QuadraticCost(np.eye(2) * (0.2 + 0.1 * i),
@@ -65,7 +65,7 @@ def test_design_radius_is_the_generator_jacobian_over_alpha():
                               ExpQuadraticCost(np.eye(2) * 0.1 * (i + 1),
                                                [0.5, 0.5])])
                      for i in range(6)], 2, default_box(2))
-    sys = CoupledSystem(PrescribedClock(0.0, 1.0, 0.999), net, costs,
+    sys = CoupledSystem(PrescribedClock(1.0, 0.999), net, costs,
                         linear_gain(7.0), None, None)
     rng = np.random.default_rng(4)
     y = sys.pack(rng.uniform(-1.0, 2.0, (6, 2)), rng.standard_normal((6, 2)),
@@ -228,15 +228,15 @@ def test_lyapunov_sandwich(seed):
 # --- monitors ----------------------------------------------------------------
 
 def test_envelope_monitor_zero_trajectory():
-    clock = PrescribedClock(0.0, 1.0, 0.999)
+    clock = PrescribedClock(1.0, 0.999)
     times = np.linspace(0.0, 0.9, 10)
     rep = envelope_monitor(times, np.zeros(10), clock, linear_gain(21.0),
-                           example2_like_constants(), slack=0.05)
+                           example2_like_constants())
     assert rep.passed and rep.max_ratio == 0.0
 
 
 def test_envelope_monitor_on_the_bound():
-    clock = PrescribedClock(0.0, 1.0, 0.999)
+    clock = PrescribedClock(1.0, 0.999)
     consts = example2_like_constants()
     alpha = linear_gain(21.0)
     times = np.linspace(0.0, 0.9, 50)
@@ -244,37 +244,36 @@ def test_envelope_monitor_on_the_bound():
     gamma = np.sqrt(consts.c3 / consts.c2)
     norms = [gamma * kappa(clock, alpha, -consts.c_star, t) for t in times]
     norms[0] = 1.0
-    rep = envelope_monitor(times, norms, clock, alpha, consts, slack=0.05)
+    rep = envelope_monitor(times, norms, clock, alpha, consts)
     assert rep.passed
     assert rep.max_ratio == pytest.approx(1.0, rel=1e-9)
 
 
 def test_envelope_monitor_flags_violation():
-    clock = PrescribedClock(0.0, 1.0, 0.999)
+    clock = PrescribedClock(1.0, 0.999)
     consts = example2_like_constants()
     times = np.linspace(0.0, 0.9, 10)
     norms = np.full(10, 100.0)
     norms[0] = 1.0  # bound starts at sqrt(c3/c2), later points blow through
-    rep = envelope_monitor(times, norms, clock, linear_gain(21.0), consts,
-                           slack=0.05)
+    rep = envelope_monitor(times, norms, clock, linear_gain(21.0), consts)
     assert not rep.passed
     assert rep.first_violation_t is not None
 
 
 def test_envelope_monitor_needs_data():
-    clock = PrescribedClock(0.0, 1.0, 0.999)
+    clock = PrescribedClock(1.0, 0.999)
     with pytest.raises(DptcoError,
                        match="envelope monitor needs a logged trajectory"):
         envelope_monitor([0.0], [1.0], clock, linear_gain(21.0),
-                         example2_like_constants(), slack=0.05)
+                         example2_like_constants())
 
 
 def test_conservation_monitor_pass_and_fail():
     times = np.linspace(0.0, 1.0, 5)
     flat = np.zeros((5, 2))
-    assert conservation_monitor(times, flat, tol=1e-8).passed
+    assert conservation_monitor(times, flat).passed
     drift = flat.copy()
     drift[3] = [1e-6, 0.0]
-    rep = conservation_monitor(times, drift, tol=1e-8)
+    rep = conservation_monitor(times, drift)
     assert not rep.passed
     assert rep.first_violation_t == pytest.approx(times[3])

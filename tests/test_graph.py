@@ -82,11 +82,21 @@ def test_ring_connected():
 
 
 def test_disjoint_edges_disconnected():
-    net = build_network(4, [[0, 1, 1.0], [2, 3, 1.0]])
+    # a triangle and an edge: n - 1 = 4 edges, but two components
+    net = build_network(5, [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0],
+                            [3, 4, 1.0]])
     with pytest.raises(DptcoError, match="graph is disconnected") as exc:
         require_connected(net)
     unreached = str(exc.value).rpartition("unreached nodes: ")[2]
-    assert unreached in ("[2, 3]", "[0, 1]")
+    assert unreached == "[3, 4]"
+
+
+def test_too_few_edges_refused_before_the_laplacian():
+    # a connected graph of n nodes has n - 1 edges at least; the n x n
+    # Laplacian was allocated first, 7.28 TiB here
+    with pytest.raises(ValueError, match="6 edges cannot connect 1000000 "
+                       "agents, which takes n_agents - 1 = 999999 at least"):
+        build_network(10 ** 6, RING6)
 
 
 @pytest.mark.parametrize("n", [1, 0])

@@ -22,12 +22,12 @@ from conftest import scenario_path
 from oracles import (chain_decay_fit, linear_gain, sf_decay_fit,
                      theta_hat_max_ratio)
 
-CLOCK = PrescribedClock(0.0, 1.0, 0.999)
+CLOCK = PrescribedClock(1.0, 0.999)
 TIMES = np.linspace(0.0, 0.8, 5)  # K = 5 logged times of N = 2 agents
 MUS = np.array([CLOCK.mu(t) for t in TIMES])
 CHAIN = make_chain_config(2, 1, 1.0, linear_gain(1.0), mu_guard=1000.0,
-                          psi=1.0, mu0=1.0, alpha_s=None, K=None)
-SF = SfControllerConfig(2, 1, 1.0, (2.0, 2.0), (3.0,), 2.0, linear_gain(1.0),
+                          mu0=1.0, alpha_s=None, K=None)
+SF = SfControllerConfig(2, 1, (2.0, 2.0), (3.0,), 2.0, linear_gain(1.0),
                         mu_guard=1000.0, phis=(lambda x: x,))
 
 
@@ -81,18 +81,18 @@ def test_ratio_report_needs_two_logged_points():
 
 
 def test_invariant_set_fails_at_the_earliest_failing_agent():
-    # agent 0 starts outside its ball (ratio 1.01 at t0, where the limit is
-    # 1); agent 1 stays inside with ratio 1.015 <= 1 + slack; the report
-    # fails at t0 and shows the largest ratio of either agent
+    # agent 0 starts outside its ball (ratio 1.01 at t = 0, where the limit is
+    # 1); agent 1 stays inside with ratio 1.015 <= 1.02; the report
+    # fails at t = 0 and shows the largest ratio of either agent
     norms = np.array([[1.01, 0.5], [0.5, 1.015], [0.5, 0.5]])
-    rep = invariant_set_monitor(TIMES[:3], norms, h=1.0, slack=0.02)
+    rep = invariant_set_monitor(TIMES[:3], norms, h=1.0)
     assert not rep.passed
     assert rep.first_violation_t == TIMES[0]
     assert rep.max_ratio == 1.015
 
 
 def test_theta_hat_envelope_zero_bound_keeps_a_zero_estimate():
-    # theta_hat(t0) = 0 and tau = 0 give a zero envelope: an estimator that
+    # theta_hat(0) = 0 and tau = 0 give a zero envelope: an estimator that
     # stays at zero passes, and any non-zero estimate under it fails
     zeros = np.zeros((5, 2))
     rep = theta_hat_monitor(TIMES, MUS, zeros, zeros, SF)
@@ -116,7 +116,7 @@ def _channel(value, edits, violate):
 
 
 def _theta_hats(violate):
-    # with tau = 0 each agent's envelope is |theta_hat(t0)| mu0 / mu; the
+    # with tau = 0 each agent's envelope is |theta_hat(0)| mu0 / mu; the
     # estimates sit at half of it, or at twice it where edited
     th = np.repeat(MUS[0] / MUS[:, None], 2, axis=1)
     th[1:] *= 0.5
@@ -130,10 +130,10 @@ def _theta_hats(violate):
 # its derived channels with or without the violation, the first logged row
 # at which some agent violates its bound)
 FAILING = {
-    "conservation": ({"tol": 1e-8}, None, lambda v: {
+    "conservation": ({}, None, lambda v: {
         # the largest drift comes after the first exceedance
         "p_sum": _channel(0.0, {(2, 0): 1e-6, (4, 0): 1e-3}, v)}, 2),
-    "envelope": ({"slack": 0.05}, None, lambda v: {
+    "envelope": ({}, None, lambda v: {
         "e_r_norm": np.array([1.0, 1e-3, 100.0 if v else 1e-3, 1e-3,
                               100.0 if v else 1e-3])}, 2),
     "tracking": ({"tol": 1e-2}, None, lambda v: {
@@ -143,8 +143,8 @@ FAILING = {
     "chain_decay": ({}, CHAIN, lambda v: {
         "e_s_norm": _channel(0.0, {(3, 0): math.nan}, v),
         "e_tilde_norm": _channel(1.0, {(2, 1): math.inf}, v)}, 2),
-    "invariant_set": ({"h": None, "slack": 0.02}, SF, lambda v: {
-        # default radius 2 * 1 + 1 = 3; 3.1 / 3 is over 1 + slack
+    "invariant_set": ({"h": None}, SF, lambda v: {
+        # default radius 2 * 1 + 1 = 3; 3.1 / 3 is over 1.02
         "e_tilde_norm": _channel(1.0, {(2, 1): 3.1, (3, 0): 10.0}, v)}, 2),
     "sf_decay": ({}, SF, lambda v: {
         "mu": MUS, "e_s_norm": _channel(1.0, {(2, 1): math.inf}, v)}, 2),
@@ -192,16 +192,15 @@ def test_example2_monitors_equal_their_per_column_calls(example2_run):
     build, traj, d = _derived(example2_run)
     t, cfg = traj.times, build.sys.agents.cfg
     cols = range(build.sys.net.n_agents)
-    # the bundled radius, then the default one: 2 ||e_tilde(t0)|| + 1
-    for params in (build.monitors["invariant_set"],
-                   {"h": None, "slack": 0.02}):
+    # the bundled radius, then the default one: 2 ||e_tilde(0)|| + 1
+    for params in (build.monitors["invariant_set"], {"h": None}):
         [rep] = evaluate_monitors(
             dataclasses.replace(build, monitors={"invariant_set": params}),
             traj, d)
         e = d["e_tilde_norm"]
         _check_columns(rep, [invariant_set_monitor(
             t, e[:, i:i + 1], 2.0 * e[0, i] + 1.0 if params["h"] is None
-            else params["h"], params["slack"]) for i in cols])
+            else params["h"]) for i in cols])
     reports = {r.name: r for r in evaluate_monitors(build, traj, d)}
     _check_columns(reports["sf_decay"], [sf_decay_monitor(
         t, d["mu"], d["e_s_norm"][:, i:i + 1], cfg) for i in cols],

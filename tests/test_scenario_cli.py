@@ -23,18 +23,17 @@ from conftest import (at_guard, modified_build, modified_scenario,
 # c* = 1/13, so the generator criterion boundary sits at k = 26
 TINY = {
     "name": "tiny",
-    "clock": {"t0": 0.0, "T": 1.0, "guard_frac": 0.9},
+    "clock": {"T": 1.0, "guard_frac": 0.9},
     "network": {"n_agents": 2, "edges": [[0, 1, 1.0]]},
     "costs": {"dim": 1, "box": [[-5.0, 5.0]],
               "agents": [
                   {"family": "quadratic", "Q": [[1.0]], "center": [0.0]},
                   {"family": "quadratic", "Q": [[1.0]], "center": [1.0]}]},
     "gains": {"alpha": {"family": "linear", "params": [30.0]}},
-    "agents": {"controller": "none", "varpi_init": [[0.0], [1.0]],
-               "p_init": "zeros"},
+    "agents": {"controller": "none", "varpi_init": [[0.0], [1.0]]},
     "solver": {"method": "rk45", "rel_tol": 1e-7, "abs_tol": 1e-9,
                "log_every": 5},
-    "monitors": {"conservation": {"tol": 1e-8}, "envelope": {"slack": 0.05},
+    "monitors": {"conservation": {}, "envelope": {},
                  "tracking": {"tol": 0.02}},
 }
 
@@ -102,10 +101,9 @@ def test_unknown_solver_method_rejected(tmp_path, capsys):
     ({"rel_tol": math.nan}, "rel_tol must be finite and >= 0, got nan"),
     ({"rel_tol": -1e-8}, "rel_tol must be finite and >= 0, got -1e-08"),
     ({"abs_tol": math.inf}, "abs_tol must be finite and > 0, got inf"),
-    ({"dt": math.nan}, "dt must be finite and > 0, got nan"),
     ({"log_every": 0}, "log_every must be >= 1, got 0"),
 ], ids=["both_tols_zero", "rel_tol_nan", "rel_tol_negative", "abs_tol_inf",
-        "dt_nan", "log_every_zero"])
+        "log_every_zero"])
 def test_bad_solver_value_refused_at_load(tmp_path, capsys, monkeypatch,
                                           values, message):
     def no_integrate(*args, **kwargs):
@@ -179,8 +177,8 @@ def test_unknown_monitor_rejected(tmp_path):
      "chain_decay"),
     (lambda mons: mons.update({"tracking": {"tol": 0.0}}),
      "tracking: tol out of range: 0.0"),
-    (lambda mons: mons.update({"envelope": {"slak": 0.05}}),
-     "envelope: unknown key(s) slak; allowed: slack"),
+    (lambda mons: mons.update({"tracking": {"tl": 0.01}}),
+     "tracking: unknown key(s) tl; allowed: tol"),
 ], ids=["tol_not_a_number", "unknown_monitor", "tol_zero", "unknown_param"])
 def test_bad_monitor_refused_before_integration(tmp_path, capsys,
                                                 monkeypatch, edit, message):
@@ -270,13 +268,10 @@ def _put(*keys, value=math.nan):
     ("ring", _put("clock", "T"), "clock: T must be finite and > 0"),
     ("example1", _put("clock", "T", value=math.inf),
      "clock: T must be finite and > 0"),
-    ("example2", _put("clock", "t0"), "clock: t0 must be finite"),
-    ("ring", _put("clock", "t0", value=-math.inf), "clock: t0 must be finite"),
+    ("example2", _put("clock", "guard_frac"),
+     "clock: guard_frac must be in (0,1), got nan"),
     ("ring", _put("agents", "varpi_init", 2, 0),
      "agents: non-finite initial value of agent2.varpi0"),
-    ("ring", _put("agents", "p_init",
-                  value=[[math.nan, 0.0]] + [[0.0, 0.0]] * 5),
-     "agents: non-finite initial value of agent0.p0"),
     ("example1", _put("agents", "x_init", 0, 1, 0),
      "agents: non-finite initial value of agent0.x2_0"),
     ("example2", _put("agents", "theta_hat_init", 3),
@@ -293,12 +288,10 @@ def _put(*keys, value=math.nan):
     ("example1", _put("agents", "offsets", 4, 1),
      "agents: offsets must be finite"),
     ("example1", _put("agents", "v"), "agents: v must be finite"),
-    ("example1", _put("agents", "psi", value=math.inf),
-     "agents: psi must be finite"),
+    ("example1", _put("agents", "K", 0, value=math.inf),
+     "agents: K must be finite"),
     ("example1", _put("agents", "el_true_theta", 2),
      "agents: el_true_theta must be finite"),
-    ("example1", _put("agents", "disturbance", "amplitude"),
-     "agents: disturbance: amplitude must be finite"),
     ("example2", _put("agents", "thetas", 1), "agents: thetas must be finite"),
     ("example2", _put("agents", "c", 0), "agents: c must be finite"),
     ("example2", _put("agents", "upsilon", 1, value=-math.inf),
@@ -309,11 +302,10 @@ def _put(*keys, value=math.nan):
     ("example2_generator", _put("costs", "agents", 2, 1, "P",
                                 value=[[100.0, 0.0], [0.0, 100.0]]),
      "costs: curvature constants must be finite on the working box"),
-], ids=["T_nan", "T_inf", "t0_nan", "t0_-inf", "varpi_init", "p_init",
-        "x_init", "theta_hat_init", "quadratic_center",
-        "exp_quadratic_center", "box", "weight_nan", "weight_inf", "offsets",
-        "v", "psi", "el_true_theta", "disturbance_amplitude", "thetas", "c",
-        "upsilon", "sigma", "overflowing_cost"])
+], ids=["T_nan", "T_inf", "guard_frac_nan", "varpi_init", "x_init",
+        "theta_hat_init", "quadratic_center", "exp_quadratic_center", "box",
+        "weight_nan", "weight_inf", "offsets", "v", "K", "el_true_theta",
+        "thetas", "c", "upsilon", "sigma", "overflowing_cost"])
 def test_non_finite_number_refused_in_its_section(tmp_path, capsys,
                                                   monkeypatch, name, edit,
                                                   message):
@@ -372,8 +364,8 @@ def test_monitor_of_another_controller_refused(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("name, edit, message", [
     # float("nan") would take a string and run into a step-size underflow
-    ("example1", _put("agents", "psi", value="nan"),
-     "agents: psi must be a number, got 'nan'"),
+    ("example1", _put("agents", "v", value="nan"),
+     "agents: v must be a number, got 'nan'"),
     ("example2", _put("agents", "thetas", 1, value="1.0"),
      "agents: thetas must be a number, got '1.0'"),
     ("example2", _put("agents", "sigma", value=True),
@@ -418,12 +410,28 @@ def test_monitor_of_another_controller_refused(tmp_path, capsys, monkeypatch,
      "costs: Q must be a number, got '1.0'"),
     ("ring", _put("network", "edges", 0, 2, value="1.0"),
      "network: edges must be a number, got '1.0'"),
-], ids=["psi_string", "thetas_string", "sigma_bool", "x_init_string",
+    # a whole number too large for a float, inside an array: np.asarray
+    # and float() raised an OverflowError that escaped as a traceback
+    ("ring", _put("costs", "agents", 0, "Q", 0, 0, value=10 ** 400),
+     "costs: int too large to convert to float"),
+    ("ring", _put("costs", "agents", 2, "center", 1, value=10 ** 400),
+     "costs: int too large to convert to float"),
+    ("ring", _put("network", "edges", 3, 2, value=10 ** 400),
+     "network: int too large to convert to float"),
+    ("ring", _put("agents", "varpi_init", 4, 0, value=10 ** 400),
+     "agents: int too large to convert to float"),
+    ("ring", _put("costs", "box", 0, 1, value=10 ** 400),
+     "costs: int too large to convert to float"),
+    ("ring", _put("gains", "alpha", "params", 0, value=10 ** 400),
+     "gains: alpha: int too large to convert to float"),
+], ids=["v_string", "thetas_string", "sigma_bool", "x_init_string",
         "seed_string", "n_agents_fraction", "n_agents_string",
         "endpoint_fraction", "endpoint_bool", "dim_fraction",
         "order_fraction", "log_every_fraction", "log_every_bool",
         "seed_fraction", "T_bool", "T_string", "rel_tol_string",
-        "tol_bool", "box_strings", "Q_strings", "weight_string"])
+        "tol_bool", "box_strings", "Q_strings", "weight_string",
+        "Q_huge_int", "center_huge_int", "weight_huge_int",
+        "varpi_init_huge_int", "box_huge_int", "gain_params_huge_int"])
 def test_non_number_refused_in_its_section(tmp_path, capsys, monkeypatch,
                                            name, edit, message):
     p = modified_scenario(name, tmp_path, edit)
@@ -437,7 +445,7 @@ def test_non_number_refused_in_its_section(tmp_path, capsys, monkeypatch,
      "gains, agents, solver, monitors"),
     # a misspelled key would leave its default in force: guard 0.999 here
     ("ring", _put("clock", "guard_fac", value=0.5),
-     "clock: unknown key(s) guard_fac; allowed: t0, T, guard_frac"),
+     "clock: unknown key(s) guard_fac; allowed: T, guard_frac"),
     ("ring", _put("network", "weights", value=[]),
      "network: unknown key(s) weights; allowed: n_agents, edges"),
     ("ring", _put("costs", "boxes", value=[]),
@@ -453,26 +461,22 @@ def test_non_number_refused_in_its_section(tmp_path, capsys, monkeypatch,
                              "base": {"family": "linear", "params": [1.0],
                                       "k": 2.0}}),
      "gains: alpha_s: base: unknown key(s) k; allowed: family, params"),
-    # and amplitude 0.1 here
-    ("example1", _put("agents", "disturbance", "amplitud", value=0.5),
-     "agents: disturbance: unknown key(s) amplitud; allowed: seed, "
-     "amplitude"),
+    # and seed 0 here
+    ("example1", _put("agents", "disturbance", "sed", value=5),
+     "agents: disturbance: unknown key(s) sed; allowed: seed"),
     # the keys of gains and agents are those of the controller: each of
     # these built and ran with the key ignored
     ("example1", _put("gains", "alhpa_x", value={}),
      "gains: unknown key(s) alhpa_x; allowed: alpha, "
      "acknowledge_criteria_override, alpha_x, alpha_s"),
     ("example1", _put("agents", "psy", value=1.0),
-     "agents: unknown key(s) psy; allowed: controller, varpi_init, p_init, "
-     "order, x_init, offsets, v, psi, K, plant, disturbance, el_true_theta, "
-     "el_nominal_scale, gravity"),
+     "agents: unknown key(s) psy; allowed: controller, varpi_init, order, "
+     "x_init, offsets, v, K, plant, disturbance, el_true_theta"),
     # a strict-feedback key, and offsets, which only an agent model reads
     ("ring", _put("agents", "sigma", value=10.0),
-     "agents: unknown key(s) sigma; allowed: controller, varpi_init, "
-     "p_init"),
+     "agents: unknown key(s) sigma; allowed: controller, varpi_init"),
     ("ring", _put("agents", "offsets", value=[[0.0, 0.0]] * 6),
-     "agents: unknown key(s) offsets; allowed: controller, varpi_init, "
-     "p_init"),
+     "agents: unknown key(s) offsets; allowed: controller, varpi_init"),
 ], ids=["top_level", "clock", "network", "costs", "quadratic",
         "exp_quadratic", "gain", "dc2_base", "disturbance", "alhpa_x",
         "psy", "sigma_without_controller", "offsets_without_controller"])
@@ -529,13 +533,60 @@ def test_rk4_refused_for_chain_agents(tmp_path, capsys, monkeypatch):
                           "radius, and chain agents have none")
 
 
-def test_nonconserving_p_init_rejected(tmp_path):
-    p = write_tiny(tmp_path,
-                   lambda raw: raw["agents"].update(
-                       {"p_init": [[1.0], [0.5]]}))
-    with pytest.raises(ScenarioError) as exc:
-        load_scenario(p).build()
-    assert "sum to zero" in str(exc.value)
+# each key a scenario file could hold before it was settled at one value,
+# at that value: (scenario, path of the key, the section the error names,
+# the keys left there)
+REMOVED_KEYS = {
+    "t0": ("ring", ("clock", "t0", 0.0), "clock", "T, guard_frac"),
+    "p_init": ("ring", ("agents", "p_init", "zeros"), "agents",
+               "controller, varpi_init"),
+    "psi": ("example1", ("agents", "psi", 1.0), "agents", None),
+    "el_nominal_scale": ("example1", ("agents", "el_nominal_scale", 0.9),
+                         "agents", None),
+    "gravity": ("example1", ("agents", "gravity", 9.8), "agents", None),
+    "amplitude": ("example1", ("agents", "disturbance", "amplitude", 0.1),
+                  "agents: disturbance", "seed"),
+    "l": ("example2", ("agents", "l", 1.0), "agents", None),
+    "sigma_prime": ("example2", ("agents", "sigma_prime", 1.0), "agents",
+                    None),
+    "rho": ("example2", ("agents", "rho", 10.0), "agents", None),
+    "margin": ("example2", ("agents", "margin", 1.0), "agents", None),
+    "dt": ("example2", ("solver", "dt", 1e-3), "solver",
+           "method, rel_tol, abs_tol, log_every"),
+    "conservation_tol": ("ring", ("monitors", "conservation", "tol", 1e-8),
+                         "monitors: conservation", "none"),
+    "envelope_slack": ("ring", ("monitors", "envelope", "slack", 0.05),
+                       "monitors: envelope", "none"),
+    "invariant_set_slack": ("example2", ("monitors", "invariant_set",
+                                         "slack", 0.02),
+                            "monitors: invariant_set", "h"),
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_refused_at_its_old_value(tmp_path, capsys, monkeypatch,
+                                             key):
+    # a file written for an older version is refused, not read as if the
+    # key were still honoured
+    name, path, where, allowed = REMOVED_KEYS[key]
+    p = modified_scenario(name, tmp_path, _put(*path[:-1], value=path[-1]))
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(
+        f"error: {p}: {where}: unknown key(s) {path[-2]}; allowed: ")
+    if allowed is not None:
+        assert err == (f"error: {p}: {where}: unknown key(s) {path[-2]}; "
+                       f"allowed: {allowed}\n")
+
+
+def test_a_million_agents_on_six_edges_refused_before_allocation(
+        tmp_path, capsys, monkeypatch):
+    # build_network allocated the n x n Laplacian, 7.28 TiB, before it
+    # checked anything, and stopped with a MemoryError traceback
+    p = modified_scenario("ring", tmp_path,
+                          _set("network", "n_agents", 10 ** 6))
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err == (f"error: {p}: network: 6 edges cannot connect 1000000 "
+                   "agents, which takes n_agents - 1 = 999999 at least\n")
 
 
 def test_subcritical_gain_refused_without_override(tmp_path):

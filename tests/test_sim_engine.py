@@ -15,8 +15,8 @@ from dptco.errors import DptcoError
 from dptco.generator import design_radius
 from dptco.graph import build_network
 from dptco.rkc import rkc2_stages, rkc2_step
-from dptco.sim_engine import (CoupledSystem, export_csv, integrate,
-                              make_disturbance, trajectory_columns)
+from dptco.sim_engine import (_RK4_H_RHO, CoupledSystem, export_csv,
+                              integrate, make_disturbance, trajectory_columns)
 from dptco.timegain import PrescribedClock
 
 from conftest import at_guard, modified_build
@@ -24,10 +24,10 @@ from oracles import (System, cost_gradient, integrate_allocating,
                      linear_gain, rhs_jacobian, rhs_new, solver_settings,
                      wide_box)
 
-CLOCK = PrescribedClock(0.0, 1.0, 0.999)
+CLOCK = PrescribedClock(1.0, 0.999)
 # the same window, the run ending at t = 0.5 or t = 0.9
-CLOCK_05 = PrescribedClock(0.0, 1.0, guard_frac=0.5)
-CLOCK_09 = PrescribedClock(0.0, 1.0, guard_frac=0.9)
+CLOCK_05 = PrescribedClock(1.0, guard_frac=0.5)
+CLOCK_09 = PrescribedClock(1.0, guard_frac=0.9)
 
 
 def mu_decay_rhs(t, y, out):
@@ -68,7 +68,7 @@ def test_rk4_step_follows_spectral_radius(p):
     # the run decays without a sign change to the guard at mu = 1000, each
     # step's factor near RK4's R(-1.39) = 0.28
     kappa = 7.0
-    clock = PrescribedClock(0.0, 1.0, 0.999)
+    clock = PrescribedClock(1.0, 0.999)
     system = System(lambda t, y, out: np.multiply(
         -kappa * clock.mu(t) ** p, y, out=out), kappa, p)
     settings = solver_settings(method="rk4", dt=1.0)
@@ -127,6 +127,39 @@ def test_rk4_spectral_radius_matches_example2_jacobian():
         assert (traj.times[k + 1] - t) * radius[2] <= 1.4
 
 
+def test_rk4_holds_the_true_jacobian_inside_its_stability_limit():
+    # example2 at guard 0.99, at each of its 71 logged rows: the step the
+    # rule takes there times the spectral radius of a central-difference
+    # Jacobian of the closed loop stays within RK4's real-axis limit 2.785.
+    # The design radius is the linearization at zero error with theta =
+    # theta_hat = 0 and reads up to 10 times low before mu nears 5; until
+    # mu nears 8 the dt cap is the step; with the cap at 0.005 this reads
+    # about 3.2 at t = 0.2
+    build = modified_build("example2", at_guard(0.99))
+    sys, clock, dt = build.sys, build.sys.clock, build.settings.dt
+    radii = {}  # mu at the start of each step -> the rule's rho(mu)
+
+    def stiffness(y):
+        radius = CoupledSystem.stiffness(sys, y)
+
+        def recorded(mu):
+            radii[mu] = radius(mu)
+            return radii[mu]
+
+        return recorded
+
+    sys.stiffness = stiffness
+    traj = integrate(sys, build.y0, clock, build.settings)
+    assert traj.times.shape == (71,)
+    # the last row is the guard time, where no step starts
+    margins = []
+    for t, y in zip(traj.times[:-1], traj.states[:-1]):
+        h = min(dt, _RK4_H_RHO / radii[clock.mu(t)], clock.t_guard - t)
+        jac = rhs_jacobian(sys, t, y)
+        margins.append(h * np.abs(np.linalg.eigvals(jac)).max())
+    assert max(margins) <= 2.785
+
+
 # --- guard discipline ------------------------------------------------------
 
 # on the log clock y' = -mu diag(RATES) (y - 1) is dy/ds = -diag(RATES)
@@ -146,9 +179,9 @@ def stiff_rhs(clock, seen=None):
 
 def test_no_rhs_evaluation_at_deadline():
     # on the second clock the last log-clock stage rounds past the guard
-    # unless the integrator clamps it; the stiff runs hand over to RKC2,
-    # whose stages and power-iteration probes are checked too
-    clocks = (CLOCK, PrescribedClock(-0.06, 1.2, 0.673))
+    # (by 4.4e-16) unless the integrator clamps it; the stiff runs hand
+    # over to RKC2, whose stages and power-iteration probes are checked too
+    clocks = (CLOCK, PrescribedClock(2.0884448132635183, 0.6638375784776241))
     for clock, stiff in itertools.product(clocks, (False, True)):
         seen = []
         if stiff:
@@ -162,7 +195,7 @@ def test_no_rhs_evaluation_at_deadline():
         traj = integrate(System(rhs), np.full(2, 2.0), clock, settings)
         assert (traj.integrator["handovers"] is not None) == stiff
         assert max(seen) <= clock.t_guard
-        assert min(seen) == clock.t0
+        assert min(seen) == 0.0
         assert traj.times[-1] == clock.t_guard
         assert traj.n_rhs == len(seen)
 
@@ -238,7 +271,7 @@ def test_stiff_run_hands_over_and_stays_accurate():
     # dy/ds = -diag(RATES) (y - 1) has the solution 1 + exp(-RATES s): RKC2
     # takes the tail in far fewer calls than Dormand-Prince, within the
     # tolerances of the exact endpoint
-    clock = PrescribedClock(0.0, 1.0, 0.999)
+    clock = PrescribedClock(1.0, 0.999)
     settings = solver_settings(method="rk45", dt=1e-3, rel_tol=1e-8,
                                abs_tol=1e-10)
     traj = integrate(System(stiff_rhs(clock)), np.full(2, 2.0), clock,
@@ -262,7 +295,7 @@ def test_rkc2_hands_back_when_dearer_than_dormand_prince():
     # over, but its accuracy-bound steps stay shorter than Dormand-Prince's
     # at its limit, so it hands back; Dormand-Prince then keeps the run,
     # its calls per unit log time never exceeding that RKC2 run's
-    clock = PrescribedClock(0.0, 1.0, 0.99)
+    clock = PrescribedClock(1.0, 0.99)
     rates = np.array([1.0, 1000.0])
 
     def run():
@@ -280,13 +313,13 @@ def test_rkc2_hands_back_when_dearer_than_dormand_prince():
     info = traj.integrator
     handovers = info["handovers"]
     assert [h["to"] for h in handovers] == ["rkc2", "dp5"]
-    assert clock.t0 < handovers[0]["t"] < handovers[1]["t"] < clock.t_guard
+    assert 0.0 < handovers[0]["t"] < handovers[1]["t"] < clock.t_guard
     # most of the run after the hand-back is Dormand-Prince's
     assert info["steps"]["dp5"] > 50 * info["steps"]["rkc2"] > 0
     assert info["steps"]["dp5"] + info["steps"]["rkc2"] == traj.n_steps
     assert sum(info["rejected"].values()) == traj.n_rejected
     assert info["n_rhs"] == traj.n_rhs == len(seen)
-    assert min(seen) == clock.t0 and max(seen) <= clock.t_guard
+    assert min(seen) == 0.0 and max(seen) <= clock.t_guard
     assert traj.times[-1] == clock.t_guard
     exact = np.exp(rates * math.log1p(-0.99))
     units = np.abs(traj.states[-1] - exact) / (1e-10 + 1e-8 * exact)
@@ -306,7 +339,7 @@ def test_non_finite_spectral_radius_hands_straight_back(monkeypatch):
         return math.inf, 1
 
     monkeypatch.setattr(sim_engine, "spectral_radius", failing_estimate)
-    clock = PrescribedClock(0.0, 1.0, 0.999)
+    clock = PrescribedClock(1.0, 0.999)
     seen = []
     settings = solver_settings(method="rk45", dt=1e-3, rel_tol=1e-8,
                                abs_tol=1e-10)
@@ -344,7 +377,7 @@ def test_non_finite_estimate_after_a_rejection_hands_back_in_the_trial(
         return math.nan, 1
 
     monkeypatch.setattr(sim_engine, "spectral_radius", flaky_estimate)
-    clock = PrescribedClock(0.0, 1.0, 0.999)
+    clock = PrescribedClock(1.0, 0.999)
     seen = []
     settings = solver_settings(method="rk45", dt=1e-3, rel_tol=1e-8,
                                abs_tol=1e-10)
@@ -442,7 +475,7 @@ def ring_system(T=1.0, k=21.0, guard_frac=0.9):
     net = build_network(4, [[i, (i + 1) % 4, 1.0] for i in range(4)])
     costs = CostSet([QuadraticCost(np.eye(2) * (0.5 + 0.25 * i), [i, -i], 0.0)
                      for i in range(4)], 2, wide_box(2))
-    clock = PrescribedClock(0.0, T, guard_frac)
+    clock = PrescribedClock(T, guard_frac)
     sys = CoupledSystem(clock, net, costs, linear_gain(k), None, None)
     return sys, costs
 
@@ -546,13 +579,13 @@ def test_trajectory_columns_layout():
 # --- disturbance -------------------------------------------------------------
 
 def test_disturbance_bounded_and_seeded():
-    d = make_disturbance(3, 2, 2, amplitude=0.1)
+    d = make_disturbance(3, 2, 2)
     ts = np.linspace(0.0, 10.0, 500)
     sup = max(np.abs(d(t)[i]).max() for t in ts for i in range(2))
     assert sup <= 0.1 + 1e-12
-    d2 = make_disturbance(3, 2, 2, amplitude=0.1)
+    d2 = make_disturbance(3, 2, 2)
     assert np.array_equal(d(1.234)[0], d2(1.234)[0])
-    d3 = make_disturbance(4, 2, 2, amplitude=0.1)
+    d3 = make_disturbance(4, 2, 2)
     assert not np.array_equal(d(1.234)[0], d3(1.234)[0])
 
 
@@ -560,7 +593,7 @@ def test_disturbance_stream_pinned():
     # literal values: random.Random gives the same stream in every Python
     # version, so these change only with the stream, the draw order or the
     # mode sum
-    d = make_disturbance(0, 2, 2, amplitude=0.1)
+    d = make_disturbance(0, 2, 2)
     assert d(0.0).tolist() == [[-0.006029460721431276, 0.0032344088057792916],
                                [-0.03588660035187253, -0.08321904310073025]]
     assert d(1.0).tolist() == [[0.004952863395729158, 0.055743996284036715],
@@ -569,13 +602,13 @@ def test_disturbance_stream_pinned():
 
 def test_disturbance_bit_identical_to_mode_axis_sum():
     # the same draws as make_disturbance, summed over a trailing mode axis
-    d = make_disturbance(7, 5, 3, amplitude=0.3)
+    d = make_disturbance(7, 5, 3)
     rng = random.Random(7)
     shape = (5, 3, 3)
     freq = uniform(rng, 0.5, 5.0, shape)
     phase = uniform(rng, 0.0, 2.0 * math.pi, shape)
     coef = uniform(rng, 0.2, 1.0, shape)
-    coef *= 0.3 / coef.sum(axis=2, keepdims=True)
+    coef *= 0.1 / coef.sum(axis=2, keepdims=True)
     for t in np.linspace(0.0, 10.0, 41):
         want = (coef * np.sin(freq * t + phase)).sum(axis=2)
         assert d(t).tobytes() == want.tobytes()

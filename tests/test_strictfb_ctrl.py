@@ -13,13 +13,14 @@ from dptco.sim_engine import CoupledSystem
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
                                  error_vector, invariant_set_monitor,
                                  scale_powers, scaled_error_vector,
-                                 select_parameters, sf_decay_monitor,
-                                 theta_hat_monitor, virtual_controls)
+                                 sf_decay_monitor, theta_hat_monitor,
+                                 virtual_controls)
 from dptco.timegain import PrescribedClock
 
 from oracles import (adaptation_rhs, filter_rhs, linear_gain, phi_weights,
-                     power_gain, rhs_jacobian, sf_control, sf_plant_rhs,
-                     tau_value, transformation_matrices, wide_box)
+                     power_gain, rhs_jacobian, select_parameters, sf_control,
+                     sf_plant_rhs, tau_value, transformation_matrices,
+                     wide_box)
 
 
 def identity(x):
@@ -27,7 +28,7 @@ def identity(x):
 
 
 def cfg_m2(c=(2.0, 2.0), upsilon=(3.0,), sigma=2.0) -> SfControllerConfig:
-    return SfControllerConfig(2, 1, 1.0, c, upsilon, sigma,
+    return SfControllerConfig(2, 1, c, upsilon, sigma,
                               linear_gain(1.0), mu_guard=1000.0,
                               phis=(identity,))
 
@@ -40,14 +41,14 @@ def test_spectral_rate_scales_with_alpha_xi(m):
     # at zero error, theta = 0: its spectral radius is kappa alpha_xi(mu)
     # at every mu, from one agent's linearization at mu = 1
     n_agents, dim = 3, 2
-    par = select_parameters(m, 1.0, 1.0, 10.0, 1.0)
-    cfg = SfControllerConfig(m, dim, 1.0, par.c, par.upsilon, par.sigma,
+    par = select_parameters(m, 1.0, 10.0, 1.0)
+    cfg = SfControllerConfig(m, dim, par.c, par.upsilon, par.sigma,
                              power_gain(2.0, 1.5), 1e6, (np.tanh,) * (m - 1))
     agents = StrictFeedbackAgents(cfg, np.zeros(n_agents))
     net = build_network(n_agents, [[0, 1, 1.0], [1, 2, 1.0]])
     costs = CostSet([QuadraticCost(np.eye(dim), np.zeros(dim), 0.0)] * 3,
                     dim, wide_box(dim))
-    sys = CoupledSystem(PrescribedClock(0.0, 1.0, 0.9999), net, costs,
+    sys = CoupledSystem(PrescribedClock(1.0, 0.9999), net, costs,
                         linear_gain(1.0), agents=agents,
                         offsets=None)
     kappa, gain = agents.spectral_rate
@@ -63,13 +64,14 @@ def test_spectral_rate_scales_with_alpha_xi(m):
 # --- gain recipe -------------------------------------------------------------
 
 def test_scale_powers_descending():
-    assert np.allclose(scale_powers(3, 1.0), [4.0, 3.0, 2.0])
-    assert np.allclose(scale_powers(2, 0.5), [2.5, 1.5])
+    # L_q = m + l + 1 - q with l = 1
+    assert np.allclose(scale_powers(3), [4.0, 3.0, 2.0])
+    assert np.allclose(scale_powers(2), [3.0, 2.0])
 
 
 def test_select_parameters_hand_case():
     # m=3, l=1, sigma'=1, margin=1, rho=10
-    par = select_parameters(3, 1.0, sigma_prime=1.0, rho=10.0, margin=1.0)
+    par = select_parameters(3, sigma_prime=1.0, rho=10.0, margin=1.0)
     assert par.sigma == pytest.approx(2.0)
     assert par.L == (4.0, 3.0, 2.0)
     assert par.c == pytest.approx((6.5, 6.0, 5.0))
@@ -78,31 +80,31 @@ def test_select_parameters_hand_case():
 
 def test_select_parameters_sigma_backsolve():
     # sigma' = 17 reproduces the bundled scenario's sigma = 10
-    par = select_parameters(3, 1.0, sigma_prime=17.0, rho=10.0, margin=5.0)
+    par = select_parameters(3, sigma_prime=17.0, rho=10.0, margin=5.0)
     assert par.sigma == pytest.approx(10.0)
 
 
 def test_select_parameters_rejects_zero_rho():
     with pytest.raises(DptcoError,
                        match="sigma_prime and rho must be positive"):
-        select_parameters(3, 1.0, sigma_prime=1.0, rho=0.0, margin=1.0)
+        select_parameters(3, sigma_prime=1.0, rho=0.0, margin=1.0)
 
 
 def test_select_parameters_rejects_small_margin():
     with pytest.raises(DptcoError, match="margin 1.0 below sigma/2"):
-        select_parameters(3, 1.0, sigma_prime=17.0, rho=10.0, margin=1.0)
+        select_parameters(3, sigma_prime=17.0, rho=10.0, margin=1.0)
 
 
 def test_select_parameters_deterministic():
-    a = select_parameters(4, 2.0, sigma_prime=3.0, rho=5.0, margin=2.0)
-    b = select_parameters(4, 2.0, sigma_prime=3.0, rho=5.0, margin=2.0)
+    a = select_parameters(4, sigma_prime=3.0, rho=5.0, margin=2.0)
+    b = select_parameters(4, sigma_prime=3.0, rho=5.0, margin=2.0)
     assert a == b
 
 
 # --- backstepping cascade ----------------------------------------------------
 
 def test_cascade_zero_at_origin():
-    cfg = SfControllerConfig(3, 2, 1.0, (2.0, 2.0, 2.0), (3.0, 3.0), 2.0,
+    cfg = SfControllerConfig(3, 2, (2.0, 2.0, 2.0), (3.0, 3.0), 2.0,
                              linear_gain(1.0), mu_guard=1000.0,
                              phis=(identity,) * 2)
     view = virtual_controls(np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2)),
@@ -133,7 +135,7 @@ def test_u_is_last_virtual_control():
 def test_cascade_linear_in_theta_hat():
     # xi_2 is affine in theta_hat with slope -phi_2(x_2); xi_3 picks up the
     # extra upsilon_2 a phi_2(x_2) term through xi_tilde_2
-    cfg = SfControllerConfig(3, 2, 1.0, (2.0, 2.0, 2.0), (3.0, 3.0), 2.0,
+    cfg = SfControllerConfig(3, 2, (2.0, 2.0, 2.0), (3.0, 3.0), 2.0,
                              power_gain(1.0, 1.5), mu_guard=1000.0,
                              phis=(identity,) * 2)
     rng = np.random.default_rng(0)
@@ -151,7 +153,7 @@ def test_cascade_linear_in_theta_hat():
 
 
 def test_cascade_guard_enforced():
-    cfg = SfControllerConfig(2, 1, 1.0, (2.0, 2.0), (3.0,), 2.0,
+    cfg = SfControllerConfig(2, 1, (2.0, 2.0), (3.0,), 2.0,
                              linear_gain(1.0), mu_guard=10.0,
                              phis=(identity,))
     with pytest.raises(DptcoError, match="mu=20.0 beyond guard 10.0"):
@@ -169,7 +171,7 @@ def test_filter_at_rest():
 
 def test_filter_hand_case():
     # upsilon_2 = 15, alpha_xi(1) = 1, xi_2f = 0, xi_1 = 1
-    cfg = SfControllerConfig(2, 1, 1.0, (2.0, 2.0), (15.0,), 2.0,
+    cfg = SfControllerConfig(2, 1, (2.0, 2.0), (15.0,), 2.0,
                              power_gain(1.0, 1.5), mu_guard=1000.0,
                              phis=(identity,))
     d = filter_rhs(np.array([[0.0]]), np.array([[1.0], [0.0]]), 1.0, cfg)
@@ -186,7 +188,7 @@ def test_filter_sign():
 
 def test_tau_hand_case():
     # m=2, L_2=2, alpha_xi=1, x_tilde_2=2, phi_2(x_2)=3
-    cfg = SfControllerConfig(2, 1, 1.0, (2.0, 2.0), (3.0,), 2.0,
+    cfg = SfControllerConfig(2, 1, (2.0, 2.0), (3.0,), 2.0,
                              linear_gain(1.0), mu_guard=1000.0,
                              phis=(lambda x: np.full_like(x, 3.0),))
     tau = tau_value(np.array([[0.0], [1.0]]), np.array([[0.0], [2.0]]),
@@ -211,7 +213,7 @@ def test_adaptation_zero_at_rest():
 # --- plant -------------------------------------------------------------------
 
 def test_plant_rhs_m3():
-    cfg = SfControllerConfig(3, 1, 1.0, (2.0,) * 3, (3.0,) * 2, 2.0,
+    cfg = SfControllerConfig(3, 1, (2.0,) * 3, (3.0,) * 2, 2.0,
                              linear_gain(1.0), mu_guard=1000.0,
                              phis=(identity,) * 2)
     x = np.array([[1.0], [2.0], [3.0]])
@@ -230,7 +232,7 @@ def test_error_vector_layout():
 
 def test_scaled_error_norm_identity():
     # ||e_tilde_s||^2 = sum||omega||^2 + sum||eta||^2 + theta_tilde^2
-    cfg = SfControllerConfig(3, 2, 1.0, (2.0,) * 3, (3.0,) * 2, 2.0,
+    cfg = SfControllerConfig(3, 2, (2.0,) * 3, (3.0,) * 2, 2.0,
                              power_gain(1.0, 1.5), mu_guard=1000.0,
                              phis=(identity,) * 2)
     rng = np.random.default_rng(1)
@@ -251,7 +253,7 @@ def test_scaled_error_norm_identity():
 @settings(max_examples=30, deadline=None)
 def test_scaled_error_matches_stacked_form(seed):
     # rebuild omega/eta through the selector matrices and Phi weights
-    cfg = SfControllerConfig(3, 2, 1.0, (2.0,) * 3, (3.0,) * 2, 2.0,
+    cfg = SfControllerConfig(3, 2, (2.0,) * 3, (3.0,) * 2, 2.0,
                              power_gain(1.0, 1.5), mu_guard=1000.0,
                              phis=(identity,) * 2)
     rng = np.random.default_rng(seed)
@@ -266,7 +268,7 @@ def test_scaled_error_matches_stacked_form(seed):
     es = scaled_error_vector(x, varpi, xi_f, theta_hat, theta, mu, cfg, view)
     lams = transformation_matrices(3, 2)
     raw = error_vector(x, varpi, xi_f, theta_hat)
-    w1, w2 = phi_weights(3, 1.0, 2, cfg.alpha_xi.eval(mu))
+    w1, w2 = phi_weights(3, 2, cfg.alpha_xi.eval(mu))
     omega = w1 * (lams["Lambda1"] @ raw)
     xi_flat = view["xi"][:-1].ravel()
     eta = w2 * (lams["Lambda2"] @ raw - xi_flat)
@@ -276,7 +278,7 @@ def test_scaled_error_matches_stacked_form(seed):
 
 
 def test_phi_weights_descending():
-    w1, w2 = phi_weights(3, 1.0, 1, 2.0)
+    w1, w2 = phi_weights(3, 1, 2.0)
     assert np.allclose(w1, [16.0, 8.0, 4.0])
     assert np.allclose(w2, [8.0, 4.0])
     assert all(a > b for a, b in zip(w1, w1[1:]))
@@ -286,14 +288,14 @@ def test_phi_weights_descending():
 
 def test_invariant_monitor_zero_trajectory():
     times = np.linspace(0.0, 1.0, 5)
-    rep = invariant_set_monitor(times, np.zeros((5, 1)), h=0.5, slack=0.02)
+    rep = invariant_set_monitor(times, np.zeros((5, 1)), h=0.5)
     assert rep.passed
 
 
 def test_invariant_monitor_flags_exit():
     times = np.linspace(0.0, 1.0, 5)
     norms = np.array([[0.5], [0.6], [2.0], [0.1], [0.1]])
-    rep = invariant_set_monitor(times, norms, h=1.0, slack=0.02)
+    rep = invariant_set_monitor(times, norms, h=1.0)
     assert not rep.passed
     assert rep.first_violation_t == pytest.approx(0.5)
 
@@ -301,7 +303,7 @@ def test_invariant_monitor_flags_exit():
 def test_invariant_monitor_initially_outside():
     times = np.linspace(0.0, 1.0, 3)
     rep = invariant_set_monitor(times, np.array([[2.0], [0.1], [0.1]]),
-                                h=1.0, slack=0.02)
+                                h=1.0)
     assert not rep.passed
     assert rep.first_violation_t == pytest.approx(0.0)
 

@@ -25,17 +25,17 @@ from oracles import (dc2_gain, exp_gain, gain_to_dict, linear_gain, log_gain,
 # --- clock -------------------------------------------------------------------
 
 def test_mu_at_start():
-    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
+    clock = PrescribedClock(T=1.0, guard_frac=0.999)
     assert clock.mu(0.0) == 1.0
 
 
 def test_mu_midpoint():
-    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
+    clock = PrescribedClock(T=1.0, guard_frac=0.999)
     assert clock.mu(0.5) == 2.0
 
 
 def test_mu_rejects_deadline():
-    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
+    clock = PrescribedClock(T=1.0, guard_frac=0.999)
     with pytest.raises(DptcoError,
                        match=re.escape("t=1.0 outside [0.0, 1.0)")):
         clock.mu(1.0)
@@ -43,13 +43,13 @@ def test_mu_rejects_deadline():
 
 def test_mu0_is_inverse_deadline():
     for T in (0.5, 1.0, 2.0, 7.25):
-        clock = PrescribedClock(t0=0.0, T=T, guard_frac=0.999)
+        clock = PrescribedClock(T=T, guard_frac=0.999)
         assert clock.mu0 == pytest.approx(1.0 / T)
 
 
 def test_mu_derivative_is_mu_squared():
     # numerical check of d(mu)/dt = mu^2
-    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
+    clock = PrescribedClock(T=1.0, guard_frac=0.999)
     h = 1e-6
     for t in (0.0, 0.3, 0.7, 0.9):
         fd = (clock.mu(t + h) - clock.mu(t)) / h
@@ -57,65 +57,63 @@ def test_mu_derivative_is_mu_squared():
 
 
 def test_mu_strictly_increasing():
-    clock = PrescribedClock(t0=2.0, T=3.0, guard_frac=0.999)
-    ts = np.linspace(2.0, 2.0 + 3.0 * 0.999, 200)
+    clock = PrescribedClock(T=3.0, guard_frac=0.999)
+    ts = np.linspace(0.0, 3.0 * 0.999, 200)
     mus = [clock.mu(t) for t in ts]
     assert all(b > a for a, b in zip(mus, mus[1:]))
 
 
 def test_clock_rejects_bad_params():
-    for t0, T, guard_frac, msg in (
-            (0.0, 0.0, 0.999, "T must be finite and > 0"),
-            (0.0, 1.0, 1.0, "guard_frac must be in"),
-            (math.nan, 1.0, 0.9, "t0 must be finite"),
-            (math.inf, 1.0, 0.9, "t0 must be finite"),
-            (0.0, math.nan, 0.9, "T must be finite and > 0"),
-            (0.0, math.inf, 0.9, "T must be finite and > 0"),
-            (0.0, 1.0, math.nan, "guard_frac must be in")):
+    for T, guard_frac, msg in (
+            (0.0, 0.999, "T must be finite and > 0"),
+            (1.0, 1.0, "guard_frac must be in"),
+            (math.nan, 0.9, "T must be finite and > 0"),
+            (math.inf, 0.9, "T must be finite and > 0"),
+            (1.0, math.nan, "guard_frac must be in")):
         with pytest.raises(DptcoError, match=msg):
-            PrescribedClock(t0, T, guard_frac)
+            PrescribedClock(T, guard_frac)
 
 
 # --- kappa -------------------------------------------------------------------
 
 def test_kappa_zero_iota():
-    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
+    clock = PrescribedClock(T=1.0, guard_frac=0.999)
     assert kappa(clock, linear_gain(3.0), 0.0, 0.7) == 1.0
 
 
 def test_kappa_at_start():
-    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
+    clock = PrescribedClock(T=1.0, guard_frac=0.999)
     assert kappa(clock, linear_gain(3.0), -2.5, 0.0) == 1.0
 
 
 def test_kappa_linear_closed_form():
     # alpha(s) = 2s, iota = -1: integral is 2 ln(mu/mu0), kappa = (mu0/mu)^2
-    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
+    clock = PrescribedClock(T=1.0, guard_frac=0.999)
     assert kappa(clock, linear_gain(2.0), -1.0, 0.5) == pytest.approx(0.25)
 
 
 def test_kappa_linear_power_law():
     rng = np.random.default_rng(3)
-    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
+    clock = PrescribedClock(T=1.0, guard_frac=0.999)
     k = 1.7
     alpha = linear_gain(k)
     for t in rng.uniform(0.0, 0.99, size=100):
-        expected = (clock.mu(clock.t0) / clock.mu(t)) ** k
+        expected = (clock.mu(0.0) / clock.mu(t)) ** k
         assert kappa(clock, alpha, -1.0, float(t)) == pytest.approx(
             expected, rel=1e-8)
 
 
 def test_kappa_multiplicative_in_iota():
-    clock = PrescribedClock(t0=1.0, T=2.0, guard_frac=0.999)
+    clock = PrescribedClock(T=2.0, guard_frac=0.999)
     alpha = power_gain(0.8, 1.5)
     for i1, i2 in ((-1.0, -0.5), (0.3, 0.7), (-2.0, 1.0)):
-        prod = (kappa(clock, alpha, i1, 2.4) * kappa(clock, alpha, i2, 2.4))
+        prod = (kappa(clock, alpha, i1, 1.4) * kappa(clock, alpha, i2, 1.4))
         assert prod == pytest.approx(
-            kappa(clock, alpha, i1 + i2, 2.4), rel=1e-9)
+            kappa(clock, alpha, i1 + i2, 1.4), rel=1e-9)
 
 
 def test_kappa_underflows_to_zero():
-    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=1.0 - 1e-9)
+    clock = PrescribedClock(T=1.0, guard_frac=1.0 - 1e-9)
     assert kappa(clock, linear_gain(100.0), -10.0, 1.0 - 1e-8) == 0.0
 
 
@@ -418,8 +416,8 @@ def test_gain_on_an_array_refuses_a_negative_entry():
 @pytest.mark.parametrize("name", ["linear", "power", "log", "exp"])
 def test_integral_and_kappa_on_an_array_equal_the_float_path(name):
     g, _ = ARRAY_GAINS[name]
-    clock = PrescribedClock(t0=0.5, T=2.0, guard_frac=0.99)
-    times = np.linspace(clock.t0, clock.t_guard, 40)
+    clock = PrescribedClock(T=2.0, guard_frac=0.99)
+    times = np.linspace(0.0, clock.t_guard, 40)
     mus = clock.mu(times)
     np.testing.assert_array_equal(mus, [clock.mu(float(t)) for t in times])
     np.testing.assert_array_equal(
@@ -432,7 +430,7 @@ def test_integral_and_kappa_on_an_array_equal_the_float_path(name):
 
 
 def test_array_outside_the_window_refused():
-    clock = PrescribedClock(t0=0.0, T=1.0, guard_frac=0.999)
+    clock = PrescribedClock(T=1.0, guard_frac=0.999)
     with pytest.raises(DptcoError, match=re.escape("outside [0.0, 1.0)")):
         clock.mu(np.array([0.5, 1.0]))
     with pytest.raises(DptcoError, match="outside the prescribed window"):
