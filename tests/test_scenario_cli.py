@@ -270,8 +270,18 @@ def _put(*keys, value=math.nan):
      "clock: T must be finite and > 0"),
     ("example2", _put("clock", "guard_frac"),
      "clock: guard_frac must be in (0,1), got nan"),
+    # t0 and p_init are no longer keys: the clock starts at 0 and p at
+    # zero, so a non-finite value is refused as an unknown key of its
+    # section, not read
+    ("example2", _put("clock", "t0"),
+     "clock: unknown key(s) t0; allowed: T, guard_frac"),
+    ("ring", _put("clock", "t0", value=-math.inf),
+     "clock: unknown key(s) t0; allowed: T, guard_frac"),
     ("ring", _put("agents", "varpi_init", 2, 0),
      "agents: non-finite initial value of agent2.varpi0"),
+    ("ring", _put("agents", "p_init",
+                  value=[[math.nan, 0.0]] + [[0.0, 0.0]] * 5),
+     "agents: unknown key(s) p_init; allowed: controller, varpi_init"),
     ("example1", _put("agents", "x_init", 0, 1, 0),
      "agents: non-finite initial value of agent0.x2_0"),
     ("example2", _put("agents", "theta_hat_init", 3),
@@ -302,7 +312,8 @@ def _put(*keys, value=math.nan):
     ("example2_generator", _put("costs", "agents", 2, 1, "P",
                                 value=[[100.0, 0.0], [0.0, 100.0]]),
      "costs: curvature constants must be finite on the working box"),
-], ids=["T_nan", "T_inf", "guard_frac_nan", "varpi_init", "x_init",
+], ids=["T_nan", "T_inf", "guard_frac_nan", "t0_nan", "t0_-inf",
+        "varpi_init", "p_init", "x_init",
         "theta_hat_init", "quadratic_center", "exp_quadratic_center", "box",
         "weight_nan", "weight_inf", "offsets", "v", "K", "el_true_theta",
         "thetas", "c", "upsilon", "sigma", "overflowing_cost"])
@@ -587,6 +598,17 @@ def test_a_million_agents_on_six_edges_refused_before_allocation(
     err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
     assert err == (f"error: {p}: network: 6 edges cannot connect 1000000 "
                    "agents, which takes n_agents - 1 = 999999 at least\n")
+
+
+def test_nonconserving_p_init_rejected(tmp_path):
+    # p starts at zero, which conserves sum_i p_i = 0; a p_init that would
+    # break the conservation is refused with any other p_init
+    p = write_tiny(tmp_path,
+                   lambda raw: raw["agents"].update(
+                       {"p_init": [[1.0], [0.5]]}))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(p).build()
+    assert "agents: unknown key(s) p_init" in str(exc.value)
 
 
 def test_subcritical_gain_refused_without_override(tmp_path):
