@@ -9,10 +9,10 @@ scales it into e_tilde_s = alpha_s(mu) * s_tilde, and applies
         - B(mu)^{-1} delta_s(mu) s_tilde
 
 where psi = 1 bounds the disturbance factor psi(x) (_PSI) and pi(x)
-collects the known part of the s_tilde dynamics.  K
-places all eigenvalues of the companion matrix Lambda at -1; (P, Q = I)
-solve the associated Lyapunov equation and give the decay constants v1, v2,
-which set alpha_x's growth criterion DC1 (check_dc1).
+collects the known part of the s_tilde dynamics.  The scenario's K must
+make the companion matrix Lambda Hurwitz; (P, Q = I) solve the associated
+Lyapunov equation and give the decay constants v1, v2, which set alpha_x's
+growth criterion DC1 (check_dc1).
 """
 
 from __future__ import annotations
@@ -35,17 +35,6 @@ _PSI = 1.0
 # inverse dynamics as a share of the true ones
 _GRAVITY = 9.8
 _EL_NOMINAL_SCALE = 0.9
-
-
-def hurwitz_gain(m: int) -> np.ndarray:
-    """Gain vector K of length m-1 placing all eigenvalues of Lambda at -1.
-
-    The entries are the binomial coefficients of (s+1)^(m-1) below the
-    leading term, so the characteristic polynomial is exactly (s+1)^(m-1).
-    """
-    if m < 2:
-        raise ValueError("chain order must be >= 2")
-    return np.array([math.comb(m - 1, j) for j in range(m - 1)], dtype=float)
 
 
 def companion(K: np.ndarray) -> np.ndarray:
@@ -134,13 +123,11 @@ class ChainControllerConfig:
 
 
 def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
-                      mu_guard: float, mu0: float,
-                      alpha_s: GainFunction | None, K
+                      mu_guard: float, alpha_s: GainFunction, K
                       ) -> ChainControllerConfig:
-    """Assemble a chain controller: pole placement (K, or `hurwitz_gain`
-    when K is None), Lyapunov solve with Q = I, and alpha_s, or the
-    DC2-derived gain when alpha_s is None."""
-    K = hurwitz_gain(m) if K is None else np.asarray(K, dtype=float)
+    """Assemble a chain controller: the companion matrix of K, its
+    Lyapunov solve with Q = I, and the gains alpha_x and alpha_s."""
+    K = np.asarray(K, dtype=float)
     if K.shape != (m - 1,):
         raise DptcoError(f"K must list m - 1 = {m - 1} gains for "
                          f"order {m}, got shape {K.shape}")
@@ -148,8 +135,6 @@ def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
     Q = np.eye(m - 1)
     P = solve_lyapunov(Lambda, Q)
     v1, v2 = v_constants(P, Q, m)
-    if alpha_s is None:
-        alpha_s = GainFunction("dc2", (v1, int(m), float(mu0)), alpha_x)
     return ChainControllerConfig(m, n, K, Lambda, P, Q, v1, v2, float(v),
                                  alpha_x, alpha_s, float(mu_guard))
 
@@ -247,8 +232,8 @@ class ChainAgents:
     manipulator driven through inverse dynamics computed with
     _EL_NOMINAL_SCALE times them, kept as its folded ElMismatch table
     (el_theta None: the chain of integrators);
-    disturbance(t), when not None, returns the (N, n) matched signal added
-    at the last stage.  Chain agents carry no controller state (c is None).
+    disturbance(t) returns the (N, n) matched signal added at the last
+    stage.  Chain agents carry no controller state (c is None).
     """
 
     ctrl_size = 0
@@ -257,8 +242,14 @@ class ChainAgents:
         if el_theta is not None and cfg.m != 2:
             raise ValueError("the Euler-Lagrange plant needs order 2")
         self.cfg = cfg
-        self.el = None if el_theta is None else ElMismatch.of(
-            EulerLagrangeParams(tuple(el_theta)), EulerLagrangeParams(
+        self.el = None
+        if el_theta is not None:
+            true = EulerLagrangeParams(tuple(el_theta))
+            # float sums and products overflow to inf without a warning
+            if not np.isfinite(true.coefficients).all():
+                raise ValueError("el_true_theta gives non-finite manipulator "
+                                 f"coefficients: {list(el_theta)}")
+            self.el = ElMismatch.of(true, EulerLagrangeParams(
                 tuple(_EL_NOMINAL_SCALE * t for t in el_theta)))
         self.disturbance = disturbance
 
@@ -271,8 +262,7 @@ class ChainAgents:
         else:
             el_acceleration(self.el, x[0], x[1],
                             chain_control(x, ref, mu, self.cfg), out=acc)
-        if self.disturbance is not None:
-            acc += self.disturbance(t)
+        acc += self.disturbance(t)
 
     def diagnostics(self, mu, x, c, ref) -> dict:
         """Per-agent norms of e_s and e_tilde_s."""

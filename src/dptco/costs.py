@@ -329,11 +329,11 @@ def estimate_constants(costs: CostSet) -> tuple[float, float]:
 
     aggregated as min/max over agents.  Every agent's gradient at every
     sample point comes from one pass over the term batches
-    (`_gradient_blocks`).  A gradient that overflows on the box gives a
-    non-finite constant, without a warning.
+    (`_gradient_blocks`).  A gradient or a distance that overflows on the
+    box gives a non-finite constant, without a warning.
     """
-    X, Y = _curvature_pairs(costs.box)
     with np.errstate(over="ignore", invalid="ignore"):
+        X, Y = _curvature_pairs(costs.box)
         G = _gradient_blocks(costs._batches, costs.n_agents,
                              np.concatenate([X, Y]))
         dG = G[:, :len(X)] - G[:, len(X):]
@@ -379,8 +379,3 @@ def _curvature_pairs(box) -> tuple[np.ndarray, np.ndarray]:
     steps = np.tile(np.diag(1e-4 * np.maximum(1.0, hi - lo)), (3, 1))
     return (np.concatenate([X[keep], anchors]),
             np.concatenate([Y[keep], anchors + steps]))
-
-
-def default_box(dim: int) -> np.ndarray:
-    """Default working box [-5, 5]^dim."""
-    return np.tile([-5.0, 5.0], (dim, 1))

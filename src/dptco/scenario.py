@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from . import chain_ctrl, strictfb_ctrl
-from .costs import CostSet, cost_from_dict, default_box
+from .costs import CostSet, cost_from_dict
 from .errors import DptcoError, ScenarioError
 from .generator import (GeneratorConstants, MonitorReport,
                         check_generator_criterion, conservation_monitor,
@@ -34,20 +34,20 @@ _PHI_REGISTRY = {"identity": lambda x: x, "sin": np.sin, "tanh": np.tanh}
 
 # --- the key table -----------------------------------------------------------
 # Each key a scenario file may hold, as key: (kind, default); _value reads
-# each kind.  A _REQUIRED key must be given, and a _COMPUTED one reads None
-# when absent, for the build to work out.  A tag's name adds its table of
+# each kind.  A _REQUIRED key must be given; a default stays only where a
+# shipped scenario leaves its key out.  A tag's name adds its table of
 # keys to its object's.  An error is located at its section, and in an
 # object also at its key ("gains: alpha").  Numbers outside agents and
 # monitors may be NaN here, for their constructors to refuse.
-_REQUIRED, _COMPUTED = "required", "computed"
+_REQUIRED = "required"
 _NUMBER, _FINITE, _COUNT = ("number",), ("finite",), ("count",)
-_NUMBERS, _FINITES = ("numbers", None), ("finites", None)
+_NUMBERS, _FINITES = ("numbers",), ("finites",)
 
 _PARAMS = {"params": (_NUMBERS, _REQUIRED)}
 _DC2 = dict(_PARAMS)
 _GAIN = ("object", {"family": (("tag", "gain family", {
     "linear": _PARAMS, "power": _PARAMS, "log": _PARAMS, "exp": _PARAMS,
-    "dc2": _DC2}), _REQUIRED)}, None)
+    "dc2": _DC2}), _REQUIRED)})
 _DC2["base"] = (_GAIN, _REQUIRED)
 
 _TERM = {"family": (("tag", "cost family", {
@@ -60,26 +60,27 @@ _MODEL = {"order": (_COUNT, _REQUIRED), "x_init": (_NUMBERS, _REQUIRED),
           "offsets": (_FINITES, None)}
 _CONTROLLERS = {
     "none": {},
-    "chain": {**_MODEL, "v": (_FINITE, 1.0),
-              "K": (("finites", "auto"), "auto"),
+    "chain": {**_MODEL, "v": (_FINITE, _REQUIRED), "K": (_FINITES, _REQUIRED),
               "plant": (("tag", "plant kind", {"chain": {}, "euler_lagrange": {
-                  "el_true_theta": (_FINITES, _REQUIRED)}}), "chain"),
-              "disturbance": (("object", {"seed": (_COUNT, 0)}, None), None)},
+                  "el_true_theta": (_FINITES, _REQUIRED)}}), _REQUIRED),
+              "disturbance": (("object", {"seed": (_COUNT, _REQUIRED)}),
+                              _REQUIRED)},
     "strict_feedback": {
         **_MODEL, "c": (_FINITES, _REQUIRED),
         "upsilon": (_FINITES, _REQUIRED), "sigma": (_FINITE, _REQUIRED),
-        "phi": (("names", "phi id", tuple(_PHI_REGISTRY)), _COMPUTED),
-        "thetas": (_FINITES, _REQUIRED), "theta_hat_init": (_NUMBERS, 0.0)},
+        "phi": (("names", "phi id", tuple(_PHI_REGISTRY)), _REQUIRED),
+        "thetas": (_FINITES, _REQUIRED),
+        "theta_hat_init": (_NUMBERS, _REQUIRED)},
 }
 
 _TABLE = {
-    "top level": {"name": (("text", "a string"), "unnamed"), **dict.fromkeys(
+    "top level": {"name": (("text", "a string"), _REQUIRED), **dict.fromkeys(
         ("clock", "network", "costs", "gains", "agents", "solver",
          "monitors"), (("section",), _REQUIRED))},
     "clock": {"T": (_NUMBER, _REQUIRED), "guard_frac": (_NUMBER, 0.999)},
     "network": {"n_agents": (_COUNT, _REQUIRED),
                 "edges": (_NUMBERS, _REQUIRED)},
-    "costs": {"dim": (_COUNT, _REQUIRED), "box": (_NUMBERS, _COMPUTED),
+    "costs": {"dim": (_COUNT, _REQUIRED), "box": (_NUMBERS, _REQUIRED),
               "agents": (("costs",), _REQUIRED)},
     # and each controller's gains, in _GAINS
     "gains": {"alpha": (_GAIN, _REQUIRED), "acknowledge_criteria_override": (
@@ -88,12 +89,12 @@ _TABLE = {
                "varpi_init": (_NUMBERS, _REQUIRED)},
     "solver": {"method": (("text", "a string"), "rk45"),
                "rel_tol": (_NUMBER, 1e-8),
-               "abs_tol": (_NUMBER, 1e-10), "log_every": (_COUNT, 1)},
+               "abs_tol": (_NUMBER, 1e-10), "log_every": (_COUNT, _REQUIRED)},
     # and "monitors", each monitor's keys, from _MONITORS
 }
 _GAINS = {"none": {},
-          "chain": {"alpha_x": (_GAIN, _REQUIRED), "alpha_s": (
-              ("object", _GAIN[1], "auto_dc2"), "auto_dc2")},
+          "chain": {"alpha_x": (_GAIN, _REQUIRED),
+                    "alpha_s": (_GAIN, _REQUIRED)},
           "strict_feedback": {"alpha_xi": (_GAIN, _REQUIRED)}}
 
 # RK4's step cap, h = min(_DT, 1.39 / rho(mu), t_guard - t), and RK45's
@@ -170,8 +171,7 @@ class Scenario:
             dim = cs["dim"]
             if len(cs["agents"]) != net.n_agents:
                 raise ValueError("one cost per agent required")
-            costs = CostSet(cs["agents"], dim, default_box(dim)
-                            if cs["box"] is None else cs["box"])
+            costs = CostSet(cs["agents"], dim, cs["box"])
             consts = generator_constants(costs.rho_c, costs.varrho_c,
                                          net.lambda2, net.lambdaN)
 
@@ -187,28 +187,20 @@ class Scenario:
         with _section(path, "agents"):
             agents, dist_seed = None, 0
             if controller == "chain":
-                auto = gains["alpha_s"] == "auto_dc2"  # the chain's dc2 gain
                 chain_cfg = chain_ctrl.make_chain_config(
                     ag["order"], dim, ag["v"], gains["alpha_x"],
-                    clock.mu_guard, clock.mu0,
-                    alpha_s=None if auto else gains["alpha_s"],
-                    K=None if ag["K"] == "auto" else ag["K"])
+                    clock.mu_guard, gains["alpha_s"], ag["K"])
                 constants.update(v1=chain_cfg.v1, v2=chain_cfg.v2)
                 reports.append(chain_ctrl.check_dc1(chain_cfg, alpha,
                                                     consts.c_star, grid))
-                dd = disturbance = ag["disturbance"]
-                if dd is not None:
-                    dist_seed = dd["seed"]
-                    disturbance = make_disturbance(dist_seed, net.n_agents,
-                                                   dim)
+                dist_seed = ag["disturbance"]["seed"]
                 # el_true_theta is read for the euler_lagrange plant only
                 agents = chain_ctrl.ChainAgents(
-                    chain_cfg, ag.get("el_true_theta"), disturbance)
+                    chain_cfg, ag.get("el_true_theta"),
+                    make_disturbance(dist_seed, net.n_agents, dim))
             elif controller == "strict_feedback":
                 m = ag["order"]
-                phis = tuple(_PHI_REGISTRY[p] for p in (
-                    ["identity"] * (m - 1) if ag["phi"] is None
-                    else ag["phi"]))
+                phis = tuple(_PHI_REGISTRY[p] for p in ag["phi"])
                 sf_cfg = strictfb_ctrl.SfControllerConfig(
                     m, dim, tuple(map(float, ag["c"])),
                     tuple(map(float, ag["upsilon"])), ag["sigma"],
@@ -297,7 +289,7 @@ def _read(path: str, where: str, obj, table: dict) -> dict:
             elif default is _REQUIRED:
                 raise KeyError(key)
             else:
-                out[key] = None if default is _COMPUTED else default
+                out[key] = default
             if kind[0] == "tag":
                 tables.append(kind[2][out[key]])
     if not out.keys() >= obj.keys():
@@ -311,8 +303,6 @@ def _value(path: str, where: str, key: str, v, kind):
     """v, the value of key in the object at where, read as kind."""
     name = kind[0]
     if name == "numbers" or name == "finites":
-        if type(v) is str and v == kind[1]:
-            return v
         if not _numbers(v):
             while type(v) is list:  # down to the leaf _numbers refuses
                 v = next(x for x in v if not _numbers(x))
@@ -342,8 +332,6 @@ def _value(path: str, where: str, key: str, v, kind):
             raise ValueError(f"{key} must be {kind[1]}, got {v!r}")
         return v
     if name == "object":
-        if type(v) is str and v == kind[2]:
-            return v
         with _section(path, f"{where}: {key}"):
             out = _read(path, f"{where}: {key}", v, kind[1])
             return GainFunction.from_dict(v) if kind[1] is _GAIN[1] else out
@@ -444,11 +432,9 @@ _MONITORS = {
                     chain_ctrl.chain_decay_monitor(
                         t, d["e_s_norm"], d["e_tilde_norm"], b.sys.agents.cfg,
                         b.sys.clock)),
-    # computed radius h: twice each agent's initial scaled error, plus 1
-    "invariant_set": ({"h": (_TOL, _COMPUTED)}, "strict_feedback",
+    "invariant_set": ({"h": (_TOL, _REQUIRED)}, "strict_feedback",
                       lambda b, t, d, p: strictfb_ctrl.invariant_set_monitor(
-                          t, d["e_tilde_norm"], 2.0 * d["e_tilde_norm"][0]
-                          + 1.0 if p["h"] is None else p["h"])),
+                          t, d["e_tilde_norm"], p["h"])),
     "sf_decay": ({}, "strict_feedback", lambda b, t, d, p:
                  strictfb_ctrl.sf_decay_monitor(
                      t, d["mu"], d["e_s_norm"], b.sys.agents.cfg)),
@@ -457,9 +443,10 @@ _MONITORS = {
                                t, d["mu"], d["theta_hat"], d["tau"],
                                b.sys.agents.cfg)),
 }
-# a monitor the file leaves out reads None, and is not run
-_TABLE["monitors"] = {m: (("object", keys, None), None)
-                      for m, (keys, _, _) in _MONITORS.items()}
+# the generator's monitors are required; a controller's monitor that the
+# file leaves out reads None, and is not run
+_TABLE["monitors"] = {m: (("object", keys), None if needs else _REQUIRED)
+                      for m, (keys, needs, _) in _MONITORS.items()}
 
 
 def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,

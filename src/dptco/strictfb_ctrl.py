@@ -270,7 +270,7 @@ _INVARIANT_SLACK = 0.02
 def invariant_set_monitor(times, e_tilde_norms, h):
     """Check forward invariance of {||e_tilde_s|| <= h}.
 
-    e_tilde_norms is (K, N) and h a radius per agent (N,) or one for all.
+    e_tilde_norms is (K, N) and h one radius for every agent.
     Passes iff every initial scaled error is inside its ball and no
     trajectory exceeds (1 + _INVARIANT_SLACK) h afterwards.
     """

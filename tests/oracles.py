@@ -1,11 +1,13 @@
 """Reference forms of library math that the library itself computes in a
 fused, one-pass way or does not need; tests compare the library against
 these.  Also the gain constructors the tests use (scenarios build their
-gains with GainFunction.from_dict, and make_chain_config the dc2 gain), the applied controls, which the
+gains with GainFunction.from_dict), the applied controls, which the
 closed loop computes only inside its right-hand side, the JSON forms
-of gains and costs, which only round-trip tests write, and the
-strict-feedback gain recipe (select_parameters), which scenarios do not
-use: they give c, upsilon and sigma."""
+of gains and costs, which only round-trip tests write, and the design
+recipes that scenarios do not use, since they state the result: the
+strict-feedback gains (select_parameters; scenarios give c, upsilon and
+sigma), the chain's pole placement and dc2 gain (chain_config; they give
+K and alpha_s) and the working box [-5, 5]^dim (default_box)."""
 
 import math
 import random
@@ -13,13 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dptco.chain_ctrl import EulerLagrangeParams, chain_control
+from dptco.chain_ctrl import (ChainControllerConfig, EulerLagrangeParams,
+                              chain_control, companion, make_chain_config,
+                              solve_lyapunov, v_constants)
 from dptco.costs import CostSet, ExpQuadraticCost, QuadraticCost, SumCost
 from dptco.draws import uniform
 from dptco.errors import DptcoError
 from dptco.generator import ErrorState, GeneratorConstants
 from dptco.graph import Network
-from dptco.scenario import _DT, _TABLE
+from dptco.scenario import _DT, _REQUIRED, _TABLE
 from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, _RK4_H_RHO,
                               SolverSettings, Trajectory)
 from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
@@ -34,11 +38,11 @@ class DegenerateSize(ValueError):
 
 def solver_settings(**given) -> SolverSettings:
     """SolverSettings as a scenario's solver section giving only these
-    keys reads: the key table's default for every other field, and the
-    build's step cap for dt."""
-    return SolverSettings(**{"dt": _DT, **{k: d for k, (_, d) in
-                                           _TABLE["solver"].items()},
-                             **given})
+    keys, and log_every 1 unless it is given, reads: the key table's
+    default for every other field, and the build's step cap for dt."""
+    return SolverSettings(**{"dt": _DT, "log_every": 1, **{
+        k: d for k, (_, d) in _TABLE["solver"].items() if d != _REQUIRED},
+        **given})
 
 
 def linear_gain(k: float) -> GainFunction:
@@ -59,9 +63,30 @@ def exp_gain(k1: float, k2: float) -> GainFunction:
 
 def dc2_gain(alpha_x: GainFunction, v1: float, m: int,
              mu0: float) -> GainFunction:
-    """The chain gain alpha_s derived from alpha_x, as
-    chain_ctrl.make_chain_config builds it."""
+    """The chain gain alpha_s derived from alpha_x by DC2."""
     return GainFunction("dc2", (float(v1), int(m), float(mu0)), alpha_x)
+
+
+def hurwitz_gain(m: int) -> np.ndarray:
+    """Gain vector K of length m-1 placing all eigenvalues of Lambda at -1.
+
+    The entries are the binomial coefficients of (s+1)^(m-1) below the
+    leading term, so the characteristic polynomial is exactly (s+1)^(m-1).
+    """
+    if m < 2:
+        raise ValueError("chain order must be >= 2")
+    return np.array([math.comb(m - 1, j) for j in range(m - 1)], dtype=float)
+
+
+def chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
+                 mu_guard: float) -> ChainControllerConfig:
+    """make_chain_config with K = hurwitz_gain(m) and alpha_s the dc2 gain
+    of alpha_x at the v1 that K gives, on a clock with mu0 = 1 (T = 1)."""
+    K = hurwitz_gain(m)
+    Q = np.eye(m - 1)
+    v1, _ = v_constants(solve_lyapunov(companion(K), Q), Q, m)
+    return make_chain_config(m, n, v, alpha_x, mu_guard,
+                             dc2_gain(alpha_x, v1, m, 1.0), K)
 
 
 def gain_to_dict(g: GainFunction) -> dict:
@@ -81,6 +106,11 @@ def cost_to_dict(c):
         return {"family": "exp_quadratic", "P": c.P.tolist(),
                 "center": c.center.tolist()}
     return [cost_to_dict(t) for t in c.terms]
+
+
+def default_box(dim: int) -> np.ndarray:
+    """Working box [-5, 5]^dim."""
+    return np.tile([-5.0, 5.0], (dim, 1))
 
 
 def wide_box(dim: int) -> np.ndarray:

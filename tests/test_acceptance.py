@@ -20,13 +20,13 @@ from dptco.scenario import load_scenario
 from dptco.sim_engine import integrate
 from dptco.generator import check_generator_criterion
 from dptco.timegain import PrescribedClock
-from dptco.chain_ctrl import companion, hurwitz_gain, solve_lyapunov
+from dptco.chain_ctrl import companion, solve_lyapunov
 
 import conftest
 from conftest import (at_guard, modified_build, modified_scenario,
                       scenario_path)
-from oracles import (System, agent_control, exp_gain, linear_gain, log_gain,
-                     log_grid, solver_settings)
+from oracles import (System, agent_control, exp_gain, hurwitz_gain,
+                     linear_gain, log_gain, log_grid, solver_settings)
 
 Z_STAR_E2 = np.array([0.7263, 0.7183])
 Y_BAR_E1 = np.array([-1.0 / 36.0, -2.0 / 36.0])

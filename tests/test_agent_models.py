@@ -18,10 +18,10 @@ from dptco.timegain import PrescribedClock
 
 from oracles import (System, adaptation_rhs, agent_control, cascade,
                      chain_plant_rhs, concatenated_rhs, el_acceleration_solve,
-                     el_matrices, exp_gain, filter_rhs, integrate_allocating,
-                     linear_gain, power_gain, rhs_new, sf_control,
-                     sf_derivatives, sf_plant_rhs, solver_settings, tau_value,
-                     wide_box)
+                     el_matrices, exp_gain, filter_rhs, hurwitz_gain,
+                     integrate_allocating, linear_gain, power_gain, rhs_new,
+                     sf_control, sf_derivatives, sf_plant_rhs,
+                     solver_settings, tau_value, wide_box)
 
 N, DIM = 5, 2
 CLOCK = PrescribedClock(1.0, 0.999)
@@ -49,9 +49,14 @@ def assert_close(got, want):
     assert np.abs(np.asarray(got) - want).max() <= REL * scale
 
 
-def chain_agents(m, el_theta=None, disturbance=None, mu_guard=1e3):
-    cfg = make_chain_config(m, DIM, 6.0, linear_gain(1.0), mu_guard, 1.0,
-                            alpha_s=exp_gain(1.0, 1.0), K=None)
+def calm(t):
+    """No disturbance."""
+    return np.zeros((N, DIM))
+
+
+def chain_agents(m, el_theta=None, disturbance=calm, mu_guard=1e3):
+    cfg = make_chain_config(m, DIM, 6.0, linear_gain(1.0), mu_guard,
+                            exp_gain(1.0, 1.0), hurwitz_gain(m))
     return ChainAgents(cfg, el_theta, disturbance)
 
 
@@ -77,9 +82,7 @@ def per_agent_chain(sys, t, y):
         if agents.el is not None:
             acc = el_acceleration(agents.el, x[0, i], x[1, i], u,
                                   np.empty(DIM))
-        d = (np.zeros(DIM) if agents.disturbance is None
-             else agents.disturbance(t)[i])
-        dx[:, i] = chain_plant_rhs(x[:, i], acc, d)
+        dx[:, i] = chain_plant_rhs(x[:, i], acc, agents.disturbance(t)[i])
     return dx.ravel(), np.array(us)
 
 

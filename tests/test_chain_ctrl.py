@@ -11,20 +11,19 @@ from hypothesis import strategies as st
 from dptco.chain_ctrl import (ChainControllerConfig, ElMismatch,
                               EulerLagrangeParams, chain_control,
                               chain_decay_monitor, chain_error_view, check_dc1,
-                              companion, el_acceleration, hurwitz_gain,
-                              make_chain_config, solve_lyapunov, v_constants)
+                              companion, el_acceleration, make_chain_config,
+                              solve_lyapunov, v_constants)
 from dptco.errors import DptcoError
 from dptco.timegain import PrescribedClock, kappa, log_grid
 
-from oracles import (chain_plant_rhs, dc2_gain, el_matrices, linear_gain,
-                     power_gain)
+from oracles import (chain_config, chain_plant_rhs, el_matrices,
+                     hurwitz_gain, linear_gain, power_gain)
 
 P_HAND = np.array([[1.5, 0.5], [0.5, 0.5]])
 
 
 def cfg_m2(v: float = 1.0) -> ChainControllerConfig:
-    return make_chain_config(2, 1, v, linear_gain(1.0), mu_guard=1000.0,
-                             mu0=1.0, alpha_s=None, K=None)
+    return chain_config(2, 1, v, linear_gain(1.0), 1000.0)
 
 
 # --- pole placement ----------------------------------------------------------
@@ -92,21 +91,10 @@ def test_v_constants_hand_case():
 
 # --- configuration -----------------------------------------------------------
 
-def test_make_chain_config_defaults():
-    cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=100.0,
-                            mu0=1.0, alpha_s=None, K=None)
-    assert np.allclose(cfg.K, [1.0, 2.0])
-    assert cfg.k1 == 1.0
-    assert np.allclose(cfg.L, [0.0, 1.0, 2.0])
-    assert cfg.alpha_s == dc2_gain(linear_gain(1.0), cfg.v1, 3, 1.0)
-    assert cfg.alpha_s.base == linear_gain(1.0)
-
-
 def test_make_chain_config_override_flagged():
     override = power_gain(1.0, 2.0)
-    cfg = make_chain_config(2, 1, 6.0, linear_gain(1.0), mu_guard=100.0,
-                            mu0=1.0, alpha_s=override,
-                            K=None)
+    cfg = make_chain_config(2, 1, 6.0, linear_gain(1.0), 100.0, override,
+                            hurwitz_gain(2))
     assert cfg.alpha_s is override
 
 
@@ -140,8 +128,7 @@ def test_error_view_matches_kron_form(seed):
     # e_tilde_s = k1^-1 alpha_s (K_tilde^T Phi kron I_n) e_s, stacked form
     rng = np.random.default_rng(seed)
     m, n = 3, 2
-    cfg = make_chain_config(m, n, 6.0, linear_gain(1.0), mu_guard=1000.0,
-                            mu0=1.0, alpha_s=None, K=None)
+    cfg = chain_config(m, n, 6.0, linear_gain(1.0), 1000.0)
     x = rng.standard_normal((m, n))
     varpi = rng.standard_normal(n)
     mu = float(rng.uniform(1.0, 50.0))
@@ -158,8 +145,7 @@ def test_error_view_matches_kron_form(seed):
 # --- control law -------------------------------------------------------------
 
 def test_control_zero_at_origin():
-    cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=1000.0,
-                            mu0=1.0, alpha_s=None, K=None)
+    cfg = chain_config(3, 2, 6.0, linear_gain(1.0), 1000.0)
     u = chain_control(np.zeros((3, 2)), np.zeros(2), 2.0, cfg)
     assert np.allclose(u, 0.0)
 
@@ -188,15 +174,13 @@ def test_control_sign_flip():
 
 
 def test_control_guard_enforced():
-    cfg = make_chain_config(2, 1, 6.0, linear_gain(1.0), mu_guard=10.0,
-                            mu0=1.0, alpha_s=None, K=None)
+    cfg = chain_config(2, 1, 6.0, linear_gain(1.0), 10.0)
     with pytest.raises(DptcoError, match="mu=11.0 beyond guard 10.0"):
         chain_control(np.ones((2, 1)), np.zeros(1), 11.0, cfg)
 
 
 def test_control_continuity():
-    cfg = make_chain_config(3, 2, 6.0, linear_gain(1.0), mu_guard=1000.0,
-                            mu0=1.0, alpha_s=None, K=None)
+    cfg = chain_config(3, 2, 6.0, linear_gain(1.0), 1000.0)
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = rng.standard_normal((3, 2))

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptco.costs import (CostSet, ExpQuadraticCost, QuadraticCost, SumCost,
-                         _curvature_pairs, cost_from_dict, default_box,
+                         _curvature_pairs, cost_from_dict,
                          estimate_constants, grad_sum, optimum_oracle)
 from dptco.errors import DptcoError
 
 import oracles
+from oracles import default_box
 from conftest import scenario_path
 
 Z_STAR_REFERENCE = np.array([0.7263, 0.7183])

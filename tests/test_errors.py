@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dptco.chain_ctrl import chain_control, make_chain_config, solve_lyapunov
-from dptco.costs import CostSet, QuadraticCost, default_box, optimum_oracle
+from dptco.chain_ctrl import chain_control, solve_lyapunov
+from dptco.costs import CostSet, QuadraticCost, optimum_oracle
 from dptco.errors import DptcoError, ScenarioError
 from dptco.generator import ratio_report
 from dptco.graph import build_network, require_connected
@@ -21,14 +21,13 @@ from dptco.sim_engine import export_csv, integrate
 from dptco.strictfb_ctrl import SfControllerConfig
 from dptco.timegain import GainFunction, PrescribedClock, _adaptive_simpson
 
-from oracles import System, solver_settings
+from oracles import System, chain_config, default_box, solver_settings
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dptco"
 
 
 def _guard(tmp, mp):
-    cfg = make_chain_config(2, 1, 6.0, GainFunction("linear", (1.0,)),
-                            10.0, 1.0, None, None)
+    cfg = chain_config(2, 1, 6.0, GainFunction("linear", (1.0,)), 10.0)
     chain_control(np.ones((2, 1)), np.zeros(1), 11.0, cfg)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptco.costs import (CostSet, ExpQuadraticCost, QuadraticCost, SumCost,
-                         default_box, optimum_oracle)
+                         optimum_oracle)
 from dptco.errors import DptcoError
 from dptco.generator import (ErrorState, conservation_monitor,
                              design_radius, envelope_monitor, error_state,
@@ -17,8 +17,8 @@ from dptco.generator import (ErrorState, conservation_monitor,
 from dptco.graph import build_network
 from dptco.sim_engine import CoupledSystem
 from dptco.timegain import PrescribedClock, kappa
-from oracles import (agent_rhs, cost_gradient, linear_gain, lyapunov_vr,
-                     rhs_jacobian, rhs_new, wide_box)
+from oracles import (agent_rhs, cost_gradient, default_box, linear_gain,
+                     lyapunov_vr, rhs_jacobian, rhs_new, wide_box)
 
 RING6 = [[i, (i + 1) % 6, 1.0] for i in range(6)]
 

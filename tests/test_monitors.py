@@ -1,14 +1,13 @@
 """The one monitor rule: every monitor is a logged ratio over (K, N)
 reported by generator.ratio_report, and each of them can fail."""
 
-import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dptco.chain_ctrl import chain_decay_monitor, make_chain_config
+from dptco.chain_ctrl import chain_decay_monitor
 from dptco.cli import read_trajectory_csv
 from dptco.costs import optimum_oracle
 from dptco.errors import DptcoError
@@ -19,14 +18,13 @@ from dptco.strictfb_ctrl import (SfControllerConfig, invariant_set_monitor,
 from dptco.timegain import PrescribedClock
 
 from conftest import scenario_path
-from oracles import (chain_decay_fit, linear_gain, sf_decay_fit,
-                     theta_hat_max_ratio)
+from oracles import (chain_config, chain_decay_fit, linear_gain,
+                     sf_decay_fit, theta_hat_max_ratio)
 
 CLOCK = PrescribedClock(1.0, 0.999)
 TIMES = np.linspace(0.0, 0.8, 5)  # K = 5 logged times of N = 2 agents
 MUS = np.array([CLOCK.mu(t) for t in TIMES])
-CHAIN = make_chain_config(2, 1, 1.0, linear_gain(1.0), mu_guard=1000.0,
-                          mu0=1.0, alpha_s=None, K=None)
+CHAIN = chain_config(2, 1, 1.0, linear_gain(1.0), 1000.0)
 SF = SfControllerConfig(2, 1, (2.0, 2.0), (3.0,), 2.0, linear_gain(1.0),
                         mu_guard=1000.0, phis=(lambda x: x,))
 
@@ -143,8 +141,8 @@ FAILING = {
     "chain_decay": ({}, CHAIN, lambda v: {
         "e_s_norm": _channel(0.0, {(3, 0): math.nan}, v),
         "e_tilde_norm": _channel(1.0, {(2, 1): math.inf}, v)}, 2),
-    "invariant_set": ({"h": None}, SF, lambda v: {
-        # default radius 2 * 1 + 1 = 3; 3.1 / 3 is over 1.02
+    "invariant_set": ({"h": 3.0}, SF, lambda v: {
+        # 3.1 / 3 is over 1.02
         "e_tilde_norm": _channel(1.0, {(2, 1): 3.1, (3, 0): 10.0}, v)}, 2),
     "sf_decay": ({}, SF, lambda v: {
         "mu": MUS, "e_s_norm": _channel(1.0, {(2, 1): math.inf}, v)}, 2),
@@ -192,16 +190,10 @@ def test_example2_monitors_equal_their_per_column_calls(example2_run):
     build, traj, d = _derived(example2_run)
     t, cfg = traj.times, build.sys.agents.cfg
     cols = range(build.sys.net.n_agents)
-    # the bundled radius, then the default one: 2 ||e_tilde(0)|| + 1
-    for params in (build.monitors["invariant_set"], {"h": None}):
-        [rep] = evaluate_monitors(
-            dataclasses.replace(build, monitors={"invariant_set": params}),
-            traj, d)
-        e = d["e_tilde_norm"]
-        _check_columns(rep, [invariant_set_monitor(
-            t, e[:, i:i + 1], 2.0 * e[0, i] + 1.0 if params["h"] is None
-            else params["h"]) for i in cols])
     reports = {r.name: r for r in evaluate_monitors(build, traj, d)}
+    h = build.monitors["invariant_set"]["h"]
+    _check_columns(reports["invariant_set"], [invariant_set_monitor(
+        t, d["e_tilde_norm"][:, i:i + 1], h) for i in cols])
     _check_columns(reports["sf_decay"], [sf_decay_monitor(
         t, d["mu"], d["e_s_norm"][:, i:i + 1], cfg) for i in cols],
         sf_decay_fit(d["mu"], d["e_s_norm"], cfg))

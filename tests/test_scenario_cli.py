@@ -4,6 +4,7 @@ import json
 import math
 import os
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -212,13 +213,15 @@ def test_small_sigma_refused_before_integration(tmp_path, capsys,
 
 def _refused_before_integration(monkeypatch, capsys, tmp_path, p):
     """Run p, which must fail its build: exit 1, no integration, no
-    output file; returns stderr."""
+    warning, no output file; returns stderr."""
     def no_integrate(*args, **kwargs):
         raise AssertionError("integrated a scenario that must not build")
 
     monkeypatch.setattr(cli, "integrate", no_integrate)
     out = tmp_path / "o"
-    assert main(["run", p, "--out", str(out)]) == EXIT_CONFIG
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", p, "--out", str(out)]) == EXIT_CONFIG
     assert not (out / "trajectory.csv").exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -312,11 +315,20 @@ def _put(*keys, value=math.nan):
     ("example2_generator", _put("costs", "agents", 2, 1, "P",
                                 value=[[100.0, 0.0], [0.0, 100.0]]),
      "costs: curvature constants must be finite on the working box"),
+    # finite numbers that overflow what is built from them: the norm of
+    # the curvature sample's point pairs warned before the constants were
+    # refused, and W_hat - W was inf - inf, with a warning, before the run
+    # stopped in the integrator under no section
+    ("example2_generator", _put("costs", "box", 1, 1, value=1e308),
+     "costs: curvature constants must be finite on the working box"),
+    ("example1", _put("agents", "el_true_theta", 4, value=1e308),
+     "agents: el_true_theta gives non-finite manipulator coefficients"),
 ], ids=["T_nan", "T_inf", "guard_frac_nan", "t0_nan", "t0_-inf",
         "varpi_init", "p_init", "x_init",
         "theta_hat_init", "quadratic_center", "exp_quadratic_center", "box",
         "weight_nan", "weight_inf", "offsets", "v", "K", "el_true_theta",
-        "thetas", "c", "upsilon", "sigma", "overflowing_cost"])
+        "thetas", "c", "upsilon", "sigma", "overflowing_cost", "huge_box",
+        "huge_el_true_theta"])
 def test_non_finite_number_refused_in_its_section(tmp_path, capsys,
                                                   monkeypatch, name, edit,
                                                   message):
@@ -367,8 +379,10 @@ def test_flat_curvature_refused_under_costs(tmp_path, capsys, monkeypatch):
         "example1_invariant_set"])
 def test_monitor_of_another_controller_refused(tmp_path, capsys, monkeypatch,
                                                name, monitor, message):
+    # with the radius that invariant_set requires
+    keys = {"h": 1.0} if monitor == "invariant_set" else {}
     p = modified_scenario(name, tmp_path,
-                          lambda raw: raw["monitors"].update({monitor: {}}))
+                          lambda raw: raw["monitors"].update({monitor: keys}))
     err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
     assert err.startswith(f"error: {p}: monitors: {monitor}: {message}")
 
@@ -510,10 +524,10 @@ def test_override_acknowledged_only_by_true(tmp_path, capsys, monkeypatch):
 
 def test_euler_lagrange_plant_of_order_3_refused(tmp_path, capsys,
                                                  monkeypatch):
-    # K is left to pole placement: example1's K = [2.0] is for order 2
+    # with the m - 1 = 2 gains in K that order 3 takes
     def edit(raw):
         raw["agents"]["order"] = 3
-        del raw["agents"]["K"]
+        raw["agents"]["K"] = [1.0, 2.0]
 
     p = modified_scenario("example1", tmp_path, edit)
     err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
@@ -587,6 +601,46 @@ def test_removed_key_refused_at_its_old_value(tmp_path, capsys, monkeypatch,
     if allowed is not None:
         assert err == (f"error: {p}: {where}: unknown key(s) {path[-2]}; "
                        f"allowed: {allowed}\n")
+
+
+# each key whose default no shipped scenario took, now required: (the
+# bundled scenario that sets it, the path of the key, the section the
+# error names)
+REQUIRED_KEYS = {
+    "name": ("ring", ("name",), "top level"),
+    "box": ("ring", ("costs", "box"), "costs"),
+    "log_every": ("ring", ("solver", "log_every"), "solver"),
+    "conservation": ("ring", ("monitors", "conservation"), "monitors"),
+    "envelope": ("ring", ("monitors", "envelope"), "monitors"),
+    "tracking": ("ring", ("monitors", "tracking"), "monitors"),
+    "alpha_s": ("example1", ("gains", "alpha_s"), "gains"),
+    "v": ("example1", ("agents", "v"), "agents"),
+    "K": ("example1", ("agents", "K"), "agents"),
+    "plant": ("example1", ("agents", "plant"), "agents"),
+    "disturbance": ("example1", ("agents", "disturbance"), "agents"),
+    "seed": ("example1", ("agents", "disturbance", "seed"),
+             "agents: disturbance"),
+    "phi": ("example2", ("agents", "phi"), "agents"),
+    "theta_hat_init": ("example2", ("agents", "theta_hat_init"), "agents"),
+    "h": ("example2", ("monitors", "invariant_set", "h"),
+          "monitors: invariant_set"),
+}
+
+
+@pytest.mark.parametrize("key", REQUIRED_KEYS)
+def test_required_key_left_out_is_refused(tmp_path, capsys, monkeypatch,
+                                          key):
+    name, path, where = REQUIRED_KEYS[key]
+
+    def drop(raw):
+        d = raw
+        for k in path[:-1]:
+            d = d[k]
+        del d[path[-1]]
+
+    p = modified_scenario(name, tmp_path, drop)
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err == f"error: {p}: {where}: missing required key {key!r}\n"
 
 
 def test_a_million_agents_on_six_edges_refused_before_allocation(

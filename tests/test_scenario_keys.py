@@ -1,13 +1,15 @@
-"""The scenario key table (`scenario._TABLE`): every default set by a
-scenario we ship, the README reference written from it, and builds of
-bundled scenarios mutated along it.
+"""The scenario key table (`scenario._TABLE`): every default set and
+taken by a scenario we ship, the README reference written from it, and
+builds of bundled scenarios mutated along it.
 
 The census is the scenario-file twin of test_settable_values.py.  Each key
-with a default is listed in SET_BY with the bundled scenario or seed-201
-benchmark input that sets it to another value (for a computed or absent
-default: that gives it at all), or None when none does.  A key some
-scenario sets must name one, and no key is open: a key that no shipped
-scenario sets to another value is a constant of the code, not a key.
+with a default is listed twice, with a bundled scenario or seed-201
+benchmark input: in SET_BY with one that sets it to another value (for a
+default of none: that gives it at all), and in TAKEN_BY with one that
+leaves it out where the key table reads it.  A default that no shipped
+scenario sets is a constant of the code, not a key; one that none takes
+is a required key.  No shipped file writes a key at its default, so a
+default's takers are the files that rely on it.
 """
 
 import copy
@@ -21,8 +23,7 @@ from hypothesis import strategies as st
 
 from dptco import timegain
 from dptco.errors import ScenarioError
-from dptco.scenario import (_COMPUTED, _GAIN, _GAINS, _REQUIRED, _TABLE,
-                            _TERM, Scenario)
+from dptco.scenario import _GAIN, _GAINS, _REQUIRED, _TABLE, _TERM, Scenario
 
 from conftest import SCEN_DIR, scenario_path
 
@@ -31,34 +32,36 @@ BUNDLED = ("ring", "example2_generator", "example1", "example2")
 
 # dotted key -> the scenario that sets it to another value, or None
 SET_BY = {
-    "name": "ring",
     "clock.guard_frac": "example1",
-    "costs.box": "ring",
     "costs.agents.offset": "example2",
     "gains.acknowledge_criteria_override": "example1",
-    "gains.alpha_s": "example1",
     "agents.controller": "example1",
     "agents.offsets": "example1",
-    "agents.v": "example1",
-    "agents.K": "example1",
-    "agents.plant": "example1",
-    "agents.disturbance": "example1",
-    "agents.disturbance.seed": "manipulator_chain",
-    "agents.phi": "example2",
-    "agents.theta_hat_init": "example2",
     "solver.method": "example2",
     "solver.rel_tol": "ring",
     "solver.abs_tol": "ring",
-    "solver.log_every": "ring",
-    "monitors.conservation": "ring",
-    "monitors.envelope": "ring",
-    "monitors.tracking": "ring",
     "monitors.tracking.tol": "example1",
     "monitors.chain_decay": "example1",
     "monitors.invariant_set": "example2",
-    "monitors.invariant_set.h": "example2",
     "monitors.sf_decay": "example2",
     "monitors.theta_hat_envelope": "example2",
+}
+
+# dotted key -> a scenario that leaves it out, and so takes its default
+TAKEN_BY = {
+    "clock.guard_frac": "ring",
+    "costs.agents.offset": "ring",
+    "gains.acknowledge_criteria_override": "ring",
+    "agents.controller": "ring",
+    "agents.offsets": "example2",
+    "solver.method": "ring",
+    "solver.rel_tol": "example2",
+    "solver.abs_tol": "example2",
+    "monitors.tracking.tol": "ring",
+    "monitors.chain_decay": "ring",
+    "monitors.invariant_set": "ring",
+    "monitors.sf_decay": "ring",
+    "monitors.theta_hat_envelope": "ring",
 }
 
 # the keys no scenario sets to another value: none, and none may come back
@@ -96,16 +99,42 @@ def defaulted_keys() -> dict:
     return out
 
 
-def _found(node, keys):
-    """The values at the dotted keys below node; a list on the way stands
-    for each of its entries."""
-    if not keys:
-        return [node]
-    if isinstance(node, list):
-        return [v for x in node for v in _found(x, keys)]
-    if isinstance(node, dict) and keys[0] in node:
-        return _found(node[keys[0]], keys[1:])
-    return []
+def _walk(raw: dict):
+    """(path, dotted key, kind, value) of every key that the key table
+    reads in raw, path None where the file leaves the key out: each
+    section against its table, and below it each object the file gives
+    and each cost term, a tag's keys by its value or its default."""
+    controller = raw["agents"].get("controller",
+                                    _TABLE["agents"]["controller"][1])
+
+    def walk(path, prefix, obj, table):
+        for key, (kind, default) in table.items():
+            dotted = f"{prefix}.{key}" if prefix else key
+            if key not in obj:
+                yield None, dotted, kind, None
+                if kind[0] == "tag" and default != _REQUIRED:
+                    yield from walk(path, prefix, obj, kind[2][default])
+                continue
+            here, v = path + (key,), obj[key]
+            yield here, dotted, kind, v
+            if kind[0] == "object" and isinstance(v, dict):
+                yield from walk(here, dotted, v, kind[1])
+            elif kind[0] == "tag" and v in kind[2]:
+                yield from walk(path, prefix, obj, kind[2][v])
+            elif kind[0] == "costs":
+                for i, c in enumerate(v):
+                    for j, term in enumerate(c if isinstance(c, list)
+                                             else [c]):
+                        where = here + ((i, j) if isinstance(c, list)
+                                        else (i,))
+                        yield from walk(where, dotted, term, _TERM)
+
+    yield from walk((), "", raw, _TABLE["top level"])
+    for section, table in _TABLE.items():
+        if section != "top level":
+            yield from walk((section,), section, raw[section], {
+                **table, **_GAINS[controller]} if section == "gains"
+                else table)
 
 
 @pytest.fixture(scope="module")
@@ -126,35 +155,57 @@ def scenarios(tmp_path_factory) -> dict:
     return out
 
 
-def _setters(scenarios: dict, key: str, default) -> list:
-    """The scenarios that set key to another value than its default."""
-    return [name for name, raw in scenarios.items()
-            if any(default in (None, _COMPUTED) or v != default
-                   for v in _found(raw, key.split(".")))]
+@pytest.fixture(scope="module")
+def census(scenarios) -> dict:
+    """Dotted key -> its "set", "taken" and "restated" lists: the scenarios
+    that give it another value than its default, that leave it out, and
+    that write it at its default."""
+    defaults = defaulted_keys()
+    out = {key: {"set": [], "taken": [], "restated": []} for key in defaults}
+    for name, raw in scenarios.items():
+        for path, key, _, v in _walk(raw):
+            if key in defaults:
+                use = ("taken" if path is None else "restated"
+                       if v == defaults[key] else "set")
+                if name not in out[key][use]:
+                    out[key][use].append(name)
+    return out
 
 
 def test_every_defaulted_key_is_listed():
     assert sorted(SET_BY) == sorted(defaulted_keys())
+    assert sorted(TAKEN_BY) == sorted(defaulted_keys())
 
 
-def test_each_listed_scenario_sets_its_key(scenarios):
-    wrong = {key: (name, _setters(scenarios, key, default))
-             for key, default in defaulted_keys().items()
-             if (name := SET_BY[key]) is not None
-             and name not in _setters(scenarios, key, default)}
+def test_each_listed_scenario_sets_its_key(census):
+    wrong = {key: (name, census[key]["set"]) for key, name in SET_BY.items()
+             if name is not None and name not in census[key]["set"]}
     assert wrong == {}
 
 
-def test_open_keys_are_set_by_no_scenario(scenarios):
+def test_open_keys_are_set_by_no_scenario(census):
     # a key a scenario now sets must name it in SET_BY
-    set_now = {key: _setters(scenarios, key, default)
-               for key, default in defaulted_keys().items()
-               if SET_BY[key] is None and _setters(scenarios, key, default)}
+    set_now = {key: census[key]["set"] for key, name in SET_BY.items()
+               if name is None and census[key]["set"]}
     assert set_now == {}
 
 
 def test_open_keys_do_not_grow():
     assert sum(v is None for v in SET_BY.values()) <= OPEN_AT_MOST
+
+
+def test_each_listed_scenario_takes_its_key(census):
+    # a default that no shipped scenario takes is a required key
+    wrong = {key: (name, census[key]["taken"])
+             for key, name in TAKEN_BY.items()
+             if name not in census[key]["taken"]}
+    assert wrong == {}
+
+
+def test_no_shipped_scenario_restates_a_default(census):
+    restated = {key: uses["restated"] for key, uses in census.items()
+                if uses["restated"]}
+    assert restated == {}
 
 
 # --- the README reference ---------------------------------------------------
@@ -167,19 +218,17 @@ def _kind_text(kind) -> str:
         return "list of " + ", ".join(f"`{v}`" for v in kind[2])
     if name == "limit":
         return "number > 0"
-    word = kind[-1] if name in ("numbers", "finites", "object") else None
-    text = {"number": "number", "finite": "finite number",
+    if name == "object" and kind[1] is _GAIN[1]:
+        return "gain"
+    return {"number": "number", "finite": "finite number",
             "count": "whole number", "bool": "true or false",
             "text": "string", "numbers": "numbers",
             "finites": "finite numbers", "section": "object",
             "costs": "list of cost terms", "object": "object"}[name]
-    if name == "object" and kind[1] is _GAIN[1]:
-        text = "gain"
-    return text + (f' or `"{word}"`' if word else "")
 
 
 def _default_text(default) -> str:
-    if default in (_REQUIRED, _COMPUTED, None):
+    if default in (_REQUIRED, None):
         return {None: "none"}.get(default, default)
     return f"`{json.dumps(default)}`"
 
@@ -229,39 +278,6 @@ def test_readme_reference_matches_the_table():
 
 # --- builds of mutated bundled scenarios -------------------------------------
 
-def _paths(raw: dict):
-    """(path, kind) of every key the key table reads in raw: each section
-    against its table, and below it each object and cost term."""
-    controller = raw["agents"].get("controller",
-                                    _TABLE["agents"]["controller"][1])
-
-    def walk(path, obj, table):
-        for key, (kind, _) in table.items():
-            if key not in obj:
-                continue
-            here = path + (key,)
-            yield here, kind
-            v = obj[key]
-            if kind[0] == "object" and isinstance(v, dict):
-                yield from walk(here, v, kind[1])
-            elif kind[0] == "tag" and v in kind[2]:
-                yield from walk(path, obj, kind[2][v])
-            elif kind[0] == "costs":
-                for i, c in enumerate(v):
-                    for j, term in enumerate(c if isinstance(c, list)
-                                             else [c]):
-                        where = here + ((i, j) if isinstance(c, list)
-                                        else (i,))
-                        yield from walk(where, term, _TERM)
-
-    yield from walk((), raw, _TABLE["top level"])
-    for section, table in _TABLE.items():
-        if section != "top level":
-            yield from walk((section,), raw[section], {
-                **table, **_GAINS[controller]} if section == "gains"
-                else table)
-
-
 # a value of each kind; a retyped key takes one its kind does not read
 SAMPLES = {"number": 1.5, "count": 3, "bool": True, "text": "x",
            "array": [[1.0, 2.0]], "object": {}, "null": None}
@@ -297,7 +313,8 @@ def _mutate(raw: dict, path: tuple, kind, how: str, draw) -> None:
 @pytest.mark.parametrize("name", BUNDLED)
 def test_mutated_scenario_builds_or_is_refused_in_its_section(name, data):
     raw = json.loads((SCEN_DIR / f"{name}.json").read_text())
-    paths = sorted(_paths(raw), key=str)
+    paths = sorted(((path, kind) for path, _, kind, _ in _walk(raw)
+                    if path is not None), key=str)
     path, kind = data.draw(st.sampled_from(paths))
     shapeable = kind[0] in ("numbers", "finites", "costs")
     how = data.draw(st.sampled_from(
