@@ -249,6 +249,19 @@ class ChainAgents:
             if not np.isfinite(true.coefficients).all():
                 raise ValueError("el_true_theta gives non-finite manipulator "
                                  f"coefficients: {list(el_theta)}")
+            # M = A + cos(q2) B is affine in cos q2: positive definite for
+            # every q2 exactly when it is at cos q2 = 1 and -1 (floats, so
+            # an overflow gives inf without a warning)
+            (a11, a12), (_, a22) = true.coefficients[0].tolist()
+            (b11, b12), (_, b22) = true.coefficients[1].tolist()
+            for c in (1.0, -1.0):
+                m11, m12, m22 = a11 + c * b11, a12 + c * b12, a22 + c * b22
+                det = m11 * m22 - m12 * m12
+                if not (m11 > 0.0 and 0.0 < det < math.inf):
+                    raise ValueError(
+                        "el_true_theta gives an inertia matrix that is not "
+                        "positive definite with a finite determinant at "
+                        f"cos q2 = {c:g}: {list(el_theta)}")
             self.el = ElMismatch.of(true, EulerLagrangeParams(
                 tuple(_EL_NOMINAL_SCALE * t for t in el_theta)))
         self.disturbance = disturbance

@@ -1,20 +1,21 @@
 """Per-agent convex costs, their curvature constants, and the optimum oracle.
 
-Cost families are quadratic (z - c)^T Q (z - c) + offset and exp-quadratic
-exp((z - c)^T P (z - c)), plus sums of these.  The strong-convexity constant
-rho_c and gradient-Lipschitz constant varrho_c are analytic for quadratics
-and sampled on a declared working box otherwise.  Every gradient comes
-from one batched table of all agents' terms (`CostSet.grad_stack`), and
-every Hessian from central differences of it (`CostSet.hessian_stack`).
-The centralized optimum oracle is verification-only plumbing: a damped
-Newton iteration on the team cost.
+Each agent's cost is a sum of terms, quadratic (z - c)^T Q (z - c) + offset
+or exp-quadratic exp((z - c)^T P (z - c)), held once in `CostSet`'s table
+of all agents' terms.  The strong-convexity constant rho_c and
+gradient-Lipschitz constant varrho_c are analytic for quadratics and
+sampled on a declared working box otherwise.  Every gradient comes from
+the table's family batches (`CostSet.grad_stack`), and every Hessian from
+central differences of it (`CostSet.hessian_stack`).  The centralized
+optimum oracle is verification-only plumbing: a damped Newton iteration
+on the team cost.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +27,11 @@ _NEWTON_MAX_ITER = 10_000
 _NEWTON_TOL = 1e-8  # gradient norm at which the oracle stops
 _CURVATURE_SAMPLES = 400  # random point pairs of estimate_constants
 
+# family: (its matrix key, the definiteness the matrix needs, the test of
+# its least eigenvalue against 0)
+_FAMILIES = {"quadratic": ("Q", "positive definite", np.greater),
+             "exp_quadratic": ("P", "positive semidefinite", np.greater_equal)}
+
 
 def _finite(name: str, a) -> np.ndarray:
     """a as a float array, refused unless every entry is finite."""
@@ -36,121 +42,82 @@ def _finite(name: str, a) -> np.ndarray:
     return a
 
 
-class QuadraticCost:
-    """f(z) = (z - center)^T Q (z - center) + offset with Q symmetric PD."""
-
-    def __init__(self, Q, center, offset: float):
-        self.Q = _finite("Q", Q)
-        self.center = _finite("center", center)
-        self.offset = float(offset)
-        _finite("offset", self.offset)
-        self.dim = self.center.shape[0]
-        if self.Q.shape != (self.dim, self.dim):
-            raise DptcoError("Q shape does not match center")
-        eigs = np.linalg.eigvalsh(self.Q)  # reads one triangle only
-        if eigs[0] <= 0 or not (self.Q == self.Q.T).all():
-            raise DptcoError("Q must be symmetric positive definite")
-        self.rho_c = 2.0 * float(eigs[0])
-        self.varrho_c = 2.0 * float(eigs[-1])
-
-    def value(self, z):
-        d = np.asarray(z, dtype=float) - self.center
-        return float(d @ self.Q @ d) + self.offset
+def _term(t: dict, dim: int) -> tuple:
+    """(family, matrix, center, offset) of one term dict, checked."""
+    fam = t["family"]
+    if fam not in _FAMILIES:
+        raise DptcoError(f"unknown cost family {fam!r}")
+    key = _FAMILIES[fam][0]
+    mat = _finite(key, t[key])
+    center = _finite("center", t["center"])
+    offset = float(_finite("offset", t.get("offset", 0.0)))
+    if center.shape != (dim,):
+        raise DptcoError("cost dimension mismatch in CostSet")
+    if mat.shape != (dim, dim):
+        raise DptcoError(f"{key} shape does not match center")
+    return fam, mat, center, offset
 
 
-class ExpQuadraticCost:
-    """f(z) = exp((z - center)^T P (z - center)) with P symmetric PSD.
+class CostSet:
+    """Every agent's cost, held once as a table of terms, with aggregate
+    curvature constants on a working box (dim, 2).
 
-    Only locally gradient-Lipschitz; curvature constants are sampled on the
-    working box supplied by the scenario.
+    agents[i] is agent i's cost as the scenario reader returns it: one
+    term dict, {"family": "quadratic", "Q", "center", "offset"} or
+    {"family": "exp_quadratic", "P", "center"}, or a list of them (their
+    sum).  `terms` holds (agent, family, matrix, center, offset) per term,
+    in file order.
     """
 
-    def __init__(self, P, center):
-        self.P = _finite("P", P)
-        self.center = _finite("center", center)
-        self.dim = self.center.shape[0]
-        if self.P.shape != (self.dim, self.dim):
-            raise DptcoError("P shape does not match center")
-        eigs = np.linalg.eigvalsh(self.P)  # reads one triangle only
-        if eigs[0] < 0 or not (self.P == self.P.T).all():
-            raise DptcoError("P must be symmetric positive semidefinite")
-        self.rho_c = None
-        self.varrho_c = None
-
-    def value(self, z):
-        d = np.asarray(z, dtype=float) - self.center
-        return float(math.exp(d @ self.P @ d))
-
-
-class SumCost:
-    """Sum of cost terms sharing one dimension."""
-
-    def __init__(self, terms):
-        self.terms = list(terms)
-        if not self.terms:
-            raise ValueError("SumCost needs at least one term")
-        self.dim = self.terms[0].dim
-        for t in self.terms:
-            if t.dim != self.dim:
-                raise DptcoError("SumCost terms disagree on dimension")
-        # analytic only when every term's constants are
-        analytic = all(t.varrho_c is not None for t in self.terms)
-        self.rho_c = sum(t.rho_c for t in self.terms) if analytic else None
-        self.varrho_c = (sum(t.varrho_c for t in self.terms) if analytic
-                         else None)
-
-    def value(self, z):
-        return sum(t.value(z) for t in self.terms)
-
-
-def cost_from_dict(d) -> QuadraticCost | ExpQuadraticCost | SumCost:
-    """Build a cost from its read scenario JSON; lists become sums."""
-    if isinstance(d, list):
-        return SumCost([cost_from_dict(x) for x in d])
-    fam = d["family"]
-    if fam == "quadratic":
-        return QuadraticCost(d["Q"], d["center"], d["offset"])
-    if fam == "exp_quadratic":
-        return ExpQuadraticCost(d["P"], d["center"])
-    raise ValueError(f"unknown cost family {fam!r}")
-
-
-@dataclass
-class CostSet:
-    """Per-agent costs with aggregate curvature constants on a working box."""
-
-    costs: list
-    dim: int
-    box: np.ndarray  # (dim, 2) axis-aligned working region
-    rho_c: float = field(init=False)
-    varrho_c: float = field(init=False)
-
-    def __post_init__(self):
-        for c in self.costs:
-            if c.dim != self.dim:
-                raise DptcoError("cost dimension mismatch in CostSet")
-        self.box = _finite("box", self.box)
-        if self.box.shape != (self.dim, 2):
+    def __init__(self, agents: list, dim: int, box):
+        self.dim = dim
+        self.n_agents = len(agents)
+        self.terms = []
+        for i, c in enumerate(agents):
+            c = c if type(c) is list else [c]
+            if not c:
+                raise DptcoError(f"agent {i}: a sum of costs needs at least "
+                                 "one term")
+            self.terms += [(i,) + _term(t, dim) for t in c]
+        spectra = {}  # per family, its terms' eigenvalues in table order
+        for fam, (key, definite, positive) in _FAMILIES.items():
+            mats = np.array([m for _, f, m, _, _ in self.terms if f == fam])
+            if not len(mats):
+                continue
+            spectra[fam] = np.linalg.eigvalsh(mats)  # reads one triangle
+            if not (positive(spectra[fam][:, 0], 0.0).all()
+                    and (mats == mats.transpose(0, 2, 1)).all()):
+                raise DptcoError(f"{key} must be symmetric {definite}")
+        self.box = _finite("box", box)
+        if self.box.shape != (dim, 2):
             raise DptcoError("box must be (dim, 2)")
-        if all(c.varrho_c is not None for c in self.costs):
-            self.rho_c = min(c.rho_c for c in self.costs)
-            self.varrho_c = max(c.varrho_c for c in self.costs)
-        else:
+        if "exp_quadratic" in spectra:
             self.rho_c, self.varrho_c = estimate_constants(self)
+        else:
+            # 2 lambda_min(Q) and 2 lambda_max(Q), summed over an agent's terms
+            rho, varrho = [0.0] * self.n_agents, [0.0] * self.n_agents
+            for (i, *_), eigs in zip(self.terms, spectra["quadratic"]):
+                rho[i] += 2.0 * float(eigs[0])
+                varrho[i] += 2.0 * float(eigs[-1])
+            self.rho_c, self.varrho_c = min(rho), max(varrho)
         if not (math.isfinite(self.rho_c) and math.isfinite(self.varrho_c)):
             raise DptcoError(
                 "curvature constants must be finite on the working box, got "
                 f"rho_c = {self.rho_c}, varrho_c = {self.varrho_c}")
 
-    @property
-    def n_agents(self) -> int:
-        return len(self.costs)
-
     def team_value(self, z) -> float:
-        return sum(c.value(z) for c in self.costs)
+        """sum_i f_i(z), over each agent's terms, then over agents."""
+        z = np.asarray(z, dtype=float)
+        values = [0.0] * self.n_agents
+        for i, fam, mat, center, offset in self.terms:
+            d = z - center
+            q = float(d @ mat @ d)
+            values[i] += q + offset if fam == "quadratic" else math.exp(q)
+        return sum(values)
 
     def grad_stack(self, Z: np.ndarray) -> np.ndarray:
-        """Per-agent gradients at per-agent points: row i is grad f_i(Z[i]).
+        """Per-agent gradients at per-agent points: [..., i, :] is
+        grad f_i(Z[..., i, :]) for Z (..., N, dim).
 
         Batched over all agents' terms; used in the simulation hot path.
         """
@@ -161,13 +128,14 @@ class CostSet:
                 out = grad(mats, Z - cents)
                 continue
             if out is None:
-                out = np.zeros_like(Z, dtype=float)
+                out = np.zeros(Z.shape)
             if idx is None:
                 out += grad(mats, Z - cents)
             elif unique:
-                out[idx] += grad(mats, Z[idx] - cents)
+                out[..., idx, :] += grad(mats, Z[..., idx, :] - cents)
             else:
-                np.add.at(out, idx, grad(mats, Z[idx] - cents))
+                np.add.at(out, (..., idx, slice(None)),
+                          grad(mats, Z[..., idx, :] - cents))
         return out
 
     def hessian_stack(self, Z: np.ndarray) -> np.ndarray:
@@ -178,7 +146,7 @@ class CostSet:
 
     @cached_property
     def _batches(self) -> list:
-        return _term_batches(self.costs)
+        return _term_batches(self.terms, self.n_agents)
 
 
 def _central_differences(grad, Z: np.ndarray) -> np.ndarray:
@@ -195,46 +163,36 @@ def _central_differences(grad, Z: np.ndarray) -> np.ndarray:
     return hess
 
 
-def _term_batches(costs: list) -> list:
-    """Group the terms of all agents' costs by family for batched
-    gradients, each family's terms ordered by agent.
+def _term_batches(terms: list, n_agents: int) -> list:
+    """Group the term table by family for batched gradients, in table
+    order (so by agent).
 
     An agent's quadratic terms merge into one, (z - c)^T Q (z - c) with
     Q = sum_k Q_k and Q c = sum_k Q_k c_k (the same gradient), and the
     quadratic batch holds 2Q, which its gradient multiplies by
     (doubling is exact).  Returns a list of (idx, mats, centers, unique,
     grad), one per family present, where idx is None for one term per
-    agent in agent order; a term of any other class is a TypeError.
+    agent in agent order.
     """
     quads = {}
-    expq = []
-    stack = list(enumerate(costs))
-    while stack:
-        i, c = stack.pop()
-        if isinstance(c, SumCost):
-            stack.extend((i, t) for t in c.terms)
-        elif isinstance(c, QuadraticCost):
-            quads.setdefault(i, []).append((c.Q, c.center))
-        elif isinstance(c, ExpQuadraticCost):
-            expq.append((i, c.P, c.center))
-        else:
-            raise TypeError(
-                f"agent {i}: no batched gradient for {type(c).__name__}")
+    for i, fam, mat, center, _ in terms:
+        if fam == "quadratic":
+            quads.setdefault(i, []).append((mat, center))
     quad = []
-    for i, terms in quads.items():
-        Q, c = terms[0]
-        if len(terms) > 1:
-            Q = sum(Qk for Qk, _ in terms)
-            c = np.linalg.solve(Q, sum(Qk @ ck for Qk, ck in terms))
+    for i, ts in quads.items():
+        Q, c = ts[0]
+        if len(ts) > 1:
+            Q = sum(Qk for Qk, _ in ts)
+            c = np.linalg.solve(Q, sum(Qk @ ck for Qk, ck in ts))
         quad.append((i, Q, c))
+    expq = [(i, mat, center) for i, fam, mat, center, _ in terms
+            if fam == "exp_quadratic"]
 
     def pack(items, grad, scale):
-        # stable, so one agent's terms keep their summation order
-        items.sort(key=lambda item: item[0])
         idx = np.array([i for i, _, _ in items])
         mats = scale * np.array([m for _, m, _ in items])
         cents = np.array([c for _, _, c in items])
-        if np.array_equal(idx, np.arange(len(costs))):
+        if np.array_equal(idx, np.arange(n_agents)):
             idx = None  # one term per agent, already in agent order
         unique = idx is None or len(set(idx.tolist())) == len(idx)
         return idx, mats, cents, unique, grad
@@ -328,36 +286,21 @@ def estimate_constants(costs: CostSet) -> tuple[float, float]:
       varrho_hat = max ||grad f(x) - grad f(y)|| / ||x - y||
 
     aggregated as min/max over agents.  Every agent's gradient at every
-    sample point comes from one pass over the term batches
-    (`_gradient_blocks`).  A gradient or a distance that overflows on the
-    box gives a non-finite constant, without a warning.
+    sample point comes from one `CostSet.grad_stack` call.  A gradient or
+    a distance that overflows on the box gives a non-finite constant,
+    without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         X, Y = _curvature_pairs(costs.box)
-        G = _gradient_blocks(costs._batches, costs.n_agents,
-                             np.concatenate([X, Y]))
-        dG = G[:, :len(X)] - G[:, len(X):]
-        dZ = X - Y
-        nz2 = (dZ * dZ).sum(axis=1)
+        Z = np.concatenate([X, Y])[:, None]
+        G = costs.grad_stack(np.broadcast_to(
+            Z, (len(Z), costs.n_agents, costs.dim)))
+        dG = G[:len(X)] - G[len(X):]
+        dZ = (X - Y)[:, None]
+        nz2 = (dZ * dZ).sum(axis=-1)
         rho = float(((dG * dZ).sum(axis=-1) / nz2).min())
         varrho = float((np.linalg.norm(dG, axis=-1) / np.sqrt(nz2)).max())
     return rho, varrho
-
-
-def _gradient_blocks(batches: list, n_agents: int,
-                     Z: np.ndarray) -> np.ndarray:
-    """Block i, row p: grad f_i(Z[p]), every agent's gradient at every
-    row of Z (P, dim), from the term batches of `_term_batches`."""
-    out = np.zeros((n_agents,) + Z.shape)
-    for idx, mats, cents, unique, grad in batches:
-        G = grad(mats[:, None], Z - cents[:, None])
-        if idx is None:
-            out += G
-        elif unique:
-            out[idx] += G
-        else:
-            np.add.at(out, idx, G)
-    return out
 
 
 def _curvature_pairs(box) -> tuple[np.ndarray, np.ndarray]:

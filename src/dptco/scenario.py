@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from . import chain_ctrl, strictfb_ctrl
-from .costs import CostSet, cost_from_dict
+from .costs import CostSet
 from .errors import DptcoError, ScenarioError
 from .generator import (GeneratorConstants, MonitorReport,
                         check_generator_criterion, conservation_monitor,
@@ -148,17 +148,16 @@ class Scenario:
             table = _TABLE[s] if s != "gains" else {
                 **_TABLE[s], **_GAINS[read["agents"]["controller"]]}
             with _section(path, s):
+                if s == "monitors" and type(raw[s]) is dict:
+                    # another controller's monitor, before its keys
+                    _require_controller(path, raw[s],
+                                        read["agents"]["controller"])
                 read[s] = _read(path, s, raw if s == "top level" else raw[s],
                                 table)
         ag, cs, gains = read["agents"], read["costs"], read["gains"]
         controller = ag["controller"]
         # the monitors the file lists, in its order
         monitors = {m: read["monitors"][m] for m in raw["monitors"]}
-        for m in monitors:
-            needs = _MONITORS[m][1]
-            if needs not in (None, controller):
-                raise _fail(path, f"monitors: {m}", f"needs the {needs!r} "
-                            f"controller, not {controller!r}")
 
         with _section(path, "clock"):
             clock = PrescribedClock(**read["clock"])
@@ -337,12 +336,11 @@ def _value(path: str, where: str, key: str, v, kind):
             return GainFunction.from_dict(v) if kind[1] is _GAIN[1] else out
     if name == "section":  # read on its own
         return v
-    # costs: per agent a term, or a list of terms (their sum), built here
+    # costs: per agent a term, or a list of terms (their sum), for CostSet
     if type(v) is not list:
         raise ValueError(f"{key} must be a list, got {v!r}")
-    return [cost_from_dict([_read(path, where, t, _TERM) for t in c]
-                           if type(c) is list
-                           else _read(path, where, c, _TERM)) for c in v]
+    return [[_read(path, where, t, _TERM) for t in c] if type(c) is list
+            else _read(path, where, c, _TERM) for c in v]
 
 
 def _numbers(v) -> bool:
@@ -447,6 +445,16 @@ _MONITORS = {
 # file leaves out reads None, and is not run
 _TABLE["monitors"] = {m: (("object", keys), None if needs else _REQUIRED)
                       for m, (keys, needs, _) in _MONITORS.items()}
+
+
+def _require_controller(path: str, listed: dict, controller: str):
+    """Refuse a listed monitor that reads another controller's channels;
+    an unknown name is left for the reader to refuse."""
+    for m in listed:
+        needs = _MONITORS[m][1] if m in _MONITORS else None
+        if needs not in (None, controller):
+            raise _fail(path, f"monitors: {m}", f"needs the {needs!r} "
+                        f"controller, not {controller!r}")
 
 
 def evaluate_monitors(build: ScenarioBuild, traj: Trajectory,

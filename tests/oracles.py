@@ -3,7 +3,8 @@ fused, one-pass way or does not need; tests compare the library against
 these.  Also the gain constructors the tests use (scenarios build their
 gains with GainFunction.from_dict), the applied controls, which the
 closed loop computes only inside its right-hand side, the JSON forms
-of gains and costs, which only round-trip tests write, and the design
+of gains, which only round-trip tests write, the cost term dicts that
+tests build CostSets from (quad, expq), and the design
 recipes that scenarios do not use, since they state the result: the
 strict-feedback gains (select_parameters; scenarios give c, upsilon and
 sigma), the chain's pole placement and dc2 gain (chain_config; they give
@@ -18,7 +19,6 @@ import numpy as np
 from dptco.chain_ctrl import (ChainControllerConfig, EulerLagrangeParams,
                               chain_control, companion, make_chain_config,
                               solve_lyapunov, v_constants)
-from dptco.costs import CostSet, ExpQuadraticCost, QuadraticCost, SumCost
 from dptco.draws import uniform
 from dptco.errors import DptcoError
 from dptco.generator import ErrorState, GeneratorConstants
@@ -97,15 +97,15 @@ def gain_to_dict(g: GainFunction) -> dict:
     return d
 
 
-def cost_to_dict(c):
-    """The scenario-JSON form cost_from_dict reads; a sum is a list."""
-    if isinstance(c, QuadraticCost):
-        return {"family": "quadratic", "Q": c.Q.tolist(),
-                "center": c.center.tolist(), "offset": c.offset}
-    if isinstance(c, ExpQuadraticCost):
-        return {"family": "exp_quadratic", "P": c.P.tolist(),
-                "center": c.center.tolist()}
-    return [cost_to_dict(t) for t in c.terms]
+def quad(Q, center, offset: float = 0.0) -> dict:
+    """A quadratic cost term, as the scenario reader returns it."""
+    return {"family": "quadratic", "Q": Q, "center": center,
+            "offset": offset}
+
+
+def expq(P, center) -> dict:
+    """An exp-quadratic cost term, as the scenario reader returns it."""
+    return {"family": "exp_quadratic", "P": P, "center": center}
 
 
 def default_box(dim: int) -> np.ndarray:
@@ -352,24 +352,36 @@ def phi_weights(m: int, n: int, alpha_val: float) -> tuple:
     return w1, w2
 
 
+def cost_value(c, z) -> float:
+    """f(z) of one agent's cost, a term dict or a list of them (their
+    sum), term by term: the per-agent form of CostSet.team_value."""
+    if isinstance(c, list):
+        return sum(cost_value(t, z) for t in c)
+    d = np.asarray(z, dtype=float) - np.asarray(c["center"], dtype=float)
+    if c["family"] == "quadratic":
+        return float(d @ np.asarray(c["Q"], dtype=float) @ d) + c["offset"]
+    return math.exp(float(d @ np.asarray(c["P"], dtype=float) @ d))
+
+
 def cost_gradient(c, z) -> np.ndarray:
-    """grad f(z) of one agent's cost, term by term: the per-object form
-    of CostSet.grad_stack, which batches all agents' terms."""
+    """grad f(z) of one agent's cost, term by term: the per-agent form of
+    CostSet.grad_stack, which batches all agents' terms."""
     z = np.asarray(z, dtype=float)
-    if isinstance(c, SumCost):
-        return sum(cost_gradient(t, z) for t in c.terms)
-    d = z - c.center
-    if isinstance(c, QuadraticCost):
-        return 2.0 * (c.Q @ d)
-    return c.value(z) * 2.0 * (c.P @ d)
+    if isinstance(c, list):
+        return sum(cost_gradient(t, z) for t in c)
+    d = z - np.asarray(c["center"], dtype=float)
+    if c["family"] == "quadratic":
+        return 2.0 * (np.asarray(c["Q"], dtype=float) @ d)
+    return cost_value(c, z) * 2.0 * (np.asarray(c["P"], dtype=float) @ d)
 
 
-def estimate_constants(costs: CostSet, box, samples: int = 400,
+def estimate_constants(agents: list, box, samples: int = 400,
                        seed: int = 0):
-    """(rho_hat, varrho_hat) over the same point pairs as
-    costs.estimate_constants, one gradient call per point and pair."""
+    """(rho_hat, varrho_hat) of the agents' costs (term dicts or lists of
+    them) over the same point pairs as costs.estimate_constants, one
+    gradient call per agent, point and pair."""
     box = np.asarray(box, dtype=float)
-    dim = costs.dim
+    dim = box.shape[0]
     rng = random.Random(seed)
     lo, hi = box[:, 0], box[:, 1]
 
@@ -387,7 +399,7 @@ def estimate_constants(costs: CostSet, box, samples: int = 400,
 
     rho = math.inf
     varrho = 0.0
-    for c in costs.costs:
+    for c in agents:
         for x, y in pairs:
             dg = cost_gradient(c, x) - cost_gradient(c, y)
             dz = x - y

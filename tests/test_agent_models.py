@@ -7,7 +7,7 @@ import pytest
 from dptco.chain_ctrl import (ChainAgents, ElMismatch, EulerLagrangeParams,
                               chain_control, chain_error_view,
                               el_acceleration, make_chain_config)
-from dptco.costs import CostSet, QuadraticCost
+from dptco.costs import CostSet
 from dptco.errors import DptcoError
 from dptco.graph import build_network
 from dptco.sim_engine import CoupledSystem, integrate, make_disturbance
@@ -19,8 +19,8 @@ from dptco.timegain import PrescribedClock
 from oracles import (System, adaptation_rhs, agent_control, cascade,
                      chain_plant_rhs, concatenated_rhs, el_acceleration_solve,
                      el_matrices, exp_gain, filter_rhs, hurwitz_gain,
-                     integrate_allocating, linear_gain, power_gain, rhs_new,
-                     sf_control, sf_derivatives, sf_plant_rhs,
+                     integrate_allocating, linear_gain, power_gain, quad,
+                     rhs_new, sf_control, sf_derivatives, sf_plant_rhs,
                      solver_settings, tau_value, wide_box)
 
 N, DIM = 5, 2
@@ -32,8 +32,7 @@ REL = 1e-12
 
 def coupled(agents, offsets=None) -> CoupledSystem:
     net = build_network(N, [[i, (i + 1) % N, 1.0] for i in range(N)])
-    costs = CostSet([QuadraticCost(np.eye(DIM) * (0.5 + 0.25 * i), [i, -i],
-                                   0.0)
+    costs = CostSet([quad(np.eye(DIM) * (0.5 + 0.25 * i), [i, -i])
                      for i in range(N)], DIM, wide_box(DIM))
     return CoupledSystem(CLOCK, net, costs, linear_gain(10.0), agents=agents,
                          offsets=offsets)

@@ -8,46 +8,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dptco.costs import (CostSet, ExpQuadraticCost, QuadraticCost, SumCost,
-                         _curvature_pairs, cost_from_dict,
-                         estimate_constants, grad_sum, optimum_oracle)
+from dptco.costs import (CostSet, _curvature_pairs, estimate_constants,
+                         grad_sum, optimum_oracle)
 from dptco.errors import DptcoError
+from dptco.scenario import load_scenario
 
 import oracles
-from oracles import default_box
-from conftest import scenario_path
+from oracles import default_box, expq, quad
+from conftest import modified_scenario, scenario_path
 
 Z_STAR_REFERENCE = np.array([0.7263, 0.7183])
 
 
-def example2_costs() -> CostSet:
+def example2_agents() -> tuple:
+    """example2_generator's costs as (their term dicts per agent, dim,
+    box)."""
     raw = json.loads(open(scenario_path("example2_generator")).read())["costs"]
-    costs = [cost_from_dict(a) for a in raw["agents"]]
-    return CostSet(costs, raw["dim"], np.array(raw["box"]))
+    return raw["agents"], raw["dim"], np.array(raw["box"])
+
+
+def example2_costs() -> CostSet:
+    return CostSet(*example2_agents())
 
 
 def one_agent(c, box=None) -> CostSet:
-    """c as the cost of a single agent, on box (default [-5, 5]^dim)."""
-    return CostSet([c], c.dim, default_box(c.dim) if box is None else box)
+    """c, a term dict or a list of them, as the cost of a single agent, on
+    box (default [-5, 5]^dim)."""
+    dim = len((c[0] if isinstance(c, list) else c)["center"])
+    return CostSet([c], dim, default_box(dim) if box is None else box)
+
+
+def per_agent(agents, Z) -> np.ndarray:
+    """oracles.cost_gradient of agent i at Z[i], stacked."""
+    return np.array([oracles.cost_gradient(c, z) for c, z in zip(agents, Z)])
 
 
 # --- cost families -----------------------------------------------------------
 
 def test_quadratic_value_and_gradient():
-    c = QuadraticCost(np.eye(2), [1.0, 2.0], offset=3.0)
-    assert c.value(np.array([1.0, 2.0])) == pytest.approx(3.0)
-    assert np.allclose(one_agent(c).grad_stack(np.array([[2.0, 2.0]])),
-                       [[2.0, 0.0]])
+    cs = one_agent(quad(np.eye(2), [1.0, 2.0], offset=3.0))
+    assert cs.team_value(np.array([1.0, 2.0])) == pytest.approx(3.0)
+    assert np.allclose(cs.grad_stack(np.array([[2.0, 2.0]])), [[2.0, 0.0]])
 
 
 def test_quadratic_curvature_constants():
-    c = QuadraticCost(np.diag([0.5, 0.3]), [0.0, 0.0], 0.0)
+    c = one_agent(quad(np.diag([0.5, 0.3]), [0.0, 0.0]))
     assert c.rho_c == pytest.approx(0.6)
     assert c.varrho_c == pytest.approx(1.0)
 
 
 def test_exp_quadratic_gradient_fd():
-    c = ExpQuadraticCost([[0.3, 0.1], [0.1, 0.5]], [0.5, 0.5])
+    c = expq([[0.3, 0.1], [0.1, 0.5]], [0.5, 0.5])
     cs = one_agent(c, oracles.wide_box(2))
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -56,117 +67,202 @@ def test_exp_quadratic_gradient_fd():
         for j in range(2):
             e = np.zeros(2)
             e[j] = 1e-6
-            fd = (c.value(z + e) - c.value(z - e)) / 2e-6
+            fd = (cs.team_value(z + e) - cs.team_value(z - e)) / 2e-6
             assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 def test_sum_cost_adds():
-    a = QuadraticCost(np.eye(1), [0.0], 0.0)
-    b = QuadraticCost(np.eye(1), [2.0], 0.0)
-    s = SumCost([a, b])
+    a = quad(np.eye(1), [0.0])
+    b = quad(np.eye(1), [2.0])
+    s = one_agent([a, b])
     z = np.array([1.0])
-    assert s.value(z) == pytest.approx(a.value(z) + b.value(z))
-    assert np.allclose(one_agent(s).grad_stack(z[None]),
+    assert s.team_value(z) == pytest.approx(
+        one_agent(a).team_value(z) + one_agent(b).team_value(z))
+    assert np.allclose(s.grad_stack(z[None]),
                        one_agent(a).grad_stack(z[None])
                        + one_agent(b).grad_stack(z[None]))
 
 
-def test_cost_roundtrip_serialization():
-    c = cost_from_dict([{"family": "quadratic", "Q": [[1.0]], "center": [0.5],
-                         "offset": 0.0},
-                        {"family": "exp_quadratic", "P": [[0.2]],
-                         "center": [0.0]}])
-    c2 = cost_from_dict(json.loads(json.dumps(oracles.cost_to_dict(c))))
-    z = np.array([0.7])
-    assert c2.value(z) == pytest.approx(c.value(z))
+def test_cost_roundtrip_serialization(tmp_path):
+    # a sum of terms written into a scenario file reads back as the same
+    # term table and team cost
+    c = [quad([[1.0, 0.0], [0.0, 2.0]], [0.5, 0.0], 0.25),
+         expq([[0.2, 0.0], [0.0, 0.1]], [0.0, 0.3])]
+
+    def edit(raw):
+        raw["costs"]["agents"][0] = c
+        raw["gains"]["acknowledge_criteria_override"] = True
+
+    p = modified_scenario("ring", tmp_path, edit)
+    read = load_scenario(p).build().sys.costs
+    agents = json.loads(open(p).read())["costs"]["agents"]
+    built = CostSet([c] + agents[1:], 2, default_box(2))
+    for got, want in zip(read.terms, built.terms, strict=True):
+        assert got[:2] == want[:2] and got[4] == want[4]
+        assert np.array_equal(got[2], want[2])
+        assert np.array_equal(got[3], want[3])
+    z = np.array([0.7, -0.2])
+    assert read.team_value(z) == built.team_value(z)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DptcoError,
                        match="cost dimension mismatch in CostSet"):
-        CostSet([QuadraticCost(np.eye(2), [0.0, 0.0], 0.0),
-                 QuadraticCost(np.eye(1), [0.0], 0.0)], 2, default_box(2))
+        CostSet([quad(np.eye(2), [0.0, 0.0]), quad(np.eye(1), [0.0])], 2,
+                default_box(2))
+
+
+@pytest.mark.parametrize("agents, message", [
+    ([quad(np.eye(2), [0.0, 0.0]), []],
+     "agent 1: a sum of costs needs at least one term"),
+    ([{"family": "linear", "a": [1.0, 0.0], "center": [0.0, 0.0]}],
+     "unknown cost family 'linear'"),
+    ([quad([[1.0]], [0.0, 0.0])], "Q shape does not match center"),
+    ([quad(np.eye(2), [0.0, np.nan])], r"center must be finite"),
+    ([quad(np.eye(2), [0.0, 0.0], np.inf)], r"offset must be finite"),
+    ([quad(np.eye(2), [0.0, 0.0]), quad(-np.eye(2), [0.0, 0.0])],
+     "Q must be symmetric positive definite"),
+    ([quad([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])],
+     "Q must be symmetric positive definite"),
+    ([expq(np.zeros((2, 2)), [0.0, 0.0]),
+      [quad(np.eye(2), [0.0, 0.0]), expq(-np.eye(2), [0.0, 0.0])]],
+     "P must be symmetric positive semidefinite"),
+], ids=["empty_sum", "unknown_family", "shape", "center", "offset",
+        "Q_negative", "Q_asymmetric", "P_negative"])
+def test_bad_cost_term_refused(agents, message):
+    with pytest.raises(DptcoError, match=message):
+        CostSet(agents, 2, default_box(2))
 
 
 # --- team gradient -----------------------------------------------------------
 
 def test_grad_sum_zero_at_center():
-    cs = CostSet([QuadraticCost(np.eye(2), [1.0, -1.0], 0.0)], 2,
-                 default_box(2))
+    cs = CostSet([quad(np.eye(2), [1.0, -1.0])], 2, default_box(2))
     assert np.allclose(grad_sum(cs, [1.0, -1.0]), 0.0)
 
 
 def test_grad_sum_symmetric_pair():
-    cs = CostSet([QuadraticCost(np.eye(1), [0.0], 0.0),
-                  QuadraticCost(np.eye(1), [2.0], 0.0)], 1, default_box(1))
+    cs = CostSet([quad(np.eye(1), [0.0]), quad(np.eye(1), [2.0])], 1,
+                 default_box(1))
     assert np.allclose(grad_sum(cs, [1.0]), 0.0)
 
 
 def test_grad_sum_small_at_reference_optimum():
-    cs = example2_costs()
-    total = sum(oracles.cost_gradient(c, Z_STAR_REFERENCE) for c in cs.costs)
+    agents, dim, box = example2_agents()
+    total = sum(oracles.cost_gradient(c, Z_STAR_REFERENCE) for c in agents)
     assert np.linalg.norm(total) < 5e-3
-    assert np.allclose(grad_sum(cs, Z_STAR_REFERENCE), total, atol=1e-14)
+    assert np.allclose(grad_sum(CostSet(agents, dim, box), Z_STAR_REFERENCE),
+                       total, atol=1e-14)
 
 
 def test_grad_stack_matches_per_agent():
-    cs = example2_costs()
+    agents, dim, box = example2_agents()
+    cs = CostSet(agents, dim, box)
     rng = np.random.default_rng(1)
     Z = rng.uniform(-1.0, 2.0, size=(cs.n_agents, 2))
-    direct = np.array([oracles.cost_gradient(c, Z[i])
-                       for i, c in enumerate(cs.costs)])
-    assert np.allclose(cs.grad_stack(Z), direct, atol=1e-14)
+    assert np.allclose(cs.grad_stack(Z), per_agent(agents, Z), atol=1e-14)
     # one quadratic per agent takes the path without gather and scatter
-    quad = CostSet([QuadraticCost(np.diag([1.0 + i, 0.5]), [i, -i], 0.0)
-                    for i in range(5)], 2, oracles.wide_box(2))
+    quads = [quad(np.diag([1.0 + i, 0.5]), [i, -i]) for i in range(5)]
     Z = rng.uniform(-1.0, 2.0, size=(5, 2))
-    direct = np.array([oracles.cost_gradient(c, Z[i])
-                       for i, c in enumerate(quad.costs)])
-    assert np.allclose(quad.grad_stack(Z), direct, atol=1e-14)
+    assert np.allclose(CostSet(quads, 2, oracles.wide_box(2)).grad_stack(Z),
+                       per_agent(quads, Z), atol=1e-14)
     # several quadratics of one agent are merged into one term
-    terms = [[QuadraticCost(np.diag([1.0 + i, 0.5]), [i, -i], 0.0),
-              QuadraticCost([[0.3, 0.1], [0.1, 0.2]], [-i, 2.0], 0.0)]
-             for i in range(4)]
-    merged = CostSet([SumCost(terms[0]), terms[1][0], SumCost(terms[2]),
-                      SumCost(terms[3] + [terms[0][1]])], 2,
-                     oracles.wide_box(2))
+    terms = [[quad(np.diag([1.0 + i, 0.5]), [i, -i]),
+              quad([[0.3, 0.1], [0.1, 0.2]], [-i, 2.0])] for i in range(4)]
+    merged = [terms[0], terms[1][0], terms[2], terms[3] + [terms[0][1]]]
     Z = rng.uniform(-1.0, 2.0, size=(4, 2))
-    direct = np.array([oracles.cost_gradient(c, Z[i])
-                       for i, c in enumerate(merged.costs)])
-    assert np.allclose(merged.grad_stack(Z), direct, atol=1e-14)
+    assert np.allclose(CostSet(merged, 2, oracles.wide_box(2)).grad_stack(Z),
+                       per_agent(merged, Z), atol=1e-14)
 
 
-def test_grad_stack_refuses_foreign_term():
-    class Linear:
-        dim = 2
-        rho_c = varrho_c = 2.0
+# the branches of grad_stack that no bundled scenario reaches: a scattered
+# quadratic batch (agents without one), several exp-quadratics on one
+# agent (np.add.at), and three quadratics merged on one agent
+P1 = [[0.3, 0.1], [0.1, 0.5]]
+P2 = [[0.2, -0.05], [-0.05, 0.1]]
+BRANCHES = {
+    "quadratic_not_on_every_agent": [
+        expq(P1, [0.5, 0.5]), quad(np.diag([1.0, 2.0]), [1.0, -1.0]),
+        [expq(P2, [0.0, 1.0]), quad(np.eye(2), [0.5, 0.0])]],
+    "two_exp_quadratics_on_one_agent": [
+        quad(np.eye(2), [0.0, 0.0]),
+        [quad(np.diag([0.5, 1.5]), [1.0, 0.0]), expq(P1, [0.5, 0.5]),
+         expq(P2, [-0.5, 0.2])],
+        [expq(P2, [0.3, 0.3]), quad(np.eye(2), [0.0, 1.0])]],
+    "three_quadratics_on_one_agent": [
+        [quad(np.diag([1.0, 2.0]), [1.0, -1.0], 0.5),
+         quad([[0.3, 0.1], [0.1, 0.2]], [-1.0, 2.0]),
+         quad(np.diag([0.7, 0.4]), [0.2, 0.9], -1.0)],
+        quad(np.eye(2), [0.0, 0.0])],
+}
 
-    cs = CostSet([QuadraticCost(np.eye(2), [0.0, 0.0], 0.0), Linear()], 2,
-                 default_box(2))
-    with pytest.raises(TypeError, match="agent 1: .* Linear"):
-        cs.grad_stack(np.zeros((2, 2)))
+
+@pytest.mark.parametrize("name", sorted(BRANCHES))
+def test_grad_stack_branch_matches_per_term_reference(name):
+    agents = BRANCHES[name]
+    cs = CostSet(agents, 2, oracles.wide_box(2))
+    Z = np.random.default_rng(5).uniform(-1.0, 1.5, (4, len(agents), 2))
+    G = cs.grad_stack(Z)
+    for k in range(len(Z)):
+        assert np.allclose(G[k], per_agent(agents, Z[k]), rtol=1e-13,
+                           atol=1e-14)
+        # a leading axis gives each slice's gradients bit for bit
+        assert G[k].tobytes() == cs.grad_stack(Z[k]).tobytes()
+    z = Z[0, 0]
+    assert cs.team_value(z) == pytest.approx(
+        sum(oracles.cost_value(c, z) for c in agents), rel=1e-14)
+
+
+def test_merged_quadratics_keep_file_order():
+    # Q = sum_k Q_k is summed in file order: (1e16 + 1) + 1 rounds to
+    # 1e16, where (1 + 1) + 1e16 is 1e16 + 2
+    Qs = [np.diag([1e16, 1.0]), np.eye(2), np.eye(2)]
+    cs = CostSet([[quad(Q, [0.0, 0.0]) for Q in Qs]], 2, default_box(2))
+    _, mats, _, _, _ = cs._batches[0]
+    assert mats[0].tobytes() == (2.0 * ((Qs[0] + Qs[1]) + Qs[2])).tobytes()
+    assert mats[0, 0, 0] == 2e16
+
+
+def test_costset_constants_match_per_term_reference():
+    # analytic: per agent the sum of its terms' 2 lambda_min and
+    # 2 lambda_max, then min and max over agents
+    agents = BRANCHES["three_quadratics_on_one_agent"]
+    cs = CostSet(agents, 2, oracles.wide_box(2))
+    eigs = [sum(2.0 * np.linalg.eigvalsh(np.asarray(t["Q"], float))
+                for t in (c if isinstance(c, list) else [c]))
+            for c in agents]
+    assert cs.rho_c == pytest.approx(min(e[0] for e in eigs), rel=1e-14)
+    assert cs.varrho_c == pytest.approx(max(e[-1] for e in eigs), rel=1e-14)
+    # sampled, once any exp-quadratic term is present
+    box = np.array([[-1.0, 2.0], [-1.0, 2.0]])
+    for name in ("quadratic_not_on_every_agent",
+                 "two_exp_quadratics_on_one_agent"):
+        agents = BRANCHES[name]
+        cs = CostSet(agents, 2, box)
+        want = oracles.estimate_constants(agents, cs.box)
+        assert (cs.rho_c, cs.varrho_c) == pytest.approx(want, rel=1e-12,
+                                                        abs=0.0)
 
 
 def test_hessian_stack_matches_analytic():
     # quadratics have Hessian 2Q, exp-quadratics
     # 2 e (P + 2 P d d^T P) with e = exp(d^T P d), d = z - center
     P = np.array([[0.3, 0.1], [0.1, 0.5]])
-    cs = CostSet([QuadraticCost(np.diag([1.0, 0.5]), [1.0, -1.0], 0.0),
-                  ExpQuadraticCost(P, [0.5, 0.5]),
-                  SumCost([QuadraticCost(np.eye(2), [0.0, 0.0], 0.0),
-                           ExpQuadraticCost(P, [0.5, 0.5])])], 2,
+    cs = CostSet([quad(np.diag([1.0, 0.5]), [1.0, -1.0]),
+                  expq(P, [0.5, 0.5]),
+                  [quad(np.eye(2), [0.0, 0.0]), expq(P, [0.5, 0.5])]], 2,
                  oracles.wide_box(2))
     Z = np.array([[0.3, -0.2], [0.1, 0.9], [-0.4, 0.2]])
     H = cs.hessian_stack(Z)
 
-    def expq(z):
+    def expq_hessian(z):
         d = z - 0.5
         Pd = P @ d
         return 2.0 * np.exp(d @ Pd) * (P + 2.0 * np.outer(Pd, Pd))
 
     assert np.allclose(H[0], np.diag([2.0, 1.0]), rtol=1e-8, atol=0.0)
-    assert np.allclose(H[1], expq(Z[1]), rtol=1e-8, atol=0.0)
-    assert np.allclose(H[2], 2.0 * np.eye(2) + expq(Z[2]), rtol=1e-8,
+    assert np.allclose(H[1], expq_hessian(Z[1]), rtol=1e-8, atol=0.0)
+    assert np.allclose(H[2], 2.0 * np.eye(2) + expq_hessian(Z[2]), rtol=1e-8,
                        atol=0.0)
 
 
@@ -176,14 +272,13 @@ def test_overflowing_cost_refused_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(DptcoError,
                            match="curvature constants must be finite"):
-            one_agent(ExpQuadraticCost(100.0 * np.eye(2), [0.0, 0.0]))
+            one_agent(expq(100.0 * np.eye(2), [0.0, 0.0]))
 
 
 # --- optimum oracle ----------------------------------------------------------
 
 def test_oracle_single_quadratic():
-    cs = CostSet([QuadraticCost(np.eye(2), [3.0, -1.0], 0.0)], 2,
-                 default_box(2))
+    cs = CostSet([quad(np.eye(2), [3.0, -1.0])], 2, default_box(2))
     cert = optimum_oracle(cs)
     assert np.allclose(cert.z_star, [3.0, -1.0], atol=1e-8)
 
@@ -192,8 +287,8 @@ def test_oracle_weighted_mean():
     # sum of iota_i ||z - c_i||^2 has optimum sum(iota c)/sum(iota)
     iotas = [0.5, 1.0, 2.0]
     centers = [[0.0, 0.0], [1.0, 2.0], [-1.0, 4.0]]
-    cs = CostSet([QuadraticCost(i * np.eye(2), c, 0.0)
-                  for i, c in zip(iotas, centers)], 2, oracles.wide_box(2))
+    cs = CostSet([quad(i * np.eye(2), c) for i, c in zip(iotas, centers)], 2,
+                 oracles.wide_box(2))
     expected = (np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 4.0]])
                 * np.array(iotas)[:, None]).sum(axis=0) / sum(iotas)
     assert np.allclose(optimum_oracle(cs).z_star, expected, atol=1e-8)
@@ -208,15 +303,14 @@ def test_oracle_reference_value():
 # --- curvature constants -----------------------------------------------------
 
 def test_estimate_constants_diagonal_quadratic():
-    c = QuadraticCost(np.diag([0.5, 0.3]), [0.0, 0.0], 0.0)
-    rho, varrho = estimate_constants(one_agent(c))
+    rho, varrho = estimate_constants(
+        one_agent(quad(np.diag([0.5, 0.3]), [0.0, 0.0])))
     assert 0.6 - 1e-3 <= rho <= 0.6 + 1e-9
     assert 1.0 - 1e-9 <= varrho <= 1.0 + 1e-3
 
 
 def test_estimate_constants_identity_quadratic():
-    c = QuadraticCost(np.eye(2), [0.0, 0.0], 0.0)
-    rho, varrho = estimate_constants(one_agent(c))
+    rho, varrho = estimate_constants(one_agent(quad(np.eye(2), [0.0, 0.0])))
     assert rho == pytest.approx(2.0, abs=1e-6)
     assert varrho == pytest.approx(2.0, abs=1e-6)
 
@@ -231,31 +325,28 @@ def test_curvature_sample_pinned():
 
 
 def test_estimate_constants_example2_agent1():
-    cs = example2_costs()
-    rho, varrho = estimate_constants(one_agent(cs.costs[0], cs.box))
+    agents, _, box = example2_agents()
+    rho, varrho = estimate_constants(one_agent(agents[0], box))
     assert rho > 0.0
     assert np.isfinite(varrho)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: one_agent(ExpQuadraticCost([[0.1, 0.0], [0.0, 0.1]], [0.5, 0.5]),
-                      np.array([[-1.0, 2.0], [-1.0, 2.0]])),
-    lambda: one_agent(SumCost([
-        QuadraticCost([[0.5, -0.2], [-0.2, 0.3]], [1.0, 1.0], 0.0),
-        ExpQuadraticCost([[0.2, 0.05], [0.05, 0.1]], [0.3, -0.2])])),
-    example2_costs,
+@pytest.mark.parametrize("agents, box", [
+    ([expq([[0.1, 0.0], [0.0, 0.1]], [0.5, 0.5])],
+     np.array([[-1.0, 2.0], [-1.0, 2.0]])),
+    ([[quad([[0.5, -0.2], [-0.2, 0.3]], [1.0, 1.0]),
+       expq([[0.2, 0.05], [0.05, 0.1]], [0.3, -0.2])]], default_box(2)),
+    (example2_agents()[0], example2_agents()[2]),
 ], ids=["single", "sum", "costset"])
-def test_estimate_constants_matches_loop(make):
-    costs = make()
-    got = estimate_constants(costs)
-    want = oracles.estimate_constants(costs, costs.box)
+def test_estimate_constants_matches_loop(agents, box):
+    got = estimate_constants(CostSet(agents, 2, box))
+    want = oracles.estimate_constants(agents, box)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_costset_analytic_constants():
-    cs = CostSet([QuadraticCost(np.diag([0.5, 0.3]), [0.0, 0.0], 0.0),
-                  QuadraticCost(np.eye(2), [1.0, 1.0], 0.0)], 2,
-                 default_box(2))
+    cs = CostSet([quad(np.diag([0.5, 0.3]), [0.0, 0.0]),
+                  quad(np.eye(2), [1.0, 1.0])], 2, default_box(2))
     assert cs.rho_c == pytest.approx(0.6)
     assert cs.varrho_c == pytest.approx(2.0)
 

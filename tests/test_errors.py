@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dptco.chain_ctrl import chain_control, solve_lyapunov
-from dptco.costs import CostSet, QuadraticCost, optimum_oracle
+from dptco.costs import CostSet, optimum_oracle
 from dptco.errors import DptcoError, ScenarioError
 from dptco.generator import ratio_report
 from dptco.graph import build_network, require_connected
@@ -21,7 +21,7 @@ from dptco.sim_engine import export_csv, integrate
 from dptco.strictfb_ctrl import SfControllerConfig
 from dptco.timegain import GainFunction, PrescribedClock, _adaptive_simpson
 
-from oracles import System, chain_config, default_box, solver_settings
+from oracles import System, chain_config, default_box, quad, solver_settings
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dptco"
 
@@ -33,8 +33,7 @@ def _guard(tmp, mp):
 
 def _newton(tmp, mp):
     mp.setattr("dptco.costs._NEWTON_MAX_ITER", 0)
-    optimum_oracle(CostSet([QuadraticCost(np.eye(1), [1.0], 0.0)], 1,
-                           default_box(1)))
+    optimum_oracle(CostSet([quad(np.eye(1), [1.0])], 1, default_box(1)))
 
 
 def _nan_rhs(t, y, out):
@@ -51,7 +50,8 @@ SITES = {
     "NegativeWeight": lambda tmp, mp: build_network(2, [[0, 1, -1.0]]),
     "Disconnected": lambda tmp, mp: require_connected(
         build_network(3, [[0, 1, 1.0]] * 2)),
-    "DimensionMismatch": lambda tmp, mp: QuadraticCost(np.eye(2), [0.0], 0.0),
+    "DimensionMismatch": lambda tmp, mp: CostSet([quad(np.eye(2), [0.0])], 1,
+                                                 default_box(1)),
     "NonPositiveInput": lambda tmp, mp: PrescribedClock(0.0, 0.9),
     "NoConvergence": _newton,
     "NotHurwitz": lambda tmp, mp: solve_lyapunov(np.eye(2), np.eye(2)),

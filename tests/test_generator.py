@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dptco.costs import (CostSet, ExpQuadraticCost, QuadraticCost, SumCost,
-                         optimum_oracle)
+from dptco.costs import CostSet, optimum_oracle
 from dptco.errors import DptcoError
 from dptco.generator import (ErrorState, conservation_monitor,
                              design_radius, envelope_monitor, error_state,
@@ -17,8 +16,9 @@ from dptco.generator import (ErrorState, conservation_monitor,
 from dptco.graph import build_network
 from dptco.sim_engine import CoupledSystem
 from dptco.timegain import PrescribedClock, kappa
-from oracles import (agent_rhs, cost_gradient, default_box, linear_gain,
-                     lyapunov_vr, rhs_jacobian, rhs_new, wide_box)
+from oracles import (agent_rhs, cost_gradient, default_box, expq,
+                     linear_gain, lyapunov_vr, quad, rhs_jacobian, rhs_new,
+                     wide_box)
 
 RING6 = [[i, (i + 1) % 6, 1.0] for i in range(6)]
 
@@ -60,10 +60,8 @@ def test_design_radius_is_the_generator_jacobian_over_alpha():
     # at t = 0, where alpha = 7, for six agents with quadratic plus
     # exp-quadratic costs, at random estimates away from the optimum
     net = build_network(6, RING6)
-    costs = CostSet([SumCost([QuadraticCost(np.eye(2) * (0.2 + 0.1 * i),
-                                            [1.0, -1.0], 0.0),
-                              ExpQuadraticCost(np.eye(2) * 0.1 * (i + 1),
-                                               [0.5, 0.5])])
+    costs = CostSet([[quad(np.eye(2) * (0.2 + 0.1 * i), [1.0, -1.0]),
+                      expq(np.eye(2) * 0.1 * (i + 1), [0.5, 0.5])]
                      for i in range(6)], 2, default_box(2))
     sys = CoupledSystem(PrescribedClock(1.0, 0.999), net, costs,
                         linear_gain(7.0), None, None)
@@ -139,8 +137,8 @@ def test_agent_rhs_hand_case():
 
 def test_stacked_rhs_matches_agent_rhs():
     net = build_network(6, RING6)
-    cs = CostSet([QuadraticCost(np.eye(2), [float(i), 0.0], 0.0)
-                  for i in range(6)], 2, default_box(2))
+    agents = [quad(np.eye(2), [float(i), 0.0]) for i in range(6)]
+    cs = CostSet(agents, 2, default_box(2))
     rng = np.random.default_rng(2)
     varpi = rng.standard_normal((6, 2))
     p = rng.standard_normal((6, 2))
@@ -151,18 +149,18 @@ def test_stacked_rhs_matches_agent_rhs():
         neigh = [(adjacency[i, j], varpi[j])
                  for j in np.flatnonzero(adjacency[i])]
         dv, dp = agent_rhs(varpi[i], p[i],
-                           cost_gradient(cs.costs[i], varpi[i]), neigh, 1.7)
+                           cost_gradient(agents[i], varpi[i]), neigh, 1.7)
         assert np.allclose(d_varpi[i], dv, atol=1e-12)
         assert np.allclose(d_p[i], dp, atol=1e-12)
 
 
 def test_equilibrium_is_stationary():
     net = build_network(6, RING6)
-    cs = CostSet([QuadraticCost(np.eye(2) * (0.2 + 0.1 * i), [i, -i], 0.0)
-                  for i in range(6)], 2, wide_box(2))
+    agents = [quad(np.eye(2) * (0.2 + 0.1 * i), [i, -i]) for i in range(6)]
+    cs = CostSet(agents, 2, wide_box(2))
     cert = optimum_oracle(cs)
     varpi = np.tile(cert.z_star, (6, 1))
-    p = -np.array([cost_gradient(c, cert.z_star) for c in cs.costs])
+    p = -np.array([cost_gradient(c, cert.z_star) for c in agents])
     d_varpi, d_p = generator_derivative(net, cs, varpi, p, 3.0)
     assert np.abs(d_varpi).max() <= 3.0 * cert.grad_norm + 1e-10
     assert np.abs(d_p).max() <= 1e-10
@@ -172,8 +170,7 @@ def test_equilibrium_is_stationary():
 @settings(max_examples=20, deadline=None)
 def test_p_sum_derivative_vanishes(seed):
     net = build_network(6, RING6)
-    cs = CostSet([QuadraticCost(np.eye(2), [0.0, 0.0], 0.0)] * 6, 2,
-                 default_box(2))
+    cs = CostSet([quad(np.eye(2), [0.0, 0.0])] * 6, 2, default_box(2))
     rng = np.random.default_rng(seed)
     varpi = rng.standard_normal((6, 2))
     p = rng.standard_normal((6, 2))
@@ -189,11 +186,11 @@ def example2_like_constants():
 
 
 def test_error_state_zero_at_equilibrium():
-    cs = CostSet([QuadraticCost(np.eye(1), [1.0], 0.0),
-                  QuadraticCost(np.eye(1), [3.0], 0.0)], 1, default_box(1))
+    agents = [quad(np.eye(1), [1.0]), quad(np.eye(1), [3.0])]
+    cs = CostSet(agents, 1, default_box(1))
     cert = optimum_oracle(cs)
     varpi = np.tile(cert.z_star, (2, 1))
-    p = -np.array([cost_gradient(c, cert.z_star) for c in cs.costs])
+    p = -np.array([cost_gradient(c, cert.z_star) for c in agents])
     err = error_state(varpi, p, cert.z_star, gradients_at(cs, cert.z_star))
     assert err.norm <= 1e-10
 

@@ -364,27 +364,50 @@ def test_flat_curvature_refused_under_costs(tmp_path, capsys, monkeypatch):
     assert err.startswith(f"error: {p}: costs: rho_c must be finite and > 0")
 
 
-@pytest.mark.parametrize("name, monitor, message", [
+@pytest.mark.parametrize("name, monitor, keys, message", [
     # the ring has no agent model, so no e_s_norm channel
-    ("ring", "chain_decay", "needs the 'chain' controller, not 'none'"),
-    ("example2", "chain_decay",
+    ("ring", "chain_decay", {}, "needs the 'chain' controller, not 'none'"),
+    ("example2", "chain_decay", {},
      "needs the 'chain' controller, not 'strict_feedback'"),
-    ("example1", "sf_decay",
+    ("example1", "sf_decay", {},
      "needs the 'strict_feedback' controller, not 'chain'"),
     # the chain has an e_tilde_norm channel, but not the strict-feedback
     # scaled error that the invariant-set bound is stated for
-    ("example1", "invariant_set",
+    ("example1", "invariant_set", {"h": 1.0},
+     "needs the 'strict_feedback' controller, not 'chain'"),
+    # the controller is checked before the keys: the missing radius h was
+    # reported, not the controller the monitor needs
+    ("example1", "invariant_set", {},
      "needs the 'strict_feedback' controller, not 'chain'"),
 ], ids=["ring_chain_decay", "example2_chain_decay", "example1_sf_decay",
-        "example1_invariant_set"])
+        "example1_invariant_set", "example1_invariant_set_without_h"])
 def test_monitor_of_another_controller_refused(tmp_path, capsys, monkeypatch,
-                                               name, monitor, message):
-    # with the radius that invariant_set requires
-    keys = {"h": 1.0} if monitor == "invariant_set" else {}
+                                               name, monitor, keys, message):
     p = modified_scenario(name, tmp_path,
                           lambda raw: raw["monitors"].update({monitor: keys}))
     err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
     assert err.startswith(f"error: {p}: monitors: {monitor}: {message}")
+
+
+@pytest.mark.parametrize("theta, cos_q2", [
+    # a negative theta_4 = M_22 ran, and every monitor passed
+    ([7.0, 0.96, 1.2, -5.96, 2.0, 1.2], "1"),
+    # a singular M stopped in a step-size underflow under no section
+    ([0.0] * 6, "1"),
+    # M_11 M_22 overflows to inf
+    ([1e308, 0.96, 1.2, 5.96, 2.0, 1.2], "1"),
+    # M(q) = A + cos(q2) B is positive definite at q2 = 0 only
+    ([1.0, 0.5, 1.0, 2.0, 2.0, 1.2], "-1"),
+], ids=["negative", "zero", "huge", "at_q2_pi"])
+def test_inertia_not_positive_definite_refused_under_agents(
+        tmp_path, capsys, monkeypatch, theta, cos_q2):
+    p = modified_scenario("example1", tmp_path,
+                          _put("agents", "el_true_theta", value=theta))
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(
+        f"error: {p}: agents: el_true_theta gives an inertia matrix that is "
+        "not positive definite with a finite determinant at cos q2 = "
+        f"{cos_q2}: ")
 
 
 @pytest.mark.parametrize("name, edit, message", [

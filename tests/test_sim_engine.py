@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dptco import rkc, sim_engine
-from dptco.costs import CostSet, QuadraticCost, optimum_oracle
+from dptco.costs import CostSet, optimum_oracle
 from dptco.draws import uniform
 from dptco.errors import DptcoError
 from dptco.generator import design_radius
@@ -21,8 +21,8 @@ from dptco.timegain import PrescribedClock
 
 from conftest import at_guard, modified_build
 from oracles import (System, cost_gradient, integrate_allocating,
-                     linear_gain, rhs_jacobian, rhs_new, solver_settings,
-                     wide_box)
+                     linear_gain, quad, rhs_jacobian, rhs_new,
+                     solver_settings, wide_box)
 
 CLOCK = PrescribedClock(1.0, 0.999)
 # the same window, the run ending at t = 0.5 or t = 0.9
@@ -471,10 +471,12 @@ def test_solver_settings_validation():
 
 # --- coupled generator system ------------------------------------------------
 
+RING_AGENTS = [quad(np.eye(2) * (0.5 + 0.25 * i), [i, -i]) for i in range(4)]
+
+
 def ring_system(T=1.0, k=21.0, guard_frac=0.9):
     net = build_network(4, [[i, (i + 1) % 4, 1.0] for i in range(4)])
-    costs = CostSet([QuadraticCost(np.eye(2) * (0.5 + 0.25 * i), [i, -i], 0.0)
-                     for i in range(4)], 2, wide_box(2))
+    costs = CostSet(RING_AGENTS, 2, wide_box(2))
     clock = PrescribedClock(T, guard_frac)
     sys = CoupledSystem(clock, net, costs, linear_gain(k), None, None)
     return sys, costs
@@ -499,7 +501,7 @@ def test_optimum_is_equilibrium():
     sys, costs = ring_system(guard_frac=0.5)
     cert = optimum_oracle(costs)
     varpi = np.tile(cert.z_star, (4, 1))
-    p = -np.array([cost_gradient(c, cert.z_star) for c in costs.costs])
+    p = -np.array([cost_gradient(c, cert.z_star) for c in RING_AGENTS])
     y0 = sys.pack(varpi, p, None, None)
     settings = solver_settings(method="rk45", dt=1e-3, rel_tol=1e-9,
                                abs_tol=1e-11)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dptco.costs import CostSet, QuadraticCost
+from dptco.costs import CostSet
 from dptco.errors import DptcoError
 from dptco.graph import build_network
 from dptco.sim_engine import CoupledSystem
@@ -18,9 +18,9 @@ from dptco.strictfb_ctrl import (SfControllerConfig, StrictFeedbackAgents,
 from dptco.timegain import PrescribedClock
 
 from oracles import (adaptation_rhs, filter_rhs, linear_gain, phi_weights,
-                     power_gain, rhs_jacobian, select_parameters, sf_control,
-                     sf_plant_rhs, tau_value, transformation_matrices,
-                     wide_box)
+                     power_gain, quad, rhs_jacobian, select_parameters,
+                     sf_control, sf_plant_rhs, tau_value,
+                     transformation_matrices, wide_box)
 
 
 def identity(x):
@@ -46,7 +46,7 @@ def test_spectral_rate_scales_with_alpha_xi(m):
                              power_gain(2.0, 1.5), 1e6, (np.tanh,) * (m - 1))
     agents = StrictFeedbackAgents(cfg, np.zeros(n_agents))
     net = build_network(n_agents, [[0, 1, 1.0], [1, 2, 1.0]])
-    costs = CostSet([QuadraticCost(np.eye(dim), np.zeros(dim), 0.0)] * 3,
+    costs = CostSet([quad(np.eye(dim), np.zeros(dim))] * 3,
                     dim, wide_box(dim))
     sys = CoupledSystem(PrescribedClock(1.0, 0.9999), net, costs,
                         linear_gain(1.0), agents=agents,
