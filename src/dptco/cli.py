@@ -21,7 +21,7 @@ from .costs import optimum_oracle
 from .errors import DptcoError, ScenarioError
 from .generator import envelope_bound
 from .scenario import (ScenarioBuild, derived_series, evaluate_monitors,
-                       load_scenario)
+                       load_scenario, scenario_hash)
 from .sim_engine import Trajectory, export_csv, integrate, trajectory_columns
 from .svgplot import write_svg
 
@@ -74,6 +74,15 @@ def _write_plots(out: Path, build: ScenarioBuild, traj: Trajectory,
     return files
 
 
+def _optimum(build: ScenarioBuild):
+    """The optimum certificate of build's costs; an oracle error is
+    located under the scenario file's costs section."""
+    try:
+        return optimum_oracle(build.sys.costs)
+    except DptcoError as exc:
+        raise ScenarioError(f"{build.path}: costs: {exc}") from exc
+
+
 def run_scenario(scenario_path: str, out_dir: str) -> tuple:
     """Full pipeline: build, solve optimum, integrate, monitor, write files.
 
@@ -87,7 +96,7 @@ def run_scenario(scenario_path: str, out_dir: str) -> tuple:
         raise DptcoError(f"cannot create {out}: {exc}") from exc
     sc = load_scenario(scenario_path)
     build = sc.build()
-    cert = optimum_oracle(build.sys.costs)
+    cert = _optimum(build)
     traj = integrate(build.sys, build.y0, build.sys.clock, build.settings)
     derived = derived_series(build, traj, cert.z_star)
     monitors = evaluate_monitors(build, traj, derived)
@@ -102,7 +111,9 @@ def run_scenario(scenario_path: str, out_dir: str) -> tuple:
     all_pass = all(m.passed for m in monitors)
     manifest = {
         "scenario": build.name,
-        "scenario_sha256": build.sha256,
+        "scenario_sha256": scenario_hash(sc.raw),
+        "versions": {"python": "{}.{}.{}".format(*sys.version_info),
+                     "numpy": np.__version__},
         "seed": build.seed,
         "constants": build.constants,
         "criterion_reports": [r.to_dict() for r in build.criterion_reports],
@@ -146,7 +157,7 @@ def cmd_run(args) -> int:
 def cmd_optimum(args) -> int:
     sc = load_scenario(args.scenario)
     build = sc.build()
-    cert = optimum_oracle(build.sys.costs)
+    cert = _optimum(build)
     print(json.dumps(cert.to_dict(), indent=2))
     return EXIT_OK
 
@@ -214,7 +225,7 @@ def cmd_verify(args) -> int:
     sc = load_scenario(args.scenario)
     build = sc.build()
     traj = read_trajectory_csv(args.csv, build)
-    cert = optimum_oracle(build.sys.costs)
+    cert = _optimum(build)
     derived = derived_series(build, traj, cert.z_star)
     monitors = evaluate_monitors(build, traj, derived)
     all_pass = True

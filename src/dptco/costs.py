@@ -106,13 +106,20 @@ class CostSet:
                 f"rho_c = {self.rho_c}, varrho_c = {self.varrho_c}")
 
     def team_value(self, z) -> float:
-        """sum_i f_i(z), over each agent's terms, then over agents."""
+        """sum_i f_i(z), over each agent's terms, then over agents; an
+        exp-quadratic term that overflows gives inf."""
         z = np.asarray(z, dtype=float)
         values = [0.0] * self.n_agents
         for i, fam, mat, center, offset in self.terms:
             d = z - center
             q = float(d @ mat @ d)
-            values[i] += q + offset if fam == "quadratic" else math.exp(q)
+            if fam == "quadratic":
+                values[i] += q + offset
+            else:
+                try:
+                    values[i] += math.exp(q)
+                except OverflowError:
+                    values[i] = math.inf
         return sum(values)
 
     def grad_stack(self, Z: np.ndarray) -> np.ndarray:
@@ -236,6 +243,7 @@ class OptimumCertificate:
                 "iterations": self.iterations}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def optimum_oracle(costs: CostSet) -> OptimumCertificate:
     """Centralized optimum by damped Newton with backtracking from z = 0,
     run until the team gradient norm is at most 1e-8.
@@ -244,13 +252,16 @@ def optimum_oracle(costs: CostSet) -> OptimumCertificate:
     rule of `CostSet.hessian_stack`, symmetrised.  Strong convexity
     (rho_c > 0) guarantees a unique optimum; the certificate records the
     final gradient norm so downstream error computations can budget for it.
+    A team value or gradient norm that is not finite at an iterate (a cost
+    center so far out that its value overflows) is refused, without a
+    numpy warning; a trial point of the line search may overflow.
     """
     if costs.rho_c is None or costs.rho_c <= 0:
         raise DptcoError("optimum oracle needs rho_c > 0")
     z = np.zeros(costs.dim)
-    g = grad_sum(costs, z)
+    f, g, g_norm = _team_at(costs, z)
     it = 0
-    while float(np.linalg.norm(g)) > _NEWTON_TOL:
+    while g_norm > _NEWTON_TOL:
         if it >= _NEWTON_MAX_ITER:
             raise DptcoError(f"Newton exceeded {_NEWTON_MAX_ITER} iterations")
         H = _central_differences(
@@ -263,17 +274,29 @@ def optimum_oracle(costs: CostSet) -> OptimumCertificate:
         if step @ g > 0:  # not a descent direction, fall back to gradient
             step = -g
         # backtracking line search on the team cost
-        f0 = costs.team_value(z)
         t = 1.0
         while t > 1e-12:
             z_new = z + t * step
-            if costs.team_value(z_new) <= f0 + 1e-4 * t * (g @ step):
+            if costs.team_value(z_new) <= f + 1e-4 * t * (g @ step):
                 break
             t *= 0.5
         z = z + t * step
-        g = grad_sum(costs, z)
+        f, g, g_norm = _team_at(costs, z)
         it += 1
-    return OptimumCertificate(z, float(np.linalg.norm(g)), it)
+    return OptimumCertificate(z, g_norm, it)
+
+
+def _team_at(costs: CostSet, z: np.ndarray) -> tuple:
+    """(team value, team gradient, its norm) at the oracle's iterate z,
+    refused unless the value and the norm are finite."""
+    f = costs.team_value(z)
+    g = grad_sum(costs, z)
+    g_norm = float(np.linalg.norm(g))
+    if not (math.isfinite(f) and math.isfinite(g_norm)):
+        raise DptcoError(f"optimum oracle: the team cost is not finite at "
+                         f"z = {z.tolist()} (value {f}, gradient norm "
+                         f"{g_norm})")
+    return f, g, g_norm
 
 
 def estimate_constants(costs: CostSet) -> tuple[float, float]:

@@ -45,7 +45,12 @@ def build_network(n_agents: int, edges: list) -> Network:
         raise ValueError(f"{len(edges)} edges cannot connect {n} agents, "
                          f"which takes n_agents - 1 = {n - 1} at least")
     lap = np.zeros((n, n))
-    for k, (i, j, w) in enumerate(edges):
+    for k, edge in enumerate(edges):
+        try:
+            i, j, w = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edges[{k}] must be [i, j, weight], got "
+                             f"{edge!r}") from None
         for end in (i, j):
             if type(end) is not int and not float(end).is_integer():
                 raise ValueError(f"edges[{k}] endpoint must be a whole "

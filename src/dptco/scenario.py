@@ -9,7 +9,6 @@ evaluation lives here too, so the command-line layer stays a thin shell.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from contextlib import contextmanager
@@ -29,6 +28,16 @@ from .graph import build_network, require_connected
 from .sim_engine import (CoupledSystem, SolverSettings, Trajectory,
                          make_disturbance)
 from .timegain import GainFunction, PrescribedClock, log_grid
+
+try:
+    # hashlib loads OpenSSL's libcrypto (about 3.6 MiB per process) for one
+    # digest; CPython's own SHA-256 module gives the same bytes
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 _PHI_REGISTRY = {"identity": lambda x: x, "sin": np.sin, "tanh": np.tanh}
 
@@ -117,7 +126,6 @@ class ScenarioBuild:
 
     name: str
     path: str
-    sha256: str
     sys: CoupledSystem
     y0: np.ndarray
     settings: SolverSettings
@@ -250,9 +258,9 @@ class Scenario:
                         "spectral radius, and chain agents have none (their "
                         "stiffness drifts with the state); use rk45")
 
-        return ScenarioBuild(read["top level"]["name"], path,
-                             scenario_hash(raw), sys, y0, settings, monitors,
-                             reports, constants, consts, override, dist_seed)
+        return ScenarioBuild(read["top level"]["name"], path, sys, y0,
+                             settings, monitors, reports, constants, consts,
+                             override, dist_seed)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -269,8 +277,10 @@ def load_scenario(path: str) -> Scenario:
 
 
 def scenario_hash(raw: dict) -> str:
+    """SHA-256 of the scenario's canonical JSON (sorted keys, no spaces),
+    the manifest's scenario_sha256."""
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 # --- the reader --------------------------------------------------------------

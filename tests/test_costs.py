@@ -300,6 +300,19 @@ def test_oracle_reference_value():
     assert cert.grad_norm <= 1e-8
 
 
+def test_oracle_refuses_an_exp_term_that_overflows_at_its_start():
+    # finite on the box, but exp(2000 ||z - c||^2) overflows at z = 0,
+    # where math.exp raised an OverflowError out of team_value
+    cs = one_agent(expq(2000.0 * np.eye(2), [0.5, 0.5]),
+                   np.array([[0.4, 0.6], [0.4, 0.6]]))
+    assert cs.team_value([0.0, 0.0]) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DptcoError, match=r"optimum oracle: the team cost "
+                           r"is not finite at z = \[0.0, 0.0\] \(value inf"):
+            optimum_oracle(cs)
+
+
 # --- curvature constants -----------------------------------------------------
 
 def test_estimate_constants_diagonal_quadratic():

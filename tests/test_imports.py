@@ -9,6 +9,7 @@ process, so each module it loads without need is paid for on every run.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -91,3 +92,24 @@ def test_commands_do_not_load_numpy_random(name, tmp_path):
                             ["numpy.random"])
     assert run == []
     assert verify == []
+
+
+@pytest.mark.skipif(not any(map(importlib.util.find_spec,
+                                ("_sha2", "_sha256"))),
+                    reason="no _sha2 or _sha256: scenario_hash uses hashlib")
+def test_commands_do_not_load_openssl(tmp_path):
+    # scenario_hash takes SHA-256 from CPython's own module: hashlib would
+    # load OpenSSL's libcrypto, about 3.6 MiB of every process's peak RSS
+    sweep_dir = tmp_path / "sweep"
+    sweep_dir.mkdir()
+    for name in ("ring", "example1"):
+        out = tmp_path / f"out_{name}"
+        p = modified_scenario(name, tmp_path, at_guard(0.5))
+        assert loaded_modules(["run", p, "--out", str(out)],
+                              ["_hashlib"]) == []
+        assert loaded_modules(["verify", str(out / "trajectory.csv"), p],
+                              ["_hashlib"]) == []
+    p = modified_scenario("ring", sweep_dir, at_guard(0.5))
+    assert loaded_modules(["optimum", p], ["_hashlib"]) == []
+    assert loaded_modules(["sweep", str(sweep_dir), "--out",
+                           str(tmp_path / "sweep_out")], ["_hashlib"]) == []

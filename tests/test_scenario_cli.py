@@ -1,8 +1,10 @@
 """Scenario loading, monitor evaluation, and the command-line interface."""
 
+import hashlib
 import json
 import math
 import os
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -143,6 +145,14 @@ def _set(section, key, value):
     ("network", lambda raw: raw["network"]["edges"].append([0, 99, 1.0]),
      "edge (0,99) outside 0..5"),
     ("network", _set("network", "n_agents", "six"), "'six'"),
+    # Python's unpacking text named no edge
+    ("network", lambda raw: raw["network"]["edges"].__setitem__(0, [0, 1]),
+     "edges[0] must be [i, j, weight], got [0, 1]"),
+    ("network", lambda raw: raw["network"]["edges"].__setitem__(
+        3, [3, 4, 1.0, 7]), "edges[3] must be [i, j, weight], got "
+     "[3, 4, 1.0, 7]"),
+    ("network", lambda raw: raw["network"]["edges"].__setitem__(5, 5),
+     "edges[5] must be [i, j, weight], got 5"),
     ("gains", lambda raw: raw["gains"].update({"alpha": {
         "family": "table", "params": [[1.0, 2.0], [3.0, 6.0]]}}),
      "unknown gain family 'table'"),
@@ -226,6 +236,43 @@ def _refused_before_integration(monkeypatch, capsys, tmp_path, p):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     return err
+
+
+_FAR_CENTER = "optimum oracle: the team cost is not finite at z = [0.0, 0.0] "
+
+
+def _far_center(center):
+    return _put("costs", "agents", 0, "center", value=[center, 0.0])
+
+
+@pytest.mark.parametrize("center, message", [
+    # the team value and gradient norm overflow at z = 0; the oracle's
+    # NaN step then certified z_star = [NaN, NaN]
+    (1e300, _FAR_CENTER + "(value inf, gradient norm inf)"),
+    # the gradient is finite, its norm overflowed with a numpy warning
+    (1e200, _FAR_CENTER + "(value inf, gradient norm inf)"),
+    # finite throughout, but round-off keeps the gradient above 1e-8
+    (1e150, "Newton exceeded 10000 iterations"),
+], ids=["1e300", "1e200", "1e150"])
+def test_oracle_refuses_a_far_cost_center_under_costs(
+        tmp_path, capsys, monkeypatch, center, message):
+    p = modified_scenario("ring", tmp_path, _far_center(center))
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err == f"error: {p}: costs: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["optimum", "verify"])
+def test_oracle_errors_located_in_every_command(tmp_path, capsys, ring_run,
+                                                command):
+    p = modified_scenario("ring", tmp_path, _far_center(1e300))
+    csv = str(ring_run["out"] / "trajectory.csv")
+    argv = ["optimum", p] if command == "optimum" else ["verify", csv, p]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"error: {p}: costs: {_FAR_CENTER}(value inf, gradient norm "
+        "inf)\n")
 
 
 @pytest.mark.parametrize("key, gain, message", [
@@ -712,8 +759,18 @@ def test_override_allows_subcritical_gain(tmp_path):
 def test_scenario_hash_canonical():
     h1 = scenario_hash({"a": 1, "b": [2, 3]})
     h2 = scenario_hash({"b": [2, 3], "a": 1})
-    assert h1 == h2 and len(h1) == 64
+    assert h1 == h2 == ("efbd0040190fb0871831e606c581f8a6"
+                        "6db79d8e2bb836745a70051306956070")
     assert scenario_hash({"a": 2, "b": [2, 3]}) != h1
+
+
+@pytest.mark.parametrize("name", ["ring", "example2_generator", "example1",
+                                  "example2"])
+def test_scenario_hash_is_hashlib_sha256(name):
+    # the digest comes from CPython's own SHA-256 module, not hashlib
+    raw = json.loads(Path(scenario_path(name)).read_text())
+    canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    assert scenario_hash(raw) == hashlib.sha256(canon.encode()).hexdigest()
 
 
 def test_build_records_constants(tmp_path):
@@ -772,9 +829,12 @@ def test_tiny_run_green(tmp_path):
     assert code == EXIT_OK
     assert all(m["pass"] for m in manifest["monitors"])
     assert manifest["scenario"] == "tiny"
-    assert len(manifest["scenario_sha256"]) == 64
+    assert manifest["scenario_sha256"] == scenario_hash(TINY)
     written = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert isinstance(written["n_rhs"], int) and written["n_rhs"] > 0
+    assert written["versions"] == {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__}
 
 
 def test_manifest_integrator_block(ring_run, example2_run):
