@@ -8,7 +8,7 @@ ships the ODE engine, growth-criterion checks, runtime monitors for the
 convergence envelopes, and a CLI (`dptco run/optimum/verify/sweep`).
 """
 
-from .costs import CostSet, estimate_constants, optimum_oracle
+from .costs import CostSet, optimum_oracle
 from .errors import DptcoError
 from .generator import (GeneratorConstants, conservation_monitor,
                         envelope_monitor, error_state, generator_constants)

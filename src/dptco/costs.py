@@ -2,11 +2,11 @@
 
 Each agent's cost is a sum of terms, quadratic (z - c)^T Q (z - c) + offset
 or exp-quadratic exp((z - c)^T P (z - c)), held once in `CostSet`'s table
-of all agents' terms.  The strong-convexity constant rho_c and
-gradient-Lipschitz constant varrho_c are analytic for quadratics and
-sampled on a declared working box otherwise.  Every gradient comes from
-the table's family batches (`CostSet.grad_stack`), and every Hessian from
-central differences of it (`CostSet.hessian_stack`).  The centralized
+of all agents' terms.  Each family's gradient and Hessian are closed
+forms, batched over the table (`CostSet.grad_stack`,
+`CostSet.hessian_stack`), and the strong-convexity constant rho_c and
+gradient-Lipschitz constant varrho_c on a declared working box are bounds
+from the same Hessian formulas (`_curvature_bounds`).  The centralized
 optimum oracle is verification-only plumbing: a damped Newton iteration
 on the team cost.
 """
@@ -14,23 +14,19 @@ on the team cost.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .draws import uniform
 from .errors import DptcoError
 
 _NEWTON_MAX_ITER = 10_000
 _NEWTON_TOL = 1e-8  # gradient norm at which the oracle stops
-_CURVATURE_SAMPLES = 400  # random point pairs of estimate_constants
 
-# family: (its matrix key, the definiteness the matrix needs, the test of
-# its least eigenvalue against 0)
-_FAMILIES = {"quadratic": ("Q", "positive definite", np.greater),
-             "exp_quadratic": ("P", "positive semidefinite", np.greater_equal)}
+# family: (its matrix key, the definiteness the matrix needs)
+_FAMILIES = {"quadratic": ("Q", "positive definite"),
+             "exp_quadratic": ("P", "positive semidefinite")}
 
 
 def _finite(name: str, a) -> np.ndarray:
@@ -72,34 +68,30 @@ class CostSet:
     def __init__(self, agents: list, dim: int, box):
         self.dim = dim
         self.n_agents = len(agents)
-        self.terms = []
+        self.terms, starts = [], []  # starts: each agent's first term
         for i, c in enumerate(agents):
             c = c if type(c) is list else [c]
             if not c:
                 raise DptcoError(f"agent {i}: a sum of costs needs at least "
                                  "one term")
+            starts.append(len(self.terms))
             self.terms += [(i,) + _term(t, dim) for t in c]
-        spectra = {}  # per family, its terms' eigenvalues in table order
-        for fam, (key, definite, positive) in _FAMILIES.items():
-            mats = np.array([m for _, f, m, _, _ in self.terms if f == fam])
-            if not len(mats):
-                continue
-            spectra[fam] = np.linalg.eigvalsh(mats)  # reads one triangle
-            if not (positive(spectra[fam][:, 0], 0.0).all()
-                    and (mats == mats.transpose(0, 2, 1)).all()):
-                raise DptcoError(f"{key} must be symmetric {definite}")
+        quad = np.array([f == "quadratic" for _, f, _, _, _ in self.terms])
+        mats = np.array([m for _, _, m, _, _ in self.terms])
+        spectra = np.linalg.eigvalsh(mats)  # per term; reads one triangle
+        # symmetric, lambda_min >= 0, and != 0 for a Q; else name the
+        # first family with a term that is not
+        if not ((mats == mats.transpose(0, 2, 1)).all()
+                and (spectra[:, 0] >= 0.0).all() and spectra[quad, 0].all()):
+            Qs, lam = mats[quad], spectra[quad, 0]
+            fam = ("exp_quadratic" if (Qs == Qs.transpose(0, 2, 1)).all()
+                   and (lam > 0.0).all() else "quadratic")
+            raise DptcoError("{} must be symmetric {}".format(*_FAMILIES[fam]))
         self.box = _finite("box", box)
         if self.box.shape != (dim, 2):
             raise DptcoError("box must be (dim, 2)")
-        if "exp_quadratic" in spectra:
-            self.rho_c, self.varrho_c = estimate_constants(self)
-        else:
-            # 2 lambda_min(Q) and 2 lambda_max(Q), summed over an agent's terms
-            rho, varrho = [0.0] * self.n_agents, [0.0] * self.n_agents
-            for (i, *_), eigs in zip(self.terms, spectra["quadratic"]):
-                rho[i] += 2.0 * float(eigs[0])
-                varrho[i] += 2.0 * float(eigs[-1])
-            self.rho_c, self.varrho_c = min(rho), max(varrho)
+        self.rho_c, self.varrho_c = _curvature_bounds(self, starts, quad,
+                                                      mats, spectra)
         if not (math.isfinite(self.rho_c) and math.isfinite(self.varrho_c)):
             raise DptcoError(
                 "curvature constants must be finite on the working box, got "
@@ -128,58 +120,85 @@ class CostSet:
 
         Batched over all agents' terms; used in the simulation hot path.
         """
-        out = None
-        for idx, mats, cents, unique, grad in self._batches:
-            if idx is None and out is None:
-                # one term per agent in agent order starts the sum
-                out = grad(mats, Z - cents)
-                continue
-            if out is None:
-                out = np.zeros(Z.shape)
-            if idx is None:
-                out += grad(mats, Z - cents)
-            elif unique:
-                out[..., idx, :] += grad(mats, Z[..., idx, :] - cents)
-            else:
-                np.add.at(out, (..., idx, slice(None)),
-                          grad(mats, Z[..., idx, :] - cents))
-        return out
+        return self._sum_terms(Z, 0)
 
     def hessian_stack(self, Z: np.ndarray) -> np.ndarray:
-        """Per-agent Hessians at per-agent points, (N, dim, dim): block i
-        is the Hessian of f_i at Z[i] (`_central_differences` of
-        grad_stack)."""
-        return _central_differences(self.grad_stack, Z)
+        """Per-agent Hessians at per-agent points: [..., i, :, :] is the
+        Hessian of f_i at Z[..., i, :] for Z (..., N, dim)."""
+        return self._sum_terms(Z, 1)
+
+    def _sum_terms(self, Z: np.ndarray, k: int) -> np.ndarray:
+        """Each agent's sum of its terms' kernel k (0 the gradient, 1 the
+        Hessian) at Z (..., N, dim), over the family batches."""
+        out = None
+        for idx, mats, cents, unique, kernels in self._batches:
+            if idx is None:
+                # one term per agent, in agent order
+                part = kernels[k](mats, Z - cents)
+                out = part if out is None else out + part
+                continue
+            at = (slice(None),) * (Z.ndim - 2) + (idx,)  # agent rows idx
+            part = kernels[k](mats, Z[at] - cents)
+            if out is None:
+                out = np.zeros(Z.shape[:-1] + part.shape[Z.ndim - 1:])
+            if unique:
+                out[at] += part
+            else:
+                np.add.at(out, at, part)
+        return out
 
     @cached_property
     def _batches(self) -> list:
         return _term_batches(self.terms, self.n_agents)
 
 
-def _central_differences(grad, Z: np.ndarray) -> np.ndarray:
-    """Jacobians (n, dim, dim) of a map grad that takes n points (n, dim)
-    to n gradients, block i at Z[i] by central differences with step
-    1e-5 (1 + ||Z[i]||)."""
-    n, d = Z.shape
-    h = 1e-5 * (1.0 + np.linalg.norm(Z, axis=1))
-    hess = np.empty((n, d, d))
-    for k in range(d):
-        dz = np.zeros((n, d))
-        dz[:, k] = h
-        hess[:, :, k] = (grad(Z + dz) - grad(Z - dz)) / (2.0 * h[:, None])
-    return hess
+@np.errstate(over="ignore", invalid="ignore")
+def _curvature_bounds(costs: CostSet, starts: list, quad: np.ndarray,
+                      mats: np.ndarray, spectra: np.ndarray) -> tuple:
+    """(rho_c, varrho_c) on costs.box, from the table's matrices `mats`,
+    their spectra and which are quadratic (`quad`), in table order, where
+    each agent's terms start at its row of `starts`.
+
+    Agent i's Hessian is sum 2Q + sum 2 e^q (P + 2 P d d^T P), with
+    d = z - c and q = d^T P d >= 0, so it is at least 2 (sum Q + sum P):
+    rho_c = min_i lambda_min of that.  On the box |d| <= D, with D_k =
+    max(|lo_k - c_k|, |hi_k - c_k|), so q <= D^T |P| D and ||P d|| <=
+    || |P| D ||: varrho_c = max_i lambda_max(2 sum Q) plus, per
+    exp-quadratic term, 2 exp(D^T |P| D) (lambda_max(P) + 2 || |P| D ||^2),
+    the bound at the farthest vertex for a diagonal P.  A bound that
+    overflows gives a non-finite constant, without a warning.
+    """
+    n = costs.n_agents
+    # each agent's summed matrices' spectrum: its term's, for one term
+    lam = spectra if len(mats) == n else np.linalg.eigvalsh(
+        np.add.reduceat(mats, starts))
+    varrho = 2.0 * lam[:, -1]  # lambda_max(2 sum Q) if every term is one
+    expq = [(i, c, k) for k, (i, f, _, c, _) in enumerate(costs.terms)
+            if f == "exp_quadratic"]
+    if expq:
+        varrho = 2.0 * np.linalg.eigvalsh(np.add.reduceat(
+            mats * quad[:, None, None], starts))[:, -1]
+        agent, cents, rows = map(np.array, zip(*expq))
+        lo, hi = costs.box[:, 0], costs.box[:, 1]
+        D = np.maximum(abs(lo - cents), abs(hi - cents))
+        PD = (abs(mats[rows]) @ D[..., None])[..., 0]
+        bound = 2.0 * np.exp((D * PD).sum(axis=-1)) * (
+            spectra[rows, -1] + 2.0 * (PD * PD).sum(axis=-1))
+        varrho = varrho + np.bincount(agent, weights=bound, minlength=n)
+    return float(2.0 * lam[:, 0].min()), float(varrho.max())
 
 
 def _term_batches(terms: list, n_agents: int) -> list:
-    """Group the term table by family for batched gradients, in table
-    order (so by agent).
+    """Group the term table by family for batched gradients and
+    Hessians, in table order (so by agent).
 
     An agent's quadratic terms merge into one, (z - c)^T Q (z - c) with
     Q = sum_k Q_k and Q c = sum_k Q_k c_k (the same gradient), and the
     quadratic batch holds 2Q, which its gradient multiplies by
-    (doubling is exact).  Returns a list of (idx, mats, centers, unique,
-    grad), one per family present, where idx is None for one term per
-    agent in agent order.
+    (doubling is exact) and which is its Hessian.  Returns a list of
+    (idx, mats, centers, unique, kernels), one per family present, where
+    idx is None for one term per agent in agent order and kernels is the
+    family's (gradient, Hessian) pair.
     """
     quads = {}
     for i, fam, mat, center, _ in terms:
@@ -195,18 +214,18 @@ def _term_batches(terms: list, n_agents: int) -> list:
     expq = [(i, mat, center) for i, fam, mat, center, _ in terms
             if fam == "exp_quadratic"]
 
-    def pack(items, grad, scale):
+    def pack(items, kernels, scale):
         idx = np.array([i for i, _, _ in items])
         mats = scale * np.array([m for _, m, _ in items])
         cents = np.array([c for _, _, c in items])
         if np.array_equal(idx, np.arange(n_agents)):
             idx = None  # one term per agent, already in agent order
         unique = idx is None or len(set(idx.tolist())) == len(idx)
-        return idx, mats, cents, unique, grad
+        return idx, mats, cents, unique, kernels
 
-    return [pack(items, grad, scale) for items, grad, scale in
-            ((quad, _quad_grads, 2.0), (expq, _expq_grads, 1.0))
-            if items]
+    return [pack(items, kernels, scale) for items, kernels, scale in
+            ((quad, (_quad_grads, _quad_hessians), 2.0),
+             (expq, (_expq_grads, _expq_hessians), 1.0)) if items]
 
 
 def _quad_grads(Q2s: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -222,6 +241,21 @@ def _expq_grads(Ps: np.ndarray, D: np.ndarray) -> np.ndarray:
     Pd = (Ps @ D[..., None])[..., 0]
     e = np.exp((D * Pd).sum(axis=-1))
     return (2.0 * e)[..., None] * Pd
+
+
+def _quad_hessians(Q2s: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The doubled matrices Q2s = 2 Q_k at every row of D, shaped as D
+    with a trailing axis of length dim (a new array)."""
+    return np.broadcast_to(Q2s, D.shape + D.shape[-1:]).copy()
+
+
+def _expq_hessians(Ps: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """2 exp(d'P d) (P + 2 P d (P d)^T) of exp-quadratic terms at offsets
+    D, shaped as in _quad_hessians."""
+    Pd = (Ps @ D[..., None])[..., 0]
+    e = np.exp((D * Pd).sum(axis=-1))
+    return (2.0 * e)[..., None, None] * (
+        Ps + 2.0 * Pd[..., :, None] * Pd[..., None, :])
 
 
 def grad_sum(costs: CostSet, z) -> np.ndarray:
@@ -248,15 +282,15 @@ def optimum_oracle(costs: CostSet) -> OptimumCertificate:
     """Centralized optimum by damped Newton with backtracking from z = 0,
     run until the team gradient norm is at most 1e-8.
 
-    The Hessian is `_central_differences` of the team gradient, the one
-    rule of `CostSet.hessian_stack`, symmetrised.  Strong convexity
-    (rho_c > 0) guarantees a unique optimum; the certificate records the
-    final gradient norm so downstream error computations can budget for it.
+    The Hessian is the team Hessian, `CostSet.hessian_stack` at z summed
+    over the agents.  Strong convexity (rho_c > 0) guarantees a unique
+    optimum; the certificate records the final gradient norm so
+    downstream error computations can budget for it.
     A team value or gradient norm that is not finite at an iterate (a cost
     center so far out that its value overflows) is refused, without a
     numpy warning; a trial point of the line search may overflow.
     """
-    if costs.rho_c is None or costs.rho_c <= 0:
+    if costs.rho_c <= 0:
         raise DptcoError("optimum oracle needs rho_c > 0")
     z = np.zeros(costs.dim)
     f, g, g_norm = _team_at(costs, z)
@@ -264,9 +298,7 @@ def optimum_oracle(costs: CostSet) -> OptimumCertificate:
     while g_norm > _NEWTON_TOL:
         if it >= _NEWTON_MAX_ITER:
             raise DptcoError(f"Newton exceeded {_NEWTON_MAX_ITER} iterations")
-        H = _central_differences(
-            lambda Z: grad_sum(costs, Z[0])[None], z[None])[0]
-        H = 0.5 * (H + H.T)
+        H = costs.hessian_stack(np.tile(z, (costs.n_agents, 1))).sum(axis=0)
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -297,51 +329,3 @@ def _team_at(costs: CostSet, z: np.ndarray) -> tuple:
                          f"z = {z.tolist()} (value {f}, gradient norm "
                          f"{g_norm})")
     return f, g, g_norm
-
-
-def estimate_constants(costs: CostSet) -> tuple[float, float]:
-    """Empirical strong-convexity and gradient-Lipschitz constants.
-
-    Samples 400 seeded random point pairs in costs.box, plus axis-aligned
-    pairs (`_curvature_pairs`), and returns
-
-      rho_hat    = min (grad f(x) - grad f(y))^T (x - y) / ||x - y||^2
-      varrho_hat = max ||grad f(x) - grad f(y)|| / ||x - y||
-
-    aggregated as min/max over agents.  Every agent's gradient at every
-    sample point comes from one `CostSet.grad_stack` call.  A gradient or
-    a distance that overflows on the box gives a non-finite constant,
-    without a warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        X, Y = _curvature_pairs(costs.box)
-        Z = np.concatenate([X, Y])[:, None]
-        G = costs.grad_stack(np.broadcast_to(
-            Z, (len(Z), costs.n_agents, costs.dim)))
-        dG = G[:len(X)] - G[len(X):]
-        dZ = (X - Y)[:, None]
-        nz2 = (dZ * dZ).sum(axis=-1)
-        rho = float(((dG * dZ).sum(axis=-1) / nz2).min())
-        varrho = float((np.linalg.norm(dG, axis=-1) / np.sqrt(nz2)).max())
-    return rho, varrho
-
-
-def _curvature_pairs(box) -> tuple[np.ndarray, np.ndarray]:
-    """Point pairs (rows of X, Y) at which estimate_constants samples.
-
-    400 random pairs, x then y, one (400, 2, dim) `draws.uniform` block
-    from random.Random(0), without those whose points coincide; then
-    deterministic axis-aligned pairs at the corners lo and hi and the
-    centre, which hit the extremal curvature directions of diagonal
-    quadratics exactly.
-    """
-    box = np.asarray(box, dtype=float)
-    lo, hi = box[:, 0], box[:, 1]
-    dim = box.shape[0]
-    X, Y = uniform(random.Random(0), lo, hi,
-                   (_CURVATURE_SAMPLES, 2, dim)).transpose(1, 0, 2)
-    keep = np.linalg.norm(X - Y, axis=1) > 1e-9
-    anchors = np.repeat([lo, hi, 0.5 * (lo + hi)], dim, axis=0)
-    steps = np.tile(np.diag(1e-4 * np.maximum(1.0, hi - lo)), (3, 1))
-    return (np.concatenate([X[keep], anchors]),
-            np.concatenate([Y[keep], anchors + steps]))

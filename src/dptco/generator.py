@@ -44,15 +44,22 @@ class GeneratorConstants:
 def generator_constants(rho_c: float, varrho_c: float,
                         lambda2: float, lambdaN: float) -> GeneratorConstants:
     """c1 = max{1/lambda2, (1+2 varrho^2)/(2 rho)}; c2 = (c1/2) min{1, 1/lambdaN};
-    c3 = c1 max{1, 1/lambda2} + 1; c_star = 1/(4 c3)."""
+    c3 = c1 max{1, 1/lambda2} + 1; c_star = 1/(4 c3).  A constant that
+    is not finite (a varrho_c whose square overflows) is refused."""
     for name, v in (("rho_c", rho_c), ("varrho_c", varrho_c),
                     ("lambda2", lambda2), ("lambdaN", lambdaN)):
         if not (math.isfinite(v) and v > 0):
             raise DptcoError(f"{name} must be finite and > 0, got {v}")
-    c1 = max(1.0 / lambda2, (1.0 + 2.0 * varrho_c ** 2) / (2.0 * rho_c))
+    # a float product overflows to inf, where ** raises OverflowError
+    c1 = max(1.0 / lambda2, (1.0 + 2.0 * varrho_c * varrho_c) / (2.0 * rho_c))
     c2 = 0.5 * c1 * min(1.0, 1.0 / lambdaN)
     c3 = c1 * max(1.0, 1.0 / lambda2) + 1.0
-    return GeneratorConstants(c1, c2, c3, 1.0 / (4.0 * c3))
+    consts = GeneratorConstants(c1, c2, c3, 1.0 / (4.0 * c3))
+    for name, v in vars(consts).items():
+        if not math.isfinite(v):
+            raise DptcoError(f"{name} = {v} is not finite, from rho_c = "
+                             f"{rho_c} and varrho_c = {varrho_c}")
+    return consts
 
 
 def check_generator_criterion(alpha: GainFunction, c_star: float,

@@ -6,6 +6,7 @@ module tests and the acceptance tests.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ import dptco
 from dptco.scenario import Scenario
 
 SCEN_DIR = Path(dptco.__file__).parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLED = ("ring", "example2_generator", "example1", "example2")
 
 # one verdict line per acceptance criterion, re-emitted after the test
 # summary so they survive output capture
@@ -29,6 +32,22 @@ def pytest_terminal_summary(terminalreporter):
 
 def scenario_path(name: str) -> str:
     return str(SCEN_DIR / f"{name}.json")
+
+
+def shipped_scenarios(work: Path) -> dict:
+    """Name -> raw JSON of each bundled scenario and seed-201 benchmark
+    input, the latter generated under work."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    out = {name: json.loads(Path(scenario_path(name)).read_text())
+           for name in BUNDLED}
+    for name in workloads.WORKLOADS:
+        for p in workloads.generate(name, 201, ROOT, work / name).scenarios:
+            out[p.stem] = json.loads(p.read_text())
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ sigma), the chain's pole placement and dc2 gain (chain_config; they give
 K and alpha_s) and the working box [-5, 5]^dim (default_box)."""
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from dptco.chain_ctrl import (ChainControllerConfig, EulerLagrangeParams,
                               chain_control, companion, make_chain_config,
                               solve_lyapunov, v_constants)
-from dptco.draws import uniform
 from dptco.errors import DptcoError
 from dptco.generator import ErrorState, GeneratorConstants
 from dptco.graph import Network
@@ -375,38 +373,45 @@ def cost_gradient(c, z) -> np.ndarray:
     return cost_value(c, z) * 2.0 * (np.asarray(c["P"], dtype=float) @ d)
 
 
-def estimate_constants(agents: list, box, samples: int = 400,
-                       seed: int = 0):
-    """(rho_hat, varrho_hat) of the agents' costs (term dicts or lists of
-    them) over the same point pairs as costs.estimate_constants, one
-    gradient call per agent, point and pair."""
+def central_differences(grad, Z: np.ndarray) -> np.ndarray:
+    """Jacobians (..., n, dim, dim) of a map grad that takes points
+    (..., n, dim) to as many gradients, block i at Z[..., i, :] by central
+    differences with step 1e-5 (1 + ||Z[..., i, :]||): the reference
+    for CostSet.hessian_stack."""
+    h = 1e-5 * (1.0 + np.linalg.norm(Z, axis=-1, keepdims=True))
+    cols = []
+    for k in range(Z.shape[-1]):
+        dz = np.zeros(Z.shape)
+        dz[..., k] = h[..., 0]
+        cols.append((grad(Z + dz) - grad(Z - dz)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def curvature_bounds(agents: list, box) -> tuple:
+    """(rho_c, varrho_c) of the agents' costs (term dicts or lists of
+    them) on box, agent by agent and term by term: the per-agent form of
+    CostSet's constants.  rho_c is the least 2 lambda_min(sum Q + sum P)
+    over agents; varrho_c the largest 2 lambda_max(sum Q) plus, per
+    exp-quadratic term, 2 exp(D'|P|D) (lambda_max(P) + 2 |||P| D||^2),
+    D the largest |z - c| on the box per coordinate."""
     box = np.asarray(box, dtype=float)
-    dim = box.shape[0]
-    rng = random.Random(seed)
-    lo, hi = box[:, 0], box[:, 1]
-
-    pairs = []
-    for _ in range(samples):
-        x = uniform(rng, lo, hi, (dim,))
-        y = uniform(rng, lo, hi, (dim,))
-        if np.linalg.norm(x - y) > 1e-9:
-            pairs.append((x, y))
-    for anchor in (lo, hi, 0.5 * (lo + hi)):
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = 1e-4 * max(1.0, hi[j] - lo[j])
-            pairs.append((anchor.copy(), anchor + e))
-
-    rho = math.inf
-    varrho = 0.0
+    rho, varrho = math.inf, -math.inf
     for c in agents:
-        for x, y in pairs:
-            dg = cost_gradient(c, x) - cost_gradient(c, y)
-            dz = x - y
-            nz2 = float(dz @ dz)
-            rho = min(rho, float(dg @ dz) / nz2)
-            varrho = max(varrho, float(np.linalg.norm(dg)) / math.sqrt(nz2))
-    return rho, varrho
+        terms = c if isinstance(c, list) else [c]
+        mats = [np.asarray(t["Q" if t["family"] == "quadratic" else "P"],
+                           dtype=float) for t in terms]
+        quads = [m for m, t in zip(mats, terms) if t["family"] == "quadratic"]
+        up = 2.0 * np.linalg.eigvalsh(sum(quads))[-1] if quads else 0.0
+        for m, t in zip(mats, terms):
+            if t["family"] == "exp_quadratic":
+                d = np.maximum(abs(box[:, 0] - t["center"]),
+                               abs(box[:, 1] - t["center"]))
+                pd = abs(m) @ d
+                up += 2.0 * math.exp(d @ pd) * (np.linalg.eigvalsh(m)[-1]
+                                                + 2.0 * (pd @ pd))
+        rho = min(rho, 2.0 * np.linalg.eigvalsh(sum(mats))[0])
+        varrho = max(varrho, up)
+    return float(rho), float(varrho)
 
 
 def log_grid(s_lo: float, s_hi: float, n: int) -> np.ndarray:

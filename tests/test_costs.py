@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dptco.costs import (CostSet, _curvature_pairs, estimate_constants,
-                         grad_sum, optimum_oracle)
+from dptco.costs import CostSet, grad_sum, optimum_oracle
 from dptco.errors import DptcoError
 from dptco.scenario import load_scenario
 
 import oracles
 from oracles import default_box, expq, quad
-from conftest import modified_scenario, scenario_path
+from conftest import modified_scenario, scenario_path, shipped_scenarios
 
 Z_STAR_REFERENCE = np.array([0.7263, 0.7183])
 
@@ -224,24 +223,83 @@ def test_merged_quadratics_keep_file_order():
 
 
 def test_costset_constants_match_per_term_reference():
-    # analytic: per agent the sum of its terms' 2 lambda_min and
-    # 2 lambda_max, then min and max over agents
+    # per agent, lambda of its summed matrices and a bound per
+    # exp-quadratic term, batched over the table; the loop reference
+    # takes them agent by agent and term by term
+    box = np.array([[-1.0, 2.0], [-0.5, 1.5]])
+    for name, agents in sorted(BRANCHES.items()):
+        cs = CostSet(agents, 2, box)
+        assert (cs.rho_c, cs.varrho_c) == pytest.approx(
+            oracles.curvature_bounds(agents, box), rel=1e-14, abs=0.0), name
+    # analytic, with every term quadratic: an agent's 2 lambda_min and
+    # 2 lambda_max of its summed Q, then min and max over agents
     agents = BRANCHES["three_quadratics_on_one_agent"]
-    cs = CostSet(agents, 2, oracles.wide_box(2))
-    eigs = [sum(2.0 * np.linalg.eigvalsh(np.asarray(t["Q"], float))
-                for t in (c if isinstance(c, list) else [c]))
+    cs = CostSet(agents, 2, box)
+    eigs = [2.0 * np.linalg.eigvalsh(sum(np.asarray(t["Q"], float)
+                                         for t in (c if isinstance(c, list)
+                                                   else [c])))
             for c in agents]
     assert cs.rho_c == pytest.approx(min(e[0] for e in eigs), rel=1e-14)
     assert cs.varrho_c == pytest.approx(max(e[-1] for e in eigs), rel=1e-14)
-    # sampled, once any exp-quadratic term is present
-    box = np.array([[-1.0, 2.0], [-1.0, 2.0]])
-    for name in ("quadratic_not_on_every_agent",
-                 "two_exp_quadratics_on_one_agent"):
-        agents = BRANCHES[name]
-        cs = CostSet(agents, 2, box)
-        want = oracles.estimate_constants(agents, cs.box)
-        assert (cs.rho_c, cs.varrho_c) == pytest.approx(want, rel=1e-12,
-                                                        abs=0.0)
+
+
+def test_two_quadratics_take_the_spectrum_of_their_sum():
+    # Q1 and Q2 do not commute: lambda_min(Q1 + Q2) = 1.1 - sqrt(0.405),
+    # well above lambda_min(Q1) + lambda_min(Q2) = 0.2, and lambda_max
+    # below 1 + 1
+    Q1 = np.diag([1.0, 0.1])
+    Q2 = np.array([[0.55, 0.45], [0.45, 0.55]])
+    cs = one_agent([quad(Q1, [0.0, 0.0]), quad(Q2, [1.0, 0.0])])
+    assert cs.rho_c == pytest.approx(2.0 * (1.1 - np.sqrt(0.405)), rel=1e-14)
+    assert cs.varrho_c == pytest.approx(2.0 * (1.1 + np.sqrt(0.405)),
+                                        rel=1e-14)
+    assert cs.rho_c > 2.0 * (0.1 + 0.1)
+
+
+@pytest.mark.parametrize("name", sorted(BRANCHES))
+def test_hessian_stack_matches_central_differences(name):
+    # every branch of the batches, the scatter of np.add.at included,
+    # against central differences of grad_stack
+    agents = BRANCHES[name]
+    cs = CostSet(agents, 2, oracles.wide_box(2))
+    Z = np.random.default_rng(6).uniform(-1.0, 1.5, (3, len(agents), 2))
+    H = cs.hessian_stack(Z)
+    assert H.shape == Z.shape + (2,)
+    assert np.allclose(H, oracles.central_differences(cs.grad_stack, Z),
+                       rtol=1e-7, atol=1e-8)
+    for k in range(len(Z)):
+        # a leading axis gives each slice's Hessians bit for bit
+        assert H[k].tobytes() == cs.hessian_stack(Z[k]).tobytes()
+        # Hessians are symmetric as computed, without symmetrising
+        assert np.array_equal(H[k], H[k].transpose(0, 2, 1))
+
+
+def grid_spectra(cs: CostSet, n: int) -> np.ndarray:
+    """Eigenvalues of every agent's Hessian at each point of an n x n grid
+    of its box (dim 2), as (n^2, N, 2)."""
+    axes = [np.linspace(lo, hi, n) for lo, hi in cs.box]
+    pts = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, 1, 2)
+    Z = np.broadcast_to(pts, (len(pts), cs.n_agents, 2))
+    return np.linalg.eigvalsh(cs.hessian_stack(Z))
+
+
+def test_constants_bound_the_hessian_on_every_shipped_box(tmp_path):
+    # rho_c at most, and varrho_c at least, every Hessian eigenvalue on a
+    # dense grid of the working box; equal for quadratic costs, whose
+    # Hessians are constant.  example2's costs sampled varrho_c 98.13
+    # against the grid's 118.5
+    for name, raw in shipped_scenarios(tmp_path).items():
+        costs = raw["costs"]
+        cs = CostSet(costs["agents"], costs["dim"], costs["box"])
+        eigs = grid_spectra(cs, 101)
+        lo, hi = float(eigs[..., 0].min()), float(eigs[..., -1].max())
+        assert cs.rho_c <= lo and hi <= cs.varrho_c, name
+        if all(f == "quadratic" for _, f, _, _, _ in cs.terms):
+            assert (cs.rho_c, cs.varrho_c) == pytest.approx(
+                (lo, hi), rel=1e-15), name
+        else:
+            # the bound is within 1% of the grid's largest eigenvalue
+            assert cs.varrho_c <= 1.01 * hi, name
 
 
 def test_hessian_stack_matches_analytic():
@@ -316,45 +374,34 @@ def test_oracle_refuses_an_exp_term_that_overflows_at_its_start():
 # --- curvature constants -----------------------------------------------------
 
 def test_estimate_constants_diagonal_quadratic():
-    rho, varrho = estimate_constants(
-        one_agent(quad(np.diag([0.5, 0.3]), [0.0, 0.0])))
-    assert 0.6 - 1e-3 <= rho <= 0.6 + 1e-9
-    assert 1.0 - 1e-9 <= varrho <= 1.0 + 1e-3
+    # closed form: exactly 2 x the extreme diagonal entries
+    cs = one_agent(quad(np.diag([0.5, 0.3]), [0.0, 0.0]))
+    assert (cs.rho_c, cs.varrho_c) == (0.6, 1.0)
 
 
 def test_estimate_constants_identity_quadratic():
-    rho, varrho = estimate_constants(one_agent(quad(np.eye(2), [0.0, 0.0])))
-    assert rho == pytest.approx(2.0, abs=1e-6)
-    assert varrho == pytest.approx(2.0, abs=1e-6)
-
-
-def test_curvature_sample_pinned():
-    # literal first pair: random.Random gives the same stream in every
-    # Python version, so it changes only with the stream or draw order
-    X, Y = _curvature_pairs(default_box(2))
-    assert X.shape == Y.shape == (400 + 3 * 2, 2)
-    assert X[0].tolist() == [3.4442185152504816, 2.5795440294030243]
-    assert Y[0].tolist() == [-0.79428419169155, -2.4108324970703663]
+    cs = one_agent(quad(np.eye(2), [0.0, 0.0]))
+    assert (cs.rho_c, cs.varrho_c) == (2.0, 2.0)
 
 
 def test_estimate_constants_example2_agent1():
+    # example2's first agent: 2Q + 2 e^q (P + 2 P d d^T P) with a diagonal
+    # P = 0.1 I, whose bound is the one at the farthest vertex of the box
     agents, _, box = example2_agents()
-    rho, varrho = estimate_constants(one_agent(agents[0], box))
-    assert rho > 0.0
-    assert np.isfinite(varrho)
-
-
-@pytest.mark.parametrize("agents, box", [
-    ([expq([[0.1, 0.0], [0.0, 0.1]], [0.5, 0.5])],
-     np.array([[-1.0, 2.0], [-1.0, 2.0]])),
-    ([[quad([[0.5, -0.2], [-0.2, 0.3]], [1.0, 1.0]),
-       expq([[0.2, 0.05], [0.05, 0.1]], [0.3, -0.2])]], default_box(2)),
-    (example2_agents()[0], example2_agents()[2]),
-], ids=["single", "sum", "costset"])
-def test_estimate_constants_matches_loop(agents, box):
-    got = estimate_constants(CostSet(agents, 2, box))
-    want = oracles.estimate_constants(agents, box)
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    cs = one_agent(agents[0], box)
+    q, e = agents[0]
+    Q, P = np.asarray(q["Q"]), np.asarray(e["P"])
+    d = np.array([[x, y] for x in box[0] for y in box[1]]) - e["center"]
+    Pd = d @ P
+    vertex = 2.0 * np.exp((d * Pd).sum(axis=1).max()) * (
+        0.1 + 2.0 * (Pd * Pd).sum(axis=1).max())
+    assert cs.varrho_c == pytest.approx(
+        2.0 * np.linalg.eigvalsh(Q)[-1] + vertex, rel=1e-14)
+    assert cs.rho_c == pytest.approx(
+        2.0 * np.linalg.eigvalsh(Q + P)[0], rel=1e-14)
+    eigs = grid_spectra(cs, 301)
+    assert cs.rho_c <= eigs[..., 0].min()
+    assert eigs[..., -1].max() <= cs.varrho_c
 
 
 def test_costset_analytic_constants():

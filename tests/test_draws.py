@@ -1,5 +1,4 @@
-"""Seeded uniform draws: the stream the disturbance and the curvature
-sample are built from."""
+"""Seeded uniform draws: the stream the disturbance is built from."""
 
 import random
 

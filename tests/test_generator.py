@@ -1,6 +1,8 @@
 """Distributed optimal-trajectory generator: dynamics, constants, monitors."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +121,21 @@ def test_constants_reject_non_finite(args, name):
     # an overflowing cost once gave varrho_c = inf and c_star = 0
     with pytest.raises(DptcoError, match=f"{name} must be finite"):
         generator_constants(*args)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 1e200, 1.0, 4.0),
+     "c1 = inf is not finite, from rho_c = 1.0 and varrho_c = 1e+200"),
+    ((1.0, 1.0, 1e-308, 4.0),
+     "c3 = inf is not finite, from rho_c = 1.0 and varrho_c = 1.0"),
+], ids=["varrho_squared", "c3"])
+def test_constants_refuse_an_overflowing_one(args, message):
+    # varrho_c ** 2 raised OverflowError, "(34, 'Numerical result out of
+    # range')", which the scenario reported under costs as it was
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DptcoError, match=re.escape(message)):
+            generator_constants(*args)
 
 
 # --- dynamics ----------------------------------------------------------------

@@ -83,8 +83,8 @@ def loaded_modules(args: list, modules: list) -> list:
 @pytest.mark.parametrize("name", ["ring", "example1", "example2",
                                   "example2_generator"])
 def test_commands_do_not_load_numpy_random(name, tmp_path):
-    # the disturbance and the curvature sample draw from the stdlib random,
-    # so no command pays for numpy.random and its imports
+    # the disturbance draws from the stdlib random, so no command pays
+    # for numpy.random and its imports
     out = tmp_path / "out"
     p = modified_scenario(name, tmp_path, at_guard(0.5))
     run = loaded_modules(["run", p, "--out", str(out)], ["numpy.random"])

@@ -358,24 +358,33 @@ def _put(*keys, value=math.nan):
      "agents: upsilon must be finite"),
     ("example2", _put("agents", "sigma", value=math.inf),
      "agents: sigma must be finite"),
-    # exp(100 ||z - c||^2) overflows on the working box
+    # finite numbers that overflow what is built from them.  With
+    # P = 100 I, varrho_c = 2 exp(450) (100 + 2 * 150^2 * 2) + 0.4 is
+    # finite, but c1 takes its square
     ("example2_generator", _put("costs", "agents", 2, 1, "P",
                                 value=[[100.0, 0.0], [0.0, 100.0]]),
-     "costs: curvature constants must be finite on the working box"),
-    # finite numbers that overflow what is built from them: the norm of
-    # the curvature sample's point pairs warned before the constants were
-    # refused, and W_hat - W was inf - inf, with a warning, before the run
-    # stopped in the integrator under no section
+     "costs: c1 = inf is not finite, from rho_c = 0.4 and varrho_c = "
+     "4.8783"),
+    # a Q entry of 1e200 gives varrho_c = 2e200, whose square raised
+    # "(34, 'Numerical result out of range')" from varrho_c ** 2
+    ("ring", _put("costs", "agents", 0, "Q", 0, 0, value=1e200),
+     "costs: c1 = inf is not finite, from rho_c = 2.0 and varrho_c = "
+     "2e+200"),
+    # exp(D^T |P| D) overflows on a box edge of 1e308; the norm of the
+    # curvature sample's point pairs warned before the constants were
+    # refused
     ("example2_generator", _put("costs", "box", 1, 1, value=1e308),
      "costs: curvature constants must be finite on the working box"),
+    # W_hat - W was inf - inf, with a warning, before the run stopped in
+    # the integrator under no section
     ("example1", _put("agents", "el_true_theta", 4, value=1e308),
      "agents: el_true_theta gives non-finite manipulator coefficients"),
 ], ids=["T_nan", "T_inf", "guard_frac_nan", "t0_nan", "t0_-inf",
         "varpi_init", "p_init", "x_init",
         "theta_hat_init", "quadratic_center", "exp_quadratic_center", "box",
         "weight_nan", "weight_inf", "offsets", "v", "K", "el_true_theta",
-        "thetas", "c", "upsilon", "sigma", "overflowing_cost", "huge_box",
-        "huge_el_true_theta"])
+        "thetas", "c", "upsilon", "sigma", "overflowing_cost",
+        "huge_Q_entry", "huge_box", "huge_el_true_theta"])
 def test_non_finite_number_refused_in_its_section(tmp_path, capsys,
                                                   monkeypatch, name, edit,
                                                   message):
@@ -402,13 +411,15 @@ def test_asymmetric_cost_matrix_refused(tmp_path, capsys, monkeypatch, name,
 
 
 def test_flat_curvature_refused_under_costs(tmp_path, capsys, monkeypatch):
-    # a term centred 1e154 away leaves the sampled curvature at 0; the
-    # generator constants refused rho_c = 0 outside any section, so the
-    # error named neither the file nor the costs
+    # a term centred 1e154 away left the sampled curvature at 0, which the
+    # generator constants refused outside any section, so the error named
+    # neither the file nor the costs.  The closed form gives rho_c = 0.4;
+    # the optimum oracle's team cost then overflows, refused under costs
     p = modified_scenario("example2", tmp_path, _put(
         "costs", "agents", 3, 0, "center", 1, value=1e154))
     err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
-    assert err.startswith(f"error: {p}: costs: rho_c must be finite and > 0")
+    assert err.startswith(f"error: {p}: costs: optimum oracle: the team cost "
+                          "is not finite at z = ")
 
 
 @pytest.mark.parametrize("name, monitor, keys, message", [

@@ -14,8 +14,6 @@ default's takers are the files that rely on it.
 
 import copy
 import json
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +23,7 @@ from dptco import timegain
 from dptco.errors import ScenarioError
 from dptco.scenario import _GAIN, _GAINS, _REQUIRED, _TABLE, _TERM, Scenario
 
-from conftest import SCEN_DIR, scenario_path
-
-ROOT = Path(__file__).resolve().parent.parent
-BUNDLED = ("ring", "example2_generator", "example1", "example2")
+from conftest import BUNDLED, ROOT, SCEN_DIR, shipped_scenarios
 
 # dotted key -> the scenario that sets it to another value, or None
 SET_BY = {
@@ -141,18 +136,7 @@ def _walk(raw: dict):
 def scenarios(tmp_path_factory) -> dict:
     """Name -> raw JSON of each bundled scenario and seed-201 benchmark
     input."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    out = {name: json.loads(Path(scenario_path(name)).read_text())
-           for name in BUNDLED}
-    work = tmp_path_factory.mktemp("workloads")
-    for name in workloads.WORKLOADS:
-        for p in workloads.generate(name, 201, ROOT, work / name).scenarios:
-            out[p.stem] = json.loads(p.read_text())
-    return out
+    return shipped_scenarios(tmp_path_factory.mktemp("workloads"))
 
 
 @pytest.fixture(scope="module")
