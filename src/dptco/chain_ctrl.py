@@ -50,27 +50,30 @@ def companion(K: np.ndarray) -> np.ndarray:
 def solve_lyapunov(Lambda: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve P Lambda + Lambda^T P = -Q by Kronecker vectorization.
 
-    Lambda must be Hurwitz and Q symmetric positive definite; the result is
-    symmetric positive definite with residual below 1e-10.
+    Q must be symmetric positive definite.  Then, by Lyapunov's theorem, a
+    positive definite P exists iff Lambda is Hurwitz, so a singular system
+    or a P that is not positive definite refuses Lambda, with no
+    eigenvalue solve of Lambda.  The result is symmetric positive definite
+    with residual below 1e-10.
     """
     Lambda = np.asarray(Lambda, dtype=float)
     Q = np.asarray(Q, dtype=float)
     d = Lambda.shape[0]
-    eigs = np.linalg.eigvals(Lambda)
-    if np.max(eigs.real) >= 0.0:
-        raise DptcoError(f"eigenvalues {eigs} not all in the open left half-plane")
+    not_hurwitz = "eigenvalues of Lambda not all in the open left half-plane"
     A = np.kron(np.eye(d), Lambda.T) + np.kron(Lambda.T, np.eye(d))
     try:
         vec_p = np.linalg.solve(A, -Q.reshape(-1))
     except np.linalg.LinAlgError as exc:
-        raise DptcoError(str(exc)) from exc
+        raise DptcoError(f"{not_hurwitz}: the Lyapunov system is "
+                         f"singular ({exc})") from exc
     P = vec_p.reshape(d, d)
     P = 0.5 * (P + P.T)
     resid = np.linalg.norm(P @ Lambda + Lambda.T @ P + Q)
     if resid > 1e-10:
         raise DptcoError(f"Lyapunov residual {resid} too large")
     if np.min(np.linalg.eigvalsh(P)) <= 0.0:
-        raise DptcoError("Lyapunov solution not positive definite")
+        raise DptcoError(f"{not_hurwitz}: the Lyapunov solution is not "
+                         "positive definite")
     return P
 
 

@@ -83,12 +83,19 @@ def _optimum(build: ScenarioBuild):
         raise ScenarioError(f"{build.path}: costs: {exc}") from exc
 
 
+# the phases of a run that its manifest times, in the order they run
+_PHASES = ("build", "oracle", "integrate", "derived", "monitors", "csv",
+           "svg")
+
+
 def run_scenario(scenario_path: str, out_dir: str) -> tuple:
     """Full pipeline: build, solve optimum, integrate, monitor, write files.
 
-    Returns (exit_code, manifest dict).
+    Returns (exit_code, manifest dict); the manifest's `timings` give the
+    seconds of each phase of _PHASES, which together take its
+    `wall_seconds` but for the manifest's own assembly.
     """
-    t_start = time.monotonic()
+    marks = [time.monotonic()]  # the end of each phase of _PHASES
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -96,17 +103,24 @@ def run_scenario(scenario_path: str, out_dir: str) -> tuple:
         raise DptcoError(f"cannot create {out}: {exc}") from exc
     sc = load_scenario(scenario_path)
     build = sc.build()
+    marks.append(time.monotonic())
     cert = _optimum(build)
+    marks.append(time.monotonic())
     traj = integrate(build.sys, build.y0, build.sys.clock, build.settings)
+    marks.append(time.monotonic())
     derived = derived_series(build, traj, cert.z_star)
+    marks.append(time.monotonic())
     monitors = evaluate_monitors(build, traj, derived)
+    marks.append(time.monotonic())
 
     csv_path = out / "trajectory.csv"
     cols = trajectory_columns(build.sys, traj)
     cols.update(_derived_columns(derived))
     export_csv(str(csv_path), cols)
+    marks.append(time.monotonic())
     files = [str(csv_path)]
     files += _write_plots(out, build, traj, derived)
+    marks.append(time.monotonic())
 
     all_pass = all(m.passed for m in monitors)
     manifest = {
@@ -125,7 +139,9 @@ def run_scenario(scenario_path: str, out_dir: str) -> tuple:
         "n_rhs": traj.n_rhs,
         "integrator": traj.integrator,
         "outputs": files,
-        "wall_seconds": time.monotonic() - t_start,
+        "timings": {phase: b - a for phase, a, b
+                    in zip(_PHASES, marks, marks[1:])},
+        "wall_seconds": time.monotonic() - marks[0],
     }
     man_path = out / "manifest.json"
     try:
@@ -245,11 +261,79 @@ def _sweep_one(path: str, out_dir: str) -> tuple:
         return "error", f"{type(exc).__name__}: {exc}"
 
 
-def cmd_sweep(args) -> int:
-    # imported here: about 16 ms and 1 MiB that no other command needs
-    import concurrent.futures
-    import multiprocessing
+def _fork_one(path: str, out_dir: str) -> tuple:
+    """Fork a worker that runs _sweep_one on one file and writes its result
+    as JSON to a pipe; returns (pid, the pipe's read end)."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(r)
+        os.close(w)
+        raise DptcoError(f"cannot start a sweep worker: {exc}") from exc
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                fh.write(json.dumps(_sweep_one(path, out_dir)).encode())
+            code = 0
+        finally:
+            # never return into the parent's loop, nor flush the stdout
+            # buffer inherited from it
+            os._exit(code)
+    os.close(w)
+    return pid, r
 
+
+def _sweep_forked(jobs: list, workers: int):
+    """Run _sweep_one(path, out_dir) for each job of jobs in its own forked
+    worker, at most `workers` alive at once; yield (job index, result) as
+    each worker is reaped, in the order they finish.
+
+    Each pipe is read to its end before its worker is reaped, so a result
+    larger than the pipe's buffer cannot block.  A worker that ends without
+    a result gives ("error", <how it ended>).  On the way out, an
+    interrupt included, every worker still alive is killed and reaped.
+    """
+    # imported here: signal's enums and the select extension add about
+    # 0.15 MiB to the peak RSS of run and verify, which use neither
+    import select
+    import signal
+
+    live = {}  # read end -> [job index, pid, chunks read]
+    poll = select.poll()
+    started = 0
+    try:
+        while live or started < len(jobs):
+            while len(live) < workers and started < len(jobs):
+                pid, fd = _fork_one(*jobs[started])
+                live[fd] = [started, pid, []]
+                poll.register(fd, select.POLLIN)
+                started += 1
+            for fd, _ in poll.poll():
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    live[fd][2].append(chunk)
+                    continue
+                poll.unregister(fd)
+                os.close(fd)
+                i, pid, chunks = live.pop(fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code == 0 and chunks:
+                    yield i, json.loads(b"".join(chunks))
+                elif code >= 0:
+                    yield i, ("error", f"worker exited with code {code}")
+                else:
+                    yield i, ("error", f"worker killed by signal {-code}")
+    finally:
+        for fd, (_, pid, _) in live.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
+def cmd_sweep(args) -> int:
     # unset or empty: one worker per CPU; anything else a positive integer
     threads = os.environ.get("DPTCO_THREADS", "")
     if threads and not (threads.isascii() and threads.isdigit()
@@ -264,26 +348,25 @@ def cmd_sweep(args) -> int:
     workers = min(int(threads) if threads else os.cpu_count() or 1,
                   len(paths))
     out_root = Path(args.out)
+    jobs = [(str(p), str(out_root / p.stem)) for p in paths]
+    results = {}
     worst = EXIT_OK
-    # fork: the workers inherit the imported modules and start in
-    # milliseconds; this process runs no other thread when they are forked
-    ctx = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(workers, ctx) as ex:
-        futures = [ex.submit(_sweep_one, str(p), str(out_root / p.stem))
-                   for p in paths]
-        for p, fut in zip(paths, futures):
-            try:
-                result = fut.result()
-            except Exception as exc:  # the worker died (BrokenProcessPool)
-                result = "error", f"{type(exc).__name__}: {exc}"
-            if result[0] != "ok":
-                label = "config error" if result[0] == "config" else "error"
-                print(f"{p.name}: {label}: {result[1]}", file=sys.stderr)
+    # one summary line per file, in file order, as soon as it is known
+    shown = 0
+    for i, result in _sweep_forked(jobs, workers):
+        results[i] = result
+        while shown in results:
+            tag, *rest = results.pop(shown)
+            name = paths[shown].name
+            shown += 1
+            if tag != "ok":
+                label = "config error" if tag == "config" else "error"
+                print(f"{name}: {label}: {rest[0]}", file=sys.stderr)
                 worst = EXIT_CONFIG
                 continue
-            code, manifest = result[1:]
+            code, manifest = rest
             status = "ok" if code == EXIT_OK else "monitor failure"
-            print(f"{p.name}: {status} ({manifest['wall_seconds']:.1f}s)")
+            print(f"{name}: {status} ({manifest['wall_seconds']:.1f}s)")
             if code != EXIT_OK and worst != EXIT_CONFIG:
                 worst = max(worst, code)
     return worst

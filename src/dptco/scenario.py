@@ -249,6 +249,18 @@ class Scenario:
             if bad.size:
                 raise ValueError("non-finite initial value of "
                                  f"{sys.column_names()[bad[0]]}")
+            if agents is not None:
+                # the agents' dynamics at y0 and one Euler step of the cap
+                # _DT on: a plant that overflows within its first step is
+                # refused here, not by the integrator's step-size underflow
+                with np.errstate(all="ignore"):
+                    dy0 = _agent_derivatives(sys, y0)
+                    dy1 = _agent_derivatives(sys, y0 + _DT * dy0)
+                bad = np.flatnonzero(~(np.isfinite(dy0) & np.isfinite(dy1)))
+                if bad.size:
+                    raise ValueError(
+                        f"the derivative of {sys.column_names()[bad[0]]} is "
+                        f"not finite within the first step of {_DT:g}")
 
         with _section(path, "solver"):
             settings = SolverSettings(dt=_DT, **read["solver"])
@@ -261,6 +273,16 @@ class Scenario:
         return ScenarioBuild(read["top level"]["name"], path, sys, y0,
                              settings, monitors, reports, constants, consts,
                              override, dist_seed)
+
+
+def _agent_derivatives(sys: CoupledSystem, y: np.ndarray) -> np.ndarray:
+    """The agents' blocks of dy/dt at t = 0 and state y; zero elsewhere."""
+    dy = np.zeros_like(y)
+    varpi, _, x, c = sys.views(y)
+    _, _, dx, dc = sys.views(dy)
+    sys.agents.derivatives(0.0, sys.clock.mu0, x, c, sys.references(varpi),
+                           dx, dc)
+    return dy
 
 
 def load_scenario(path: str) -> Scenario:

@@ -113,3 +113,14 @@ def test_commands_do_not_load_openssl(tmp_path):
     assert loaded_modules(["optimum", p], ["_hashlib"]) == []
     assert loaded_modules(["sweep", str(sweep_dir), "--out",
                            str(tmp_path / "sweep_out")], ["_hashlib"]) == []
+
+
+def test_sweep_does_not_load_the_process_pool(tmp_path):
+    # sweep forks its workers itself: concurrent.futures and multiprocessing
+    # would add about 30 modules and 1.3 MiB to its peak RSS
+    sweep_dir = tmp_path / "sweep"
+    sweep_dir.mkdir()
+    modified_scenario("ring", sweep_dir, at_guard(0.5))
+    assert loaded_modules(["sweep", str(sweep_dir), "--out",
+                           str(tmp_path / "sweep_out")],
+                          ["concurrent.futures", "multiprocessing"]) == []

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import sys
 import time
 import warnings
@@ -379,12 +380,19 @@ def _put(*keys, value=math.nan):
     # the integrator under no section
     ("example1", _put("agents", "el_true_theta", 4, value=1e308),
      "agents: el_true_theta gives non-finite manipulator coefficients"),
+    # a gravity coefficient of 9.8e306 is finite and the inertia positive
+    # definite, but the velocities of the first step overflow the Coriolis
+    # term: the run warned and stopped in a step-size underflow under no
+    # section
+    ("example1", _put("agents", "el_true_theta", 4, value=1e306),
+     "agents: the derivative of agent0.x2_0 is not finite within the first "
+     "step of 0.001"),
 ], ids=["T_nan", "T_inf", "guard_frac_nan", "t0_nan", "t0_-inf",
         "varpi_init", "p_init", "x_init",
         "theta_hat_init", "quadratic_center", "exp_quadratic_center", "box",
         "weight_nan", "weight_inf", "offsets", "v", "K", "el_true_theta",
         "thetas", "c", "upsilon", "sigma", "overflowing_cost",
-        "huge_Q_entry", "huge_box", "huge_el_true_theta"])
+        "huge_Q_entry", "huge_box", "huge_el_true_theta", "huge_gravity"])
 def test_non_finite_number_refused_in_its_section(tmp_path, capsys,
                                                   monkeypatch, name, edit,
                                                   message):
@@ -866,6 +874,18 @@ def test_manifest_integrator_block(ring_run, example2_run):
     assert rk4["handovers"] is None and rk4["max_rkc2_stages"] is None
 
 
+def test_manifest_timings_take_the_wall_time(all_runs):
+    # the phases, in the order they run, account for the run's wall time
+    for run in all_runs:
+        man = json.loads((run["out"] / "manifest.json").read_text())
+        timings = man["timings"]
+        assert list(timings) == ["build", "oracle", "integrate", "derived",
+                                 "monitors", "csv", "svg"]
+        assert min(timings.values()) >= 0.0
+        assert (0.95 * man["wall_seconds"] <= sum(timings.values())
+                <= man["wall_seconds"])
+
+
 def test_run_emits_artifacts(example2_run):
     assert example2_run["code"] == EXIT_OK
     out = example2_run["out"]
@@ -1211,8 +1231,69 @@ def test_cli_sweep_survives_dead_worker(tmp_path, capfd, monkeypatch):
     monkeypatch.setenv("DPTCO_THREADS", "2")
     assert main(["sweep", str(d), "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
     err = capfd.readouterr().err
-    assert "a_dies.json: error: BrokenProcessPool: " in err
+    assert "a_dies.json: error: worker exited with code 3" in err
     assert "Traceback" not in err
+
+
+def test_cli_sweep_survives_killed_worker(tmp_path, capfd, monkeypatch):
+    d = tmp_path / "scens"
+    d.mkdir()
+    for name in ("a_killed", "b_good"):
+        (d / f"{name}.json").write_text(json.dumps(TINY))
+    real_run = cli.run_scenario
+
+    def run(path, out, **kwargs):
+        if path.endswith("a_killed.json"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_run(path, out, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    monkeypatch.setenv("DPTCO_THREADS", "2")
+    assert main(["sweep", str(d), "--out", str(tmp_path / "sw")]) == EXIT_CONFIG
+    captured = capfd.readouterr()
+    assert (f"a_killed.json: error: worker killed by signal "
+            f"{int(signal.SIGKILL)}") in captured.err
+    assert "b_good.json: ok" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_sweep_result_larger_than_a_pipe_buffer(tmp_path, monkeypatch):
+    # each worker writes about 200 KB, more than a pipe holds, while the
+    # parent waits on all of them: every result comes back whole
+    blobs = {f"s{k}": str(k) * 200_000 for k in range(3)}
+
+    def run(path, out):
+        return EXIT_OK, {"wall_seconds": 0.5, "blob": blobs[Path(path).stem]}
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    jobs = [(f"{name}.json", str(tmp_path / name)) for name in blobs]
+    results = dict(cli._sweep_forked(jobs, 2))
+    assert results == {k: ["ok", EXIT_OK, {"wall_seconds": 0.5, "blob": blob}]
+                       for k, blob in enumerate(blobs.values())}
+
+
+def test_sweep_leaves_no_worker_running(tmp_path, monkeypatch):
+    # the parent stops after the first result: the worker still running is
+    # killed and reaped
+    pid_file = tmp_path / "slow.pid"
+
+    def run(path, out):
+        if path == "slow.json":
+            pid_file.write_text(str(os.getpid()))
+            time.sleep(60.0)
+        while not pid_file.exists():
+            time.sleep(0.01)
+        return EXIT_OK, {"wall_seconds": 0.0}
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    t0 = time.monotonic()
+    results = cli._sweep_forked([("slow.json", str(tmp_path / "a")),
+                                 ("fast.json", str(tmp_path / "b"))], 2)
+    assert next(results) == (1, ["ok", EXIT_OK, {"wall_seconds": 0.0}])
+    results.close()
+    assert time.monotonic() - t0 < 30.0
+    with pytest.raises(ChildProcessError):  # reaped, so no zombie either
+        os.waitpid(int(pid_file.read_text()), os.WNOHANG)
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "0", "2.5"])
