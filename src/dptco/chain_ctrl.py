@@ -168,20 +168,31 @@ def _stage_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.dot(w, _agent_major(x))
 
 
-def chain_error_view(x: np.ndarray, varpi_i: np.ndarray, mu: float,
+def chain_error_view(x: np.ndarray, varpi_i: np.ndarray, mu,
                      cfg: ChainControllerConfig) -> dict:
-    """Error coordinates e_s, s_tilde, e_tilde_s at one state.
+    """Error coordinates e_s, s_tilde, e_tilde_s at one state, or at one
+    per row.
 
     x is (m, ..., n), stage axis first; varpi_i is the (..., n) reference
-    for the first stage.  The axes between stack agents.  s_tilde =
-    k1^-1 (K_tilde o alpha_x^-L) . e_s, whose stage-1 weight is 1.
+    for the first stage.  The axes between stack agents.  mu is a float,
+    or an array of one value per leading index of the agent axis, as (K,)
+    with x (m, K, N, n).  s_tilde = k1^-1 (K_tilde o alpha_x^-L) . e_s,
+    whose stage-1 weight is 1.
     """
     e_s = x.copy()
     e_s[0] -= varpi_i
-    pw = cfg.alpha_x.eval(mu) ** cfg._law_constants[0]
-    s_tilde = _stage_dot(cfg.s_weights * pw[:cfg.m], x) - varpi_i
-    e_tilde_s = cfg.alpha_s.eval(mu) * s_tilde
-    return {"e_s": e_s, "s_tilde": s_tilde, "e_tilde_s": e_tilde_s}
+    ax, als = cfg.alpha_x.eval(mu), cfg.alpha_s.eval(mu)
+    rows = np.shape(mu)
+    # each row's stage weights, then its own stage contraction: one BLAS
+    # dot per entry, as _stage_dot takes them for one row
+    w = cfg.s_weights * (np.asarray(ax)[..., None]
+                         ** cfg._law_constants[0])[..., :cfg.m]
+    s_tilde = np.empty(x.shape[1:])
+    for k in np.ndindex(rows):
+        s_tilde[k] = _stage_dot(w[k], x[(slice(None),) + k])
+    s_tilde -= varpi_i
+    als = np.reshape(als, rows + (1,) * (s_tilde.ndim - len(rows)))
+    return {"e_s": e_s, "s_tilde": s_tilde, "e_tilde_s": als * s_tilde}
 
 
 def chain_control(x: np.ndarray, varpi_i: np.ndarray, mu: float,
@@ -281,7 +292,8 @@ class ChainAgents:
         acc += self.disturbance(t)
 
     def diagnostics(self, mu, x, c, ref) -> dict:
-        """Per-agent norms of e_s and e_tilde_s."""
+        """Per-agent norms of e_s and e_tilde_s; mu is a float, or one per
+        leading index of the agent axis (`chain_error_view`)."""
         view = chain_error_view(x, ref, mu, self.cfg)
         e_s = view["e_s"]
         # one contiguous row per agent, stages in order
@@ -324,25 +336,25 @@ class EulerLagrangeParams:
                 np.array([[t5 * g, 0.0], [t6 * g, t6 * g]]))
 
 
-# x1 @ _ANGLES = [q1, q1 + q2]; x2 * (x2 @ _CORIOLIS) = C x2 / (t3 sin q2)
-_ANGLES = np.array([[1.0, 1.0], [0.0, 1.0]])
+# cos(x1 @ _ANGLES) = [cos q1, cos(q1 + q2), cos q2];
+# x2 * (x2 @ _CORIOLIS) = C x2 / (t3 sin q2)
+_ANGLES = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
 _CORIOLIS = np.array([[-1.0, 0.0], [-2.0, 1.0]])
 
 
 class ElMismatch(NamedTuple):
     """The constants of el_acceleration for one (true, nominal) pair of
     Euler-Lagrange parameters, folded once: the nominal A_hat and B_hat,
-    W_hat - W, theta3_hat - theta3, the reversed true diagonals
-    [A_22, A_11] and [B_22, B_11], and the true off-diagonals A_12, B_12."""
+    W_hat - W, theta3_hat - theta3, and the true inertia
+    [M_22, M_11, M_12] = M_A + cos(q2) M_B as its coefficients
+    M_A = [A_22, A_11, A_12] and M_B = [B_22, B_11, B_12]."""
 
     A_hat: np.ndarray
     B_hat: np.ndarray
     dW: np.ndarray
     dtheta3: float
-    diag_A: np.ndarray
-    diag_B: np.ndarray
-    a12: float
-    b12: float
+    M_A: np.ndarray
+    M_B: np.ndarray
 
     @classmethod
     def of(cls, true_par: EulerLagrangeParams,
@@ -351,8 +363,8 @@ class ElMismatch(NamedTuple):
         A, B, W = true_par.coefficients
         return cls(A_hat, B_hat, W_hat - W,
                    nominal_par.theta[2] - true_par.theta[2],
-                   A.diagonal()[::-1].copy(), B.diagonal()[::-1].copy(),
-                   float(A[0, 1]), float(B[0, 1]))
+                   np.array([A[1, 1], A[0, 0], A[0, 1]]),
+                   np.array([B[1, 1], B[0, 0], B[0, 1]]))
 
 
 def el_acceleration(el: ElMismatch, x1: np.ndarray, x2: np.ndarray,
@@ -366,15 +378,19 @@ def el_acceleration(el: ElMismatch, x1: np.ndarray, x2: np.ndarray,
     G = W^T [cos q1, cos(q1 + q2)] with q = x1.  The parameter mismatch is
     the bounded matched disturbance the robust term absorbs.  All arguments
     are (..., 2); the mismatch terms are folded into one right-hand side and
-    M^{-1} = adj(M) / det(M) is applied component-wise, into out.
+    M^{-1} = adj(M) / det(M) is applied component-wise, into out.  One
+    cosine call gives cos q1, cos(q1 + q2) and cos q2.
     """
-    A_hat, B_hat, dW, dtheta3, diag_A, diag_B, a12, b12 = el
-    c2 = np.cos(x1[..., 1:])
-    # np.dot, not @: the same contraction, and cheaper on small stacks
+    A_hat, B_hat, dW, dtheta3, M_A, M_B = el
+    cos = np.cos(np.dot(x1, _ANGLES))
+    c2 = cos[..., 2:]
+    # np.dot, not @: the same contraction, and cheaper on small stacks.
+    # u A_hat and u B_hat stay two products: one u [A_hat | B_hat] rounds
+    # differently for a single agent, where BLAS takes a matrix-vector path
     b = (np.dot(u, A_hat) + c2 * np.dot(u, B_hat)
-         + np.dot(np.cos(np.dot(x1, _ANGLES)), dW))
+         + np.dot(cos[..., :2], dW))
     b += ((dtheta3 * np.sin(x1[..., 1:])) * (x2 * np.dot(x2, _CORIOLIS)))
-    diag = diag_A + c2 * diag_B  # [M_22, M_11]
-    m12 = a12 + c2 * b12
+    M = M_A + c2 * M_B  # [M_22, M_11, M_12]
+    diag, m12 = M[..., :2], M[..., 2:]
     det = diag[..., :1] * diag[..., 1:] - m12 * m12
     return np.divide(diag * b - m12 * b[..., ::-1], det, out=out)

@@ -129,16 +129,41 @@ class CostSet:
 
     def _sum_terms(self, Z: np.ndarray, k: int) -> np.ndarray:
         """Each agent's sum of its terms' kernel k (0 the gradient, 1 the
-        Hessian) at Z (..., N, dim), over the family batches."""
+        Hessian) at Z (..., N, dim), over the family batches in order.
+
+        Each kernel takes the offsets D = Z - c of its batch's rows and the
+        products M d.  Where two or more batches hold one term per agent
+        in agent order, their offsets and products come from one
+        subtraction and one stacked matmul over (F, ..., N, dim); slice f
+        is bit for bit what batch f alone gives, each (dim, dim) product
+        being the same BLAS call on the same strides.
+        """
+        stack = self._stack
+        if stack is not None:
+            mats, cents = stack
+            if Z.ndim > 2:  # the stack's axis first, then Z's leading axes
+                lead = (1,) * (Z.ndim - 2)
+                mats = mats.reshape(mats.shape[:1] + lead + mats.shape[1:])
+                cents = cents.reshape(cents.shape[:1] + lead
+                                      + cents.shape[1:])
+            D_all = Z - cents
+            MD_all = (mats @ D_all[..., None])[..., 0]
         out = None
+        f = 0  # the next slice of the stack
         for idx, mats, cents, unique, kernels in self._batches:
             if idx is None:
                 # one term per agent, in agent order
-                part = kernels[k](mats, Z - cents)
+                if stack is None:
+                    D = Z - cents
+                    part = kernels[k](mats, D, (mats @ D[..., None])[..., 0])
+                else:
+                    part = kernels[k](mats, D_all[f], MD_all[f])
+                    f += 1
                 out = part if out is None else out + part
                 continue
             at = (slice(None),) * (Z.ndim - 2) + (idx,)  # agent rows idx
-            part = kernels[k](mats, Z[at] - cents)
+            D = Z[at] - cents
+            part = kernels[k](mats, D, (mats @ D[..., None])[..., 0])
             if out is None:
                 out = np.zeros(Z.shape[:-1] + part.shape[Z.ndim - 1:])
             if unique:
@@ -150,6 +175,16 @@ class CostSet:
     @cached_property
     def _batches(self) -> list:
         return _term_batches(self.terms, self.n_agents)
+
+    @cached_property
+    def _stack(self) -> tuple | None:
+        """(matrices (F, N, dim, dim), centers (F, N, dim)) of the F >= 2
+        batches with one term per agent, in batch order; else None."""
+        whole = [(m, c) for idx, m, c, _, _ in self._batches if idx is None]
+        if len(whole) < 2:
+            return None
+        return (np.array([m for m, _ in whole]),
+                np.array([c for _, c in whole]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -228,34 +263,38 @@ def _term_batches(terms: list, n_agents: int) -> list:
              (expq, (_expq_grads, _expq_hessians), 1.0)) if items]
 
 
-def _quad_grads(Q2s: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Rows 2 Q_k d_k of quadratic terms at offsets D = z - center, from
-    the doubled matrices Q2s = 2 Q_k; D may hold several rows per term
-    when Q2s broadcasts over them."""
-    return (Q2s @ D[..., None])[..., 0]
+# each family's gradient and Hessian rows at offsets D = z - center from
+# its batch's matrices Ms and the products MD = Ms d, one row per row of D
+# (several per term when Ms broadcasts over them)
+
+def _quad_grads(Q2s: np.ndarray, D: np.ndarray,
+                Q2D: np.ndarray) -> np.ndarray:
+    """Rows 2 Q_k d_k of quadratic terms, from the doubled matrices
+    Q2s = 2 Q_k: their products."""
+    return Q2D
 
 
-def _expq_grads(Ps: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Rows 2 exp(d'P d) P d of exp-quadratic terms at offsets D, shaped
-    as in _quad_grads."""
-    Pd = (Ps @ D[..., None])[..., 0]
-    e = np.exp((D * Pd).sum(axis=-1))
-    return (2.0 * e)[..., None] * Pd
+def _expq_grads(Ps: np.ndarray, D: np.ndarray, PD: np.ndarray) -> np.ndarray:
+    """Rows 2 exp(d'P d) P d of exp-quadratic terms."""
+    e2 = np.exp(np.add.reduce(D * PD, axis=-1, keepdims=True))
+    e2 *= 2.0
+    return e2 * PD
 
 
-def _quad_hessians(Q2s: np.ndarray, D: np.ndarray) -> np.ndarray:
+def _quad_hessians(Q2s: np.ndarray, D: np.ndarray,
+                   Q2D: np.ndarray) -> np.ndarray:
     """The doubled matrices Q2s = 2 Q_k at every row of D, shaped as D
     with a trailing axis of length dim (a new array)."""
     return np.broadcast_to(Q2s, D.shape + D.shape[-1:]).copy()
 
 
-def _expq_hessians(Ps: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """2 exp(d'P d) (P + 2 P d (P d)^T) of exp-quadratic terms at offsets
-    D, shaped as in _quad_hessians."""
-    Pd = (Ps @ D[..., None])[..., 0]
-    e = np.exp((D * Pd).sum(axis=-1))
-    return (2.0 * e)[..., None, None] * (
-        Ps + 2.0 * Pd[..., :, None] * Pd[..., None, :])
+def _expq_hessians(Ps: np.ndarray, D: np.ndarray,
+                   PD: np.ndarray) -> np.ndarray:
+    """2 exp(d'P d) (P + 2 P d (P d)^T) of exp-quadratic terms, shaped as
+    in _quad_hessians."""
+    e2 = np.exp(np.add.reduce(D * PD, axis=-1, keepdims=True))
+    e2 *= 2.0
+    return e2[..., None] * (Ps + 2.0 * PD[..., :, None] * PD[..., None, :])
 
 
 def grad_sum(costs: CostSet, z) -> np.ndarray:

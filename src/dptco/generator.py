@@ -141,18 +141,26 @@ def matrix_radius(m: np.ndarray) -> float:
 
 @dataclass
 class ErrorState:
-    """Verification-only error coordinates; needs the optimum z*."""
+    """Verification-only error coordinates; needs the optimum z*.  Leading
+    axes before (N, dim), such as a trajectory's logged rows, stack
+    states."""
 
-    e_varpi: np.ndarray  # (N, dim)
-    e_p: np.ndarray      # (N, dim)
+    e_varpi: np.ndarray  # (..., N, dim)
+    e_p: np.ndarray      # (..., N, dim)
 
     @property
     def e_r(self) -> np.ndarray:
-        return np.concatenate([self.e_varpi.ravel(), self.e_p.ravel()])
+        """[e_varpi; e_p], each flattened: (..., 2 N dim)."""
+        lead = self.e_varpi.shape[:-2]
+        return np.concatenate([self.e_varpi.reshape(lead + (-1,)),
+                               self.e_p.reshape(lead + (-1,))], axis=-1)
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.e_r))
+    def norm(self):
+        """||e_r||, one per leading index.  Each is one BLAS dot of e_r
+        with itself, as np.linalg.norm takes a vector's."""
+        e = self.e_r
+        return np.sqrt((e[..., None, :] @ e[..., :, None])[..., 0, 0])
 
 
 def gradients_at(costs, z_star: np.ndarray) -> np.ndarray:
@@ -163,12 +171,13 @@ def gradients_at(costs, z_star: np.ndarray) -> np.ndarray:
 
 def error_state(varpi: np.ndarray, p: np.ndarray, z_star: np.ndarray,
                 grads_at_star: np.ndarray) -> ErrorState:
-    """e_varpi = varpi - 1 (x) z*; e_p = p + grad F(1 (x) z*).
+    """e_varpi = varpi - 1 (x) z*; e_p = p + grad F(1 (x) z*), for varpi
+    and p (..., N, dim).
 
     grads_at_star is gradients_at(costs, z_star), computed once by callers
     that evaluate many states.
     """
-    return ErrorState(varpi - np.asarray(z_star, dtype=float)[None, :],
+    return ErrorState(varpi - np.asarray(z_star, dtype=float),
                       p + grads_at_star)
 
 

@@ -406,38 +406,32 @@ def _section(path: str, where: str):
 
 def derived_series(build: ScenarioBuild, traj: Trajectory,
                    z_star: np.ndarray) -> dict:
-    """Per-logged-point verification channels.
+    """Per-logged-point verification channels, taken on all K logged rows
+    at once.
 
     Always: mu, e_r_norm, p_sum (K, dim), track_err (K, N).  Agent models
     add their diagnostic channels as (K, N) arrays: e_s_norm / e_tilde_norm
     for chain plants; strict-feedback adds theta_hat, tau, stage norms and
     the scaled error norm.  The run CSV lists the channels in this order.
+    Each entry is rounded as it is for its row alone.
     """
     sys = build.sys
-    n = sys.net.n_agents
-    K = traj.times.shape[0]
     z_star = np.asarray(z_star, dtype=float)
-    grads_at_star = gradients_at(sys.costs, z_star)
-    targets = sys.references(np.tile(z_star, (n, 1)))
+    varpi, p, x, c = sys.views(traj.states)
+    mu = sys.clock.mu(traj.times)
     out = {
-        "mu": np.empty(K),
-        "e_r_norm": np.empty(K),
-        "p_sum": np.empty((K, sys.dim)),
-        "track_err": np.empty((K, n)),
+        "mu": mu,
+        "e_r_norm": error_state(varpi, p, z_star,
+                                gradients_at(sys.costs, z_star)).norm,
+        "p_sum": p.sum(axis=-2),
     }
-    for k in range(K):
-        varpi, p, x, c = sys.views(traj.states[k])
-        mu = sys.clock.mu(traj.times[k])
-        out["mu"][k] = mu
-        out["e_r_norm"][k] = error_state(varpi, p, z_star, grads_at_star).norm
-        out["p_sum"][k] = p.sum(axis=0)
-        if sys.agents is None:
-            out["track_err"][k] = np.linalg.norm(varpi - z_star, axis=1)
-            continue
-        out["track_err"][k] = np.linalg.norm(x[0] - targets, axis=1)
-        diag = sys.agents.diagnostics(mu, x, c, sys.references(varpi))
-        for key, val in diag.items():
-            out.setdefault(key, np.empty((K, n)))[k] = val
+    if sys.agents is None:
+        out["track_err"] = np.linalg.norm(varpi - z_star, axis=-1)
+        return out
+    n = sys.net.n_agents
+    out["track_err"] = np.linalg.norm(
+        x[0] - sys.references(np.tile(z_star, (n, 1))), axis=-1)
+    out.update(sys.agents.diagnostics(mu, x, c, sys.references(varpi)))
     return out
 
 

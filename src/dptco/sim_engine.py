@@ -121,7 +121,9 @@ class Trajectory:
     integrator, filled in by `integrate`, says how it stepped: the method,
     accepted and rejected steps of each scheme, n_rhs (with the
     power-iteration probes), each hand-over {"t", "to"} (None if there was
-    none) and the largest RKC2 stage count (None if RKC2 never ran).
+    none), the largest RKC2 stage count (None if RKC2 never ran), the
+    shortest and longest accepted step in t, and the accepted steps per
+    decade of mu at their start, keyed "1e<k>" for mu in [10^k, 10^(k+1)).
     """
 
     times: np.ndarray
@@ -277,6 +279,10 @@ def integrate(system, y0: np.ndarray, clock: PrescribedClock,
     max_stages = 0
     n_steps = 0
     n_rhs = 0
+    # accepted steps: the shortest and longest in t, and how many start in
+    # each decade of mu
+    step_min, step_max = math.inf, 0.0
+    decades = {}
     h = settings.dt * clock.mu0
     last = t >= t_end - 1e-15 * max(1.0, abs(t_end))
     # stage rows and stage input: scratch that never holds the accepted y
@@ -316,6 +322,7 @@ def integrate(system, y0: np.ndarray, clock: PrescribedClock,
         h = h_dp5
 
     while not last:
+        t_start = t
         if not rk45:
             mu = clock.mu(t)
             if mu >= 2.0 * mu_fresh:
@@ -415,6 +422,10 @@ def integrate(system, y0: np.ndarray, clock: PrescribedClock,
                     hand_back()
         _check_finite(y, t)
         n_steps += 1
+        step_min = min(step_min, t - t_start)
+        step_max = max(step_max, t - t_start)
+        decade = math.floor(math.log10(mu))
+        decades[decade] = decades.get(decade, 0) + 1
         if n_steps % settings.log_every == 0 or last:
             times.append(t)
             states.append(y.copy())
@@ -423,7 +434,11 @@ def integrate(system, y0: np.ndarray, clock: PrescribedClock,
     traj.integrator = {"method": settings.method, "steps": steps,
                        "rejected": rejected, "n_rhs": n_rhs,
                        "handovers": handovers or None,
-                       "max_rkc2_stages": max_stages or None}
+                       "max_rkc2_stages": max_stages or None,
+                       "min_step": step_min if n_steps else None,
+                       "max_step": step_max if n_steps else None,
+                       "steps_per_mu_decade": {
+                           f"1e{k}": v for k, v in decades.items()}}
     return traj
 
 
@@ -471,20 +486,27 @@ class CoupledSystem:
     # -- state layout --
 
     def views(self, y: np.ndarray) -> tuple:
-        """Views (varpi, p, x, c) inside y: varpi and p (N, dim), the plant
-        stages x (m, N, dim), and the controller states c, None when the
-        agents carry none, else (theta_hat (N,), xi_f (m-1, N, dim)) with
-        xi_f[q - 2] the filter stage of q = 2..m."""
+        """Views (varpi, p, x, c) inside y (..., total_dim): varpi and p
+        (..., N, dim), the plant stages x (m, ..., N, dim), and the
+        controller states c, None when the agents carry none, else
+        (theta_hat (..., N), xi_f (m-1, ..., N, dim)) with xi_f[q - 2] the
+        filter stage of q = 2..m.  Leading axes of y, such as the logged
+        rows of a trajectory, come after the stage axis."""
         n, d = self.net.n_agents, self.dim
-        half = n * d
-        x = y[self.gen_size:self.ctrl_start].reshape(
-            self.plant_size // d, n, d)
-        c = None
-        if self.ctrl_size:
-            c = (y[self.ctrl_start:self.ctrl_start + n],
-                 y[self.ctrl_start + n:].reshape(-1, n, d))
-        return (y[:half].reshape(n, d), y[half:self.gen_size].reshape(n, d),
-                x, c)
+        c0 = self.ctrl_start
+        if y.ndim == 1:  # the right-hand side's case, with the least work
+            # varpi, p and the plant stages: (N, dim) blocks of one array
+            blocks = y[:c0].reshape(-1, n, d)
+            c = (y[c0:c0 + n], y[c0 + n:].reshape(-1, n, d)
+                 ) if self.ctrl_size else None
+            return blocks[0], blocks[1], blocks[2:], c
+        # the block and stage axes before the leading axes
+        lead = y.shape[:-1]
+        blocks = np.moveaxis(y[..., :c0].reshape(lead + (-1, n, d)), -3, 0)
+        c = (y[..., c0:c0 + n], np.moveaxis(
+            y[..., c0 + n:].reshape(lead + (-1, n, d)), -3, 0)
+             ) if self.ctrl_size else None
+        return blocks[0], blocks[1], blocks[2:], c
 
     @cached_property
     def agent_major(self) -> np.ndarray | None:

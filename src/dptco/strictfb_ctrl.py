@@ -64,6 +64,17 @@ class SfControllerConfig:
     def L(self) -> np.ndarray:
         return scale_powers(self.m)
 
+    @cached_property
+    def _law_constants(self) -> tuple:
+        """The cascade's constants: the floats -c_q and -upsilon_q, the
+        exponents 2 L_q of its adaptation drive for q = 2..m as numpy
+        floats (so a float gain's ** overflows to inf, with numpy's
+        warning, not an OverflowError), and the one phi of every stage
+        (None if they differ)."""
+        return ([-c for c in self.c], [-u for u in self.upsilon],
+                list(2.0 * self.L[1:]),
+                self.phis[0] if len(set(self.phis)) == 1 else None)
+
     @property
     def n_ctrl(self) -> int:
         """Controller state size: theta_hat plus the m-1 filter stages."""
@@ -80,65 +91,80 @@ def check_dcxi(alpha_xi: GainFunction, alpha: GainFunction, c_star: float,
                                   (c_star / (2.0 * L2), alpha))
 
 
-def _gain(mu: float, cfg: SfControllerConfig) -> float:
-    """alpha_xi(mu), refused past the guard."""
-    if mu > cfg.mu_guard * (1.0 + 1e-12):
-        raise DptcoError(f"mu={mu} beyond guard {cfg.mu_guard}")
+def _gain(mu, cfg: SfControllerConfig):
+    """alpha_xi(mu), refused past the guard; at a float mu, or at every
+    entry of an ndarray mu."""
+    over = mu > cfg.mu_guard * (1.0 + 1e-12)
+    if type(over) is not bool:  # an array mu, or a numpy float
+        over = over.any()
+    if over:
+        raise DptcoError(f"mu={np.max(mu)} beyond guard {cfg.mu_guard}")
     return cfg.alpha_xi.eval(mu)
 
 
-def _cascade(x, varpi_i, xi_f, theta_hat, a, cfg: SfControllerConfig,
+def _cascade(x, varpi_i, xi_f, theta_hat, a, cfg: SfControllerConfig, xi,
              drive=None):
     """Walk the backstepping cascade once, stage by stage.
 
-    x[k] is the state of stage q = k + 1 (..., n), xi_f[k - 1] its filter
-    state and drive[k - 1], when given, receives its filter derivative
-    xi_qf' = upsilon_q alpha_xi (xi_{q-1} - xi_qf).  Yields
-    (k, x_tilde_q, xi_tilde_q, phi_q(x_q), xi_q, tau) for q = 1..m, with
-    xi_tilde_q = xi_qf - xi_{q-1} and tau the adaptation drive summed over
-    stages 2..q; stage 1 has no xi_tilde or phi (None).
+    x (m, ..., n) holds the stage states, stage q = k + 1 at x[k], and
+    xi_f (m-1, ..., n) the filter states, stage q's at xi_f[k - 1]; a is
+    alpha_xi, a float, or an array (..., 1, 1) of one value per leading
+    index of the agent axis.  xi (m, ..., n) receives the virtual controls
+    and drive[k - 1], when given, the filter derivative xi_qf' =
+    upsilon_q alpha_xi (xi_{q-1} - xi_qf).  Returns (x_tilde_1, x_tilde,
+    phi, tau): the stage errors x_tilde_1 = x_1 - varpi_i (..., n) and
+    x_tilde_q = x_q - xi_qf, the nonlinearities phi_q(x_q) (m-1, ..., n)
+    for q = 2..m, and the adaptation drive tau = sum_q alpha_xi^{2 L_q}
+    x_tilde_q . phi_q(x_q) (...).  What no stage feeds forward is taken
+    for all stages at once; every entry is rounded as its stage's own
+    formula rounds it.
     """
-    th = np.asarray(theta_hat)[..., None]
-    x_tilde = x[0] - varpi_i
-    xi = -cfg.c[0] * a * x_tilde
+    neg_c, neg_upsilon, tau_powers, one_phi = cfg._law_constants
+    x_tilde = np.subtract(x[1:], xi_f)
+    phi = one_phi(x[1:]) if one_phi is not None else np.array(
+        [f(x_q) for f, x_q in zip(cfg.phis, x[1:])])
+    theta_phi = np.asarray(theta_hat)[..., None] * phi
+    x_tilde_1 = np.subtract(x[0], varpi_i)
+    xk = np.multiply(neg_c[0] * a, x_tilde_1, out=xi[0])
+    terms = np.add.reduce(x_tilde * phi, axis=-1)  # x_tilde_q . phi_q
+    array_gain = isinstance(a, np.ndarray)
     tau = 0.0
-    yield 0, x_tilde, None, None, xi, tau
     for k in range(1, cfg.m):
-        x_q, xi_qf = x[k], xi_f[k - 1]
-        x_tilde = x_q - xi_qf
-        xi_tilde = xi_qf - xi
-        phi = cfg.phis[k - 1](x_q)
         # (-upsilon_q a) xi_tilde_q is the filter derivative, and the
         # cascade's -upsilon_q a xi_tilde_q term, bit for bit
-        d = np.multiply(-cfg.upsilon[k - 1] * a, xi_tilde,
+        d = np.multiply(neg_upsilon[k - 1] * a, np.subtract(xi_f[k - 1], xk),
                         out=None if drive is None else drive[k - 1])
-        xi = -cfg.c[k] * a * x_tilde - th * phi + d
-        tau = tau + a ** (2.0 * cfg.L[k]) * (x_tilde * phi).sum(axis=-1)
-        yield k, x_tilde, xi_tilde, phi, xi, tau
+        xk = np.multiply(neg_c[k] * a, x_tilde[k - 1], out=xi[k])
+        xk -= theta_phi[k - 1]
+        xk += d
+        # alpha_xi^(2 L_q) by libm's pow: a float's **, or per row
+        w = (np.float_power(a, tau_powers[k - 1])[..., 0] if array_gain
+             else a ** tau_powers[k - 1])
+        tau = tau + w * terms[k - 1]
+    return x_tilde_1, x_tilde, phi, tau
 
 
 def virtual_controls(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
-                     theta_hat, mu: float, cfg: SfControllerConfig) -> dict:
+                     theta_hat, mu, cfg: SfControllerConfig) -> dict:
     """Backstepping cascade.
 
     x is (m, ..., n) stage states, stage axis first, varpi_i (..., n),
     xi_f is (m-1, ..., n) filter states and theta_hat a scalar or (...);
-    the axes between stack agents.  Returns the virtual controls
-    xi (m, ..., n), the error coordinates x_tilde (m, ..., n) and
-    xi_tilde (m-1, ..., n) they are built from, and the adaptation drive
+    the axes between stack agents.  mu is a float, or an array of one
+    value per leading index of the agent axis, as (K,) with x
+    (m, K, N, n).  Returns the virtual controls xi (m, ..., n), the error
+    coordinates x_tilde (m, ..., n) and xi_tilde (m-1, ..., n) they are
+    built from, and the adaptation drive
     tau = sum_q alpha_xi^{2 L_q} x_tilde_q . phi_q(x_q) (...).
     """
     a = _gain(mu, cfg)
+    if isinstance(a, np.ndarray):
+        a = a[..., None, None]  # over each row's agents and channels
     xi = np.empty_like(x)
-    x_tilde = np.empty_like(x)
-    xi_tilde = np.empty_like(xi_f)
-    for k, xt, xit, _, xk, tau in _cascade(x, varpi_i, xi_f, theta_hat, a,
-                                           cfg):
-        x_tilde[k] = xt
-        xi[k] = xk
-        if k:
-            xi_tilde[k - 1] = xit
-    return {"xi": xi, "x_tilde": x_tilde, "xi_tilde": xi_tilde, "tau": tau}
+    x_tilde_1, x_tilde, _, tau = _cascade(x, varpi_i, xi_f, theta_hat, a,
+                                          cfg, xi)
+    return {"xi": xi, "x_tilde": np.concatenate([x_tilde_1[None], x_tilde]),
+            "xi_tilde": xi_f - xi[:-1], "tau": tau}
 
 
 def _rows(stages: np.ndarray) -> np.ndarray:
@@ -161,17 +187,19 @@ def error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
 
 
 def scaled_error_vector(x: np.ndarray, varpi_i: np.ndarray, xi_f: np.ndarray,
-                        theta_hat, theta, mu: float, cfg: SfControllerConfig,
+                        theta_hat, theta, mu, cfg: SfControllerConfig,
                         view: dict) -> np.ndarray:
     """Transformed stack e_tilde_s = [omega; eta; theta_tilde] with
     omega_q = alpha_xi^{L_q} x_tilde_q, eta_q = alpha_xi^{L_q} xi_tilde_q,
     one row per leading index, from view, the virtual_controls result at
-    the same arguments."""
+    the same arguments (mu a float, or one per leading index of the agent
+    axis)."""
     a = cfg.alpha_xi.eval(mu)
-    L = cfg.L
-    axes = (1,) * (x.ndim - 1)  # broadcast one weight over each stage
-    omega = (a ** L).reshape((-1,) + axes) * view["x_tilde"]
-    eta = (a ** L[1:]).reshape((-1,) + axes) * view["xi_tilde"]
+    # alpha_xi^L_q (m,) + mu's shape, then over the agents and channels
+    w = np.power(a, cfg.L.reshape((-1,) + (1,) * np.ndim(a)))
+    w = w.reshape(w.shape + (1,) * (x.ndim - w.ndim))
+    omega = w * view["x_tilde"]
+    eta = w[1:] * view["xi_tilde"]
     return np.concatenate([_rows(omega), _rows(eta),
                            np.asarray(theta - theta_hat)[..., None]], axis=-1)
 
@@ -224,23 +252,25 @@ class StrictFeedbackAgents:
 
     def derivatives(self, t, mu, x, c, ref, dx, dc):
         """Write the plant and controller derivatives of every agent into
-        dx and dc, from one walk of the cascade."""
+        dx and dc, from one walk of the cascade.  dx holds the virtual
+        controls until the plant derivatives replace them."""
         cfg = self.cfg
         a = _gain(mu, cfg)
         theta_hat, xi_f = c
+        _, _, phi, tau = _cascade(x, ref, xi_f, theta_hat, a, cfg, dx, dc[1])
+        # x_q' = x_{q+1} + theta phi_q(x_q); x_m' = u + theta phi_m with
+        # u = xi_m, in dx[-1]
+        theta_phi = self._theta_n * phi
+        dx[-1] += theta_phi[-1]
         dx[0] = x[1]
-        for k, _, _, phi, xi, tau in _cascade(x, ref, xi_f, theta_hat, a,
-                                              cfg, dc[1]):
-            if k:
-                # x_q' = x_{q+1} + theta phi_q(x_q); x_m' = u + theta phi_m
-                # with u = xi_m
-                np.add(x[k + 1] if k + 1 < cfg.m else xi,
-                       self._theta_n * phi, out=dx[k])
+        if cfg.m > 2:
+            np.add(x[2:], theta_phi[:-1], out=dx[1:-1])
         np.subtract(tau, cfg.sigma * a * theta_hat, out=dc[0])
 
     def diagnostics(self, mu, x, c, ref) -> dict:
         """Per-agent error norms, estimate, adaptation drive and the
-        x2 (and x3) stage norms."""
+        x2 (and x3) stage norms; mu is a float, or one per leading index
+        of the agent axis (`virtual_controls`)."""
         cfg = self.cfg
         theta_hat, xi_f = c
         view = virtual_controls(x, ref, xi_f, theta_hat, mu, cfg)

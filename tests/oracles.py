@@ -1,25 +1,29 @@
 """Reference forms of library math that the library itself computes in a
 fused, one-pass way or does not need; tests compare the library against
-these.  Also the gain constructors the tests use (scenarios build their
-gains with GainFunction.from_dict), the applied controls, which the
-closed loop computes only inside its right-hand side, the JSON forms
-of gains, which only round-trip tests write, the cost term dicts that
-tests build CostSets from (quad, expq), and the design
-recipes that scenarios do not use, since they state the result: the
-strict-feedback gains (select_parameters; scenarios give c, upsilon and
-sigma), the chain's pole placement and dc2 gain (chain_config; they give
-K and alpha_s) and the working box [-5, 5]^dim (default_box)."""
+these, the hot kernels bit for bit (el_acceleration_per_op,
+sum_terms_per_family, cascade with sf_derivatives and derived_series_loop).
+Also the gain constructors the tests use (scenarios build their gains with
+GainFunction.from_dict), the applied controls, which the closed loop
+computes only inside its right-hand side, the JSON forms of gains, which
+only round-trip tests write, the cost term dicts that tests build CostSets
+from (quad, expq), and the design recipes that scenarios do not use, since
+they state the result: the strict-feedback gains (select_parameters;
+scenarios give c, upsilon and sigma), the chain's pole placement and dc2
+gain (chain_config; they give K and alpha_s) and the working box
+[-5, 5]^dim (default_box)."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from dptco.chain_ctrl import (ChainControllerConfig, EulerLagrangeParams,
-                              chain_control, companion, make_chain_config,
-                              solve_lyapunov, v_constants)
+from dptco import costs as _costs
+from dptco.chain_ctrl import (_CORIOLIS, ChainControllerConfig,
+                              EulerLagrangeParams, chain_control, companion,
+                              make_chain_config, solve_lyapunov, v_constants)
 from dptco.errors import DptcoError
-from dptco.generator import ErrorState, GeneratorConstants
+from dptco.generator import (ErrorState, GeneratorConstants, error_state,
+                             gradients_at)
 from dptco.graph import Network
 from dptco.scenario import _DT, _REQUIRED, _TABLE
 from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, _RK4_H_RHO,
@@ -208,6 +212,25 @@ def el_acceleration_solve(true_par, nominal_par, x1, x2, u):
         M, M_hat @ u + C_hat @ x2 + G_hat - C @ x2 - G)
 
 
+def el_acceleration_per_op(true_par, nominal_par, x1, x2, u):
+    """chain_ctrl.el_acceleration one operation per term, with the
+    mismatch constants taken from the parameters: cos q2, then
+    cos [q1, q1 + q2], each from its own call, and M_22, M_11 and M_12
+    each from its own product and sum."""
+    A_hat, B_hat, W_hat = nominal_par.coefficients
+    A, B, W = true_par.coefficients
+    dtheta3 = nominal_par.theta[2] - true_par.theta[2]
+    c2 = np.cos(x1[..., 1:])
+    b = (np.dot(u, A_hat) + c2 * np.dot(u, B_hat)
+         + np.dot(np.cos(np.dot(x1, np.array([[1.0, 1.0], [0.0, 1.0]]))),
+                  W_hat - W))
+    b += (dtheta3 * np.sin(x1[..., 1:])) * (x2 * np.dot(x2, _CORIOLIS))
+    diag = A.diagonal()[::-1].copy() + c2 * B.diagonal()[::-1].copy()
+    m12 = float(A[0, 1]) + c2 * float(B[0, 1])
+    det = diag[..., :1] * diag[..., 1:] - m12 * m12
+    return (diag * b - m12 * b[..., ::-1]) / det
+
+
 def chain_plant_rhs(x: np.ndarray, u: np.ndarray, phi) -> np.ndarray:
     """Chain dynamics: x_q' = x_{q+1}, x_m' = u + phi, on (m, ..., n)."""
     dx = np.empty_like(x)
@@ -371,6 +394,55 @@ def cost_gradient(c, z) -> np.ndarray:
     if c["family"] == "quadratic":
         return 2.0 * (np.asarray(c["Q"], dtype=float) @ d)
     return cost_value(c, z) * 2.0 * (np.asarray(c["P"], dtype=float) @ d)
+
+
+# each cost family's gradient and Hessian rows at offsets D = z - center,
+# every batch forming its own products
+def _quad_grads(Q2s, D):
+    return (Q2s @ D[..., None])[..., 0]
+
+
+def _expq_grads(Ps, D):
+    Pd = (Ps @ D[..., None])[..., 0]
+    e = np.exp((D * Pd).sum(axis=-1))
+    return (2.0 * e)[..., None] * Pd
+
+
+def _quad_hessians(Q2s, D):
+    return np.broadcast_to(Q2s, D.shape + D.shape[-1:]).copy()
+
+
+def _expq_hessians(Ps, D):
+    Pd = (Ps @ D[..., None])[..., 0]
+    e = np.exp((D * Pd).sum(axis=-1))
+    return (2.0 * e)[..., None, None] * (
+        Ps + 2.0 * Pd[..., :, None] * Pd[..., None, :])
+
+
+_PER_FAMILY = {_costs._quad_grads: (_quad_grads, _quad_hessians),
+               _costs._expq_grads: (_expq_grads, _expq_hessians)}
+
+
+def sum_terms_per_family(costs, Z: np.ndarray, k: int) -> np.ndarray:
+    """CostSet.grad_stack (k = 0) or hessian_stack (k = 1) at Z (..., N,
+    dim), over the CostSet's family batches in order, each batch forming
+    its own offsets and products: no stacked product."""
+    out = None
+    for idx, mats, cents, unique, kernels in costs._batches:
+        kernel = _PER_FAMILY[kernels[0]][k]
+        if idx is None:
+            part = kernel(mats, Z - cents)
+            out = part if out is None else out + part
+            continue
+        at = (slice(None),) * (Z.ndim - 2) + (idx,)
+        part = kernel(mats, Z[at] - cents)
+        if out is None:
+            out = np.zeros(Z.shape[:-1] + part.shape[Z.ndim - 1:])
+        if unique:
+            out[at] += part
+        else:
+            np.add.at(out, at, part)
+    return out
 
 
 def central_differences(grad, Z: np.ndarray) -> np.ndarray:
@@ -670,3 +742,38 @@ def integrate_allocating(rhs, y0: np.ndarray, clock: PrescribedClock,
             states.append(y.copy())
     return Trajectory(np.array(times), np.array(states), n_steps, n_rejected,
                       n_rhs)
+
+
+# --- derived channels: the row-by-row loop ----------------------------------
+
+def derived_series_loop(build, traj, z_star) -> dict:
+    """scenario.derived_series one logged row at a time: each row's views,
+    mu, error norm (np.linalg.norm of the row's e_r), sums and agent
+    diagnostics at that row's float mu, filled into (K, ...) arrays."""
+    sys = build.sys
+    n = sys.net.n_agents
+    K = traj.times.shape[0]
+    z_star = np.asarray(z_star, dtype=float)
+    grads_at_star = gradients_at(sys.costs, z_star)
+    targets = sys.references(np.tile(z_star, (n, 1)))
+    out = {
+        "mu": np.empty(K),
+        "e_r_norm": np.empty(K),
+        "p_sum": np.empty((K, sys.dim)),
+        "track_err": np.empty((K, n)),
+    }
+    for k in range(K):
+        varpi, p, x, c = sys.views(traj.states[k])
+        mu = sys.clock.mu(traj.times[k])
+        out["mu"][k] = mu
+        out["e_r_norm"][k] = np.linalg.norm(
+            error_state(varpi, p, z_star, grads_at_star).e_r)
+        out["p_sum"][k] = p.sum(axis=0)
+        if sys.agents is None:
+            out["track_err"][k] = np.linalg.norm(varpi - z_star, axis=1)
+            continue
+        out["track_err"][k] = np.linalg.norm(x[0] - targets, axis=1)
+        diag = sys.agents.diagnostics(mu, x, c, sys.references(varpi))
+        for key, val in diag.items():
+            out.setdefault(key, np.empty((K, n)))[k] = val
+    return out

@@ -874,6 +874,20 @@ def test_manifest_integrator_block(ring_run, example2_run):
     assert rk4["handovers"] is None and rk4["max_rkc2_stages"] is None
 
 
+def test_manifest_step_range_and_mu_decades(all_runs):
+    # the shortest and longest accepted step in t, and the accepted steps
+    # counted by the decade of mu at their start, "1e<k>" in rising order
+    for run in all_runs:
+        man = json.loads((run["out"] / "manifest.json").read_text())
+        block = man["integrator"]
+        assert 0.0 < block["min_step"] <= block["max_step"], run["name"]
+        decades = block["steps_per_mu_decade"]
+        assert sum(decades.values()) == man["n_steps"], run["name"]
+        exps = [int(k[2:]) for k in decades]
+        assert [f"1e{k}" for k in exps] == list(decades)
+        assert exps == sorted(exps) and min(decades.values()) > 0
+
+
 def test_manifest_timings_take_the_wall_time(all_runs):
     # the phases, in the order they run, account for the run's wall time
     for run in all_runs:
