@@ -130,6 +130,8 @@ def make_chain_config(m: int, n: int, v: float, alpha_x: GainFunction,
                       ) -> ChainControllerConfig:
     """Assemble a chain controller: the companion matrix of K, its
     Lyapunov solve with Q = I, and the gains alpha_x and alpha_s."""
+    if m < 2:
+        raise DptcoError(f"order must be at least 2, got {m}")
     K = np.asarray(K, dtype=float)
     if K.shape != (m - 1,):
         raise DptcoError(f"K must list m - 1 = {m - 1} gains for "

@@ -1,14 +1,14 @@
 """Per-agent convex costs, their curvature constants, and the optimum oracle.
 
-Each agent's cost is a sum of terms, quadratic (z - c)^T Q (z - c) + offset
-or exp-quadratic exp((z - c)^T P (z - c)), held once in `CostSet`'s table
+Each agent's cost is a sum of terms, quadratic (z - c)^T Q (z - c) or
+exp-quadratic exp((z - c)^T P (z - c)), held once in `CostSet`'s table
 of all agents' terms.  Each family's gradient and Hessian are closed
 forms, batched over the table (`CostSet.grad_stack`,
 `CostSet.hessian_stack`), and the strong-convexity constant rho_c and
 gradient-Lipschitz constant varrho_c on a declared working box are bounds
 from the same Hessian formulas (`_curvature_bounds`).  The centralized
 optimum oracle is verification-only plumbing: a damped Newton iteration
-on the team cost.
+on the team gradient and Hessian; no cost value is ever computed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 from .errors import DptcoError
 
 _NEWTON_MAX_ITER = 10_000
-_NEWTON_TOL = 1e-8  # gradient norm at which the oracle stops
+_NEWTON_TOL = 1e-8  # gradient norm at which the oracle stops, unless
+_ROUND_OFF = 8.0 * np.finfo(float).eps  # this times its scale is larger
 
 # family: (its matrix key, the definiteness the matrix needs)
 _FAMILIES = {"quadratic": ("Q", "positive definite"),
@@ -39,19 +40,18 @@ def _finite(name: str, a) -> np.ndarray:
 
 
 def _term(t: dict, dim: int) -> tuple:
-    """(family, matrix, center, offset) of one term dict, checked."""
+    """(family, matrix, center) of one term dict, checked."""
     fam = t["family"]
     if fam not in _FAMILIES:
         raise DptcoError(f"unknown cost family {fam!r}")
     key = _FAMILIES[fam][0]
     mat = _finite(key, t[key])
     center = _finite("center", t["center"])
-    offset = float(_finite("offset", t.get("offset", 0.0)))
     if center.shape != (dim,):
         raise DptcoError("cost dimension mismatch in CostSet")
     if mat.shape != (dim, dim):
         raise DptcoError(f"{key} shape does not match center")
-    return fam, mat, center, offset
+    return fam, mat, center
 
 
 class CostSet:
@@ -59,10 +59,10 @@ class CostSet:
     curvature constants on a working box (dim, 2).
 
     agents[i] is agent i's cost as the scenario reader returns it: one
-    term dict, {"family": "quadratic", "Q", "center", "offset"} or
+    term dict, {"family": "quadratic", "Q", "center"} or
     {"family": "exp_quadratic", "P", "center"}, or a list of them (their
-    sum).  `terms` holds (agent, family, matrix, center, offset) per term,
-    in file order.
+    sum).  `terms` holds (agent, family, matrix, center) per term, in file
+    order.
     """
 
     def __init__(self, agents: list, dim: int, box):
@@ -76,8 +76,8 @@ class CostSet:
                                  "one term")
             starts.append(len(self.terms))
             self.terms += [(i,) + _term(t, dim) for t in c]
-        quad = np.array([f == "quadratic" for _, f, _, _, _ in self.terms])
-        mats = np.array([m for _, _, m, _, _ in self.terms])
+        quad = np.array([f == "quadratic" for _, f, _, _ in self.terms])
+        mats = np.array([m for _, _, m, _ in self.terms])
         spectra = np.linalg.eigvalsh(mats)  # per term; reads one triangle
         # symmetric, lambda_min >= 0, and != 0 for a Q; else name the
         # first family with a term that is not
@@ -96,23 +96,6 @@ class CostSet:
             raise DptcoError(
                 "curvature constants must be finite on the working box, got "
                 f"rho_c = {self.rho_c}, varrho_c = {self.varrho_c}")
-
-    def team_value(self, z) -> float:
-        """sum_i f_i(z), over each agent's terms, then over agents; an
-        exp-quadratic term that overflows gives inf."""
-        z = np.asarray(z, dtype=float)
-        values = [0.0] * self.n_agents
-        for i, fam, mat, center, offset in self.terms:
-            d = z - center
-            q = float(d @ mat @ d)
-            if fam == "quadratic":
-                values[i] += q + offset
-            else:
-                try:
-                    values[i] += math.exp(q)
-                except OverflowError:
-                    values[i] = math.inf
-        return sum(values)
 
     def grad_stack(self, Z: np.ndarray) -> np.ndarray:
         """Per-agent gradients at per-agent points: [..., i, :] is
@@ -208,7 +191,7 @@ def _curvature_bounds(costs: CostSet, starts: list, quad: np.ndarray,
     lam = spectra if len(mats) == n else np.linalg.eigvalsh(
         np.add.reduceat(mats, starts))
     varrho = 2.0 * lam[:, -1]  # lambda_max(2 sum Q) if every term is one
-    expq = [(i, c, k) for k, (i, f, _, c, _) in enumerate(costs.terms)
+    expq = [(i, c, k) for k, (i, f, _, c) in enumerate(costs.terms)
             if f == "exp_quadratic"]
     if expq:
         varrho = 2.0 * np.linalg.eigvalsh(np.add.reduceat(
@@ -236,7 +219,7 @@ def _term_batches(terms: list, n_agents: int) -> list:
     family's (gradient, Hessian) pair.
     """
     quads = {}
-    for i, fam, mat, center, _ in terms:
+    for i, fam, mat, center in terms:
         if fam == "quadratic":
             quads.setdefault(i, []).append((mat, center))
     quad = []
@@ -246,7 +229,7 @@ def _term_batches(terms: list, n_agents: int) -> list:
             Q = sum(Qk for Qk, _ in ts)
             c = np.linalg.solve(Q, sum(Qk @ ck for Qk, ck in ts))
         quad.append((i, Q, c))
-    expq = [(i, mat, center) for i, fam, mat, center, _ in terms
+    expq = [(i, mat, center) for i, fam, mat, center in terms
             if fam == "exp_quadratic"]
 
     def pack(items, kernels, scale):
@@ -297,12 +280,11 @@ def _expq_hessians(Ps: np.ndarray, D: np.ndarray,
     return e2[..., None] * (Ps + 2.0 * PD[..., :, None] * PD[..., None, :])
 
 
-def grad_sum(costs: CostSet, z) -> np.ndarray:
-    """Gradient of the team cost sum_i f_i(z); zero exactly at the optimum."""
+def gradients_at(costs: CostSet, z) -> np.ndarray:
+    """grad F(1 (x) z): every agent's gradient at the one point z, as
+    (N, dim); their sum over agents is the team gradient."""
     z = np.asarray(z, dtype=float)
-    if z.shape != (costs.dim,):
-        raise DptcoError(f"expected dimension {costs.dim}, got {z.shape}")
-    return costs.grad_stack(np.tile(z, (costs.n_agents, 1))).sum(axis=0)
+    return costs.grad_stack(np.tile(z, (costs.n_agents, 1)))
 
 
 @dataclass(frozen=True)
@@ -318,53 +300,65 @@ class OptimumCertificate:
 
 @np.errstate(over="ignore", invalid="ignore")
 def optimum_oracle(costs: CostSet) -> OptimumCertificate:
-    """Centralized optimum by damped Newton with backtracking from z = 0,
-    run until the team gradient norm is at most 1e-8.
+    """Centralized optimum by damped Newton from z = 0, on the team
+    gradient g and Hessian H (`gradients_at` and `hessian_stack`, summed
+    over the agents) alone.
 
-    The Hessian is the team Hessian, `CostSet.hessian_stack` at z summed
-    over the agents.  Strong convexity (rho_c > 0) guarantees a unique
-    optimum; the certificate records the final gradient norm so
-    downstream error computations can budget for it.
-    A team value or gradient norm that is not finite at an iterate (a cost
-    center so far out that its value overflows) is refused, without a
-    numpy warning; a trial point of the line search may overflow.
+    H >= N rho_c I > 0, so the Newton step d = -H^-1 g descends on the
+    merit ||g||^2 (g.H.d = -||g||^2): the line search halves t from 1
+    until ||g(z + t d)||^2 <= (1 - 2e-4 t) ||g(z)||^2.  The iteration stops
+    at ||g|| <= max(1e-8, 8 eps || sum_i |grad f_i(z)| + |H| |z| ||), the
+    round-off of the summed gradient and of z itself.  It refuses, with no
+    numpy warning, a gradient norm, Hessian or step that is not finite at
+    an iterate, a Hessian singular once rounded (an exp-quadratic term
+    far larger than N rho_c), a line search that reaches t = 1e-12, and a
+    z* outside costs.box, on which rho_c and varrho_c hold.  The
+    certificate records the final gradient norm so downstream error
+    computations can budget for it.
     """
     if costs.rho_c <= 0:
         raise DptcoError("optimum oracle needs rho_c > 0")
     z = np.zeros(costs.dim)
-    f, g, g_norm = _team_at(costs, z)
+    G, g, g_norm = _team_gradient(costs, z)
+    _finite(f"optimum oracle: the team gradient norm at z = {z.tolist()}",
+            g_norm)
     it = 0
-    while g_norm > _NEWTON_TOL:
+    while True:
+        H = _finite(f"optimum oracle: the team Hessian at z = {z.tolist()}",
+                    costs.hessian_stack(np.tile(z, (costs.n_agents, 1))
+                                        ).sum(axis=0))
+        if g_norm <= max(_NEWTON_TOL, _ROUND_OFF * float(np.linalg.norm(
+                abs(G).sum(axis=0) + abs(H) @ abs(z)))):
+            break
         if it >= _NEWTON_MAX_ITER:
             raise DptcoError(f"Newton exceeded {_NEWTON_MAX_ITER} iterations")
-        H = costs.hessian_stack(np.tile(z, (costs.n_agents, 1))).sum(axis=0)
         try:
             step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        if step @ g > 0:  # not a descent direction, fall back to gradient
-            step = -g
-        # backtracking line search on the team cost
-        t = 1.0
-        while t > 1e-12:
+        except np.linalg.LinAlgError as exc:  # N rho_c I below H's round-off
+            raise DptcoError(f"optimum oracle: the team Hessian at z = "
+                             f"{z.tolist()} is singular once rounded") from exc
+        _finite(f"optimum oracle: the Newton step at z = {z.tolist()}", step)
+        t = 1.0  # the merit test on norms: their squares may overflow
+        while True:
             z_new = z + t * step
-            if costs.team_value(z_new) <= f + 1e-4 * t * (g @ step):
+            G_new, g_new, norm_new = _team_gradient(costs, z_new)
+            if norm_new <= math.sqrt(1.0 - 2e-4 * t) * g_norm:
                 break
             t *= 0.5
-        z = z + t * step
-        f, g, g_norm = _team_at(costs, z)
+            if t <= 1e-12:
+                raise DptcoError(f"optimum oracle: the line search found no "
+                                 f"decrease from z = {z.tolist()}")
+        z, G, g, g_norm = z_new, G_new, g_new, norm_new
         it += 1
+    if not ((costs.box[:, 0] <= z) & (z <= costs.box[:, 1])).all():
+        raise DptcoError(f"optimum oracle: z* = {z.tolist()} lies outside the "
+                         f"working box {costs.box.tolist()}, on which rho_c "
+                         "and varrho_c hold")
     return OptimumCertificate(z, g_norm, it)
 
 
-def _team_at(costs: CostSet, z: np.ndarray) -> tuple:
-    """(team value, team gradient, its norm) at the oracle's iterate z,
-    refused unless the value and the norm are finite."""
-    f = costs.team_value(z)
-    g = grad_sum(costs, z)
-    g_norm = float(np.linalg.norm(g))
-    if not (math.isfinite(f) and math.isfinite(g_norm)):
-        raise DptcoError(f"optimum oracle: the team cost is not finite at "
-                         f"z = {z.tolist()} (value {f}, gradient norm "
-                         f"{g_norm})")
-    return f, g, g_norm
+def _team_gradient(costs: CostSet, z: np.ndarray) -> tuple:
+    """(every agent's gradient, their sum g, ||g||) at z."""
+    G = gradients_at(costs, z)
+    g = G.sum(axis=0)
+    return G, g, float(np.linalg.norm(g))

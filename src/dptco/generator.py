@@ -163,19 +163,13 @@ class ErrorState:
         return np.sqrt((e[..., None, :] @ e[..., :, None])[..., 0, 0])
 
 
-def gradients_at(costs, z_star: np.ndarray) -> np.ndarray:
-    """grad F(1 (x) z*): every agent's gradient at z*, as (N, dim)."""
-    z_star = np.asarray(z_star, dtype=float)
-    return costs.grad_stack(np.tile(z_star, (costs.n_agents, 1)))
-
-
 def error_state(varpi: np.ndarray, p: np.ndarray, z_star: np.ndarray,
                 grads_at_star: np.ndarray) -> ErrorState:
     """e_varpi = varpi - 1 (x) z*; e_p = p + grad F(1 (x) z*), for varpi
     and p (..., N, dim).
 
-    grads_at_star is gradients_at(costs, z_star), computed once by callers
-    that evaluate many states.
+    grads_at_star is costs.gradients_at(costs, z_star), computed once by
+    callers that evaluate many states.
     """
     return ErrorState(varpi - np.asarray(z_star, dtype=float),
                       p + grads_at_star)

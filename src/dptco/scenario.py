@@ -18,12 +18,12 @@ from itertools import chain
 import numpy as np
 
 from . import chain_ctrl, strictfb_ctrl
-from .costs import CostSet
+from .costs import CostSet, gradients_at
 from .errors import DptcoError, ScenarioError
 from .generator import (GeneratorConstants, MonitorReport,
                         check_generator_criterion, conservation_monitor,
                         envelope_monitor, error_state, generator_constants,
-                        gradients_at, ratio_report)
+                        ratio_report)
 from .graph import build_network, require_connected
 from .sim_engine import (CoupledSystem, SolverSettings, Trajectory,
                          make_disturbance)
@@ -60,8 +60,8 @@ _GAIN = ("object", {"family": (("tag", "gain family", {
 _DC2["base"] = (_GAIN, _REQUIRED)
 
 _TERM = {"family": (("tag", "cost family", {
-    "quadratic": {"Q": (_NUMBERS, _REQUIRED), "center": (_NUMBERS, _REQUIRED),
-                  "offset": (_NUMBER, 0.0)},
+    "quadratic": {"Q": (_NUMBERS, _REQUIRED),
+                  "center": (_NUMBERS, _REQUIRED)},
     "exp_quadratic": {"P": (_NUMBERS, _REQUIRED),
                       "center": (_NUMBERS, _REQUIRED)}}), _REQUIRED)}
 

@@ -53,6 +53,8 @@ class SfControllerConfig:
     phis: tuple
 
     def __post_init__(self):
+        if self.m < 2:
+            raise DptcoError(f"order must be at least 2, got {self.m}")
         if not self.sigma > 1.5:
             raise DptcoError(f"sigma must be > 1.5, got {self.sigma}")
         if len(self.c) != self.m or len(self.upsilon) != self.m - 1:

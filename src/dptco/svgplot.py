@@ -16,6 +16,8 @@ from .errors import DptcoError
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2"]
 _LOG_FLOOR = 1e-16
+# title and labels are plain text, written with these escaped
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _ticks(lo: float, hi: float) -> list:
@@ -46,6 +48,7 @@ def write_svg(path: str, series: list, title: str, ylabel: str) -> None:
     """
     if not series:
         raise DptcoError("no series to plot")
+    title, ylabel = title.translate(_ESCAPE), ylabel.translate(_ESCAPE)
     width, height = 720, 460
     ml, mr, mt, mb = 70, 20, 40, 50  # margins
     pw, ph = width - ml - mr, height - mt - mb
@@ -56,7 +59,7 @@ def write_svg(path: str, series: list, title: str, ylabel: str) -> None:
         y = np.log10(np.maximum(np.abs(np.asarray(y, dtype=float)),
                                 _LOG_FLOOR))
         keep = np.isfinite(x) & np.isfinite(y)
-        prepared.append((label, x[keep], y[keep]))
+        prepared.append((label.translate(_ESCAPE), x[keep], y[keep]))
     xs = np.concatenate([p[1] for p in prepared])
     ys = np.concatenate([p[2] for p in prepared])
     if xs.size == 0:

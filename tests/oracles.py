@@ -22,8 +22,7 @@ from dptco.chain_ctrl import (_CORIOLIS, ChainControllerConfig,
                               EulerLagrangeParams, chain_control, companion,
                               make_chain_config, solve_lyapunov, v_constants)
 from dptco.errors import DptcoError
-from dptco.generator import (ErrorState, GeneratorConstants, error_state,
-                             gradients_at)
+from dptco.generator import ErrorState, GeneratorConstants, error_state
 from dptco.graph import Network
 from dptco.scenario import _DT, _REQUIRED, _TABLE
 from dptco.sim_engine import (_DP_A, _DP_C, _DP_E, _RK4_H_RHO,
@@ -99,10 +98,9 @@ def gain_to_dict(g: GainFunction) -> dict:
     return d
 
 
-def quad(Q, center, offset: float = 0.0) -> dict:
+def quad(Q, center) -> dict:
     """A quadratic cost term, as the scenario reader returns it."""
-    return {"family": "quadratic", "Q": Q, "center": center,
-            "offset": offset}
+    return {"family": "quadratic", "Q": Q, "center": center}
 
 
 def expq(P, center) -> dict:
@@ -375,12 +373,13 @@ def phi_weights(m: int, n: int, alpha_val: float) -> tuple:
 
 def cost_value(c, z) -> float:
     """f(z) of one agent's cost, a term dict or a list of them (their
-    sum), term by term: the per-agent form of CostSet.team_value."""
+    sum), term by term: the reference that gradients are checked
+    against; src/ never computes a cost value."""
     if isinstance(c, list):
         return sum(cost_value(t, z) for t in c)
     d = np.asarray(z, dtype=float) - np.asarray(c["center"], dtype=float)
     if c["family"] == "quadratic":
-        return float(d @ np.asarray(c["Q"], dtype=float) @ d) + c["offset"]
+        return float(d @ np.asarray(c["Q"], dtype=float) @ d)
     return math.exp(float(d @ np.asarray(c["P"], dtype=float) @ d))
 
 
@@ -754,7 +753,7 @@ def derived_series_loop(build, traj, z_star) -> dict:
     n = sys.net.n_agents
     K = traj.times.shape[0]
     z_star = np.asarray(z_star, dtype=float)
-    grads_at_star = gradients_at(sys.costs, z_star)
+    grads_at_star = _costs.gradients_at(sys.costs, z_star)
     targets = sys.references(np.tile(z_star, (n, 1)))
     out = {
         "mu": np.empty(K),

@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from dptco.costs import CostSet, grad_sum, optimum_oracle
+from dptco import costs
+from dptco.costs import CostSet, gradients_at, optimum_oracle
 from dptco.errors import DptcoError
 from dptco.scenario import load_scenario
 
@@ -45,8 +46,9 @@ def per_agent(agents, Z) -> np.ndarray:
 # --- cost families -----------------------------------------------------------
 
 def test_quadratic_value_and_gradient():
-    cs = one_agent(quad(np.eye(2), [1.0, 2.0], offset=3.0))
-    assert cs.team_value(np.array([1.0, 2.0])) == pytest.approx(3.0)
+    # the value's minimum is at the center, where the gradient vanishes
+    cs = one_agent(quad(np.eye(2), [1.0, 2.0]))
+    assert np.array_equal(cs.grad_stack(np.array([[1.0, 2.0]])), [[0.0, 0.0]])
     assert np.allclose(cs.grad_stack(np.array([[2.0, 2.0]])), [[2.0, 0.0]])
 
 
@@ -66,7 +68,8 @@ def test_exp_quadratic_gradient_fd():
         for j in range(2):
             e = np.zeros(2)
             e[j] = 1e-6
-            fd = (cs.team_value(z + e) - cs.team_value(z - e)) / 2e-6
+            fd = (oracles.cost_value(c, z + e)
+                  - oracles.cost_value(c, z - e)) / 2e-6
             assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
@@ -75,8 +78,6 @@ def test_sum_cost_adds():
     b = quad(np.eye(1), [2.0])
     s = one_agent([a, b])
     z = np.array([1.0])
-    assert s.team_value(z) == pytest.approx(
-        one_agent(a).team_value(z) + one_agent(b).team_value(z))
     assert np.allclose(s.grad_stack(z[None]),
                        one_agent(a).grad_stack(z[None])
                        + one_agent(b).grad_stack(z[None]))
@@ -85,7 +86,7 @@ def test_sum_cost_adds():
 def test_cost_roundtrip_serialization(tmp_path):
     # a sum of terms written into a scenario file reads back as the same
     # term table and team cost
-    c = [quad([[1.0, 0.0], [0.0, 2.0]], [0.5, 0.0], 0.25),
+    c = [quad([[1.0, 0.0], [0.0, 2.0]], [0.5, 0.0]),
          expq([[0.2, 0.0], [0.0, 0.1]], [0.0, 0.3])]
 
     def edit(raw):
@@ -97,11 +98,11 @@ def test_cost_roundtrip_serialization(tmp_path):
     agents = json.loads(open(p).read())["costs"]["agents"]
     built = CostSet([c] + agents[1:], 2, default_box(2))
     for got, want in zip(read.terms, built.terms, strict=True):
-        assert got[:2] == want[:2] and got[4] == want[4]
+        assert got[:2] == want[:2]
         assert np.array_equal(got[2], want[2])
         assert np.array_equal(got[3], want[3])
     z = np.array([0.7, -0.2])
-    assert read.team_value(z) == built.team_value(z)
+    assert np.array_equal(gradients_at(read, z), gradients_at(built, z))
 
 
 def test_dimension_mismatch_rejected():
@@ -118,7 +119,6 @@ def test_dimension_mismatch_rejected():
      "unknown cost family 'linear'"),
     ([quad([[1.0]], [0.0, 0.0])], "Q shape does not match center"),
     ([quad(np.eye(2), [0.0, np.nan])], r"center must be finite"),
-    ([quad(np.eye(2), [0.0, 0.0], np.inf)], r"offset must be finite"),
     ([quad(np.eye(2), [0.0, 0.0]), quad(-np.eye(2), [0.0, 0.0])],
      "Q must be symmetric positive definite"),
     ([quad([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])],
@@ -126,8 +126,8 @@ def test_dimension_mismatch_rejected():
     ([expq(np.zeros((2, 2)), [0.0, 0.0]),
       [quad(np.eye(2), [0.0, 0.0]), expq(-np.eye(2), [0.0, 0.0])]],
      "P must be symmetric positive semidefinite"),
-], ids=["empty_sum", "unknown_family", "shape", "center", "offset",
-        "Q_negative", "Q_asymmetric", "P_negative"])
+], ids=["empty_sum", "unknown_family", "shape", "center", "Q_negative",
+        "Q_asymmetric", "P_negative"])
 def test_bad_cost_term_refused(agents, message):
     with pytest.raises(DptcoError, match=message):
         CostSet(agents, 2, default_box(2))
@@ -137,21 +137,21 @@ def test_bad_cost_term_refused(agents, message):
 
 def test_grad_sum_zero_at_center():
     cs = CostSet([quad(np.eye(2), [1.0, -1.0])], 2, default_box(2))
-    assert np.allclose(grad_sum(cs, [1.0, -1.0]), 0.0)
+    assert np.allclose(gradients_at(cs, [1.0, -1.0]).sum(axis=0), 0.0)
 
 
 def test_grad_sum_symmetric_pair():
     cs = CostSet([quad(np.eye(1), [0.0]), quad(np.eye(1), [2.0])], 1,
                  default_box(1))
-    assert np.allclose(grad_sum(cs, [1.0]), 0.0)
+    assert np.allclose(gradients_at(cs, [1.0]).sum(axis=0), 0.0)
 
 
 def test_grad_sum_small_at_reference_optimum():
     agents, dim, box = example2_agents()
     total = sum(oracles.cost_gradient(c, Z_STAR_REFERENCE) for c in agents)
     assert np.linalg.norm(total) < 5e-3
-    assert np.allclose(grad_sum(CostSet(agents, dim, box), Z_STAR_REFERENCE),
-                       total, atol=1e-14)
+    G = gradients_at(CostSet(agents, dim, box), Z_STAR_REFERENCE)
+    assert np.allclose(G.sum(axis=0), total, atol=1e-14)
 
 
 def test_grad_stack_matches_per_agent():
@@ -189,9 +189,9 @@ BRANCHES = {
          expq(P2, [-0.5, 0.2])],
         [expq(P2, [0.3, 0.3]), quad(np.eye(2), [0.0, 1.0])]],
     "three_quadratics_on_one_agent": [
-        [quad(np.diag([1.0, 2.0]), [1.0, -1.0], 0.5),
+        [quad(np.diag([1.0, 2.0]), [1.0, -1.0]),
          quad([[0.3, 0.1], [0.1, 0.2]], [-1.0, 2.0]),
-         quad(np.diag([0.7, 0.4]), [0.2, 0.9], -1.0)],
+         quad(np.diag([0.7, 0.4]), [0.2, 0.9])],
         quad(np.eye(2), [0.0, 0.0])],
 }
 
@@ -207,9 +207,6 @@ def test_grad_stack_branch_matches_per_term_reference(name):
                            atol=1e-14)
         # a leading axis gives each slice's gradients bit for bit
         assert G[k].tobytes() == cs.grad_stack(Z[k]).tobytes()
-    z = Z[0, 0]
-    assert cs.team_value(z) == pytest.approx(
-        sum(oracles.cost_value(c, z) for c in agents), rel=1e-14)
 
 
 def test_merged_quadratics_keep_file_order():
@@ -294,7 +291,7 @@ def test_constants_bound_the_hessian_on_every_shipped_box(tmp_path):
         eigs = grid_spectra(cs, 101)
         lo, hi = float(eigs[..., 0].min()), float(eigs[..., -1].max())
         assert cs.rho_c <= lo and hi <= cs.varrho_c, name
-        if all(f == "quadratic" for _, f, _, _, _ in cs.terms):
+        if all(f == "quadratic" for _, f, _, _ in cs.terms):
             assert (cs.rho_c, cs.varrho_c) == pytest.approx(
                 (lo, hi), rel=1e-15), name
         else:
@@ -359,15 +356,30 @@ def test_oracle_reference_value():
 
 
 def test_oracle_refuses_an_exp_term_that_overflows_at_its_start():
-    # finite on the box, but exp(2000 ||z - c||^2) overflows at z = 0,
-    # where math.exp raised an OverflowError out of team_value
+    # finite on the box, but exp(2000 ||z - c||^2) overflows at z = 0
     cs = one_agent(expq(2000.0 * np.eye(2), [0.5, 0.5]),
                    np.array([[0.4, 0.6], [0.4, 0.6]]))
-    assert cs.team_value([0.0, 0.0]) == np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DptcoError, match=r"optimum oracle: the team cost "
-                           r"is not finite at z = \[0.0, 0.0\] \(value inf"):
+        with pytest.raises(DptcoError, match=r"optimum oracle: the team "
+                           r"gradient norm at z = \[0.0, 0.0\] must be "
+                           r"finite, got inf"):
+            optimum_oracle(cs)
+
+
+def test_oracle_refuses_a_hessian_singular_once_rounded():
+    # H = I + 2e^100 (P + 2 P d d^T P) at z = 0, P = [[1, 1], [1, 1]]:
+    # positive definite, but 1 is lost below the ulp of the rank-one term,
+    # so LAPACK finds an exact zero pivot.  The gradient step that once
+    # replaced the Newton step jumped to z = 4.9e32
+    cs = one_agent([quad(0.5 * np.eye(2), [5.0, 5.0]),
+                    expq(np.ones((2, 2)), [5.0, 5.0])],
+                   np.array([[4.5, 5.5], [4.5, 5.5]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DptcoError, match=r"optimum oracle: the team "
+                           r"Hessian at z = \[0.0, 0.0\] is singular once "
+                           r"rounded"):
             optimum_oracle(cs)
 
 
@@ -433,3 +445,79 @@ def test_gradient_monotonicity(seed):
     dG = cs.grad_stack(np.tile(x, (n, 1))) - cs.grad_stack(np.tile(y, (n, 1)))
     for gap in dG @ (x - y):
         assert gap >= cs.rho_c * float((x - y) @ (x - y)) - 1e-9
+
+
+# --- the oracle over many decades --------------------------------------------
+
+@st.composite
+def cost_sets(draw) -> tuple:
+    """(agents, dim, box): N = 1..6 agents in dim 1..3, each a quadratic
+    or exp-quadratic term or both, on a box [-10^k, 10^k]^dim, k = 0..7.
+    Centers and Q span 12 and 8 decades; P is scaled to the box, so that
+    its curvature bound overflows on about one set in ten."""
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def matrix(decades, ridge):
+        A = rng.standard_normal((dim, dim))
+        return (10.0 ** rng.uniform(*decades)
+                * (A @ A.T + ridge * np.eye(dim))).tolist()
+
+    def center():
+        return (rng.choice([-1.0, 1.0], dim)
+                * 10.0 ** rng.uniform(-4.0, k + 1.0, dim)).tolist()
+
+    agents = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["quadratic", "exp_quadratic", "both"]))
+        terms = []
+        if kind != "exp_quadratic":
+            terms.append(quad(matrix((-4.0, 4.0), 0.1), center()))
+        if kind != "quadratic":
+            terms.append(expq(matrix((-8.0 - 2 * k, 2.5 - 2 * k), 0.0),
+                              center()))
+        agents.append(terms)
+    return agents, dim, [[-10.0 ** k, 10.0 ** k]] * dim
+
+
+@seed(30)
+@given(cost_sets())
+@settings(max_examples=600, deadline=None)
+def test_oracle_certifies_in_the_box_or_refuses(case):
+    # a certificate meets the stop rule within the iteration cap at a z*
+    # in the box; on quadratics alone z* = (sum Q_i)^-1 sum Q_i c_i, and
+    # the oracle refuses only a z* off the box
+    agents, dim, box = case
+    terms = [t for c in agents for t in c]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cs = CostSet(agents, dim, box)
+        except DptcoError:
+            return  # a CostSet that does not build
+        try:
+            cert = optimum_oracle(cs)
+        except DptcoError as exc:
+            cert, refusal = None, str(exc)
+    ref = None
+    if all(t["family"] == "quadratic" for t in terms):
+        Qs = [np.asarray(t["Q"]) for t in terms]
+        ref = np.linalg.solve(sum(Qs), sum(Q @ t["center"]
+                                           for Q, t in zip(Qs, terms)))
+    if cert is None:
+        if ref is not None:
+            assert "outside the working box" in refusal
+            assert (abs(ref) >= 0.999 * cs.box[:, 1]).any(), refusal
+        return
+    z = cert.z_star
+    assert ((cs.box[:, 0] <= z) & (z <= cs.box[:, 1])).all()
+    G = gradients_at(cs, z)
+    H = cs.hessian_stack(np.tile(z, (cs.n_agents, 1))).sum(axis=0)
+    assert cert.grad_norm == np.linalg.norm(G.sum(axis=0))
+    assert cert.grad_norm <= max(1e-8, 8.0 * np.finfo(float).eps
+                                 * np.linalg.norm(abs(G).sum(axis=0)
+                                                  + abs(H) @ abs(z)))
+    assert cert.iterations <= costs._NEWTON_MAX_ITER
+    if ref is not None:
+        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dptco.costs import CostSet, optimum_oracle
+from dptco.costs import CostSet, gradients_at, optimum_oracle
 from dptco.errors import DptcoError
 from dptco.generator import (ErrorState, conservation_monitor,
                              design_radius, envelope_monitor, error_state,
-                             generator_constants, gradients_at,
-                             matrix_radius)
+                             generator_constants, matrix_radius)
 from dptco.graph import build_network
 from dptco.sim_engine import CoupledSystem
 from dptco.timegain import PrescribedClock, kappa

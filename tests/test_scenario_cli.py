@@ -4,16 +4,18 @@ import hashlib
 import json
 import math
 import os
+import re
 import signal
 import sys
 import time
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dptco import cli
+from dptco import cli, costs
 from dptco.cli import (EXIT_CONFIG, EXIT_MONITOR, EXIT_OK, main,
                        read_trajectory_csv, run_scenario)
 from dptco.errors import DptcoError, ScenarioError
@@ -239,7 +241,10 @@ def _refused_before_integration(monkeypatch, capsys, tmp_path, p):
     return err
 
 
-_FAR_CENTER = "optimum oracle: the team cost is not finite at z = [0.0, 0.0] "
+_FAR_CENTER = ("optimum oracle: the team gradient norm at z = [0.0, 0.0] "
+               "must be finite, got inf")
+_OUTSIDE = ("lies outside the working box {}, on which rho_c and varrho_c "
+            "hold")
 
 
 def _far_center(center):
@@ -247,19 +252,60 @@ def _far_center(center):
 
 
 @pytest.mark.parametrize("center, message", [
-    # the team value and gradient norm overflow at z = 0; the oracle's
-    # NaN step then certified z_star = [NaN, NaN]
-    (1e300, _FAR_CENTER + "(value inf, gradient norm inf)"),
-    # the gradient is finite, its norm overflowed with a numpy warning
-    (1e200, _FAR_CENTER + "(value inf, gradient norm inf)"),
-    # finite throughout, but round-off keeps the gradient above 1e-8
-    (1e150, "Newton exceeded 10000 iterations"),
+    # the gradient overflows at z = 0; the oracle's NaN step once
+    # certified z_star = [NaN, NaN]
+    (1e300, re.escape(_FAR_CENTER)),
+    # the gradient is finite, its norm overflows (once with a numpy
+    # warning)
+    (1e200, re.escape(_FAR_CENTER)),
+    # finite throughout: one Newton step reaches z* = [1.67e149, ~0], far
+    # off the box.  Round-off in the summed gradient, above 1e-8, once
+    # kept the oracle at it for 10,000 iterations
+    (1e150, re.escape("optimum oracle: z* = [1.6666666666666666e+149, ")
+     + r"[^\]]+\] "
+     + re.escape(_OUTSIDE.format("[[-5.0, 5.0], [-5.0, 5.0]]"))),
 ], ids=["1e300", "1e200", "1e150"])
 def test_oracle_refuses_a_far_cost_center_under_costs(
         tmp_path, capsys, monkeypatch, center, message):
     p = modified_scenario("ring", tmp_path, _far_center(center))
     err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
-    assert err == f"error: {p}: costs: {message}\n"
+    assert re.fullmatch(re.escape(f"error: {p}: costs: ") + message + "\n",
+                        err), err
+
+
+def test_found77_far_exp_center_refused_outside_the_box(tmp_path, capsys,
+                                                        monkeypatch):
+    # example2_generator with agent 0's exp-quadratic center at [20, 0.5]
+    # builds.  The round-off of the team value, about 3.5e7, defeated the
+    # Armijo test on it, and the oracle ran all 10,000 Newton iterations
+    # before it refused.  On the gradient merit it converges in 28 to
+    # z* = [7.009, -0.319], off the box [-1, 2]^2
+    calls = []
+    gradients_at = costs.gradients_at
+    monkeypatch.setattr(costs, "gradients_at",
+                        lambda *a: calls.append(1) or gradients_at(*a))
+    p = modified_scenario("example2_generator", tmp_path, _put(
+        "costs", "agents", 0, 1, "center", value=[20.0, 0.5]))
+    err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
+    assert err.startswith(f"error: {p}: costs: optimum oracle: z* = [7.0086")
+    assert err.endswith(
+        _OUTSIDE.format("[[-1.0, 2.0], [-1.0, 2.0]]") + "\n")
+    # one gradient at z = 0 and one per trial point: at most 100 iterations
+    assert 0 < len(calls) <= 101
+
+
+def test_plots_of_a_scenario_named_with_markup_parse(tmp_path, capsys):
+    # the title comes from the scenario's name; unescaped, "<" and "&"
+    # left both figures not well-formed, though run exited 0
+    p = modified_scenario("ring", tmp_path,
+                          _put("name", value="ring <T=1> & co"))
+    out = tmp_path / "o"
+    assert main(["run", p, "--out", str(out)]) == EXIT_OK
+    for svg, title in (("envelope", "generator error and envelope"),
+                       ("tracking", "output tracking")):
+        root = ET.parse(out / f"{svg}.svg").getroot()
+        text = root.find("{http://www.w3.org/2000/svg}text").text
+        assert text == f"ring <T=1> & co: {title}"
 
 
 @pytest.mark.parametrize("command", ["optimum", "verify"])
@@ -271,9 +317,7 @@ def test_oracle_errors_located_in_every_command(tmp_path, capsys, ring_run,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr() == (
-        "", f"error: {p}: costs: {_FAR_CENTER}(value inf, gradient norm "
-        "inf)\n")
+    assert capsys.readouterr() == ("", f"error: {p}: costs: {_FAR_CENTER}\n")
 
 
 @pytest.mark.parametrize("key, gain, message", [
@@ -312,6 +356,19 @@ def _put(*keys, value=math.nan):
         for k in keys[:-1]:
             d = d[k]
         d[keys[-1]] = value
+    return edit
+
+
+def _order_1(**keys):
+    """An edit that sets agents.order to 1 and the agents keys given; a
+    value of None removes its key."""
+    def edit(raw):
+        raw["agents"]["order"] = 1
+        for k, v in keys.items():
+            if v is None:
+                del raw["agents"][k]
+            else:
+                raw["agents"][k] = v
     return edit
 
 
@@ -422,12 +479,13 @@ def test_flat_curvature_refused_under_costs(tmp_path, capsys, monkeypatch):
     # a term centred 1e154 away left the sampled curvature at 0, which the
     # generator constants refused outside any section, so the error named
     # neither the file nor the costs.  The closed form gives rho_c = 0.4;
-    # the optimum oracle's team cost then overflows, refused under costs
+    # the optimum oracle's first Newton step then reaches points where the
+    # exp-quadratic gradients overflow, refused under costs
     p = modified_scenario("example2", tmp_path, _put(
         "costs", "agents", 3, 0, "center", 1, value=1e154))
     err = _refused_before_integration(monkeypatch, capsys, tmp_path, p)
-    assert err.startswith(f"error: {p}: costs: optimum oracle: the team cost "
-                          "is not finite at z = ")
+    assert err == (f"error: {p}: costs: optimum oracle: the line search "
+                   "found no decrease from z = [0.0, 0.0]\n")
 
 
 @pytest.mark.parametrize("name, monitor, keys, message", [
@@ -501,6 +559,12 @@ def test_inertia_not_positive_definite_refused_under_agents(
      "costs: dim must be a whole number, got 2.5"),
     ("example2", _put("agents", "order", value=3.5),
      "agents: order must be a whole number, got 3.5"),
+    # a whole order below 2: the first-step check stopped with numpy's
+    # "index 1 is out of bounds" (strict feedback) or "index -1 ..." (chain)
+    ("example2", _order_1(c=[10.0], upsilon=[], phi=[]),
+     "agents: order must be at least 2, got 1"),
+    ("example1", _order_1(K=[], plant="chain", el_true_theta=None),
+     "agents: order must be at least 2, got 1"),
     ("ring", _put("solver", "log_every", value=2.7),
      "solver: log_every must be a whole number, got 2.7"),
     ("ring", _put("solver", "log_every", value=True),
@@ -541,7 +605,8 @@ def test_inertia_not_positive_definite_refused_under_agents(
 ], ids=["v_string", "thetas_string", "sigma_bool", "x_init_string",
         "seed_string", "n_agents_fraction", "n_agents_string",
         "endpoint_fraction", "endpoint_bool", "dim_fraction",
-        "order_fraction", "log_every_fraction", "log_every_bool",
+        "order_fraction", "order_1_strict_feedback", "order_1_chain",
+        "log_every_fraction", "log_every_bool",
         "seed_fraction", "T_bool", "T_string", "rel_tol_string",
         "tol_bool", "box_strings", "Q_strings", "weight_string",
         "Q_huge_int", "center_huge_int", "weight_huge_int",
@@ -565,7 +630,7 @@ def test_non_number_refused_in_its_section(tmp_path, capsys, monkeypatch,
     ("ring", _put("costs", "boxes", value=[]),
      "costs: unknown key(s) boxes; allowed: dim, box, agents"),
     ("ring", _put("costs", "agents", 3, "ofset", value=1.0),
-     "costs: unknown key(s) ofset; allowed: family, Q, center, offset"),
+     "costs: unknown key(s) ofset; allowed: family, Q, center"),
     ("example2", _put("costs", "agents", 1, 1, "offset", value=1.0),
      "costs: unknown key(s) offset; allowed: family, P, center"),
     ("example1", _put("gains", "alpha_x", "base", value={}),

@@ -28,7 +28,6 @@ from conftest import BUNDLED, ROOT, SCEN_DIR, shipped_scenarios
 # dotted key -> the scenario that sets it to another value, or None
 SET_BY = {
     "clock.guard_frac": "example1",
-    "costs.agents.offset": "example2",
     "gains.acknowledge_criteria_override": "example1",
     "agents.controller": "example1",
     "agents.offsets": "example1",
@@ -45,7 +44,6 @@ SET_BY = {
 # dotted key -> a scenario that leaves it out, and so takes its default
 TAKEN_BY = {
     "clock.guard_frac": "ring",
-    "costs.agents.offset": "ring",
     "gains.acknowledge_criteria_override": "ring",
     "agents.controller": "ring",
     "agents.offsets": "example2",

@@ -64,3 +64,15 @@ def test_ticks_cover_range():
     assert ticks[0] >= 0.0 and ticks[-1] <= 1.0 + 1e-12
     assert all(b > a for a, b in zip(ticks, ticks[1:]))
     assert 3 <= len(ticks) <= 8
+
+
+def test_text_is_escaped(tmp_path):
+    # &, < and > in the title, a label or the y label once left the file
+    # not well-formed; each reads back unchanged
+    p = tmp_path / "f.svg"
+    x = np.linspace(0.0, 1.0, 5)
+    write_svg(str(p), [("a < b & c", x, x), ("d > e", x, 1.0 + x)],
+              title="ring <T=1> & co", ylabel="|y & z|")
+    texts = [t.text for t in ET.parse(p).getroot().findall(f"{NS}text")]
+    for s in ("ring <T=1> & co", "a < b & c", "d > e", "log10 |y & z|"):
+        assert s in texts
